@@ -220,7 +220,7 @@ def _i_points_with_nf(x: AlgebraObject, generator):
         for (sid, mapping) in elements[n]:
             xnf = lookup[sid]
             target = apply_operator(shape, xnf, theta)
-            mid = sid + "!" + ".".join(str(v) for v in theta.values)
+            mid = sid + "!" + theta.label
             f = x.diagram.maps[mid]
             table[(sid, mapping)] = (nf_id(target),
                                      tuple(f[e] for e in mapping))
@@ -274,7 +274,7 @@ def validate_algebra_morphism(m: AlgebraMorphism):
         theta = cat.operator_of[mid]
         xnf = cat.simplex_of[src]
         img_src = nf_id(m.f.apply(xnf))
-        img_mid = img_src + "!" + ".".join(str(v) for v in theta.values)
+        img_mid = img_src + "!" + theta.label
         f_src = m.src.diagram.maps[mid]
         f_tgt = m.tgt.diagram.maps[img_mid]
         for e in m.src.diagram.values[src]:

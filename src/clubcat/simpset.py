@@ -7,6 +7,12 @@ to a non-degenerate simplex.  Operators act by normal-form arithmetic: factor
 the composed monotone map into surjection-after-injection, evaluate the
 injective part on stored faces, keep the surjective part symbolic.
 
+Monotone maps are interned, one instance per value list, and validated once.
+Composition and Eilenberg-Zilber factorization of maps are memoized on the
+interned maps, and each simplicial set memoizes the action of operators on
+its simplices.  All of these are pure, so the memos never change a result;
+they are bounded by the maps up to the largest dimension in use.
+
 Operator orientation: a monotone map theta: [m] -> [n] acts on n-simplices
 and yields m-simplices; in the category of simplices it is a morphism from x
 to theta*x.
@@ -23,41 +29,82 @@ from .fincat import FinCategory
 # ---------------------------------------------------------------------------
 # monotone maps in the simplex category
 
+# (n, values) -> the canonical map.  Filled lazily and bounded by the maps
+# that exist up to the largest dimension in use; the memos of compose_maps
+# and ez_factor live on these maps, so they are bounded too.
+_INTERNED = {}
+
+
 class MonotoneMap:
-    """A weakly increasing map [m] -> [n], stored as its value tuple."""
+    """A weakly increasing map [m] -> [n], stored as its value tuple.
 
-    __slots__ = ("m", "n", "values")
+    Maps are interned: ``MonotoneMap(n, values)`` returns the one instance
+    with that codomain and those values, validated once when it is first
+    built.  Equal maps are therefore the same object, so equality is
+    identity; the hash stays value-based, so hash order does not depend on
+    object addresses.  ``label`` is the value list joined by dots, as it
+    appears in simplex and operator ids.  ``_index`` numbers the maps in
+    interning order; ``_composed`` (index of f -> self∘f) and ``_factors``
+    memoize ``compose_maps`` and ``ez_factor``.
+    """
 
+    __slots__ = ("m", "n", "values", "label", "_surjective", "_identity",
+                 "_hash", "_index", "_composed", "_factors")
+
+    def __new__(cls, n, values):
+        try:
+            values = tuple(values)
+        except TypeError:
+            raise InputError(f"monotone map values {values!r} are not a list") from None
+        # checked before the lookup: a list value is unhashable, and a bool
+        # or an integral float compares equal to an interned int
+        for v in values:
+            if type(v) is not int:
+                raise InputError(f"value {v!r} is not an integer")
+        key = (n, values)
+        self = _INTERNED.get(key)
+        if self is None:
+            if not values:
+                raise InputError("monotone maps need a nonempty domain")
+            for i, v in enumerate(values):
+                if not 0 <= v <= n:
+                    raise InputError(f"value {v} out of range [0..{n}]")
+                if i and values[i - 1] > v:
+                    raise InputError(f"values {values} are not monotone")
+            self = object.__new__(cls)
+            self.values = values
+            self.m = len(values) - 1
+            self.n = n
+            self.label = ".".join(map(str, values))
+            self._surjective = set(values) == set(range(n + 1))
+            self._identity = values == tuple(range(n + 1))
+            self._hash = hash(key)
+            self._index = len(_INTERNED)
+            self._composed = {}
+            self._factors = None
+            _INTERNED[key] = self
+        return self
+
+    # Interning lives in __new__.  __init__ is kept, with this signature,
+    # because construction counters wrap MonotoneMap.__init__: without it
+    # they would wrap object.__init__, which rejects the arguments.
     def __init__(self, n, values):
-        self.values = tuple(values)
-        self.m = len(self.values) - 1
-        self.n = n
-        if self.m < 0:
-            raise InputError("monotone maps need a nonempty domain")
-        for i, v in enumerate(self.values):
-            if not 0 <= v <= n:
-                raise InputError(f"value {v} out of range [0..{n}]")
-            if i and self.values[i - 1] > v:
-                raise InputError(f"values {self.values} are not monotone")
-
-    def __eq__(self, other):
-        return (isinstance(other, MonotoneMap)
-                and self.n == other.n and self.values == other.values)
+        pass
 
     def __hash__(self):
-        return hash((self.n, self.values))
+        return self._hash
 
     def __repr__(self):
         return f"MonotoneMap({self.n}, {list(self.values)})"
 
     def is_identity(self):
-        return self.m == self.n and all(v == i for i, v in enumerate(self.values))
+        return self._identity
 
     def is_injective(self):
         return len(set(self.values)) == len(self.values)
 
     def is_surjective(self):
-        return set(self.values) == set(range(self.n + 1))
+        return self._surjective
 
 
 def identity_map(n):
@@ -80,18 +127,24 @@ def degeneracy_map(n, i):
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap):
     """g∘f for f: [k] -> [m], g: [m] -> [n]."""
-    if f.n != g.m:
-        raise InputError("monotone maps not composable")
-    return MonotoneMap(g.n, [g.values[v] for v in f.values])
+    gf = g._composed.get(f._index)
+    if gf is None:
+        if f.n != g.m:
+            raise InputError("monotone maps not composable")
+        gf = g._composed[f._index] = MonotoneMap(
+            g.n, [g.values[v] for v in f.values])
+    return gf
 
 
 def ez_factor(theta: MonotoneMap):
     """Unique factorization theta = delta ∘ sigma with delta injective, sigma surjective."""
-    image = sorted(set(theta.values))
-    delta = MonotoneMap(theta.n, image)
-    pos = {v: i for i, v in enumerate(image)}
-    sigma = MonotoneMap(len(image) - 1, [pos[v] for v in theta.values])
-    return delta, sigma
+    if theta._factors is None:
+        image = sorted(set(theta.values))
+        delta = MonotoneMap(theta.n, image)
+        pos = {v: i for i, v in enumerate(image)}
+        sigma = MonotoneMap(len(image) - 1, [pos[v] for v in theta.values])
+        theta._factors = (delta, sigma)
+    return theta._factors
 
 
 def all_monotone_maps(m, n):
@@ -143,7 +196,7 @@ def nf_id(nf: NormalForm):
     """Readable canonical id: the base for non-degenerate simplices, tagged otherwise."""
     if nf.is_nondegenerate():
         return nf.base
-    return nf.base + "@" + ".".join(str(v) for v in nf.eta.values)
+    return nf.base + "@" + nf.eta.label
 
 
 def nondeg(base, k):
@@ -162,6 +215,12 @@ class SimplicialSet:
         for k in range(trunc + 1):
             for s in self.nondeg[k]:
                 self.dim_of[s] = k
+        # per-set memos: (base, eta, theta) -> theta*(eta, base) for
+        # apply_operator; the canonical id -> simplex lookup and the category
+        # of simplices, both built on first use by sset_club
+        self._op_memo = {}
+        self._nf_cache = None
+        self._simplex_cat = None
 
     def face(self, simplex_id, i):
         return self.faces[simplex_id][i]
@@ -190,14 +249,18 @@ class SimplicialSet:
 
 def apply_operator(s: SimplicialSet, x: NormalForm, theta: MonotoneMap):
     """The normal form of theta*(x) for theta: [m] -> [dim x]."""
-    if theta.n != x.dim:
-        raise InputError(f"operator {theta!r} does not act on dimension {x.dim}")
-    if theta.m > s.trunc:
-        raise InputError(f"dimension {theta.m} above truncation {s.trunc}")
-    kappa = compose_maps(x.eta, theta)
-    delta, sigma = ez_factor(kappa)
-    z = _apply_injective(s, x.base, delta)
-    return NormalForm(compose_maps(z.eta, sigma), z.base)
+    key = (x.base, x.eta, theta)
+    y = s._op_memo.get(key)
+    if y is None:
+        if theta.n != x.dim:
+            raise InputError(f"operator {theta!r} does not act on dimension {x.dim}")
+        if theta.m > s.trunc:
+            raise InputError(f"dimension {theta.m} above truncation {s.trunc}")
+        kappa = compose_maps(x.eta, theta)
+        delta, sigma = ez_factor(kappa)
+        z = _apply_injective(s, x.base, delta)
+        y = s._op_memo[key] = NormalForm(compose_maps(z.eta, sigma), z.base)
+    return y
 
 
 def _apply_injective(s: SimplicialSet, base: str, delta: MonotoneMap):
@@ -561,7 +624,7 @@ def iso_sset(s: SimplicialSet, t: SimplicialSet):
 # the category of simplices
 
 def _simplex_cat_mor_id(src_id, theta):
-    return src_id + "!" + ".".join(str(v) for v in theta.values)
+    return src_id + "!" + theta.label
 
 
 def simplex_category(s: SimplicialSet):
@@ -723,26 +786,6 @@ def validate_extensional(e: ExtensionalSSet):
                         chk(e.s(k + 1, i, e.s(k, j, x)) == e.s(k + 1, j + 1, e.s(k, i, x)),
                             f"degeneracy identity s{i}s{j} fails at dim {k}: {x!r}")
     return report
-
-
-def extensional_of_sset(s: SimplicialSet):
-    """Forget normal forms: list every simplex per dimension with generator actions."""
-    elements = {k: [nf_id(nf) for nf in s.all_simplices(k)] for k in range(s.trunc + 1)}
-    lookup = {}
-    for k in range(s.trunc + 1):
-        for nf in s.all_simplices(k):
-            lookup[nf_id(nf)] = nf
-    face, degen = {}, {}
-    for k in range(s.trunc + 1):
-        if k > 0:
-            for i in range(k + 1):
-                face[(k, i)] = {nf_id(nf): nf_id(apply_operator(s, nf, face_map(k, i)))
-                                for nf in s.all_simplices(k)}
-        if k + 1 <= s.trunc:
-            for i in range(k + 1):
-                degen[(k, i)] = {nf_id(nf): nf_id(apply_operator(s, nf, degeneracy_map(k, i)))
-                                 for nf in s.all_simplices(k)}
-    return ExtensionalSSet(s.trunc, elements, face, degen, name=s.name)
 
 
 # ---------------------------------------------------------------------------

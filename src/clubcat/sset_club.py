@@ -28,22 +28,16 @@ from .simpset import (BisimplicialSet, MonotoneMap, NormalForm,
 
 
 def _nf_lookup(s: SimplicialSet):
-    cache = getattr(s, "_nf_cache", None)
-    if cache is None:
-        cache = {}
-        for k in range(s.trunc + 1):
-            for nf in s.all_simplices(k):
-                cache[nf_id(nf)] = nf
-        s._nf_cache = cache
-    return cache
+    if s._nf_cache is None:
+        s._nf_cache = {nf_id(nf): nf
+                       for k in range(s.trunc + 1) for nf in s.all_simplices(k)}
+    return s._nf_cache
 
 
 def _cat_of(s: SimplicialSet):
-    cat = getattr(s, "_simplex_cat", None)
-    if cat is None:
-        cat = simplex_category(s)
-        s._simplex_cat = cat
-    return cat
+    if s._simplex_cat is None:
+        s._simplex_cat = simplex_category(s)
+    return s._simplex_cat
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +321,7 @@ def pair_category_sset(x: ClubObjectSSet):
                 for m2 in range(s.trunc + 1):
                     for theta2 in all_monotone_maps(m2, moved.dim):
                         t2 = apply_operator(v2, moved, theta2)
-                        mid = f"{pid}!{'.'.join(map(str, theta.values))}" \
-                              f"!{'.'.join(map(str, theta2.values))}"
+                        mid = f"{pid}!{theta.label}!{theta2.label}"
                         tgt = obj_id[(nf_id(s2), nf_id(t2))]
                         morphisms.append((mid, pid, tgt))
                         mor_id[(pid, theta, theta2)] = mid

@@ -32,10 +32,18 @@ def test_validate_missing_file(workspace, capsys):
     assert main(["validate", str(workspace / "nope.json")]) == 2
 
 
-def test_validate_schema_error(workspace, tmp_path):
+def test_validate_schema_error(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "clubcat/1", "nonsense": true}')
     assert main(["validate", str(bad)]) == 2
+    # malformed operator values in a face normal form are invalid input too
+    for eta in ([[0]], "0", [True], [0.0], 0):
+        data = json.loads((workspace / "interval.json").read_text())
+        data["faces"]["01"][0]["eta"] = eta
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2, eta
+        assert capsys.readouterr().err.startswith("error:"), eta
 
 
 def test_validation_failure_exit_code(workspace, tmp_path):

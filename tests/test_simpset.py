@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from clubcat import simpset
 from clubcat.errors import InputError
 from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              apply_operator, boundary, compose_maps,
@@ -55,6 +56,49 @@ def test_surjection_counts():
     for m in range(5):
         for j in range(m + 1):
             assert len(surjections(m, j)) == comb(m, m - j)
+
+
+def test_equal_maps_are_one_interned_object():
+    m = MonotoneMap(3, [0, 1, 2, 3])
+    assert MonotoneMap(3, (0, 1, 2, 3)) is m
+    assert MonotoneMap(3, range(4)) is m
+    assert identity_map(3) is m
+    assert hash(m) == hash((3, (0, 1, 2, 3)))
+    assert compose_maps(face_map(2, 1), degeneracy_map(1, 0)) is MonotoneMap(2, [0, 0, 2])
+
+
+def test_rejected_maps_leave_no_interned_entry():
+    interned = simpset._INTERNED
+    for bad in ([0, 8], [5, 4], [], [0, True], [0.0, 1], [[0]], "01", 3):
+        before = len(interned)
+        with pytest.raises(InputError):
+            MonotoneMap(7, bad)
+        assert len(interned) == before
+    assert (7, (0, 8)) not in interned
+    assert MonotoneMap(7, [0, 7]).values == (0, 7)
+    assert MonotoneMap(7, [4, 5]).values == (4, 5)
+
+
+def test_compose_maps_checks_composability_after_memo_is_warm():
+    g, f = face_map(2, 0), face_map(1, 0)
+    assert compose_maps(g, f).values == (2,)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            compose_maps(g, identity_map(2))
+        with pytest.raises(InputError):
+            compose_maps(f, g)
+    assert compose_maps(g, f) is MonotoneMap(2, [2])
+
+
+def test_apply_operator_rejects_bad_operators_on_every_call():
+    s = standard_simplex(2, 2)
+    x = nondeg("012", 2)
+    assert apply_operator(s, x, face_map(2, 0)) == nondeg("12", 1)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            apply_operator(s, x, face_map(1, 0))       # acts on dimension 1
+        with pytest.raises(InputError):
+            apply_operator(s, x, degeneracy_map(2, 0))  # lands above trunc 2
 
 
 # ---------------------------------------------------------------------------
