@@ -24,8 +24,20 @@ def _check_id(value, what):
     return value
 
 
+def _need_dict(value, what):
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _need_list(value, what):
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _need(data, key, what):
-    if key not in data:
+    if key not in _need_dict(data, what):
         raise SchemaError(f"missing key {key!r} in {what}")
     return data[key]
 
@@ -103,7 +115,7 @@ def normal_form_to_json(nf: NormalForm):
 
 
 def normal_form_from_json(data, base_dim_of, what="normal form"):
-    base = _need(data, "base", what)
+    base = _check_id(_need(data, "base", what), f"{what} base")
     if base not in base_dim_of:
         raise SchemaError(f"{what} references unknown simplex {base!r}")
     eta = MonotoneMap(base_dim_of[base], _need(data, "eta", what))
@@ -123,23 +135,23 @@ def sset_to_json(s: SimplicialSet):
 
 def sset_from_json(data, what="simplicial set"):
     trunc = _need(data, "trunc", what)
-    if not isinstance(trunc, int) or trunc < 0:
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
         raise SchemaError(f"{what} truncation must be a nonnegative integer")
-    raw = _need(data, "nondeg", what)
+    raw = _need_dict(_need(data, "nondeg", what), f"{what} nondeg")
     nondeg = {}
     dim_of = {}
     for k in range(trunc + 1):
-        ids = raw.get(str(k), [])
+        ids = _need_list(raw.get(str(k), []), f"{what} nondeg entry {k}")
         nondeg[k] = [_check_id(x, f"{what} simplex") for x in ids]
         for x in ids:
             dim_of[x] = k
-    faces_raw = data.get("faces", {})
+    faces_raw = _need_dict(data.get("faces", {}), f"{what} faces")
     faces = {}
     for x, fs in faces_raw.items():
         if x not in dim_of:
             raise SchemaError(f"{what} lists faces for unknown simplex {x!r}")
         faces[x] = [normal_form_from_json(nf, dim_of, f"face of {x!r}")
-                    for nf in fs]
+                    for nf in _need_list(fs, f"{what} faces of {x!r}")]
     result = SimplicialSet(trunc, nondeg, faces)
     # canonical names of all simplices, degenerate ones included, must be
     # unambiguous: a stored id may otherwise collide with a degeneracy tag

@@ -215,6 +215,7 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
                 raise GuardrailExceeded(
                     f"product would exceed {guard.max_product_objects} objects")
 
+    shifted_of = {}     # psi2 ∘ R(f) depends only on (oid2, f)
     morphisms = []
     mor_data, mor_id = {}, {}
     identities = {}
@@ -223,7 +224,10 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
         for oid2 in objects:
             d2, psi2 = obj_data[oid2]
             for f in x.base.hom_set(d1, d2):
-                shifted = compose_functors(psi2, x.fiber_mor[f])
+                shifted = shifted_of.get((oid2, f))
+                if shifted is None:
+                    shifted = shifted_of[(oid2, f)] = compose_functors(
+                        psi2, x.fiber_mor[f])
                 for phi in enumerate_nat_trans(psi1, shifted):
                     mid = f"m{len(morphisms)}"
                     morphisms.append((mid, oid1, oid2))
@@ -672,11 +676,16 @@ def triangle_check(x: DiagramInCat, y: DiagramInCat,
     return diagram_morphism_equal(left_path, right_path)
 
 
-def pentagon_check(w: DiagramInCat, x: DiagramInCat, y: DiagramInCat,
-                   z: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS):
-    """The two rebracketing paths ((W⋉X)⋉Y)⋉Z -> W⋉(X⋉(Y⋉Z)) agree."""
+def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat,
+                   guard: Guardrails = DEFAULT_GUARDRAILS):
+    """The two rebracketing paths ((W⋉X)⋉Y)⋉Z -> W⋉(X⋉(Y⋉Z)) agree.
+
+    ``a_wxy`` is ``associator(w, x, y)``, whose inverse that call has already
+    verified; W, X and Y are read from its products, so only the products
+    involving Z are built here.
+    """
     from .diagram import compose_diagram_morphisms
-    a_wxy = associator(w, x, y, guard)
+    w, x, y = a_wxy.p_xy.left, a_wxy.p_xy.right, a_wxy.p_yz.right
     p_wx = a_wxy.p_xy
     p_wx_y = a_wxy.p_xy_z
     p_xy = a_wxy.p_yz

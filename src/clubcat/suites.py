@@ -96,7 +96,7 @@ def _monoidal_laws(config):
             for _ in range(3):
                 w = gen.random_tiny_diagram(rng)
                 try:
-                    pent = pentagon_check(x, y, z, w, guard)
+                    pent = pentagon_check(res, w, guard)
                     break
                 except GuardrailExceeded:
                     continue

@@ -72,7 +72,7 @@ def test_c1_monoidal_laws_on_random_triples():
             for _ in range(3):
                 w = gen.random_tiny_diagram(rng)
                 try:
-                    pentagon = pentagon_check(x, y, z, w)
+                    pentagon = pentagon_check(res, w)
                     break
                 except GuardrailExceeded:
                     continue

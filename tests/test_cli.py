@@ -44,6 +44,24 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 2, eta
         assert capsys.readouterr().err.startswith("error:"), eta
+    # malformed structure around the faces and simplex lists, and a boolean
+    # truncation, are invalid input too
+    edits = {
+        "face base is a list": lambda d: d["faces"]["01"][0].update(base=["1"]),
+        "face is an integer": lambda d: d["faces"]["01"].__setitem__(0, 5),
+        "faces entry is an integer": lambda d: d["faces"].__setitem__("01", 5),
+        "nondeg entry is an integer": lambda d: d["nondeg"].__setitem__("0", 5),
+        "nondeg is an integer": lambda d: d.__setitem__("nondeg", 5),
+        "faces is an integer": lambda d: d.__setitem__("faces", 5),
+        "trunc is a boolean": lambda d: d.__setitem__("trunc", True),
+    }
+    for label, edit in edits.items():
+        data = json.loads((workspace / "interval.json").read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2, label
+        assert capsys.readouterr().err.startswith("error:"), label
 
 
 def test_validation_failure_exit_code(workspace, tmp_path):

@@ -209,7 +209,7 @@ def test_pentagon_small():
     x = discrete_diagram(["b", "c"], [1, 1])
     y = discrete_diagram(["u"], [1])
     z = discrete_diagram(["v", "z0"], [0, 1])
-    assert pentagon_check(w, x, y, z)
+    assert pentagon_check(associator(w, x, y), z)
 
 
 def test_associator_naturality():
@@ -314,3 +314,85 @@ def test_club_check_reports_remapped_object():
         club.eta)
     report = club_check(broken, stop_early=True)
     assert report != []
+
+
+# ---------------------------------------------------------------------------
+# product morphism ids and the reuse of a verified associator
+
+def _all_pairs_morphisms(p):
+    """Reference: the morphism list and mor_id table of p.diagram's base as
+    built by looping over every pair of product objects."""
+    from clubcat.fincat import compose_functors, enumerate_nat_trans
+    x = p.left
+    objects = p.diagram.base.objects
+    morphisms, mor_id = [], {}
+    for oid1 in objects:
+        d1, psi1 = p.obj_data[oid1]
+        for oid2 in objects:
+            d2, psi2 = p.obj_data[oid2]
+            for f in x.base.hom_set(d1, d2):
+                shifted = compose_functors(psi2, x.fiber_mor[f])
+                for phi in enumerate_nat_trans(psi1, shifted):
+                    mid = f"m{len(morphisms)}"
+                    morphisms.append((mid, oid1, oid2))
+                    key = (oid1, oid2, f,
+                           tuple(phi.components[a] for a in psi1.src.objects))
+                    mor_id[key] = mid
+    return morphisms, mor_id
+
+
+def _id_fixture_products():
+    import random
+    from clubcat.generate import random_triple
+    from clubcat.operads import free_operad, operad_to_club
+    arrow = walking_arrow()
+    non_discrete = DiagramInCat(discrete_category(["d"]), {"d": arrow},
+                                {"id_d": identity_functor(arrow)})
+    yield "arrow", build_semidirect(arrow_diagram(), arrow_diagram())
+    yield "non-discrete fiber", build_semidirect(non_discrete, arrow_diagram())
+    yield "keep-restricted operad product", operad_to_club(
+        free_operad({2: ["g"]}, 3)).product
+    rng = random.Random(5)
+    while True:
+        x, y, z = random_triple(rng)
+        try:
+            res = associator(x, y, z)
+        except GuardrailExceeded:
+            continue
+        break
+    for name in ("p_xy", "p_yz", "p_xy_z", "p_x_yz"):
+        yield f"random triple {name}", getattr(res, name)
+
+
+def test_product_morphism_ids_match_all_pairs_reference():
+    for label, p in _id_fixture_products():
+        morphisms, mor_id = _all_pairs_morphisms(p)
+        assert morphisms, label
+        assert p.diagram.base.morphisms == morphisms, label
+        assert p.mor_id == mor_id, label
+
+
+def test_pentagon_trips_guardrail_at_once(monkeypatch):
+    import sys
+    # (W⋉X)⋉Y has 9 * 2**2 = 36 objects, above the 16-object base limit,
+    # while W⋉X (9), X⋉Y (6) and W ⋉ (X⋉Y) stay buildable
+    w = discrete_diagram(["a"], [2])
+    x = discrete_diagram(["b", "c", "e"], [1, 1, 1])
+    y = discrete_diagram(["u", "v"], [1, 1])
+    z = discrete_diagram(["t"], [1])
+    a_wxy = associator(w, x, y)
+    assert len(a_wxy.p_xy_z.diagram.base.objects) == 36
+    # the attribute clubcat.semidirect is the function of that name, so the
+    # module object comes from sys.modules
+    module = sys.modules["clubcat.semidirect"]
+    real = module.build_semidirect
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "build_semidirect", counting)
+    with pytest.raises(GuardrailExceeded):
+        pentagon_check(a_wxy, z)
+    assert len(calls) <= 1
