@@ -1,7 +1,7 @@
 """Finite categories, twisted products of category-valued diagrams, clubs,
 operads, and truncated simplicial sets, with exhaustive law checking."""
 
-from .config import Guardrails, RunConfig, SCHEMA_VERSION
+from .config import Guardrails, SCHEMA_VERSION
 from .errors import ClubcatError, GuardrailExceeded, InputError, SchemaError
 from .fincat import (FinCategory, Functor, NatTrans, compose_functors,
                      enumerate_functors, enumerate_nat_trans,
@@ -9,8 +9,7 @@ from .fincat import (FinCategory, Functor, NatTrans, compose_functors,
 from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,
                       constantify, unit_diagram, validate_diagram)
 from .semidirect import (ClubStructure, associator, club_check,
-                         fiber_semidirect, semidirect,
-                         semidirect_on_morphisms, unitors)
+                         fiber_semidirect, semidirect_on_morphisms, unitors)
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       apply_operator, boundary, diag, disjoint_union,
                       ez_factor, horn, is_injective, is_kan_fibration,

@@ -54,9 +54,6 @@ def _exit_code(report):
     return PASS if report["summary"]["failed"] == 0 else FAIL
 
 
-_VALIDATORS = {}
-
-
 def _validate_value(kind, value):
     from .algebra import validate_algebra_morphism, validate_finset_diagram
     from .diagram import validate_diagram, validate_diagram_morphism

@@ -1,6 +1,6 @@
-"""Run configuration: truncation level, enumeration guardrails, sampling seed."""
+"""Enumeration guardrails and the file schema version."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -29,18 +29,3 @@ DEFAULT_GUARDRAILS = Guardrails()
 
 SCHEMA_VERSION = "clubcat/1"
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    trunc: int = 3
-    guardrails: Guardrails = field(default_factory=Guardrails)
-    seed: int = 0
-    output: str | None = None
-    schema: str = SCHEMA_VERSION
-
-    def check(self):
-        if self.trunc <= 0:
-            raise InputError("trunc must be positive")
-        self.guardrails.check()
-        if self.schema != SCHEMA_VERSION:
-            raise InputError(f"unsupported schema version {self.schema!r}")

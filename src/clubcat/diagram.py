@@ -29,12 +29,6 @@ class DiagramInCat:
         self.fiber_mor = dict(fiber_mor)   # morphism id -> Functor
         self.name = name
 
-    def fiber(self, d):
-        return self.fiber_obj[d]
-
-    def fiber_map(self, f):
-        return self.fiber_mor[f]
-
     def __repr__(self):
         return f"DiagramInCat({self.name!r}, base={self.base!r})"
 
@@ -86,12 +80,6 @@ class DiagramMorphism:
         self.base_functor = base_functor
         self.rho = dict(rho)               # object of src.base -> Functor
         self.name = name
-
-    def on_obj(self, d):
-        return self.base_functor.omap[d]
-
-    def on_mor(self, m):
-        return self.base_functor.mmap[m]
 
     def __repr__(self):
         return f"DiagramMorphism({self.name!r})"

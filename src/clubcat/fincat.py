@@ -184,12 +184,6 @@ class Functor:
         self.omap = dict(omap)
         self.mmap = dict(mmap)
 
-    def on_obj(self, x):
-        return self.omap[x]
-
-    def on_mor(self, m):
-        return self.mmap[m]
-
     def __repr__(self):
         return f"Functor({self.src.name!r} -> {self.tgt.name!r})"
 
@@ -311,15 +305,8 @@ class NatTrans:
         self.tgt = tgt
         self.components = dict(components)
 
-    def at(self, x):
-        return self.components[x]
-
     def __repr__(self):
         return f"NatTrans({len(self.components)} components)"
-
-
-def nt_key(n: NatTrans):
-    return tuple(n.components[x] for x in n.src.src.objects)
 
 
 def validate_nat_trans(n: NatTrans):
@@ -347,18 +334,6 @@ def validate_nat_trans(n: NatTrans):
         if d.comp[(g.mmap[m], n.components[x])] != d.comp[(n.components[y], f.mmap[m])]:
             report.append(f"naturality square fails at {m!r}")
     return report
-
-
-def identity_nat_trans(f: Functor):
-    return NatTrans(f, f, {x: f.tgt.identity(f.omap[x]) for x in f.src.objects})
-
-
-def vertical_compose(b: NatTrans, a: NatTrans):
-    """Componentwise composite of a: F => G with b: G => H."""
-    d = a.src.tgt
-    return NatTrans(a.src, b.tgt,
-                    {x: d.comp[(b.components[x], a.components[x])]
-                     for x in a.src.src.objects})
 
 
 def enumerate_nat_trans(f: Functor, g: Functor):

@@ -42,6 +42,12 @@ def _need(data, key, what):
     return data[key]
 
 
+def _need_cap(value, what):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SchemaError(f"{what} cap must be a positive integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # categories and functors
 
@@ -256,27 +262,36 @@ def operad_to_json(p: NsOperad):
 
 
 def operad_from_json(data, what="operad"):
-    cap = _need(data, "cap", what)
-    if not isinstance(cap, int) or cap < 1:
-        raise SchemaError(f"{what} cap must be a positive integer")
-    raw = _need(data, "levels", what)
-    levels = {n: [_check_id(e, f"{what} element") for e in raw.get(str(n), [])]
+    cap = _need_cap(_need(data, "cap", what), what)
+    raw = _need_dict(_need(data, "levels", what), f"{what} levels")
+    levels = {n: [_check_id(e, f"{what} element")
+                  for e in _need_list(raw.get(str(n), []), f"{what} level {n}")]
               for n in range(cap + 1)}
     unit = _need(data, "unit", what)
     gamma = {}
-    for entry in _need(data, "gamma", what):
-        op = _need(entry, "op", what)
-        args = tuple(_need(entry, "args", what))
-        gamma[(op, args)] = _need(entry, "result", what)
+    for entry in _need_list(_need(data, "gamma", what), f"{what} gamma"):
+        op = _check_id(_need(entry, "op", what), f"{what} gamma op")
+        args = tuple(_check_id(a, f"{what} gamma argument")
+                     for a in _need_list(_need(entry, "args", what),
+                                         f"{what} gamma args"))
+        gamma[(op, args)] = _check_id(_need(entry, "result", what),
+                                      f"{what} gamma result")
     if "actions" in data and data["actions"]:
         actions = {}
-        for n_str, entries in data["actions"].items():
-            n = int(n_str)
+        for n_str, entries in _need_dict(data["actions"], f"{what} actions").items():
+            if not n_str.isdecimal():
+                raise SchemaError(f"{what} action arity must be a number, "
+                                  f"got {n_str!r}")
             acts = {}
-            for entry in entries:
-                perm = tuple(_need(entry, "perm", what))
-                acts[(perm, _need(entry, "src", what))] = _need(entry, "tgt", what)
-            actions[n] = acts
+            for entry in _need_list(entries, f"{what} actions {n_str}"):
+                perm = _need_list(_need(entry, "perm", what), f"{what} action perm")
+                if any(not isinstance(v, int) or isinstance(v, bool) for v in perm):
+                    raise SchemaError(f"{what} action perm must list integers, "
+                                      f"got {perm!r}")
+                src = _check_id(_need(entry, "src", what), f"{what} action source")
+                acts[(tuple(perm), src)] = _check_id(_need(entry, "tgt", what),
+                                                     f"{what} action target")
+            actions[int(n_str)] = acts
         return SymOperad(cap, levels, unit, gamma, actions)
     return NsOperad(cap, levels, unit, gamma)
 
@@ -291,10 +306,9 @@ def club_to_json(s):
         d, psi = p.obj_data[oid]
         okey, mkey = functor_key(psi)
         domain.append([d, list(okey), list(mkey)])
-    out_cap = getattr(s, "cap", None)
     return {
         "carrier": diagram_to_json(s.carrier),
-        **({"cap": out_cap} if out_cap is not None else {}),
+        **({"cap": s.cap} if s.cap is not None else {}),
         "domain": domain,
         "mu": {
             "base_functor": functor_to_json(s.mu.base_functor),
@@ -314,9 +328,10 @@ def club_from_json(data, guard=None, what="club"):
     from .semidirect import ClubStructure, build_semidirect
     guard = guard or DEFAULT_GUARDRAILS
     carrier = diagram_from_json(_need(data, "carrier", what), f"{what} carrier")
+    cap = _need_cap(data["cap"], what) if "cap" in data else None
     keep = {}
-    for entry in _need(data, "domain", what):
-        if len(entry) != 3:
+    for entry in _need_list(_need(data, "domain", what), f"{what} domain"):
+        if len(_need_list(entry, f"{what} domain entry")) != 3:
             raise SchemaError(f"{what} domain entries must be [d, omap, mmap]")
         d, okey, mkey = entry
         keep.setdefault(d, set()).add((tuple(okey), tuple(mkey)))
@@ -348,10 +363,7 @@ def club_from_json(data, guard=None, what="club"):
                                       carrier.fiber_obj[e_obj],
                                       u.fiber_obj["*"])}
     eta = DiagramMorphism(u, carrier, eta_base, eta_rho, name="eta")
-    club = ClubStructure(carrier, product, mu, eta)
-    if "cap" in data:
-        club.cap = data["cap"]
-    return club
+    return ClubStructure(carrier, product, mu, eta, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
 from .diagram import DiagramInCat, DiagramMorphism, unit_diagram
@@ -73,27 +73,27 @@ class NsOperad(Collection):
         return self.gamma[(p, args)]
 
 
+def _bounded_tuples(n, pool, cap):
+    """Each n-tuple of items of ``pool``, a list of (arity, item) pairs, whose
+    arities sum to at most ``cap``, with that sum.
+
+    Tuples come in lexicographic order of pool positions, the first position
+    varying slowest.
+    """
+    if n == 0:
+        yield (), 0
+        return
+    for m, item in pool:
+        if m <= cap:
+            for rest, total in _bounded_tuples(n - 1, pool, cap - m):
+                yield (item,) + rest, m + total
+
+
 def _composable_tuples(p: NsOperad):
     """All (p, args) with the output arity within the cap, n >= 1."""
-    out = []
-    for n in range(1, p.cap + 1):
-        for op in p.levels[n]:
-            level_elems = [(m, q) for m in range(p.cap + 1) for q in p.levels[m]]
-
-            def rec(i, chosen, total):
-                if total > p.cap:
-                    return
-                if i == n:
-                    out.append((op, tuple(q for (_, q) in chosen)))
-                    return
-                for (m, q) in level_elems:
-                    if total + m <= p.cap:
-                        chosen.append((m, q))
-                        rec(i + 1, chosen, total + m)
-                        chosen.pop()
-
-            rec(0, [], 0)
-    return out
+    pool = p.all_elements()
+    return [(op, args) for n in range(1, p.cap + 1) for op in p.levels[n]
+            for args, _ in _bounded_tuples(n, pool, p.cap)]
 
 
 def validate_ns_operad(p: NsOperad):
@@ -258,19 +258,25 @@ class EncodedCollection:
     diagram: DiagramInCat
     obj_of: dict          # element -> base object id
     elem_of: dict         # base object id -> (arity, element)
+    # symmetric encodings only: (permutation, source object id) <-> morphism id
+    mor_of: dict = field(default_factory=dict)
+    mor_data: dict = field(default_factory=dict)
+
+
+def _encoded_objects(p: Collection):
+    """One base object id "<arity>:<element>" per element, in level order,
+    with the maps from elements to ids and back."""
+    elements = p.all_elements()
+    objects = [f"{n}:{e}" for n, e in elements]
+    elem_of = dict(zip(objects, elements))
+    obj_of = {e: oid for oid, (_, e) in elem_of.items()}
+    return objects, obj_of, elem_of
 
 
 def encode_ns(p: Collection):
     """Discrete base with one object per element; fibers are ordered tuples."""
-    objects = []
-    obj_of, elem_of = {}, {}
+    objects, obj_of, elem_of = _encoded_objects(p)
     fibers, fiber_mor = {}, {}
-    for n in range(p.cap + 1):
-        for e in p.levels[n]:
-            oid = f"{n}:{e}"
-            objects.append(oid)
-            obj_of[e] = oid
-            elem_of[oid] = (n, e)
     base = discrete_category(objects, name=f"P({p.name})")
     for oid in objects:
         n, _ = elem_of[oid]
@@ -281,61 +287,66 @@ def encode_ns(p: Collection):
         obj_of, elem_of)
 
 
+def _composite_name(op, args):
+    return f"{op}[" + ",".join(args) + "]"
+
+
+def _composite_tuples(p: Collection, q: Collection):
+    """Each element of the composite collection of p and q: its name, the
+    (op, args) tuple it names and its total arity."""
+    cap = min(p.cap, q.cap)
+    pool = q.all_elements()
+    for n, op in p.all_elements():
+        for args, total in _bounded_tuples(n, pool, cap):
+            yield _composite_name(op, args), (op, args), total
+
+
 def circ(p: Collection, q: Collection):
     """The composite collection: tuples (op; args) graded by total arity."""
-    levels = {k: [] for k in range(min(p.cap, q.cap) + 1)}
-    meta = {}
     cap = min(p.cap, q.cap)
-    for n in range(p.cap + 1):
-        for op in p.levels[n]:
-            def rec(i, chosen, total):
-                if total > cap:
-                    return
-                if i == n:
-                    name = f"{op}[" + ",".join(e for (_, e) in chosen) + "]"
-                    levels[total].append(name)
-                    meta[name] = (op, tuple(e for (_, e) in chosen))
-                    return
-                for m in range(q.cap + 1):
-                    for e in q.levels[m]:
-                        if total + m <= cap:
-                            chosen.append((m, e))
-                            rec(i + 1, chosen, total + m)
-                            chosen.pop()
-
-            rec(0, [], 0)
-    out = Collection(cap, levels, name=f"({p.name}∘{q.name})")
-    out.tuple_of = meta
-    return out
+    levels = {k: [] for k in range(cap + 1)}
+    for name, _, total in _composite_tuples(p, q):
+        levels[total].append(name)
+    return Collection(cap, levels, name=f"({p.name}∘{q.name})")
 
 
-def _keep_keys_by_total_arity(enc: EncodedCollection, cap):
-    """Functor keys over each base object with total landing arity <= cap."""
-    keep = {}
+def _square_within_cap(enc: EncodedCollection, cap, guard):
+    """The product of the encoding with itself, restricted to the objects
+    whose total landing arity is at most ``cap``."""
     base = enc.diagram.base
+    pool = [(enc.elem_of[oid][0], oid) for oid in base.objects]
+    keep = {}
     for oid in base.objects:
         n, _ = enc.elem_of[oid]
-        fiber = enc.diagram.fiber_obj[oid]
-        keys = set()
+        keep[oid] = {(chosen, tuple(base.identities[o] for o in chosen))
+                     for chosen, _ in _bounded_tuples(n, pool, cap)}
+    return build_semidirect(enc.diagram, enc.diagram, guard, keep=keep)
 
-        def rec(i, chosen, total):
-            if total > cap:
-                return
-            if i == n:
-                omap_t = tuple(chosen)
-                mmap_t = tuple(base.identities[o] for o in chosen)
-                keys.add((omap_t, mmap_t))
-                return
-            for other in base.objects:
-                m = enc.elem_of[other][0]
-                if total + m <= cap:
-                    chosen.append(other)
-                    rec(i + 1, chosen, total + m)
-                    chosen.pop()
 
-        rec(0, [], 0)
-        keep[oid] = keys
-    return keep
+def _decode(elem_of, prod: SemidirectProduct, oid):
+    """The (op, args) pair that a product object of an encoding stands for."""
+    d, psi = prod.obj_data[oid]
+    n, op = elem_of[d]
+    return op, tuple(elem_of[psi.omap[str(i)]][1] for i in range(n))
+
+
+def _flat_order(carrier: DiagramInCat, prod: SemidirectProduct, oid):
+    """The fiber objects of a product object in flattened order: by position
+    in the operation, then by position in that argument."""
+    d, psi = prod.obj_data[oid]
+    fib = prod.fibers[oid]
+    return [fib.obj_id[(a, b)]
+            for a in carrier.fiber_obj[d].objects
+            for b in carrier.fiber_obj[psi.omap[a]].objects]
+
+
+def _order_functor(kfib: FinCategory, fib, order):
+    """The order-preserving functor from an ordinal fiber onto a flattened
+    product fiber: position l goes to order[l]."""
+    fomap = {str(l): pid for l, pid in enumerate(order)}
+    fmmap = {kfib.identity(str(l)): fib.cat.identity(pid)
+             for l, pid in enumerate(order)}
+    return Functor(kfib, fib.cat, fomap, fmmap)
 
 
 @dataclass
@@ -354,9 +365,9 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
                           validate_diagram_morphism)
     enc = encode_ns(p)
     pp = circ(p, p)
+    tuple_of = {name: tup for name, tup, _ in _composite_tuples(p, p)}
     enc_pp = encode_ns(pp)
-    keep = _keep_keys_by_total_arity(enc, p.cap)
-    prod = build_semidirect(enc.diagram, enc.diagram, guard, keep=keep)
+    prod = _square_within_cap(enc, p.cap, guard)
 
     def product_oid(op, args):
         oid = enc.obj_of[op]
@@ -369,16 +380,13 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     rho = {}
     for cid in enc_pp.diagram.base.objects:
         _, elem = enc_pp.elem_of[cid]
-        op, args = pp.tuple_of[elem]
+        op, args = tuple_of[elem]
         oid = product_oid(op, args)
         omap[cid] = oid
         mmap[enc_pp.diagram.base.identity(cid)] = prod.diagram.base.identity(oid)
         fib = prod.fibers[oid]
-        k = enc_pp.elem_of[cid][0]
         kfib = enc_pp.diagram.fiber_obj[cid]
-        order = [fib.obj_id[(a, b)]
-                 for a in enc.diagram.fiber_obj[enc.obj_of[op]].objects
-                 for b in enc.diagram.fiber_obj[enc.obj_of[args[int(a)]]].objects]
+        order = _flat_order(enc.diagram, prod, oid)
         fomap = {pid: str(l) for l, pid in enumerate(order)}
         fmmap = {fib.cat.identity(pid): kfib.identity(str(l))
                  for l, pid in enumerate(order)}
@@ -390,22 +398,13 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     # inverse: product -> encoded composite
     omap_i, mmap_i, rho_i = {}, {}, {}
     for oid in prod.diagram.base.objects:
-        d, psi = prod.obj_data[oid]
-        n, op = enc.elem_of[d]
-        args = tuple(enc.elem_of[psi.omap[str(i)]][1] for i in range(n))
-        name = f"{op}[" + ",".join(args) + "]"
-        cid = enc_pp.obj_of[name]
+        op, args = _decode(enc.elem_of, prod, oid)
+        cid = enc_pp.obj_of[_composite_name(op, args)]
         omap_i[oid] = cid
         mmap_i[prod.diagram.base.identity(oid)] = enc_pp.diagram.base.identity(cid)
-        fib = prod.fibers[oid]
-        kfib = enc_pp.diagram.fiber_obj[cid]
-        order = [fib.obj_id[(a, b)]
-                 for a in enc.diagram.fiber_obj[d].objects
-                 for b in enc.diagram.fiber_obj[psi.omap[a]].objects]
-        fomap = {str(l): pid for l, pid in enumerate(order)}
-        fmmap = {kfib.identity(str(l)): fib.cat.identity(pid)
-                 for l, pid in enumerate(order)}
-        rho_i[oid] = Functor(kfib, fib.cat, fomap, fmmap)
+        rho_i[oid] = _order_functor(enc_pp.diagram.fiber_obj[cid],
+                                    prod.fibers[oid],
+                                    _flat_order(enc.diagram, prod, oid))
     base_inv = Functor(prod.diagram.base, enc_pp.diagram.base, omap_i, mmap_i)
     inverse = DiagramMorphism(prod.diagram, enc_pp.diagram, base_inv, rho_i,
                               name="pair-to-tuple")
@@ -425,44 +424,41 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
 # ---------------------------------------------------------------------------
 # operads as clubs
 
-def operad_to_club(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
-    """Build the multiplication and unit of the encoded operad.
+def _club_from_encoding(p: NsOperad, enc: EncodedCollection, guard):
+    """Build the multiplication and unit of an encoded operad.
 
     mu sends a pair (op, args) to gamma(op; args) with the order-preserving
-    identification of the flattened fiber; eta picks the unit.
+    identification of the flattened fiber, identities to identities, and any
+    other morphism to the block permutation it makes of the flattened
+    inputs; eta picks the unit.
     """
-    enc = encode_ns(p)
-    keep = _keep_keys_by_total_arity(enc, p.cap)
-    prod = build_semidirect(enc.diagram, enc.diagram, guard, keep=keep)
+    prod = _square_within_cap(enc, p.cap, guard)
     base = enc.diagram.base
+    pbase = prod.diagram.base
 
     omap, mmap, rho = {}, {}, {}
-    for oid in prod.diagram.base.objects:
-        d, psi = prod.obj_data[oid]
-        n, op = enc.elem_of[d]
-        args = tuple(enc.elem_of[psi.omap[str(i)]][1] for i in range(n))
+    for oid in pbase.objects:
+        op, args = _decode(enc.elem_of, prod, oid)
         result = p.compose(op, args)
         roid = enc.obj_of.get(result)
         if roid is None:
             # signal breakage structurally; club_check reports it
             roid = base.objects[0]
         omap[oid] = roid
-        mmap[prod.diagram.base.identity(oid)] = base.identity(roid)
-        fib = prod.fibers[oid]
         kfib = enc.diagram.fiber_obj[roid]
-        order = [fib.obj_id[(a, b)]
-                 for a in enc.diagram.fiber_obj[d].objects
-                 for b in enc.diagram.fiber_obj[psi.omap[a]].objects]
+        order = _flat_order(enc.diagram, prod, oid)
         if len(order) == len(kfib.objects):
-            fomap = {str(l): pid for l, pid in enumerate(order)}
-            fmmap = {kfib.identity(str(l)): fib.cat.identity(pid)
-                     for l, pid in enumerate(order)}
+            rho[oid] = _order_functor(kfib, prod.fibers[oid], order)
         else:
-            fomap, fmmap = {}, {}
-        rho[oid] = Functor(kfib, fib.cat, fomap, fmmap)
+            rho[oid] = Functor(kfib, prod.fibers[oid].cat, {}, {})
+    for mid in pbase.mor_ids:
+        roid = omap[pbase.src[mid]]
+        if pbase.is_identity(mid):
+            mmap[mid] = base.identity(roid)
+        else:
+            mmap[mid] = enc.mor_of[(_block_of(enc, prod, mid), roid)]
     mu = DiagramMorphism(prod.diagram, enc.diagram,
-                         Functor(prod.diagram.base, base, omap, mmap), rho,
-                         name="mu")
+                         Functor(pbase, base, omap, mmap), rho, name="mu")
 
     u = unit_diagram()
     e_oid = enc.obj_of[p.unit]
@@ -472,10 +468,12 @@ def operad_to_club(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
     eta_rho = {"*": Functor(efib, one, {o: "*" for o in efib.objects},
                             {m: "id_*" for m in efib.mor_ids})}
     eta = DiagramMorphism(u, enc.diagram, eta_base, eta_rho, name="eta")
-    club = ClubStructure(enc.diagram, prod, mu, eta)
-    club.encoding = enc
-    club.cap = p.cap
-    return club
+    return ClubStructure(enc.diagram, prod, mu, eta, cap=p.cap)
+
+
+def operad_to_club(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
+    """The club structure on the non-symmetric encoding of an operad."""
+    return _club_from_encoding(p, encode_ns(p), guard)
 
 
 def club_to_operad(s: ClubStructure):
@@ -494,7 +492,7 @@ def club_to_operad(s: ClubStructure):
         elem_of[oid] = (n, e)
     # the truncation bound is invisible when the top levels are empty, so
     # prefer the recorded one
-    cap = getattr(s, "cap", None)
+    cap = s.cap
     if cap is None:
         cap = max(levels) if levels else 0
     for k in range(cap + 1):
@@ -504,21 +502,15 @@ def club_to_operad(s: ClubStructure):
     gamma = {}
     p = s.product
     for oid in p.diagram.base.objects:
-        d, psi = p.obj_data[oid]
-        n, op = elem_of[d]
-        args = tuple(elem_of[psi.omap[str(i)]][1] for i in range(n))
+        op, args = _decode(elem_of, p, oid)
         result_oid = s.mu.base_functor.omap[oid]
-        if n == 0:
+        if not args:
             continue
         gamma[(op, args)] = elem_of[result_oid][1]
         # rho must be the order-preserving identification
-        fib = p.fibers[oid]
-        order = [fib.obj_id[(a, b)]
-                 for a in s.carrier.fiber_obj[d].objects
-                 for b in s.carrier.fiber_obj[psi.omap[a]].objects]
-        rho = s.mu.rho[oid]
+        order = _flat_order(s.carrier, p, oid)
         expected = {str(l): pid for l, pid in enumerate(order)}
-        if rho.omap != expected:
+        if s.mu.rho[oid].omap != expected:
             raise InputError(
                 f"rho at {oid!r} is not the order-preserving identification")
     return NsOperad(cap, levels, unit, gamma, name="decoded")
@@ -674,14 +666,7 @@ def swap_pair_operad(name="swap2"):
 def encode_sym(p: SymCollection):
     """Base objects are elements; morphisms are the permutations carrying one
     to another, acting on the ordered fibers by position."""
-    objects = []
-    obj_of, elem_of = {}, {}
-    for n in range(p.cap + 1):
-        for e in p.levels[n]:
-            oid = f"{n}:{e}"
-            objects.append(oid)
-            obj_of[e] = oid
-            elem_of[oid] = (n, e)
+    objects, obj_of, elem_of = _encoded_objects(p)
     morphisms = []
     mor_of = {}
     identities = {}
@@ -716,12 +701,44 @@ def encode_sym(p: SymCollection):
         mmap = {fib.identity(str(i)): tgt_fib.identity(str(perm[i]))
                 for i in range(n)}
         fiber_mor[mid] = Functor(fib, tgt_fib, omap, mmap)
-    enc = EncodedCollection(
+    return EncodedCollection(
         DiagramInCat(base, fibers, fiber_mor, name=f"enc({p.name})"),
-        obj_of, elem_of)
-    enc.mor_of = mor_of
-    enc.mor_data = mor_data
-    return enc
+        obj_of, elem_of, mor_of, mor_data)
+
+
+def _block_of(enc: EncodedCollection, prod: SemidirectProduct, mid):
+    """The permutation of the flattened inputs that a product morphism of a
+    symmetric encoding makes."""
+    f, phi = prod.mor_data[mid]
+    _, psi = prod.obj_data[prod.diagram.base.src[mid]]
+    sigma, _ = enc.mor_data[f]
+    positions = [str(i) for i in range(len(sigma))]
+    sizes = [enc.elem_of[psi.omap[i]][0] for i in positions]
+    taus = tuple(enc.mor_data[phi.components[i]][0] for i in positions)
+    return block_permutation(sigma, taus, sizes)
+
+
+def _orbit_rep(p: SymCollection, op, args, perm):
+    """The least decorated tuple in the orbit of (op, args, perm) under
+    relabelling by (sigma, taus)."""
+    n = len(args)
+    sizes = [p.arity_of(q) for q in args]
+    seen = set()
+    for sigma in _all_perms(n):
+        tau_pools = [_all_perms(m) for m in sizes]
+        for taus in itertools.product(*tau_pools):
+            moved = [None] * n
+            for i in range(n):
+                moved[sigma[i]] = p.act(taus[i], args[i])
+            blk = block_permutation(sigma, taus, sizes)
+            seen.add((p.act(sigma, op) if n >= 2 else op, tuple(moved),
+                      _perm_compose(perm, _perm_inverse(blk))))
+    return min(seen)
+
+
+def _class_name(rep):
+    op, args, perm = rep
+    return _composite_name(op, args) + "#" + "".join(str(v) for v in perm)
 
 
 def sym_circ(p: SymCollection):
@@ -732,50 +749,12 @@ def sym_circ(p: SymCollection):
     representative.  Carries the left S_k action by post-composition.
     """
     cap = p.cap
-    raw = []
-    for n in range(cap + 1):
-        for op in p.levels[n]:
-            def rec(i, chosen, total):
-                if total > cap:
-                    return
-                if i == n:
-                    raw.append((op, tuple(e for (_, e) in chosen), total))
-                    return
-                for m in range(cap + 1):
-                    for e in p.levels[m]:
-                        if total + m <= cap:
-                            chosen.append((m, e))
-                            rec(i + 1, chosen, total + m)
-                            chosen.pop()
-
-            rec(0, [], 0)
-
-    def orbit(op, args, perm):
-        n = len(args)
-        sizes = [p.arity_of(q) for q in args]
-        seen = set()
-        for sigma in _all_perms(n):
-            tau_pools = [_all_perms(m) for m in sizes]
-            for taus in itertools.product(*tau_pools):
-                moved = [None] * n
-                for i in range(n):
-                    moved[sigma[i]] = p.act(taus[i], args[i])
-                blk = block_permutation(sigma, taus, sizes)
-                seen.add((p.act(sigma, op) if n >= 2 else op, tuple(moved),
-                          _perm_compose(perm, _perm_inverse(blk))))
-        return min(seen)
-
-    def class_name(rep):
-        op, args, perm = rep
-        return (f"{op}[" + ",".join(args) + "]#"
-                + "".join(str(v) for v in perm))
-
     levels = {k: [] for k in range(cap + 1)}
     class_rep = {}
-    for (op, args, total) in raw:
+    for _, (op, args), total in _composite_tuples(p, p):
         for perm in _all_perms(total):
-            rep = orbit(op, args, perm)
-            name = class_name(rep)
+            rep = _orbit_rep(p, op, args, perm)
+            name = _class_name(rep)
             if name not in class_rep:
                 class_rep[name] = rep
                 levels[total].append(name)
@@ -787,12 +766,10 @@ def sym_circ(p: SymCollection):
         for name in levels[k]:
             op, args, perm = class_rep[name]
             for s in _all_perms(k):
-                acts[(s, name)] = class_name(orbit(op, args, _perm_compose(s, perm)))
+                acts[(s, name)] = _class_name(
+                    _orbit_rep(p, op, args, _perm_compose(s, perm)))
         actions[k] = acts
-    out = SymCollection(cap, levels, actions, name=f"({p.name}∘{p.name})")
-    out.class_rep = class_rep
-    out.class_of = lambda op, args, perm: class_name(orbit(op, args, perm))
-    return out
+    return SymCollection(cap, levels, actions, name=f"({p.name}∘{p.name})")
 
 
 @dataclass
@@ -810,45 +787,25 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
     symmetric composite, with injectivity and surjectivity diagnostics."""
     from .diagram import validate_diagram_morphism
     enc = encode_sym(p)
-    keep = _keep_keys_by_total_arity(enc, p.cap)
-    prod = build_semidirect(enc.diagram, enc.diagram, guard, keep=keep)
+    prod = _square_within_cap(enc, p.cap, guard)
     comp = sym_circ(p)
     enc_c = encode_sym(comp)
+    pbase = prod.diagram.base
 
     omap, mmap, rho = {}, {}, {}
-    for oid in prod.diagram.base.objects:
-        d, psi = prod.obj_data[oid]
-        n, op = enc.elem_of[d]
-        args = tuple(enc.elem_of[psi.omap[str(i)]][1] for i in range(n))
+    for oid in pbase.objects:
+        op, args = _decode(enc.elem_of, prod, oid)
         total = sum(p.arity_of(a) for a in args)
-        cid = enc_c.obj_of[comp.class_of(op, args, _perm_id(total))]
+        rep = _orbit_rep(p, op, args, _perm_id(total))
+        cid = enc_c.obj_of[_class_name(rep)]
         omap[oid] = cid
-        fib = prod.fibers[oid]
-        kfib = enc_c.diagram.fiber_obj[cid]
-        order = [fib.obj_id[(a, b)]
-                 for a in enc.diagram.fiber_obj[d].objects
-                 for b in enc.diagram.fiber_obj[psi.omap[a]].objects]
-        fomap = {str(l): pid for l, pid in enumerate(order)}
-        fmmap = {kfib.identity(str(l)): fib.cat.identity(pid)
-                 for l, pid in enumerate(order)}
-        rho[oid] = Functor(kfib, fib.cat, fomap, fmmap)
-    for mid in prod.diagram.base.mor_ids:
-        f, phi = prod.mor_data[mid]
-        oid1 = prod.diagram.base.src[mid]
-        d1, psi1 = prod.obj_data[oid1]
-        n, _ = enc.elem_of[d1]
-        sigma, _ = enc.mor_data[f]
-        sizes = []
-        taus = []
-        for i in range(n):
-            arg_oid = psi1.omap[str(i)]
-            m, _ = enc.elem_of[arg_oid]
-            sizes.append(m)
-            tau, _ = enc.mor_data[phi.components[str(i)]]
-            taus.append(tau)
-        blk = block_permutation(sigma, tuple(taus), sizes)
-        mmap[mid] = enc_c.mor_of[(blk, omap[oid1])]
-    base = Functor(prod.diagram.base, enc_c.diagram.base, omap, mmap)
+        order = _flat_order(enc.diagram, prod, oid)
+        rho[oid] = _order_functor(enc_c.diagram.fiber_obj[cid], prod.fibers[oid],
+                                  order)
+    for mid in pbase.mor_ids:
+        blk = _block_of(enc, prod, mid)
+        mmap[mid] = enc_c.mor_of[(blk, omap[pbase.src[mid]])]
+    base = Functor(pbase, enc_c.diagram.base, omap, mmap)
     morphism = DiagramMorphism(prod.diagram, enc_c.diagram, base, rho,
                                name="sym-inclusion")
     problems = validate_diagram_morphism(morphism)
@@ -864,62 +821,9 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
 
 
 def sym_operad_to_club(p: SymOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
-    """The club structure on the symmetric encoding, gamma on objects and
-    block permutations on morphisms."""
-    enc = encode_sym(p)
-    keep = _keep_keys_by_total_arity(enc, p.cap)
-    prod = build_semidirect(enc.diagram, enc.diagram, guard, keep=keep)
-    base = enc.diagram.base
-
-    omap, mmap, rho = {}, {}, {}
-    for oid in prod.diagram.base.objects:
-        d, psi = prod.obj_data[oid]
-        n, op = enc.elem_of[d]
-        args = tuple(enc.elem_of[psi.omap[str(i)]][1] for i in range(n))
-        result = p.compose(op, args)
-        roid = enc.obj_of[result]
-        omap[oid] = roid
-        fib = prod.fibers[oid]
-        kfib = enc.diagram.fiber_obj[roid]
-        order = [fib.obj_id[(a, b)]
-                 for a in enc.diagram.fiber_obj[d].objects
-                 for b in enc.diagram.fiber_obj[psi.omap[a]].objects]
-        fomap = {str(l): pid for l, pid in enumerate(order)}
-        fmmap = {kfib.identity(str(l)): fib.cat.identity(pid)
-                 for l, pid in enumerate(order)}
-        rho[oid] = Functor(kfib, fib.cat, fomap, fmmap)
-    for mid in prod.diagram.base.mor_ids:
-        f, phi = prod.mor_data[mid]
-        oid1 = prod.diagram.base.src[mid]
-        d1, psi1 = prod.obj_data[oid1]
-        n, _ = enc.elem_of[d1]
-        sigma, _ = enc.mor_data[f]
-        sizes, taus = [], []
-        for i in range(n):
-            m, _ = enc.elem_of[psi1.omap[str(i)]]
-            sizes.append(m)
-            tau, _ = enc.mor_data[phi.components[str(i)]]
-            taus.append(tau)
-        blk = block_permutation(sigma, tuple(taus), sizes)
-        mmap[mid] = enc.mor_of[(blk, omap[oid1])]
-    mu = DiagramMorphism(prod.diagram, enc.diagram,
-                         Functor(prod.diagram.base, base, omap, mmap), rho,
-                         name="mu")
-
-    u = unit_diagram()
-    e_oid = enc.obj_of[p.unit]
-    eta_base = Functor(u.base, base, {"*": e_oid}, {"id_*": base.identity(e_oid)})
-    one = terminal_category()
-    efib = enc.diagram.fiber_obj[e_oid]
-    eta = DiagramMorphism(
-        u, enc.diagram, eta_base,
-        {"*": Functor(efib, one, {o: "*" for o in efib.objects},
-                      {m: "id_*" for m in efib.mor_ids})},
-        name="eta")
-    club = ClubStructure(enc.diagram, prod, mu, eta)
-    club.encoding = enc
-    club.cap = p.cap
-    return club
+    """The club structure on the symmetric encoding of an operad: gamma on
+    objects and block permutations on morphisms."""
+    return _club_from_encoding(p, encode_sym(p), guard)
 
 
 def symmetric_associative_operad(cap, name="sym-assoc"):

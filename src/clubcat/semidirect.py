@@ -726,13 +726,16 @@ class ClubStructure:
 
     ``product`` is the (possibly truncated) C ⋉ C the multiplication is
     defined on; ``mu`` maps its diagram to the carrier and ``eta`` maps the
-    unit diagram to the carrier.
+    unit diagram to the carrier.  ``cap`` is the arity bound of a club built
+    from an operad, which its carrier cannot show when the top levels are
+    empty; None for other clubs.
     """
 
     carrier: DiagramInCat
     product: SemidirectProduct
     mu: DiagramMorphism
     eta: DiagramMorphism
+    cap: int | None = None
 
 
 def trivial_club(guard: Guardrails = DEFAULT_GUARDRAILS):
@@ -844,21 +847,27 @@ def _unit_laws(s, p, guard, note, e_obj):
         if got != yv:
             if note(f"left unit law fails on object {yv!r}: mu gives {got!r}"):
                 return True
-        # fiber components: mu-rho then (eta ⋉ id)-rho equals the unitor rho
+        # fiber components: mu-rho then (eta ⋉ id)-rho equals the unitor rho;
+        # rho_mu starts at the fiber over mu's object, which the fiber over
+        # yv misses where the object law fails
         rho_mu = mu.rho[img]
         fib_img = p.fibers[img]
         fib_u = p_uc.fibers[oid]
         for b in c.fiber_obj[yv].objects:
-            pid = rho_mu.omap[b]
-            a_part, b_part = fib_img.obj_data[pid]
-            lhs = fib_u.obj_id[("*", b_part)]
+            pid = rho_mu.omap.get(b)
+            lhs = None
+            if pid is not None:
+                a_part, b_part = fib_img.obj_data[pid]
+                lhs = fib_u.obj_id[("*", b_part)]
             if lhs != lu.forward.rho[oid].omap[b]:
                 if note(f"left unit law fails on fiber object {b!r} over {yv!r}"):
                     return True
         for m in c.fiber_obj[yv].mor_ids:
-            qid = rho_mu.mmap[m]
-            alpha, bb1, beta = fib_img.mor_data[qid]
-            lhs = fib_u.mor_id[(one.identity("*"), bb1, beta)]
+            qid = rho_mu.mmap.get(m)
+            lhs = None
+            if qid is not None:
+                alpha, bb1, beta = fib_img.mor_data[qid]
+                lhs = fib_u.mor_id[(one.identity("*"), bb1, beta)]
             if lhs != lu.forward.rho[oid].mmap[m]:
                 if note(f"left unit law fails on fiber morphism {m!r} over {yv!r}"):
                     return True
@@ -905,16 +914,20 @@ def _unit_laws(s, p, guard, note, e_obj):
         fib_u = p_cu.fibers[oid]
         eta_rho = s.eta.rho["*"]
         for b in fiber_d.objects:
-            pid = rho_mu.omap[b]
-            a_part, b_part = fib_img.obj_data[pid]
-            lhs = fib_u.obj_id[(a_part, "*")]
+            pid = rho_mu.omap.get(b)
+            lhs = None
+            if pid is not None:
+                a_part, b_part = fib_img.obj_data[pid]
+                lhs = fib_u.obj_id[(a_part, "*")]
             if lhs != ru.forward.rho[oid].omap[b]:
                 if note(f"right unit law fails on fiber object {b!r} over {d!r}"):
                     return True
         for m in fiber_d.mor_ids:
-            qid = rho_mu.mmap[m]
-            alpha, bb1, beta = fib_img.mor_data[qid]
-            lhs = fib_u.mor_id[(alpha, "*", one.identity("*"))]
+            qid = rho_mu.mmap.get(m)
+            lhs = None
+            if qid is not None:
+                alpha, bb1, beta = fib_img.mor_data[qid]
+                lhs = fib_u.mor_id[(alpha, "*", one.identity("*"))]
             if lhs != ru.forward.rho[oid].mmap[m]:
                 if note(f"right unit law fails on fiber morphism {m!r} over {d!r}"):
                     return True

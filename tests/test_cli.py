@@ -62,6 +62,40 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 2, label
         assert capsys.readouterr().err.startswith("error:"), label
+    # the same for operad and club files: wrong containers and boolean caps
+    from clubcat.operads import operad_to_club
+    formats.write_file(workspace / "club.json", "club",
+                       operad_to_club(cyclic_group_operad(3)))
+    edits = {
+        "operad gamma is an integer": ("op.json", lambda d: d.update(gamma=5)),
+        "operad gamma args is an integer":
+            ("op.json", lambda d: d["gamma"][0].update(args=5)),
+        "operad gamma op is a list":
+            ("op.json", lambda d: d["gamma"][0].update(op=["x"])),
+        "operad gamma argument is a list":
+            ("op.json", lambda d: d["gamma"][0]["args"].__setitem__(0, ["x"])),
+        "operad levels is an integer": ("op.json", lambda d: d.update(levels=5)),
+        "operad level is an integer":
+            ("op.json", lambda d: d["levels"].__setitem__("0", 5)),
+        "operad cap is a boolean": ("op.json", lambda d: d.update(cap=True)),
+        "operad actions is an integer": ("com.json", lambda d: d.update(actions=5)),
+        "operad actions entry is an integer":
+            ("com.json", lambda d: d["actions"].__setitem__("2", 5)),
+        "operad action perm holds a list":
+            ("com.json", lambda d: d["actions"]["2"][0]["perm"].__setitem__(0, ["x"])),
+        "club domain is an integer": ("club.json", lambda d: d.update(domain=5)),
+        "club domain entry is an integer":
+            ("club.json", lambda d: d["domain"].__setitem__(0, 5)),
+        "club cap is a boolean": ("club.json", lambda d: d.update(cap=True)),
+        "club cap is a string": ("club.json", lambda d: d.update(cap="1")),
+    }
+    for label, (source, edit) in edits.items():
+        data = json.loads((workspace / source).read_text())
+        edit(data)
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2, label
+        assert capsys.readouterr().err.startswith("error:"), label
 
 
 def test_validation_failure_exit_code(workspace, tmp_path):
@@ -119,6 +153,25 @@ def test_club_check_corrupted_exit_1(workspace, tmp_path):
     path = tmp_path / "badclub.json"
     formats.write_file(path, "club", club)
     assert main(["club-check", str(path)]) == 1
+
+
+def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):
+    # mu sends the unit applied to a3 to the nullary a0, whose fiber has none
+    # of the objects of the fiber over a3
+    from clubcat.operads import associative_operad, operad_to_club
+    from clubcat.semidirect import club_check
+    op = associative_operad(3, with_nullary=True)
+    op.gamma[("a1", ("a3",))] = "a0"
+    club = operad_to_club(op)
+    violations = club_check(club)
+    assert "left unit law fails on object '3:a3': mu gives '0:a0'" in violations
+    assert "left unit law fails on fiber object '0' over '3:a3'" in violations
+    path = tmp_path / "badunit.json"
+    formats.write_file(path, "club", club)
+    capsys.readouterr()
+    assert main(["--json", "club-check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["status"] == "fail"
 
 
 def test_algebra_commands(workspace, capsys):

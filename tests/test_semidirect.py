@@ -373,7 +373,7 @@ def test_product_morphism_ids_match_all_pairs_reference():
 
 
 def test_pentagon_trips_guardrail_at_once(monkeypatch):
-    import sys
+    import clubcat.semidirect as module
     # (W⋉X)⋉Y has 9 * 2**2 = 36 objects, above the 16-object base limit,
     # while W⋉X (9), X⋉Y (6) and W ⋉ (X⋉Y) stay buildable
     w = discrete_diagram(["a"], [2])
@@ -382,9 +382,6 @@ def test_pentagon_trips_guardrail_at_once(monkeypatch):
     z = discrete_diagram(["t"], [1])
     a_wxy = associator(w, x, y)
     assert len(a_wxy.p_xy_z.diagram.base.objects) == 36
-    # the attribute clubcat.semidirect is the function of that name, so the
-    # module object comes from sys.modules
-    module = sys.modules["clubcat.semidirect"]
     real = module.build_semidirect
     calls = []
 
