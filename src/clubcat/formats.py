@@ -42,6 +42,16 @@ def _need(data, key, what):
     return data[key]
 
 
+def _need_id_map(data, key, what):
+    """The JSON object at ``key`` of ``data``, with every value an id."""
+    raw = _need_dict(_need(data, key, what), f"{what} {key}")
+    return {x: _check_id(v, f"{what} {key} value") for x, v in raw.items()}
+
+
+def _need_id_tuple(value, what):
+    return tuple(_check_id(v, what) for v in _need_list(value, what))
+
+
 def _need_cap(value, what):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SchemaError(f"{what} cap must be a positive integer")
@@ -61,17 +71,19 @@ def category_to_json(c: FinCategory):
 
 
 def category_from_json(data, what="category"):
-    objects = [_check_id(o, f"{what} object") for o in _need(data, "objects", what)]
+    objects = [_check_id(o, f"{what} object")
+               for o in _need_list(_need(data, "objects", what), f"{what} objects")]
     morphisms = []
-    for entry in _need(data, "morphisms", what):
-        morphisms.append((_check_id(_need(entry, "id", what), f"{what} morphism"),
-                          _need(entry, "src", what), _need(entry, "tgt", what)))
-    identities = _need(data, "identities", what)
+    for entry in _need_list(_need(data, "morphisms", what), f"{what} morphisms"):
+        morphisms.append(tuple(
+            _check_id(_need(entry, key, what), f"{what} morphism {key}")
+            for key in ("id", "src", "tgt")))
+    identities = _need_id_map(data, "identities", what)
     comp = {}
-    for entry in _need(data, "comp", what):
-        if len(entry) != 3:
+    for entry in _need_list(_need(data, "comp", what), f"{what} comp"):
+        if len(_need_list(entry, f"{what} comp entry")) != 3:
             raise SchemaError(f"{what} comp entries must be [g, f, gf] triples")
-        g, f, gf = entry
+        g, f, gf = (_check_id(m, f"{what} comp entry") for m in entry)
         comp[(g, f)] = gf
     return FinCategory(objects, morphisms, identities, comp)
 
@@ -81,7 +93,8 @@ def functor_to_json(f: Functor):
 
 
 def functor_from_json(data, src, tgt, what="functor"):
-    return Functor(src, tgt, _need(data, "omap", what), _need(data, "mmap", what))
+    return Functor(src, tgt, _need_id_map(data, "omap", what),
+                   _need_id_map(data, "mmap", what))
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +110,19 @@ def diagram_to_json(x: DiagramInCat):
 
 def diagram_from_json(data, what="diagram"):
     base = category_from_json(_need(data, "base", what), f"{what} base")
-    fibers_raw = _need(data, "fibers", what)
+    fibers_raw = _need_dict(_need(data, "fibers", what), f"{what} fibers")
     fibers = {}
     for d in base.objects:
         if d not in fibers_raw:
             raise SchemaError(f"{what} has no fiber for object {d!r}")
         fibers[d] = category_from_json(fibers_raw[d], f"{what} fiber {d!r}")
-    maps_raw = _need(data, "fiber_maps", what)
+    maps_raw = _need_dict(_need(data, "fiber_maps", what), f"{what} fiber maps")
     fiber_mor = {}
     for m in base.mor_ids:
         if m not in maps_raw:
             raise SchemaError(f"{what} has no fiber map for morphism {m!r}")
+        if base.src[m] not in fibers or base.tgt[m] not in fibers:
+            raise SchemaError(f"{what} morphism {m!r} has an unlisted endpoint")
         fiber_mor[m] = functor_from_json(maps_raw[m], fibers[base.src[m]],
                                          fibers[base.tgt[m]], f"{what} map {m!r}")
     return DiagramInCat(base, fibers, fiber_mor)
@@ -324,7 +339,7 @@ def club_to_json(s):
 
 def club_from_json(data, guard=None, what="club"):
     from .config import DEFAULT_GUARDRAILS
-    from .diagram import unit_diagram
+    from .diagram import unit_diagram, validate_diagram
     from .semidirect import ClubStructure, build_semidirect
     guard = guard or DEFAULT_GUARDRAILS
     carrier = diagram_from_json(_need(data, "carrier", what), f"{what} carrier")
@@ -334,14 +349,20 @@ def club_from_json(data, guard=None, what="club"):
         if len(_need_list(entry, f"{what} domain entry")) != 3:
             raise SchemaError(f"{what} domain entries must be [d, omap, mmap]")
         d, okey, mkey = entry
-        keep.setdefault(d, set()).add((tuple(okey), tuple(mkey)))
+        keep.setdefault(_check_id(d, f"{what} domain object"), set()).add(
+            (_need_id_tuple(okey, f"{what} domain omap"),
+             _need_id_tuple(mkey, f"{what} domain mmap")))
+    # the product is built on the carrier, so it must be a diagram first
+    bad = validate_diagram(carrier)
+    if bad:
+        raise SchemaError(f"{what} carrier is not a valid diagram: {bad[0]}")
     for d in carrier.base.objects:
         keep.setdefault(d, set())
     product = build_semidirect(carrier, carrier, guard, keep=keep)
     mu_raw = _need(data, "mu", what)
     mu_base = functor_from_json(_need(mu_raw, "base_functor", what),
                                 product.diagram.base, carrier.base)
-    rho_raw = _need(mu_raw, "rho", what)
+    rho_raw = _need_dict(_need(mu_raw, "rho", what), f"{what} mu rho")
     rho = {}
     for oid in product.diagram.base.objects:
         if oid not in rho_raw:
@@ -359,7 +380,8 @@ def club_from_json(data, guard=None, what="club"):
     e_obj = eta_base.omap.get("*")
     if e_obj not in carrier.fiber_obj:
         raise SchemaError(f"{what} eta does not pick a carrier object")
-    eta_rho = {"*": functor_from_json(_need(eta_raw, "rho", what)["*"],
+    eta_rho = {"*": functor_from_json(_need(_need(eta_raw, "rho", what), "*",
+                                            f"{what} eta rho"),
                                       carrier.fiber_obj[e_obj],
                                       u.fiber_obj["*"])}
     eta = DiagramMorphism(u, carrier, eta_base, eta_rho, name="eta")
@@ -436,7 +458,7 @@ _PARSERS = {
 
 def infer_kind(data):
     if "kind" in data:
-        kind = data["kind"]
+        kind = _check_id(data["kind"], "kind")
         if kind not in _PARSERS:
             raise SchemaError(f"unknown kind {kind!r}")
         return kind

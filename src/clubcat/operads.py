@@ -22,7 +22,8 @@ from .diagram import DiagramInCat, DiagramMorphism, unit_diagram
 from .errors import InputError
 from .fincat import (FinCategory, Functor, discrete_category,
                      identity_functor, ordinal_category, terminal_category)
-from .semidirect import ClubStructure, SemidirectProduct, build_semidirect
+from .semidirect import (ClubStructure, IsoPair, SemidirectProduct,
+                         _verify_iso, build_semidirect)
 
 
 class Collection:
@@ -360,9 +361,6 @@ class NsIsoResult:
 def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     """Exhibit the isomorphism between the encoded composite collection and
     the (arity-truncated) product of the encoding with itself, both ways."""
-    from .diagram import (compose_diagram_morphisms, diagram_morphism_equal,
-                          identity_diagram_morphism,
-                          validate_diagram_morphism)
     enc = encode_ns(p)
     pp = circ(p, p)
     tuple_of = {name: tup for name, tup, _ in _composite_tuples(p, p)}
@@ -409,15 +407,7 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     inverse = DiagramMorphism(prod.diagram, enc_pp.diagram, base_inv, rho_i,
                               name="pair-to-tuple")
 
-    problems = validate_diagram_morphism(forward) + validate_diagram_morphism(inverse)
-    if problems:
-        raise InputError(f"composite correspondence failed: {problems[:3]}")
-    round1 = compose_diagram_morphisms(inverse, forward)
-    round2 = compose_diagram_morphisms(forward, inverse)
-    if not diagram_morphism_equal(round1, identity_diagram_morphism(enc_pp.diagram)):
-        raise InputError("composite correspondence: source round trip fails")
-    if not diagram_morphism_equal(round2, identity_diagram_morphism(prod.diagram)):
-        raise InputError("composite correspondence: product round trip fails")
+    _verify_iso(IsoPair(forward, inverse))
     return NsIsoResult(forward, inverse, prod, enc_pp)
 
 
@@ -456,7 +446,11 @@ def _club_from_encoding(p: NsOperad, enc: EncodedCollection, guard):
         if pbase.is_identity(mid):
             mmap[mid] = base.identity(roid)
         else:
-            mmap[mid] = enc.mor_of[(_block_of(enc, prod, mid), roid)]
+            perm = enc.mor_of.get((_block_of(enc, prod, mid), roid))
+            # a result of the wrong arity has no such permutation: leave the
+            # entry unset, and club_check reports the broken mu
+            if perm is not None:
+                mmap[mid] = perm
     mu = DiagramMorphism(prod.diagram, enc.diagram,
                          Functor(pbase, base, omap, mmap), rho, name="mu")
 

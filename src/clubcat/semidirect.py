@@ -84,6 +84,20 @@ class PairCategory:
         self.cat = FinCategory(objects, morphisms, identities, comp, name=name)
 
 
+def _pair_functor(src: PairCategory, tgt: PairCategory, f: Functor, g_at):
+    """The functor (a, b) -> (f a, g_a b) between two pair categories, where
+    ``g_at(a)`` is the functor from the fiber of ``src`` over a to the fiber
+    of ``tgt`` over f(a)."""
+    base = src.diagram.base
+    g = {a: g_at(a) for a in base.objects}
+    omap = {pid: tgt.obj_id[(f.omap[a], g[a].omap[b])]
+            for pid, (a, b) in src.obj_data.items()}
+    mmap = {qid: tgt.mor_id[(f.mmap[alpha], g[base.src[alpha]].omap[b1],
+                             g[base.tgt[alpha]].mmap[beta])]
+            for qid, (alpha, b1, beta) in src.mor_data.items()}
+    return Functor(src.cat, tgt.cat, omap, mmap)
+
+
 def pullback_diagram(psi: Functor, right: DiagramInCat):
     """Restrict the right diagram's fibers along psi: a -> fibers over psi(a)."""
     return DiagramInCat(
@@ -268,21 +282,9 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
     fiber_mor = {}
     for (mid, s, t) in morphisms:
         f, phi = mor_data[mid]
-        d1, psi1 = obj_data[s]
-        src_fib, tgt_fib = fibers[s], fibers[t]
-        rf = x.fiber_mor[f]
-        omap, mmap = {}, {}
-        for pid, (a, b) in src_fib.obj_data.items():
-            a2 = rf.omap[a]
-            b2 = y.fiber_mor[phi.components[a]].omap[b]
-            omap[pid] = tgt_fib.obj_id[(a2, b2)]
-        for qid, (alpha, b1, beta) in src_fib.mor_data.items():
-            a1, a2 = psi1.src.src[alpha], psi1.src.tgt[alpha]
-            mmap[qid] = tgt_fib.mor_id[(
-                rf.mmap[alpha],
-                y.fiber_mor[phi.components[a1]].omap[b1],
-                y.fiber_mor[phi.components[a2]].mmap[beta])]
-        fiber_mor[mid] = Functor(src_fib.cat, tgt_fib.cat, omap, mmap)
+        fiber_mor[mid] = _pair_functor(
+            fibers[s], fibers[t], x.fiber_mor[f],
+            lambda a: y.fiber_mor[phi.components[a]])
 
     diagram = DiagramInCat(base, fiber_obj, fiber_mor,
                            name=f"({x.name}|x|{y.name})")
@@ -331,23 +333,10 @@ def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
 
     rho = {}
     for oid, (d, psi) in p_src.obj_data.items():
-        src_fib = p_tgt.fibers[omap[oid]]
-        tgt_fib = p_src.fibers[oid]
         rho_a = a.rho[d]
-        fomap, fmmap = {}, {}
-        for pid, (ap, bp) in src_fib.obj_data.items():
-            av = rho_a.omap[ap]
-            bv = b.rho[psi.omap[av]].omap[bp]
-            fomap[pid] = tgt_fib.obj_id[(av, bv)]
-        for qid, (alpha, b1, beta) in src_fib.mor_data.items():
-            fib2 = x2.fiber_obj[fa.omap[d]]
-            a1p, a2p = fib2.src[alpha], fib2.tgt[alpha]
-            av1, av2 = rho_a.omap[a1p], rho_a.omap[a2p]
-            fmmap[qid] = tgt_fib.mor_id[(
-                rho_a.mmap[alpha],
-                b.rho[psi.omap[av1]].omap[b1],
-                b.rho[psi.omap[av2]].mmap[beta])]
-        rho[oid] = Functor(src_fib.cat, tgt_fib.cat, fomap, fmmap)
+        rho[oid] = _pair_functor(
+            p_tgt.fibers[omap[oid]], p_src.fibers[oid], rho_a,
+            lambda ap: b.rho[psi.omap[rho_a.omap[ap]]])
 
     return DiagramMorphism(p_src.diagram, p_tgt.diagram, base, rho,
                            name=f"({a.name}|x|{b.name})")
@@ -401,67 +390,34 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
     p_yz = p_yz or build_semidirect(y, z, guard)
     p_x_yz = p_x_yz or build_semidirect(x, p_yz.diagram, guard)
 
-    def curry_object(oid):
-        """(d, xi) data for a triple-product object ((d, psi), chi)."""
-        d1, chi = p_xy_z.obj_data[oid]
-        d, psi = p_xy.obj_data[d1]
-        fib_xy = p_xy.fibers[d1]
-        fiber_d = x.fiber_obj[d]
-        xi_omap, xi_mmap = {}, {}
-        for a in fiber_d.objects:
-            ya = psi.omap[a]
-            fib_y = y.fiber_obj[ya]
-            c_omap = {bb: chi.omap[fib_xy.obj_id[(a, bb)]] for bb in fib_y.objects}
-            c_mmap = {beta: chi.mmap[fib_xy.mor_id[(fiber_d.identity(a),
-                                                    fib_y.src[beta], beta)]]
-                      for beta in fib_y.mor_ids}
-            xi_omap[a] = p_yz.obj_id[(ya, (tuple(c_omap[bb] for bb in fib_y.objects),
-                                           tuple(c_mmap[m] for m in fib_y.mor_ids)))]
-        for alpha in fiber_d.mor_ids:
-            a1, a2 = fiber_d.src[alpha], fiber_d.tgt[alpha]
-            fib_y1 = y.fiber_obj[psi.omap[a1]]
-            ry_alpha = y.fiber_mor[psi.mmap[alpha]]
-            fib_y2 = y.fiber_obj[psi.omap[a2]]
-            comps = tuple(
-                chi.mmap[fib_xy.mor_id[(alpha, bb,
-                                        fib_y2.identity(ry_alpha.omap[bb]))]]
-                for bb in fib_y1.objects)
-            xi_mmap[alpha] = p_yz.mor_id[(xi_omap[a1], xi_omap[a2],
-                                          psi.mmap[alpha], comps)]
-        return d, d1, psi, chi, fib_xy, Functor(x.fiber_obj[d], p_yz.diagram.base,
-                                                xi_omap, xi_mmap)
-
     omap, mmap = {}, {}
     curried = {}
     for oid in p_xy_z.diagram.base.objects:
-        d, d1, psi, chi, fib_xy, xi = curry_object(oid)
-        curried[oid] = (d, d1, psi, chi, fib_xy, xi)
+        d1, chi = p_xy_z.obj_data[oid]
+        d, psi = p_xy.obj_data[d1]
+        fib_xy = p_xy.fibers[d1]
+        xi = Functor(x.fiber_obj[d], p_yz.diagram.base,
+                     *_curry(fib_xy, psi, chi, y, p_yz.obj_id, p_yz.mor_id))
+        curried[oid] = (psi, fib_xy, xi)
         omap[oid] = p_x_yz.obj_id[(d, functor_key(xi))]
     for mid in p_xy_z.diagram.base.mor_ids:
         f1, theta = p_xy_z.mor_data[mid]
         f, phi = p_xy.mor_data[f1]
         s1 = p_xy_z.diagram.base.src[mid]
         t1 = p_xy_z.diagram.base.tgt[mid]
-        d, d1, psi, chi, fib_xy, xi = curried[s1]
-        xi2 = curried[t1][5]
-        rf = x.fiber_mor[f]
-        fiber_d = x.fiber_obj[d]
-        comps = []
-        for a in fiber_d.objects:
-            fib_y = y.fiber_obj[psi.omap[a]]
-            theta_a = tuple(theta.components[fib_xy.obj_id[(a, bb)]]
-                            for bb in fib_y.objects)
-            comps.append(p_yz.mor_id[(xi.omap[a], xi2.omap[rf.omap[a]],
-                                      phi.components[a], theta_a)])
-        mmap[mid] = p_x_yz.mor_id[(omap[s1], omap[t1], f, tuple(comps))]
+        psi, fib_xy, xi = curried[s1]
+        xi2 = curried[t1][2]
+        comps = _curry_theta(fib_xy, psi, y, phi, x.fiber_mor[f], theta,
+                             xi.omap, xi2.omap, p_yz.mor_id)
+        mmap[mid] = p_x_yz.mor_id[(omap[s1], omap[t1], f, comps)]
     base_fwd = Functor(p_xy_z.diagram.base, p_x_yz.diagram.base, omap, mmap)
 
     rho_fwd = {}
     for oid in p_xy_z.diagram.base.objects:
-        d, d1, psi, chi, fib_xy, xi = curried[oid]
+        psi, fib_xy, xi = curried[oid]
         src_fib = p_x_yz.fibers[omap[oid]]       # pairs (a, (b, c))
         tgt_fib = p_xy_z.fibers[oid]             # pairs ((a, b), c)
-        fiber_d = x.fiber_obj[d]
+        fiber_d = psi.src
         fomap, fmmap = {}, {}
         for pid, (a, byz) in src_fib.obj_data.items():
             inner = p_yz.fibers[xi.omap[a]]
@@ -542,7 +498,7 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
             a2 = x.fiber_obj[d].tgt[alpha]
             inner1 = p_yz.fibers[xi.omap[a1]]
             inner2 = p_yz.fibers[xi.omap[a2]]
-            tc1 = _transported_c(x, y, z, psi, chi, fib_xy, alpha, b1, c1)
+            tc1 = z.fiber_mor[_chi_along(fib_xy, psi, chi, y, alpha, b1)].omap[c1]
             fmmap[qid] = tgt_fib.mor_id[(
                 alpha, inner1.obj_id[(b1, c1)], inner2.mor_id[(beta, tc1, gamma)])]
         rho_inv[oid] = Functor(src_fib.cat, tgt_fib.cat, fomap, fmmap)
@@ -553,15 +509,57 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
     return AssociatorResult(iso, p_xy, p_xy_z, p_yz, p_x_yz)
 
 
-def _transported_c(x, y, z, psi, chi, fib_xy, alpha, b1, c1):
-    """The image of c1 under R_Z of chi applied to the pair morphism (alpha, id)."""
+def _chi_along(fib, psi, chi, y, alpha, b):
+    """chi on the pair morphism (alpha, b, id): the component at b of the
+    curried functor on alpha."""
+    tb = y.fiber_mor[psi.mmap[alpha]].omap[b]
+    fib_y2 = y.fiber_obj[psi.omap[psi.src.tgt[alpha]]]
+    return chi.mmap[fib.mor_id[(alpha, b, fib_y2.identity(tb))]]
+
+
+def _curry(fib, psi, chi, y, obj_id, mor_id):
+    """Curry chi: a -> (psi(a), chi restricted to the pairs over a).
+
+    ``fib`` is the pair category over (d, psi), ``chi`` a functor out of it,
+    and ``obj_id``/``mor_id`` are the id lookups of the product Y ⋉ Z the
+    curried functor lands in.  Returns its object and morphism maps, or
+    None when that (possibly restricted) product lacks an id.
+    """
     fiber_d = psi.src
-    a2 = fiber_d.tgt[alpha]
-    ry_alpha = y.fiber_mor[psi.mmap[alpha]]
-    fib_y2 = y.fiber_obj[psi.omap[a2]]
-    tb1 = ry_alpha.omap[b1]
-    step = chi.mmap[fib_xy.mor_id[(alpha, b1, fib_y2.identity(tb1))]]
-    return z.fiber_mor[step].omap[c1]
+    omap, mmap = {}, {}
+    for a in fiber_d.objects:
+        fib_y = y.fiber_obj[psi.omap[a]]
+        key = (tuple(chi.omap[fib.obj_id[(a, b)]] for b in fib_y.objects),
+               tuple(chi.mmap[fib.mor_id[(fiber_d.identity(a), fib_y.src[m], m)]]
+                     for m in fib_y.mor_ids))
+        omap[a] = obj_id.get((psi.omap[a], key))
+        if omap[a] is None:
+            return None
+    for alpha in fiber_d.mor_ids:
+        a1, a2 = fiber_d.src[alpha], fiber_d.tgt[alpha]
+        comps = tuple(_chi_along(fib, psi, chi, y, alpha, b)
+                      for b in y.fiber_obj[psi.omap[a1]].objects)
+        mmap[alpha] = mor_id.get((omap[a1], omap[a2], psi.mmap[alpha], comps))
+        if mmap[alpha] is None:
+            return None
+    return omap, mmap
+
+
+def _curry_theta(fib, psi, y, phi, rf, theta, xi1, xi2, mor_id):
+    """Curry a morphism (f, phi) with components theta out of the pair
+    category ``fib`` over (d, psi): at a, the pair (phi_a, theta over a)
+    from xi1(a) to xi2(f a), with ``rf`` the fiber map of f.  Returns the
+    product morphism ids in the order of the fiber over d, or None when
+    ``mor_id`` lacks one."""
+    comps = []
+    for a in psi.src.objects:
+        theta_a = tuple(theta.components[fib.obj_id[(a, b)]]
+                        for b in y.fiber_obj[psi.omap[a]].objects)
+        comp = mor_id.get((xi1[a], xi2[rf.omap[a]], phi.components[a], theta_a))
+        if comp is None:
+            return None
+        comps.append(comp)
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +586,7 @@ def right_unitor(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS,
         rho_fwd[oid] = Functor(fiber_d, fib.cat, fomap, fmmap)
     forward = DiagramMorphism(p.diagram, x, base_fwd, rho_fwd, name="runit")
 
-    unique_oid = {d: p.obj_id[(d, functor_key(psi))]
-                  for oid, (d, psi) in p.obj_data.items()}
-    omap_inv = {d: unique_oid[d] for d in x.base.objects}
+    omap_inv = {d: oid for oid, (d, psi) in p.obj_data.items()}
     mmap_inv = {}
     for f in x.base.mor_ids:
         d1 = x.base.src[f]
@@ -785,30 +781,31 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
 
     # --- associativity --------------------------------------------------
     for oid1 in p.diagram.base.objects:
-        d, psi = p.obj_data[oid1]
-        fib = p.fibers[oid1]
         b1 = mu.base_functor.omap[oid1]
         rho1 = mu.rho[oid1]
-        chis = enumerate_functors(fib.cat, c.base, guard.max_enum_morphisms)
+        chis = enumerate_functors(p.fibers[oid1].cat, c.base, guard.max_enum_morphisms)
         for chi in chis:
-            lhs_defined, lhs_oid2 = _route_left(s, p, oid1, b1, rho1, chi)
-            lhs = None if lhs_oid2 is None else mu.base_functor.omap[lhs_oid2]
-            rhs_defined, rhs, xi_oids, omega = _route_right(s, p, oid1, d, psi, fib, chi)
+            lhs_oid2 = _route_left(s, p, b1, rho1, chi)
+            right = _route_right(s, p, oid1, chi)
             where = f"object ({p.describe_object(oid1)}, chi={functor_key(chi)})"
-            if lhs_defined != rhs_defined:
+            if (lhs_oid2 is None) != (right is None):
                 if note(f"associativity domain mismatch at {where}: "
-                        f"left defined={lhs_defined}, right defined={rhs_defined}"):
+                        f"left defined={lhs_oid2 is not None}, "
+                        f"right defined={right is not None}"):
                     return report
                 continue
-            if not lhs_defined:
+            if lhs_oid2 is None:
                 continue
+            xi_oids, oid_out = right
+            lhs = mu.base_functor.omap[lhs_oid2]
+            rhs = mu.base_functor.omap[oid_out]
             if lhs != rhs:
                 if note(f"associativity fails on base objects at {where}: "
                         f"{lhs!r} != {rhs!r}"):
                     return report
                 continue
-            fails = _rho_route_compare(s, p, oid1, chi, b1, rho1, lhs,
-                                       xi_oids, omega)
+            fails = _rho_route_compare(s, p, oid1, lhs_oid2, rho1, lhs,
+                                       xi_oids, oid_out)
             for msg in fails:
                 if note(f"associativity fails on fiber components at {where}: {msg}"):
                     return report
@@ -820,214 +817,145 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
 
 
 def _unit_laws(s, p, guard, note, e_obj):
+    """Both unit laws; returns True when ``note`` asks to stop."""
     c = s.carrier
-    mu = s.mu
-    one = terminal_category()
-    stop = False
+    id_star = terminal_category().identity("*")
+    id_e = c.base.identity(e_obj)
+
+    def constant_key(fiber, value):
+        return functor_key(Functor(fiber, c.base,
+                                   {a: value for a in fiber.objects},
+                                   {m: c.base.identity(value) for m in fiber.mor_ids}))
 
     # left unit: mu ∘ (eta ⋉ id) against the left unitor on 1 ⋉ C
+    fiber_e = c.fiber_obj[e_obj]
     p_uc = build_semidirect(unit_diagram(), c, guard)
     lu, _ = left_unitor(c, guard, product=p_uc)
-    img_of_left = {}
-    for oid, (star, psi) in p_uc.obj_data.items():
-        yv = psi.omap["*"]
-        fiber_e = c.fiber_obj[e_obj]
-        shifted = Functor(fiber_e, c.base,
-                          {a: yv for a in fiber_e.objects},
-                          {m: c.base.identity(yv) for m in fiber_e.mor_ids})
-        key = (e_obj, functor_key(shifted))
-        img = p.obj_id.get(key)
-        img_of_left[oid] = img
-        if img is None:
-            stop = note(f"left unit composite leaves the domain at {yv!r}")
-            if stop:
-                return True
-            continue
-        got = mu.base_functor.omap[img]
-        if got != yv:
-            if note(f"left unit law fails on object {yv!r}: mu gives {got!r}"):
-                return True
-        # fiber components: mu-rho then (eta ⋉ id)-rho equals the unitor rho;
-        # rho_mu starts at the fiber over mu's object, which the fiber over
-        # yv misses where the object law fails
-        rho_mu = mu.rho[img]
-        fib_img = p.fibers[img]
-        fib_u = p_uc.fibers[oid]
-        for b in c.fiber_obj[yv].objects:
-            pid = rho_mu.omap.get(b)
-            lhs = None
-            if pid is not None:
-                a_part, b_part = fib_img.obj_data[pid]
-                lhs = fib_u.obj_id[("*", b_part)]
-            if lhs != lu.forward.rho[oid].omap[b]:
-                if note(f"left unit law fails on fiber object {b!r} over {yv!r}"):
-                    return True
-        for m in c.fiber_obj[yv].mor_ids:
-            qid = rho_mu.mmap.get(m)
-            lhs = None
-            if qid is not None:
-                alpha, bb1, beta = fib_img.mor_data[qid]
-                lhs = fib_u.mor_id[(one.identity("*"), bb1, beta)]
-            if lhs != lu.forward.rho[oid].mmap[m]:
-                if note(f"left unit law fails on fiber morphism {m!r} over {yv!r}"):
-                    return True
-    for mid, (f_unit, phi) in p_uc.mor_data.items():
-        g = phi.components["*"]
-        s1 = p_uc.diagram.base.src[mid]
-        t1 = p_uc.diagram.base.tgt[mid]
-        if img_of_left.get(s1) is None or img_of_left.get(t1) is None:
-            continue
-        fiber_e = c.fiber_obj[e_obj]
-        comps = tuple(g for _ in fiber_e.objects)
-        key = (img_of_left[s1], img_of_left[t1], c.base.identity(e_obj), comps)
-        img_mor = p.mor_id.get(key)
-        if img_mor is None:
-            if note(f"left unit composite morphism leaves the domain at {g!r}"):
-                return True
-            continue
-        if mu.base_functor.mmap[img_mor] != g:
-            if note(f"left unit law fails on morphism {g!r}"):
-                return True
+    if _unit_half(s.mu, p, p_uc, lu.forward, note, "left",
+                  lambda yv: (e_obj, constant_key(fiber_e, yv)),
+                  lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
+                  lambda a, b: ("*", b),
+                  lambda alpha, b1, beta: (id_star, b1, beta)):
+        return True
 
     # right unit: mu ∘ (id ⋉ eta) against the right unitor on C ⋉ 1
     p_cu = build_semidirect(c, unit_diagram(), guard)
     ru, _ = right_unitor(c, guard, product=p_cu)
-    img_of_right = {}
-    for oid, (d, bang) in p_cu.obj_data.items():
-        fiber_d = c.fiber_obj[d]
-        shifted = Functor(fiber_d, c.base,
-                          {a: e_obj for a in fiber_d.objects},
-                          {m: c.base.identity(e_obj) for m in fiber_d.mor_ids})
-        key = (d, functor_key(shifted))
-        img = p.obj_id.get(key)
-        img_of_right[oid] = img
+    return _unit_half(s.mu, p, p_cu, ru.forward, note, "right",
+                      lambda d: (d, constant_key(c.fiber_obj[d], e_obj)),
+                      lambda f: (f, tuple(id_e for _ in
+                                          c.fiber_obj[c.base.src[f]].objects)),
+                      lambda a, b: (a, "*"),
+                      lambda alpha, b1, beta: (alpha, "*", id_star))
+
+
+def _unit_half(mu, p, p_u, unitor, note, side, obj_key, mor_key, pair, pair_mor):
+    """mu after inserting the unit on one side, against the forward
+    ``unitor`` out of that side's product ``p_u``, whose base functor gives
+    the expected objects and morphisms.  ``obj_key`` and ``mor_key`` send
+    those to the keys the unit inclusion reaches in ``p``; ``pair`` and
+    ``pair_mor`` send pair data of ``p``'s fibers to pair data of ``p_u``'s.
+    Returns True when ``note`` asks to stop."""
+    img_of = {}
+    for oid in p_u.diagram.base.objects:
+        want = unitor.base_functor.omap[oid]
+        img = p.obj_id.get(obj_key(want))
+        img_of[oid] = img
         if img is None:
-            if note(f"right unit composite leaves the domain at {d!r}"):
+            if note(f"{side} unit composite leaves the domain at {want!r}"):
                 return True
             continue
         got = mu.base_functor.omap[img]
-        if got != d:
-            if note(f"right unit law fails on object {d!r}: mu gives {got!r}"):
+        if got != want:
+            if note(f"{side} unit law fails on object {want!r}: mu gives {got!r}"):
                 return True
+        # fiber components: mu-rho then the inclusion's rho is the unitor
+        # rho; rho_mu starts at the fiber over mu's object, which the fiber
+        # over the expected object misses where the object law fails
         rho_mu = mu.rho[img]
         fib_img = p.fibers[img]
-        fib_u = p_cu.fibers[oid]
-        eta_rho = s.eta.rho["*"]
-        for b in fiber_d.objects:
+        fib_u = p_u.fibers[oid]
+        expected = unitor.rho[oid]
+        for b in expected.src.objects:
             pid = rho_mu.omap.get(b)
             lhs = None
             if pid is not None:
-                a_part, b_part = fib_img.obj_data[pid]
-                lhs = fib_u.obj_id[(a_part, "*")]
-            if lhs != ru.forward.rho[oid].omap[b]:
-                if note(f"right unit law fails on fiber object {b!r} over {d!r}"):
+                lhs = fib_u.obj_id[pair(*fib_img.obj_data[pid])]
+            if lhs != expected.omap[b]:
+                if note(f"{side} unit law fails on fiber object {b!r} over {want!r}"):
                     return True
-        for m in fiber_d.mor_ids:
+        for m in expected.src.mor_ids:
             qid = rho_mu.mmap.get(m)
             lhs = None
             if qid is not None:
-                alpha, bb1, beta = fib_img.mor_data[qid]
-                lhs = fib_u.mor_id[(alpha, "*", one.identity("*"))]
-            if lhs != ru.forward.rho[oid].mmap[m]:
-                if note(f"right unit law fails on fiber morphism {m!r} over {d!r}"):
+                lhs = fib_u.mor_id[pair_mor(*fib_img.mor_data[qid])]
+            if lhs != expected.mmap[m]:
+                if note(f"{side} unit law fails on fiber morphism {m!r} over {want!r}"):
                     return True
-    for mid, (f, phi) in p_cu.mor_data.items():
-        s1 = p_cu.diagram.base.src[mid]
-        t1 = p_cu.diagram.base.tgt[mid]
-        if img_of_right.get(s1) is None or img_of_right.get(t1) is None:
+    base_u = p_u.diagram.base
+    for mid in base_u.mor_ids:
+        s1, t1 = base_u.src[mid], base_u.tgt[mid]
+        if img_of[s1] is None or img_of[t1] is None:
             continue
-        d = p_cu.obj_data[s1][0]
-        fiber_d = c.fiber_obj[d]
-        comps = tuple(c.base.identity(e_obj) for _ in fiber_d.objects)
-        key = (img_of_right[s1], img_of_right[t1], f, comps)
-        img_mor = p.mor_id.get(key)
+        want = unitor.base_functor.mmap[mid]
+        img_mor = p.mor_id.get((img_of[s1], img_of[t1], *mor_key(want)))
         if img_mor is None:
-            if note(f"right unit composite morphism leaves the domain at {f!r}"):
+            if note(f"{side} unit composite morphism leaves the domain at {want!r}"):
                 return True
             continue
-        if mu.base_functor.mmap[img_mor] != f:
-            if note(f"right unit law fails on morphism {f!r}"):
+        if mu.base_functor.mmap[img_mor] != want:
+            if note(f"{side} unit law fails on morphism {want!r}"):
                 return True
     return False
 
 
-def _curried_fiber_functor(s, p, oid1, fib, chi, a):
-    """chi restricted to the pairs over a: a functor fiber(psi(a)) -> base."""
-    c = s.carrier
-    d, psi = p.obj_data[oid1]
-    fiber_d = c.fiber_obj[d]
-    ya = psi.omap[a]
-    fib_y = c.fiber_obj[ya]
-    omap = tuple(chi.omap[fib.obj_id[(a, b)]] for b in fib_y.objects)
-    mmap = tuple(chi.mmap[fib.mor_id[(fiber_d.identity(a), fib_y.src[m], m)]]
-                 for m in fib_y.mor_ids)
-    return ya, (omap, mmap)
-
-
-def _route_left(s, p, oid1, b1, rho1, chi):
+def _route_left(s, p, b1, rho1, chi):
     """mu(mu ⋉ id): transport chi along mu's fiber component, then multiply.
 
-    Returns (defined, the product object the outer mu is applied to).
+    Returns the product object the outer mu is applied to, or None when the
+    domain lacks it.
     """
-    c = s.carrier
-    fiber_b1 = c.fiber_obj[b1]
+    fiber_b1 = s.carrier.fiber_obj[b1]
     omap = tuple(chi.omap[rho1.omap[a]] for a in fiber_b1.objects)
     mmap = tuple(chi.mmap[rho1.mmap[m]] for m in fiber_b1.mor_ids)
-    oid2 = p.obj_id.get((b1, (omap, mmap)))
-    if oid2 is None:
-        return False, None
-    return True, oid2
+    return p.obj_id.get((b1, (omap, mmap)))
 
 
-def _route_right(s, p, oid1, d, psi, fib, chi):
-    """mu(id ⋉ mu) through currying: multiply each curried fiber, then the outer."""
-    c = s.carrier
-    fiber_d = c.fiber_obj[d]
-    xi_oids = {}
-    omega_omap = {}
-    for a in fiber_d.objects:
-        ya, key = _curried_fiber_functor(s, p, oid1, fib, chi, a)
-        inner = p.obj_id.get((ya, key))
-        if inner is None:
-            return False, None, None, None
-        xi_oids[a] = inner
-        omega_omap[a] = s.mu.base_functor.omap[inner]
-    omega_mmap = {}
-    for alpha in fiber_d.mor_ids:
-        a1, a2 = fiber_d.src[alpha], fiber_d.tgt[alpha]
-        fib_y1 = c.fiber_obj[psi.omap[a1]]
-        ry_alpha = c.fiber_mor[psi.mmap[alpha]]
-        fib_y2 = c.fiber_obj[psi.omap[a2]]
-        comps = tuple(
-            chi.mmap[fib.mor_id[(alpha, b, fib_y2.identity(ry_alpha.omap[b]))]]
-            for b in fib_y1.objects)
-        inner_mor = p.mor_id.get((xi_oids[a1], xi_oids[a2], psi.mmap[alpha], comps))
-        if inner_mor is None:
-            return False, None, None, None
-        omega_mmap[alpha] = s.mu.base_functor.mmap[inner_mor]
-    oid_out = p.obj_id.get((d, (tuple(omega_omap[a] for a in fiber_d.objects),
-                                tuple(omega_mmap[m] for m in fiber_d.mor_ids))))
+def _route_right(s, p, oid1, chi):
+    """mu(id ⋉ mu) through currying: multiply each curried fiber, then the outer.
+
+    Returns (the curried functor's object map, the product object the outer
+    mu is applied to), or None when the domain lacks an id on the way.
+    """
+    d, psi = p.obj_data[oid1]
+    curried = _curry(p.fibers[oid1], psi, chi, s.carrier, p.obj_id, p.mor_id)
+    if curried is None:
+        return None
+    xi_omap, xi_mmap = curried
+    mu_base = s.mu.base_functor
+    omega = (tuple(mu_base.omap[xi_omap[a]] for a in psi.src.objects),
+             tuple(mu_base.mmap[xi_mmap[m]] for m in psi.src.mor_ids))
+    oid_out = p.obj_id.get((d, omega))
     if oid_out is None:
-        return False, None, None, None
-    return True, s.mu.base_functor.omap[oid_out], xi_oids, (omega_omap, omega_mmap, oid_out)
+        return None
+    return xi_omap, oid_out
 
 
-def _rho_route_compare(s, p, oid1, chi, b1, rho1, b_final, xi_oids, omega):
+def _rho_route_compare(s, p, oid1, oid2, rho1, b_final, xi_oids, oid_out):
     """Compare the two composite fiber components as maps into the triple fiber.
 
-    Both sides are expressed as raw key tuples ((pair-id, c) and
-    (pair-morphism-id, c, gamma)) so no triple fiber is materialized.
+    ``oid2`` and ``oid_out`` are the objects the outer mu is applied to on
+    the left and the right route.  Both sides are expressed as raw key
+    tuples ((pair-id, c) and (pair-morphism-id, c, gamma)) so no triple
+    fiber is materialized.
     """
     c = s.carrier
     fails = []
-    _, _, oid_out = omega
-    oid2 = p.obj_id[(b1, (tuple(chi.omap[rho1.omap[a]] for a in c.fiber_obj[b1].objects),
-                          tuple(chi.mmap[rho1.mmap[m]] for m in c.fiber_obj[b1].mor_ids)))]
     fib2 = p.fibers[oid2]
     rho_mu2 = s.mu.rho[oid2]
     fib_out = p.fibers[oid_out]
     rho_mu_out = s.mu.rho[oid_out]
-    d = p.obj_data[oid1][0]
+    fiber_d = p.obj_data[oid1][1].src
     fiber_final = c.fiber_obj[b_final]
     for xobj in fiber_final.objects:
         ap, cp = fib2.obj_data[rho_mu2.omap[xobj]]
@@ -1042,7 +970,6 @@ def _rho_route_compare(s, p, oid1, chi, b1, rho1, b_final, xi_oids, omega):
         alpha2, c1p, gammap = fib2.mor_data[rho_mu2.mmap[xmor]]
         lhs = (rho1.mmap[alpha2], c1p, gammap)
         alpha, q1, betaq = fib_out.mor_data[rho_mu_out.mmap[xmor]]
-        fiber_d = c.fiber_obj[d]
         a1, a2 = fiber_d.src[alpha], fiber_d.tgt[alpha]
         inner1 = p.fibers[xi_oids[a1]]
         inner2 = p.fibers[xi_oids[a2]]
@@ -1057,45 +984,38 @@ def _rho_route_compare(s, p, oid1, chi, b1, rho1, b_final, xi_oids, omega):
 def _assoc_on_morphisms(s, p, guard):
     """Morphism-level agreement of the two evaluation orders."""
     c = s.carrier
-    mu = s.mu
     out = []
     base = p.diagram.base
     for mid in base.mor_ids:
         oid1, oid1b = base.src[mid], base.tgt[mid]
-        f, phi = p.mor_data[mid]
-        d1, psi1 = p.obj_data[oid1]
-        d2, psi2 = p.obj_data[oid1b]
-        fib1, fib1b = p.fibers[oid1], p.fibers[oid1b]
         transport = p.diagram.fiber_mor[mid]
-        chis1 = enumerate_functors(fib1.cat, c.base, guard.max_enum_morphisms)
-        chis2 = enumerate_functors(fib1b.cat, c.base, guard.max_enum_morphisms)
+        chis1 = enumerate_functors(p.fibers[oid1].cat, c.base, guard.max_enum_morphisms)
+        chis2 = enumerate_functors(p.fibers[oid1b].cat, c.base, guard.max_enum_morphisms)
         for chi1 in chis1:
             for chi2 in chis2:
                 shifted = compose_functors(chi2, transport)
                 for theta in enumerate_nat_trans(chi1, shifted):
-                    ok, msg = _assoc_single_morphism(
-                        s, p, mid, f, phi, oid1, oid1b, chi1, chi2, theta)
+                    ok, msg = _assoc_single_morphism(s, p, mid, chi1, chi2, theta)
                     if not ok:
                         out.append(msg)
     return out
 
 
-def _assoc_single_morphism(s, p, mid, f, phi, oid1, oid1b, chi1, chi2, theta):
+def _assoc_single_morphism(s, p, mid, chi1, chi2, theta):
     c = s.carrier
     mu = s.mu
+    oid1, oid1b = p.diagram.base.src[mid], p.diagram.base.tgt[mid]
+    f, phi = p.mor_data[mid]
     b1 = mu.base_functor.omap[oid1]
     b1b = mu.base_functor.omap[oid1b]
     rho1, rho1b = mu.rho[oid1], mu.rho[oid1b]
-    fib1, fib1b = p.fibers[oid1], p.fibers[oid1b]
-    d1, psi1 = p.obj_data[oid1]
-    d2, psi2 = p.obj_data[oid1b]
     where = f"morphism {mid!r} with theta={tuple(sorted(theta.components.items()))!r}"
 
     # left route: transport theta along mu's fiber components, multiply
-    ok_l1, lhs_src = _route_left(s, p, oid1, b1, rho1, chi1)
-    ok_l2, lhs_tgt = _route_left(s, p, oid1b, b1b, rho1b, chi2)
+    lhs_src = _route_left(s, p, b1, rho1, chi1)
+    lhs_tgt = _route_left(s, p, b1b, rho1b, chi2)
     lhs = None
-    if ok_l1 and ok_l2:
+    if lhs_src is not None and lhs_tgt is not None:
         fiber_b1 = c.fiber_obj[b1]
         comps = tuple(theta.components[rho1.omap[a]] for a in fiber_b1.objects)
         mid2 = p.mor_id.get((lhs_src, lhs_tgt, mu.base_functor.mmap[mid], comps))
@@ -1103,27 +1023,16 @@ def _assoc_single_morphism(s, p, mid, f, phi, oid1, oid1b, chi1, chi2, theta):
             lhs = mu.base_functor.mmap[mid2]
 
     # right route: curried components, inner multiplication, outer lookup
-    ok_r1, _, xi1, om1 = _route_right(s, p, oid1, d1, psi1, fib1, chi1)
-    ok_r2, _, xi2, om2 = _route_right(s, p, oid1b, d2, psi2, fib1b, chi2)
+    right1 = _route_right(s, p, oid1, chi1)
+    right2 = _route_right(s, p, oid1b, chi2)
     rhs = None
-    if ok_r1 and ok_r2:
-        rf = c.fiber_mor[f]
-        fiber_d1 = c.fiber_obj[d1]
-        theta_inner = {}
-        defined = True
-        for a in fiber_d1.objects:
-            fib_y = c.fiber_obj[psi1.omap[a]]
-            comps_a = tuple(theta.components[fib1.obj_id[(a, b)]]
-                            for b in fib_y.objects)
-            inner_mid = p.mor_id.get((xi1[a], xi2[rf.omap[a]],
-                                      phi.components[a], comps_a))
-            if inner_mid is None:
-                defined = False
-                break
-            theta_inner[a] = mu.base_functor.mmap[inner_mid]
-        if defined:
-            outer = p.mor_id.get((om1[2], om2[2], f,
-                                  tuple(theta_inner[a] for a in fiber_d1.objects)))
+    if right1 is not None and right2 is not None:
+        (xi1, out1), (xi2, out2) = right1, right2
+        inner = _curry_theta(p.fibers[oid1], p.obj_data[oid1][1], c, phi,
+                             c.fiber_mor[f], theta, xi1, xi2, p.mor_id)
+        if inner is not None:
+            outer = p.mor_id.get((out1, out2, f,
+                                  tuple(mu.base_functor.mmap[m] for m in inner)))
             if outer is not None:
                 rhs = mu.base_functor.mmap[outer]
     if (lhs is None) != (rhs is None):

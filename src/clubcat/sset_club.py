@@ -232,15 +232,20 @@ class ComposeResult:
     nf_of: dict            # (dim, element) -> normal form in sset
     source: ClubObjectSSet
     parts_of: dict         # nondeg id in sset -> canonical atomic tuple
+    base_pair: dict        # nondeg id in sset -> (s, t) ids of its pair
+
+    def base_pair_nfs(self, uid):
+        """The (s, t) normal forms of a nondegenerate simplex of the composite."""
+        sid, tid = self.base_pair[uid]
+        snf = _nf_lookup(self.source.base)[sid]
+        tnf = _nf_lookup(self.source.family.value(snf.base))[tid]
+        return snf, tnf
 
     def pair_of(self, u: NormalForm):
         """The (s, t) pair of any simplex of the composite."""
         fam = self.source.family
         s = self.source.base
-        sid, tid = self._base_pair[u.base]
-        snf = _nf_lookup(s)[sid]
-        v = fam.value(snf.base)
-        tnf = _nf_lookup(v)[tid]
+        snf, tnf = self.base_pair_nfs(u.base)
         s_out = apply_operator(s, snf, u.eta)
         moved = fam.transport(snf, u.eta).apply(tnf)
         v_out = fam.value(s_out.base)
@@ -272,9 +277,7 @@ def compose(x: ClubObjectSSet, part_fn=None):
             if nf.is_nondegenerate():
                 base_pair[nf.base] = elt
                 parts_of[nf.base] = part_fn(elt)
-    res = ComposeResult(sset, bisim, nf_of, x, parts_of)
-    res._base_pair = base_pair
-    return res
+    return ComposeResult(sset, bisim, nf_of, x, parts_of, base_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +448,10 @@ def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult = None,
     """The induced map of composites: (s, t) goes to (f(s), phi_s(t))."""
     res_src = res_src if res_src is not None else compose(m.src)
     res_tgt = res_tgt if res_tgt is not None else compose(m.tgt)
-    s = m.src.base
-    s_lookup = _nf_lookup(s)
     images = {}
     for k in range(res_src.sset.trunc + 1):
         for uid in res_src.sset.nondeg[k]:
-            sid, tid = res_src._base_pair[uid]
-            snf = s_lookup[sid]
-            v = m.src.family.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
+            snf, tnf = res_src.base_pair_nfs(uid)
             s2 = m.f.apply(snf)
             t2 = m.phi_at(snf).apply(tnf)
             images[uid] = res_tgt.nf_of[(k, (nf_id(s2), nf_id(t2)))]
@@ -688,22 +686,15 @@ def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
     """The two-level data as a family over the composed base."""
     t1 = res1.sset
     s = tlf.base
-    s_lookup = _nf_lookup(s)
     values = {}
     for k in range(t1.trunc + 1):
         for uid in t1.nondeg[k]:
-            sid, tid = res1._base_pair[uid]
-            snf = s_lookup[sid]
-            v = tlf.psi.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
+            snf, tnf = res1.base_pair_nfs(uid)
             values[uid] = tlf.value(snf.base, tnf.base)
     face_maps = {}
     for k in range(1, t1.trunc + 1):
         for uid in t1.nondeg[k]:
-            sid, tid = res1._base_pair[uid]
-            snf = s_lookup[sid]
-            v = tlf.psi.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
+            snf, tnf = res1.base_pair_nfs(uid)
             for i in range(k + 1):
                 d = face_map(k, i)
                 smap_s, moved = tlf.s_transport(snf, tnf, d)

@@ -155,6 +155,39 @@ def test_club_check_corrupted_exit_1(workspace, tmp_path):
     assert main(["club-check", str(path)]) == 1
 
 
+def _json_paths(node, prefix=()):
+    """Every key or index path into a JSON document, parents first."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
+    # every field of a club file, in turn, set to a number, a list or a
+    # boolean: validate reports, or rejects the file with an error line
+    from clubcat.operads import operad_to_club
+    original = formats.serialize("club", operad_to_club(free_operad({2: ["g"]}, 2)))
+    path = tmp_path / "mutant.json"
+    mutations = 0
+    for where in _json_paths(original):
+        for value in (5, ["x"], True):
+            data = json.loads(json.dumps(original))
+            node = data
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = value
+            path.write_text(json.dumps(data))
+            capsys.readouterr()
+            code = main(["validate", str(path)])
+            assert code in (0, 1, 2), (where, value)
+            if code == 2:
+                assert capsys.readouterr().err.startswith("error:"), (where, value)
+            mutations += 1
+    assert mutations == 438
+
+
 def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):
     # mu sends the unit applied to a3 to the nullary a0, whose fiber has none
     # of the objects of the fiber over a3

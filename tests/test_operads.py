@@ -249,6 +249,20 @@ def test_com_club_cap3_passes():
     assert club_check(sym_operad_to_club(commutative_operad(3))) == []
 
 
+@pytest.mark.parametrize("make, key, result", [
+    (lambda: commutative_operad(2), ("a1", ("a2",)), "a1"),
+    (swap_pair_operad, ("a", ("e", "e")), "e"),
+], ids=["comm2", "swap2"])
+def test_sym_club_with_wrong_arity_result_is_reported(make, key, result):
+    # the composite lands on an element whose arity has no block
+    # permutation for the product's non-identity morphism over it
+    op = make()
+    op.gamma[key] = result
+    club = sym_operad_to_club(op)
+    report = club_check(club)
+    assert report and report[0].startswith("mu: ")
+
+
 def test_club_operad_bijection_both_ways():
     # decoding and re-encoding reproduces the multiplication tables exactly
     for op in [cyclic_group_operad(3), free_operad({2: ["g"]}, 3)]:

@@ -316,6 +316,25 @@ def test_club_check_reports_remapped_object():
     assert report != []
 
 
+def _golden_unit_law_cases():
+    import json
+    import pathlib
+    path = pathlib.Path(__file__).parent / "golden" / "unit_law_reports.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _golden_unit_law_cases(),
+                         ids=lambda case: f"{case['op']}{tuple(case['args'])}")
+def test_unit_law_reports_match_golden(case):
+    # one gamma entry of the associative operad with a nullary element sent
+    # to a0 breaks the left unit law, the right one or both; the full report
+    # is compared line by line, in order
+    from clubcat.operads import associative_operad, operad_to_club
+    op = associative_operad(3, with_nullary=True)
+    op.gamma[(case["op"], tuple(case["args"]))] = case["result"]
+    assert club_check(operad_to_club(op)) == case["violations"]
+
+
 # ---------------------------------------------------------------------------
 # product morphism ids and the reuse of a verified associator
 
