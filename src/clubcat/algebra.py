@@ -20,13 +20,12 @@ from .diagram import DiagramInCat, constantify
 from .errors import InputError
 from .fincat import FinCategory
 from .semidirect import build_semidirect
-from .simpset import (ExtensionalSSet, SimplicialMap, SimplicialSet,
-                      apply_operator, degeneracy_map, face_map,
-                      is_injective, is_kan_fibration, nf_id,
+from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
+                      SimplicialSet, apply_operator, degeneracy_map,
+                      face_map, is_injective, is_kan_fibration, nf_id,
                       normalize_extensional)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, TwoLevelFamily,
-                        _cat_of, _nf_lookup, bisimplicial_of, compose,
-                        compose_morphism)
+                        bisimplicial_of, compose, compose_morphism)
 
 
 def act_category(c: DiagramInCat, m: FinCategory,
@@ -106,7 +105,7 @@ class AlgebraObject:
 
 
 def constant_algebra_object(shape: SimplicialSet, elements):
-    cat = _cat_of(shape)
+    cat = shape.category()
     return AlgebraObject(shape, constant_finset_diagram(cat, elements))
 
 
@@ -192,7 +191,6 @@ def i_points(x: AlgebraObject, generator, n):
     the value at the top simplex is fixed, so probes are exactly these pairs.
     """
     import itertools
-    cat = x.diagram.cat
     out = []
     shape = x.shape
     for xnf in shape.all_simplices(n):
@@ -210,7 +208,7 @@ def i_points_sset(x: AlgebraObject, generator):
 
 def _i_points_with_nf(x: AlgebraObject, generator):
     shape = x.shape
-    lookup = _nf_lookup(shape)
+    lookup = shape.normal_forms()
     tr = shape.trunc
     elements = {n: [(p.simplex, p.mapping) for p in i_points(x, generator, n)]
                 for n in range(tr + 1)}
@@ -220,8 +218,7 @@ def _i_points_with_nf(x: AlgebraObject, generator):
         for (sid, mapping) in elements[n]:
             xnf = lookup[sid]
             target = apply_operator(shape, xnf, theta)
-            mid = sid + "!" + theta.label
-            f = x.diagram.maps[mid]
+            f = x.diagram.maps[SimplexCategory.mor_id(sid, theta)]
             table[(sid, mapping)] = (nf_id(target),
                                      tuple(f[e] for e in mapping))
         return table
@@ -273,8 +270,7 @@ def validate_algebra_morphism(m: AlgebraMorphism):
         src, tgt = cat.src[mid], cat.tgt[mid]
         theta = cat.operator_of[mid]
         xnf = cat.simplex_of[src]
-        img_src = nf_id(m.f.apply(xnf))
-        img_mid = img_src + "!" + theta.label
+        img_mid = SimplexCategory.mor_id(nf_id(m.f.apply(xnf)), theta)
         f_src = m.src.diagram.maps[mid]
         f_tgt = m.tgt.diagram.maps[img_mid]
         for e in m.src.diagram.values[src]:
@@ -284,23 +280,28 @@ def validate_algebra_morphism(m: AlgebraMorphism):
     return report
 
 
+def _element_map(src, tgt, element_fn, name):
+    """The map between two normalized presentations, each a (simplicial
+    set, normal form of every element) pair, sending an element to
+    ``element_fn(element)``."""
+    (src_sset, src_nf), (tgt_sset, tgt_nf) = src, tgt
+    images = {nf.base: tgt_nf[(n, element_fn(elt))]
+              for (n, elt), nf in src_nf.items() if nf.is_nondegenerate()}
+    return SimplicialMap(src_sset, tgt_sset, images, name=name)
+
+
 def induced_map(m: AlgebraMorphism, generator):
     """The map of point complexes: postcompose the probe with the morphism."""
-    src_sset, src_nf = _i_points_with_nf(m.src, generator)
-    tgt_sset, tgt_nf = _i_points_with_nf(m.tgt, generator)
-    lookup = _nf_lookup(m.src.shape)
-    images = {}
-    for n in range(src_sset.trunc + 1):
-        for p in i_points(m.src, generator, n):
-            elt = (p.simplex, p.mapping)
-            nf = src_nf[(n, elt)]
-            if not nf.is_nondegenerate():
-                continue
-            comp = m.phi[p.simplex]
-            target_elt = (nf_id(m.f.apply(lookup[p.simplex])),
-                          tuple(comp[e] for e in p.mapping))
-            images[nf.base] = tgt_nf[(n, target_elt)]
-    return SimplicialMap(src_sset, tgt_sset, images, name="induced")
+    lookup = m.src.shape.normal_forms()
+
+    def probe_image(elt):
+        sid, mapping = elt
+        return (nf_id(m.f.apply(lookup[sid])),
+                tuple(m.phi[sid][e] for e in mapping))
+
+    return _element_map(_i_points_with_nf(m.src, generator),
+                        _i_points_with_nf(m.tgt, generator),
+                        probe_image, "induced")
 
 
 def is_fibration(m: AlgebraMorphism, generators, max_dim=None):
@@ -349,7 +350,6 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
     """
     report = []
     s = tlf.base
-    s_lookup = _nf_lookup(s)
 
     for key, v in [((y, t), val) for y, fam in tlf.chi.items()
                    for t, val in fam.values.items()]:
@@ -359,7 +359,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(ClubObjectSSet(s, tlf.psi))
     t1 = res1.sset
-    t_cat = _cat_of(t1)
+    t_cat = t1.category()
     values, maps = {}, {}
     pair_cache = {}
     for oid in t_cat.objects:
@@ -383,12 +383,12 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
     reps_a, classes_a = colimit_finset(one_stage, size_bound)
 
     # two stages: collapse each inner diagram, then collapse over the base
-    s_cat = _cat_of(s)
+    s_cat = s.category()
     inner_reps, inner_classes = {}, {}
     for oid in s_cat.objects:
         snf = s_cat.simplex_of[oid]
         v = tlf.psi.value(snf.base)
-        v_cat = _cat_of(v)
+        v_cat = v.category()
         ivalues = {}
         imaps = {}
         for t_oid in v_cat.objects:
@@ -415,7 +415,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
         table = {}
         for (t, e) in inner_reps[oid]:
             v = tlf.psi.value(snf.base)
-            tnf = _nf_lookup(v)[t]
+            tnf = v.normal_forms()[t]
             smap_s, moved_t = tlf.s_transport(snf, tnf, theta)
             moved_e = _smap_function(smap_s)[e]
             cls = inner_classes[tid_out][(nf_id(moved_t), moved_e)]
@@ -459,25 +459,17 @@ def column_point_map(m: ClubMorphismSSet, col):
     """The induced map on the probes by the standard simplex of the given
     dimension: the columns of the pair bisimplicial sets."""
     from .simpset import column_sset
-    b_src = bisimplicial_of(m.src)
-    b_tgt = bisimplicial_of(m.tgt)
-    src_sset, src_nf = column_sset(b_src, col)
-    tgt_sset, tgt_nf = column_sset(b_tgt, col)
-    s = m.src.base
-    s_lookup = _nf_lookup(s)
-    images = {}
-    for n in range(src_sset.trunc + 1):
-        for elt in b_src.elements[(n, col)]:
-            nf = src_nf[(n, elt)]
-            if not nf.is_nondegenerate():
-                continue
-            sid, tid = elt
-            snf = s_lookup[sid]
-            v = m.src.family.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
-            target = (nf_id(m.f.apply(snf)), nf_id(m.phi_at(snf).apply(tnf)))
-            images[nf.base] = tgt_nf[(n, target)]
-    return SimplicialMap(src_sset, tgt_sset, images, name=f"col{col}")
+    s_lookup = m.src.base.normal_forms()
+
+    def pair_image(elt):
+        sid, tid = elt
+        snf = s_lookup[sid]
+        tnf = m.src.family.value(snf.base).normal_forms()[tid]
+        return nf_id(m.f.apply(snf)), nf_id(m.phi_at(snf).apply(tnf))
+
+    return _element_map(column_sset(bisimplicial_of(m.src), col),
+                        column_sset(bisimplicial_of(m.tgt), col),
+                        pair_image, f"col{col}")
 
 
 def is_sset_fibration(m: ClubMorphismSSet, max_dim):
@@ -509,14 +501,11 @@ def _product_type_map(m: ClubMorphismSSet):
     phis = list(m.phi.values())
     if not phis or any(p.images != phis[0].images for p in phis[1:]):
         return None
-    for key, f in m.src.family.face_maps.items():
-        if any(not nf.is_nondegenerate() or nf.base != x
-               for x, nf in f.images.items()):
-            return None
-    for key, f in m.tgt.family.face_maps.items():
-        if any(not nf.is_nondegenerate() or nf.base != x
-               for x, nf in f.images.items()):
-            return None
+    for fam in (m.src.family, m.tgt.family):
+        for f in fam.face_maps.values():
+            if any(not nf.is_nondegenerate() or nf.base != x
+                   for x, nf in f.images.items()):
+                return None
     return phis[0]
 
 

@@ -142,50 +142,43 @@ def _parse_as(path, kind_wanted, what):
     return value
 
 
+def _emit_sset(args, command, law, result):
+    """Write a constructed simplicial set to ``--out`` and report its
+    non-degenerate counts."""
+    if args.out:
+        formats.write_file(args.out, "sset", result)
+    counts = [len(result.nondeg[k]) for k in range(result.trunc + 1)]
+    _emit(_report(f"sset {command}", [
+        {"law": law, "status": "pass",
+         "details": {"nondegenerate_counts": counts}}]), args)
+    return PASS
+
+
 def cmd_sset(args):
-    from .simpset import (external_product_bisimplicial, diag, is_kan_fibration,
-                          product, validate_sset)
+    from .simpset import is_kan_fibration, product
+    from .sset_club import ClubObjectSSet, compose, constant_family, validate_family
     if args.sset_command == "validate":
         return cmd_validate(args)
     if args.sset_command == "product":
         a = _parse_as(args.left, "sset", "product")
         b = _parse_as(args.right, "sset", "product")
-        result = product(a, b)
-        if args.out:
-            formats.write_file(args.out, "sset", result)
-        counts = [len(result.nondeg[k]) for k in range(result.trunc + 1)]
-        report = _report("sset product", [
-            {"law": "product-constructed", "status": "pass",
-             "details": {"nondegenerate_counts": counts}}])
-        _emit(report, args)
-        return PASS
+        return _emit_sset(args, "product", "product-constructed", product(a, b))
     if args.sset_command == "diag":
         a = _parse_as(args.left, "sset", "diag")
         b = _parse_as(args.right, "sset", "diag")
-        result, _ = diag(external_product_bisimplicial(a, b))
-        if args.out:
-            formats.write_file(args.out, "sset", result)
-        counts = [len(result.nondeg[k]) for k in range(result.trunc + 1)]
-        report = _report("sset diag", [
-            {"law": "diagonal-constructed", "status": "pass",
-             "details": {"nondegenerate_counts": counts}}])
-        _emit(report, args)
-        return PASS
+        if a.trunc != b.trunc:
+            raise InputError("external product needs equal truncation levels")
+        # the diagonal of the external product a x b: the composite of the
+        # constant family with value b over a
+        result = compose(ClubObjectSSet(a, constant_family(a, b))).sset
+        return _emit_sset(args, "diag", "diagonal-constructed", result)
     if args.sset_command == "compose":
-        from .sset_club import compose, validate_family
         obj = _parse_as(args.file, "club-object", "compose")
         bad = validate_family(obj.family)
         if bad:
             raise InputError(f"invalid family: {bad[0]}")
-        res = compose(obj)
-        if args.out:
-            formats.write_file(args.out, "sset", res.sset)
-        counts = [len(res.sset.nondeg[k]) for k in range(res.sset.trunc + 1)]
-        report = _report("sset compose", [
-            {"law": "composite-constructed", "status": "pass",
-             "details": {"nondegenerate_counts": counts}}])
-        _emit(report, args)
-        return PASS
+        return _emit_sset(args, "compose", "composite-constructed",
+                          compose(obj).sset)
     if args.sset_command == "kan-check":
         value = _parse_as(args.file, "map", "kan-check")
         max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
@@ -202,8 +195,8 @@ def cmd_sset(args):
 
 def _sset_law_check(args):
     from .sset_club import (TwoLevelFamily, associativity_check,
-                            constant_family, unit_law_check, validate_family)
-    from .simpset import identity_smap, one_point
+                            unit_law_check, validate_family)
+    from .simpset import one_point
     obj = _parse_as(args.file, "club-object", "law-check")
     bad = validate_family(obj.family)
     if bad:
@@ -223,21 +216,7 @@ def _sset_law_check(args):
                                "status": "pass" if not rep else "fail",
                                "details": {"violations": rep}})
     if args.assoc:
-        pt = one_point(obj.base.trunc)
-        chi = {}
-        s_maps = {}
-        s = obj.base
-        for k in range(s.trunc + 1):
-            for y in s.nondeg[k]:
-                chi[y] = constant_family(obj.family.values[y], pt)
-        for k in range(1, s.trunc + 1):
-            for y in s.nondeg[k]:
-                v = obj.family.values[y]
-                for i in range(k + 1):
-                    for kk in range(s.trunc + 1):
-                        for t in v.nondeg[kk]:
-                            s_maps[(y, i, t)] = identity_smap(pt)
-        tlf = TwoLevelFamily(s, obj.family, chi, s_maps)
+        tlf = TwoLevelFamily.constant_inner(obj.family, one_point(obj.base.trunc))
         report = associativity_check(tlf)
         checks.append({"law": "diagonal-associativity",
                        "status": "pass" if not report else "fail",

@@ -195,7 +195,7 @@ def smap_images_to_json(f: SimplicialMap):
 def smap_images_from_json(data, src: SimplicialSet, tgt: SimplicialSet,
                           what="map"):
     images = {}
-    for x, nf in data.items():
+    for x, nf in _need_dict(data, f"{what} images").items():
         images[x] = normal_form_from_json(nf, tgt.dim_of, f"{what} image of {x!r}")
     return SimplicialMap(src, tgt, images)
 
@@ -231,7 +231,7 @@ def club_object_to_json(x: ClubObjectSSet):
 
 def club_object_from_json(data, what="club object"):
     base = sset_from_json(_need(data, "base", what), f"{what} base")
-    fibers_raw = _need(data, "fibers", what)
+    fibers_raw = _need_dict(_need(data, "fibers", what), f"{what} fibers")
     values = {}
     for k in range(base.trunc + 1):
         for y in base.nondeg[k]:
@@ -239,7 +239,8 @@ def club_object_from_json(data, what="club object"):
                 raise SchemaError(f"{what} has no fiber for simplex {y!r}")
             values[y] = sset_from_json(fibers_raw[y], f"{what} fiber {y!r}")
     face_maps = {}
-    for key, images in _need(data, "fiber_maps", what).items():
+    maps_raw = _need_dict(_need(data, "fiber_maps", what), f"{what} fiber_maps")
+    for key, images in maps_raw.items():
         op, _, simplex = key.partition("@")
         if not op.startswith("d") or not op[1:].isdigit() or not simplex:
             raise SchemaError(f"{what} fiber map key {key!r} is not 'd<i>@<simplex>'")
@@ -247,6 +248,8 @@ def club_object_from_json(data, what="club object"):
         if simplex not in values:
             raise SchemaError(f"{what} fiber map for unknown simplex {simplex!r}")
         k = base.dim_of[simplex]
+        if k == 0:
+            raise SchemaError(f"{what} has a fiber map on the vertex {simplex!r}")
         if not 0 <= i <= k:
             raise SchemaError(f"{what} fiber map index {i} out of range at {simplex!r}")
         tgt = values[base.faces[simplex][i].base]
@@ -401,14 +404,16 @@ def algebra_object_to_json(x):
 
 def algebra_object_from_json(data, what="algebra object"):
     from .algebra import AlgebraObject, FinSetDiagram, constant_algebra_object
-    from .sset_club import _cat_of
     shape = sset_from_json(_need(data, "shape", what), f"{what} shape")
     if "constant" in data:
-        return constant_algebra_object(shape, data["constant"])
-    cat = _cat_of(shape)
-    values = _need(data, "values", what)
-    maps = _need(data, "maps", what)
-    return AlgebraObject(shape, FinSetDiagram(cat, values, maps))
+        return constant_algebra_object(
+            shape, _need_id_tuple(data["constant"], f"{what} constant element"))
+    values_raw = _need_dict(_need(data, "values", what), f"{what} values")
+    values = {o: _need_id_tuple(v, f"{what} element at {o!r}")
+              for o, v in values_raw.items()}
+    maps_raw = _need_dict(_need(data, "maps", what), f"{what} maps")
+    maps = {m: _need_id_map(maps_raw, m, f"{what} map") for m in maps_raw}
+    return AlgebraObject(shape, FinSetDiagram(shape.category(), values, maps))
 
 
 def algebra_morphism_to_json(m):
@@ -426,7 +431,8 @@ def algebra_morphism_from_json(data, what="algebra morphism"):
     tgt = algebra_object_from_json(_need(data, "tgt", what), f"{what} target")
     f = smap_images_from_json(_need(data, "shape_map", what), src.shape,
                               tgt.shape, f"{what} shape map")
-    phi = {o: dict(fn) for o, fn in _need(data, "components", what).items()}
+    comps = _need_dict(_need(data, "components", what), f"{what} components")
+    phi = {o: _need_id_map(comps, o, f"{what} component") for o in comps}
     return AlgebraMorphism(src, tgt, f, phi)
 
 

@@ -106,6 +106,13 @@ class MonotoneMap:
     def is_surjective(self):
         return self._surjective
 
+    def peel_face(self):
+        """(i, rest) with self = face_map(n, i) ∘ rest, for an injective map
+        that is not the identity; i is the largest vertex it skips."""
+        image = set(self.values)
+        i = max(v for v in range(self.n + 1) if v not in image)
+        return i, MonotoneMap(self.n - 1, [v if v < i else v - 1 for v in self.values])
+
 
 def identity_map(n):
     return MonotoneMap(n, range(n + 1))
@@ -217,13 +224,34 @@ class SimplicialSet:
                 self.dim_of[s] = k
         # per-set memos: (base, eta, theta) -> theta*(eta, base) for
         # apply_operator; the canonical id -> simplex lookup and the category
-        # of simplices, both built on first use by sset_club
+        # of simplices, both built on first use
         self._op_memo = {}
         self._nf_cache = None
         self._simplex_cat = None
 
     def face(self, simplex_id, i):
         return self.faces[simplex_id][i]
+
+    def normal_forms(self):
+        """Canonical id -> normal form, for every simplex up to the truncation."""
+        if self._nf_cache is None:
+            self._nf_cache = {nf_id(nf): nf for k in range(self.trunc + 1)
+                              for nf in self.all_simplices(k)}
+        return self._nf_cache
+
+    def category(self):
+        """The category of simplices, built once."""
+        if self._simplex_cat is None:
+            self._simplex_cat = simplex_category(self)
+        return self._simplex_cat
+
+    def generators(self, m):
+        """The face and degeneracy operators out of dimension m, in order,
+        that stay within the truncation."""
+        faces = [face_map(m, i) for i in range(m + 1)] if m >= 1 else []
+        degens = ([degeneracy_map(m, i) for i in range(m + 1)]
+                  if m < self.trunc else [])
+        return faces + degens
 
     def all_simplices(self, k):
         """Every k-simplex (normal forms), canonical order: by base dim, base, eta."""
@@ -266,11 +294,8 @@ def apply_operator(s: SimplicialSet, x: NormalForm, theta: MonotoneMap):
 def _apply_injective(s: SimplicialSet, base: str, delta: MonotoneMap):
     if delta.m == delta.n:
         return nondeg(base, delta.n)
-    image = set(delta.values)
-    i = max(v for v in range(delta.n + 1) if v not in image)
-    f = s.faces[base][i]
-    rest = MonotoneMap(delta.n - 1, [v if v < i else v - 1 for v in delta.values])
-    return apply_operator(s, f, rest)
+    i, rest = delta.peel_face()
+    return apply_operator(s, s.faces[base][i], rest)
 
 
 def validate_sset(s: SimplicialSet):
@@ -391,10 +416,9 @@ def disjoint_union(s: SimplicialSet, t: SimplicialSet):
     nondeg_by_dim = {k: [f"0:{x}" for x in s.nondeg[k]] + [f"1:{x}" for x in t.nondeg[k]]
                      for k in range(s.trunc + 1)}
     faces = {}
-    for x, fs in s.faces.items():
-        faces[f"0:{x}"] = [tag("0:", nf) for nf in fs]
-    for x, fs in t.faces.items():
-        faces[f"1:{x}"] = [tag("1:", nf) for nf in fs]
+    for prefix, part in (("0:", s), ("1:", t)):
+        for x, fs in part.faces.items():
+            faces[prefix + x] = [tag(prefix, nf) for nf in fs]
     return SimplicialSet(s.trunc, nondeg_by_dim, faces,
                          name=f"({s.name}+{t.name})")
 
@@ -541,41 +565,44 @@ def is_injective(f: SimplicialMap):
     return True
 
 
-def enumerate_smaps(a: SimplicialSet, b: SimplicialSet):
-    """All simplicial maps a -> b, deterministically ordered (small inputs)."""
-    order = []
-    for k in range(a.trunc + 1):
-        order.extend((k, x) for x in a.nondeg[k])
+def _smap_search(a: SimplicialSet, b: SimplicialSet, candidates, distinct):
+    """Image tables of the simplicial maps a -> b, in backtracking order.
+
+    The non-degenerate simplices of a are placed dimension by dimension; a
+    k-simplex tries the list ``candidates(k)`` in order, keeping those whose
+    faces are the images of its own faces and, when ``distinct``, that are
+    not yet an image.  Each table is yielded live: copy it to keep it.
+    """
+    order = [(k, x) for k in range(a.trunc + 1) for x in a.nondeg[k]]
     images = {}
-    results = []
-
-    def candidates(k, x):
-        cands = b.all_simplices(k)
-        if k == 0:
-            return cands
-        wanted = [images_apply(a.faces[x][i]) for i in range(k + 1)]
-        out = []
-        for c in cands:
-            if all(apply_operator(b, c, face_map(k, i)) == wanted[i]
-                   for i in range(k + 1)):
-                out.append(c)
-        return out
-
-    def images_apply(nf: NormalForm):
-        return apply_operator(b, images[nf.base], nf.eta)
+    used = set()
 
     def backtrack(i):
         if i == len(order):
-            results.append(SimplicialMap(a, b, dict(images)))
+            yield images
             return
         k, x = order[i]
-        for cand in candidates(k, x):
+        wanted = ([apply_operator(b, images[nf.base], nf.eta) for nf in a.faces[x]]
+                  if k else [])
+        for cand in candidates(k):
+            if distinct and cand in used:
+                continue
+            if any(apply_operator(b, cand, face_map(k, j)) != w
+                   for j, w in enumerate(wanted)):
+                continue
             images[x] = cand
-            backtrack(i + 1)
+            used.add(cand)
+            yield from backtrack(i + 1)
+            used.discard(cand)
             del images[x]
 
-    backtrack(0)
-    return results
+    return backtrack(0)
+
+
+def enumerate_smaps(a: SimplicialSet, b: SimplicialSet):
+    """All simplicial maps a -> b, deterministically ordered (small inputs)."""
+    return [SimplicialMap(a, b, dict(images))
+            for images in _smap_search(a, b, b.all_simplices, distinct=False)]
 
 
 def iso_sset(s: SimplicialSet, t: SimplicialSet):
@@ -585,46 +612,30 @@ def iso_sset(s: SimplicialSet, t: SimplicialSet):
     for k in range(s.trunc + 1):
         if len(s.nondeg[k]) != len(t.nondeg[k]):
             return None
-    images = {}
-    used = {k: set() for k in range(s.trunc + 1)}
-    order = []
-    for k in range(s.trunc + 1):
-        order.extend((k, x) for x in s.nondeg[k])
-
-    def backtrack(i):
-        if i == len(order):
-            return True
-        k, x = order[i]
-        for cand in t.nondeg[k]:
-            if cand in used[k]:
-                continue
-            if k > 0:
-                want = [images_apply(s.faces[x][j]) for j in range(k + 1)]
-                have = [apply_operator(t, nondeg(cand, k), face_map(k, j))
-                        for j in range(k + 1)]
-                if want != have:
-                    continue
-            images[x] = nondeg(cand, k)
-            used[k].add(cand)
-            if backtrack(i + 1):
-                return True
-            used[k].discard(cand)
-            del images[x]
-        return False
-
-    def images_apply(nf: NormalForm):
-        return apply_operator(t, images[nf.base], nf.eta)
-
-    if backtrack(0):
-        return SimplicialMap(s, t, dict(images), name="iso")
-    return None
+    candidates = [[nondeg(y, k) for y in t.nondeg[k]] for k in range(t.trunc + 1)]
+    images = next(_smap_search(s, t, lambda k: candidates[k], distinct=True), None)
+    if images is None:
+        return None
+    return SimplicialMap(s, t, dict(images), name="iso")
 
 
 # ---------------------------------------------------------------------------
 # the category of simplices
 
-def _simplex_cat_mor_id(src_id, theta):
-    return src_id + "!" + theta.label
+class SimplexCategory(FinCategory):
+    """A category of simplices that knows the simplex each object names
+    (``simplex_of``) and the operator each morphism applies (``operator_of``)."""
+
+    def __init__(self, objects, morphisms, identities, comp, simplex_of,
+                 operator_of, name=""):
+        super().__init__(objects, morphisms, identities, comp, name=name)
+        self.simplex_of = simplex_of
+        self.operator_of = operator_of
+
+    @staticmethod
+    def mor_id(src_id, theta):
+        """The id of the operator theta as a morphism out of the object src_id."""
+        return src_id + "!" + theta.label
 
 
 def simplex_category(s: SimplicialSet):
@@ -650,7 +661,7 @@ def simplex_category(s: SimplicialSet):
         for m in range(s.trunc + 1):
             for theta in all_monotone_maps(m, x.dim):
                 y = apply_operator(s, x, theta)
-                mid = _simplex_cat_mor_id(oid, theta)
+                mid = SimplexCategory.mor_id(oid, theta)
                 morphisms.append((mid, oid, nf_id(y)))
                 mor_data[mid] = (x, theta)
                 if theta.is_identity() and m == x.dim:
@@ -663,11 +674,10 @@ def simplex_category(s: SimplicialSet):
         x, theta = mor_data[mid]
         for (mid2, c) in by_src.get(b, []):
             _, theta2 = mor_data[mid2]
-            comp[(mid2, mid)] = _simplex_cat_mor_id(a, compose_maps(theta, theta2))
-    cat = FinCategory(objects, morphisms, identities, comp, name=f"S({s.name})")
-    cat.simplex_of = obj_nf
-    cat.operator_of = {mid: theta for mid, (x, theta) in mor_data.items()}
-    return cat
+            comp[(mid2, mid)] = SimplexCategory.mor_id(a, compose_maps(theta, theta2))
+    return SimplexCategory(objects, morphisms, identities, comp, obj_nf,
+                           {mid: theta for mid, (x, theta) in mor_data.items()},
+                           name=f"S({s.name})")
 
 
 def smap_functor(f: SimplicialMap, src_cat=None, tgt_cat=None):
@@ -680,8 +690,7 @@ def smap_functor(f: SimplicialMap, src_cat=None, tgt_cat=None):
         omap[oid] = nf_id(f.apply(nf))
     for mid in src_cat.mor_ids:
         theta = src_cat.operator_of[mid]
-        omid = _simplex_cat_mor_id(omap[src_cat.src[mid]], theta)
-        mmap[mid] = omid
+        mmap[mid] = SimplexCategory.mor_id(omap[src_cat.src[mid]], theta)
     return Functor(src_cat, tgt_cat, omap, mmap)
 
 
@@ -804,28 +813,32 @@ class BisimplicialSet:
         self.v_degen = v_degen  # (m, n, i) -> dict, raises n
         self.name = name
 
+    def slice(self, fixed, vertical=False, name=""):
+        """The simplicial set along one direction with the other degree fixed:
+        the (k, fixed)-elements under the horizontal actions or, when
+        ``vertical``, the (fixed, k)-elements under the vertical ones."""
+        t = self.trunc
+        if vertical:
+            face, degen, at = self.v_face, self.v_degen, lambda k: (fixed, k)
+        else:
+            face, degen, at = self.h_face, self.h_degen, lambda k: (k, fixed)
+        return ExtensionalSSet(
+            t, {k: list(self.elements[at(k)]) for k in range(t + 1)},
+            {(k, i): face[at(k) + (i,)] for k in range(1, t + 1) for i in range(k + 1)},
+            {(k, i): degen[at(k) + (i,)] for k in range(t) for i in range(k + 1)},
+            name=name)
+
 
 def validate_bisimplicial(b: BisimplicialSet):
     """Row/column simplicial identities plus commutation of the two actions."""
     report = []
     t = b.trunc
-
-    def row(m, n):
-        elements = {k: [x for x in b.elements[(k, n)]] for k in range(t + 1)}
-        face = {(k, i): b.h_face[(k, n, i)] for k in range(1, t + 1) for i in range(k + 1)}
-        degen = {(k, i): b.h_degen[(k, n, i)] for k in range(t) for i in range(k + 1)}
-        return ExtensionalSSet(t, elements, face, degen, name=f"row{n}")
-
-    def col(m):
-        elements = {k: [x for x in b.elements[(m, k)]] for k in range(t + 1)}
-        face = {(k, i): b.v_face[(m, k, i)] for k in range(1, t + 1) for i in range(k + 1)}
-        degen = {(k, i): b.v_degen[(m, k, i)] for k in range(t) for i in range(k + 1)}
-        return ExtensionalSSet(t, elements, face, degen, name=f"col{m}")
-
     for n in range(t + 1):
-        report.extend(f"horizontal at column {n}: {r}" for r in validate_extensional(row(0, n)))
+        report.extend(f"horizontal at column {n}: {r}"
+                      for r in validate_extensional(b.slice(n)))
     for m in range(t + 1):
-        report.extend(f"vertical at row {m}: {r}" for r in validate_extensional(col(m)))
+        report.extend(f"vertical at row {m}: {r}"
+                      for r in validate_extensional(b.slice(m, vertical=True)))
     if report:
         return report
     # commutation of one horizontal and one vertical generator
@@ -858,42 +871,6 @@ def validate_bisimplicial(b: BisimplicialSet):
     return report
 
 
-def external_product_bisimplicial(s: SimplicialSet, t: SimplicialSet):
-    """The bisimplicial set with (m, n)-elements S_m x T_n."""
-    if s.trunc != t.trunc:
-        raise InputError("external product needs equal truncation levels")
-    tr = s.trunc
-    s_simp = {m: s.all_simplices(m) for m in range(tr + 1)}
-    t_simp = {n: t.all_simplices(n) for n in range(tr + 1)}
-    elements = {(m, n): [(nf_id(x), nf_id(y)) for x in s_simp[m] for y in t_simp[n]]
-                for m in range(tr + 1) for n in range(tr + 1)}
-    s_lookup = {nf_id(x): x for m in range(tr + 1) for x in s_simp[m]}
-    t_lookup = {nf_id(y): y for n in range(tr + 1) for y in t_simp[n]}
-    h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
-    for m in range(tr + 1):
-        for n in range(tr + 1):
-            for i in range(m + 1):
-                if m >= 1:
-                    h_face[(m, n, i)] = {
-                        (a, bb): (nf_id(apply_operator(s, s_lookup[a], face_map(m, i))), bb)
-                        for (a, bb) in elements[(m, n)]}
-                if m + 1 <= tr:
-                    h_degen[(m, n, i)] = {
-                        (a, bb): (nf_id(apply_operator(s, s_lookup[a], degeneracy_map(m, i))), bb)
-                        for (a, bb) in elements[(m, n)]}
-            for j in range(n + 1):
-                if n >= 1:
-                    v_face[(m, n, j)] = {
-                        (a, bb): (a, nf_id(apply_operator(t, t_lookup[bb], face_map(n, j))))
-                        for (a, bb) in elements[(m, n)]}
-                if n + 1 <= tr:
-                    v_degen[(m, n, j)] = {
-                        (a, bb): (a, nf_id(apply_operator(t, t_lookup[bb], degeneracy_map(n, j))))
-                        for (a, bb) in elements[(m, n)]}
-    return BisimplicialSet(tr, elements, h_face, h_degen, v_face, v_degen,
-                           name=f"({s.name}#{t.name})")
-
-
 def diag(b: BisimplicialSet, id_fn=_default_id):
     """The diagonal simplicial set: equal bidegrees, operators acting twice.
 
@@ -923,12 +900,7 @@ def column_sset(b: BisimplicialSet, m, id_fn=_default_id):
     Elements at level n are the (n, m)-elements; used for the generator-wise
     point complexes of pair objects.
     """
-    tr = b.trunc
-    elements = {k: list(b.elements[(k, m)]) for k in range(tr + 1)}
-    face = {(k, i): b.h_face[(k, m, i)] for k in range(1, tr + 1) for i in range(k + 1)}
-    degen = {(k, i): b.h_degen[(k, m, i)] for k in range(tr) for i in range(k + 1)}
-    ext = ExtensionalSSet(tr, elements, face, degen, name=f"col{m}{b.name}")
-    return normalize_extensional(ext, id_fn=id_fn)
+    return normalize_extensional(b.slice(m, name=f"col{m}{b.name}"), id_fn=id_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -17,27 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .fincat import FinCategory, Functor, validate_functor
+from .fincat import FinCategory, Functor
 from .simpset import (BisimplicialSet, MonotoneMap, NormalForm,
                       SimplicialMap, SimplicialSet, all_monotone_maps,
                       apply_operator, compose_maps, compose_smaps,
                       degeneracy_map, diag, ez_factor, face_map,
-                      identity_smap, nf_id, nondeg, one_point,
-                      simplex_category, smap_equal, validate_smap)
-
-
-def _nf_lookup(s: SimplicialSet):
-    if s._nf_cache is None:
-        s._nf_cache = {nf_id(nf): nf
-                       for k in range(s.trunc + 1) for nf in s.all_simplices(k)}
-    return s._nf_cache
-
-
-def _cat_of(s: SimplicialSet):
-    if s._simplex_cat is None:
-        s._simplex_cat = simplex_category(s)
-    return s._simplex_cat
+                      identity_smap, nf_id, nondeg, one_point, smap_equal,
+                      validate_smap)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +49,7 @@ class SimplexFamily:
         """The simplicial set at a simplex given by id or normal form."""
         if isinstance(simplex, NormalForm):
             return self.values[simplex.base]
-        return self.values[_nf_lookup(self.base)[simplex].base]
+        return self.values[self.base.normal_forms()[simplex].base]
 
     def transport(self, x: NormalForm, theta: MonotoneMap):
         """The map value(x) -> value(theta* x) induced by the operator."""
@@ -80,13 +66,9 @@ class SimplexFamily:
     def _transport_injective(self, y, delta):
         if delta.m == delta.n:
             return identity_smap(self.values[y])
-        image = set(delta.values)
-        i = max(v for v in range(delta.n + 1) if v not in image)
-        first = self.face_maps[(y, i)]
-        rest = MonotoneMap(delta.n - 1,
-                           [v if v < i else v - 1 for v in delta.values])
-        x2 = self.base.faces[y][i]
-        return compose_smaps(self.transport(x2, rest), first)
+        i, rest = delta.peel_face()
+        return compose_smaps(self.transport(self.base.faces[y][i], rest),
+                             self.face_maps[(y, i)])
 
 
 def validate_family(fam: SimplexFamily):
@@ -130,12 +112,7 @@ def validate_family(fam: SimplexFamily):
                 for theta in all_monotone_maps(m, k):
                     through = fam.transport(x, theta)
                     y = apply_operator(s, x, theta)
-                    gens = []
-                    if m >= 1:
-                        gens += [face_map(m, i) for i in range(m + 1)]
-                    if m + 1 <= s.trunc:
-                        gens += [degeneracy_map(m, i) for i in range(m + 1)]
-                    for g in gens:
+                    for g in s.generators(m):
                         lhs = compose_smaps(fam.transport(y, g), through)
                         rhs = fam.transport(x, compose_maps(theta, g))
                         if not smap_equal(lhs, rhs):
@@ -185,14 +162,14 @@ def bisimplicial_of(x: ClubObjectSSet):
                     elems.append((nf_id(snf), nf_id(tnf)))
             elements[(m, n)] = elems
     h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
-    s_lookup = _nf_lookup(s)
+    s_lookup = s.normal_forms()
 
     def horizontal(m, n, theta):
         table = {}
         for (sid, tid) in elements[(m, n)]:
             snf = s_lookup[sid]
             v = fam.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
+            tnf = v.normal_forms()[tid]
             s2 = apply_operator(s, snf, theta)
             moved = fam.transport(snf, theta).apply(tnf)
             table[(sid, tid)] = (nf_id(s2), nf_id(moved))
@@ -203,7 +180,7 @@ def bisimplicial_of(x: ClubObjectSSet):
         for (sid, tid) in elements[(m, n)]:
             snf = s_lookup[sid]
             v = fam.value(snf.base)
-            tnf = _nf_lookup(v)[tid]
+            tnf = v.normal_forms()[tid]
             table[(sid, tid)] = (sid, nf_id(apply_operator(v, tnf, theta)))
         return table
 
@@ -237,8 +214,8 @@ class ComposeResult:
     def base_pair_nfs(self, uid):
         """The (s, t) normal forms of a nondegenerate simplex of the composite."""
         sid, tid = self.base_pair[uid]
-        snf = _nf_lookup(self.source.base)[sid]
-        tnf = _nf_lookup(self.source.family.value(snf.base))[tid]
+        snf = self.source.base.normal_forms()[sid]
+        tnf = self.source.family.value(snf.base).normal_forms()[tid]
         return snf, tnf
 
     def pair_of(self, u: NormalForm):
@@ -297,8 +274,7 @@ class PairCategorySSet:
 def pair_category_sset(x: ClubObjectSSet):
     """Materialize the pair category of a family (small fixtures only)."""
     s, fam = x.base, x.family
-    s_cat = _cat_of(s)
-    s_lookup = _nf_lookup(s)
+    s_cat = s.category()
     objects = []
     obj_id, obj_data = {}, {}
     for oid in s_cat.objects:
@@ -348,9 +324,10 @@ def pair_category_sset(x: ClubObjectSSet):
 def delta_functor(res: ComposeResult, pairs: PairCategorySSet = None):
     """The comparison functor from the composite's simplex category into the
     pair category, sending a diagonal simplex to its pair and an operator to
-    the operator acting in both directions."""
+    the operator acting in both directions.  Whether it is a functor is a
+    law: check it with ``validate_functor``."""
     pairs = pairs if pairs is not None else pair_category_sset(res.source)
-    t_cat = _cat_of(res.sset)
+    t_cat = res.sset.category()
     omap, mmap = {}, {}
     for oid in t_cat.objects:
         u = t_cat.simplex_of[oid]
@@ -360,18 +337,14 @@ def delta_functor(res: ComposeResult, pairs: PairCategorySSet = None):
         theta = t_cat.operator_of[mid]
         src = t_cat.src[mid]
         mmap[mid] = pairs.mor_id[(omap[src], theta, theta)]
-    f = Functor(t_cat, pairs.cat, omap, mmap)
-    bad = validate_functor(f)
-    if bad:
-        raise InputError(f"diagonal comparison is not a functor: {bad[:3]}")
-    return f
+    return Functor(t_cat, pairs.cat, omap, mmap)
 
 
 def delta_is_isomorphism(res: ComposeResult, pairs: PairCategorySSet = None):
     """Whether the comparison functor is bijective on objects (it is not, in
     general: off-diagonal pairs are never hit)."""
     pairs = pairs if pairs is not None else pair_category_sset(res.source)
-    t_cat = _cat_of(res.sset)
+    t_cat = res.sset.category()
     return len(t_cat.objects) == len(pairs.cat.objects)
 
 
@@ -390,7 +363,7 @@ class ClubMorphismSSet:
     def phi_at(self, simplex):
         if isinstance(simplex, NormalForm):
             return self.phi[simplex.base]
-        return self.phi[_nf_lookup(self.src.base)[simplex].base]
+        return self.phi[self.src.base.normal_forms()[simplex].base]
 
 
 def validate_club_morphism(m: ClubMorphismSSet):
@@ -471,7 +444,7 @@ def delta_naturality_check(morphisms):
         res1 = compose(m.src)
         res2 = compose(m.tgt)
         g = compose_morphism(m, res1, res2)
-        t_cat1 = _cat_of(res1.sset)
+        t_cat1 = res1.sset.category()
         for oid in t_cat1.objects:
             u = t_cat1.simplex_of[oid]
             s1, t1 = res1.pair_of(u)
@@ -529,6 +502,19 @@ class TwoLevelFamily:
         self.name = name
         self._cache = {}
 
+    @classmethod
+    def constant_inner(cls, psi: SimplexFamily, u: SimplicialSet, name=""):
+        """The two-level family over psi with every inner value u and every
+        transport the identity."""
+        s = psi.base
+        chi = {y: constant_family(psi.values[y], u)
+               for k in range(s.trunc + 1) for y in s.nondeg[k]}
+        s_maps = {(y, i, t): identity_smap(u)
+                  for k in range(1, s.trunc + 1) for y in s.nondeg[k]
+                  for i in range(k + 1)
+                  for n in range(s.trunc + 1) for t in psi.values[y].nondeg[n]}
+        return cls(s, psi, chi, s_maps, name=name)
+
     def value(self, s_base, t_base):
         return self.chi[s_base].values[t_base]
 
@@ -551,21 +537,11 @@ class TwoLevelFamily:
     def _s_transport_injective(self, y, t, delta):
         if delta.m == delta.n:
             return identity_smap(self.value(y, t.base)), t
-        image = set(delta.values)
-        i = max(v for v in range(delta.n + 1) if v not in image)
-        first = self.s_maps[(y, i, t.base)]
+        i, rest = delta.peel_face()
         k = self.base.dim_of[y]
         moved = self.psi.transport(nondeg(y, k), face_map(k, i)).apply(t)
-        rest = MonotoneMap(delta.n - 1,
-                           [v if v < i else v - 1 for v in delta.values])
-        x2 = self.base.faces[y][i]
-        rec_map, rec_t = self._s_transport_injective_nf(x2, moved, rest)
-        return compose_smaps(rec_map, first), rec_t
-
-    def _s_transport_injective_nf(self, x2: NormalForm, t, delta):
-        kappa = compose_maps(x2.eta, delta)
-        d2, s2 = ez_factor(kappa)
-        return self._s_transport_injective(x2.base, t, d2)
+        rec_map, rec_t = self.s_transport(self.base.faces[y][i], moved, rest)
+        return compose_smaps(rec_map, self.s_maps[(y, i, t.base)]), rec_t
 
 
 def validate_two_level(tlf: TwoLevelFamily):
@@ -647,12 +623,7 @@ def validate_two_level(tlf: TwoLevelFamily):
                         for theta in all_monotone_maps(m2, k):
                             step, moved = tlf.s_transport(x, tn, theta)
                             y = apply_operator(s, x, theta)
-                            gens = []
-                            if m2 >= 1:
-                                gens += [face_map(m2, i) for i in range(m2 + 1)]
-                            if m2 + 1 <= s.trunc:
-                                gens += [degeneracy_map(m2, i) for i in range(m2 + 1)]
-                            for g in gens:
+                            for g in s.generators(m2):
                                 nxt, moved2 = tlf.s_transport(y, moved, g)
                                 lhs = compose_smaps(nxt, step)
                                 rhs, moved3 = tlf.s_transport(
@@ -667,19 +638,7 @@ def validate_two_level(tlf: TwoLevelFamily):
 
 def constant_two_level(s: SimplicialSet, t: SimplicialSet, u: SimplicialSet):
     """The two-level family with constant values t and u."""
-    psi = constant_family(s, t)
-    chi = {}
-    s_maps = {}
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            chi[y] = constant_family(t, u)
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            for i in range(k + 1):
-                for n in range(s.trunc + 1):
-                    for tt in t.nondeg[n]:
-                        s_maps[(y, i, tt)] = identity_smap(u)
-    return TwoLevelFamily(s, psi, chi, s_maps, name="const2")
+    return TwoLevelFamily.constant_inner(constant_family(s, t), u, name="const2")
 
 
 def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
@@ -758,14 +717,14 @@ def associativity_check(tlf: TwoLevelFamily, validate=True):
         if bad:
             return [f"input: {r}" for r in bad]
     s = tlf.base
-    s_lookup = _nf_lookup(s)
+    s_lookup = s.normal_forms()
 
     res1 = compose(ClubObjectSSet(s, tlf.psi))
     flat = _flattened_family(tlf, res1)
 
     def outer_parts(elt):
         uid, wid = elt
-        u_nf = _nf_lookup(res1.sset)[uid]
+        u_nf = res1.sset.normal_forms()[uid]
         snf, tnf = res1.pair_of(u_nf)
         return (nf_id(snf), nf_id(tnf), wid)
 
@@ -777,7 +736,7 @@ def associativity_check(tlf: TwoLevelFamily, validate=True):
         sid, wid = elt
         snf = s_lookup[sid]
         r = inner_res[snf.base]
-        w_nf = _nf_lookup(r.sset)[wid]
+        w_nf = r.sset.normal_forms()[wid]
         tnf, wnf = r.pair_of(w_nf)
         return (sid, nf_id(tnf), nf_id(wnf))
 

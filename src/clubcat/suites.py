@@ -12,7 +12,8 @@ import random
 
 from .config import DEFAULT_GUARDRAILS
 from .errors import GuardrailExceeded, InputError
-from .fincat import discrete_category, find_isomorphism, identity_functor
+from .fincat import (discrete_category, find_isomorphism, identity_functor,
+                     validate_functor)
 from . import generate as gen
 from .operads import (associative_operad, club_to_operad,
                       commutative_operad, cyclic_group_operad,
@@ -270,8 +271,9 @@ def _sset_laws(config):
                                              standard_simplex(1, min(2, trunc))))
     res = compose(fixture)
     pairs = pair_category_sset(fixture)
-    delta_functor(res, pairs)
-    suite.record("comparison-functor-valid", True, {})
+    bad = validate_functor(delta_functor(res, pairs))
+    suite.record("comparison-functor-valid", not bad,
+                 {"violations": bad[:3]} if bad else {})
     suite.record("comparison-functor-not-invertible",
                  not delta_is_isomorphism(res, pairs),
                  {"diagonal_objects": len(res.sset.all_simplices(0))})

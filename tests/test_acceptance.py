@@ -13,7 +13,8 @@ from clubcat import formats
 from clubcat.config import DEFAULT_GUARDRAILS
 from clubcat.errors import GuardrailExceeded
 from clubcat import generate as gen
-from clubcat.fincat import discrete_category, find_isomorphism, identity_functor
+from clubcat.fincat import (discrete_category, find_isomorphism, identity_functor,
+                            validate_functor)
 from clubcat.diagram import DiagramInCat, validate_diagram_morphism
 from clubcat.semidirect import (associator, club_check, pentagon_check,
                                 semidirect, triangle_check, unitors)
@@ -204,7 +205,7 @@ def test_c6_comparison_functor_not_invertible():
                                              standard_simplex(1, 2)))
     res = compose(fixture)
     pairs = pair_category_sset(fixture)
-    delta_functor(res, pairs)   # raises if not a functor
+    assert validate_functor(delta_functor(res, pairs)) == []
     not_iso = not delta_is_isomorphism(res, pairs)
     diag_objects = sum(len(res.sset.all_simplices(k))
                       for k in range(res.sset.trunc + 1))

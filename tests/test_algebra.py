@@ -18,7 +18,7 @@ from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
                              validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                constant_family, constant_two_level,
-                               identity_club_morphism, _cat_of)
+                               identity_club_morphism)
 
 
 def test_act_category_unit_is_identity():
@@ -62,7 +62,7 @@ def test_colimit_constant_over_two_points():
 def test_colimit_pushout_shape():
     # over the interval: edge value {m}, vertex values {a0, b0} and {a1}
     shape = standard_simplex(1, 1)
-    cat = _cat_of(shape)
+    cat = shape.category()
     values, maps = {}, {}
     for oid in cat.objects:
         nf = cat.simplex_of[oid]
@@ -109,7 +109,7 @@ def test_points_of_empty_values():
 def test_points_count_matches_family_enumeration():
     # non-constant diagram over the interval with a collapsing edge map
     shape = standard_simplex(1, 1)
-    cat = _cat_of(shape)
+    cat = shape.category()
     values, maps = {}, {}
     for oid in cat.objects:
         nf = cat.simplex_of[oid]
@@ -170,7 +170,7 @@ def test_points_sset_validates():
 
 def test_identity_morphism_is_fibration():
     x = constant_algebra_object(standard_simplex(1, 2), ["u"])
-    cat = _cat_of(x.shape)
+    cat = x.shape.category()
     m = AlgebraMorphism(x, x, identity_smap(x.shape),
                         {oid: {"u": "u"} for oid in cat.objects})
     assert validate_algebra_morphism(m) == []
@@ -183,7 +183,7 @@ def test_collapsing_morphism_is_not_fibration():
     tgt = constant_algebra_object(one_point(2), ["u"])
     f = SimplicialMap(src.shape, tgt.shape,
                       {"0:pt": nondeg("pt", 0), "1:pt": nondeg("pt", 0)})
-    cat = _cat_of(src.shape)
+    cat = src.shape.category()
     m = AlgebraMorphism(src, tgt, f, {oid: {"u": "u"} for oid in cat.objects})
     assert validate_algebra_morphism(m) == []
     ok, info = is_fibration(m, [("*",)])
@@ -194,7 +194,7 @@ def test_collapsing_morphism_is_not_fibration():
 def test_induced_map_on_points():
     x = constant_algebra_object(one_point(1), ["u", "v"])
     y = constant_algebra_object(one_point(1), ["u"])
-    cat = _cat_of(x.shape)
+    cat = x.shape.category()
     m = AlgebraMorphism(x, y, identity_smap(x.shape),
                         {oid: {"u": "u", "v": "u"} for oid in cat.objects})
     g = induced_map(m, ("*",))
@@ -263,7 +263,7 @@ def test_colimit_invariant_under_shape_isomorphism():
     assert iso is not None
     xa = constant_algebra_object(a, ["u", "v"])
     # transport the diagram along the isomorphism: values pulled back
-    cat_b = _cat_of(b)
+    cat_b = b.category()
     values = {oid: ["u", "v"] for oid in cat_b.objects}
     maps = {mid: {"u": "u", "v": "v"} for mid in cat_b.mor_ids}
     xb = AlgebraObject(b, FinSetDiagram(cat_b, values, maps))

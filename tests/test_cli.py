@@ -62,7 +62,8 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 2, label
         assert capsys.readouterr().err.startswith("error:"), label
-    # the same for operad and club files: wrong containers and boolean caps
+    # the same for operad, club and club-object files: wrong containers,
+    # boolean caps and a face map out of a vertex
     from clubcat.operads import operad_to_club
     formats.write_file(workspace / "club.json", "club",
                        operad_to_club(cyclic_group_operad(3)))
@@ -88,6 +89,9 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
             ("club.json", lambda d: d["domain"].__setitem__(0, 5)),
         "club cap is a boolean": ("club.json", lambda d: d.update(cap=True)),
         "club cap is a string": ("club.json", lambda d: d.update(cap="1")),
+        "club-object fiber map on a vertex":
+            ("obj.json", lambda d: d["fiber_maps"].update(
+                {"d0@0": d["fiber_maps"]["d0@01"]})),
     }
     for label, (source, edit) in edits.items():
         data = json.loads((workspace / source).read_text())
@@ -122,6 +126,11 @@ def test_diag_matches_product_counts(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     counts = report["checks"][0]["details"]["nondegenerate_counts"]
     assert counts == [4, 5, 2]
+    # unequal truncation levels are invalid input
+    formats.write_file(workspace / "interval3.json", "sset", standard_simplex(1, 3))
+    assert main(["sset", "diag", str(workspace / "interval.json"),
+                 str(workspace / "interval3.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_compose_and_law_check(workspace):
@@ -164,11 +173,10 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
-    # every field of a club file, in turn, set to a number, a list or a
-    # boolean: validate reports, or rejects the file with an error line
-    from clubcat.operads import operad_to_club
-    original = formats.serialize("club", operad_to_club(free_operad({2: ["g"]}, 2)))
+def _single_field_fuzz(original, tmp_path, capsys):
+    """Set every field of a serialized file, in turn, to a number, a list or
+    a boolean: validate reports, or rejects the file with an error line.
+    Returns the number of mutations run."""
     path = tmp_path / "mutant.json"
     mutations = 0
     for where in _json_paths(original):
@@ -185,7 +193,26 @@ def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
             if code == 2:
                 assert capsys.readouterr().err.startswith("error:"), (where, value)
             mutations += 1
-    assert mutations == 438
+    return mutations
+
+
+def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
+    from clubcat.operads import operad_to_club
+    original = formats.serialize("club", operad_to_club(free_operad({2: ["g"]}, 2)))
+    assert _single_field_fuzz(original, tmp_path, capsys) == 438
+
+
+def test_club_object_file_single_field_fuzz_never_crashes(tmp_path, capsys):
+    import random
+    from clubcat.generate import random_family
+    original = formats.serialize("club-object", random_family(random.Random(3), 1))
+    assert _single_field_fuzz(original, tmp_path, capsys) == 279
+
+
+def test_algebra_object_file_single_field_fuzz_never_crashes(tmp_path, capsys):
+    original = formats.serialize(
+        "algebra-object", constant_algebra_object(standard_simplex(1, 1), ["u", "v"]))
+    assert _single_field_fuzz(original, tmp_path, capsys) == 282
 
 
 def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):

@@ -7,7 +7,7 @@ from clubcat.errors import InputError
 from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              apply_operator, boundary, compose_maps,
                              degeneracy_map, diag, disjoint_union,
-                             enumerate_smaps, external_product_bisimplicial,
+                             enumerate_smaps,
                              ez_factor, face_map, horn, identity_map,
                              identity_smap, is_injective, is_kan_fibration,
                              iso_sset, nf_id, nondeg, one_point, product,
@@ -15,6 +15,7 @@ from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              surjections, SimplicialMap, validate_bisimplicial,
                              validate_smap, validate_sset)
 from clubcat.fincat import validate_category, validate_functor
+from clubcat.sset_club import ClubObjectSSet, bisimplicial_of, constant_family
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +258,17 @@ def test_disjoint_union_counts():
 # ---------------------------------------------------------------------------
 # bisimplicial sets and the diagonal
 
+def _external_product(s, t):
+    """The bisimplicial set with (m, n)-elements S_m x T_n: the pairs of the
+    constant family with value t over s."""
+    return bisimplicial_of(ClubObjectSSet(s, constant_family(s, t)))
+
+
 def test_external_product_diag_is_product():
     for (a, b) in [(standard_simplex(1, 2), standard_simplex(1, 2)),
                    (standard_simplex(2, 2), one_point(2)),
                    (boundary(2, 2), standard_simplex(1, 2))]:
-        bis = external_product_bisimplicial(a, b)
+        bis = _external_product(a, b)
         assert validate_bisimplicial(bis) == []
         d, _ = diag(bis)
         assert validate_sset(d) == []
@@ -272,7 +279,7 @@ def test_external_product_diag_is_product():
 
 
 def test_diag_of_constant_point():
-    bis = external_product_bisimplicial(one_point(2), one_point(2))
+    bis = _external_product(one_point(2), one_point(2))
     d, _ = diag(bis)
     iso = iso_sset(d, one_point(2))
     assert iso is not None
@@ -282,9 +289,9 @@ def test_diag_commutes_with_disjoint_union():
     a = standard_simplex(1, 2)
     b = boundary(2, 2)
     t = one_point(2)
-    left, _ = diag(external_product_bisimplicial(disjoint_union(a, b), t))
-    right = disjoint_union(diag(external_product_bisimplicial(a, t))[0],
-                           diag(external_product_bisimplicial(b, t))[0])
+    left, _ = diag(_external_product(disjoint_union(a, b), t))
+    right = disjoint_union(diag(_external_product(a, t))[0],
+                           diag(_external_product(b, t))[0])
     assert iso_sset(left, right) is not None
 
 

@@ -169,6 +169,22 @@ def test_delta_is_functor_but_not_iso():
     assert not delta_is_isomorphism(res, pairs)
 
 
+def test_corrupted_pair_category_fails_the_functor_check():
+    # one composite of the pair category sent to another morphism: the
+    # comparison is still built, and the functor check reports the law
+    s = one_point(1)
+    res = compose(ClubObjectSSet(s, constant_family(s, standard_simplex(1, 1))))
+    pairs = pair_category_sset(res.source)
+    f = delta_functor(res, pairs)
+    g, h = next(key for key in f.src.comp
+                if not (f.src.is_identity(key[0]) or f.src.is_identity(key[1])))
+    key = (f.mmap[g], f.mmap[h])
+    pairs.cat.comp[key] = next(m for m in pairs.cat.mor_ids
+                               if m != pairs.cat.comp[key])
+    report = validate_functor(delta_functor(res, pairs))
+    assert f"composition not preserved at ({g!r}, {h!r})" in report
+
+
 # ---------------------------------------------------------------------------
 # morphisms of club objects
 
