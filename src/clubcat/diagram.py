@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .errors import InputError
 from .fincat import (FinCategory, Functor, compose_functors, fincat_equal,
-                     functor_equal, identity_functor, terminal_category,
-                     validate_category, validate_functor)
+                     functor_equal, identity_functor, isomorphisms,
+                     terminal_category, validate_category, validate_functor)
 
 
 class DiagramInCat:
@@ -168,107 +168,42 @@ def lift_functor(f: Functor):
     return DiagramMorphism(src, tgt, f, rho, name="lift")
 
 
-def full_subdiagram(x: DiagramInCat, objects):
-    """The full subdiagram spanned by the given base objects."""
-    keep = [d for d in x.base.objects if d in set(objects)]
-    keep_set = set(keep)
-    missing = set(objects) - keep_set
-    if missing:
-        raise InputError(f"unknown base objects {sorted(missing)!r}")
-    morphisms = [(m, s, t) for (m, s, t) in x.base.morphisms
-                 if s in keep_set and t in keep_set]
-    mor_set = {m for (m, _, _) in morphisms}
-    base = FinCategory(
-        keep, morphisms,
-        {d: x.base.identities[d] for d in keep},
-        {(g, f): gf for (g, f), gf in x.base.comp.items()
-         if g in mor_set and f in mor_set},
-        name=f"{x.base.name}|sub")
-    return DiagramInCat(base,
-                        {d: x.fiber_obj[d] for d in keep},
-                        {m: x.fiber_mor[m] for m in mor_set},
-                        name=f"{x.name}|sub")
-
-
 def find_diagram_isomorphism(x: DiagramInCat, y: DiagramInCat):
     """Search for an invertible diagram morphism x -> y on small inputs.
 
-    Tries base isomorphisms in enumeration order and, for each, searches
-    fiberwise isomorphisms satisfying strict naturality.  Returns a valid
-    DiagramMorphism with invertible components or None.
+    Tries base isomorphisms in search order and, for each, backtracks over
+    fiberwise isomorphisms, checking strict naturality on every base morphism
+    whose ends are both assigned.  Returns a valid DiagramMorphism with
+    invertible components or None.
     """
-    from .fincat import enumerate_functors, find_isomorphism
-
-    if len(x.base.objects) != len(y.base.objects):
-        return None
-    if len(x.base.mor_ids) != len(y.base.mor_ids):
-        return None
-
-    def base_isos():
-        seen = find_isomorphism(x.base, y.base)
-        if seen is None:
-            return
-        # enumerate all functors and filter to bijective ones; small inputs only
-        for f in enumerate_functors(x.base, y.base):
-            if (len(set(f.omap.values())) == len(y.base.objects)
-                    and len(set(f.mmap.values())) == len(y.base.mor_ids)):
-                yield f
-
-    for f in base_isos():
-        rho = {}
-        ok = True
-        for d in x.base.objects:
-            iso = find_isomorphism(y.fiber_obj[f.omap[d]], x.fiber_obj[d])
-            if iso is None:
-                ok = False
-                break
-            rho[d] = iso
-        if not ok:
-            continue
-        cand = DiagramMorphism(x, y, f, rho)
-        if not validate_diagram_morphism(cand):
-            return cand
-        # retry with exhaustive fiber iso choices when the greedy pick fails
-        cand = _search_fiber_isos(x, y, f)
-        if cand is not None:
-            return cand
-    return None
-
-
-def _search_fiber_isos(x, y, f):
-    from .fincat import enumerate_functors
-
     objs = x.base.objects
-    choices = []
-    for d in objs:
-        cands = [g for g in enumerate_functors(y.fiber_obj[f.omap[d]], x.fiber_obj[d])
-                 if len(set(g.omap.values())) == len(x.fiber_obj[d].objects)
-                 and len(set(g.mmap.values())) == len(x.fiber_obj[d].mor_ids)]
-        if not cands:
-            return None
-        choices.append(cands)
-    rho = {}
+    for f in isomorphisms(x.base, y.base):
+        choices = [list(isomorphisms(y.fiber_obj[f.omap[d]], x.fiber_obj[d]))
+                   for d in objs]
+        if not all(choices):
+            continue
+        rho = {}
 
-    def backtrack(i):
-        if i == len(objs):
-            return True
-        for cand in choices[i]:
-            rho[objs[i]] = cand
-            # check naturality only on morphisms between assigned objects
-            good = True
+        def natural_so_far():
             for m in x.base.mor_ids:
                 d1, d2 = x.base.src[m], x.base.tgt[m]
                 if d1 in rho and d2 in rho:
                     left = compose_functors(x.fiber_mor[m], rho[d1])
                     right = compose_functors(rho[d2], y.fiber_mor[f.mmap[m]])
                     if not functor_equal(left, right):
-                        good = False
-                        break
-            if good and backtrack(i + 1):
-                return True
-            del rho[objs[i]]
-        return False
+                        return False
+            return True
 
-    if backtrack(0):
-        return DiagramMorphism(x, y, f, dict(rho))
+        def backtrack(i):
+            if i == len(objs):
+                return True
+            for cand in choices[i]:
+                rho[objs[i]] = cand
+                if natural_so_far() and backtrack(i + 1):
+                    return True
+                del rho[objs[i]]
+            return False
+
+        if backtrack(0):
+            return DiagramMorphism(x, y, f, rho)
     return None

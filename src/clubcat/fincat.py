@@ -11,8 +11,6 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import GuardrailExceeded, InputError
 
 
@@ -248,50 +246,78 @@ def compose_functors(g: Functor, f: Functor):
                    {m: g.mmap[f.mmap[m]] for m in f.src.mor_ids})
 
 
-def enumerate_functors(c: FinCategory, d: FinCategory, max_morphisms=64):
-    """All functors c -> d, duplicate-free, in a deterministic order.
+def _functor_search(c: FinCategory, d: FinCategory, bijective=False):
+    """Yield every functor c -> d as ``(omap, mmap)`` dicts, reused between yields.
 
-    Backtracks over object maps in the object order of ``c`` and ``d``, then
-    over morphism images, pruning with the functor laws as soon as a
-    composition triple is fully assigned.
+    Backtracks over object images in the object order of ``c`` and then of
+    ``d``, then over non-identity morphism images in hom-set order, pruning
+    with the functor laws as soon as a composition triple is fully assigned.
+    With ``bijective`` only isomorphisms are yielded: objects go to unused
+    objects of the same profile, non-identities to unused non-identities.
     """
+    if bijective:
+        if len(c.objects) != len(d.objects) or len(c.mor_ids) != len(d.mor_ids):
+            return
+        prof_c = {x: _object_profile(c, x) for x in c.objects}
+        prof_d = {y: _object_profile(d, y) for y in d.objects}
+        if sorted(prof_c.values()) != sorted(prof_d.values()):
+            return
+    nonid = c.nonidentity_morphisms()
+    triples_by_mor = {m: [] for m in c.mor_ids}
+    for (g, f), gf in c.comp.items():
+        for m in {g, f, gf}:
+            triples_by_mor[m].append((g, f, gf))
+    omap, mmap = {}, {}
+    used_obj, used_mor = set(), set()   # read only when bijective
+
+    def consistent(m):
+        for (g, f, gf) in triples_by_mor[m]:
+            if g in mmap and f in mmap and gf in mmap:
+                if mmap[gf] != d.comp[(mmap[g], mmap[f])]:
+                    return False
+        return True
+
+    def assign_morphisms(i):
+        if i == len(nonid):
+            yield omap, mmap
+            return
+        m = nonid[i]
+        for cand in d.hom_set(omap[c.src[m]], omap[c.tgt[m]]):
+            if bijective and (cand in used_mor or d.is_identity(cand)):
+                continue
+            mmap[m] = cand
+            used_mor.add(cand)
+            if consistent(m):
+                yield from assign_morphisms(i + 1)
+            used_mor.discard(cand)
+            del mmap[m]
+
+    def assign_objects(i):
+        if i == len(c.objects):
+            for x in c.objects:
+                mmap[c.identities[x]] = d.identities[omap[x]]
+            if all(consistent(c.identities[x]) for x in c.objects):
+                yield from assign_morphisms(0)
+            return
+        x = c.objects[i]
+        for y in d.objects:
+            if bijective and (y in used_obj or prof_c[x] != prof_d[y]):
+                continue
+            omap[x] = y
+            used_obj.add(y)
+            yield from assign_objects(i + 1)
+            used_obj.discard(y)
+
+    yield from assign_objects(0)
+
+
+def enumerate_functors(c: FinCategory, d: FinCategory, max_morphisms=64):
+    """All functors c -> d, duplicate-free, in the order of ``_functor_search``."""
     if len(c.mor_ids) > max_morphisms or len(d.mor_ids) > max_morphisms:
         raise GuardrailExceeded(
             f"functor enumeration limited to {max_morphisms} morphisms "
             f"(got {len(c.mor_ids)} and {len(d.mor_ids)})")
-    nonid = c.nonidentity_morphisms()
-    triples = [(g, f, gf) for (g, f), gf in c.comp.items()]
-    triples_by_mor = {m: [] for m in c.mor_ids}
-    for t in triples:
-        for m in set(t):
-            triples_by_mor[m].append(t)
-
-    results = []
-    for combo in itertools.product(d.objects, repeat=len(c.objects)):
-        omap = dict(zip(c.objects, combo))
-        mmap = {c.identities[x]: d.identities[omap[x]] for x in c.objects}
-
-        def consistent(m):
-            for (g, f, gf) in triples_by_mor[m]:
-                if g in mmap and f in mmap and gf in mmap:
-                    if mmap[gf] != d.comp[(mmap[g], mmap[f])]:
-                        return False
-            return True
-
-        def backtrack(i):
-            if i == len(nonid):
-                results.append(Functor(c, d, dict(omap), dict(mmap)))
-                return
-            m = nonid[i]
-            for cand in d.hom_set(omap[c.src[m]], omap[c.tgt[m]]):
-                mmap[m] = cand
-                if consistent(m):
-                    backtrack(i + 1)
-                del mmap[m]
-
-        if all(consistent(c.identities[x]) for x in c.objects):
-            backtrack(0)
-    return results
+    return [Functor(c, d, omap, mmap) for omap, mmap in _functor_search(c, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,72 +408,12 @@ def _object_profile(c: FinCategory, x):
     return (ins, outs, endos)
 
 
+def isomorphisms(c: FinCategory, d: FinCategory):
+    """Each functor c -> d bijective on objects and morphisms, in search order."""
+    for omap, mmap in _functor_search(c, d, bijective=True):
+        yield Functor(c, d, omap, mmap)
+
+
 def find_isomorphism(c: FinCategory, d: FinCategory):
-    """First functor c -> d bijective on objects and morphisms, or None.
-
-    Deterministic in the search order induced by the listed object and
-    morphism orders.
-    """
-    if len(c.objects) != len(d.objects) or len(c.mor_ids) != len(d.mor_ids):
-        return None
-    prof_c = {x: _object_profile(c, x) for x in c.objects}
-    prof_d = {x: _object_profile(d, x) for x in d.objects}
-    if sorted(prof_c.values()) != sorted(prof_d.values()):
-        return None
-
-    nonid = c.nonidentity_morphisms()
-    triples = [(g, f, gf) for (g, f), gf in c.comp.items()]
-    triples_by_mor = {m: [] for m in c.mor_ids}
-    for t in triples:
-        for m in set(t):
-            triples_by_mor[m].append(t)
-
-    omap, mmap = {}, {}
-    used_obj, used_mor = set(), set()
-
-    def consistent(m):
-        for (g, f, gf) in triples_by_mor[m]:
-            if g in mmap and f in mmap and gf in mmap:
-                if mmap[gf] != d.comp[(mmap[g], mmap[f])]:
-                    return False
-        return True
-
-    def assign_morphisms(i):
-        if i == len(nonid):
-            return True
-        m = nonid[i]
-        for cand in d.hom_set(omap[c.src[m]], omap[c.tgt[m]]):
-            if cand in used_mor or d.is_identity(cand):
-                continue
-            mmap[m] = cand
-            used_mor.add(cand)
-            if consistent(m) and assign_morphisms(i + 1):
-                return True
-            used_mor.discard(cand)
-            del mmap[m]
-        return False
-
-    def assign_objects(i):
-        if i == len(c.objects):
-            for x in c.objects:
-                mmap[c.identities[x]] = d.identities[omap[x]]
-            if assign_morphisms(0):
-                return True
-            for x in c.objects:
-                del mmap[c.identities[x]]
-            return False
-        x = c.objects[i]
-        for y in d.objects:
-            if y in used_obj or prof_c[x] != prof_d[y]:
-                continue
-            omap[x] = y
-            used_obj.add(y)
-            if assign_objects(i + 1):
-                return True
-            used_obj.discard(y)
-            del omap[x]
-        return False
-
-    if assign_objects(0):
-        return Functor(c, d, dict(omap), dict(mmap))
-    return None
+    """The first of ``isomorphisms(c, d)``, or None."""
+    return next(isomorphisms(c, d), None)

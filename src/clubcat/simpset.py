@@ -259,6 +259,8 @@ class SimplicialSet:
             raise InputError(f"dimension {k} above truncation {self.trunc}")
         out = []
         for j in range(k, -1, -1):
+            if not self.nondeg[j]:
+                continue
             for eta in surjections(k, j):
                 for base in self.nondeg[j]:
                     out.append(NormalForm(eta, base))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,23 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(bad)]) == 2, label
         assert capsys.readouterr().err.startswith("error:"), label
+
+
+def test_validate_one_vertex_at_high_truncation_is_quick(tmp_path):
+    # degeneracies of one vertex are few at any truncation; listing them must
+    # not walk every monotone map [k] -> [j].  A subprocess with a timeout
+    # turns a hang into a failure.
+    path = tmp_path / "point22.json"
+    path.write_text(json.dumps({"schema": "clubcat/1", "kind": "sset",
+                                "trunc": 22, "nondeg": {"0": ["v"]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from clubcat.cli import main; sys.exit(main(sys.argv[1:]))",
+         "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] well-formed:sset" in proc.stdout
 
 
 def test_validation_failure_exit_code(workspace, tmp_path):

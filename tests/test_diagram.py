@@ -3,14 +3,15 @@ import pytest
 from clubcat.diagram import (DiagramInCat, DiagramMorphism,
                              compose_diagram_morphisms, constantify,
                              diagram_morphism_equal, find_diagram_isomorphism,
-                             full_subdiagram, identity_diagram_morphism,
-                             lift_functor, unit_diagram,
+                             identity_diagram_morphism, lift_functor,
+                             unit_diagram,
                              validate_diagram, validate_diagram_morphism)
 from clubcat.errors import InputError
 from clubcat.fincat import (Functor, compose_functors, constant_functor,
                             discrete_category, enumerate_functors,
-                            identity_functor, terminal_category,
-                            validate_functor, walking_arrow)
+                            functor_equal, identity_functor,
+                            terminal_category, validate_functor,
+                            walking_arrow)
 
 
 def arrow_diagram_with_fibers():
@@ -126,15 +127,6 @@ def test_associativity_of_composition_on_triple():
     assert validate_diagram_morphism(lhs) == []
 
 
-def test_full_subdiagram():
-    x = arrow_diagram_with_fibers()
-    sub = full_subdiagram(x, ["x"])
-    assert sub.base.objects == ["x"]
-    assert validate_diagram(sub) == []
-    with pytest.raises(InputError):
-        full_subdiagram(x, ["nope"])
-
-
 def test_find_diagram_isomorphism_on_renamed_copy():
     x = arrow_diagram_with_fibers()
     iso = find_diagram_isomorphism(x, x)
@@ -150,3 +142,25 @@ def test_find_diagram_isomorphism_fails_on_different_fibers():
     x = DiagramInCat(base, {"*": one}, {"id_*": identity_functor(one)})
     y = DiagramInCat(base, {"*": two}, {"id_*": identity_functor(two)})
     assert find_diagram_isomorphism(x, y) is None
+
+
+def test_find_diagram_isomorphism_backtracks_over_fiber_isos():
+    # over the walking arrow, X acts on {p, q} by the swap and Y by the
+    # identity; taking the first isomorphism of every fiber is not natural,
+    # so the search must move on to rho_y = swap
+    base = walking_arrow()
+    two = discrete_category(["p", "q"])
+    swap = Functor(two, two, {"p": "q", "q": "p"},
+                   {"id_p": "id_q", "id_q": "id_p"})
+    ident = identity_functor(two)
+    x = DiagramInCat(base, {"x": two, "y": two},
+                     {"id_x": ident, "id_y": ident, "a": swap})
+    y = DiagramInCat(base, {"x": two, "y": two},
+                     {"id_x": ident, "id_y": ident, "a": ident})
+    assert validate_diagram(x) == [] and validate_diagram(y) == []
+    iso = find_diagram_isomorphism(x, y)
+    assert iso is not None
+    assert validate_diagram_morphism(iso) == []
+    assert functor_equal(iso.base_functor, identity_functor(base))
+    assert functor_equal(iso.rho["x"], ident)
+    assert functor_equal(iso.rho["y"], swap)

@@ -7,7 +7,7 @@ from clubcat.fincat import (FinCategory, Functor, compose_functors,
                             constant_functor, discrete_category,
                             empty_category, enumerate_functors,
                             enumerate_nat_trans, find_isomorphism,
-                            identity_functor, ordinal_category,
+                            functor_equal, identity_functor, ordinal_category,
                             terminal_category, validate_category,
                             validate_functor, validate_nat_trans,
                             walking_arrow)
@@ -171,14 +171,19 @@ def test_find_isomorphism_size_mismatch():
     assert find_isomorphism(terminal_category(), discrete_category(["a", "b"])) is None
 
 
-def test_find_isomorphism_permuted_presentation():
-    permuted = FinCategory(
+def _permuted_arrow():
+    """The walking arrow with other ids and its objects listed in reverse."""
+    return FinCategory(
         ["q", "p"],
         [("f", "p", "q"), ("1q", "q", "q"), ("1p", "p", "p")],
         {"p": "1p", "q": "1q"},
         {("1p", "1p"): "1p", ("1q", "1q"): "1q",
          ("f", "1p"): "f", ("1q", "f"): "f"},
     )
+
+
+def test_find_isomorphism_permuted_presentation():
+    permuted = _permuted_arrow()
     assert validate_category(permuted) == []
     iso = find_isomorphism(walking_arrow(), permuted)
     assert iso is not None
@@ -187,21 +192,36 @@ def test_find_isomorphism_permuted_presentation():
     assert len(set(iso.mmap.values())) == 3
 
 
+def _monoid(square):
+    """One object, identity e and one more endomorphism s with s∘s = square."""
+    return FinCategory(["x"], [("e", "x", "x"), ("s", "x", "x")], {"x": "e"},
+                       {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
+                        ("s", "s"): square})
+
+
 def test_find_isomorphism_symmetry():
     cats = [terminal_category(), discrete_category(["a", "b"]), walking_arrow(),
-            ordinal_category(3)]
+            ordinal_category(3), _permuted_arrow(), _monoid("e"), _monoid("s")]
     for c in cats:
         for d in cats:
-            assert (find_isomorphism(c, d) is None) == (find_isomorphism(d, c) is None)
+            iso = find_isomorphism(c, d)
+            assert (iso is None) == (find_isomorphism(d, c) is None)
+            # the first found isomorphism is the first bijective functor in
+            # enumeration order
+            bijective = [f for f in enumerate_functors(c, d)
+                         if len(set(f.omap.values())) == len(c.objects) == len(d.objects)
+                         and len(set(f.mmap.values())) == len(c.mor_ids) == len(d.mor_ids)]
+            if bijective:
+                assert iso is not None and functor_equal(iso, bijective[0])
+            else:
+                assert iso is None
 
 
 def test_non_isomorphic_same_counts():
     # three objects discrete vs. 1+arrow-with-collapsed... use monoid C2 vs discrete
-    c2 = FinCategory(["x"], [("e", "x", "x"), ("s", "x", "x")], {"x": "e"},
-                     {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"})
+    c2 = _monoid("e")
     assert validate_category(c2) == []
-    idem = FinCategory(["x"], [("e", "x", "x"), ("s", "x", "x")], {"x": "e"},
-                       {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "s"})
+    idem = _monoid("s")
     assert validate_category(idem) == []
     assert find_isomorphism(c2, idem) is None
     assert find_isomorphism(idem, c2) is None
