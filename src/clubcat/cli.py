@@ -8,60 +8,80 @@ and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
-from .config import Guardrails, SCHEMA_VERSION
+from .algebra import (colimit_act, i_points, i_points_sset, is_fibration,
+                      sset_stability_check, validate_algebra_morphism,
+                      validate_finset_diagram)
+from .diagram import validate_diagram, validate_diagram_morphism
 from .errors import GuardrailExceeded, InputError
+from .fincat import validate_category
 from . import formats
-from .suites import SUITES, run_suite
+from . import generate
+from .operads import (SymOperad, club_round_trips, encode_ns, encode_sym,
+                      operad_to_club, sym_operad_to_club, validate_ns_operad,
+                      validate_sym_operad)
+from .semidirect import club_check, semidirect
+from .simpset import (is_kan_fibration, one_point, product, validate_smap,
+                      validate_sset)
+from .sset_club import (ClubObjectSSet, TwoLevelFamily, associativity_check,
+                        compose, constant_family, unit_law_check,
+                        validate_family)
+from .suites import SUITES, Report, run_suite
 
 PASS, FAIL, BAD_INPUT, GUARDRAIL = 0, 1, 2, 3
 
 
 def _emit(report, args):
+    """Print ``report`` (as JSON with ``--json``), write it to
+    ``--report-out`` if given, and return the exit code."""
     text = formats.to_json_string(report)
-    if getattr(args, "json", False):
+    summary = report["summary"]
+    if args.json:
         sys.stdout.write(text)
     else:
-        for check in report.get("checks", []):
+        for check in report["checks"]:
             sys.stdout.write(f"[{check['status'].upper():4}] {check['law']}\n")
-        summary = report.get("summary")
-        if summary:
-            sys.stdout.write(
-                f"{summary['passed']}/{summary['total']} checks passed\n")
-    out = getattr(args, "report_out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+        sys.stdout.write(f"{summary['passed']}/{summary['total']} checks passed\n")
+    if args.report_out:
+        with open(args.report_out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    return PASS if summary["failed"] == 0 else FAIL
 
 
-def _report(command, checks, extra=None):
-    passed = sum(1 for c in checks if c["status"] == "pass")
-    report = {
-        "tool": "clubcat",
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "checks": checks,
-        "summary": {"passed": passed, "failed": len(checks) - passed,
-                    "total": len(checks)},
-    }
-    if extra:
-        report.update(extra)
-    return report
+def _emit_check(args, command, law, ok, details, **header):
+    """Report the one check of ``command`` and return the exit code."""
+    report = Report(command=command, **header)
+    report.record(law, ok, details)
+    return _emit(report.report(), args)
 
 
-def _exit_code(report):
-    return PASS if report["summary"]["failed"] == 0 else FAIL
+def _parse_as(path, kind_wanted, what):
+    kind, value = formats.parse_file(path)
+    if kind != kind_wanted:
+        raise InputError(f"{what} expects a {kind_wanted} file, got {kind}")
+    return value
+
+
+def _require_valid(violations, what):
+    """Raise InputError with the first violation, if there is one."""
+    if violations:
+        raise InputError(f"{what}: {violations[0]}")
+
+
+def _operad_violations(value):
+    if isinstance(value, SymOperad):
+        return validate_sym_operad(value)
+    return validate_ns_operad(value)
+
+
+def _generator(args):
+    """The probing generator of ``--gen`` elements."""
+    return tuple(f"g{i}" for i in range(args.gen))
 
 
 def _validate_value(kind, value):
-    from .algebra import validate_algebra_morphism, validate_finset_diagram
-    from .diagram import validate_diagram, validate_diagram_morphism
-    from .fincat import validate_category
-    from .operads import SymOperad, validate_ns_operad, validate_sym_operad
-    from .simpset import validate_smap, validate_sset
-    from .sset_club import validate_family
-
     if kind == "category":
         return validate_category(value)
     if kind == "diagram":
@@ -74,9 +94,7 @@ def _validate_value(kind, value):
     if kind == "club-object":
         return validate_sset(value.base) + validate_family(value.family)
     if kind == "operad":
-        if isinstance(value, SymOperad):
-            return validate_sym_operad(value)
-        return validate_ns_operad(value)
+        return _operad_violations(value)
     if kind == "club":
         return (validate_diagram(value.carrier)
                 + [f"mu: {r}" for r in validate_diagram_morphism(value.mu)]
@@ -91,55 +109,27 @@ def _validate_value(kind, value):
 def cmd_validate(args):
     kind, value = formats.parse_file(args.file)
     violations = _validate_value(kind, value)
-    checks = [{"law": f"well-formed:{kind}",
-               "status": "pass" if not violations else "fail",
-               "details": {"violations": violations[:20]}}]
-    report = _report("validate", checks, {"kind": kind})
-    _emit(report, args)
-    return _exit_code(report)
+    return _emit_check(args, "validate", f"well-formed:{kind}", not violations,
+                       {"violations": violations[:20]}, kind=kind)
 
 
 def cmd_semidirect(args):
-    from .diagram import validate_diagram
-    from .semidirect import semidirect
-    kind1, left = formats.parse_file(args.left)
-    kind2, right = formats.parse_file(args.right)
-    if kind1 != "diagram" or kind2 != "diagram":
-        raise InputError("semidirect expects two diagram files")
+    left = _parse_as(args.left, "diagram", "semidirect")
+    right = _parse_as(args.right, "diagram", "semidirect")
     for value, path in ((left, args.left), (right, args.right)):
-        bad = validate_diagram(value)
-        if bad:
-            raise InputError(f"{path} is not a valid diagram: {bad[0]}")
-    product = semidirect(left, right, _guard(args))
+        _require_valid(validate_diagram(value), f"{path} is not a valid diagram")
+    result = semidirect(left, right)
     if args.out:
-        formats.write_file(args.out, "diagram", product)
-    checks = [{"law": "product-constructed", "status": "pass",
-               "details": {"objects": len(product.base.objects),
-                           "morphisms": len(product.base.mor_ids)}}]
-    report = _report("semidirect", checks)
-    _emit(report, args)
-    return PASS
+        formats.write_file(args.out, "diagram", result)
+    return _emit_check(args, "semidirect", "product-constructed", True,
+                       {"objects": len(result.base.objects),
+                        "morphisms": len(result.base.mor_ids)})
 
 
 def cmd_club_check(args):
-    from .semidirect import club_check
-    kind, value = formats.parse_file(args.file)
-    if kind != "club":
-        raise InputError("club-check expects a club file")
-    violations = club_check(value, _guard(args))
-    checks = [{"law": "monoid-axioms",
-               "status": "pass" if not violations else "fail",
-               "details": {"violations": violations[:20]}}]
-    report = _report("club-check", checks)
-    _emit(report, args)
-    return _exit_code(report)
-
-
-def _parse_as(path, kind_wanted, what):
-    kind, value = formats.parse_file(path)
-    if kind != kind_wanted:
-        raise InputError(f"{what} expects a {kind_wanted} file, got {kind}")
-    return value
+    violations = club_check(_parse_as(args.file, "club", "club-check"))
+    return _emit_check(args, "club-check", "monoid-axioms", not violations,
+                       {"violations": violations[:20]})
 
 
 def _emit_sset(args, command, law, result):
@@ -148,203 +138,153 @@ def _emit_sset(args, command, law, result):
     if args.out:
         formats.write_file(args.out, "sset", result)
     counts = [len(result.nondeg[k]) for k in range(result.trunc + 1)]
-    _emit(_report(f"sset {command}", [
-        {"law": law, "status": "pass",
-         "details": {"nondegenerate_counts": counts}}]), args)
-    return PASS
+    return _emit_check(args, f"sset {command}", law, True,
+                       {"nondegenerate_counts": counts})
 
 
-def cmd_sset(args):
-    from .simpset import is_kan_fibration, product
-    from .sset_club import ClubObjectSSet, compose, constant_family, validate_family
-    if args.sset_command == "validate":
-        return cmd_validate(args)
-    if args.sset_command == "product":
-        a = _parse_as(args.left, "sset", "product")
-        b = _parse_as(args.right, "sset", "product")
-        return _emit_sset(args, "product", "product-constructed", product(a, b))
-    if args.sset_command == "diag":
-        a = _parse_as(args.left, "sset", "diag")
-        b = _parse_as(args.right, "sset", "diag")
-        if a.trunc != b.trunc:
-            raise InputError("external product needs equal truncation levels")
-        # the diagonal of the external product a x b: the composite of the
-        # constant family with value b over a
-        result = compose(ClubObjectSSet(a, constant_family(a, b))).sset
-        return _emit_sset(args, "diag", "diagonal-constructed", result)
-    if args.sset_command == "compose":
-        obj = _parse_as(args.file, "club-object", "compose")
-        bad = validate_family(obj.family)
-        if bad:
-            raise InputError(f"invalid family: {bad[0]}")
-        return _emit_sset(args, "compose", "composite-constructed",
-                          compose(obj).sset)
-    if args.sset_command == "kan-check":
-        value = _parse_as(args.file, "map", "kan-check")
-        max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
-        ok, witness = is_kan_fibration(value, max_dim)
-        report = _report("sset kan-check", [
-            {"law": "horn-lifting", "status": "pass" if ok else "fail",
-             "details": {"max_dim": max_dim, "witness": witness}}])
-        _emit(report, args)
-        return _exit_code(report)
-    if args.sset_command == "law-check":
-        return _sset_law_check(args)
-    raise InputError(f"unknown sset command {args.sset_command!r}")
+def cmd_sset_product(args):
+    a = _parse_as(args.left, "sset", "product")
+    b = _parse_as(args.right, "sset", "product")
+    return _emit_sset(args, "product", "product-constructed", product(a, b))
 
 
-def _sset_law_check(args):
-    from .sset_club import (TwoLevelFamily, associativity_check,
-                            unit_law_check, validate_family)
-    from .simpset import one_point
-    obj = _parse_as(args.file, "club-object", "law-check")
-    bad = validate_family(obj.family)
-    if bad:
-        raise InputError(f"invalid family: {bad[0]}")
-    checks = []
+def cmd_sset_diag(args):
+    a = _parse_as(args.left, "sset", "diag")
+    b = _parse_as(args.right, "sset", "diag")
+    if a.trunc != b.trunc:
+        raise InputError("external product needs equal truncation levels")
+    # the diagonal of the external product a x b: the composite of the
+    # constant family with value b over a
+    result = compose(ClubObjectSSet(a, constant_family(a, b))).sset
+    return _emit_sset(args, "diag", "diagonal-constructed", result)
+
+
+def _valid_club_object(args, what):
+    obj = _parse_as(args.file, "club-object", what)
+    _require_valid(validate_family(obj.family), "invalid family")
+    return obj
+
+
+def cmd_sset_compose(args):
+    obj = _valid_club_object(args, "compose")
+    return _emit_sset(args, "compose", "composite-constructed",
+                      compose(obj).sset)
+
+
+def cmd_sset_kan_check(args):
+    value = _parse_as(args.file, "map", "kan-check")
+    max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
+    ok, witness = is_kan_fibration(value, max_dim)
+    return _emit_check(args, "sset kan-check", "horn-lifting", ok,
+                       {"max_dim": max_dim, "witness": witness})
+
+
+def cmd_sset_law_check(args):
+    obj = _valid_club_object(args, "law-check")
+    report = Report(command="sset law-check")
     if args.unit or not (args.unit or args.assoc):
-        report = unit_law_check(s=obj.base)
-        checks.append({"law": "unit-law-point-values",
-                       "status": "pass" if not report else "fail",
-                       "details": {"violations": report}})
+        violations = unit_law_check(s=obj.base)
+        report.record("unit-law-point-values", not violations,
+                      {"violations": violations})
         seen = []
-        for v in obj.family.values.values():
-            if id(v) not in seen:
-                seen.append(id(v))
-                rep = unit_law_check(value=v)
-                checks.append({"law": "unit-law-point-base",
-                               "status": "pass" if not rep else "fail",
-                               "details": {"violations": rep}})
+        for value in obj.family.values.values():
+            if id(value) not in seen:
+                seen.append(id(value))
+                violations = unit_law_check(value=value)
+                report.record("unit-law-point-base", not violations,
+                              {"violations": violations})
     if args.assoc:
         tlf = TwoLevelFamily.constant_inner(obj.family, one_point(obj.base.trunc))
-        report = associativity_check(tlf)
-        checks.append({"law": "diagonal-associativity",
-                       "status": "pass" if not report else "fail",
-                       "details": {"violations": report[:5]}})
-    report = _report("sset law-check", checks)
-    _emit(report, args)
-    return _exit_code(report)
+        violations = associativity_check(tlf)
+        report.record("diagonal-associativity", not violations,
+                      {"violations": violations[:5]})
+    return _emit(report.report(), args)
 
 
-def cmd_operad(args):
-    from .operads import (club_to_operad, encode_ns, encode_sym, operad_to_club,
-                          sym_operad_to_club, SymOperad,
-                          validate_ns_operad, validate_sym_operad)
-    value = _parse_as(args.file, "operad", f"operad {args.operad_command}")
-    symmetric = isinstance(value, SymOperad)
-    violations = (validate_sym_operad(value) if symmetric
-                  else validate_ns_operad(value))
-    if args.operad_command == "validate":
-        checks = [{"law": "operad-laws",
-                   "status": "pass" if not violations else "fail",
-                   "details": {"violations": violations[:20]}}]
-        report = _report("operad validate", checks)
-        _emit(report, args)
-        return _exit_code(report)
-    if violations:
-        raise InputError(f"invalid operad: {violations[0]}")
-    if args.operad_command == "encode":
-        enc = encode_sym(value) if symmetric else encode_ns(value)
-        if args.out:
-            formats.write_file(args.out, "diagram", enc.diagram)
-        report = _report("operad encode", [
-            {"law": "encoding-constructed", "status": "pass",
-             "details": {"objects": len(enc.diagram.base.objects)}}])
-        _emit(report, args)
-        return PASS
-    if args.operad_command == "to-club":
-        club = (sym_operad_to_club(value, _guard(args)) if symmetric
-                else operad_to_club(value, _guard(args)))
-        if args.out:
-            formats.write_file(args.out, "club", club)
-        report = _report("operad to-club", [
-            {"law": "club-constructed", "status": "pass",
-             "details": {"product_objects": len(club.product.diagram.base.objects)}}])
-        _emit(report, args)
-        return PASS
-    if args.operad_command == "roundtrip":
-        if symmetric:
-            raise InputError("roundtrip reads back plain composition tables; "
-                             "use a non-symmetric operad")
-        club = operad_to_club(value, _guard(args))
-        back = club_to_operad(club)
-        same = (back.gamma == value.gamma and back.unit == value.unit
-                and back.levels == value.levels)
-        report = _report("operad roundtrip", [
-            {"law": "club-table-round-trip",
-             "status": "pass" if same else "fail", "details": {}}])
-        _emit(report, args)
-        return _exit_code(report)
-    raise InputError(f"unknown operad command {args.operad_command!r}")
+def _valid_operad(args, what):
+    value = _parse_as(args.file, "operad", what)
+    _require_valid(_operad_violations(value), "invalid operad")
+    return value
 
 
-def cmd_algebra(args):
-    from .algebra import (colimit_act, i_points, i_points_sset, is_fibration,
-                          sset_stability_check, validate_algebra_morphism,
-                          validate_finset_diagram)
-    if args.algebra_command == "colimit":
-        obj = _parse_as(args.file, "algebra-object", "colimit")
-        bad = validate_finset_diagram(obj.diagram)
-        if bad:
-            raise InputError(f"invalid set diagram: {bad[0]}")
-        reps = colimit_act(obj)
-        report = _report("algebra colimit", [
-            {"law": "collapse-computed", "status": "pass",
-             "details": {"classes": len(reps),
-                         "representatives": [list(r) for r in reps]}}])
-        _emit(report, args)
-        return PASS
-    if args.algebra_command == "ipoints":
-        obj = _parse_as(args.file, "algebra-object", "ipoints")
-        generator = tuple(f"g{i}" for i in range(args.gen))
-        if args.dim is not None:
-            pts = i_points(obj, generator, args.dim)
-            details = {"dimension": args.dim, "count": len(pts)}
-        else:
-            sset = i_points_sset(obj, generator)
-            details = {"nondegenerate_counts":
-                       [len(sset.nondeg[k]) for k in range(sset.trunc + 1)]}
-        report = _report("algebra ipoints", [
-            {"law": "probes-enumerated", "status": "pass", "details": details}])
-        _emit(report, args)
-        return PASS
-    if args.algebra_command == "fibration-check":
-        if args.file:
-            m = _parse_as(args.file, "algebra-morphism", "fibration-check")
-            bad = validate_algebra_morphism(m)
-            if bad:
-                raise InputError(f"invalid morphism: {bad[0]}")
-            generator = tuple(f"g{i}" for i in range(args.gen))
-            ok, info = is_fibration(m, [generator])
-            checks = [{"law": "fibration-predicate",
-                       "status": "pass" if ok else "fail",
-                       "details": info or {}}]
-        else:
-            import random as _random
-            from . import generate as gen_mod
-            rng = _random.Random(args.seed)
-            samples = [gen_mod.random_stability_sample(rng, args.trunc or 2)
-                       for _ in range(args.samples or 50)]
-            violations = sset_stability_check(samples)
-            checks = [{"law": "injective-composites",
-                       "status": "pass" if not violations else "fail",
-                       "details": {"samples": len(samples),
-                                   "violations": violations[:5]}}]
-        report = _report("algebra fibration-check", checks)
-        _emit(report, args)
-        return _exit_code(report)
-    raise InputError(f"unknown algebra command {args.algebra_command!r}")
+def cmd_operad_validate(args):
+    value = _parse_as(args.file, "operad", "operad validate")
+    violations = _operad_violations(value)
+    return _emit_check(args, "operad validate", "operad-laws", not violations,
+                       {"violations": violations[:20]})
+
+
+def cmd_operad_encode(args):
+    value = _valid_operad(args, "operad encode")
+    enc = encode_sym(value) if isinstance(value, SymOperad) else encode_ns(value)
+    if args.out:
+        formats.write_file(args.out, "diagram", enc.diagram)
+    return _emit_check(args, "operad encode", "encoding-constructed", True,
+                       {"objects": len(enc.diagram.base.objects)})
+
+
+def cmd_operad_to_club(args):
+    value = _valid_operad(args, "operad to-club")
+    club = (sym_operad_to_club(value) if isinstance(value, SymOperad)
+            else operad_to_club(value))
+    if args.out:
+        formats.write_file(args.out, "club", club)
+    return _emit_check(args, "operad to-club", "club-constructed", True,
+                       {"product_objects": len(club.product.diagram.base.objects)})
+
+
+def cmd_operad_roundtrip(args):
+    value = _valid_operad(args, "operad roundtrip")
+    if isinstance(value, SymOperad):
+        raise InputError("roundtrip reads back plain composition tables; "
+                         "use a non-symmetric operad")
+    return _emit_check(args, "operad roundtrip", "club-table-round-trip",
+                       club_round_trips(value), {})
+
+
+def cmd_algebra_colimit(args):
+    obj = _parse_as(args.file, "algebra-object", "colimit")
+    _require_valid(validate_finset_diagram(obj.diagram), "invalid set diagram")
+    reps = colimit_act(obj)
+    return _emit_check(args, "algebra colimit", "collapse-computed", True,
+                       {"classes": len(reps),
+                        "representatives": [list(r) for r in reps]})
+
+
+def cmd_algebra_ipoints(args):
+    obj = _parse_as(args.file, "algebra-object", "ipoints")
+    if args.dim is not None:
+        pts = i_points(obj, _generator(args), args.dim)
+        details = {"dimension": args.dim, "count": len(pts)}
+    else:
+        sset = i_points_sset(obj, _generator(args))
+        details = {"nondegenerate_counts":
+                   [len(sset.nondeg[k]) for k in range(sset.trunc + 1)]}
+    return _emit_check(args, "algebra ipoints", "probes-enumerated", True,
+                       details)
+
+
+def cmd_algebra_fibration_check(args):
+    command = "algebra fibration-check"
+    if args.file:
+        m = _parse_as(args.file, "algebra-morphism", "fibration-check")
+        _require_valid(validate_algebra_morphism(m), "invalid morphism")
+        ok, info = is_fibration(m, [_generator(args)])
+        return _emit_check(args, command, "fibration-predicate", ok, info or {})
+    if args.trunc < 0 or args.samples < 0:
+        raise InputError("fibration-check needs a nonnegative truncation "
+                         "and sample count")
+    rng = random.Random(args.seed)
+    samples = [generate.random_stability_sample(rng, args.trunc)
+               for _ in range(args.samples)]
+    violations = sset_stability_check(samples)
+    return _emit_check(args, command, "injective-composites", not violations,
+                       {"samples": len(samples), "violations": violations[:5]})
 
 
 def cmd_suite(args):
-    report = run_suite(args.name, seed=args.seed, samples=args.samples,
-                       trunc=args.trunc)
-    _emit(report, args)
-    return PASS if report["summary"]["failed"] == 0 else FAIL
-
-
-def _guard(args):
-    return Guardrails()
+    return _emit(run_suite(args.name, seed=args.seed, samples=args.samples,
+                           trunc=args.trunc), args)
 
 
 def build_parser():
@@ -378,53 +318,56 @@ def build_parser():
     q = ssub.add_parser("validate")
     q.add_argument("file")
     q.set_defaults(fn=cmd_validate)
-    for name in ("product", "diag"):
+    for name, fn in (("product", cmd_sset_product), ("diag", cmd_sset_diag)):
         q = ssub.add_parser(name)
         q.add_argument("left")
         q.add_argument("right")
         q.add_argument("-o", "--out")
-        q.set_defaults(fn=cmd_sset)
+        q.set_defaults(fn=fn)
     q = ssub.add_parser("compose")
     q.add_argument("file")
     q.add_argument("-o", "--out")
-    q.set_defaults(fn=cmd_sset)
+    q.set_defaults(fn=cmd_sset_compose)
     q = ssub.add_parser("kan-check")
     q.add_argument("file")
     q.add_argument("--max-dim", type=int, default=None)
-    q.set_defaults(fn=cmd_sset)
+    q.set_defaults(fn=cmd_sset_kan_check)
     q = ssub.add_parser("law-check")
     q.add_argument("file")
     q.add_argument("--assoc", action="store_true")
     q.add_argument("--unit", action="store_true")
-    q.set_defaults(fn=cmd_sset)
+    q.set_defaults(fn=cmd_sset_law_check)
 
     p = sub.add_parser("operad", help="operad operations")
     osub = p.add_subparsers(dest="operad_command", required=True)
-    for name in ("validate", "encode", "to-club", "roundtrip"):
+    for name, fn in (("validate", cmd_operad_validate),
+                     ("encode", cmd_operad_encode),
+                     ("to-club", cmd_operad_to_club),
+                     ("roundtrip", cmd_operad_roundtrip)):
         q = osub.add_parser(name)
         q.add_argument("file")
         if name in ("encode", "to-club"):
             q.add_argument("-o", "--out")
-        q.set_defaults(fn=cmd_operad)
+        q.set_defaults(fn=fn)
 
     p = sub.add_parser("algebra", help="actions, collapses and probes")
     asub = p.add_subparsers(dest="algebra_command", required=True)
     q = asub.add_parser("colimit")
     q.add_argument("file")
-    q.set_defaults(fn=cmd_algebra)
+    q.set_defaults(fn=cmd_algebra_colimit)
     q = asub.add_parser("ipoints")
     q.add_argument("file")
     q.add_argument("--gen", type=int, default=1,
                    help="size of the probing generator")
     q.add_argument("--dim", type=int, default=None)
-    q.set_defaults(fn=cmd_algebra)
+    q.set_defaults(fn=cmd_algebra_ipoints)
     q = asub.add_parser("fibration-check")
     q.add_argument("file", nargs="?", default=None)
     q.add_argument("--gen", type=int, default=1)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--trunc", type=int, default=None)
-    q.set_defaults(fn=cmd_algebra)
+    q.add_argument("--samples", type=int, default=50)
+    q.add_argument("--trunc", type=int, default=2)
+    q.set_defaults(fn=cmd_algebra_fibration_check)
 
     p = sub.add_parser("suite", help="run a named law-check suite")
     p.add_argument("name", choices=sorted(SUITES))

@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-from .errors import InputError
-
 
 @dataclass(frozen=True)
 class Guardrails:
@@ -18,11 +16,6 @@ class Guardrails:
     max_fiber_morphisms: int = 8
     max_product_objects: int = 4096
     max_enum_morphisms: int = 64
-
-    def check(self):
-        if min(self.max_base_objects, self.max_fiber_morphisms,
-               self.max_product_objects, self.max_enum_morphisms) <= 0:
-            raise InputError("guardrail bounds must be positive")
 
 
 DEFAULT_GUARDRAILS = Guardrails()

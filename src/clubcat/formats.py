@@ -14,7 +14,8 @@ from .diagram import DiagramInCat, DiagramMorphism
 from .errors import InputError, SchemaError
 from .fincat import FinCategory, Functor, functor_key
 from .operads import NsOperad, SymOperad
-from .simpset import MonotoneMap, NormalForm, SimplicialMap, SimplicialSet
+from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
+                      nf_id)
 from .sset_club import ClubObjectSSet, SimplexFamily
 
 
@@ -176,7 +177,6 @@ def sset_from_json(data, what="simplicial set"):
     result = SimplicialSet(trunc, nondeg, faces)
     # canonical names of all simplices, degenerate ones included, must be
     # unambiguous: a stored id may otherwise collide with a degeneracy tag
-    from .simpset import nf_id
     seen = {}
     for k in range(trunc + 1):
         for nf in result.all_simplices(k):
@@ -208,10 +208,6 @@ def smap_to_json(f: SimplicialMap):
 def smap_from_json(data, what="map"):
     src = sset_from_json(_need(data, "src", what), f"{what} source")
     tgt = sset_from_json(_need(data, "tgt", what), f"{what} target")
-    return smap_from_parts(data, src, tgt, what)
-
-
-def smap_from_parts(data, src, tgt, what="map"):
     return smap_images_from_json(_need(data, "images", what), src, tgt, what)
 
 
@@ -449,23 +445,24 @@ _KIND_KEYS = [
     ("category", {"objects", "morphisms"}),
 ]
 
-_PARSERS = {
-    "category": category_from_json,
-    "diagram": diagram_from_json,
-    "sset": sset_from_json,
-    "map": smap_from_json,
-    "club-object": club_object_from_json,
-    "operad": operad_from_json,
-    "club": club_from_json,
-    "algebra-object": algebra_object_from_json,
-    "algebra-morphism": algebra_morphism_from_json,
+# kind -> (parser, serializer)
+_FORMATS = {
+    "category": (category_from_json, category_to_json),
+    "diagram": (diagram_from_json, diagram_to_json),
+    "sset": (sset_from_json, sset_to_json),
+    "map": (smap_from_json, smap_to_json),
+    "club-object": (club_object_from_json, club_object_to_json),
+    "operad": (operad_from_json, operad_to_json),
+    "club": (club_from_json, club_to_json),
+    "algebra-object": (algebra_object_from_json, algebra_object_to_json),
+    "algebra-morphism": (algebra_morphism_from_json, algebra_morphism_to_json),
 }
 
 
 def infer_kind(data):
     if "kind" in data:
         kind = _check_id(data["kind"], "kind")
-        if kind not in _PARSERS:
+        if kind not in _FORMATS:
             raise SchemaError(f"unknown kind {kind!r}")
         return kind
     keys = set(data)
@@ -490,7 +487,8 @@ def parse_payload(data):
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema {schema!r}; expected {SCHEMA_VERSION!r}")
     kind = infer_kind(data)
-    return kind, _PARSERS[kind](data)
+    parse, _ = _FORMATS[kind]
+    return kind, parse(data)
 
 
 def parse_file(path):
@@ -504,31 +502,13 @@ def parse_file(path):
     return parse_payload(data)
 
 
-def dump_payload(kind, payload):
-    out = {"schema": SCHEMA_VERSION, "kind": kind}
-    out.update(payload)
-    return out
-
-
 def to_json_string(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-_SERIALIZERS = {
-    "category": category_to_json,
-    "diagram": diagram_to_json,
-    "sset": sset_to_json,
-    "map": smap_to_json,
-    "club-object": club_object_to_json,
-    "operad": operad_to_json,
-    "club": club_to_json,
-    "algebra-object": algebra_object_to_json,
-    "algebra-morphism": algebra_morphism_to_json,
-}
-
-
 def serialize(kind, value):
-    return dump_payload(kind, _SERIALIZERS[kind](value))
+    _, dump = _FORMATS[kind]
+    return {"schema": SCHEMA_VERSION, "kind": kind, **dump(value)}
 
 
 def write_file(path, kind, value):

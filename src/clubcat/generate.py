@@ -17,7 +17,8 @@ from .fincat import (FinCategory, discrete_category, enumerate_functors,
 from .operads import (NsOperad, associative_operad, cyclic_group_operad,
                       free_operad, monoid_operad, Collection,
                       validate_ns_operad)
-from .simpset import (SimplicialMap, SimplicialSet, boundary, disjoint_union,
+from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
+                      compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, SimplexFamily,
                         TwoLevelFamily, constant_family)
@@ -174,13 +175,11 @@ def random_triple(rng: random.Random, product_budget=150, tries=80,
         if len(p_xy.diagram.base.mor_ids) > 300 or len(p_yz.diagram.base.mor_ids) > 300:
             continue
         # conservative bound on the fibers of the three-fold products
-        max_z_fib = max((len(z.fiber_obj[o].mor_ids) for o in z.base.objects),
-                        default=0)
-        max_x_fib = max((len(x.fiber_obj[o].mor_ids) for o in x.base.objects),
-                        default=0)
-        if _max_fiber_morphisms(p_xy.diagram) * max(1, max_z_fib) > bound:
+        if (_max_fiber_morphisms(p_xy.diagram)
+                * max(1, _max_fiber_morphisms(z)) > bound):
             continue
-        if max_x_fib * max(1, _max_fiber_morphisms(p_yz.diagram)) > bound:
+        if (_max_fiber_morphisms(x)
+                * max(1, _max_fiber_morphisms(p_yz.diagram)) > bound):
             continue
         return x, y, z
     raise GuardrailExceeded("no triple fit the size budget")
@@ -277,21 +276,10 @@ def law_breaking_mutations(rng: random.Random, op: NsOperad, count):
 # ---------------------------------------------------------------------------
 # simplicial families
 
-def _collapse_to_point(s: SimplicialSet, pt: SimplicialSet):
-    from .simpset import apply_operator, degeneracy_map
-    images = {}
-    for k in range(s.trunc + 1):
-        for x in s.nondeg[k]:
-            nf = nondeg("pt", 0)
-            for j in range(k):
-                nf = apply_operator(pt, nf, degeneracy_map(j, 0))
-            images[x] = nf
-    return SimplicialMap(s, pt, images)
-
-
 def _vertex_function_map(a: SimplicialSet, b: SimplicialSet, fn):
-    """A map between discrete complexes given by a vertex function."""
-    from .simpset import apply_operator, degeneracy_map
+    """A map given by a vertex function: each k-simplex ``x`` of ``a`` goes
+    to the totally degenerate k-simplex on ``fn(x)``.  It is simplicial when
+    ``a`` is discrete or ``fn`` is constant."""
     images = {}
     for k in range(a.trunc + 1):
         for x in a.nondeg[k]:
@@ -332,31 +320,32 @@ def base_pool(rng: random.Random, trunc):
     return standard_simplex(2, trunc)
 
 
+def _minv(simplex_id):
+    """The least vertex of a simplex of a subset-named base."""
+    return int(simplex_id[0])
+
+
+def _chain_step(chain, steps, i, j):
+    """The composite of ``steps`` from level i to level j of ``chain``; levels
+    past the end are the last one."""
+    i, j = min(i, len(chain) - 1), min(j, len(chain) - 1)
+    m = identity_smap(chain[i])
+    for l in range(i, j):
+        m = compose_smaps(steps[l], m)
+    return m
+
+
 def minvertex_chain_family(s: SimplicialSet, chain, steps, name="minv"):
     """Values by least vertex over a subset-named base, maps along a chain."""
-    from .simpset import compose_smaps
-
-    def level(i):
-        return min(i, len(chain) - 1)
-
-    def step(i, j):
-        i, j = level(i), level(j)
-        m = identity_smap(chain[i])
-        for l in range(i, j):
-            m = compose_smaps(steps[l], m)
-        return m
-
-    def minv(simplex_id):
-        return int(simplex_id[0])
-
     values, face_maps = {}, {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
-            values[y] = chain[level(minv(y))]
+            values[y] = chain[min(_minv(y), len(chain) - 1)]
     for k in range(1, s.trunc + 1):
         for y in s.nondeg[k]:
             for i in range(k + 1):
-                face_maps[(y, i)] = step(minv(y), minv(s.faces[y][i].base))
+                face_maps[(y, i)] = _chain_step(chain, steps, _minv(y),
+                                                _minv(s.faces[y][i].base))
     return SimplexFamily(s, values, face_maps, name=name)
 
 
@@ -377,7 +366,8 @@ def random_chain(rng: random.Random, trunc, length=3, discrete=False):
     pt = one_point(trunc)
     first = sset_pool(rng, trunc)
     ssets = [first] + [pt] * (length - 1)
-    steps = [_collapse_to_point(first, pt)] + [identity_smap(pt)] * (length - 2)
+    steps = ([_vertex_function_map(first, pt, lambda v: "pt")]
+             + [identity_smap(pt)] * (length - 2))
     return ssets, steps
 
 
@@ -399,42 +389,29 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
         return constant_two_level(s, t, u)
     t = rng.choice([standard_simplex(1, trunc), standard_simplex(0, trunc)])
     chain, steps = random_chain(rng, trunc, length=4, discrete=discrete)
-
-    def level(i):
-        return min(i, len(chain) - 1)
-
-    def step(i, j):
-        from .simpset import compose_smaps
-        i, j = level(i), level(j)
-        m = identity_smap(chain[i])
-        for l in range(i, j):
-            m = compose_smaps(steps[l], m)
-        return m
-
-    def minv(simplex_id):
-        return int(simplex_id[0])
-
     psi = constant_family(s, t)
     chi, s_maps = {}, {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
-            off = minv(y)
-            values = {z: chain[level(off + minv(z))]
+            off = _minv(y)
+            values = {z: chain[min(off + _minv(z), len(chain) - 1)]
                       for kk in range(t.trunc + 1) for z in t.nondeg[kk]}
             face_maps = {}
             for kk in range(1, t.trunc + 1):
                 for z in t.nondeg[kk]:
                     for i in range(kk + 1):
-                        face_maps[(z, i)] = step(off + minv(z),
-                                                 off + minv(t.faces[z][i].base))
+                        face_maps[(z, i)] = _chain_step(
+                            chain, steps, off + _minv(z),
+                            off + _minv(t.faces[z][i].base))
             chi[y] = SimplexFamily(t, values, face_maps, name=f"chi{y}")
     for k in range(1, s.trunc + 1):
         for y in s.nondeg[k]:
             for i in range(k + 1):
-                a, b = minv(y), minv(s.faces[y][i].base)
+                a, b = _minv(y), _minv(s.faces[y][i].base)
                 for kk in range(t.trunc + 1):
                     for z in t.nondeg[kk]:
-                        s_maps[(y, i, z)] = step(a + minv(z), b + minv(z))
+                        s_maps[(y, i, z)] = _chain_step(chain, steps, a + _minv(z),
+                                                        b + _minv(z))
     return TwoLevelFamily(s, psi, chi, s_maps, name="rand2")
 
 
@@ -444,28 +421,23 @@ def random_stability_sample(rng: random.Random, trunc):
     if roll < 0.3:
         from .sset_club import identity_club_morphism
         return identity_club_morphism(random_family(rng, trunc))
+    s = base_pool(rng, trunc)
     if roll < 0.65:
         # identity base, constant families, a horn-lifting component:
         # discrete-to-point or an isomorphism
-        s = base_pool(rng, trunc)
         if rng.random() < 0.5:
             t0 = discrete_sset(trunc, rng.randint(1, 3))
             t1 = one_point(trunc)
-            comp = _collapse_to_point(t0, t1)
+            comp = _vertex_function_map(t0, t1, lambda v: "pt")
         else:
             t0 = t1 = sset_pool(rng, trunc)
             comp = identity_smap(t0)
-        x = ClubObjectSSet(s, constant_family(s, t0))
-        y = ClubObjectSSet(s, constant_family(s, t1))
-        phi = {z: comp for k in range(trunc + 1) for z in s.nondeg[k]}
-        return ClubMorphismSSet(x, y, identity_smap(s), phi)
-    # injective components over an inclusion-like base map
-    s = base_pool(rng, trunc)
-    t0 = one_point(trunc)
-    t1 = rng.choice([standard_simplex(1, trunc), one_point(trunc)])
-    vid = t1.nondeg[0][0]
-    incl = SimplicialMap(t0, t1, {"pt": nondeg(vid, 0)})
+    else:
+        # injective components over an inclusion-like base map
+        t0 = one_point(trunc)
+        t1 = rng.choice([standard_simplex(1, trunc), one_point(trunc)])
+        comp = SimplicialMap(t0, t1, {"pt": nondeg(t1.nondeg[0][0], 0)})
     x = ClubObjectSSet(s, constant_family(s, t0))
     y = ClubObjectSSet(s, constant_family(s, t1))
-    phi = {z: incl for k in range(trunc + 1) for z in s.nondeg[k]}
+    phi = {z: comp for k in range(trunc + 1) for z in s.nondeg[k]}
     return ClubMorphismSSet(x, y, identity_smap(s), phi)

@@ -510,6 +510,14 @@ def club_to_operad(s: ClubStructure):
     return NsOperad(cap, levels, unit, gamma, name="decoded")
 
 
+def club_round_trips(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
+    """Whether reading the club of ``p`` back gives its levels, unit and
+    composition table."""
+    back = club_to_operad(operad_to_club(p, guard))
+    return (back.gamma == p.gamma and back.unit == p.unit
+            and back.levels == p.levels)
+
+
 # ---------------------------------------------------------------------------
 # symmetric operads
 

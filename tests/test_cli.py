@@ -1,13 +1,15 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from clubcat import formats
-from clubcat.cli import main
+from clubcat import formats, suites
+from clubcat.cli import build_parser, main
+from clubcat.errors import InputError
 from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
 from clubcat.simpset import standard_simplex
 from clubcat.sset_club import ClubObjectSSet, constant_family
@@ -276,6 +278,49 @@ def test_suite_deterministic(capsys):
 def test_suite_unknown_name():
     with pytest.raises(SystemExit):
         main(["suite", "nope"])
+
+
+def test_suite_low_truncation_and_negative_samples(capsys):
+    # at truncation 1 the squares check compares the counts it took, [4, 5]
+    assert main(["suite", "sset-laws", "--trunc", "1"]) == 0
+    assert "[PASS] constant-composite-is-product:squares" in capsys.readouterr().out
+    # at truncation 0 the fixtures are not the shapes the laws are stated for
+    for argv in (["suite", "sset-laws", "--trunc", "0"],
+                 ["suite", "algebra-laws", "--trunc", "0"],
+                 ["suite", "stability", "--samples", "-1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_fibration_check_keeps_explicit_counts(capsys):
+    assert main(["--json", "algebra", "fibration-check", "--samples", "0",
+                 "--trunc", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["details"]["samples"] == 0
+    for flag in ("--trunc", "--samples"):
+        assert main(["algebra", "fibration-check", flag, "-1"]) == 2, flag
+        assert capsys.readouterr().err.startswith("error:"), flag
+
+
+def test_word_operad_correspondence_failure_is_recorded(monkeypatch):
+    def broken(p, guard=None):
+        raise InputError("no correspondence")
+    monkeypatch.setattr(suites, "ns_iso_check", broken)
+    report = suites.run_suite("operad-bijection", samples=0)
+    statuses = {c["law"]: c["status"] for c in report["checks"]}
+    assert statuses["composite-collection-correspondence:word-operad"] == "fail"
+
+
+def test_readme_example_session_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    session = readme.split("Example session:")[1].split("```sh\n")[1]
+    lines = session.split("```")[0].splitlines()
+    assert lines
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "clubcat"
+        build_parser().parse_args(argv)
 
 
 def test_report_out_writes_file(workspace, tmp_path):
