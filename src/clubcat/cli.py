@@ -172,6 +172,8 @@ def cmd_sset_compose(args):
 
 
 def cmd_sset_kan_check(args):
+    if args.max_dim is not None and args.max_dim < 0:
+        raise InputError("kan-check needs a nonnegative --max-dim")
     value = _parse_as(args.file, "map", "kan-check")
     max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
     ok, witness = is_kan_fibration(value, max_dim)
@@ -252,6 +254,8 @@ def cmd_algebra_colimit(args):
 
 
 def cmd_algebra_ipoints(args):
+    if args.dim is not None and args.dim < 0:
+        raise InputError("ipoints needs a nonnegative --dim")
     obj = _parse_as(args.file, "algebra-object", "ipoints")
     if args.dim is not None:
         pts = i_points(obj, _generator(args), args.dim)

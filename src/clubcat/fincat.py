@@ -3,8 +3,10 @@
 Conventions used everywhere downstream:
 
 * objects and morphisms are opaque string ids; equality is string equality;
-* ``comp[(g, f)]`` is the composite ``g after f`` and the table is total on
-  composable pairs, nothing else;
+* ``comp[(g, f)]`` is the composite ``g after f``; ``comp`` is a mapping,
+  total on composable pairs and nothing else, kept as given (not copied).
+  Most builders pass a dict; the pair category of ``sset_club`` passes a
+  mapping that fills each composite on first read;
 * every collection keeps a fixed insertion order, and every enumeration and
   every "first found" answer is deterministic with respect to that order.
 """
@@ -21,7 +23,7 @@ class FinCategory:
         self.objects = list(objects)
         self.morphisms = [(m, s, t) for (m, s, t) in morphisms]
         self.identities = dict(identities)
-        self.comp = dict(comp)
+        self.comp = comp
         self.name = name
         self.mor_ids = [m for (m, _, _) in self.morphisms]
         self.src = {m: s for (m, s, _) in self.morphisms}

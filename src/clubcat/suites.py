@@ -12,23 +12,27 @@ import random
 
 from .config import DEFAULT_GUARDRAILS, SCHEMA_VERSION
 from .errors import GuardrailExceeded, InputError
+from .diagram import DiagramInCat
 from .fincat import (discrete_category, find_isomorphism, identity_functor,
                      validate_functor)
 from . import generate as gen
-from .operads import (associative_operad, club_round_trips,
-                      commutative_operad, cyclic_group_operad,
+from .operads import (NsOperad, associative_operad, club_round_trips,
+                      commutative_operad, cyclic_group_operad, encode_ns,
                       free_operad, ns_iso_check, operad_to_club,
-                      swap_pair_operad, sym_inclusion, sym_operad_to_club)
+                      swap_pair_operad, sym_inclusion, sym_operad_to_club,
+                      symmetric_associative_operad)
 from .semidirect import (associator, club_check, pentagon_check,
                          semidirect, triangle_check, trivial_club, unitors)
-from .simpset import (boundary, iso_sset, is_kan_fibration, one_point,
-                      product, standard_simplex)
+from .simpset import (SimplicialMap, apply_operator, boundary,
+                      degeneracy_map, disjoint_union, iso_sset,
+                      is_kan_fibration, nondeg, one_point, product,
+                      standard_simplex)
 from .sset_club import (ClubObjectSSet, associativity_check, compose,
                         constant_family, delta_functor, delta_is_isomorphism,
                         delta_naturality_check, identity_club_morphism,
                         pair_category_sset, unit_law_check)
-from .algebra import (algebra_associativity_check, colimit_act,
-                      constant_algebra_object, i_points,
+from .algebra import (act_category, algebra_associativity_check,
+                      colimit_act, constant_algebra_object, i_points,
                       sset_stability_check)
 
 
@@ -115,7 +119,6 @@ def _monoidal_laws(suite, config):
 
 
 def _pointed_diagram(base_objs, fiber_sizes):
-    from .diagram import DiagramInCat
     base = discrete_category(base_objs)
     fibers = {d: discrete_category([f"{d}f{i}" for i in range(n)])
               for d, n in zip(base_objs, fiber_sizes)}
@@ -142,7 +145,6 @@ def _club_check_suite(suite, config):
     z3 = cyclic_group_operad(3)
     gamma = dict(z3.gamma)
     gamma[("1", ("1",))] = "0"
-    from .operads import NsOperad
     bad = operad_to_club(NsOperad(1, z3.levels, "0", gamma))
     report = club_check(bad, stop_early=True)
     suite.record("monoid-axioms:corrupted-control-fails", report != [],
@@ -196,7 +198,6 @@ def _operad_bijection(suite, config):
     suite.record("mutation-kill-rate", total >= wanted and not surviving,
                  {"mutations": total, "surviving": surviving})
 
-    from .operads import symmetric_associative_operad
     res = sym_inclusion(symmetric_associative_operad(3))
     suite.record("symmetric-inclusion-injective", res.injective, {})
     suite.record("symmetric-inclusion-not-surjective",
@@ -289,14 +290,11 @@ def _algebra_laws(suite, config):
     x = constant_algebra_object(standard_simplex(2, trunc), ["u", "v"])
     suite.record("collapse-of-constant-over-connected",
                  len(colimit_act(x)) == 2, {})
-    from .simpset import disjoint_union
     shape = disjoint_union(one_point(trunc), one_point(trunc))
     x2 = constant_algebra_object(shape, ["u"])
     suite.record("collapse-of-constant-over-two-components",
                  len(colimit_act(x2)) == 2, {})
 
-    from .operads import associative_operad, encode_ns
-    from .algebra import act_category
     cat = act_category(encode_ns(associative_operad(2, with_nullary=True)).diagram,
                        discrete_category(["a", "b"]))
     suite.record("acting-category-count", len(cat.objects) == 7,
@@ -318,8 +316,6 @@ def _stability(suite, config):
     trunc = min(2, config["trunc"])
     samples = config["samples"]
 
-    from .simpset import (SimplicialMap, apply_operator, degeneracy_map,
-                          disjoint_union, nondeg)
     pt = one_point(3)
     two = disjoint_union(one_point(3), one_point(3))
     collapse = SimplicialMap(two, pt, {"0:pt": nondeg("pt", 0),

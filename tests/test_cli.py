@@ -11,7 +11,8 @@ from clubcat import formats, suites
 from clubcat.cli import build_parser, main
 from clubcat.errors import InputError
 from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
-from clubcat.simpset import standard_simplex
+from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
+                             nondeg, one_point, standard_simplex)
 from clubcat.sset_club import ClubObjectSSet, constant_family
 from clubcat.algebra import constant_algebra_object
 
@@ -300,6 +301,24 @@ def test_fibration_check_keeps_explicit_counts(capsys):
     for flag in ("--trunc", "--samples"):
         assert main(["algebra", "fibration-check", flag, "-1"]) == 2, flag
         assert capsys.readouterr().err.startswith("error:"), flag
+
+
+def test_negative_dimension_bounds_are_rejected(workspace, capsys):
+    # the interval collapsed to a point fails horn lifting at dimension 2;
+    # a negative bound would check no horn and pass
+    collapse = SimplicialMap(standard_simplex(1, 3), one_point(3), {
+        "0": nondeg("pt", 0), "1": nondeg("pt", 0),
+        "01": NormalForm(degeneracy_map(0, 0), "pt")})
+    formats.write_file(workspace / "collapse.json", "map", collapse)
+    assert main(["sset", "kan-check", str(workspace / "collapse.json"),
+                 "--max-dim", "2"]) == 1
+    capsys.readouterr()
+    for argv in (["sset", "kan-check", str(workspace / "collapse.json"),
+                  "--max-dim", "-3"],
+                 ["algebra", "ipoints", str(workspace / "alg.json"),
+                  "--dim", "-1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_word_operad_correspondence_failure_is_recorded(monkeypatch):

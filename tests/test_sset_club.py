@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
+from clubcat import sset_club
+from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
+from clubcat.generate import random_family
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
-                             degeneracy_map, face_map, identity_smap,
-                             is_injective, iso_sset, nf_id, nondeg, one_point,
-                             product, standard_simplex, validate_bisimplicial,
-                             validate_smap, validate_sset)
+                             compose_maps, degeneracy_map, face_map,
+                             identity_smap, is_injective, iso_sset, nf_id,
+                             nondeg, one_point, product, standard_simplex,
+                             validate_bisimplicial, validate_smap,
+                             validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                SimplexFamily, TwoLevelFamily,
                                associativity_check, bisimplicial_of, compose,
@@ -183,6 +189,63 @@ def test_corrupted_pair_category_fails_the_functor_check():
                                if m != pairs.cat.comp[key])
     report = validate_functor(delta_functor(res, pairs))
     assert f"composition not preserved at ({g!r}, {h!r})" in report
+
+
+def comparison_fixture():
+    """The family of the suite's comparison-functor check: the constant
+    family with value the interval over the point, at truncation 2."""
+    s = one_point(2)
+    return ClubObjectSSet(s, constant_family(s, standard_simplex(1, 2)))
+
+
+def eager_pair_composites(pairs):
+    """Every composite of the pair category, composed in advance: the
+    reference for the table that ``pair_category_sset`` fills on first read."""
+    by_src = {}
+    for (mid, a, _) in pairs.cat.morphisms:
+        by_src.setdefault(a, []).append(mid)
+    comp = {}
+    for (mid1, a, b) in pairs.cat.morphisms:
+        th_a, tv_a = pairs.mor_data[mid1]
+        for mid2 in by_src.get(b, []):
+            th_b, tv_b = pairs.mor_data[mid2]
+            comp[(mid2, mid1)] = pairs.mor_id[(a, compose_maps(th_a, th_b),
+                                               compose_maps(tv_a, tv_b))]
+    return comp
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_pair_composites_match_the_eager_table(seed):
+    x = (comparison_fixture() if seed is None
+         else random_family(random.Random(seed), 1))
+    pairs = pair_category_sset(x)
+    expected = eager_pair_composites(pairs)
+    assert len(pairs.cat.comp) == len(expected)
+    assert list(pairs.cat.comp.items()) == list(expected.items())
+    f, g = next((f, g) for f in pairs.cat.mor_ids for g in pairs.cat.mor_ids
+                if pairs.cat.tgt[f] != pairs.cat.src[g])
+    assert (g, f) not in pairs.cat.comp
+    with pytest.raises(InputError):
+        pairs.cat.compose(g, f)
+
+
+def test_pair_category_composes_only_what_is_read(monkeypatch):
+    calls = 0
+
+    def counting_compose_maps(g, f):
+        nonlocal calls
+        calls += 1
+        return compose_maps(g, f)
+
+    monkeypatch.setattr(sset_club, "compose_maps", counting_compose_maps)
+    fixture = comparison_fixture()
+    res = compose(fixture)
+    calls = 0
+    pairs = pair_category_sset(fixture)
+    assert calls <= 100
+    calls = 0
+    assert validate_functor(delta_functor(res, pairs)) == []
+    assert calls <= 2 * len(res.sset.category().comp)
 
 
 # ---------------------------------------------------------------------------
