@@ -78,6 +78,8 @@ def _operad_violations(value):
 
 def _generator(args):
     """The probing generator of ``--gen`` elements."""
+    if args.gen < 0:
+        raise InputError(f"--gen must be nonnegative, got {args.gen}")
     return tuple(f"g{i}" for i in range(args.gen))
 
 
@@ -256,12 +258,13 @@ def cmd_algebra_colimit(args):
 def cmd_algebra_ipoints(args):
     if args.dim is not None and args.dim < 0:
         raise InputError("ipoints needs a nonnegative --dim")
+    generator = _generator(args)
     obj = _parse_as(args.file, "algebra-object", "ipoints")
     if args.dim is not None:
-        pts = i_points(obj, _generator(args), args.dim)
+        pts = i_points(obj, generator, args.dim)
         details = {"dimension": args.dim, "count": len(pts)}
     else:
-        sset = i_points_sset(obj, _generator(args))
+        sset = i_points_sset(obj, generator)
         details = {"nondegenerate_counts":
                    [len(sset.nondeg[k]) for k in range(sset.trunc + 1)]}
     return _emit_check(args, "algebra ipoints", "probes-enumerated", True,
@@ -270,10 +273,11 @@ def cmd_algebra_ipoints(args):
 
 def cmd_algebra_fibration_check(args):
     command = "algebra fibration-check"
+    generator = _generator(args)
     if args.file:
         m = _parse_as(args.file, "algebra-morphism", "fibration-check")
         _require_valid(validate_algebra_morphism(m), "invalid morphism")
-        ok, info = is_fibration(m, [_generator(args)])
+        ok, info = is_fibration(m, [generator])
         return _emit_check(args, command, "fibration-predicate", ok, info or {})
     if args.trunc < 0 or args.samples < 0:
         raise InputError("fibration-check needs a nonnegative truncation "

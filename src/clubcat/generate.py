@@ -17,6 +17,7 @@ from .fincat import (FinCategory, discrete_category, enumerate_functors,
 from .operads import (NsOperad, associative_operad, cyclic_group_operad,
                       free_operad, monoid_operad, Collection,
                       validate_ns_operad)
+from .semidirect import build_semidirect, fiber_semidirect, product_objects
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
@@ -130,15 +131,24 @@ def random_diagram(rng: random.Random, max_base=3, max_fiber=3,
     return DiagramInCat(base, fibers, fiber_mor, name=name)
 
 
-def _predicted_product_objects(x: DiagramInCat, y: DiagramInCat):
-    total = 0
-    for d in x.base.objects:
-        total += len(enumerate_functors(x.fiber_obj[d], y.base))
-    return total
+def _predicted_product_objects(fibers, target: FinCategory):
+    """The number of objects of a product whose left fibers are ``fibers``
+    and whose right base is ``target``."""
+    return sum(len(enumerate_functors(fiber, target)) for fiber in fibers)
 
 
-def _max_fiber_morphisms(d: DiagramInCat):
-    return max((len(d.fiber_obj[o].mor_ids) for o in d.base.objects), default=0)
+def _max_fiber_morphisms(fibers):
+    return max((len(fiber.mor_ids) for fiber in fibers), default=0)
+
+
+def _fibers(d: DiagramInCat):
+    return [d.fiber_obj[o] for o in d.base.objects]
+
+
+def _product_fibers(x: DiagramInCat, y: DiagramInCat):
+    """The fibers of X ⋉ Y, from its objects alone."""
+    return [fiber_semidirect(x, d, psi, y)
+            for d, psi in product_objects(x, y).values()]
 
 
 def random_triple(rng: random.Random, product_budget=150, tries=80,
@@ -146,40 +156,43 @@ def random_triple(rng: random.Random, product_budget=150, tries=80,
     """Three random diagrams whose iterated products stay under the budget.
 
     Checks the intermediate pair fibers against the fiber guardrail so the
-    three-fold products on both sides are constructible.
+    three-fold products on both sides are constructible.  Every filter is a
+    function of the three diagrams and draws nothing, and each product is
+    built only as far as the filters reached so far need it.
     """
-    from .semidirect import build_semidirect
     for _ in range(tries):
         x = random_diagram(rng, name="X")
         y = random_diagram(rng, name="Y")
         z = random_diagram(rng, name="Z")
-        if _predicted_product_objects(x, y) > 40:
+        if _predicted_product_objects(_fibers(x), y.base) > 40:
             continue
         try:
-            p_xy = build_semidirect(x, y)
-            p_yz = build_semidirect(y, z)
+            fib_xy = _product_fibers(x, y)
+            fib_yz = _product_fibers(y, z)
         except GuardrailExceeded:
             continue
         bound = guard.max_fiber_morphisms
-        if _max_fiber_morphisms(p_xy.diagram) > bound:
+        if _max_fiber_morphisms(fib_xy) > bound:
             continue
-        if _max_fiber_morphisms(p_yz.diagram) > bound:
+        if _max_fiber_morphisms(fib_yz) > bound:
             continue
         try:
-            if _predicted_product_objects(p_xy.diagram, z) > product_budget:
+            if _predicted_product_objects(fib_xy, z.base) > product_budget:
                 continue
-            if _predicted_product_objects(x, p_yz.diagram) > product_budget:
+            base_yz = build_semidirect(y, z).diagram.base
+            if _predicted_product_objects(_fibers(x), base_yz) > product_budget:
                 continue
         except GuardrailExceeded:
             continue
-        if len(p_xy.diagram.base.mor_ids) > 300 or len(p_yz.diagram.base.mor_ids) > 300:
+        if (len(build_semidirect(x, y).diagram.base.mor_ids) > 300
+                or len(base_yz.mor_ids) > 300):
             continue
         # conservative bound on the fibers of the three-fold products
-        if (_max_fiber_morphisms(p_xy.diagram)
-                * max(1, _max_fiber_morphisms(z)) > bound):
+        if (_max_fiber_morphisms(fib_xy)
+                * max(1, _max_fiber_morphisms(_fibers(z))) > bound):
             continue
-        if (_max_fiber_morphisms(x)
-                * max(1, _max_fiber_morphisms(p_yz.diagram)) > bound):
+        if (_max_fiber_morphisms(_fibers(x))
+                * max(1, _max_fiber_morphisms(fib_yz)) > bound):
             continue
         return x, y, z
     raise GuardrailExceeded("no triple fit the size budget")

@@ -197,12 +197,14 @@ class SemidirectProduct:
         return f"({d}; {targets})"
 
 
-def build_semidirect(x: DiagramInCat, y: DiagramInCat,
-                     guard: Guardrails = DEFAULT_GUARDRAILS, keep=None):
-    """Construct X ⋉ Y, optionally restricted to a set of object keys.
+def product_objects(x: DiagramInCat, y: DiagramInCat,
+                    guard: Guardrails = DEFAULT_GUARDRAILS, keep=None):
+    """The objects of X ⋉ Y, as a dict from object id to (d, psi) in id order.
 
-    ``keep`` is None for the full product, or a dict mapping left-base object
-    ids to sets of functor keys to retain over that object.
+    This is the phase of ``build_semidirect`` that can refuse a product: it
+    raises every ``GuardrailExceeded`` the full build can raise, so a caller
+    can learn the size of a product, or that it is refused, without building
+    its morphisms.  ``keep`` is as for ``build_semidirect``.
     """
     for base in (x.base, y.base):
         if len(base.objects) > guard.max_base_objects:
@@ -215,19 +217,27 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
                 f"fiber at {d!r} has {len(fib.mor_ids)} morphisms, "
                 f"limit {guard.max_fiber_morphisms}")
 
-    objects = []
-    obj_data, obj_id = {}, {}
+    obj_data = {}
     for d in x.base.objects:
         keys = None if keep is None else keep.get(d, set())
-        pairs = _enumerate_psis(x.fiber_obj[d], y.base, keys, guard)
-        for rank, psi in pairs:
-            oid = f"{d}:psi{rank}"
-            objects.append(oid)
-            obj_data[oid] = (d, psi)
-            obj_id[(d, functor_key(psi))] = oid
-            if len(objects) > guard.max_product_objects:
+        for rank, psi in _enumerate_psis(x.fiber_obj[d], y.base, keys, guard):
+            obj_data[f"{d}:psi{rank}"] = (d, psi)
+            if len(obj_data) > guard.max_product_objects:
                 raise GuardrailExceeded(
                     f"product would exceed {guard.max_product_objects} objects")
+    return obj_data
+
+
+def build_semidirect(x: DiagramInCat, y: DiagramInCat,
+                     guard: Guardrails = DEFAULT_GUARDRAILS, keep=None):
+    """Construct X ⋉ Y, optionally restricted to a set of object keys.
+
+    ``keep`` is None for the full product, or a dict mapping left-base object
+    ids to sets of functor keys to retain over that object.
+    """
+    obj_data = product_objects(x, y, guard, keep)
+    objects = list(obj_data)
+    obj_id = {(d, functor_key(psi)): oid for oid, (d, psi) in obj_data.items()}
 
     shifted_of = {}     # psi2 ∘ R(f) depends only on (oid2, f)
     morphisms = []

@@ -11,13 +11,11 @@ import pytest
 
 from clubcat import formats
 from clubcat.config import DEFAULT_GUARDRAILS
-from clubcat.errors import GuardrailExceeded
 from clubcat import generate as gen
 from clubcat.fincat import (discrete_category, find_isomorphism, identity_functor,
                             validate_functor)
 from clubcat.diagram import DiagramInCat, validate_diagram_morphism
-from clubcat.semidirect import (associator, club_check, pentagon_check,
-                                semidirect, triangle_check, unitors)
+from clubcat.semidirect import club_check, semidirect
 from clubcat.operads import (associative_operad, club_to_operad,
                              commutative_operad, free_operad, ns_iso_check,
                              operad_to_club, swap_pair_operad, sym_inclusion,
@@ -56,41 +54,18 @@ def _discrete_diagram(base_objs, fiber_sizes):
 def test_c1_monoidal_laws_on_random_triples():
     """>= 100 random triples: rebracketing and unit isomorphisms verified,
     five-term and unit-triangle identities hold, in under 60 seconds."""
-    rng = random.Random(2026)
     started = time.monotonic()
-    target = 100
-    done = 0
-    resampled = 0
-    failures = []
-    while done < target:
-        try:
-            x, y, z = gen.random_triple(rng)
-            res = associator(x, y, z)     # construction verifies the inverse
-            left_iso, right_iso = unitors(x)
-            if not triangle_check(x, y):
-                failures.append(("triangle", done))
-            pentagon = None
-            for _ in range(3):
-                w = gen.random_tiny_diagram(rng)
-                try:
-                    pentagon = pentagon_check(res, w)
-                    break
-                except GuardrailExceeded:
-                    continue
-            if pentagon is None:
-                resampled += 1
-                continue
-            if not pentagon:
-                failures.append(("pentagon", done))
-        except GuardrailExceeded:
-            resampled += 1
-            continue
-        done += 1
+    report = run_suite("monoidal-laws", seed=2026, samples=100)
     elapsed = time.monotonic() - started
-    ok = not failures and done >= target and elapsed < 60.0
+    check = next(c for c in report["checks"]
+                 if c["law"] == "rebracketing-and-unit-isomorphisms")
+    details = check["details"]
+    ok = (check["status"] == "pass" and not details["failures"]
+          and details["samples"] >= 100 and elapsed < 60.0)
     assert _verdict("C1", ok,
-                    f"{done} triples, {resampled} resampled, "
-                    f"{len(failures)} failures, {elapsed:.1f}s")
+                    f"{details['samples']} triples, {details['resampled']} "
+                    f"resampled, {len(details['failures'])} failures, "
+                    f"{elapsed:.1f}s")
 
 
 def test_c2_non_symmetry_witness():

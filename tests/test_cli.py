@@ -316,7 +316,12 @@ def test_negative_dimension_bounds_are_rejected(workspace, capsys):
     for argv in (["sset", "kan-check", str(workspace / "collapse.json"),
                   "--max-dim", "-3"],
                  ["algebra", "ipoints", str(workspace / "alg.json"),
-                  "--dim", "-1"]):
+                  "--dim", "-1"],
+                 # a negative generator size is not the empty generator
+                 ["algebra", "ipoints", str(workspace / "alg.json"),
+                  "--gen", "-1", "--dim", "0"],
+                 ["algebra", "fibration-check", "--gen", "-2",
+                  "--samples", "2"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
 

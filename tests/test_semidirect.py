@@ -10,12 +10,12 @@ from clubcat.diagram import (DiagramInCat, compose_diagram_morphisms,
 from clubcat.errors import GuardrailExceeded
 from clubcat.fincat import (FinCategory, Functor, constant_functor,
                             discrete_category, enumerate_functors,
-                            find_isomorphism, identity_functor,
+                            find_isomorphism, functor_key, identity_functor,
                             terminal_category, validate_category,
                             walking_arrow)
 from clubcat.semidirect import (associator, build_semidirect, club_check,
                                 fiber_semidirect, left_unitor, pentagon_check,
-                                right_unitor, semidirect,
+                                product_objects, right_unitor, semidirect,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
 
@@ -120,6 +120,34 @@ def test_guardrail_on_product_size():
     y = discrete_diagram(["u", "v", "w"], [1, 1, 1])
     with pytest.raises(GuardrailExceeded):
         semidirect(x, y, Guardrails(max_product_objects=100))
+
+
+def test_product_objects_refuse_what_the_build_refuses():
+    import random
+    from clubcat.generate import random_diagram
+    tight = Guardrails(max_base_objects=2, max_fiber_morphisms=2,
+                       max_product_objects=4)
+    rng = random.Random(3)
+    refusals = set()
+    built = 0
+    for _ in range(60):
+        x, y = random_diagram(rng), random_diagram(rng)
+        try:
+            objects = product_objects(x, y, tight)
+        except GuardrailExceeded as exc:
+            with pytest.raises(GuardrailExceeded) as info:
+                build_semidirect(x, y, tight)
+            assert str(info.value) == str(exc)
+            refusals.add(str(exc).split()[0])
+            continue
+        p = build_semidirect(x, y, tight)
+        assert list(objects) == p.diagram.base.objects
+        assert ({oid: (d, functor_key(psi)) for oid, (d, psi) in objects.items()}
+                == {oid: (d, functor_key(psi))
+                    for oid, (d, psi) in p.obj_data.items()})
+        built += 1
+    # the base, fiber and product-size limits each refused some pair
+    assert refusals == {"base", "fiber", "product"} and built
 
 
 # ---------------------------------------------------------------------------
