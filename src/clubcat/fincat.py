@@ -372,7 +372,6 @@ def enumerate_nat_trans(f: Functor, g: Functor):
         raise InputError("natural transformations need parallel functors")
     c, d = f.src, f.tgt
     objs = c.objects
-    index = {x: i for i, x in enumerate(objs)}
     mors = c.nonidentity_morphisms()
     results = []
     components = {}

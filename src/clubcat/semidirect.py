@@ -15,7 +15,9 @@ same product agree on ids.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
 from .diagram import (DiagramInCat, DiagramMorphism, diagram_morphism_equal,
@@ -121,6 +123,24 @@ def fiber_semidirect(left: DiagramInCat, d, psi: Functor, right: DiagramInCat):
 
 def _is_discrete(c: FinCategory):
     return all(c.is_identity(m) for m in c.mor_ids)
+
+
+def _component_test(c: FinCategory):
+    """A test on two object tuples of one length: whether ``c`` has a
+    morphism from each object of the first to the object at the same
+    position of the second.
+
+    A natural transformation F => G into ``c`` needs one such morphism per
+    object, so where the test fails on the object maps of F and G,
+    ``enumerate_nat_trans(F, G)`` returns [].  ``c.hom`` keys only the
+    non-empty hom-sets; in a discrete ``c`` those are the hom-sets of an
+    object to itself, so the test is equality.
+    """
+    if _is_discrete(c):
+        return operator.eq
+    hom = c.hom
+    return lambda src_objs, tgt_objs: all(
+        pair in hom for pair in zip(src_objs, tgt_objs))
 
 
 def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
@@ -239,18 +259,35 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
     objects = list(obj_data)
     obj_id = {(d, functor_key(psi)): oid for oid, (d, psi) in obj_data.items()}
 
-    shifted_of = {}     # psi2 ∘ R(f) depends only on (oid2, f)
+    # psi2 ∘ R(f) depends only on (oid2, f): its object map, and the functor
+    # itself, composed only once a pair passes the hom-set test
+    shifted_objs, shifted_of = {}, {}
+    has_components = _component_test(y.base)
     morphisms = []
     mor_data, mor_id = {}, {}
     identities = {}
+    reachable = {}  # d1 -> the objects (d2, psi2) with a base morphism d1 -> d2
     for oid1 in objects:
         d1, psi1 = obj_data[oid1]
-        for oid2 in objects:
+        src_objs = tuple(psi1.omap[a] for a in psi1.src.objects)
+        targets = reachable.get(d1)
+        if targets is None:
+            targets = reachable[d1] = [oid2 for oid2 in objects
+                                       if (d1, obj_data[oid2][0]) in x.base.hom]
+        for oid2 in targets:
             d2, psi2 = obj_data[oid2]
             for f in x.base.hom_set(d1, d2):
-                shifted = shifted_of.get((oid2, f))
+                shift_key = (oid2, f)
+                tgt_objs = shifted_objs.get(shift_key)
+                if tgt_objs is None:
+                    rf = x.fiber_mor[f]
+                    tgt_objs = shifted_objs[shift_key] = tuple(
+                        psi2.omap[rf.omap[a]] for a in psi1.src.objects)
+                if not has_components(src_objs, tgt_objs):
+                    continue
+                shifted = shifted_of.get(shift_key)
                 if shifted is None:
-                    shifted = shifted_of[(oid2, f)] = compose_functors(
+                    shifted = shifted_of[shift_key] = compose_functors(
                         psi2, x.fiber_mor[f])
                 for phi in enumerate_nat_trans(psi1, shifted):
                     mid = f"m{len(morphisms)}"
@@ -790,13 +827,17 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         return report
 
     # --- associativity --------------------------------------------------
+    ends = {}   # product object -> a _ChiEnd per functor chi out of its fiber
     for oid1 in p.diagram.base.objects:
         b1 = mu.base_functor.omap[oid1]
         rho1 = mu.rho[oid1]
-        chis = enumerate_functors(p.fibers[oid1].cat, c.base, guard.max_enum_morphisms)
-        for chi in chis:
+        fib = p.fibers[oid1].cat
+        ends[oid1] = []
+        for chi in enumerate_functors(fib, c.base, guard.max_enum_morphisms):
             lhs_oid2 = _route_left(s, p, b1, rho1, chi)
             right = _route_right(s, p, oid1, chi)
+            ends[oid1].append(_ChiEnd(chi, tuple(chi.omap[a] for a in fib.objects),
+                                      lhs_oid2, right))
             where = f"object ({p.describe_object(oid1)}, chi={functor_key(chi)})"
             if (lhs_oid2 is None) != (right is None):
                 if note(f"associativity domain mismatch at {where}: "
@@ -820,7 +861,7 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
                 if note(f"associativity fails on fiber components at {where}: {msg}"):
                     return report
     # morphism-level associativity
-    for msg in _assoc_on_morphisms(s, p, guard):
+    for msg in _assoc_on_morphisms(s, p, ends):
         if note(msg):
             return report
     return report
@@ -991,53 +1032,72 @@ def _rho_route_compare(s, p, oid1, oid2, rho1, b_final, xi_oids, oid_out):
     return fails
 
 
-def _assoc_on_morphisms(s, p, guard):
-    """Morphism-level agreement of the two evaluation orders."""
+class _ChiEnd(NamedTuple):
+    """A functor chi out of the fiber over a product object, with its object
+    map in the fiber's object order and its two routes: ``left`` as from
+    ``_route_left`` and ``right`` as from ``_route_right``."""
+
+    chi: Functor
+    objs: tuple
+    left: object
+    right: object
+
+
+def _assoc_on_morphisms(s, p, ends):
+    """Morphism-level agreement of the two evaluation orders.
+
+    ``ends`` maps each product object to its ``_ChiEnd``s.  A pair (chi1,
+    chi2) whose object maps meet an empty hom-set has no theta: chi1 =>
+    chi2 ∘ transport, so it is skipped before chi2 ∘ transport is composed.
+    """
     c = s.carrier
+    has_components = _component_test(c.base)
     out = []
     base = p.diagram.base
     for mid in base.mor_ids:
         oid1, oid1b = base.src[mid], base.tgt[mid]
         transport = p.diagram.fiber_mor[mid]
-        chis1 = enumerate_functors(p.fibers[oid1].cat, c.base, guard.max_enum_morphisms)
-        chis2 = enumerate_functors(p.fibers[oid1b].cat, c.base, guard.max_enum_morphisms)
-        for chi1 in chis1:
-            for chi2 in chis2:
-                shifted = compose_functors(chi2, transport)
-                for theta in enumerate_nat_trans(chi1, shifted):
-                    ok, msg = _assoc_single_morphism(s, p, mid, chi1, chi2, theta)
+        position = {b: i for i, b in enumerate(p.fibers[oid1b].cat.objects)}
+        moved = [position[transport.omap[a]] for a in p.fibers[oid1].cat.objects]
+        ends2 = ends[oid1b]
+        shifted_objs = [tuple(end2.objs[i] for i in moved) for end2 in ends2]
+        shifted = [None] * len(ends2)   # chi2 ∘ transport, composed on first use
+        for end1 in ends[oid1]:
+            objs1 = end1.objs
+            for j, end2 in enumerate(ends2):
+                if not has_components(objs1, shifted_objs[j]):
+                    continue
+                if shifted[j] is None:
+                    shifted[j] = compose_functors(end2.chi, transport)
+                for theta in enumerate_nat_trans(end1.chi, shifted[j]):
+                    ok, msg = _assoc_single_morphism(s, p, mid, end1, end2, theta)
                     if not ok:
                         out.append(msg)
     return out
 
 
-def _assoc_single_morphism(s, p, mid, chi1, chi2, theta):
+def _assoc_single_morphism(s, p, mid, end1, end2, theta):
+    """Both routes on theta: end1.chi => end2.chi ∘ transport over ``mid``."""
     c = s.carrier
     mu = s.mu
-    oid1, oid1b = p.diagram.base.src[mid], p.diagram.base.tgt[mid]
+    oid1 = p.diagram.base.src[mid]
     f, phi = p.mor_data[mid]
     b1 = mu.base_functor.omap[oid1]
-    b1b = mu.base_functor.omap[oid1b]
-    rho1, rho1b = mu.rho[oid1], mu.rho[oid1b]
-    where = f"morphism {mid!r} with theta={tuple(sorted(theta.components.items()))!r}"
+    rho1 = mu.rho[oid1]
 
     # left route: transport theta along mu's fiber components, multiply
-    lhs_src = _route_left(s, p, b1, rho1, chi1)
-    lhs_tgt = _route_left(s, p, b1b, rho1b, chi2)
     lhs = None
-    if lhs_src is not None and lhs_tgt is not None:
+    if end1.left is not None and end2.left is not None:
         fiber_b1 = c.fiber_obj[b1]
         comps = tuple(theta.components[rho1.omap[a]] for a in fiber_b1.objects)
-        mid2 = p.mor_id.get((lhs_src, lhs_tgt, mu.base_functor.mmap[mid], comps))
+        mid2 = p.mor_id.get((end1.left, end2.left, mu.base_functor.mmap[mid], comps))
         if mid2 is not None:
             lhs = mu.base_functor.mmap[mid2]
 
     # right route: curried components, inner multiplication, outer lookup
-    right1 = _route_right(s, p, oid1, chi1)
-    right2 = _route_right(s, p, oid1b, chi2)
     rhs = None
-    if right1 is not None and right2 is not None:
-        (xi1, out1), (xi2, out2) = right1, right2
+    if end1.right is not None and end2.right is not None:
+        (xi1, out1), (xi2, out2) = end1.right, end2.right
         inner = _curry_theta(p.fibers[oid1], p.obj_data[oid1][1], c, phi,
                              c.fiber_mor[f], theta, xi1, xi2, p.mor_id)
         if inner is not None:
@@ -1045,8 +1105,9 @@ def _assoc_single_morphism(s, p, mid, chi1, chi2, theta):
                                   tuple(mu.base_functor.mmap[m] for m in inner)))
             if outer is not None:
                 rhs = mu.base_functor.mmap[outer]
+    if lhs == rhs:
+        return True, ""
+    where = f"morphism {mid!r} with theta={tuple(sorted(theta.components.items()))!r}"
     if (lhs is None) != (rhs is None):
         return False, f"associativity domain mismatch at {where}"
-    if lhs is not None and lhs != rhs:
-        return False, f"associativity fails on base morphisms at {where}: {lhs!r} != {rhs!r}"
-    return True, ""
+    return False, f"associativity fails on base morphisms at {where}: {lhs!r} != {rhs!r}"

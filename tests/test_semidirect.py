@@ -388,6 +388,13 @@ def _all_pairs_morphisms(p):
     return morphisms, mor_id
 
 
+def _symmetric_club():
+    # its carrier base has the transposition of arity 2, a non-identity
+    # morphism, so its products have non-discrete bases
+    from clubcat.operads import commutative_operad, sym_operad_to_club
+    return sym_operad_to_club(commutative_operad(2))
+
+
 def _id_fixture_products():
     import random
     from clubcat.generate import random_triple
@@ -399,6 +406,7 @@ def _id_fixture_products():
     yield "non-discrete fiber", build_semidirect(non_discrete, arrow_diagram())
     yield "keep-restricted operad product", operad_to_club(
         free_operad({2: ["g"]}, 3)).product
+    yield "symmetric operad product", _symmetric_club().product
     rng = random.Random(5)
     while True:
         x, y, z = random_triple(rng)
@@ -417,6 +425,115 @@ def test_product_morphism_ids_match_all_pairs_reference():
         assert morphisms, label
         assert p.diagram.base.morphisms == morphisms, label
         assert p.mor_id == mor_id, label
+
+
+def test_pairs_without_components_have_no_transformation():
+    # the pairs build_semidirect skips before composing: some object of the
+    # fiber has an empty hom-set from psi1(a) to (psi2 ∘ R(f))(a)
+    from clubcat.fincat import compose_functors, enumerate_nat_trans
+    skipped = {}
+    for label, p in _id_fixture_products():
+        x, y = p.left, p.right
+        skipped[label] = 0
+        for oid1, (d1, psi1) in p.obj_data.items():
+            for oid2, (d2, psi2) in p.obj_data.items():
+                for f in x.base.hom_set(d1, d2):
+                    shifted = compose_functors(psi2, x.fiber_mor[f])
+                    if all(y.base.hom_set(psi1.omap[a], shifted.omap[a])
+                           for a in psi1.src.objects):
+                        continue
+                    assert enumerate_nat_trans(psi1, shifted) == [], label
+                    skipped[label] += 1
+    assert skipped["symmetric operad product"] > 0
+
+
+def _all_pairs_thetas(club):
+    """Reference: every (mid, chi1, chi2, theta) of club_check's morphism
+    pass, by enumerating the chis of both ends for every morphism and every
+    transformation chi1 => chi2 ∘ transport, as keys in check order."""
+    from clubcat.config import DEFAULT_GUARDRAILS
+    from clubcat.fincat import compose_functors, enumerate_nat_trans
+    p, c = club.product, club.carrier
+    base = p.diagram.base
+    limit = DEFAULT_GUARDRAILS.max_enum_morphisms
+    cases = []
+    for mid in base.mor_ids:
+        fib1 = p.fibers[base.src[mid]].cat
+        fib2 = p.fibers[base.tgt[mid]].cat
+        transport = p.diagram.fiber_mor[mid]
+        for chi1 in enumerate_functors(fib1, c.base, limit):
+            for chi2 in enumerate_functors(fib2, c.base, limit):
+                shifted = compose_functors(chi2, transport)
+                for theta in enumerate_nat_trans(chi1, shifted):
+                    cases.append((mid, functor_key(chi1), functor_key(chi2),
+                                  tuple(theta.components[a] for a in fib1.objects)))
+    return cases
+
+
+def _join_club():
+    """The monoid ({x < y}, join, x) as a club with one-object fibers.  Its
+    carrier base is the walking arrow, so a theta of club_check's morphism
+    pass can have a component between different objects."""
+    from clubcat.diagram import DiagramMorphism
+    from clubcat.semidirect import ClubStructure
+    arrow = walking_arrow()
+    one = terminal_category()
+    c = constantify(arrow)
+    p = build_semidirect(c, c)
+    base = p.diagram.base
+    omap = {oid: max(d, psi.omap["*"]) for oid, (d, psi) in p.obj_data.items()}
+    mmap = {m: arrow.hom_set(omap[base.src[m]], omap[base.tgt[m]])[0]
+            for m in base.mor_ids}
+    rho = {oid: Functor(one, p.fibers[oid].cat, {"*": p.fibers[oid].cat.objects[0]},
+                        {"id_*": p.fibers[oid].cat.mor_ids[0]})
+           for oid in base.objects}
+    mu = DiagramMorphism(p.diagram, c, Functor(base, arrow, omap, mmap), rho)
+    eta = DiagramMorphism(unit_diagram(), c,
+                          Functor(one, arrow, {"*": "x"}, {"id_*": "id_x"}),
+                          {"*": identity_functor(one)})
+    return ClubStructure(c, p, mu, eta)
+
+
+def _golden_mutant_club():
+    from clubcat.operads import associative_operad, operad_to_club
+    case = _golden_unit_law_cases()[0]
+    mutant = associative_operad(3, with_nullary=True)
+    mutant.gamma[(case["op"], tuple(case["args"]))] = case["result"]
+    return operad_to_club(mutant)
+
+
+def _free_binary_club():
+    from clubcat.operads import free_operad, operad_to_club
+    return operad_to_club(free_operad({2: ["g"]}, 3))
+
+
+@pytest.mark.parametrize("make_club", [_free_binary_club, _golden_mutant_club,
+                                       _symmetric_club, _join_club],
+                         ids=lambda make: make.__name__.strip("_"))
+def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeypatch):
+    import clubcat.semidirect as module
+    club = make_club()
+    want = _all_pairs_thetas(club)
+    real = module._assoc_single_morphism
+    seen = []
+
+    def recording(s, p, mid, end1, end2, theta):
+        seen.append((mid, functor_key(end1.chi), functor_key(end2.chi),
+                     tuple(theta.components[a] for a in theta.src.src.objects)))
+        return real(s, p, mid, end1, end2, theta)
+
+    monkeypatch.setattr(module, "_assoc_single_morphism", recording)
+    report = club_check(club)
+    assert want
+    assert seen == want
+    assert (report == []) == (make_club is not _golden_mutant_club)
+
+
+def test_join_club_has_thetas_between_different_objects():
+    club = _join_club()
+    arrow = club.carrier.base
+    assert any(arrow.src[m] != arrow.tgt[m]
+               for case in _all_pairs_thetas(club) for m in case[3])
 
 
 def test_pentagon_trips_guardrail_at_once(monkeypatch):
