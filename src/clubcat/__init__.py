@@ -11,13 +11,12 @@ from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,
 from .semidirect import (ClubStructure, associator, club_check,
                          fiber_semidirect, semidirect_on_morphisms, unitors)
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
-                      apply_operator, boundary, diag, disjoint_union,
-                      ez_factor, horn, is_injective, is_kan_fibration,
-                      iso_sset, one_point, product, simplex_category,
-                      standard_simplex)
+                      apply_operator, boundary, disjoint_union, ez_factor,
+                      horn, is_injective, is_kan_fibration, iso_sset,
+                      one_point, product, simplex_category, standard_simplex)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, SimplexFamily,
-                        TwoLevelFamily, associativity_check, bisimplicial_of,
-                        compose, compose_morphism, delta_naturality_check,
+                        TwoLevelFamily, associativity_check, compose,
+                        compose_morphism, delta_naturality_check,
                         unit_law_check)
 from .operads import (Collection, NsOperad, SymOperad, circ, club_to_operad,
                       encode_ns, encode_sym, ns_iso_check, operad_to_club,

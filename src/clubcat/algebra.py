@@ -13,6 +13,7 @@ injective and every induced map of point complexes lifts horns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
@@ -23,9 +24,9 @@ from .semidirect import build_semidirect
 from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
                       SimplicialSet, apply_operator, degeneracy_map,
                       face_map, is_injective, is_kan_fibration, nf_id,
-                      normalize_extensional)
+                      normalize_extensional, validate_smap)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, TwoLevelFamily,
-                        bisimplicial_of, compose, compose_morphism)
+                        _pair_sset, compose, compose_morphism)
 
 
 def act_category(c: DiagramInCat, m: FinCategory,
@@ -190,7 +191,6 @@ def i_points(x: AlgebraObject, generator, n):
     Naturality over the operators of the standard simplex is automatic once
     the value at the top simplex is fixed, so probes are exactly these pairs.
     """
-    import itertools
     out = []
     shape = x.shape
     for xnf in shape.all_simplices(n):
@@ -246,7 +246,6 @@ class AlgebraMorphism:
 
 
 def validate_algebra_morphism(m: AlgebraMorphism):
-    from .simpset import validate_smap
     report = [f"shape map: {r}" for r in validate_smap(m.f)]
     if report:
         return report
@@ -457,8 +456,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
 
 def column_point_map(m: ClubMorphismSSet, col):
     """The induced map on the probes by the standard simplex of the given
-    dimension: the columns of the pair bisimplicial sets."""
-    from .simpset import column_sset
+    dimension: the columns of the pairs (s, t) with t a col-simplex."""
     s_lookup = m.src.base.normal_forms()
 
     def pair_image(elt):
@@ -467,9 +465,10 @@ def column_point_map(m: ClubMorphismSSet, col):
         tnf = m.src.family.value(snf.base).normal_forms()[tid]
         return nf_id(m.f.apply(snf)), nf_id(m.phi_at(snf).apply(tnf))
 
-    return _element_map(column_sset(bisimplicial_of(m.src), col),
-                        column_sset(bisimplicial_of(m.tgt), col),
-                        pair_image, f"col{col}")
+    def column(x):
+        return _pair_sset(x, col, f"col{col}T({x.base.name})")
+
+    return _element_map(column(m.src), column(m.tgt), pair_image, f"col{col}")
 
 
 def is_sset_fibration(m: ClubMorphismSSet, max_dim):

@@ -9,9 +9,14 @@ injective part on stored faces, keep the surjective part symbolic.
 
 Monotone maps are interned, one instance per value list, and validated once.
 Composition and Eilenberg-Zilber factorization of maps are memoized on the
-interned maps, and each simplicial set memoizes the action of operators on
-its simplices.  All of these are pure, so the memos never change a result;
-they are bounded by the maps up to the largest dimension in use.
+interned maps, and so are the identity, face and degeneracy maps by their
+indices.  Each simplicial set memoizes the action of operators on its
+simplices, its simplices and generators per dimension and its identity map.
+Simplicial maps are interned per source set, one instance per target, name
+and image table, and their composition is memoized on the interned maps.
+All of these are pure, so the memos never change a result; the module-level
+ones are bounded by the maps up to the largest dimension in use, and the
+per-set ones live as long as their set.
 
 Operator orientation: a monotone map theta: [m] -> [n] acts on n-simplices
 and yields m-simplices; in the category of simplices it is a morphism from x
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .fincat import FinCategory
+from .fincat import FinCategory, Functor
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +119,39 @@ class MonotoneMap:
         return i, MonotoneMap(self.n - 1, [v if v < i else v - 1 for v in self.values])
 
 
+# n or (n, i) -> the identity, face and degeneracy maps: a memo of interned
+# maps, so each lookup skips building the value list.  Only valid arguments
+# are stored, so a bad index raises on every call.
+_IDENTITIES = {}
+_FACES = {}
+_DEGENERACIES = {}
+
+
 def identity_map(n):
-    return MonotoneMap(n, range(n + 1))
+    f = _IDENTITIES.get(n)
+    if f is None:
+        f = _IDENTITIES[n] = MonotoneMap(n, range(n + 1))
+    return f
 
 
 def face_map(n, i):
     """The injection [n-1] -> [n] skipping i."""
-    if not 0 <= i <= n or n < 1:
-        raise InputError(f"no face index {i} in dimension {n}")
-    return MonotoneMap(n, [v for v in range(n + 1) if v != i])
+    f = _FACES.get((n, i))
+    if f is None:
+        if not 0 <= i <= n or n < 1:
+            raise InputError(f"no face index {i} in dimension {n}")
+        f = _FACES[(n, i)] = MonotoneMap(n, [v for v in range(n + 1) if v != i])
+    return f
 
 
 def degeneracy_map(n, i):
     """The surjection [n+1] -> [n] repeating i."""
-    if not 0 <= i <= n:
-        raise InputError(f"no degeneracy index {i} in dimension {n}")
-    return MonotoneMap(n, sorted(list(range(n + 1)) + [i]))
+    f = _DEGENERACIES.get((n, i))
+    if f is None:
+        if not 0 <= i <= n:
+            raise InputError(f"no degeneracy index {i} in dimension {n}")
+        f = _DEGENERACIES[(n, i)] = MonotoneMap(n, sorted(list(range(n + 1)) + [i]))
+    return f
 
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap):
@@ -223,9 +245,15 @@ class SimplicialSet:
             for s in self.nondeg[k]:
                 self.dim_of[s] = k
         # per-set memos: (base, eta, theta) -> theta*(eta, base) for
-        # apply_operator; the canonical id -> simplex lookup and the category
-        # of simplices, both built on first use
+        # apply_operator; k -> the k-simplices, m -> the generators out of
+        # dimension m, the identity map, the canonical id -> simplex lookup
+        # and the category of simplices, all built on first use; and the
+        # interned simplicial maps out of this set (see SimplicialMap)
         self._op_memo = {}
+        self._smaps = {}
+        self._simplices = {}
+        self._generators = {}
+        self._identity = None
         self._nf_cache = None
         self._simplex_cat = None
 
@@ -248,25 +276,33 @@ class SimplicialSet:
     def generators(self, m):
         """The face and degeneracy operators out of dimension m, in order,
         that stay within the truncation."""
-        faces = [face_map(m, i) for i in range(m + 1)] if m >= 1 else []
-        degens = ([degeneracy_map(m, i) for i in range(m + 1)]
-                  if m < self.trunc else [])
-        return faces + degens
+        gens = self._generators.get(m)
+        if gens is None:
+            faces = [face_map(m, i) for i in range(m + 1)] if m >= 1 else []
+            degens = ([degeneracy_map(m, i) for i in range(m + 1)]
+                      if m < self.trunc else [])
+            gens = self._generators[m] = tuple(faces + degens)
+        return gens
 
     def all_simplices(self, k):
-        """Every k-simplex (normal forms), canonical order: by base dim, base, eta."""
+        """Every k-simplex (normal forms), canonical order: by base dim, base,
+        eta.  A tuple, built once per set."""
         if k > self.trunc:
             raise InputError(f"dimension {k} above truncation {self.trunc}")
-        out = []
-        for j in range(k, -1, -1):
-            if not self.nondeg[j]:
-                continue
-            for eta in surjections(k, j):
-                for base in self.nondeg[j]:
-                    out.append(NormalForm(eta, base))
-        # put nondegenerate ones (j == k, eta == id) first but keep a total order:
-        out.sort(key=lambda nf: (nf.eta.m - (len(set(nf.eta.values)) - 1),
-                                 nf.base, nf.eta.values))
+        out = self._simplices.get(k)
+        if out is None:
+            out = []
+            for j in range(k, -1, -1):
+                if not self.nondeg[j]:
+                    continue
+                for eta in surjections(k, j):
+                    for base in self.nondeg[j]:
+                        out.append(NormalForm(eta, base))
+            # put nondegenerate ones (j == k, eta == id) first but keep a
+            # total order:
+            out.sort(key=lambda nf: (nf.eta.m - (len(set(nf.eta.values)) - 1),
+                                     nf.base, nf.eta.values))
+            out = self._simplices[k] = tuple(out)
         return out
 
     def simplex_count(self, k):
@@ -494,13 +530,27 @@ def product(s: SimplicialSet, t: SimplicialSet):
 # simplicial maps
 
 class SimplicialMap:
-    """Images of non-degenerate simplices; extended to all simplices by normal forms."""
+    """Images of non-degenerate simplices; extended to all simplices by normal forms.
 
-    def __init__(self, src: SimplicialSet, tgt: SimplicialSet, images, name=""):
-        self.src = src
-        self.tgt = tgt
-        self.images = dict(images)   # nondeg id -> NormalForm in tgt
-        self.name = name
+    Maps are interned: ``SimplicialMap(src, tgt, images, name)`` returns the
+    one instance with that target set (by identity), name and image table
+    (its items in order), kept in the source set's ``_smaps``, so it lives as
+    long as the source set.  ``images`` is therefore read-only.
+    ``_composed`` (f -> self∘f) memoizes ``compose_smaps``.
+    """
+
+    def __new__(cls, src: SimplicialSet, tgt: SimplicialSet, images, name=""):
+        images = dict(images)   # nondeg id -> NormalForm in tgt
+        key = (tgt, name, tuple(images.items()))
+        self = src._smaps.get(key)
+        if self is None:
+            self = src._smaps[key] = object.__new__(cls)
+            self.src = src
+            self.tgt = tgt
+            self.images = images
+            self.name = name
+            self._composed = {}
+        return self
 
     def apply(self, x: NormalForm):
         return apply_operator(self.tgt, self.images[x.base], x.eta)
@@ -510,20 +560,26 @@ class SimplicialMap:
 
 
 def identity_smap(s: SimplicialSet):
-    images = {}
-    for k in range(s.trunc + 1):
-        for x in s.nondeg[k]:
-            images[x] = nondeg(x, k)
-    return SimplicialMap(s, s, images, name="id")
+    """The identity of s, built once per set."""
+    if s._identity is None:
+        images = {}
+        for k in range(s.trunc + 1):
+            for x in s.nondeg[k]:
+                images[x] = nondeg(x, k)
+        s._identity = SimplicialMap(s, s, images, name="id")
+    return s._identity
 
 
 def compose_smaps(g: SimplicialMap, f: SimplicialMap):
-    images = {x: g.apply(nf) for x, nf in f.images.items()}
-    return SimplicialMap(f.src, g.tgt, images)
+    gf = g._composed.get(f)
+    if gf is None:
+        gf = g._composed[f] = SimplicialMap(
+            f.src, g.tgt, {x: g.apply(nf) for x, nf in f.images.items()})
+    return gf
 
 
 def smap_equal(f: SimplicialMap, g: SimplicialMap):
-    return f.images == g.images
+    return f is g or f.images == g.images
 
 
 def validate_smap(f: SimplicialMap):
@@ -686,7 +742,6 @@ def smap_functor(f: SimplicialMap, src_cat=None, tgt_cat=None):
     """The induced functor between categories of simplices."""
     src_cat = src_cat if src_cat is not None else simplex_category(f.src)
     tgt_cat = tgt_cat if tgt_cat is not None else simplex_category(f.tgt)
-    from .fincat import Functor
     omap, mmap = {}, {}
     for oid, nf in src_cat.simplex_of.items():
         omap[oid] = nf_id(f.apply(nf))
@@ -797,112 +852,6 @@ def validate_extensional(e: ExtensionalSSet):
                         chk(e.s(k + 1, i, e.s(k, j, x)) == e.s(k + 1, j + 1, e.s(k, i, x)),
                             f"degeneracy identity s{i}s{j} fails at dim {k}: {x!r}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# bisimplicial sets
-
-class BisimplicialSet:
-    """Elements graded by bidegree with commuting horizontal and vertical actions."""
-
-    def __init__(self, trunc, elements, h_face, h_degen, v_face, v_degen, name=""):
-        self.trunc = trunc
-        self.elements = {(m, n): list(elements.get((m, n), []))
-                         for m in range(trunc + 1) for n in range(trunc + 1)}
-        self.h_face = h_face    # (m, n, i) -> dict, lowers m
-        self.h_degen = h_degen  # (m, n, i) -> dict, raises m
-        self.v_face = v_face    # (m, n, i) -> dict, lowers n
-        self.v_degen = v_degen  # (m, n, i) -> dict, raises n
-        self.name = name
-
-    def slice(self, fixed, vertical=False, name=""):
-        """The simplicial set along one direction with the other degree fixed:
-        the (k, fixed)-elements under the horizontal actions or, when
-        ``vertical``, the (fixed, k)-elements under the vertical ones."""
-        t = self.trunc
-        if vertical:
-            face, degen, at = self.v_face, self.v_degen, lambda k: (fixed, k)
-        else:
-            face, degen, at = self.h_face, self.h_degen, lambda k: (k, fixed)
-        return ExtensionalSSet(
-            t, {k: list(self.elements[at(k)]) for k in range(t + 1)},
-            {(k, i): face[at(k) + (i,)] for k in range(1, t + 1) for i in range(k + 1)},
-            {(k, i): degen[at(k) + (i,)] for k in range(t) for i in range(k + 1)},
-            name=name)
-
-
-def validate_bisimplicial(b: BisimplicialSet):
-    """Row/column simplicial identities plus commutation of the two actions."""
-    report = []
-    t = b.trunc
-    for n in range(t + 1):
-        report.extend(f"horizontal at column {n}: {r}"
-                      for r in validate_extensional(b.slice(n)))
-    for m in range(t + 1):
-        report.extend(f"vertical at row {m}: {r}"
-                      for r in validate_extensional(b.slice(m, vertical=True)))
-    if report:
-        return report
-    # commutation of one horizontal and one vertical generator
-    for m in range(t + 1):
-        for n in range(t + 1):
-            for x in b.elements[(m, n)]:
-                hops = []
-                if m >= 1:
-                    hops += [("hf", i) for i in range(m + 1)]
-                if m + 1 <= t:
-                    hops += [("hd", i) for i in range(m + 1)]
-                vops = []
-                if n >= 1:
-                    vops += [("vf", j) for j in range(n + 1)]
-                if n + 1 <= t:
-                    vops += [("vd", j) for j in range(n + 1)]
-                for (ho, i) in hops:
-                    for (vo, j) in vops:
-                        m2 = m - 1 if ho == "hf" else m + 1
-                        n2 = n - 1 if vo == "vf" else n + 1
-                        h1 = b.h_face[(m, n, i)] if ho == "hf" else b.h_degen[(m, n, i)]
-                        v_after = (b.v_face[(m2, n, j)] if vo == "vf"
-                                   else b.v_degen[(m2, n, j)])
-                        v1 = b.v_face[(m, n, j)] if vo == "vf" else b.v_degen[(m, n, j)]
-                        h_after = (b.h_face[(m, n2, i)] if ho == "hf"
-                                   else b.h_degen[(m, n2, i)])
-                        if v_after[h1[x]] != h_after[v1[x]]:
-                            report.append(
-                                f"actions do not commute at ({m},{n}) {x!r}")
-    return report
-
-
-def diag(b: BisimplicialSet, id_fn=_default_id):
-    """The diagonal simplicial set: equal bidegrees, operators acting twice.
-
-    Returns (SimplicialSet, nf_of) with nf_of keyed by (dim, element).
-    """
-    tr = b.trunc
-    elements = {k: list(b.elements[(k, k)]) for k in range(tr + 1)}
-    face, degen = {}, {}
-    for k in range(tr + 1):
-        if k >= 1:
-            for i in range(k + 1):
-                hf = b.h_face[(k, k, i)]
-                vf = b.v_face[(k - 1, k, i)]
-                face[(k, i)] = {x: vf[hf[x]] for x in elements[k]}
-        if k + 1 <= tr:
-            for i in range(k + 1):
-                hd = b.h_degen[(k, k, i)]
-                vd = b.v_degen[(k + 1, k, i)]
-                degen[(k, i)] = {x: vd[hd[x]] for x in elements[k]}
-    ext = ExtensionalSSet(tr, elements, face, degen, name=f"diag{b.name}")
-    return normalize_extensional(ext, id_fn=id_fn)
-
-
-def column_sset(b: BisimplicialSet, m, id_fn=_default_id):
-    """The m-th column as a simplicial set in the horizontal direction.
-
-    Elements at level n are the (n, m)-elements; used for the generator-wise
-    point complexes of pair objects.
-    """
-    return normalize_extensional(b.slice(m, name=f"col{m}{b.name}"), id_fn=id_fn)
 
 
 # ---------------------------------------------------------------------------

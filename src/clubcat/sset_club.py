@@ -1,4 +1,4 @@
-"""The monoid structure on simplicial sets via bisimplicial diagonals.
+"""The monoid structure on simplicial sets via diagonals of pairs.
 
 A simplex-indexed family assigns a simplicial set to every simplex of a base
 and a compatible map to every operator.  Families are stored in reduced form:
@@ -7,10 +7,13 @@ degeneracy generators acting as identities; the closure to all operators is
 computed on demand and functoriality is validated against every operator and
 every generator, which pins down the whole composition table.
 
-Composition of a family over S forms the bisimplicial set of pairs (s, t)
-and takes its diagonal.  Multi-level composites are named by flattening the
-component tuples, so the two evaluation orders of a two-level family produce
-literally equal simplicial sets.
+Composition of a family over S builds the diagonal of the pairs (s, t)
+directly: its k-simplices are the pairs of a k-simplex s and a k-simplex t of
+value(s), and an operator moves s and acts on the transported t.  Only the
+equal bidegrees of the bisimplicial set of pairs are built.  Multi-level
+composites are named by flattening the component tuples, so the two
+evaluation orders of a two-level family produce literally equal simplicial
+sets.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .fincat import FinCategory, Functor
-from .simpset import (BisimplicialSet, MonotoneMap, NormalForm,
+from .simpset import (ExtensionalSSet, MonotoneMap, NormalForm,
                       SimplicialMap, SimplicialSet, all_monotone_maps,
                       apply_operator, compose_maps, compose_smaps,
-                      degeneracy_map, diag, ez_factor, face_map,
-                      identity_smap, nf_id, nondeg, one_point, smap_equal,
-                      validate_smap)
+                      degeneracy_map, ez_factor, face_map, identity_smap,
+                      iso_sset, nf_id, nondeg, normalize_extensional,
+                      one_point, smap_equal, validate_smap, validate_sset)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,6 @@ def validate_family(fam: SimplexFamily):
     """Endpoint checks plus functoriality against every operator/generator pair."""
     report = []
     s = fam.base
-    from .simpset import validate_sset
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
             if y not in fam.values:
@@ -142,71 +144,53 @@ class ClubObjectSSet:
 
 
 # ---------------------------------------------------------------------------
-# the bisimplicial set of pairs and its diagonal
+# the pairs (s, t) and their diagonal
 
-def bisimplicial_of(x: ClubObjectSSet):
-    """Elements (s, t) with s a base simplex and t a simplex of its value.
+def _pair_sset(x: ClubObjectSSet, col, name, id_fn="|".join):
+    """The pairs (s, t) of a family under the operators acting on s,
+    normalized: returns (SimplicialSet, nf_of) with nf_of keyed by
+    (dim, (s id, t id)).
 
-    Horizontal operators move s and transport t; vertical operators act
-    inside the value.
+    With ``col`` None this is the diagonal: its k-simplices are the pairs of
+    a k-simplex s and a k-simplex t of value(s), and theta sends (s, t) to
+    (theta*s, theta*(transport(s, theta)(t))).  With ``col`` an integer it
+    is that column: t is a col-simplex, and theta sends (s, t) to
+    (theta*s, transport(s, theta)(t)).  Pairs are listed by s, then t, each
+    in canonical order.
     """
     s, fam = x.base, x.family
     tr = s.trunc
-    s_simplices = {m: s.all_simplices(m) for m in range(tr + 1)}
-    elements = {}
-    for m in range(tr + 1):
-        for n in range(tr + 1):
-            elems = []
-            for snf in s_simplices[m]:
-                v = fam.value(snf.base)
-                for tnf in v.all_simplices(n):
-                    elems.append((nf_id(snf), nf_id(tnf)))
-            elements[(m, n)] = elems
-    h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
-    s_lookup = s.normal_forms()
+    elements, pair_nfs = {}, {}
+    for k in range(tr + 1):
+        n = k if col is None else col
+        nfs = pair_nfs[k] = {}
+        for snf in s.all_simplices(k):
+            sid = nf_id(snf)
+            for tnf in fam.values[snf.base].all_simplices(n):
+                nfs[(sid, nf_id(tnf))] = (snf, tnf)
+        elements[k] = list(nfs)
 
-    def horizontal(m, n, theta):
+    def act(k, theta):
         table = {}
-        for (sid, tid) in elements[(m, n)]:
-            snf = s_lookup[sid]
-            v = fam.value(snf.base)
-            tnf = v.normal_forms()[tid]
+        for elt, (snf, tnf) in pair_nfs[k].items():
             s2 = apply_operator(s, snf, theta)
-            moved = fam.transport(snf, theta).apply(tnf)
-            table[(sid, tid)] = (nf_id(s2), nf_id(moved))
+            t2 = fam.transport(snf, theta).apply(tnf)
+            if col is None:
+                t2 = apply_operator(fam.values[s2.base], t2, theta)
+            table[elt] = (nf_id(s2), nf_id(t2))
         return table
 
-    def vertical(m, n, theta):
-        table = {}
-        for (sid, tid) in elements[(m, n)]:
-            snf = s_lookup[sid]
-            v = fam.value(snf.base)
-            tnf = v.normal_forms()[tid]
-            table[(sid, tid)] = (sid, nf_id(apply_operator(v, tnf, theta)))
-        return table
-
-    for m in range(tr + 1):
-        for n in range(tr + 1):
-            if m >= 1:
-                for i in range(m + 1):
-                    h_face[(m, n, i)] = horizontal(m, n, face_map(m, i))
-            if m + 1 <= tr:
-                for i in range(m + 1):
-                    h_degen[(m, n, i)] = horizontal(m, n, degeneracy_map(m, i))
-            if n >= 1:
-                for i in range(n + 1):
-                    v_face[(m, n, i)] = vertical(m, n, face_map(n, i))
-            if n + 1 <= tr:
-                for i in range(n + 1):
-                    v_degen[(m, n, i)] = vertical(m, n, degeneracy_map(n, i))
-    return BisimplicialSet(tr, elements, h_face, h_degen, v_face, v_degen,
-                           name=f"T({s.name})")
+    face = {(k, i): act(k, face_map(k, i))
+            for k in range(1, tr + 1) for i in range(k + 1)}
+    degen = {(k, i): act(k, degeneracy_map(k, i))
+             for k in range(tr) for i in range(k + 1)}
+    ext = ExtensionalSSet(tr, elements, face, degen, name=name)
+    return normalize_extensional(ext, id_fn=id_fn)
 
 
 @dataclass
 class ComposeResult:
     sset: SimplicialSet
-    bisim: BisimplicialSet
     nf_of: dict            # (dim, element) -> normal form in sset
     source: ClubObjectSSet
     parts_of: dict         # nondeg id in sset -> canonical atomic tuple
@@ -232,13 +216,12 @@ class ComposeResult:
 
 
 def compose(x: ClubObjectSSet, part_fn=None):
-    """The diagonal of the pair bisimplicial set, with canonical naming.
+    """The diagonal of the pairs (s, t), with canonical naming.
 
     ``part_fn`` may unfold an element into its atomic component tuple; the
     default treats the two components as atoms.  Nested composites flatten
     to the same names either way they are evaluated.
     """
-    bisim = bisimplicial_of(x)
     if part_fn is None:
         def part_fn(elt):
             return elt
@@ -246,16 +229,14 @@ def compose(x: ClubObjectSSet, part_fn=None):
     def id_fn(elt):
         return "|".join(part_fn(elt))
 
-    sset, nf_of = diag(bisim, id_fn=id_fn)
+    sset, nf_of = _pair_sset(x, None, f"diagT({x.base.name})", id_fn=id_fn)
     base_pair = {}
     parts_of = {}
-    for k in range(sset.trunc + 1):
-        for elt in bisim.elements[(k, k)]:
-            nf = nf_of[(k, elt)]
-            if nf.is_nondegenerate():
-                base_pair[nf.base] = elt
-                parts_of[nf.base] = part_fn(elt)
-    return ComposeResult(sset, bisim, nf_of, x, parts_of, base_pair)
+    for (_, elt), nf in nf_of.items():
+        if nf.is_nondegenerate():
+            base_pair[nf.base] = elt
+            parts_of[nf.base] = part_fn(elt)
+    return ComposeResult(sset, nf_of, x, parts_of, base_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +494,6 @@ def unit_law_check(s: SimplicialSet = None, value: SimplicialSet = None):
     Pass ``s`` to check the side where every value is the point; pass
     ``value`` to check the side where the base is the point.
     """
-    from .simpset import iso_sset
     report = []
     if s is not None:
         res = compose(ClubObjectSSet(s, point_family(s)))

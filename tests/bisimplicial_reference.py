@@ -1,0 +1,196 @@
+"""The pair bisimplicial set of a family, kept as a reference for the tests.
+
+``compose`` builds the diagonal of the pairs (s, t) directly, and
+``algebra.column_point_map`` builds one column directly.  This module builds
+the whole bisimplicial set, every bidegree with its horizontal and vertical
+actions, and then takes the diagonal or a column of it, as the package did
+before.  The tests compare the direct constructions with it table for table.
+"""
+
+from clubcat.simpset import (ExtensionalSSet, _default_id, apply_operator,
+                             degeneracy_map, face_map, nf_id,
+                             normalize_extensional, validate_extensional)
+
+
+class BisimplicialSet:
+    """Elements graded by bidegree with commuting horizontal and vertical actions."""
+
+    def __init__(self, trunc, elements, h_face, h_degen, v_face, v_degen, name=""):
+        self.trunc = trunc
+        self.elements = {(m, n): list(elements.get((m, n), []))
+                         for m in range(trunc + 1) for n in range(trunc + 1)}
+        self.h_face = h_face    # (m, n, i) -> dict, lowers m
+        self.h_degen = h_degen  # (m, n, i) -> dict, raises m
+        self.v_face = v_face    # (m, n, i) -> dict, lowers n
+        self.v_degen = v_degen  # (m, n, i) -> dict, raises n
+        self.name = name
+
+    def slice(self, fixed, vertical=False, name=""):
+        """The simplicial set along one direction with the other degree fixed:
+        the (k, fixed)-elements under the horizontal actions or, when
+        ``vertical``, the (fixed, k)-elements under the vertical ones."""
+        t = self.trunc
+        if vertical:
+            face, degen, at = self.v_face, self.v_degen, lambda k: (fixed, k)
+        else:
+            face, degen, at = self.h_face, self.h_degen, lambda k: (k, fixed)
+        return ExtensionalSSet(
+            t, {k: list(self.elements[at(k)]) for k in range(t + 1)},
+            {(k, i): face[at(k) + (i,)] for k in range(1, t + 1) for i in range(k + 1)},
+            {(k, i): degen[at(k) + (i,)] for k in range(t) for i in range(k + 1)},
+            name=name)
+
+
+def validate_bisimplicial(b: BisimplicialSet):
+    """Row/column simplicial identities plus commutation of the two actions."""
+    report = []
+    t = b.trunc
+    for n in range(t + 1):
+        report.extend(f"horizontal at column {n}: {r}"
+                      for r in validate_extensional(b.slice(n)))
+    for m in range(t + 1):
+        report.extend(f"vertical at row {m}: {r}"
+                      for r in validate_extensional(b.slice(m, vertical=True)))
+    if report:
+        return report
+    # commutation of one horizontal and one vertical generator
+    for m in range(t + 1):
+        for n in range(t + 1):
+            for x in b.elements[(m, n)]:
+                hops = []
+                if m >= 1:
+                    hops += [("hf", i) for i in range(m + 1)]
+                if m + 1 <= t:
+                    hops += [("hd", i) for i in range(m + 1)]
+                vops = []
+                if n >= 1:
+                    vops += [("vf", j) for j in range(n + 1)]
+                if n + 1 <= t:
+                    vops += [("vd", j) for j in range(n + 1)]
+                for (ho, i) in hops:
+                    for (vo, j) in vops:
+                        m2 = m - 1 if ho == "hf" else m + 1
+                        n2 = n - 1 if vo == "vf" else n + 1
+                        h1 = b.h_face[(m, n, i)] if ho == "hf" else b.h_degen[(m, n, i)]
+                        v_after = (b.v_face[(m2, n, j)] if vo == "vf"
+                                   else b.v_degen[(m2, n, j)])
+                        v1 = b.v_face[(m, n, j)] if vo == "vf" else b.v_degen[(m, n, j)]
+                        h_after = (b.h_face[(m, n2, i)] if ho == "hf"
+                                   else b.h_degen[(m, n2, i)])
+                        if v_after[h1[x]] != h_after[v1[x]]:
+                            report.append(
+                                f"actions do not commute at ({m},{n}) {x!r}")
+    return report
+
+
+def diag(b: BisimplicialSet, id_fn=_default_id):
+    """The diagonal simplicial set: equal bidegrees, operators acting twice.
+
+    Returns (SimplicialSet, nf_of) with nf_of keyed by (dim, element).
+    """
+    tr = b.trunc
+    elements = {k: list(b.elements[(k, k)]) for k in range(tr + 1)}
+    face, degen = {}, {}
+    for k in range(tr + 1):
+        if k >= 1:
+            for i in range(k + 1):
+                hf = b.h_face[(k, k, i)]
+                vf = b.v_face[(k - 1, k, i)]
+                face[(k, i)] = {x: vf[hf[x]] for x in elements[k]}
+        if k + 1 <= tr:
+            for i in range(k + 1):
+                hd = b.h_degen[(k, k, i)]
+                vd = b.v_degen[(k + 1, k, i)]
+                degen[(k, i)] = {x: vd[hd[x]] for x in elements[k]}
+    ext = ExtensionalSSet(tr, elements, face, degen, name=f"diag{b.name}")
+    return normalize_extensional(ext, id_fn=id_fn)
+
+
+def column_sset(b: BisimplicialSet, m, id_fn=_default_id):
+    """The m-th column as a simplicial set in the horizontal direction.
+
+    Elements at level n are the (n, m)-elements.
+    """
+    return normalize_extensional(b.slice(m, name=f"col{m}{b.name}"), id_fn=id_fn)
+
+
+def bisimplicial_of(x):
+    """Elements (s, t) with s a base simplex and t a simplex of its value.
+
+    Horizontal operators move s and transport t; vertical operators act
+    inside the value.
+    """
+    s, fam = x.base, x.family
+    tr = s.trunc
+    s_simplices = {m: s.all_simplices(m) for m in range(tr + 1)}
+    elements = {}
+    for m in range(tr + 1):
+        for n in range(tr + 1):
+            elems = []
+            for snf in s_simplices[m]:
+                v = fam.value(snf.base)
+                for tnf in v.all_simplices(n):
+                    elems.append((nf_id(snf), nf_id(tnf)))
+            elements[(m, n)] = elems
+    h_face, h_degen, v_face, v_degen = {}, {}, {}, {}
+    s_lookup = s.normal_forms()
+
+    def horizontal(m, n, theta):
+        table = {}
+        for (sid, tid) in elements[(m, n)]:
+            snf = s_lookup[sid]
+            v = fam.value(snf.base)
+            tnf = v.normal_forms()[tid]
+            s2 = apply_operator(s, snf, theta)
+            moved = fam.transport(snf, theta).apply(tnf)
+            table[(sid, tid)] = (nf_id(s2), nf_id(moved))
+        return table
+
+    def vertical(m, n, theta):
+        table = {}
+        for (sid, tid) in elements[(m, n)]:
+            snf = s_lookup[sid]
+            v = fam.value(snf.base)
+            tnf = v.normal_forms()[tid]
+            table[(sid, tid)] = (sid, nf_id(apply_operator(v, tnf, theta)))
+        return table
+
+    for m in range(tr + 1):
+        for n in range(tr + 1):
+            if m >= 1:
+                for i in range(m + 1):
+                    h_face[(m, n, i)] = horizontal(m, n, face_map(m, i))
+            if m + 1 <= tr:
+                for i in range(m + 1):
+                    h_degen[(m, n, i)] = horizontal(m, n, degeneracy_map(m, i))
+            if n >= 1:
+                for i in range(n + 1):
+                    v_face[(m, n, i)] = vertical(m, n, face_map(n, i))
+            if n + 1 <= tr:
+                for i in range(n + 1):
+                    v_degen[(m, n, i)] = vertical(m, n, degeneracy_map(n, i))
+    return BisimplicialSet(tr, elements, h_face, h_degen, v_face, v_degen,
+                           name=f"T({s.name})")
+
+
+def reference_compose(x, part_fn=None):
+    """``compose`` as the diagonal of the whole pair bisimplicial set:
+    returns (sset, nf_of, parts_of, base_pair)."""
+    bisim = bisimplicial_of(x)
+    if part_fn is None:
+        def part_fn(elt):
+            return elt
+
+    def id_fn(elt):
+        return "|".join(part_fn(elt))
+
+    sset, nf_of = diag(bisim, id_fn=id_fn)
+    base_pair = {}
+    parts_of = {}
+    for k in range(sset.trunc + 1):
+        for elt in bisim.elements[(k, k)]:
+            nf = nf_of[(k, elt)]
+            if nf.is_nondegenerate():
+                base_pair[nf.base] = elt
+                parts_of[nf.base] = part_fn(elt)
+    return sset, nf_of, parts_of, base_pair

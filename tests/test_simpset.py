@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,16 +7,20 @@ from clubcat import simpset
 from clubcat.errors import InputError
 from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              apply_operator, boundary, compose_maps,
-                             degeneracy_map, diag, disjoint_union,
-                             enumerate_smaps,
-                             ez_factor, face_map, horn, identity_map,
-                             identity_smap, is_injective, is_kan_fibration,
-                             iso_sset, nf_id, nondeg, one_point, product,
-                             simplex_category, smap_functor, standard_simplex,
-                             surjections, SimplicialMap, validate_bisimplicial,
-                             validate_smap, validate_sset)
+                             compose_smaps, degeneracy_map, disjoint_union,
+                             enumerate_smaps, ez_factor, face_map, horn,
+                             identity_map, identity_smap, is_injective,
+                             is_kan_fibration, iso_sset, nf_id, nondeg,
+                             one_point, product, simplex_category,
+                             smap_equal, smap_functor, standard_simplex,
+                             surjections, SimplicialMap, validate_smap,
+                             validate_sset)
 from clubcat.fincat import validate_category, validate_functor
-from clubcat.sset_club import ClubObjectSSet, bisimplicial_of, constant_family
+from clubcat.generate import random_family
+from clubcat.sset_club import ClubObjectSSet, constant_family
+
+from bisimplicial_reference import (bisimplicial_of, diag,
+                                    validate_bisimplicial)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +105,94 @@ def test_apply_operator_rejects_bad_operators_on_every_call():
             apply_operator(s, x, face_map(1, 0))       # acts on dimension 1
         with pytest.raises(InputError):
             apply_operator(s, x, degeneracy_map(2, 0))  # lands above trunc 2
+
+
+def test_generator_maps_are_memoized_and_reject_bad_indices_every_time():
+    for n in range(4):
+        assert identity_map(n) is MonotoneMap(n, list(range(n + 1)))
+        for i in range(n + 1):
+            assert degeneracy_map(n, i) is MonotoneMap(
+                n, sorted(list(range(n + 1)) + [i]))
+            if n:
+                assert face_map(n, i) is MonotoneMap(
+                    n, [v for v in range(n + 1) if v != i])
+    for _ in range(2):
+        for bad in [(0, 0), (2, 3), (2, -1)]:
+            with pytest.raises(InputError):
+                face_map(*bad)
+        for bad in [(1, 2), (1, -1)]:
+            with pytest.raises(InputError):
+                degeneracy_map(*bad)
+
+
+# ---------------------------------------------------------------------------
+# the per-set memos and interned simplicial maps
+
+def fresh_simplices(s, k):
+    """The k-simplices of s in canonical order, built without the memo."""
+    out = [NormalForm(eta, base) for j in range(k, -1, -1)
+           for eta in surjections(k, j) for base in s.nondeg[j]]
+    out.sort(key=lambda nf: (nf.eta.m - (len(set(nf.eta.values)) - 1),
+                             nf.base, nf.eta.values))
+    return out
+
+
+def test_memoized_simplices_generators_and_identity_equal_a_fresh_build():
+    for s in [standard_simplex(2, 3), boundary(2, 2), horn(2, 1, 3),
+              one_point(3)]:
+        for k in range(s.trunc + 1):
+            got = s.all_simplices(k)
+            assert isinstance(got, tuple)
+            assert list(got) == fresh_simplices(s, k)
+            assert s.all_simplices(k) is got
+            gens = s.generators(k)
+            assert list(gens) == (
+                [face_map(k, i) for i in range(k + 1) if k]
+                + [degeneracy_map(k, i) for i in range(k + 1) if k < s.trunc])
+            assert s.generators(k) is gens
+        ident = identity_smap(s)
+        assert (ident.src, ident.tgt, ident.name) == (s, s, "id")
+        assert ident.images == {x: nondeg(x, k) for k in range(s.trunc + 1)
+                                for x in s.nondeg[k]}
+        assert identity_smap(s) is ident
+        with pytest.raises(InputError):
+            s.all_simplices(s.trunc + 1)
+
+
+def test_interned_maps_and_memoized_composites_match_a_fresh_build():
+    maps = []
+    for seed in range(12):
+        fam = random_family(random.Random(seed), 2).family
+        maps.extend(fam.face_maps.values())
+        maps.extend(identity_smap(v) for v in fam.values.values())
+    assert maps
+    for f in maps:
+        assert SimplicialMap(f.src, f.tgt, dict(f.images), f.name) is f
+        for g in maps:
+            if g.src is not f.tgt:
+                continue
+            want = {x: apply_operator(g.tgt, g.images[nf.base], nf.eta)
+                    for x, nf in f.images.items()}
+            gf = compose_smaps(g, f)
+            assert (gf.src, gf.tgt, gf.name) == (f.src, g.tgt, "")
+            assert list(gf.images.items()) == list(want.items())
+            assert compose_smaps(g, f) is gf
+            assert SimplicialMap(f.src, g.tgt, want) is gf
+
+
+def test_equal_looking_sets_never_share_a_map():
+    a, b = standard_simplex(1, 2), standard_simplex(1, 2)
+    assert identity_smap(a) is not identity_smap(b)
+    assert identity_smap(a).images == identity_smap(b).images
+    images = dict(identity_smap(a).images)
+    assert SimplicialMap(a, a, images) is not SimplicialMap(b, b, images)
+    assert SimplicialMap(a, a, images) is not SimplicialMap(a, b, images)
+    assert SimplicialMap(a, a, images) is not SimplicialMap(a, a, images, "id")
+    assert SimplicialMap(a, a, images, "id") is identity_smap(a)
+    assert smap_equal(SimplicialMap(a, b, images), SimplicialMap(a, a, images))
+    ab = SimplicialMap(a, b, images)
+    assert compose_smaps(identity_smap(b), ab) is ab
+    assert compose_smaps(ab, identity_smap(a)) is ab
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +470,6 @@ def test_normalization_idempotent_on_all_simplices():
 
 
 def test_random_fiber_semidirect_validates():
-    import random
     from clubcat.generate import random_diagram
     from clubcat.semidirect import fiber_semidirect
     from clubcat.fincat import enumerate_functors, validate_category

@@ -3,18 +3,19 @@ import random
 import pytest
 
 from clubcat import sset_club
+from clubcat.algebra import column_point_map
 from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
-from clubcat.generate import random_family
+from clubcat.generate import (random_family, random_stability_sample,
+                              random_two_level)
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
-                             compose_maps, degeneracy_map, face_map,
-                             identity_smap, is_injective, iso_sset, nf_id,
-                             nondeg, one_point, product, standard_simplex,
-                             validate_bisimplicial, validate_smap,
-                             validate_sset)
+                             compose_maps, degeneracy_map, disjoint_union,
+                             face_map, identity_smap, is_injective, iso_sset,
+                             nf_id, nondeg, one_point, product,
+                             standard_simplex, validate_smap, validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                SimplexFamily, TwoLevelFamily,
-                               associativity_check, bisimplicial_of, compose,
+                               associativity_check, compose,
                                compose_club_morphisms, compose_morphism,
                                constant_family, constant_two_level,
                                delta_functor, delta_is_isomorphism,
@@ -22,6 +23,9 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                pair_category_sset, point_family, sset_equal,
                                unit_law_check, validate_club_morphism,
                                validate_family, validate_two_level)
+
+from bisimplicial_reference import (bisimplicial_of, column_sset,
+                                    reference_compose, validate_bisimplicial)
 
 
 def collapse_map(s, t):
@@ -38,7 +42,6 @@ def collapse_map(s, t):
 
 def chain_sset(trunc, sizes):
     """Disjoint points of the given sizes with collapse-to-first maps."""
-    from clubcat.simpset import disjoint_union
     out = []
     for size in sizes:
         s = one_point(trunc)
@@ -438,3 +441,137 @@ def test_family_with_empty_value():
     assert validate_sset(res.sset) == []
     # only the pairs over the vertex with a point fiber survive
     assert len(res.sset.nondeg[0]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the direct diagonal and columns against the whole bisimplicial set
+
+def assert_same_sset(a, b):
+    """Two simplicial sets agree table for table, in order."""
+    assert (a.name, a.trunc) == (b.name, b.trunc)
+    assert list(a.nondeg.items()) == list(b.nondeg.items())
+    assert list(a.faces.items()) == list(b.faces.items())
+
+
+def assert_same_presentation(got, want):
+    """Two (SimplicialSet, nf_of) pairs agree table for table, in order."""
+    assert_same_sset(got[0], want[0])
+    assert list(got[1].items()) == list(want[1].items())
+
+
+def assert_compose_matches_reference(x, part_fn=None):
+    res = compose(x, part_fn=part_fn)
+    sset, nf_of, parts_of, base_pair = reference_compose(x, part_fn=part_fn)
+    assert_same_presentation((res.sset, res.nf_of), (sset, nf_of))
+    assert list(res.base_pair.items()) == list(base_pair.items())
+    assert list(res.parts_of.items()) == list(parts_of.items())
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3])
+def test_compose_matches_the_bisimplicial_diagonal(trunc):
+    for seed in range(12):
+        x = random_family(random.Random(seed), trunc)
+        assert_compose_matches_reference(x)
+        assert_compose_matches_reference(
+            x, part_fn=lambda elt: (elt[1], "/", elt[0]))
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3])
+def test_columns_match_the_bisimplicial_columns(trunc):
+    for seed in range(12):
+        x = random_family(random.Random(seed), trunc)
+        for col in range(trunc + 1):
+            assert_same_presentation(
+                sset_club._pair_sset(x, col, f"col{col}T({x.base.name})"),
+                column_sset(bisimplicial_of(x), col))
+
+
+def test_column_point_maps_match_the_bisimplicial_columns():
+    rng = random.Random(3)
+    for _ in range(12):
+        m = random_stability_sample(rng, 2)
+        for col in range(3):
+            got = column_point_map(m, col)
+            s_lookup = m.src.base.normal_forms()
+
+            def pair_image(elt):
+                snf = s_lookup[elt[0]]
+                tnf = m.src.family.value(snf.base).normal_forms()[elt[1]]
+                return (nf_id(m.f.apply(snf)),
+                        nf_id(m.phi_at(snf).apply(tnf)))
+
+            src = column_sset(bisimplicial_of(m.src), col)
+            tgt = column_sset(bisimplicial_of(m.tgt), col)
+            images = {nf.base: tgt[1][(n, pair_image(elt))]
+                      for (n, elt), nf in src[1].items()
+                      if nf.is_nondegenerate()}
+            assert_same_sset(got.src, src[0])
+            assert_same_sset(got.tgt, tgt[0])
+            assert list(got.images.items()) == list(images.items())
+
+
+def test_c5_composites_match_the_bisimplicial_diagonal(monkeypatch):
+    """Every composite that the C5 associativity loop forms, with its own
+    part naming: the base pairs, the outer and inner-first composites and
+    the per-simplex inner composites."""
+    calls = []
+
+    def recording_compose(x, part_fn=None):
+        calls.append((x, part_fn))
+        return compose(x, part_fn=part_fn)
+
+    monkeypatch.setattr(sset_club, "compose", recording_compose)
+    rng = random.Random(5)
+    for _ in range(20):
+        assert associativity_check(random_two_level(rng, 3)) == []
+    monkeypatch.undo()
+    assert any(part_fn is not None for _, part_fn in calls)
+    for x, part_fn in calls:
+        assert_compose_matches_reference(x, part_fn=part_fn)
+
+
+# ---------------------------------------------------------------------------
+# negative controls for the law loops: a valid map with the right endpoints,
+# swapped in where the laws need another one
+
+def two_points(trunc):
+    return disjoint_union(one_point(trunc), one_point(trunc))
+
+
+def swap_map(t):
+    """The automorphism of two points exchanging them."""
+    return SimplicialMap(t, t, {"0:pt": nondeg("1:pt", 0),
+                                "1:pt": nondeg("0:pt", 0)})
+
+
+def test_swapped_face_map_breaks_functoriality():
+    s = standard_simplex(2, 2)
+    t = two_points(2)
+    fam = constant_family(s, t)
+    fam.face_maps[("012", 0)] = swap_map(t)
+    assert validate_smap(fam.face_maps[("012", 0)]) == []
+    report = validate_family(fam)
+    assert report
+    assert all(r.startswith("functoriality fails") for r in report)
+
+
+def test_swapped_s_map_breaks_transport_naturality():
+    s = standard_simplex(1, 1)
+    u = two_points(1)
+    tlf = constant_two_level(s, standard_simplex(1, 1), u)
+    tlf.s_maps[("01", 0, "01")] = swap_map(u)
+    report = validate_two_level(tlf)
+    assert report
+    assert all(r.startswith("transport naturality fails") for r in report)
+
+
+def test_swapped_s_maps_break_transport_coherence():
+    # every s_map along one face swapped alike keeps naturality; the two
+    # routes around the 2-simplex then disagree
+    s = standard_simplex(2, 2)
+    u = two_points(2)
+    tlf = constant_two_level(s, one_point(2), u)
+    tlf.s_maps[("012", 0, "pt")] = swap_map(u)
+    report = validate_two_level(tlf)
+    assert report
+    assert all(r.startswith("transport coherence fails") for r in report)
