@@ -8,7 +8,7 @@ from .fincat import (FinCategory, Functor, NatTrans, compose_functors,
                      find_isomorphism, validate_category)
 from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,
                       constantify, unit_diagram, validate_diagram)
-from .semidirect import (ClubStructure, associator, club_check,
+from .semidirect import (ClubStructure, Products, associator, club_check,
                          fiber_semidirect, semidirect_on_morphisms, unitors)
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       apply_operator, boundary, disjoint_union, ez_factor,

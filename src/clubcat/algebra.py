@@ -134,15 +134,19 @@ class _UnionFind:
             self.parent[max(px, py)] = min(px, py)
 
 
-def colimit_finset(d: FinSetDiagram, size_bound=10_000):
+# the most elements a colimit collapses: the values of all objects together
+COLIMIT_SIZE_BOUND = 10_000
+
+
+def colimit_finset(d: FinSetDiagram):
     """Classes of the disjoint union under all operator maps.
 
     Returns the sorted list of canonical representatives (object-index,
     element) plus the class map, deterministic in the listing orders.
     """
     total = sum(len(v) for v in d.values.values())
-    if total > size_bound:
-        raise InputError(f"colimit input larger than the bound {size_bound}")
+    if total > COLIMIT_SIZE_BOUND:
+        raise InputError(f"colimit input larger than the bound {COLIMIT_SIZE_BOUND}")
     index = {o: i for i, o in enumerate(d.cat.objects)}
     uf = _UnionFind()
     for o in d.cat.objects:
@@ -167,9 +171,9 @@ def colimit_finset(d: FinSetDiagram, size_bound=10_000):
     return by_name, named_classes
 
 
-def colimit_act(x: AlgebraObject, size_bound=10_000):
+def colimit_act(x: AlgebraObject):
     """The colimit of the diagram over the category of simplices."""
-    reps, _ = colimit_finset(x.diagram, size_bound)
+    reps, _ = colimit_finset(x.diagram)
     return reps
 
 
@@ -303,13 +307,14 @@ def induced_map(m: AlgebraMorphism, generator):
                         probe_image, "induced")
 
 
-def is_fibration(m: AlgebraMorphism, generators, max_dim=None):
-    """Injective on the base and horn-lifting on every point complex."""
+def is_fibration(m: AlgebraMorphism, generators):
+    """Injective on the base and horn-lifting on every point complex, up to
+    one below the truncation."""
     if not is_injective(m.f):
         return False, {"reason": "base map not injective"}
-    max_dim = max_dim if max_dim is not None else m.src.shape.trunc - 1
     for generator in generators:
-        ok, witness = is_kan_fibration(induced_map(m, generator), max_dim)
+        ok, witness = is_kan_fibration(induced_map(m, generator),
+                                       m.src.shape.trunc - 1)
         if not ok:
             return False, {"reason": "horn lift fails", "generator": list(generator),
                            "witness": witness}
@@ -319,7 +324,7 @@ def is_fibration(m: AlgebraMorphism, generators, max_dim=None):
 # ---------------------------------------------------------------------------
 # two-stage evaluation against one-stage evaluation
 
-def algebra_associativity_check(samples, size_bound=10_000):
+def algebra_associativity_check(samples):
     """Acting in two stages equals acting after composing, per sample.
 
     Each sample is a two-level family with discrete (finite-set) inner
@@ -327,7 +332,7 @@ def algebra_associativity_check(samples, size_bound=10_000):
     """
     report = []
     for idx, tlf in enumerate(samples):
-        for msg in two_stage_colimit_check(tlf, size_bound):
+        for msg in two_stage_colimit_check(tlf):
             report.append(f"sample {idx}: {msg}")
     return report
 
@@ -340,7 +345,7 @@ def _smap_function(f: SimplicialMap):
     return {x: f.images[x].base for x in f.src.nondeg[0]}
 
 
-def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
+def two_stage_colimit_check(tlf: TwoLevelFamily):
     """Collapsing after composing the club equals collapsing stagewise.
 
     The two-level family must take discrete values (finite sets as discrete
@@ -379,7 +384,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
     bad = validate_finset_diagram(one_stage)
     if bad:
         return [f"one-stage diagram: {r}" for r in bad]
-    reps_a, classes_a = colimit_finset(one_stage, size_bound)
+    reps_a, classes_a = colimit_finset(one_stage)
 
     # two stages: collapse each inner diagram, then collapse over the base
     s_cat = s.category()
@@ -400,7 +405,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
             f = _smap_function(tlf.chi[snf.base].transport(tnf, theta))
             imaps[t_mid] = {e: f[e] for e in ivalues[t_oid]}
         idiag = FinSetDiagram(v_cat, ivalues, imaps, name=f"inner({oid})")
-        reps, classes = colimit_finset(idiag, size_bound)
+        reps, classes = colimit_finset(idiag)
         inner_reps[oid] = reps
         inner_classes[oid] = classes
 
@@ -424,7 +429,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily, size_bound=10_000):
     bad = validate_finset_diagram(outer)
     if bad:
         return [f"two-stage diagram: {r}" for r in bad]
-    reps_b, classes_b = colimit_finset(outer, size_bound)
+    reps_b, classes_b = colimit_finset(outer)
 
     # canonical comparison: a one-stage generator lands in the two-stage class
     # of its own pair
@@ -508,7 +513,7 @@ def _product_type_map(m: ClubMorphismSSet):
     return phis[0]
 
 
-def sset_stability_check(samples, max_dim=None):
+def sset_stability_check(samples):
     """Desk-scale stability of the injective subcategory under composition.
 
     Each sample is a club-object morphism.  When the base map and every
@@ -520,7 +525,7 @@ def sset_stability_check(samples, max_dim=None):
     """
     report = []
     for idx, m in enumerate(samples):
-        md = max_dim if max_dim is not None else m.src.base.trunc - 1
+        md = m.src.base.trunc - 1
         res_src = compose(m.src)
         res_tgt = compose(m.tgt)
         composed = compose_morphism(m, res_src, res_tgt)

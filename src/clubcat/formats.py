@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import json
 
-from .config import SCHEMA_VERSION
-from .diagram import DiagramInCat, DiagramMorphism
+from .algebra import (AlgebraMorphism, AlgebraObject, FinSetDiagram,
+                      constant_algebra_object)
+from .config import DEFAULT_GUARDRAILS, SCHEMA_VERSION
+from .diagram import (DiagramInCat, DiagramMorphism, unit_diagram,
+                      validate_diagram)
 from .errors import InputError, SchemaError
 from .fincat import FinCategory, Functor, functor_key
 from .operads import NsOperad, SymOperad
+from .semidirect import ClubStructure, build_semidirect
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       nf_id)
 from .sset_club import ClubObjectSSet, SimplexFamily
@@ -337,9 +341,6 @@ def club_to_json(s):
 
 
 def club_from_json(data, guard=None, what="club"):
-    from .config import DEFAULT_GUARDRAILS
-    from .diagram import unit_diagram, validate_diagram
-    from .semidirect import ClubStructure, build_semidirect
     guard = guard or DEFAULT_GUARDRAILS
     carrier = diagram_from_json(_need(data, "carrier", what), f"{what} carrier")
     cap = _need_cap(data["cap"], what) if "cap" in data else None
@@ -399,7 +400,6 @@ def algebra_object_to_json(x):
 
 
 def algebra_object_from_json(data, what="algebra object"):
-    from .algebra import AlgebraObject, FinSetDiagram, constant_algebra_object
     shape = sset_from_json(_need(data, "shape", what), f"{what} shape")
     if "constant" in data:
         return constant_algebra_object(
@@ -422,7 +422,6 @@ def algebra_morphism_to_json(m):
 
 
 def algebra_morphism_from_json(data, what="algebra morphism"):
-    from .algebra import AlgebraMorphism
     src = algebra_object_from_json(_need(data, "src", what), f"{what} source")
     tgt = algebra_object_from_json(_need(data, "tgt", what), f"{what} target")
     f = smap_images_from_json(_need(data, "shape_map", what), src.shape,

@@ -12,17 +12,18 @@ import random
 from .config import DEFAULT_GUARDRAILS
 from .diagram import DiagramInCat
 from .errors import GuardrailExceeded
-from .fincat import (FinCategory, discrete_category, enumerate_functors,
-                     identity_functor, walking_arrow)
-from .operads import (NsOperad, associative_operad, cyclic_group_operad,
-                      free_operad, monoid_operad, Collection,
-                      validate_ns_operad)
+from .fincat import (FinCategory, compose_functors, discrete_category,
+                     enumerate_functors, identity_functor, walking_arrow)
+from .operads import (NsOperad, _composable_tuples, associative_operad,
+                      cyclic_group_operad, free_operad, monoid_operad,
+                      Collection, validate_ns_operad)
 from .semidirect import build_semidirect, fiber_semidirect, product_objects
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, SimplexFamily,
-                        TwoLevelFamily, constant_family)
+                        TwoLevelFamily, constant_family, constant_two_level,
+                        identity_club_morphism)
 
 
 # ---------------------------------------------------------------------------
@@ -68,37 +69,34 @@ def vee_category(kind):
     return FinCategory(["a", "b", "c"], morphisms, identities, comp, name=kind)
 
 
-def random_base(rng: random.Random, max_objects=3):
+def random_base(rng: random.Random):
+    """A thin base of at most three objects."""
     roll = rng.random()
     if roll < 0.35:
-        return discrete_category(
-            [f"d{i}" for i in range(rng.randint(1, max_objects))])
+        return discrete_category([f"d{i}" for i in range(rng.randint(1, 3))])
     if roll < 0.6:
         return walking_arrow()
-    if roll < 0.8 and max_objects >= 3:
+    if roll < 0.8:
         return vee_category(rng.choice(["span", "cospan"]))
-    return chain_category([f"c{i}" for i in range(rng.randint(2, max_objects))])
+    return chain_category([f"c{i}" for i in range(rng.randint(2, 3))])
 
 
-def random_fiber(rng: random.Random, max_objects=3, allow_arrow=True):
-    roll = rng.random()
-    if allow_arrow and roll < 0.15:
+def random_fiber(rng: random.Random):
+    """The walking arrow, or a discrete category of at most three objects."""
+    if rng.random() < 0.15:
         return walking_arrow()
-    sizes = [0, 1, 1, 1, 2, 2] + ([3] if max_objects >= 3 else [])
-    n = rng.choice(sizes)
+    n = rng.choice([0, 1, 1, 1, 2, 2, 3])
     return discrete_category([f"f{i}" for i in range(n)])
 
 
-def random_diagram(rng: random.Random, max_base=3, max_fiber=3,
-                   allow_arrow_fibers=True, name="rand"):
+def random_diagram(rng: random.Random, name="rand"):
     """A small valid diagram: thin base, random fibers, coherent fiber maps.
 
     Fiber functors are chosen on the covering arrows and composed along the
     unique paths of the thin base, so functoriality holds by construction.
     """
-    base = random_base(rng, max_base)
-    fibers = {d: random_fiber(rng, max_fiber, allow_arrow_fibers)
-              for d in base.objects}
+    base = random_base(rng)
+    fibers = {d: random_fiber(rng) for d in base.objects}
     fiber_mor = {}
     for d in base.objects:
         fiber_mor[base.identity(d)] = identity_functor(fibers[d])
@@ -110,8 +108,7 @@ def random_diagram(rng: random.Random, max_base=3, max_fiber=3,
         s, t = base.src[m], base.tgt[m]
         cands = enumerate_functors(fibers[s], fibers[t])
         if not cands:
-            return random_diagram(rng, max_base, max_fiber,
-                                  allow_arrow_fibers, name)
+            return random_diagram(rng, name)
         direct[m] = cands
     # fill in dependency order: composites forced when both factors chosen
     chosen = {}
@@ -124,7 +121,6 @@ def random_diagram(rng: random.Random, max_base=3, max_fiber=3,
         if m in forced:
             continue
         chosen[m] = rng.choice(direct[m])
-    from .fincat import compose_functors
     for m, (g, f) in forced.items():
         chosen[m] = compose_functors(chosen[g], chosen[f])
     fiber_mor.update(chosen)
@@ -151,16 +147,16 @@ def _product_fibers(x: DiagramInCat, y: DiagramInCat):
             for d, psi in product_objects(x, y).values()]
 
 
-def random_triple(rng: random.Random, product_budget=150, tries=80,
-                  guard=DEFAULT_GUARDRAILS):
-    """Three random diagrams whose iterated products stay under the budget.
+def random_triple(rng: random.Random):
+    """Three random diagrams whose three-fold products have at most 150
+    objects, from at most 80 draws.
 
     Checks the intermediate pair fibers against the fiber guardrail so the
     three-fold products on both sides are constructible.  Every filter is a
     function of the three diagrams and draws nothing, and each product is
     built only as far as the filters reached so far need it.
     """
-    for _ in range(tries):
+    for _ in range(80):
         x = random_diagram(rng, name="X")
         y = random_diagram(rng, name="Y")
         z = random_diagram(rng, name="Z")
@@ -171,16 +167,16 @@ def random_triple(rng: random.Random, product_budget=150, tries=80,
             fib_yz = _product_fibers(y, z)
         except GuardrailExceeded:
             continue
-        bound = guard.max_fiber_morphisms
+        bound = DEFAULT_GUARDRAILS.max_fiber_morphisms
         if _max_fiber_morphisms(fib_xy) > bound:
             continue
         if _max_fiber_morphisms(fib_yz) > bound:
             continue
         try:
-            if _predicted_product_objects(fib_xy, z.base) > product_budget:
+            if _predicted_product_objects(fib_xy, z.base) > 150:
                 continue
             base_yz = build_semidirect(y, z).diagram.base
-            if _predicted_product_objects(_fibers(x), base_yz) > product_budget:
+            if _predicted_product_objects(_fibers(x), base_yz) > 150:
                 continue
         except GuardrailExceeded:
             continue
@@ -224,7 +220,6 @@ def singleton_arity_operad(arities, cap, name="levels"):
     """Singleton levels on an arity set closed under in-cap composition."""
     levels = {n: [f"u{n}"] for n in arities if n <= cap}
     op = NsOperad(cap, levels, f"u1", {}, name=name)
-    from .operads import _composable_tuples
     gamma = {}
     for (p, args) in _composable_tuples(op):
         total = sum(op.arity_of(q) for q in args)
@@ -398,7 +393,6 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
     if not discrete and rng.random() < 0.4:
         t = sset_pool(rng, trunc)
         u = sset_pool(rng, trunc)
-        from .sset_club import constant_two_level
         return constant_two_level(s, t, u)
     t = rng.choice([standard_simplex(1, trunc), standard_simplex(0, trunc)])
     chain, steps = random_chain(rng, trunc, length=4, discrete=discrete)
@@ -432,7 +426,6 @@ def random_stability_sample(rng: random.Random, trunc):
     """Morphisms of club objects exercising the stability checks."""
     roll = rng.random()
     if roll < 0.3:
-        from .sset_club import identity_club_morphism
         return identity_club_morphism(random_family(rng, trunc))
     s = base_pool(rng, trunc)
     if roll < 0.65:

@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
-from .diagram import DiagramInCat, DiagramMorphism, unit_diagram
+from .diagram import (DiagramInCat, DiagramMorphism, unit_diagram,
+                      validate_diagram_morphism)
 from .errors import InputError
 from .fincat import (FinCategory, Functor, discrete_category,
                      identity_functor, ordinal_category, terminal_category)
@@ -787,7 +788,6 @@ class SymInclusionResult:
 def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
     """The inclusion of the product of the symmetric encoding into the encoded
     symmetric composite, with injectivity and surjectivity diagnostics."""
-    from .diagram import validate_diagram_morphism
     enc = encode_sym(p)
     prod = _square_within_cap(enc, p.cap, guard)
     comp = sym_circ(p)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
-from .diagram import (DiagramInCat, DiagramMorphism, diagram_morphism_equal,
-                      identity_diagram_morphism, unit_diagram,
-                      validate_diagram, validate_diagram_morphism)
+from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,
+                      diagram_morphism_equal, identity_diagram_morphism,
+                      unit_diagram, validate_diagram,
+                      validate_diagram_morphism)
 from .errors import GuardrailExceeded, InputError
 from .fincat import (FinCategory, Functor, compose_functors,
                      enumerate_functors, enumerate_nat_trans, functor_key,
@@ -147,7 +148,9 @@ def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
     """Yield (rank, psi) in lexicographic order, honouring an optional key filter.
 
     The rank is the position in the full enumeration so that ids agree
-    between restricted and unrestricted builds of the same product.
+    between restricted and unrestricted builds of the same product.  A
+    discrete fiber's functors are built one at a time, so a caller that
+    stops early builds no more of them.
     """
     if _is_discrete(fiber):
         objs = fiber.objects
@@ -161,8 +164,6 @@ def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
         weights = [n ** (len(objs) - 1 - i) for i in range(len(objs))]
         obj_index = {o: i for i, o in enumerate(target.objects)}
 
-        out = []
-
         def rec(i, chosen):
             if prefixes is not None and tuple(chosen) not in prefixes:
                 return
@@ -173,24 +174,22 @@ def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
                 key = functor_key(psi)
                 if keep_keys is None or key in keep_keys:
                     rank = sum(weights[j] * obj_index[chosen[j]] for j in range(len(objs)))
-                    out.append((rank, psi))
+                    yield rank, psi
                 return
             for o in target.objects:
                 chosen.append(o)
-                rec(i + 1, chosen)
+                yield from rec(i + 1, chosen)
                 chosen.pop()
 
-        rec(0, [])
-        return out
+        yield from rec(0, [])
+        return
     bound = len(target.objects) ** max(1, len(fiber.objects))
     if bound > 200_000:
         raise GuardrailExceeded(
             f"functor enumeration bound {bound} too large for a non-discrete fiber")
-    out = []
     for rank, psi in enumerate(enumerate_functors(fiber, target, guard.max_enum_morphisms)):
         if keep_keys is None or functor_key(psi) in keep_keys:
-            out.append((rank, psi))
-    return out
+            yield rank, psi
 
 
 class SemidirectProduct:
@@ -344,48 +343,69 @@ def semidirect(x: DiagramInCat, y: DiagramInCat,
     return build_semidirect(x, y, guard).diagram
 
 
+class Products:
+    """The full products of one sample, each built once.
+
+    ``products(x, y)`` is ``build_semidirect(x, y, guard)``, kept under the
+    identities of its factors; a kept product holds both factors, so their
+    ids cannot be reused while the table lives.  ``unit`` is the one unit
+    diagram of the sample: the unitors and the triangle build their products
+    with 1 on it.  Make one table per sample and drop it with the sample.
+    """
+
+    def __init__(self, guard: Guardrails = DEFAULT_GUARDRAILS):
+        self.guard = guard
+        self.unit = unit_diagram()
+        self._built = {}
+
+    def __call__(self, x: DiagramInCat, y: DiagramInCat):
+        key = (id(x), id(y))
+        p = self._built.get(key)
+        if p is None:
+            p = self._built[key] = build_semidirect(x, y, self.guard)
+        return p
+
+
 # ---------------------------------------------------------------------------
 # functoriality of the product
 
 def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
-                            p_src: SemidirectProduct = None,
-                            p_tgt: SemidirectProduct = None,
-                            guard: Guardrails = DEFAULT_GUARDRAILS):
-    """The product morphism a ⋉ b: X1 ⋉ Y1 -> X2 ⋉ Y2.
+                            products: Products):
+    """The product morphism a ⋉ b: X1 ⋉ Y1 -> X2 ⋉ Y2, between the products
+    of the table ``products``.
 
     On objects, (d, psi) goes to (A(d), B ∘ psi ∘ rho^A_d); fiber components
     send a pair (a', b') to (rho^A(a'), rho^B(b')).
     """
-    x1, y1 = a.src, b.src
-    x2, y2 = a.tgt, b.tgt
-    p_src = p_src if p_src is not None else build_semidirect(x1, y1, guard)
-    p_tgt = p_tgt if p_tgt is not None else build_semidirect(x2, y2, guard)
+    x1, x2 = a.src, a.tgt
+    p1 = products(x1, b.src)
+    p2 = products(x2, b.tgt)
 
     fa = a.base_functor
     fb = b.base_functor
     omap, mmap = {}, {}
-    for oid, (d, psi) in p_src.obj_data.items():
+    for oid, (d, psi) in p1.obj_data.items():
         shifted = compose_functors(fb, compose_functors(psi, a.rho[d]))
-        omap[oid] = p_tgt.obj_id[(fa.omap[d], functor_key(shifted))]
-    for mid, (f, phi) in p_src.mor_data.items():
+        omap[oid] = p2.obj_id[(fa.omap[d], functor_key(shifted))]
+    for mid, (f, phi) in p1.mor_data.items():
         d1 = x1.base.src[f]
         rho_a = a.rho[d1]
         fiber2 = x2.fiber_obj[fa.omap[d1]]
         comps = tuple(fb.mmap[phi.components[rho_a.omap[ap]]]
                       for ap in fiber2.objects)
-        s1 = p_src.diagram.base.src[mid]
-        t1 = p_src.diagram.base.tgt[mid]
-        mmap[mid] = p_tgt.mor_id[(omap[s1], omap[t1], fa.mmap[f], comps)]
-    base = Functor(p_src.diagram.base, p_tgt.diagram.base, omap, mmap)
+        s1 = p1.diagram.base.src[mid]
+        t1 = p1.diagram.base.tgt[mid]
+        mmap[mid] = p2.mor_id[(omap[s1], omap[t1], fa.mmap[f], comps)]
+    base = Functor(p1.diagram.base, p2.diagram.base, omap, mmap)
 
     rho = {}
-    for oid, (d, psi) in p_src.obj_data.items():
+    for oid, (d, psi) in p1.obj_data.items():
         rho_a = a.rho[d]
         rho[oid] = _pair_functor(
-            p_tgt.fibers[omap[oid]], p_src.fibers[oid], rho_a,
+            p2.fibers[omap[oid]], p1.fibers[oid], rho_a,
             lambda ap: b.rho[psi.omap[rho_a.omap[ap]]])
 
-    return DiagramMorphism(p_src.diagram, p_tgt.diagram, base, rho,
+    return DiagramMorphism(p1.diagram, p2.diagram, base, rho,
                            name=f"({a.name}|x|{b.name})")
 
 
@@ -399,7 +419,6 @@ class IsoPair:
 
 
 def _verify_iso(pair: IsoPair):
-    from .diagram import compose_diagram_morphisms
     problems = validate_diagram_morphism(pair.forward)
     problems += validate_diagram_morphism(pair.inverse)
     if problems:
@@ -425,17 +444,17 @@ class AssociatorResult:
 
 
 def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
-               guard: Guardrails = DEFAULT_GUARDRAILS,
-               p_xy=None, p_xy_z=None, p_yz=None, p_x_yz=None):
+               products: Products):
     """The rebracketing isomorphism (X⋉Y)⋉Z -> X⋉(Y⋉Z), with verified inverse.
 
     The object formula is currying: ((d, psi), chi) goes to (d, a -> (psi(a),
-    chi restricted to the pairs over a)).
+    chi restricted to the pairs over a)).  The four products come from
+    ``products`` in the order X⋉Y, (X⋉Y)⋉Z, Y⋉Z, X⋉(Y⋉Z).
     """
-    p_xy = p_xy or build_semidirect(x, y, guard)
-    p_xy_z = p_xy_z or build_semidirect(p_xy.diagram, z, guard)
-    p_yz = p_yz or build_semidirect(y, z, guard)
-    p_x_yz = p_x_yz or build_semidirect(x, p_yz.diagram, guard)
+    p_xy = products(x, y)
+    p_xy_z = products(p_xy.diagram, z)
+    p_yz = products(y, z)
+    p_x_yz = products(x, p_yz.diagram)
 
     omap, mmap = {}, {}
     curried = {}
@@ -612,10 +631,10 @@ def _curry_theta(fib, psi, y, phi, rf, theta, xi1, xi2, mor_id):
 # ---------------------------------------------------------------------------
 # unitors
 
-def right_unitor(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS,
-                 product: SemidirectProduct = None):
-    """The isomorphism X ⋉ 1 -> X (with verified inverse)."""
-    p = product if product is not None else build_semidirect(x, unit_diagram(), guard)
+def right_unitor(x: DiagramInCat, products: Products):
+    """The isomorphism X ⋉ 1 -> X (with verified inverse), out of
+    ``products(x, products.unit)``."""
+    p = products(x, products.unit)
     one = terminal_category()
     omap, mmap = {}, {}
     for oid, (d, psi) in p.obj_data.items():
@@ -647,13 +666,13 @@ def right_unitor(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS,
         fmmap = {qid: data[0] for qid, data in fib.mor_data.items()}
         rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
     inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="runit_inv")
-    return _verify_iso(IsoPair(forward, inverse)), p
+    return _verify_iso(IsoPair(forward, inverse))
 
 
-def left_unitor(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS,
-                product: SemidirectProduct = None):
-    """The isomorphism 1 ⋉ X -> X (with verified inverse)."""
-    p = product if product is not None else build_semidirect(unit_diagram(), x, guard)
+def left_unitor(x: DiagramInCat, products: Products):
+    """The isomorphism 1 ⋉ X -> X (with verified inverse), out of
+    ``products(products.unit, x)``."""
+    p = products(products.unit, x)
     one = terminal_category()
     omap, mmap = {}, {}
     for oid, (star, psi) in p.obj_data.items():
@@ -687,74 +706,48 @@ def left_unitor(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS,
         fmmap = {qid: data[2] for qid, data in fib.mor_data.items()}
         rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
     inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="lunit_inv")
-    return _verify_iso(IsoPair(forward, inverse)), p
+    return _verify_iso(IsoPair(forward, inverse))
 
 
-def unitors(x: DiagramInCat, guard: Guardrails = DEFAULT_GUARDRAILS):
+def unitors(x: DiagramInCat, products: Products):
     """Both unit isomorphisms (left, right), each with a verified inverse."""
-    left, _ = left_unitor(x, guard)
-    right, _ = right_unitor(x, guard)
-    return left, right
+    return left_unitor(x, products), right_unitor(x, products)
 
 
 # ---------------------------------------------------------------------------
 # coherence identities
 
-def triangle_check(x: DiagramInCat, y: DiagramInCat,
-                   guard: Guardrails = DEFAULT_GUARDRAILS):
+def triangle_check(x: DiagramInCat, y: DiagramInCat, products: Products):
     """(id_X ⋉ lunit_Y) ∘ assoc = runit_X ⋉ id_Y as maps (X⋉1)⋉Y -> X⋉Y."""
-    from .diagram import compose_diagram_morphisms
-    u = unit_diagram()
-    assoc = associator(x, u, y, guard)
-    lu, p_uy = left_unitor(y, guard, product=assoc.p_yz)
-    ru, p_xu = right_unitor(x, guard, product=assoc.p_xy)
-    p_xy = build_semidirect(x, y, guard)
+    assoc = associator(x, products.unit, y, products)
+    lu = left_unitor(y, products)
+    ru = right_unitor(x, products)
     left_path = compose_diagram_morphisms(
-        semidirect_on_morphisms(identity_diagram_morphism(x), lu.forward,
-                                p_src=assoc.p_x_yz, p_tgt=p_xy, guard=guard),
+        semidirect_on_morphisms(identity_diagram_morphism(x), lu.forward, products),
         assoc.iso.forward)
     right_path = semidirect_on_morphisms(
-        ru.forward, identity_diagram_morphism(y),
-        p_src=assoc.p_xy_z, p_tgt=p_xy, guard=guard)
+        ru.forward, identity_diagram_morphism(y), products)
     return diagram_morphism_equal(left_path, right_path)
 
 
-def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat,
-                   guard: Guardrails = DEFAULT_GUARDRAILS):
+def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat, products: Products):
     """The two rebracketing paths ((W⋉X)⋉Y)⋉Z -> W⋉(X⋉(Y⋉Z)) agree.
 
-    ``a_wxy`` is ``associator(w, x, y)``, whose inverse that call has already
-    verified; W, X and Y are read from its products, so only the products
-    involving Z are built here.
+    ``a_wxy`` is ``associator(w, x, y, products)``, whose inverse that call
+    has already verified; W, X and Y are read from its products, so only
+    the products involving Z are built here, ((W⋉X)⋉Y)⋉Z first.
     """
-    from .diagram import compose_diagram_morphisms
     w, x, y = a_wxy.p_xy.left, a_wxy.p_xy.right, a_wxy.p_yz.right
-    p_wx = a_wxy.p_xy
-    p_wx_y = a_wxy.p_xy_z
-    p_xy = a_wxy.p_yz
-    p_w_xy = a_wxy.p_x_yz
-    a_wx_y_z = associator(p_wx.diagram, y, z, guard, p_xy=p_wx_y)
-    p_wx_y_z = a_wx_y_z.p_xy_z
-    p_yz = a_wx_y_z.p_yz
-    p_wx_yz = a_wx_y_z.p_x_yz
-    a_xyz = associator(x, y, z, guard, p_xy=p_xy, p_yz=p_yz)
-    p_xy_z = a_xyz.p_xy_z
-    p_x_yz = a_xyz.p_x_yz
-    a_w_xy_z = associator(w, p_xy.diagram, z, guard,
-                          p_xy=p_w_xy, p_yz=p_xy_z)
-    p_w_xy_z = a_w_xy_z.p_xy_z
-    p_w_xy_z2 = a_w_xy_z.p_x_yz
-    a_w_x_yz = associator(w, x, p_yz.diagram, guard,
-                          p_xy=p_wx, p_xy_z=p_wx_yz, p_yz=p_x_yz)
+    a_wx_y_z = associator(a_wxy.p_xy.diagram, y, z, products)
+    a_xyz = associator(x, y, z, products)
+    a_w_xy_z = associator(w, a_wxy.p_yz.diagram, z, products)
+    a_w_x_yz = associator(w, x, a_wx_y_z.p_yz.diagram, products)
 
     path1 = compose_diagram_morphisms(a_w_x_yz.iso.forward, a_wx_y_z.iso.forward)
     step1 = semidirect_on_morphisms(a_wxy.iso.forward,
-                                    identity_diagram_morphism(z),
-                                    p_src=p_wx_y_z, p_tgt=p_w_xy_z, guard=guard)
+                                    identity_diagram_morphism(z), products)
     step3 = semidirect_on_morphisms(identity_diagram_morphism(w),
-                                    a_xyz.iso.forward,
-                                    p_src=p_w_xy_z2, p_tgt=a_w_x_yz.p_x_yz,
-                                    guard=guard)
+                                    a_xyz.iso.forward, products)
     path2 = compose_diagram_morphisms(
         step3, compose_diagram_morphisms(a_w_xy_z.iso.forward, step1))
     return diagram_morphism_equal(path1, path2)
@@ -783,9 +776,10 @@ class ClubStructure:
 
 def trivial_club(guard: Guardrails = DEFAULT_GUARDRAILS):
     """The one-object club: carrier the unit diagram, multiplication the unitor."""
-    u = unit_diagram()
-    iso, p = left_unitor(u, guard)
-    return ClubStructure(u, p, iso.forward, identity_diagram_morphism(u))
+    products = Products(guard)
+    u = products.unit
+    return ClubStructure(u, products(u, u), left_unitor(u, products).forward,
+                         identity_diagram_morphism(u))
 
 
 def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
@@ -879,10 +873,10 @@ def _unit_laws(s, p, guard, note, e_obj):
                                    {m: c.base.identity(value) for m in fiber.mor_ids}))
 
     # left unit: mu ∘ (eta ⋉ id) against the left unitor on 1 ⋉ C
+    products = Products(guard)
     fiber_e = c.fiber_obj[e_obj]
-    p_uc = build_semidirect(unit_diagram(), c, guard)
-    lu, _ = left_unitor(c, guard, product=p_uc)
-    if _unit_half(s.mu, p, p_uc, lu.forward, note, "left",
+    lu = left_unitor(c, products)
+    if _unit_half(s.mu, p, products(products.unit, c), lu.forward, note, "left",
                   lambda yv: (e_obj, constant_key(fiber_e, yv)),
                   lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
                   lambda a, b: ("*", b),
@@ -890,9 +884,8 @@ def _unit_laws(s, p, guard, note, e_obj):
         return True
 
     # right unit: mu ∘ (id ⋉ eta) against the right unitor on C ⋉ 1
-    p_cu = build_semidirect(c, unit_diagram(), guard)
-    ru, _ = right_unitor(c, guard, product=p_cu)
-    return _unit_half(s.mu, p, p_cu, ru.forward, note, "right",
+    ru = right_unitor(c, products)
+    return _unit_half(s.mu, p, products(c, products.unit), ru.forward, note, "right",
                       lambda d: (d, constant_key(c.fiber_obj[d], e_obj)),
                       lambda f: (f, tuple(id_e for _ in
                                           c.fiber_obj[c.base.src[f]].objects)),

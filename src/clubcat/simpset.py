@@ -738,10 +738,10 @@ def simplex_category(s: SimplicialSet):
                            name=f"S({s.name})")
 
 
-def smap_functor(f: SimplicialMap, src_cat=None, tgt_cat=None):
+def smap_functor(f: SimplicialMap):
     """The induced functor between categories of simplices."""
-    src_cat = src_cat if src_cat is not None else simplex_category(f.src)
-    tgt_cat = tgt_cat if tgt_cat is not None else simplex_category(f.tgt)
+    src_cat = f.src.category()
+    tgt_cat = f.tgt.category()
     omap, mmap = {}, {}
     for oid, nf in src_cat.simplex_of.items():
         omap[oid] = nf_id(f.apply(nf))
@@ -871,7 +871,6 @@ def is_kan_fibration(f: SimplicialMap, max_dim):
     for n in range(1, max_dim + 1):
         for k in range(n + 1):
             h = horn(n, k, src.trunc)
-            dd = standard_simplex(n, src.trunc)
             top = _subset_id(list(range(n + 1)))
             horn_face_ids = [_subset_id([v for v in range(n + 1) if v != i])
                              for i in range(n + 1)]

@@ -347,12 +347,11 @@ def pair_category_sset(x: ClubObjectSSet):
     return PairCategorySSet(cat, obj_id, obj_data, mor_id, mor_data)
 
 
-def delta_functor(res: ComposeResult, pairs: PairCategorySSet = None):
+def delta_functor(res: ComposeResult, pairs: PairCategorySSet):
     """The comparison functor from the composite's simplex category into the
-    pair category, sending a diagonal simplex to its pair and an operator to
-    the operator acting in both directions.  Whether it is a functor is a
-    law: check it with ``validate_functor``."""
-    pairs = pairs if pairs is not None else pair_category_sset(res.source)
+    pair category ``pairs`` of ``res.source``, sending a diagonal simplex to
+    its pair and an operator to the operator acting in both directions.
+    Whether it is a functor is a law: check it with ``validate_functor``."""
     t_cat = res.sset.category()
     omap, mmap = {}, {}
     for oid in t_cat.objects:
@@ -366,10 +365,9 @@ def delta_functor(res: ComposeResult, pairs: PairCategorySSet = None):
     return Functor(t_cat, pairs.cat, omap, mmap)
 
 
-def delta_is_isomorphism(res: ComposeResult, pairs: PairCategorySSet = None):
-    """Whether the comparison functor is bijective on objects (it is not, in
-    general: off-diagonal pairs are never hit)."""
-    pairs = pairs if pairs is not None else pair_category_sset(res.source)
+def delta_is_isomorphism(res: ComposeResult, pairs: PairCategorySSet):
+    """Whether the comparison functor into ``pairs`` is bijective on objects
+    (it is not, in general: off-diagonal pairs are never hit)."""
     t_cat = res.sset.category()
     return len(t_cat.objects) == len(pairs.cat.objects)
 
@@ -442,11 +440,10 @@ def compose_club_morphisms(b: ClubMorphismSSet, a: ClubMorphismSSet):
     return ClubMorphismSSet(a.src, b.tgt, compose_smaps(b.f, a.f), phi)
 
 
-def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult = None,
-                     res_tgt: ComposeResult = None):
-    """The induced map of composites: (s, t) goes to (f(s), phi_s(t))."""
-    res_src = res_src if res_src is not None else compose(m.src)
-    res_tgt = res_tgt if res_tgt is not None else compose(m.tgt)
+def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult,
+                     res_tgt: ComposeResult):
+    """The induced map of composites ``res_src`` -> ``res_tgt`` of ``m``'s
+    source and target: (s, t) goes to (f(s), phi_s(t))."""
     images = {}
     for k in range(res_src.sset.trunc + 1):
         for uid in res_src.sset.nondeg[k]:
@@ -728,7 +725,7 @@ def sset_equal(a: SimplicialSet, b: SimplicialSet):
     return True
 
 
-def associativity_check(tlf: TwoLevelFamily, validate=True):
+def associativity_check(tlf: TwoLevelFamily):
     """Both evaluation orders of a two-level family give the same composite.
 
     The one-step-at-a-time composite composes the base pair first and then
@@ -737,10 +734,9 @@ def associativity_check(tlf: TwoLevelFamily, validate=True):
     under canonical naming must agree strictly.
     """
     report = []
-    if validate:
-        bad = validate_two_level(tlf)
-        if bad:
-            return [f"input: {r}" for r in bad]
+    bad = validate_two_level(tlf)
+    if bad:
+        return [f"input: {r}" for r in bad]
     s = tlf.base
     s_lookup = s.normal_forms()
 

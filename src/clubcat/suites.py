@@ -21,9 +21,9 @@ from .operads import (NsOperad, associative_operad, club_round_trips,
                       free_operad, ns_iso_check, operad_to_club,
                       swap_pair_operad, sym_inclusion, sym_operad_to_club,
                       symmetric_associative_operad)
-from .semidirect import (associator, build_semidirect, club_check,
-                         pentagon_check, product_objects, semidirect,
-                         triangle_check, trivial_club, unitors)
+from .semidirect import (Products, associator, club_check, pentagon_check,
+                         product_objects, semidirect, triangle_check,
+                         trivial_club, unitors)
 from .simpset import (SimplicialMap, apply_operator, boundary,
                       degeneracy_map, disjoint_union, iso_sset,
                       is_kan_fibration, nondeg, one_point, product,
@@ -92,8 +92,9 @@ def _monoidal_laws(suite, config):
     while done < samples:
         try:
             x, y, z = gen.random_triple(rng)
-            p_xy = build_semidirect(x, y, guard)
-            p_yz = build_semidirect(y, z, guard)
+            products = Products(guard)
+            p_xy = products(x, y)
+            p_yz = products(y, z)
             # the associator's other two products trip here if they would
             # trip there: every refusal happens in their object phase
             n_xy_z = len(product_objects(p_xy.diagram, z, guard))
@@ -109,14 +110,14 @@ def _monoidal_laws(suite, config):
                     gen.random_tiny_diagram(rng)
                 resampled += 1
                 continue
-            res = associator(x, y, z, guard, p_xy=p_xy, p_yz=p_yz)
-            lu, ru = unitors(x, guard)
-            tri = triangle_check(x, y, guard)
+            res = associator(x, y, z, products)
+            unitors(x, products)
+            tri = triangle_check(x, y, products)
             pent = None
             for _ in range(3):
                 w = gen.random_tiny_diagram(rng)
                 try:
-                    pent = pentagon_check(res, w, guard)
+                    pent = pentagon_check(res, w, products)
                     break
                 except GuardrailExceeded:
                     continue

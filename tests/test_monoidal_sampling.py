@@ -18,8 +18,9 @@ from clubcat.config import DEFAULT_GUARDRAILS
 from clubcat.errors import GuardrailExceeded
 from clubcat.fincat import enumerate_functors, find_isomorphism
 from clubcat.formats import diagram_to_json, to_json_string
-from clubcat.semidirect import (associator, build_semidirect, pentagon_check,
-                                semidirect, triangle_check, unitors)
+from clubcat.semidirect import (Products, associator, build_semidirect,
+                                pentagon_check, semidirect, triangle_check,
+                                unitors)
 from clubcat.suites import run_suite
 
 
@@ -94,14 +95,15 @@ def reference_monoidal_laws(suite, config):
     while done < samples:
         try:
             x, y, z = reference_random_triple(rng)
-            res = associator(x, y, z, guard)
-            unitors(x, guard)
-            tri = triangle_check(x, y, guard)
+            products = Products(guard)
+            res = associator(x, y, z, products)
+            unitors(x, products)
+            tri = triangle_check(x, y, products)
             pent = None
             for _ in range(3):
                 w = gen.random_tiny_diagram(rng)
                 try:
-                    pent = pentagon_check(res, w, guard)
+                    pent = pentagon_check(res, w, products)
                     break
                 except GuardrailExceeded:
                     continue

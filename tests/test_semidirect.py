@@ -13,9 +13,9 @@ from clubcat.fincat import (FinCategory, Functor, constant_functor,
                             find_isomorphism, functor_key, identity_functor,
                             terminal_category, validate_category,
                             walking_arrow)
-from clubcat.semidirect import (associator, build_semidirect, club_check,
-                                fiber_semidirect, left_unitor, pentagon_check,
-                                product_objects, right_unitor, semidirect,
+from clubcat.semidirect import (Products, associator, build_semidirect,
+                                club_check, fiber_semidirect, pentagon_check,
+                                product_objects, semidirect,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
 
@@ -156,11 +156,11 @@ def test_product_objects_refuse_what_the_build_refuses():
 def test_id_product_is_id():
     x = arrow_diagram()
     y = discrete_diagram(["u"], [1])
-    p = build_semidirect(x, y)
+    products = Products()
     m = semidirect_on_morphisms(identity_diagram_morphism(x),
-                                identity_diagram_morphism(y),
-                                p_src=p, p_tgt=p)
-    assert diagram_morphism_equal(m, identity_diagram_morphism(p.diagram))
+                                identity_diagram_morphism(y), products)
+    assert diagram_morphism_equal(
+        m, identity_diagram_morphism(products(x, y).diagram))
 
 
 def test_interchange_on_composites():
@@ -175,13 +175,12 @@ def test_interchange_on_composites():
     y = discrete_diagram(["u", "v"], [1, 1])
     b1 = identity_diagram_morphism(y)
     b2 = identity_diagram_morphism(y)
-    p = build_semidirect(x, y)
+    products = Products()
     lhs = semidirect_on_morphisms(compose_diagram_morphisms(a2, a1),
-                                  compose_diagram_morphisms(b2, b1),
-                                  p_src=p, p_tgt=p)
+                                  compose_diagram_morphisms(b2, b1), products)
     rhs = compose_diagram_morphisms(
-        semidirect_on_morphisms(a2, b2, p_src=p, p_tgt=p),
-        semidirect_on_morphisms(a1, b1, p_src=p, p_tgt=p))
+        semidirect_on_morphisms(a2, b2, products),
+        semidirect_on_morphisms(a1, b1, products))
     assert diagram_morphism_equal(lhs, rhs)
     assert validate_diagram_morphism(lhs) == []
 
@@ -191,20 +190,20 @@ def test_interchange_on_composites():
 
 def test_unitors_on_small_diagrams():
     for x in [unit_diagram(), arrow_diagram(), discrete_diagram(["a", "b"], [2, 0])]:
-        left, right = unitors(x)
+        left, right = unitors(x, Products())
         assert validate_diagram_morphism(left.forward) == []
         assert validate_diagram_morphism(right.forward) == []
 
 
 def test_unitors_coincide_on_unit():
     u = unit_diagram()
-    left, right = unitors(u)
+    left, right = unitors(u, Products())
     assert diagram_morphism_equal(left.forward, right.forward)
 
 
 def test_associator_identity_case():
     u = unit_diagram()
-    res = associator(u, u, u)
+    res = associator(u, u, u, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
 
 
@@ -212,7 +211,7 @@ def test_associator_on_mixed_diagrams():
     x = discrete_diagram(["a"], [2])
     y = discrete_diagram(["u", "v"], [1, 0])
     z = discrete_diagram(["w"], [1])
-    res = associator(x, y, z)
+    res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
     assert validate_diagram_morphism(res.iso.inverse) == []
 
@@ -221,15 +220,15 @@ def test_associator_with_base_morphisms():
     x = arrow_diagram()
     y = discrete_diagram(["u", "v"], [1, 1])
     z = discrete_diagram(["w"], [1])
-    res = associator(x, y, z)
+    res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
 
 
 def test_triangle_identity():
     x = discrete_diagram(["a"], [1])
     y = discrete_diagram(["u", "v"], [1, 0])
-    assert triangle_check(x, y)
-    assert triangle_check(arrow_diagram(), y)
+    assert triangle_check(x, y, Products())
+    assert triangle_check(arrow_diagram(), y, Products())
 
 
 def test_pentagon_small():
@@ -237,7 +236,8 @@ def test_pentagon_small():
     x = discrete_diagram(["b", "c"], [1, 1])
     y = discrete_diagram(["u"], [1])
     z = discrete_diagram(["v", "z0"], [0, 1])
-    assert pentagon_check(associator(w, x, y), z)
+    products = Products()
+    assert pentagon_check(associator(w, x, y, products), z, products)
 
 
 def test_associator_naturality():
@@ -252,15 +252,14 @@ def test_associator_naturality():
     b = DiagramMorphism(y, y, f, {d: identity_functor(one) for d in y.base.objects})
     a = identity_diagram_morphism(x)
     cmor = identity_diagram_morphism(z)
-    res = associator(x, y, z)
-    prod_ab = semidirect_on_morphisms(a, b, p_src=res.p_xy, p_tgt=res.p_xy)
+    products = Products()
+    res = associator(x, y, z, products)
+    prod_ab = semidirect_on_morphisms(a, b, products)
     lhs = compose_diagram_morphisms(
-        res.iso.forward,
-        semidirect_on_morphisms(prod_ab, cmor, p_src=res.p_xy_z, p_tgt=res.p_xy_z))
-    prod_bc = semidirect_on_morphisms(b, cmor, p_src=res.p_yz, p_tgt=res.p_yz)
+        res.iso.forward, semidirect_on_morphisms(prod_ab, cmor, products))
+    prod_bc = semidirect_on_morphisms(b, cmor, products)
     rhs = compose_diagram_morphisms(
-        semidirect_on_morphisms(a, prod_bc, p_src=res.p_x_yz, p_tgt=res.p_x_yz),
-        res.iso.forward)
+        semidirect_on_morphisms(a, prod_bc, products), res.iso.forward)
     assert diagram_morphism_equal(lhs, rhs)
 
 
@@ -411,7 +410,7 @@ def _id_fixture_products():
     while True:
         x, y, z = random_triple(rng)
         try:
-            res = associator(x, y, z)
+            res = associator(x, y, z, Products())
         except GuardrailExceeded:
             continue
         break
@@ -544,7 +543,8 @@ def test_pentagon_trips_guardrail_at_once(monkeypatch):
     x = discrete_diagram(["b", "c", "e"], [1, 1, 1])
     y = discrete_diagram(["u", "v"], [1, 1])
     z = discrete_diagram(["t"], [1])
-    a_wxy = associator(w, x, y)
+    products = Products()
+    a_wxy = associator(w, x, y, products)
     assert len(a_wxy.p_xy_z.diagram.base.objects) == 36
     real = module.build_semidirect
     calls = []
@@ -555,5 +555,52 @@ def test_pentagon_trips_guardrail_at_once(monkeypatch):
 
     monkeypatch.setattr(module, "build_semidirect", counting)
     with pytest.raises(GuardrailExceeded):
-        pentagon_check(a_wxy, z)
+        pentagon_check(a_wxy, z, products)
     assert len(calls) <= 1
+
+
+def test_product_refusal_stops_enumerating_psis(monkeypatch):
+    import clubcat.semidirect as module
+    # a five-object discrete fiber over a 16-object discrete base has 16**5
+    # psis; the product is refused once it passes max_product_objects, so
+    # no more than one psi past that bound may be built
+    x = discrete_diagram(["d"], [5])
+    y = discrete_diagram([f"b{i}" for i in range(16)], [1] * 16)
+    real = module.Functor
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "Functor", counting)
+    with pytest.raises(GuardrailExceeded):
+        product_objects(x, y)
+    assert len(built) <= Guardrails().max_product_objects + 1
+
+
+def test_one_table_builds_each_product_once(monkeypatch):
+    import clubcat.semidirect as module
+    from clubcat.formats import diagram_to_json, to_json_string
+    x = discrete_diagram(["a"], [1])
+    y = arrow_diagram()
+    z = discrete_diagram(["u", "v"], [1, 0])
+    w = discrete_diagram(["t"], [2])
+    real = module.build_semidirect
+    built = []
+
+    def recording(left, right, *args, **kwargs):
+        built.append(to_json_string([diagram_to_json(left),
+                                     diagram_to_json(right)]))
+        return real(left, right, *args, **kwargs)
+
+    monkeypatch.setattr(module, "build_semidirect", recording)
+    products = Products()
+    res = associator(x, y, z, products)
+    unitors(x, products)
+    assert triangle_check(x, y, products)
+    assert pentagon_check(res, w, products)
+    # X⋉Y, (X⋉Y)⋉Z, Y⋉Z, X⋉(Y⋉Z); 1⋉X, X⋉1; (X⋉1)⋉Y, 1⋉Y, X⋉(1⋉Y); and
+    # the eight products of the pentagon that involve W
+    assert len(built) == 17
+    assert len(set(built)) == len(built)

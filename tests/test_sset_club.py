@@ -276,7 +276,7 @@ def test_constant_inclusion_morphism():
     phi = {z: incl for k in range(3) for z in s.nondeg[k]}
     m = ClubMorphismSSet(x, y, identity_smap(s), phi)
     assert validate_club_morphism(m) == []
-    g = compose_morphism(m)
+    g = compose_morphism(m, compose(x), compose(y))
     assert validate_smap(g) == []
     assert is_injective(g)
 
@@ -391,7 +391,7 @@ def test_grid_two_level_valid_and_associative():
     tlf = grid_two_level(s, t, [k0, k1, k1],
                          [collapse_map(k0, k1), identity_smap(k1)])
     assert validate_two_level(tlf) == []
-    assert associativity_check(tlf, validate=False) == []
+    assert associativity_check(tlf) == []
 
 
 def test_sset_equal_detects_difference():
