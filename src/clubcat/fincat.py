@@ -5,13 +5,16 @@ Conventions used everywhere downstream:
 * objects and morphisms are opaque string ids; equality is string equality;
 * ``comp[(g, f)]`` is the composite ``g after f``; ``comp`` is a mapping,
   total on composable pairs and nothing else, kept as given (not copied).
-  Most builders pass a dict; the pair category of ``sset_club`` passes a
-  mapping that fills each composite on first read;
+  Most builders pass a dict; the category of simplices of ``simpset`` and the
+  pair category of ``sset_club`` pass a ``LazyComposites``, which fills each
+  composite on first read;
 * every collection keeps a fixed insertion order, and every enumeration and
   every "first found" answer is deterministic with respect to that order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from .errors import GuardrailExceeded, InputError
 
@@ -56,6 +59,53 @@ class FinCategory:
     def __repr__(self):
         return (f"FinCategory({self.name!r}, {len(self.objects)} objects, "
                 f"{len(self.mor_ids)} morphisms)")
+
+
+class LazyComposites(Mapping):
+    """A composition table filled on first read: ``composite(g, f)`` gives
+    the id of g after f, computed when the pair is first read and kept.
+
+    Its keys are those of the full table, in its order: every composable pair
+    (g, f), by f in morphism order, then by g among the morphisms out of the
+    target of f.  Membership and length compute no composite; writing an
+    entry replaces it.
+    """
+
+    def __init__(self, morphisms, composite):
+        self._morphisms = morphisms
+        self._composite = composite
+        self._src = {m: a for (m, a, _) in morphisms}
+        self._tgt = {m: b for (m, _, b) in morphisms}
+        self._by_src = {}
+        for (m, a, _) in morphisms:
+            self._by_src.setdefault(a, []).append(m)
+        self._len = sum(len(self._by_src.get(b, ())) for (_, _, b) in morphisms)
+        self._known = {}
+
+    def __contains__(self, key):
+        g, f = key
+        return f in self._tgt and self._tgt[f] == self._src.get(g)
+
+    def __getitem__(self, key):
+        gf = self._known.get(key)
+        if gf is None:
+            if key not in self:
+                raise KeyError(key)
+            gf = self._known[key] = self._composite(*key)
+        return gf
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            raise KeyError(key)
+        self._known[key] = value
+
+    def __iter__(self):
+        for (f, _, b) in self._morphisms:
+            for g in self._by_src.get(b, ()):
+                yield (g, f)
+
+    def __len__(self):
+        return self._len
 
 
 def fincat_equal(c, d):

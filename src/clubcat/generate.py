@@ -17,7 +17,7 @@ from .fincat import (FinCategory, compose_functors, discrete_category,
 from .operads import (NsOperad, _composable_tuples, associative_operad,
                       cyclic_group_operad, free_operad, monoid_operad,
                       Collection, validate_ns_operad)
-from .semidirect import build_semidirect, fiber_semidirect, product_objects
+from .semidirect import Products, fiber_semidirect, product_objects
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
@@ -149,7 +149,7 @@ def _product_fibers(x: DiagramInCat, y: DiagramInCat):
 
 def random_triple(rng: random.Random):
     """Three random diagrams whose three-fold products have at most 150
-    objects, from at most 80 draws.
+    objects, from at most 80 draws, and their ``Products`` with X⋉Y, Y⋉Z.
 
     Checks the intermediate pair fibers against the fiber guardrail so the
     three-fold products on both sides are constructible.  Every filter is a
@@ -172,15 +172,16 @@ def random_triple(rng: random.Random):
             continue
         if _max_fiber_morphisms(fib_yz) > bound:
             continue
+        products = Products()
         try:
             if _predicted_product_objects(fib_xy, z.base) > 150:
                 continue
-            base_yz = build_semidirect(y, z).diagram.base
+            base_yz = products(y, z).diagram.base
             if _predicted_product_objects(_fibers(x), base_yz) > 150:
                 continue
         except GuardrailExceeded:
             continue
-        if (len(build_semidirect(x, y).diagram.base.mor_ids) > 300
+        if (len(products(x, y).diagram.base.mor_ids) > 300
                 or len(base_yz.mor_ids) > 300):
             continue
         # conservative bound on the fibers of the three-fold products
@@ -190,7 +191,7 @@ def random_triple(rng: random.Random):
         if (_max_fiber_morphisms(_fibers(x))
                 * max(1, _max_fiber_morphisms(fib_yz)) > bound):
             continue
-        return x, y, z
+        return x, y, z, products
     raise GuardrailExceeded("no triple fit the size budget")
 
 

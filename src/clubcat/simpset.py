@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .fincat import FinCategory, Functor
+from .fincat import FinCategory, Functor, LazyComposites
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +713,7 @@ def simplex_category(s: SimplicialSet):
             obj_nf[oid] = nf
     morphisms = []
     identities = {}
-    mor_data = {}
+    operator_of = {}
     for oid in objects:
         x = obj_nf[oid]
         for m in range(s.trunc + 1):
@@ -721,21 +721,18 @@ def simplex_category(s: SimplicialSet):
                 y = apply_operator(s, x, theta)
                 mid = SimplexCategory.mor_id(oid, theta)
                 morphisms.append((mid, oid, nf_id(y)))
-                mor_data[mid] = (x, theta)
+                operator_of[mid] = theta
                 if theta.is_identity() and m == x.dim:
                     identities[oid] = mid
-    comp = {}
-    by_src = {}
-    for (mid, a, b) in morphisms:
-        by_src.setdefault(a, []).append((mid, b))
-    for (mid, a, b) in morphisms:
-        x, theta = mor_data[mid]
-        for (mid2, c) in by_src.get(b, []):
-            _, theta2 = mor_data[mid2]
-            comp[(mid2, mid)] = SimplexCategory.mor_id(a, compose_maps(theta, theta2))
-    return SimplexCategory(objects, morphisms, identities, comp, obj_nf,
-                           {mid: theta for mid, (x, theta) in mor_data.items()},
-                           name=f"S({s.name})")
+
+    def composite(g, f):
+        return SimplexCategory.mor_id(
+            cat.src[f], compose_maps(operator_of[f], operator_of[g]))
+
+    cat = SimplexCategory(objects, morphisms, identities,
+                          LazyComposites(morphisms, composite), obj_nf,
+                          operator_of, name=f"S({s.name})")
+    return cat
 
 
 def smap_functor(f: SimplicialMap):

@@ -18,10 +18,9 @@ sets.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .fincat import FinCategory, Functor
+from .fincat import FinCategory, Functor, LazyComposites
 from .simpset import (ExtensionalSSet, MonotoneMap, NormalForm,
                       SimplicialMap, SimplicialSet, all_monotone_maps,
                       apply_operator, compose_maps, compose_smaps,
@@ -253,58 +252,6 @@ class PairCategorySSet:
     mor_data: dict
 
 
-class _PairComposites(Mapping):
-    """The composition table of the pair category, filled on first read.
-
-    It has the keys of the full table in its order: every composable pair
-    (g, f), by f in morphism order, then by g among the morphisms out of the
-    target of f.  A composite is computed when first read and kept; writing
-    an entry replaces it.  A comparison functor reads a few thousand of the
-    hundreds of thousands of composites, so none is computed in advance.
-    """
-
-    def __init__(self, morphisms, mor_id, mor_data):
-        self._morphisms = morphisms
-        self._mor_id = mor_id
-        self._mor_data = mor_data
-        self._src = {m: a for (m, a, _) in morphisms}
-        self._tgt = {m: b for (m, _, b) in morphisms}
-        self._by_src = {}
-        for (m, a, _) in morphisms:
-            self._by_src.setdefault(a, []).append(m)
-        self._len = sum(len(self._by_src.get(b, ())) for (_, _, b) in morphisms)
-        self._known = {}
-
-    def __contains__(self, key):
-        g, f = key
-        return f in self._tgt and self._tgt[f] == self._src.get(g)
-
-    def __getitem__(self, key):
-        gf = self._known.get(key)
-        if gf is None:
-            if key not in self:
-                raise KeyError(key)
-            g, f = key
-            th_f, tv_f = self._mor_data[f]
-            th_g, tv_g = self._mor_data[g]
-            gf = self._known[key] = self._mor_id[(
-                self._src[f], compose_maps(th_f, th_g), compose_maps(tv_f, tv_g))]
-        return gf
-
-    def __setitem__(self, key, value):
-        if key not in self:
-            raise KeyError(key)
-        self._known[key] = value
-
-    def __iter__(self):
-        for (f, _, b) in self._morphisms:
-            for g in self._by_src.get(b, ()):
-                yield (g, f)
-
-    def __len__(self):
-        return self._len
-
-
 def pair_category_sset(x: ClubObjectSSet):
     """Materialize the pair category of a family (small fixtures only): its
     objects and morphisms in full, its composites on first read."""
@@ -342,8 +289,14 @@ def pair_category_sset(x: ClubObjectSSet):
                         mor_data[mid] = (theta, theta2)
                         if theta.is_identity() and theta2.is_identity():
                             identities[pid] = mid
-    comp = _PairComposites(morphisms, mor_id, mor_data)
-    cat = FinCategory(objects, morphisms, identities, comp, name="pairs")
+
+    def composite(g, f):
+        th_f, tv_f = mor_data[f]
+        th_g, tv_g = mor_data[g]
+        return mor_id[(cat.src[f], compose_maps(th_f, th_g), compose_maps(tv_f, tv_g))]
+
+    cat = FinCategory(objects, morphisms, identities,
+                      LazyComposites(morphisms, composite), name="pairs")
     return PairCategorySSet(cat, obj_id, obj_data, mor_id, mor_data)
 
 

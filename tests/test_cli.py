@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -7,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from clubcat import formats, suites
+from clubcat import formats, simpset, suites
 from clubcat.cli import build_parser, main
 from clubcat.errors import InputError
+from clubcat.fincat import walking_arrow
+from clubcat.generate import random_diagram
 from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
 from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
-                             nondeg, one_point, standard_simplex)
+                             identity_smap, nondeg, one_point,
+                             standard_simplex)
 from clubcat.sset_club import ClubObjectSSet, constant_family
-from clubcat.algebra import constant_algebra_object
+from clubcat.algebra import AlgebraMorphism, constant_algebra_object
 
 
 @pytest.fixture
@@ -227,7 +231,6 @@ def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
 
 
 def test_club_object_file_single_field_fuzz_never_crashes(tmp_path, capsys):
-    import random
     from clubcat.generate import random_family
     original = formats.serialize("club-object", random_family(random.Random(3), 1))
     assert _single_field_fuzz(original, tmp_path, capsys) == 279
@@ -237,6 +240,54 @@ def test_algebra_object_file_single_field_fuzz_never_crashes(tmp_path, capsys):
     original = formats.serialize(
         "algebra-object", constant_algebra_object(standard_simplex(1, 1), ["u", "v"]))
     assert _single_field_fuzz(original, tmp_path, capsys) == 282
+
+
+def _identity_algebra_morphism(x):
+    return AlgebraMorphism(x, x, identity_smap(x.shape),
+                           {oid: {e: e for e in x.diagram.values[oid]}
+                            for oid in x.shape.category().objects})
+
+
+# kind -> (fixture, number of single-field mutations of its file)
+LOADER_FUZZ_FIXTURES = {
+    "category": (walking_arrow, 114),
+    "diagram": (lambda: random_diagram(random.Random(1)), 117),
+    "sset": (lambda: standard_simplex(2, 2), 174),
+    "map": (lambda: identity_smap(standard_simplex(1, 1)), 156),
+    "operad": (lambda: free_operad({2: ["g"]}, 2), 81),
+    "algebra-morphism": (lambda: _identity_algebra_morphism(
+        constant_algebra_object(standard_simplex(1, 1), ["u", "v"])), 654),
+}
+
+
+@pytest.mark.parametrize("kind", LOADER_FUZZ_FIXTURES)
+def test_loader_single_field_fuzz_never_crashes(kind, tmp_path, capsys):
+    make, mutations = LOADER_FUZZ_FIXTURES[kind]
+    original = formats.serialize(kind, make())
+    assert _single_field_fuzz(original, tmp_path, capsys) == mutations
+
+
+def test_validating_a_deep_truncation_composes_almost_nothing(tmp_path,
+                                                               monkeypatch):
+    # the algebra object's shape raised to truncation 5 lacks the maps of
+    # the new operators: validate says so without composing the operators
+    # of its category of simplices, of which there are millions
+    data = formats.serialize(
+        "algebra-object", constant_algebra_object(standard_simplex(1, 1), ["u", "v"]))
+    data["shape"]["trunc"] = 5
+    path = tmp_path / "trunc5.json"
+    path.write_text(json.dumps(data))
+    calls = 0
+    compose_maps = simpset.compose_maps
+
+    def counting_compose_maps(g, f):
+        nonlocal calls
+        calls += 1
+        return compose_maps(g, f)
+
+    monkeypatch.setattr(simpset, "compose_maps", counting_compose_maps)
+    assert main(["validate", str(path)]) == 1
+    assert calls <= 100_000
 
 
 def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):

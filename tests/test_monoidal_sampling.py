@@ -145,7 +145,7 @@ def _triple_text(triple):
 def test_random_triple_matches_the_full_build():
     for seed in range(20):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        assert (_triple_text(gen.random_triple(rng))
+        assert (_triple_text(gen.random_triple(rng)[:3])
                 == _triple_text(reference_random_triple(ref_rng))), seed
         assert rng.getstate() == ref_rng.getstate(), seed
 

@@ -408,9 +408,9 @@ def _id_fixture_products():
     yield "symmetric operad product", _symmetric_club().product
     rng = random.Random(5)
     while True:
-        x, y, z = random_triple(rng)
+        x, y, z, products = random_triple(rng)
         try:
-            res = associator(x, y, z, Products())
+            res = associator(x, y, z, products)
         except GuardrailExceeded:
             continue
         break

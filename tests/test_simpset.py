@@ -298,6 +298,41 @@ def test_simplex_category_interval_trunc1():
     assert len(cat.objects) == 5  # 2 vertices + nondeg edge + 2 degenerate edges
 
 
+def eager_simplex_composites(cat):
+    """Every composite of a category of simplices, composed in advance: the
+    reference for the table that ``simplex_category`` fills on first read."""
+    by_src = {}
+    for (mid, a, _) in cat.morphisms:
+        by_src.setdefault(a, []).append(mid)
+    comp = {}
+    for (mid1, a, b) in cat.morphisms:
+        for mid2 in by_src.get(b, []):
+            comp[(mid2, mid1)] = cat.mor_id(
+                a, compose_maps(cat.operator_of[mid1], cat.operator_of[mid2]))
+    return comp
+
+
+@pytest.mark.parametrize("make", [
+    lambda: one_point(3),
+    lambda: standard_simplex(1, 2),
+    lambda: product(standard_simplex(1, 2), boundary(2, 2)),
+    lambda: random_family(random.Random(0), 2).base,
+    lambda: random_family(random.Random(5), 2).base,
+    lambda: random_family(random.Random(9), 2).base,
+], ids=["point", "interval", "product", "random-0", "random-5", "random-9"])
+def test_simplex_composites_match_the_eager_table(make):
+    cat = simplex_category(make())
+    expected = eager_simplex_composites(cat)
+    assert len(cat.comp) == len(expected)
+    assert list(cat.comp) == list(expected)
+    assert list(cat.comp.items()) == list(expected.items())
+    f, g = next((f, g) for f in cat.mor_ids for g in cat.mor_ids
+                if cat.tgt[f] != cat.src[g])
+    assert (g, f) not in cat.comp
+    with pytest.raises(InputError):
+        cat.compose(g, f)
+
+
 def test_smap_functor_is_functor():
     s = standard_simplex(1, 1)
     t = one_point(1)
