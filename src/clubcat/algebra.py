@@ -26,7 +26,7 @@ from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
                       face_map, is_injective, is_kan_fibration, nf_id,
                       normalize_extensional, validate_smap)
 from .sset_club import (ClubMorphismSSet, ClubObjectSSet, TwoLevelFamily,
-                        _pair_sset, compose, compose_morphism)
+                        compose, compose_morphism)
 
 
 def act_category(c: DiagramInCat, m: FinCategory,
@@ -283,28 +283,19 @@ def validate_algebra_morphism(m: AlgebraMorphism):
     return report
 
 
-def _element_map(src, tgt, element_fn, name):
-    """The map between two normalized presentations, each a (simplicial
-    set, normal form of every element) pair, sending an element to
-    ``element_fn(element)``."""
-    (src_sset, src_nf), (tgt_sset, tgt_nf) = src, tgt
-    images = {nf.base: tgt_nf[(n, element_fn(elt))]
-              for (n, elt), nf in src_nf.items() if nf.is_nondegenerate()}
-    return SimplicialMap(src_sset, tgt_sset, images, name=name)
-
-
 def induced_map(m: AlgebraMorphism, generator):
     """The map of point complexes: postcompose the probe with the morphism."""
     lookup = m.src.shape.normal_forms()
 
-    def probe_image(elt):
-        sid, mapping = elt
-        return (nf_id(m.f.apply(lookup[sid])),
-                tuple(m.phi[sid][e] for e in mapping))
-
-    return _element_map(_i_points_with_nf(m.src, generator),
-                        _i_points_with_nf(m.tgt, generator),
-                        probe_image, "induced")
+    src_sset, src_nf = _i_points_with_nf(m.src, generator)
+    tgt_sset, tgt_nf = _i_points_with_nf(m.tgt, generator)
+    images = {}
+    for (n, (sid, mapping)), nf in src_nf.items():
+        if nf.is_nondegenerate():
+            image = (nf_id(m.f.apply(lookup[sid])),
+                     tuple(m.phi[sid][e] for e in mapping))
+            images[nf.base] = tgt_nf[(n, image)]
+    return SimplicialMap(src_sset, tgt_sset, images, name="induced")
 
 
 def is_fibration(m: AlgebraMorphism, generators):
@@ -458,35 +449,6 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
 
 # ---------------------------------------------------------------------------
 # stability of injective morphisms and fibrations
-
-def column_point_map(m: ClubMorphismSSet, col):
-    """The induced map on the probes by the standard simplex of the given
-    dimension: the columns of the pairs (s, t) with t a col-simplex."""
-    s_lookup = m.src.base.normal_forms()
-
-    def pair_image(elt):
-        sid, tid = elt
-        snf = s_lookup[sid]
-        tnf = m.src.family.value(snf.base).normal_forms()[tid]
-        return nf_id(m.f.apply(snf)), nf_id(m.phi_at(snf).apply(tnf))
-
-    def column(x):
-        return _pair_sset(x, col, f"col{col}T({x.base.name})")
-
-    return _element_map(column(m.src), column(m.tgt), pair_image, f"col{col}")
-
-
-def is_sset_fibration(m: ClubMorphismSSet, max_dim):
-    """Injective base plus horn lifting on every column point complex."""
-    if not is_injective(m.f):
-        return False, {"reason": "base map not injective"}
-    for col in range(m.src.base.trunc + 1):
-        ok, witness = is_kan_fibration(column_point_map(m, col), max_dim)
-        if not ok:
-            return False, {"reason": "column horn lift fails", "column": col,
-                           "witness": witness}
-    return True, None
-
 
 def _product_type_map(m: ClubMorphismSSet):
     """The single component map when the sample is a twisted product: an

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .errors import InputError
 from .fincat import (FinCategory, Functor, compose_functors, fincat_equal,
-                     functor_equal, identity_functor, isomorphisms,
-                     terminal_category, validate_category, validate_functor)
+                     functor_equal, identity_functor, terminal_category,
+                     validate_category, validate_functor)
 
 
 class DiagramInCat:
@@ -157,53 +157,3 @@ def constantify(m: FinCategory, name=None):
 def unit_diagram():
     """The monoidal unit: the one-object category over itself."""
     return constantify(terminal_category(), name="unit")
-
-
-def lift_functor(f: Functor):
-    """Lift a plain functor to a morphism of constant-fiber diagrams."""
-    src = constantify(f.src)
-    tgt = constantify(f.tgt)
-    one = terminal_category()
-    rho = {d: identity_functor(one) for d in f.src.objects}
-    return DiagramMorphism(src, tgt, f, rho, name="lift")
-
-
-def find_diagram_isomorphism(x: DiagramInCat, y: DiagramInCat):
-    """Search for an invertible diagram morphism x -> y on small inputs.
-
-    Tries base isomorphisms in search order and, for each, backtracks over
-    fiberwise isomorphisms, checking strict naturality on every base morphism
-    whose ends are both assigned.  Returns a valid DiagramMorphism with
-    invertible components or None.
-    """
-    objs = x.base.objects
-    for f in isomorphisms(x.base, y.base):
-        choices = [list(isomorphisms(y.fiber_obj[f.omap[d]], x.fiber_obj[d]))
-                   for d in objs]
-        if not all(choices):
-            continue
-        rho = {}
-
-        def natural_so_far():
-            for m in x.base.mor_ids:
-                d1, d2 = x.base.src[m], x.base.tgt[m]
-                if d1 in rho and d2 in rho:
-                    left = compose_functors(x.fiber_mor[m], rho[d1])
-                    right = compose_functors(rho[d2], y.fiber_mor[f.mmap[m]])
-                    if not functor_equal(left, right):
-                        return False
-            return True
-
-        def backtrack(i):
-            if i == len(objs):
-                return True
-            for cand in choices[i]:
-                rho[objs[i]] = cand
-                if natural_so_far() and backtrack(i + 1):
-                    return True
-                del rho[objs[i]]
-            return False
-
-        if backtrack(0):
-            return DiagramMorphism(x, y, f, rho)
-    return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .config import DEFAULT_GUARDRAILS, Guardrails
 from .errors import GuardrailExceeded, InputError
 
 
@@ -199,10 +200,6 @@ def terminal_category():
     return discrete_category(["*"], name="1")
 
 
-def empty_category():
-    return FinCategory([], [], {}, {}, name="0")
-
-
 def ordinal_category(n):
     """Discrete category on the ordered set {0, ..., n-1}."""
     return discrete_category([str(i) for i in range(n)], name=f"ord{n}")
@@ -250,12 +247,6 @@ def functor_equal(f, g):
 
 def identity_functor(c: FinCategory):
     return Functor(c, c, {x: x for x in c.objects}, {m: m for m in c.mor_ids})
-
-
-def constant_functor(c: FinCategory, d: FinCategory, obj):
-    """The functor sending everything in c to obj and its identity."""
-    i = d.identity(obj)
-    return Functor(c, d, {x: obj for x in c.objects}, {m: i for m in c.mor_ids})
 
 
 def validate_functor(f: Functor):
@@ -363,11 +354,13 @@ def _functor_search(c: FinCategory, d: FinCategory, bijective=False):
     yield from assign_objects(0)
 
 
-def enumerate_functors(c: FinCategory, d: FinCategory, max_morphisms=64):
+def enumerate_functors(c: FinCategory, d: FinCategory,
+                       guard: Guardrails = DEFAULT_GUARDRAILS):
     """All functors c -> d, duplicate-free, in the order of ``_functor_search``."""
-    if len(c.mor_ids) > max_morphisms or len(d.mor_ids) > max_morphisms:
+    limit = guard.max_enum_morphisms
+    if len(c.mor_ids) > limit or len(d.mor_ids) > limit:
         raise GuardrailExceeded(
-            f"functor enumeration limited to {max_morphisms} morphisms "
+            f"functor enumeration limited to {limit} morphisms "
             f"(got {len(c.mor_ids)} and {len(d.mor_ids)})")
     return [Functor(c, d, omap, mmap) for omap, mmap in _functor_search(c, d)]
 
@@ -385,33 +378,6 @@ class NatTrans:
 
     def __repr__(self):
         return f"NatTrans({len(self.components)} components)"
-
-
-def validate_nat_trans(n: NatTrans):
-    f, g = n.src, n.tgt
-    report = []
-    if not (f.src is g.src or fincat_equal(f.src, g.src)):
-        report.append("functors are not parallel (different sources)")
-    if not (f.tgt is g.tgt or fincat_equal(f.tgt, g.tgt)):
-        report.append("functors are not parallel (different targets)")
-    if report:
-        return report
-    d = f.tgt
-    for x in f.src.objects:
-        comp = n.components.get(x)
-        if comp is None:
-            report.append(f"component missing at {x!r}")
-        elif comp not in d.src:
-            report.append(f"component at {x!r} is not a morphism")
-        elif d.src[comp] != f.omap[x] or d.tgt[comp] != g.omap[x]:
-            report.append(f"component at {x!r} has wrong endpoints")
-    if report:
-        return report
-    for m in f.src.nonidentity_morphisms():
-        x, y = f.src.src[m], f.src.tgt[m]
-        if d.comp[(g.mmap[m], n.components[x])] != d.comp[(n.components[y], f.mmap[m])]:
-            report.append(f"naturality square fails at {m!r}")
-    return report
 
 
 def enumerate_nat_trans(f: Functor, g: Functor):
@@ -459,12 +425,9 @@ def _object_profile(c: FinCategory, x):
     return (ins, outs, endos)
 
 
-def isomorphisms(c: FinCategory, d: FinCategory):
-    """Each functor c -> d bijective on objects and morphisms, in search order."""
-    for omap, mmap in _functor_search(c, d, bijective=True):
-        yield Functor(c, d, omap, mmap)
-
-
 def find_isomorphism(c: FinCategory, d: FinCategory):
-    """The first of ``isomorphisms(c, d)``, or None."""
-    return next(isomorphisms(c, d), None)
+    """The first functor c -> d bijective on objects and morphisms, in
+    search order, or None."""
+    for omap, mmap in _functor_search(c, d, bijective=True):
+        return Functor(c, d, omap, mmap)
+    return None

@@ -11,7 +11,7 @@ import json
 
 from .algebra import (AlgebraMorphism, AlgebraObject, FinSetDiagram,
                       constant_algebra_object)
-from .config import DEFAULT_GUARDRAILS, SCHEMA_VERSION
+from .config import SCHEMA_VERSION
 from .diagram import (DiagramInCat, DiagramMorphism, unit_diagram,
                       validate_diagram)
 from .errors import InputError, SchemaError
@@ -340,8 +340,7 @@ def club_to_json(s):
     }
 
 
-def club_from_json(data, guard=None, what="club"):
-    guard = guard or DEFAULT_GUARDRAILS
+def club_from_json(data, what="club"):
     carrier = diagram_from_json(_need(data, "carrier", what), f"{what} carrier")
     cap = _need_cap(data["cap"], what) if "cap" in data else None
     keep = {}
@@ -358,7 +357,7 @@ def club_from_json(data, guard=None, what="club"):
         raise SchemaError(f"{what} carrier is not a valid diagram: {bad[0]}")
     for d in carrier.base.objects:
         keep.setdefault(d, set())
-    product = build_semidirect(carrier, carrier, guard, keep=keep)
+    product = build_semidirect(carrier, carrier, keep=keep)
     mu_raw = _need(data, "mu", what)
     mu_base = functor_from_json(_need(mu_raw, "base_functor", what),
                                 product.diagram.base, carrier.base)

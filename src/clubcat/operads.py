@@ -23,8 +23,8 @@ from .diagram import (DiagramInCat, DiagramMorphism, unit_diagram,
 from .errors import InputError
 from .fincat import (FinCategory, Functor, discrete_category,
                      identity_functor, ordinal_category, terminal_category)
-from .semidirect import (ClubStructure, IsoPair, SemidirectProduct,
-                         _verify_iso, build_semidirect)
+from .semidirect import (ClubStructure, SemidirectProduct, _verify_iso,
+                         build_semidirect)
 
 
 class Collection:
@@ -357,11 +357,13 @@ class NsIsoResult:
     inverse: DiagramMorphism
     product: SemidirectProduct
     composite_encoding: EncodedCollection
+    problems: list     # from ``_verify_iso``; empty when the two are inverse
 
 
 def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     """Exhibit the isomorphism between the encoded composite collection and
-    the (arity-truncated) product of the encoding with itself, both ways."""
+    the (arity-truncated) product of the encoding with itself, both ways;
+    ``problems`` is empty when the two directions are mutually inverse."""
     enc = encode_ns(p)
     pp = circ(p, p)
     tuple_of = {name: tup for name, tup, _ in _composite_tuples(p, p)}
@@ -408,8 +410,8 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     inverse = DiagramMorphism(prod.diagram, enc_pp.diagram, base_inv, rho_i,
                               name="pair-to-tuple")
 
-    _verify_iso(IsoPair(forward, inverse))
-    return NsIsoResult(forward, inverse, prod, enc_pp)
+    return NsIsoResult(forward, inverse, prod, enc_pp,
+                       _verify_iso(forward, inverse))
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
     if bound > 200_000:
         raise GuardrailExceeded(
             f"functor enumeration bound {bound} too large for a non-discrete fiber")
-    for rank, psi in enumerate(enumerate_functors(fiber, target, guard.max_enum_morphisms)):
+    for rank, psi in enumerate(enumerate_functors(fiber, target, guard)):
         if keep_keys is None or functor_key(psi) in keep_keys:
             yield rank, psi
 
@@ -416,22 +416,25 @@ def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
 class IsoPair:
     forward: DiagramMorphism
     inverse: DiagramMorphism
+    problems: list     # from ``_verify_iso``; empty when the two are inverse
 
 
-def _verify_iso(pair: IsoPair):
-    problems = validate_diagram_morphism(pair.forward)
-    problems += validate_diagram_morphism(pair.inverse)
+def _verify_iso(forward: DiagramMorphism, inverse: DiagramMorphism):
+    """Why ``forward`` and ``inverse`` are not mutually inverse diagram
+    morphisms; empty when they are.  A failure is a finding, not an error."""
+    problems = validate_diagram_morphism(forward)
+    problems += validate_diagram_morphism(inverse)
     if problems:
-        raise InputError(f"coherence morphism invalid: {problems[:3]}")
-    fwd_then_back = compose_diagram_morphisms(pair.inverse, pair.forward)
-    back_then_fwd = compose_diagram_morphisms(pair.forward, pair.inverse)
+        return [f"coherence morphism invalid: {problems[:3]}"]
+    fwd_then_back = compose_diagram_morphisms(inverse, forward)
+    back_then_fwd = compose_diagram_morphisms(forward, inverse)
     if not diagram_morphism_equal(fwd_then_back,
-                                  identity_diagram_morphism(pair.forward.src)):
-        raise InputError("round trip on the source is not the identity")
+                                  identity_diagram_morphism(forward.src)):
+        problems.append("round trip on the source is not the identity")
     if not diagram_morphism_equal(back_then_fwd,
-                                  identity_diagram_morphism(pair.inverse.src)):
-        raise InputError("round trip on the target is not the identity")
-    return pair
+                                  identity_diagram_morphism(inverse.src)):
+        problems.append("round trip on the target is not the identity")
+    return problems
 
 
 @dataclass
@@ -445,7 +448,8 @@ class AssociatorResult:
 
 def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
                products: Products):
-    """The rebracketing isomorphism (X⋉Y)⋉Z -> X⋉(Y⋉Z), with verified inverse.
+    """The rebracketing isomorphism (X⋉Y)⋉Z -> X⋉(Y⋉Z) and its inverse, with
+    the problems ``_verify_iso`` finds in ``iso.problems``.
 
     The object formula is currying: ((d, psi), chi) goes to (d, a -> (psi(a),
     chi restricted to the pairs over a)).  The four products come from
@@ -571,7 +575,7 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
 
     inverse = DiagramMorphism(p_x_yz.diagram, p_xy_z.diagram, base_inv, rho_inv,
                               name="assoc_inv")
-    iso = _verify_iso(IsoPair(forward, inverse))
+    iso = IsoPair(forward, inverse, _verify_iso(forward, inverse))
     return AssociatorResult(iso, p_xy, p_xy_z, p_yz, p_x_yz)
 
 
@@ -632,8 +636,8 @@ def _curry_theta(fib, psi, y, phi, rf, theta, xi1, xi2, mor_id):
 # unitors
 
 def right_unitor(x: DiagramInCat, products: Products):
-    """The isomorphism X ⋉ 1 -> X (with verified inverse), out of
-    ``products(x, products.unit)``."""
+    """The isomorphism X ⋉ 1 -> X with its inverse and their problems, out
+    of ``products(x, products.unit)``."""
     p = products(x, products.unit)
     one = terminal_category()
     omap, mmap = {}, {}
@@ -666,12 +670,12 @@ def right_unitor(x: DiagramInCat, products: Products):
         fmmap = {qid: data[0] for qid, data in fib.mor_data.items()}
         rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
     inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="runit_inv")
-    return _verify_iso(IsoPair(forward, inverse))
+    return IsoPair(forward, inverse, _verify_iso(forward, inverse))
 
 
 def left_unitor(x: DiagramInCat, products: Products):
-    """The isomorphism 1 ⋉ X -> X (with verified inverse), out of
-    ``products(products.unit, x)``."""
+    """The isomorphism 1 ⋉ X -> X with its inverse and their problems, out
+    of ``products(products.unit, x)``."""
     p = products(products.unit, x)
     one = terminal_category()
     omap, mmap = {}, {}
@@ -706,11 +710,12 @@ def left_unitor(x: DiagramInCat, products: Products):
         fmmap = {qid: data[2] for qid, data in fib.mor_data.items()}
         rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
     inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="lunit_inv")
-    return _verify_iso(IsoPair(forward, inverse))
+    return IsoPair(forward, inverse, _verify_iso(forward, inverse))
 
 
 def unitors(x: DiagramInCat, products: Products):
-    """Both unit isomorphisms (left, right), each with a verified inverse."""
+    """Both unit isomorphisms (left, right), each with its inverse and
+    their problems."""
     return left_unitor(x, products), right_unitor(x, products)
 
 
@@ -722,6 +727,8 @@ def triangle_check(x: DiagramInCat, y: DiagramInCat, products: Products):
     assoc = associator(x, products.unit, y, products)
     lu = left_unitor(y, products)
     ru = right_unitor(x, products)
+    if assoc.iso.problems or lu.problems or ru.problems:
+        return False
     left_path = compose_diagram_morphisms(
         semidirect_on_morphisms(identity_diagram_morphism(x), lu.forward, products),
         assoc.iso.forward)
@@ -742,6 +749,8 @@ def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat, products: Products)
     a_xyz = associator(x, y, z, products)
     a_w_xy_z = associator(w, a_wxy.p_yz.diagram, z, products)
     a_w_x_yz = associator(w, x, a_wx_y_z.p_yz.diagram, products)
+    if any(a.iso.problems for a in (a_wxy, a_wx_y_z, a_xyz, a_w_xy_z, a_w_x_yz)):
+        return False
 
     path1 = compose_diagram_morphisms(a_w_x_yz.iso.forward, a_wx_y_z.iso.forward)
     step1 = semidirect_on_morphisms(a_wxy.iso.forward,
@@ -827,7 +836,7 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         rho1 = mu.rho[oid1]
         fib = p.fibers[oid1].cat
         ends[oid1] = []
-        for chi in enumerate_functors(fib, c.base, guard.max_enum_morphisms):
+        for chi in enumerate_functors(fib, c.base, guard):
             lhs_oid2 = _route_left(s, p, b1, rho1, chi)
             right = _route_right(s, p, oid1, chi)
             ends[oid1].append(_ChiEnd(chi, tuple(chi.omap[a] for a in fib.objects),
@@ -876,15 +885,20 @@ def _unit_laws(s, p, guard, note, e_obj):
     products = Products(guard)
     fiber_e = c.fiber_obj[e_obj]
     lu = left_unitor(c, products)
-    if _unit_half(s.mu, p, products(products.unit, c), lu.forward, note, "left",
-                  lambda yv: (e_obj, constant_key(fiber_e, yv)),
-                  lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
-                  lambda a, b: ("*", b),
-                  lambda alpha, b1, beta: (id_star, b1, beta)):
+    if lu.problems:
+        if any(note(f"left unitor: {msg}") for msg in lu.problems):
+            return True
+    elif _unit_half(s.mu, p, products(products.unit, c), lu.forward, note, "left",
+                    lambda yv: (e_obj, constant_key(fiber_e, yv)),
+                    lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
+                    lambda a, b: ("*", b),
+                    lambda alpha, b1, beta: (id_star, b1, beta)):
         return True
 
     # right unit: mu ∘ (id ⋉ eta) against the right unitor on C ⋉ 1
     ru = right_unitor(c, products)
+    if ru.problems:
+        return any(note(f"right unitor: {msg}") for msg in ru.problems)
     return _unit_half(s.mu, p, products(c, products.unit), ru.forward, note, "right",
                       lambda d: (d, constant_key(c.fiber_obj[d], e_obj)),
                       lambda f: (f, tuple(id_e for _ in

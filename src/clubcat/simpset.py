@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .fincat import FinCategory, Functor, LazyComposites
+from .fincat import FinCategory, LazyComposites
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,6 @@ class SimplicialSet:
                                      nf.base, nf.eta.values))
             out = self._simplices[k] = tuple(out)
         return out
-
-    def simplex_count(self, k):
-        return len(self.all_simplices(k))
 
     def __repr__(self):
         counts = [len(self.nondeg[k]) for k in range(self.trunc + 1)]
@@ -735,19 +732,6 @@ def simplex_category(s: SimplicialSet):
     return cat
 
 
-def smap_functor(f: SimplicialMap):
-    """The induced functor between categories of simplices."""
-    src_cat = f.src.category()
-    tgt_cat = f.tgt.category()
-    omap, mmap = {}, {}
-    for oid, nf in src_cat.simplex_of.items():
-        omap[oid] = nf_id(f.apply(nf))
-    for mid in src_cat.mor_ids:
-        theta = src_cat.operator_of[mid]
-        mmap[mid] = SimplexCategory.mor_id(omap[src_cat.src[mid]], theta)
-    return Functor(src_cat, tgt_cat, omap, mmap)
-
-
 # ---------------------------------------------------------------------------
 # extensional presentations and normalization
 
@@ -812,43 +796,6 @@ def normalize_extensional(e: ExtensionalSSet, id_fn=_default_id):
                                       for i in range(k + 1)]
     result = SimplicialSet(e.trunc, nondeg_by_dim, faces, name=e.name)
     return result, nf_of
-
-
-def validate_extensional(e: ExtensionalSSet):
-    """Simplicial identities for the generator actions of a raw presentation."""
-    report = []
-
-    def chk(cond, msg):
-        if not cond:
-            report.append(msg)
-
-    for k in range(e.trunc + 1):
-        for x in e.elements[k]:
-            # d_i d_j = d_{j-1} d_i  (i < j)
-            if k >= 2:
-                for j in range(k + 1):
-                    for i in range(j):
-                        chk(e.d(k - 1, i, e.d(k, j, x)) == e.d(k - 1, j - 1, e.d(k, i, x)),
-                            f"face identity d{i}d{j} fails at dim {k}: {x!r}")
-            if k + 1 <= e.trunc:
-                for j in range(k + 1):
-                    for i in range(k + 1):
-                        y = e.s(k, j, x)
-                        if i < j:
-                            chk(e.d(k + 1, i, y) == e.s(k - 1, j - 1, e.d(k, i, x)) if k else True,
-                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
-                        elif i in (j, j + 1):
-                            chk(e.d(k + 1, i, y) == x,
-                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
-                        elif i > j + 1:
-                            chk(e.d(k + 1, i, y) == e.s(k - 1, j, e.d(k, i - 1, x)) if k else True,
-                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
-            if k + 2 <= e.trunc:
-                for j in range(k + 1):
-                    for i in range(j + 1):
-                        chk(e.s(k + 1, i, e.s(k, j, x)) == e.s(k + 1, j + 1, e.s(k, i, x)),
-                            f"degeneracy identity s{i}s{j} fails at dim {k}: {x!r}")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -145,27 +145,24 @@ class ClubObjectSSet:
 # ---------------------------------------------------------------------------
 # the pairs (s, t) and their diagonal
 
-def _pair_sset(x: ClubObjectSSet, col, name, id_fn="|".join):
-    """The pairs (s, t) of a family under the operators acting on s,
-    normalized: returns (SimplicialSet, nf_of) with nf_of keyed by
-    (dim, (s id, t id)).
+def _pair_sset(x: ClubObjectSSet, name, id_fn):
+    """The diagonal of the pairs (s, t) of a family under the operators
+    acting on s, normalized: returns (SimplicialSet, nf_of) with nf_of keyed
+    by (dim, (s id, t id)).
 
-    With ``col`` None this is the diagonal: its k-simplices are the pairs of
-    a k-simplex s and a k-simplex t of value(s), and theta sends (s, t) to
-    (theta*s, theta*(transport(s, theta)(t))).  With ``col`` an integer it
-    is that column: t is a col-simplex, and theta sends (s, t) to
-    (theta*s, transport(s, theta)(t)).  Pairs are listed by s, then t, each
-    in canonical order.
+    Its k-simplices are the pairs of a k-simplex s and a k-simplex t of
+    value(s), and theta sends (s, t) to (theta*s,
+    theta*(transport(s, theta)(t))).  Pairs are listed by s, then t, each in
+    canonical order.
     """
     s, fam = x.base, x.family
     tr = s.trunc
     elements, pair_nfs = {}, {}
     for k in range(tr + 1):
-        n = k if col is None else col
         nfs = pair_nfs[k] = {}
         for snf in s.all_simplices(k):
             sid = nf_id(snf)
-            for tnf in fam.values[snf.base].all_simplices(n):
+            for tnf in fam.values[snf.base].all_simplices(k):
                 nfs[(sid, nf_id(tnf))] = (snf, tnf)
         elements[k] = list(nfs)
 
@@ -174,8 +171,7 @@ def _pair_sset(x: ClubObjectSSet, col, name, id_fn="|".join):
         for elt, (snf, tnf) in pair_nfs[k].items():
             s2 = apply_operator(s, snf, theta)
             t2 = fam.transport(snf, theta).apply(tnf)
-            if col is None:
-                t2 = apply_operator(fam.values[s2.base], t2, theta)
+            t2 = apply_operator(fam.values[s2.base], t2, theta)
             table[elt] = (nf_id(s2), nf_id(t2))
         return table
 
@@ -228,7 +224,7 @@ def compose(x: ClubObjectSSet, part_fn=None):
     def id_fn(elt):
         return "|".join(part_fn(elt))
 
-    sset, nf_of = _pair_sset(x, None, f"diagT({x.base.name})", id_fn=id_fn)
+    sset, nf_of = _pair_sset(x, f"diagT({x.base.name})", id_fn)
     base_pair = {}
     parts_of = {}
     for (_, elt), nf in nf_of.items():
@@ -382,15 +378,6 @@ def identity_club_morphism(x: ClubObjectSSet):
     phi = {y: identity_smap(x.family.values[y])
            for k in range(x.base.trunc + 1) for y in x.base.nondeg[k]}
     return ClubMorphismSSet(x, x, identity_smap(x.base), phi)
-
-
-def compose_club_morphisms(b: ClubMorphismSSet, a: ClubMorphismSSet):
-    phi = {}
-    s = a.src.base
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            phi[y] = compose_smaps(b.phi_at(a.f.images[y].base), a.phi[y])
-    return ClubMorphismSSet(a.src, b.tgt, compose_smaps(b.f, a.f), phi)
 
 
 def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult,

@@ -1,15 +1,14 @@
 """The pair bisimplicial set of a family, kept as a reference for the tests.
 
-``compose`` builds the diagonal of the pairs (s, t) directly, and
-``algebra.column_point_map`` builds one column directly.  This module builds
-the whole bisimplicial set, every bidegree with its horizontal and vertical
-actions, and then takes the diagonal or a column of it, as the package did
-before.  The tests compare the direct constructions with it table for table.
+``compose`` builds the diagonal of the pairs (s, t) directly.  This module
+builds the whole bisimplicial set, every bidegree with its horizontal and
+vertical actions, and then takes its diagonal, as the package did before.
+The tests compare the direct construction with it table for table.
 """
 
 from clubcat.simpset import (ExtensionalSSet, _default_id, apply_operator,
                              degeneracy_map, face_map, nf_id,
-                             normalize_extensional, validate_extensional)
+                             normalize_extensional)
 
 
 class BisimplicialSet:
@@ -25,7 +24,7 @@ class BisimplicialSet:
         self.v_degen = v_degen  # (m, n, i) -> dict, raises n
         self.name = name
 
-    def slice(self, fixed, vertical=False, name=""):
+    def slice(self, fixed, vertical=False):
         """The simplicial set along one direction with the other degree fixed:
         the (k, fixed)-elements under the horizontal actions or, when
         ``vertical``, the (fixed, k)-elements under the vertical ones."""
@@ -37,8 +36,44 @@ class BisimplicialSet:
         return ExtensionalSSet(
             t, {k: list(self.elements[at(k)]) for k in range(t + 1)},
             {(k, i): face[at(k) + (i,)] for k in range(1, t + 1) for i in range(k + 1)},
-            {(k, i): degen[at(k) + (i,)] for k in range(t) for i in range(k + 1)},
-            name=name)
+            {(k, i): degen[at(k) + (i,)] for k in range(t) for i in range(k + 1)})
+
+
+def validate_extensional(e: ExtensionalSSet):
+    """Simplicial identities for the generator actions of a raw presentation."""
+    report = []
+
+    def chk(cond, msg):
+        if not cond:
+            report.append(msg)
+
+    for k in range(e.trunc + 1):
+        for x in e.elements[k]:
+            # d_i d_j = d_{j-1} d_i  (i < j)
+            if k >= 2:
+                for j in range(k + 1):
+                    for i in range(j):
+                        chk(e.d(k - 1, i, e.d(k, j, x)) == e.d(k - 1, j - 1, e.d(k, i, x)),
+                            f"face identity d{i}d{j} fails at dim {k}: {x!r}")
+            if k + 1 <= e.trunc:
+                for j in range(k + 1):
+                    for i in range(k + 1):
+                        y = e.s(k, j, x)
+                        if i < j:
+                            chk(e.d(k + 1, i, y) == e.s(k - 1, j - 1, e.d(k, i, x)) if k else True,
+                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
+                        elif i in (j, j + 1):
+                            chk(e.d(k + 1, i, y) == x,
+                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
+                        elif i > j + 1:
+                            chk(e.d(k + 1, i, y) == e.s(k - 1, j, e.d(k, i - 1, x)) if k else True,
+                                f"mixed identity d{i}s{j} fails at dim {k}: {x!r}")
+            if k + 2 <= e.trunc:
+                for j in range(k + 1):
+                    for i in range(j + 1):
+                        chk(e.s(k + 1, i, e.s(k, j, x)) == e.s(k + 1, j + 1, e.s(k, i, x)),
+                            f"degeneracy identity s{i}s{j} fails at dim {k}: {x!r}")
+    return report
 
 
 def validate_bisimplicial(b: BisimplicialSet):
@@ -104,14 +139,6 @@ def diag(b: BisimplicialSet, id_fn=_default_id):
                 degen[(k, i)] = {x: vd[hd[x]] for x in elements[k]}
     ext = ExtensionalSSet(tr, elements, face, degen, name=f"diag{b.name}")
     return normalize_extensional(ext, id_fn=id_fn)
-
-
-def column_sset(b: BisimplicialSet, m, id_fn=_default_id):
-    """The m-th column as a simplicial set in the horizontal direction.
-
-    Elements at level n are the (n, m)-elements.
-    """
-    return normalize_extensional(b.slice(m, name=f"col{m}{b.name}"), id_fn=id_fn)
 
 
 def bisimplicial_of(x):

@@ -6,7 +6,7 @@ from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              constant_algebra_object,
                              constant_finset_diagram, i_points,
                              i_points_sset, induced_map, is_fibration,
-                             is_sset_fibration, sset_stability_check,
+                             sset_stability_check,
                              two_stage_colimit_check,
                              validate_algebra_morphism,
                              validate_finset_diagram)
@@ -246,13 +246,6 @@ def test_stability_injective_composite():
     m = ClubMorphismSSet(x, y, identity_smap(s),
                          {z: incl for k in range(3) for z in s.nondeg[k]})
     assert sset_stability_check([m]) == []
-
-
-def test_is_sset_fibration_on_identity():
-    s = standard_simplex(1, 2)
-    x = ClubObjectSSet(s, constant_family(s, one_point(2)))
-    ok, _ = is_sset_fibration(identity_club_morphism(x), 1)
-    assert ok
 
 
 def test_colimit_invariant_under_shape_isomorphism():

@@ -5,12 +5,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from clubcat import formats, simpset, suites
 from clubcat.cli import build_parser, main
-from clubcat.errors import InputError
 from clubcat.fincat import walking_arrow
 from clubcat.generate import random_diagram
 from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
@@ -190,6 +190,22 @@ def test_club_check_corrupted_exit_1(workspace, tmp_path):
     path = tmp_path / "badclub.json"
     formats.write_file(path, "club", club)
     assert main(["club-check", str(path)]) == 1
+
+
+def test_club_check_broken_rebracketing_is_a_law_failure(tmp_path, capsys,
+                                                         monkeypatch):
+    # a coherence isomorphism whose round trip fails is a failed check
+    # (exit 1), not invalid input (exit 2)
+    from clubcat import semidirect
+    from clubcat.operads import associative_operad, operad_to_club
+    path = tmp_path / "club.json"
+    formats.write_file(path, "club", operad_to_club(associative_operad(2)))
+    monkeypatch.setattr(semidirect, "diagram_morphism_equal",
+                        lambda f, g: False)
+    assert main(["club-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] monoid-axioms" in captured.out
+    assert captured.err == ""
 
 
 def _json_paths(node, prefix=()):
@@ -378,8 +394,8 @@ def test_negative_dimension_bounds_are_rejected(workspace, capsys):
 
 
 def test_word_operad_correspondence_failure_is_recorded(monkeypatch):
-    def broken(p, guard=None):
-        raise InputError("no correspondence")
+    def broken(p):
+        return SimpleNamespace(problems=["no correspondence"])
     monkeypatch.setattr(suites, "ns_iso_check", broken)
     report = suites.run_suite("operad-bijection", samples=0)
     statuses = {c["law"]: c["status"] for c in report["checks"]}

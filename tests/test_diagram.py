@@ -2,16 +2,14 @@ import pytest
 
 from clubcat.diagram import (DiagramInCat, DiagramMorphism,
                              compose_diagram_morphisms, constantify,
-                             diagram_morphism_equal, find_diagram_isomorphism,
-                             identity_diagram_morphism, lift_functor,
-                             unit_diagram,
-                             validate_diagram, validate_diagram_morphism)
+                             diagram_morphism_equal, identity_diagram_morphism,
+                             unit_diagram, validate_diagram,
+                             validate_diagram_morphism)
 from clubcat.errors import InputError
-from clubcat.fincat import (Functor, compose_functors, constant_functor,
-                            discrete_category, enumerate_functors,
-                            functor_equal, identity_functor,
-                            terminal_category, validate_functor,
-                            walking_arrow)
+from clubcat.fincat import (Functor, discrete_category, enumerate_functors,
+                            identity_functor, terminal_category, walking_arrow)
+
+from fincat_reference import constant_functor
 
 
 def arrow_diagram_with_fibers():
@@ -78,21 +76,6 @@ def test_composition_endpoint_mismatch():
                                   identity_diagram_morphism(u))
 
 
-def test_constantify_lifts_functors_functorially():
-    c = walking_arrow()
-    d = discrete_category(["u", "v"])
-    for f in enumerate_functors(c, c):
-        lifted = lift_functor(f)
-        assert validate_diagram_morphism(lifted) == []
-    # composition preserved
-    f = constant_functor(c, c, "y")
-    g = identity_functor(c)
-    lf, lg = lift_functor(f), lift_functor(g)
-    comp_then_lift = lift_functor(compose_functors(g, f))
-    lift_then_comp = compose_diagram_morphisms(lg, lf)
-    assert diagram_morphism_equal(comp_then_lift, lift_then_comp)
-
-
 def test_hom_adjunction_at_desk_scale():
     # morphisms const(M) -> X biject with functors M -> base(X) when all
     # fibers of X are terminal: rho components are forced, so the lift of
@@ -125,42 +108,3 @@ def test_associativity_of_composition_on_triple():
     rhs = compose_diagram_morphisms(compose_diagram_morphisms(e, e), e)
     assert diagram_morphism_equal(lhs, rhs)
     assert validate_diagram_morphism(lhs) == []
-
-
-def test_find_diagram_isomorphism_on_renamed_copy():
-    x = arrow_diagram_with_fibers()
-    iso = find_diagram_isomorphism(x, x)
-    assert iso is not None
-    assert validate_diagram_morphism(iso) == []
-    assert validate_functor(iso.base_functor) == []
-
-
-def test_find_diagram_isomorphism_fails_on_different_fibers():
-    base = terminal_category()
-    one = terminal_category()
-    two = discrete_category(["p", "q"])
-    x = DiagramInCat(base, {"*": one}, {"id_*": identity_functor(one)})
-    y = DiagramInCat(base, {"*": two}, {"id_*": identity_functor(two)})
-    assert find_diagram_isomorphism(x, y) is None
-
-
-def test_find_diagram_isomorphism_backtracks_over_fiber_isos():
-    # over the walking arrow, X acts on {p, q} by the swap and Y by the
-    # identity; taking the first isomorphism of every fiber is not natural,
-    # so the search must move on to rho_y = swap
-    base = walking_arrow()
-    two = discrete_category(["p", "q"])
-    swap = Functor(two, two, {"p": "q", "q": "p"},
-                   {"id_p": "id_q", "id_q": "id_p"})
-    ident = identity_functor(two)
-    x = DiagramInCat(base, {"x": two, "y": two},
-                     {"id_x": ident, "id_y": ident, "a": swap})
-    y = DiagramInCat(base, {"x": two, "y": two},
-                     {"id_x": ident, "id_y": ident, "a": ident})
-    assert validate_diagram(x) == [] and validate_diagram(y) == []
-    iso = find_diagram_isomorphism(x, y)
-    assert iso is not None
-    assert validate_diagram_morphism(iso) == []
-    assert functor_equal(iso.base_functor, identity_functor(base))
-    assert functor_equal(iso.rho["x"], ident)
-    assert functor_equal(iso.rho["y"], swap)

@@ -94,12 +94,14 @@ def test_circ_unit_substitution():
 
 def test_ns_iso_check_unit_only():
     res = ns_iso_check(Collection(1, {1: ["e"]}))
+    assert res.problems == []
     assert len(res.product.diagram.base.objects) == 1
 
 
 def test_ns_iso_check_associative():
     p = associative_operad(3)
     res = ns_iso_check(p)
+    assert res.problems == []
     assert validate_diagram(res.product.diagram) == []
     # levelwise counts agree by construction; the check verified both ways
     pp = circ(p, p)
@@ -118,7 +120,7 @@ def test_ns_iso_check_random_small_collections():
                   for n in range(cap + 1)}
         levels.setdefault(1, [])
         p = Collection(cap, levels)
-        ns_iso_check(p)  # raises on failure
+        assert ns_iso_check(p).problems == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ from clubcat.diagram import (DiagramInCat, compose_diagram_morphisms,
                              identity_diagram_morphism, unit_diagram,
                              validate_diagram, validate_diagram_morphism)
 from clubcat.errors import GuardrailExceeded
-from clubcat.fincat import (FinCategory, Functor, constant_functor,
-                            discrete_category, enumerate_functors,
-                            find_isomorphism, functor_key, identity_functor,
-                            terminal_category, validate_category,
-                            walking_arrow)
+from clubcat.fincat import (FinCategory, Functor, discrete_category,
+                            enumerate_functors, find_isomorphism, functor_key,
+                            identity_functor, terminal_category,
+                            validate_category, walking_arrow)
 from clubcat.semidirect import (Products, associator, build_semidirect,
                                 club_check, fiber_semidirect, pentagon_check,
                                 product_objects, semidirect,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
+
+from fincat_reference import constant_functor
 
 
 def arrow_diagram():
@@ -189,10 +190,12 @@ def test_interchange_on_composites():
 # unitors and associator
 
 def test_unitors_on_small_diagrams():
-    for x in [unit_diagram(), arrow_diagram(), discrete_diagram(["a", "b"], [2, 0])]:
+    for x in [unit_diagram(), arrow_diagram(), discrete_diagram(["a", "b"], [2, 0]),
+              discrete_diagram(["a", "b"], [1, 2])]:
         left, right = unitors(x, Products())
         assert validate_diagram_morphism(left.forward) == []
         assert validate_diagram_morphism(right.forward) == []
+        assert left.problems == right.problems == []
 
 
 def test_unitors_coincide_on_unit():
@@ -205,6 +208,7 @@ def test_associator_identity_case():
     u = unit_diagram()
     res = associator(u, u, u, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
+    assert res.iso.problems == []
 
 
 def test_associator_on_mixed_diagrams():
@@ -214,6 +218,7 @@ def test_associator_on_mixed_diagrams():
     res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
     assert validate_diagram_morphism(res.iso.inverse) == []
+    assert res.iso.problems == []
 
 
 def test_associator_with_base_morphisms():
@@ -222,6 +227,7 @@ def test_associator_with_base_morphisms():
     z = discrete_diagram(["w"], [1])
     res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
+    assert res.iso.problems == []
 
 
 def test_triangle_identity():
@@ -283,20 +289,6 @@ def test_corrupted_club_fails_with_witness():
     from clubcat.semidirect import ClubStructure
     bad = ClubStructure(club.carrier, club.product, broken, club.eta)
     assert club_check(bad) != []
-
-
-def test_unit_product_isomorphic_via_search():
-    # the product with the unit is isomorphic to the diagram itself, found
-    # by the generic diagram isomorphism search as well as by the unitors
-    from clubcat.diagram import find_diagram_isomorphism
-    x = discrete_diagram(["a", "b"], [1, 2])
-    p = semidirect(x, unit_diagram())
-    iso = find_diagram_isomorphism(p, x)
-    assert iso is not None
-    assert validate_diagram_morphism(iso) == []
-    q = semidirect(unit_diagram(), x)
-    iso2 = find_diagram_isomorphism(q, x)
-    assert iso2 is not None
 
 
 def test_random_products_always_validate():
@@ -450,18 +442,16 @@ def _all_pairs_thetas(club):
     """Reference: every (mid, chi1, chi2, theta) of club_check's morphism
     pass, by enumerating the chis of both ends for every morphism and every
     transformation chi1 => chi2 ∘ transport, as keys in check order."""
-    from clubcat.config import DEFAULT_GUARDRAILS
     from clubcat.fincat import compose_functors, enumerate_nat_trans
     p, c = club.product, club.carrier
     base = p.diagram.base
-    limit = DEFAULT_GUARDRAILS.max_enum_morphisms
     cases = []
     for mid in base.mor_ids:
         fib1 = p.fibers[base.src[mid]].cat
         fib2 = p.fibers[base.tgt[mid]].cat
         transport = p.diagram.fiber_mor[mid]
-        for chi1 in enumerate_functors(fib1, c.base, limit):
-            for chi2 in enumerate_functors(fib2, c.base, limit):
+        for chi1 in enumerate_functors(fib1, c.base):
+            for chi2 in enumerate_functors(fib2, c.base):
                 shifted = compose_functors(chi2, transport)
                 for theta in enumerate_nat_trans(chi1, shifted):
                     cases.append((mid, functor_key(chi1), functor_key(chi2),

@@ -12,10 +12,10 @@ from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              identity_map, identity_smap, is_injective,
                              is_kan_fibration, iso_sset, nf_id, nondeg,
                              one_point, product, simplex_category,
-                             smap_equal, smap_functor, standard_simplex,
+                             smap_equal, standard_simplex,
                              surjections, SimplicialMap, validate_smap,
                              validate_sset)
-from clubcat.fincat import validate_category, validate_functor
+from clubcat.fincat import validate_category
 from clubcat.generate import random_family
 from clubcat.sset_club import ClubObjectSSet, constant_family
 
@@ -268,7 +268,7 @@ def test_simplex_counts_closed_form():
     s = standard_simplex(2, 3)
     for k in range(4):
         expected = sum(len(s.nondeg[j]) * comb(k, k - j) for j in range(k + 1))
-        assert s.simplex_count(k) == expected
+        assert len(s.all_simplices(k)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +331,6 @@ def test_simplex_composites_match_the_eager_table(make):
     assert (g, f) not in cat.comp
     with pytest.raises(InputError):
         cat.compose(g, f)
-
-
-def test_smap_functor_is_functor():
-    s = standard_simplex(1, 1)
-    t = one_point(1)
-    collapse = SimplicialMap(s, t, {"0": nondeg("pt", 0), "1": nondeg("pt", 0),
-                                    "01": NormalForm(degeneracy_map(0, 0), "pt")})
-    assert validate_smap(collapse) == []
-    f = smap_functor(collapse)
-    assert validate_functor(f) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,18 @@ import random
 import pytest
 
 from clubcat import sset_club
-from clubcat.algebra import column_point_map
 from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
-from clubcat.generate import (random_family, random_stability_sample,
-                              random_two_level)
+from clubcat.generate import random_family, random_two_level
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
-                             compose_maps, degeneracy_map, disjoint_union,
-                             face_map, identity_smap, is_injective, iso_sset,
-                             nf_id, nondeg, one_point, product,
-                             standard_simplex, validate_smap, validate_sset)
+                             compose_maps, compose_smaps, degeneracy_map,
+                             disjoint_union, face_map, identity_smap,
+                             is_injective, iso_sset, nondeg, one_point,
+                             product, standard_simplex, validate_smap,
+                             validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                SimplexFamily, TwoLevelFamily,
-                               associativity_check, compose,
-                               compose_club_morphisms, compose_morphism,
+                               associativity_check, compose, compose_morphism,
                                constant_family, constant_two_level,
                                delta_functor, delta_is_isomorphism,
                                delta_naturality_check, identity_club_morphism,
@@ -24,8 +22,8 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                unit_law_check, validate_club_morphism,
                                validate_family, validate_two_level)
 
-from bisimplicial_reference import (bisimplicial_of, column_sset,
-                                    reference_compose, validate_bisimplicial)
+from bisimplicial_reference import (bisimplicial_of, reference_compose,
+                                    validate_bisimplicial)
 
 
 def collapse_map(s, t):
@@ -290,10 +288,12 @@ def test_compose_morphism_functorial():
     m1 = ClubMorphismSSet(x, y, identity_smap(s),
                           {z: incl0 for k in range(3) for z in s.nondeg[k]})
     m2 = identity_club_morphism(y)
-    both = compose_club_morphisms(m2, m1)
+    both = ClubMorphismSSet(
+        x, y, compose_smaps(m2.f, m1.f),
+        {z: compose_smaps(m2.phi_at(m1.f.images[z].base), m1.phi[z])
+         for k in range(3) for z in s.nondeg[k]})
     rx, ry = compose(x), compose(y)
     lhs = compose_morphism(both, rx, ry)
-    from clubcat.simpset import compose_smaps
     rhs = compose_smaps(compose_morphism(m2, ry, ry), compose_morphism(m1, rx, ry))
     assert lhs.images == rhs.images
 
@@ -474,40 +474,6 @@ def test_compose_matches_the_bisimplicial_diagonal(trunc):
         assert_compose_matches_reference(x)
         assert_compose_matches_reference(
             x, part_fn=lambda elt: (elt[1], "/", elt[0]))
-
-
-@pytest.mark.parametrize("trunc", [1, 2, 3])
-def test_columns_match_the_bisimplicial_columns(trunc):
-    for seed in range(12):
-        x = random_family(random.Random(seed), trunc)
-        for col in range(trunc + 1):
-            assert_same_presentation(
-                sset_club._pair_sset(x, col, f"col{col}T({x.base.name})"),
-                column_sset(bisimplicial_of(x), col))
-
-
-def test_column_point_maps_match_the_bisimplicial_columns():
-    rng = random.Random(3)
-    for _ in range(12):
-        m = random_stability_sample(rng, 2)
-        for col in range(3):
-            got = column_point_map(m, col)
-            s_lookup = m.src.base.normal_forms()
-
-            def pair_image(elt):
-                snf = s_lookup[elt[0]]
-                tnf = m.src.family.value(snf.base).normal_forms()[elt[1]]
-                return (nf_id(m.f.apply(snf)),
-                        nf_id(m.phi_at(snf).apply(tnf)))
-
-            src = column_sset(bisimplicial_of(m.src), col)
-            tgt = column_sset(bisimplicial_of(m.tgt), col)
-            images = {nf.base: tgt[1][(n, pair_image(elt))]
-                      for (n, elt), nf in src[1].items()
-                      if nf.is_nondegenerate()}
-            assert_same_sset(got.src, src[0])
-            assert_same_sset(got.tgt, tgt[0])
-            assert list(got.images.items()) == list(images.items())
 
 
 def test_c5_composites_match_the_bisimplicial_diagonal(monkeypatch):
