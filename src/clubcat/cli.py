@@ -26,8 +26,8 @@ from .semidirect import club_check, semidirect
 from .simpset import (is_kan_fibration, one_point, product, validate_smap,
                       validate_sset)
 from .sset_club import (ClubObjectSSet, TwoLevelFamily, associativity_check,
-                        compose, constant_family, unit_law_check,
-                        validate_family)
+                        compose, constant_family, unit_law_point_base,
+                        unit_law_point_values, validate_family)
 from .suites import SUITES, Report, run_suite
 
 PASS, FAIL, BAD_INPUT, GUARDRAIL = 0, 1, 2, 3
@@ -187,14 +187,14 @@ def cmd_sset_law_check(args):
     obj = _valid_club_object(args, "law-check")
     report = Report(command="sset law-check")
     if args.unit or not (args.unit or args.assoc):
-        violations = unit_law_check(s=obj.base)
+        violations = unit_law_point_values(obj.base)
         report.record("unit-law-point-values", not violations,
                       {"violations": violations})
         seen = []
         for value in obj.family.values.values():
             if id(value) not in seen:
                 seen.append(id(value))
-                violations = unit_law_check(value=value)
+                violations = unit_law_point_base(value)
                 report.record("unit-law-point-base", not violations,
                               {"violations": violations})
     if args.assoc:

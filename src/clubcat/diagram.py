@@ -88,9 +88,9 @@ class DiagramMorphism:
 def validate_diagram_morphism(a: DiagramMorphism):
     report = []
     f = a.base_functor
-    if not (f.src is a.src.base or fincat_equal(f.src, a.src.base)):
+    if not fincat_equal(f.src, a.src.base):
         report.append("base functor source mismatch")
-    if not (f.tgt is a.tgt.base or fincat_equal(f.tgt, a.tgt.base)):
+    if not fincat_equal(f.tgt, a.tgt.base):
         report.append("base functor target mismatch")
     report.extend(f"base functor: {r}" for r in validate_functor(f))
     if report:
@@ -126,7 +126,7 @@ def identity_diagram_morphism(x: DiagramInCat):
 
 def compose_diagram_morphisms(b: DiagramMorphism, a: DiagramMorphism):
     """Composite b∘a: base functors compose, rho components whisker backwards."""
-    if not (a.tgt is b.src or (fincat_equal(a.tgt.base, b.src.base))):
+    if not fincat_equal(a.tgt.base, b.src.base):
         raise InputError("diagram morphism composition endpoint mismatch")
     base = compose_functors(b.base_functor, a.base_functor)
     rho = {}

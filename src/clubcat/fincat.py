@@ -111,10 +111,10 @@ class LazyComposites(Mapping):
 
 def fincat_equal(c, d):
     """Structural equality of category tables (order of listings ignored)."""
-    return (sorted(c.objects) == sorted(d.objects)
-            and sorted(c.morphisms) == sorted(d.morphisms)
-            and c.identities == d.identities
-            and c.comp == d.comp)
+    return c is d or (sorted(c.objects) == sorted(d.objects)
+                      and sorted(c.morphisms) == sorted(d.morphisms)
+                      and c.identities == d.identities
+                      and c.comp == d.comp)
 
 
 def validate_category(c: FinCategory):
@@ -282,7 +282,7 @@ def validate_functor(f: Functor):
 
 def compose_functors(g: Functor, f: Functor):
     """Pointwise composite g∘f; the middle categories must agree."""
-    if not (f.tgt is g.src or fincat_equal(f.tgt, g.src)):
+    if not fincat_equal(f.tgt, g.src):
         raise InputError("functor composition endpoint mismatch")
     return Functor(f.src, g.tgt,
                    {x: g.omap[f.omap[x]] for x in f.src.objects},
@@ -382,9 +382,9 @@ class NatTrans:
 
 def enumerate_nat_trans(f: Functor, g: Functor):
     """All natural transformations f => g, deterministically ordered."""
-    if not (f.src is g.src or fincat_equal(f.src, g.src)):
+    if not fincat_equal(f.src, g.src):
         raise InputError("natural transformations need parallel functors")
-    if not (f.tgt is g.tgt or fincat_equal(f.tgt, g.tgt)):
+    if not fincat_equal(f.tgt, g.tgt):
         raise InputError("natural transformations need parallel functors")
     c, d = f.src, f.tgt
     objs = c.objects

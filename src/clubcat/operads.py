@@ -105,6 +105,7 @@ def validate_ns_operad(p: NsOperad):
         report.append("unit is not an element of arity one")
         return report
     tuples = _composable_tuples(p)
+    tuple_set = set(tuples)
     for (op, args) in tuples:
         key = (op, args)
         if key not in p.gamma:
@@ -115,8 +116,7 @@ def validate_ns_operad(p: NsOperad):
         if out not in p.levels.get(want, []):
             report.append(f"gamma at {key!r} lands at {out!r}, not in arity {want}")
     for key in p.gamma:
-        op, args = key
-        if (op, args) not in set(tuples):
+        if key not in tuple_set:
             report.append(f"gamma entry {key!r} outside the cap or malformed")
     if report:
         return report
@@ -148,7 +148,6 @@ def validate_ns_operad(p: NsOperad):
                 segments.append(rs[pos:pos + m])
                 pos += m
             mids = []
-            ok = True
             for q, seg in zip(qs, segments):
                 mids.append(p.compose(q, seg))
             rhs = p.gamma[(op, tuple(mids))]
@@ -164,14 +163,9 @@ def validate_ns_operad(p: NsOperad):
 def associative_operad(cap, with_nullary=False, name="assoc"):
     lo = 0 if with_nullary else 1
     levels = {n: [f"a{n}"] for n in range(lo, cap + 1)}
-    gamma = {}
     op = NsOperad(cap, levels, "a1", {}, name=name)
-    for n in range(1, cap + 1):
-        if n not in levels or not levels.get(n):
-            continue
-        for (p, args) in _composable_tuples(op):
-            total = sum(op.arity_of(q) for q in args)
-            gamma[(p, args)] = f"a{total}"
+    gamma = {(p, args): f"a{sum(op.arity_of(q) for q in args)}"
+             for (p, args) in _composable_tuples(op)}
     return NsOperad(cap, levels, "a1", gamma, name=name)
 
 
@@ -354,16 +348,15 @@ def _order_functor(kfib: FinCategory, fib, order):
 @dataclass
 class NsIsoResult:
     forward: DiagramMorphism
-    inverse: DiagramMorphism
     product: SemidirectProduct
     composite_encoding: EncodedCollection
-    problems: list     # from ``_verify_iso``; empty when the two are inverse
+    problems: list     # from ``_verify_iso``; empty when forward is invertible
 
 
 def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
-    """Exhibit the isomorphism between the encoded composite collection and
-    the (arity-truncated) product of the encoding with itself, both ways;
-    ``problems`` is empty when the two directions are mutually inverse."""
+    """Exhibit the isomorphism from the encoded composite collection to the
+    (arity-truncated) product of the encoding with itself; ``problems`` is
+    empty when it is invertible."""
     enc = encode_ns(p)
     pp = circ(p, p)
     tuple_of = {name: tup for name, tup, _ in _composite_tuples(p, p)}
@@ -395,23 +388,7 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     base_fwd = Functor(enc_pp.diagram.base, prod.diagram.base, omap, mmap)
     forward = DiagramMorphism(enc_pp.diagram, prod.diagram, base_fwd, rho,
                               name="tuple-to-pair")
-
-    # inverse: product -> encoded composite
-    omap_i, mmap_i, rho_i = {}, {}, {}
-    for oid in prod.diagram.base.objects:
-        op, args = _decode(enc.elem_of, prod, oid)
-        cid = enc_pp.obj_of[_composite_name(op, args)]
-        omap_i[oid] = cid
-        mmap_i[prod.diagram.base.identity(oid)] = enc_pp.diagram.base.identity(cid)
-        rho_i[oid] = _order_functor(enc_pp.diagram.fiber_obj[cid],
-                                    prod.fibers[oid],
-                                    _flat_order(enc.diagram, prod, oid))
-    base_inv = Functor(prod.diagram.base, enc_pp.diagram.base, omap_i, mmap_i)
-    inverse = DiagramMorphism(prod.diagram, enc_pp.diagram, base_inv, rho_i,
-                              name="pair-to-tuple")
-
-    return NsIsoResult(forward, inverse, prod, enc_pp,
-                       _verify_iso(forward, inverse))
+    return NsIsoResult(forward, prod, enc_pp, _verify_iso(forward))
 
 
 # ---------------------------------------------------------------------------

@@ -415,25 +415,28 @@ def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
 @dataclass
 class IsoPair:
     forward: DiagramMorphism
-    inverse: DiagramMorphism
-    problems: list     # from ``_verify_iso``; empty when the two are inverse
+    problems: list     # from ``_verify_iso``; empty when forward is invertible
 
 
-def _verify_iso(forward: DiagramMorphism, inverse: DiagramMorphism):
-    """Why ``forward`` and ``inverse`` are not mutually inverse diagram
-    morphisms; empty when they are.  A failure is a finding, not an error."""
+def _verify_iso(forward: DiagramMorphism):
+    """Why ``forward`` is not an isomorphism of diagrams; empty when it is.
+
+    A valid diagram morphism is invertible exactly when its base functor and
+    every rho component are bijective on objects and on morphisms, so the
+    forward tables decide it.  A failure is a finding, not an error."""
     problems = validate_diagram_morphism(forward)
-    problems += validate_diagram_morphism(inverse)
     if problems:
         return [f"coherence morphism invalid: {problems[:3]}"]
-    fwd_then_back = compose_diagram_morphisms(inverse, forward)
-    back_then_fwd = compose_diagram_morphisms(forward, inverse)
-    if not diagram_morphism_equal(fwd_then_back,
-                                  identity_diagram_morphism(forward.src)):
-        problems.append("round trip on the source is not the identity")
-    if not diagram_morphism_equal(back_then_fwd,
-                                  identity_diagram_morphism(inverse.src)):
-        problems.append("round trip on the target is not the identity")
+    tables = [("base functor", forward.base_functor)]
+    tables += [(f"rho at {d!r}", forward.rho[d])
+               for d in forward.src.base.objects]
+    for where, fun in tables:
+        if (sorted(fun.omap[x] for x in fun.src.objects)
+                != sorted(fun.tgt.objects)):
+            problems.append(f"{where} is not bijective on objects")
+        if (sorted(fun.mmap[m] for m in fun.src.mor_ids)
+                != sorted(fun.tgt.mor_ids)):
+            problems.append(f"{where} is not bijective on morphisms")
     return problems
 
 
@@ -448,8 +451,8 @@ class AssociatorResult:
 
 def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
                products: Products):
-    """The rebracketing isomorphism (X⋉Y)⋉Z -> X⋉(Y⋉Z) and its inverse, with
-    the problems ``_verify_iso`` finds in ``iso.problems``.
+    """The rebracketing isomorphism (X⋉Y)⋉Z -> X⋉(Y⋉Z), with the problems
+    ``_verify_iso`` finds in ``iso.problems``.
 
     The object formula is currying: ((d, psi), chi) goes to (d, a -> (psi(a),
     chi restricted to the pairs over a)).  The four products come from
@@ -504,78 +507,7 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
 
     forward = DiagramMorphism(p_xy_z.diagram, p_x_yz.diagram, base_fwd, rho_fwd,
                               name="assoc")
-
-    # inverse: uncurry
-    omap_inv, mmap_inv = {}, {}
-    uncurried = {}
-    for oid in p_x_yz.diagram.base.objects:
-        d, xi = p_x_yz.obj_data[oid]
-        fiber_d = x.fiber_obj[d]
-        psi_omap, psi_mmap = {}, {}
-        for a in fiber_d.objects:
-            psi_omap[a] = p_yz.obj_data[xi.omap[a]][0]
-        for alpha in fiber_d.mor_ids:
-            psi_mmap[alpha] = p_yz.mor_data[xi.mmap[alpha]][0]
-        psi = Functor(fiber_d, y.base, psi_omap, psi_mmap)
-        d1 = p_xy.obj_id[(d, functor_key(psi))]
-        fib_xy = p_xy.fibers[d1]
-        chi_omap, chi_mmap = {}, {}
-        for pid, (a, bb) in fib_xy.obj_data.items():
-            inner = p_yz.obj_data[xi.omap[a]][1]
-            chi_omap[pid] = inner.omap[bb]
-        for qid, (alpha, b1, beta) in fib_xy.mor_data.items():
-            a1, a2 = fiber_d.src[alpha], fiber_d.tgt[alpha]
-            chi_a2 = p_yz.obj_data[xi.omap[a2]][1]
-            phi_alpha = p_yz.mor_data[xi.mmap[alpha]][1]
-            chi_mmap[qid] = z.base.comp[(chi_a2.mmap[beta],
-                                         phi_alpha.components[b1])]
-        chi = Functor(fib_xy.cat, z.base, chi_omap, chi_mmap)
-        uncurried[oid] = (d, xi, psi, d1, fib_xy, chi)
-        omap_inv[oid] = p_xy_z.obj_id[(d1, functor_key(chi))]
-    for mid in p_x_yz.diagram.base.mor_ids:
-        f, theta = p_x_yz.mor_data[mid]
-        s1 = p_x_yz.diagram.base.src[mid]
-        t1 = p_x_yz.diagram.base.tgt[mid]
-        d, xi, psi, d1, fib_xy, chi = uncurried[s1]
-        d1_tgt = uncurried[t1][3]
-        fiber_d = x.fiber_obj[d]
-        phi_comps, theta_pair = {}, {}
-        for a in fiber_d.objects:
-            inner_mor = p_yz.mor_data[theta.components[a]]
-            phi_comps[a] = inner_mor[0]
-            for bb in y.fiber_obj[psi.omap[a]].objects:
-                theta_pair[fib_xy.obj_id[(a, bb)]] = inner_mor[1].components[bb]
-        f1 = p_xy.mor_id[(d1, d1_tgt, f,
-                          tuple(phi_comps[a] for a in fiber_d.objects))]
-        mmap_inv[mid] = p_xy_z.mor_id[(
-            omap_inv[s1], omap_inv[t1], f1,
-            tuple(theta_pair[pid] for pid in fib_xy.cat.objects))]
-    base_inv = Functor(p_x_yz.diagram.base, p_xy_z.diagram.base, omap_inv, mmap_inv)
-
-    rho_inv = {}
-    for oid in p_x_yz.diagram.base.objects:
-        d, xi, psi, d1, fib_xy, chi = uncurried[oid]
-        src_fib = p_xy_z.fibers[omap_inv[oid]]   # pairs ((a, b), c)
-        tgt_fib = p_x_yz.fibers[oid]             # pairs (a, (b, c))
-        fomap, fmmap = {}, {}
-        for pid, (pxy, cc) in src_fib.obj_data.items():
-            a, bb = fib_xy.obj_data[pxy]
-            inner = p_yz.fibers[xi.omap[a]]
-            fomap[pid] = tgt_fib.obj_id[(a, inner.obj_id[(bb, cc)])]
-        for qid, (pair_mor, c1, gamma) in src_fib.mor_data.items():
-            alpha, b1, beta = fib_xy.mor_data[pair_mor]
-            a1 = x.fiber_obj[d].src[alpha]
-            a2 = x.fiber_obj[d].tgt[alpha]
-            inner1 = p_yz.fibers[xi.omap[a1]]
-            inner2 = p_yz.fibers[xi.omap[a2]]
-            tc1 = z.fiber_mor[_chi_along(fib_xy, psi, chi, y, alpha, b1)].omap[c1]
-            fmmap[qid] = tgt_fib.mor_id[(
-                alpha, inner1.obj_id[(b1, c1)], inner2.mor_id[(beta, tc1, gamma)])]
-        rho_inv[oid] = Functor(src_fib.cat, tgt_fib.cat, fomap, fmmap)
-
-    inverse = DiagramMorphism(p_x_yz.diagram, p_xy_z.diagram, base_inv, rho_inv,
-                              name="assoc_inv")
-    iso = IsoPair(forward, inverse, _verify_iso(forward, inverse))
+    iso = IsoPair(forward, _verify_iso(forward))
     return AssociatorResult(iso, p_xy, p_xy_z, p_yz, p_x_yz)
 
 
@@ -636,8 +568,8 @@ def _curry_theta(fib, psi, y, phi, rf, theta, xi1, xi2, mor_id):
 # unitors
 
 def right_unitor(x: DiagramInCat, products: Products):
-    """The isomorphism X ⋉ 1 -> X with its inverse and their problems, out
-    of ``products(x, products.unit)``."""
+    """The isomorphism X ⋉ 1 -> X and the problems ``_verify_iso`` finds in
+    it, out of ``products(x, products.unit)``."""
     p = products(x, products.unit)
     one = terminal_category()
     omap, mmap = {}, {}
@@ -655,27 +587,12 @@ def right_unitor(x: DiagramInCat, products: Products):
                  for alpha in fiber_d.mor_ids}
         rho_fwd[oid] = Functor(fiber_d, fib.cat, fomap, fmmap)
     forward = DiagramMorphism(p.diagram, x, base_fwd, rho_fwd, name="runit")
-
-    omap_inv = {d: oid for oid, (d, psi) in p.obj_data.items()}
-    mmap_inv = {}
-    for f in x.base.mor_ids:
-        d1 = x.base.src[f]
-        comps = tuple("id_*" for _ in x.fiber_obj[d1].objects)
-        mmap_inv[f] = p.mor_id[(omap_inv[d1], omap_inv[x.base.tgt[f]], f, comps)]
-    base_inv = Functor(x.base, p.diagram.base, omap_inv, mmap_inv)
-    rho_inv = {}
-    for d in x.base.objects:
-        fib = p.fibers[omap_inv[d]]
-        fomap = {pid: ab[0] for pid, ab in fib.obj_data.items()}
-        fmmap = {qid: data[0] for qid, data in fib.mor_data.items()}
-        rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
-    inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="runit_inv")
-    return IsoPair(forward, inverse, _verify_iso(forward, inverse))
+    return IsoPair(forward, _verify_iso(forward))
 
 
 def left_unitor(x: DiagramInCat, products: Products):
-    """The isomorphism 1 ⋉ X -> X with its inverse and their problems, out
-    of ``products(products.unit, x)``."""
+    """The isomorphism 1 ⋉ X -> X and the problems ``_verify_iso`` finds in
+    it, out of ``products(products.unit, x)``."""
     p = products(products.unit, x)
     one = terminal_category()
     omap, mmap = {}, {}
@@ -694,28 +611,11 @@ def left_unitor(x: DiagramInCat, products: Products):
                  for beta in fiber_d.mor_ids}
         rho_fwd[oid] = Functor(fiber_d, fib.cat, fomap, fmmap)
     forward = DiagramMorphism(p.diagram, x, base_fwd, rho_fwd, name="lunit")
-
-    omap_inv, mmap_inv = {}, {}
-    for d in x.base.objects:
-        psi = Functor(one, x.base, {"*": d}, {"id_*": x.base.identity(d)})
-        omap_inv[d] = p.obj_id[("*", functor_key(psi))]
-    for f in x.base.mor_ids:
-        mmap_inv[f] = p.mor_id[(omap_inv[x.base.src[f]], omap_inv[x.base.tgt[f]],
-                                one.identity("*"), (f,))]
-    base_inv = Functor(x.base, p.diagram.base, omap_inv, mmap_inv)
-    rho_inv = {}
-    for d in x.base.objects:
-        fib = p.fibers[omap_inv[d]]
-        fomap = {pid: ab[1] for pid, ab in fib.obj_data.items()}
-        fmmap = {qid: data[2] for qid, data in fib.mor_data.items()}
-        rho_inv[d] = Functor(fib.cat, x.fiber_obj[d], fomap, fmmap)
-    inverse = DiagramMorphism(x, p.diagram, base_inv, rho_inv, name="lunit_inv")
-    return IsoPair(forward, inverse, _verify_iso(forward, inverse))
+    return IsoPair(forward, _verify_iso(forward))
 
 
 def unitors(x: DiagramInCat, products: Products):
-    """Both unit isomorphisms (left, right), each with its inverse and
-    their problems."""
+    """Both unit isomorphisms (left, right), each with its problems."""
     return left_unitor(x, products), right_unitor(x, products)
 
 
@@ -740,8 +640,8 @@ def triangle_check(x: DiagramInCat, y: DiagramInCat, products: Products):
 def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat, products: Products):
     """The two rebracketing paths ((W⋉X)⋉Y)⋉Z -> W⋉(X⋉(Y⋉Z)) agree.
 
-    ``a_wxy`` is ``associator(w, x, y, products)``, whose inverse that call
-    has already verified; W, X and Y are read from its products, so only
+    ``a_wxy`` is ``associator(w, x, y, products)``, already verified
+    invertible by that call; W, X and Y are read from its products, so only
     the products involving Z are built here, ((W⋉X)⋉Y)⋉Z first.
     """
     w, x, y = a_wxy.p_xy.left, a_wxy.p_xy.right, a_wxy.p_yz.right

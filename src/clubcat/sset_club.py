@@ -425,23 +425,23 @@ def delta_naturality_check(morphisms):
 # ---------------------------------------------------------------------------
 # unit laws
 
-def unit_law_check(s: SimplicialSet = None, value: SimplicialSet = None):
-    """Composites with the unit on either side are isomorphic to the input.
+def unit_law_point_values(s: SimplicialSet):
+    """The composite over ``s`` with every value the point is isomorphic to
+    ``s``."""
+    res = compose(ClubObjectSSet(s, point_family(s)))
+    if iso_sset(res.sset, s) is None:
+        return [f"point-valued composite not isomorphic to {s.name!r}"]
+    return []
 
-    Pass ``s`` to check the side where every value is the point; pass
-    ``value`` to check the side where the base is the point.
-    """
-    report = []
-    if s is not None:
-        res = compose(ClubObjectSSet(s, point_family(s)))
-        if iso_sset(res.sset, s) is None:
-            report.append(f"point-valued composite not isomorphic to {s.name!r}")
-    if value is not None:
-        pt = one_point(value.trunc)
-        res = compose(ClubObjectSSet(pt, constant_family(pt, value)))
-        if iso_sset(res.sset, value) is None:
-            report.append(f"point-based composite not isomorphic to {value.name!r}")
-    return report
+
+def unit_law_point_base(value: SimplicialSet):
+    """The composite over the point with value ``value`` is isomorphic to
+    ``value``."""
+    pt = one_point(value.trunc)
+    res = compose(ClubObjectSSet(pt, constant_family(pt, value)))
+    if iso_sset(res.sset, value) is None:
+        return [f"point-based composite not isomorphic to {value.name!r}"]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .simpset import (SimplicialMap, apply_operator, boundary,
 from .sset_club import (ClubObjectSSet, associativity_check, compose,
                         constant_family, delta_functor, delta_is_isomorphism,
                         delta_naturality_check, identity_club_morphism,
-                        pair_category_sset, unit_law_check)
+                        pair_category_sset, unit_law_point_base,
+                        unit_law_point_values)
 from .algebra import (act_category, algebra_associativity_check,
                       colimit_act, constant_algebra_object, i_points,
                       sset_stability_check)
@@ -240,10 +241,10 @@ def _sset_laws(suite, config):
                     ("point", standard_simplex(0, trunc)),
                     ("triangle", standard_simplex(2, trunc)),
                     ("triangle-boundary", boundary(2, trunc))]:
-        report = unit_law_check(s=s)
+        report = unit_law_point_values(s)
         suite.record(f"unit-law-point-values:{name}", report == [],
                      {"violations": report})
-        report = unit_law_check(value=s)
+        report = unit_law_point_base(s)
         suite.record(f"unit-law-point-base:{name}", report == [],
                      {"violations": report})
 

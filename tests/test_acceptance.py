@@ -7,14 +7,11 @@ lines; every tolerance and sample count is pinned here.
 import random
 import time
 
-import pytest
-
 from clubcat import formats
-from clubcat.config import DEFAULT_GUARDRAILS
 from clubcat import generate as gen
 from clubcat.fincat import (discrete_category, find_isomorphism, identity_functor,
                             validate_functor)
-from clubcat.diagram import DiagramInCat, validate_diagram_morphism
+from clubcat.diagram import DiagramInCat
 from clubcat.semidirect import club_check, semidirect
 from clubcat.operads import (associative_operad, club_to_operad,
                              commutative_operad, free_operad, ns_iso_check,
@@ -22,13 +19,13 @@ from clubcat.operads import (associative_operad, club_to_operad,
                              sym_operad_to_club, symmetric_associative_operad,
                              validate_ns_operad, validate_sym_operad)
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
-                             degeneracy_map, disjoint_union, identity_smap,
+                             degeneracy_map, disjoint_union,
                              is_kan_fibration, iso_sset, nondeg, one_point,
                              product, standard_simplex)
 from clubcat.sset_club import (ClubObjectSSet, associativity_check, compose,
                                constant_family, delta_functor,
                                delta_is_isomorphism, pair_category_sset,
-                               unit_law_check, validate_two_level)
+                               unit_law_point_base, unit_law_point_values)
 from clubcat.algebra import (colimit_act, constant_algebra_object,
                              sset_stability_check, two_stage_colimit_check)
 from clubcat.suites import run_suite
@@ -149,7 +146,7 @@ def test_c5_sset_club_laws_trunc3():
                     ("interval", standard_simplex(1, trunc)),
                     ("triangle", standard_simplex(2, trunc)),
                     ("triangle-boundary", boundary(2, trunc))]:
-        if unit_law_check(s=s) or unit_law_check(value=s):
+        if unit_law_point_values(s) or unit_law_point_base(s):
             unit_failures.append(name)
 
     rng = random.Random(5)

@@ -3,8 +3,7 @@ import pytest
 from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              FinSetDiagram, act_category,
                              colimit_act, colimit_finset,
-                             constant_algebra_object,
-                             constant_finset_diagram, i_points,
+                             constant_algebra_object, i_points,
                              i_points_sset, induced_map, is_fibration,
                              sset_stability_check,
                              two_stage_colimit_check,
@@ -129,7 +128,6 @@ def test_points_count_matches_family_enumeration():
     assert validate_finset_diagram(d) == []
     x = AlgebraObject(shape, d)
     # oracle: brute-force natural families over the standard-simplex operators
-    import itertools
     cat_d1 = cat
     for n in range(2):
         got = i_points(x, ("*",), n)

@@ -194,14 +194,14 @@ def test_club_check_corrupted_exit_1(workspace, tmp_path):
 
 def test_club_check_broken_rebracketing_is_a_law_failure(tmp_path, capsys,
                                                          monkeypatch):
-    # a coherence isomorphism whose round trip fails is a failed check
+    # a coherence isomorphism found not invertible is a failed check
     # (exit 1), not invalid input (exit 2)
     from clubcat import semidirect
     from clubcat.operads import associative_operad, operad_to_club
     path = tmp_path / "club.json"
     formats.write_file(path, "club", operad_to_club(associative_operad(2)))
-    monkeypatch.setattr(semidirect, "diagram_morphism_equal",
-                        lambda f, g: False)
+    monkeypatch.setattr(semidirect, "_verify_iso",
+                        lambda forward: ["not invertible"])
     assert main(["club-check", str(path)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] monoid-axioms" in captured.out

@@ -1,17 +1,13 @@
-import itertools
-
 import pytest
 
-from clubcat.diagram import validate_diagram, validate_diagram_morphism
+from clubcat.diagram import validate_diagram
 from clubcat.errors import InputError
-from clubcat.fincat import find_isomorphism, validate_category
 from clubcat.operads import (Collection, NsOperad, associative_operad,
                              block_permutation, circ, club_to_operad,
                              commutative_operad, cyclic_group_operad,
                              encode_ns, encode_sym, free_operad,
-                             monoid_operad, ns_iso_check, operad_to_club,
-                             swap_pair_operad, sym_circ, sym_inclusion,
-                             sym_operad_to_club, validate_collection,
+                             ns_iso_check, operad_to_club, swap_pair_operad,
+                             sym_inclusion, sym_operad_to_club,
                              validate_ns_operad, validate_sym_operad)
 from clubcat.semidirect import club_check
 

@@ -1,19 +1,23 @@
-import itertools
+import random
 
 import pytest
 
 from clubcat.config import Guardrails
-from clubcat.diagram import (DiagramInCat, compose_diagram_morphisms,
-                             constantify, diagram_morphism_equal,
+from clubcat.diagram import (DiagramInCat, DiagramMorphism,
+                             compose_diagram_morphisms, constantify,
+                             diagram_morphism_equal,
                              identity_diagram_morphism, unit_diagram,
                              validate_diagram, validate_diagram_morphism)
 from clubcat.errors import GuardrailExceeded
-from clubcat.fincat import (FinCategory, Functor, discrete_category,
+from clubcat.fincat import (Functor, discrete_category,
                             enumerate_functors, find_isomorphism, functor_key,
                             identity_functor, terminal_category,
                             validate_category, walking_arrow)
-from clubcat.semidirect import (Products, associator, build_semidirect,
-                                club_check, fiber_semidirect, pentagon_check,
+from clubcat.generate import random_triple
+from clubcat.operads import associative_operad, ns_iso_check
+from clubcat.semidirect import (Products, _verify_iso, associator,
+                                build_semidirect, club_check,
+                                fiber_semidirect, pentagon_check,
                                 product_objects, semidirect,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
@@ -217,7 +221,6 @@ def test_associator_on_mixed_diagrams():
     z = discrete_diagram(["w"], [1])
     res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
-    assert validate_diagram_morphism(res.iso.inverse) == []
     assert res.iso.problems == []
 
 
@@ -228,6 +231,132 @@ def test_associator_with_base_morphisms():
     res = associator(x, y, z, Products())
     assert validate_diagram_morphism(res.iso.forward) == []
     assert res.iso.problems == []
+
+
+def _table_inverse(a):
+    """The inverse of a diagram morphism read off its tables: the base
+    functor and every rho component with their maps reversed."""
+    def flip(fun):
+        return Functor(fun.tgt, fun.src, {v: k for k, v in fun.omap.items()},
+                       {v: k for k, v in fun.mmap.items()})
+    base = flip(a.base_functor)
+    return DiagramMorphism(a.tgt, a.src, base,
+                           {e: flip(a.rho[base.omap[e]])
+                            for e in a.tgt.base.objects})
+
+
+def _random_triple_isos():
+    """The associator and the unitors of X for random triples 0 to 5."""
+    for seed in range(6):
+        x, y, z, products = random_triple(random.Random(seed))
+        yield f"seed {seed} associator", associator(x, y, z, products).iso
+        left, right = unitors(x, products)
+        yield f"seed {seed} left unitor", left
+        yield f"seed {seed} right unitor", right
+
+
+def _coherence_isos():
+    """(label, result) of each coherence isomorphism of the fixtures above,
+    of the random triples and of the tuple-to-pair map of the associative
+    operad at arity 4."""
+    for x in [unit_diagram(), arrow_diagram(),
+              discrete_diagram(["a", "b"], [2, 0]),
+              discrete_diagram(["a", "b"], [1, 2])]:
+        left, right = unitors(x, Products())
+        yield f"left unitor of {x.name}", left
+        yield f"right unitor of {x.name}", right
+    u = unit_diagram()
+    for x, y, z in [(u, u, u),
+                    (discrete_diagram(["a"], [2]),
+                     discrete_diagram(["u", "v"], [1, 0]),
+                     discrete_diagram(["w"], [1])),
+                    (arrow_diagram(), discrete_diagram(["u", "v"], [1, 1]),
+                     discrete_diagram(["w"], [1]))]:
+        yield "associator", associator(x, y, z, Products()).iso
+    yield from _random_triple_isos()
+    yield "tuple-to-pair", ns_iso_check(associative_operad(4))
+
+
+def test_coherence_isomorphisms_invert_by_their_tables():
+    for label, iso in _coherence_isos():
+        fwd = iso.forward
+        assert iso.problems == [], label
+        inv = _table_inverse(fwd)
+        assert validate_diagram_morphism(inv) == [], label
+        assert diagram_morphism_equal(compose_diagram_morphisms(inv, fwd),
+                                      identity_diagram_morphism(fwd.src)), label
+        assert diagram_morphism_equal(compose_diagram_morphisms(fwd, inv),
+                                      identity_diagram_morphism(fwd.tgt)), label
+
+
+def _single_entry_mutants(a):
+    """Each copy of ``a`` with one entry of the base functor's tables or of
+    a rho component's tables sent to the next id of its target, in the
+    target's order and cyclically; entries whose target has one id stay."""
+    def mutants(fun):
+        for table, ids in ((fun.omap, fun.tgt.objects),
+                           (fun.mmap, fun.tgt.mor_ids)):
+            if len(ids) < 2:
+                continue
+            for key, value in table.items():
+                other = ids[(ids.index(value) + 1) % len(ids)]
+                changed = {**table, key: other}
+                yield (Functor(fun.src, fun.tgt, changed, fun.mmap)
+                       if table is fun.omap else
+                       Functor(fun.src, fun.tgt, fun.omap, changed))
+    for base in mutants(a.base_functor):
+        yield DiagramMorphism(a.src, a.tgt, base, a.rho)
+    for d, comp in a.rho.items():
+        for fun in mutants(comp):
+            yield DiagramMorphism(a.src, a.tgt, a.base_functor,
+                                  {**a.rho, d: fun})
+
+
+def test_verify_iso_reports_every_single_entry_mutant():
+    total = reported = 0
+    for label, iso in _random_triple_isos():
+        for mutant in _single_entry_mutants(iso.forward):
+            total += 1
+            reported += bool(_verify_iso(mutant))
+        assert _verify_iso(iso.forward) == [], label
+    print(f"coherence negative controls: {reported}/{total} reported")
+    assert total > 0
+    assert reported == total
+
+
+def test_verify_iso_reports_valid_morphisms_that_are_not_bijective():
+    # a single-entry mutant already breaks validity; these four morphisms
+    # are valid, so only the bijectivity of their tables reports them
+    two = discrete_diagram(["a", "b"], [1, 1])
+    u = unit_diagram()
+    collapse = DiagramMorphism(two, u, constant_functor(two.base, u.base, "*"),
+                               {d: constant_functor(u.fiber_obj["*"],
+                                                    two.fiber_obj[d], f"{d}f0")
+                                for d in ("a", "b")})
+    include = DiagramMorphism(
+        u, two, Functor(u.base, two.base, {"*": "a"},
+                        {"id_*": two.base.identity("a")}),
+        {"*": constant_functor(two.fiber_obj["a"], u.fiber_obj["*"], "*")})
+    one = discrete_diagram(["a"], [1])
+    wide = discrete_diagram(["a"], [2])
+    fold = DiagramMorphism(one, wide, identity_functor(one.base),
+                           {"a": constant_functor(wide.fiber_obj["a"],
+                                                  one.fiber_obj["a"], "af0")})
+    arrow, pair = walking_arrow(), discrete_category(["x", "y"])
+    on_arrow = DiagramInCat(discrete_category(["d"]), {"d": arrow},
+                            {"id_d": identity_functor(arrow)})
+    on_pair = DiagramInCat(discrete_category(["d"]), {"d": pair},
+                           {"id_d": identity_functor(pair)})
+    miss = DiagramMorphism(on_arrow, on_pair, identity_functor(on_arrow.base),
+                           {"d": Functor(pair, arrow, {"x": "x", "y": "y"},
+                                         {pair.identity(o): arrow.identity(o)
+                                          for o in ("x", "y")})})
+    for a, want in [(collapse, "base functor is not bijective on objects"),
+                    (include, "base functor is not bijective on objects"),
+                    (fold, "rho at 'a' is not bijective on objects"),
+                    (miss, "rho at 'd' is not bijective on morphisms")]:
+        assert validate_diagram_morphism(a) == []
+        assert want in _verify_iso(a)
 
 
 def test_triangle_identity():

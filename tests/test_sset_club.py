@@ -8,7 +8,7 @@ from clubcat.fincat import validate_category, validate_functor
 from clubcat.generate import random_family, random_two_level
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
                              compose_maps, compose_smaps, degeneracy_map,
-                             disjoint_union, face_map, identity_smap,
+                             disjoint_union, identity_smap,
                              is_injective, iso_sset, nondeg, one_point,
                              product, standard_simplex, validate_smap,
                              validate_sset)
@@ -18,9 +18,10 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                constant_family, constant_two_level,
                                delta_functor, delta_is_isomorphism,
                                delta_naturality_check, identity_club_morphism,
-                               pair_category_sset, point_family, sset_equal,
-                               unit_law_check, validate_club_morphism,
-                               validate_family, validate_two_level)
+                               pair_category_sset, sset_equal,
+                               unit_law_point_base, unit_law_point_values,
+                               validate_club_morphism, validate_family,
+                               validate_two_level)
 
 from bisimplicial_reference import (bisimplicial_of, reference_compose,
                                     validate_bisimplicial)
@@ -145,10 +146,10 @@ def test_compose_square_counts():
 
 
 def test_unit_laws_small():
-    assert unit_law_check(s=standard_simplex(1, 2)) == []
-    assert unit_law_check(s=boundary(2, 2)) == []
-    assert unit_law_check(value=standard_simplex(1, 2)) == []
-    assert unit_law_check(value=one_point(2)) == []
+    assert unit_law_point_values(standard_simplex(1, 2)) == []
+    assert unit_law_point_values(boundary(2, 2)) == []
+    assert unit_law_point_base(standard_simplex(1, 2)) == []
+    assert unit_law_point_base(one_point(2)) == []
 
 
 def test_compose_nonconstant_family():
