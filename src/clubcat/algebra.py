@@ -14,7 +14,7 @@ injective and every induced map of point complexes lifts horns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
 from .diagram import DiagramInCat, constantify
@@ -97,8 +97,7 @@ def constant_finset_diagram(cat: FinCategory, elements, name=""):
                          name=name)
 
 
-@dataclass
-class AlgebraObject:
+class AlgebraObject(NamedTuple):
     """A shape with a set-valued diagram on its category of simplices."""
 
     shape: SimplicialSet
@@ -180,8 +179,7 @@ def colimit_act(x: AlgebraObject):
 # ---------------------------------------------------------------------------
 # point complexes
 
-@dataclass(frozen=True)
-class IPoint:
+class IPoint(NamedTuple):
     """A probe: a simplex of the shape with a map from the generator."""
 
     dim: int
@@ -239,8 +237,7 @@ def _i_points_with_nf(x: AlgebraObject, generator):
     return normalize_extensional(ext)
 
 
-@dataclass
-class AlgebraMorphism:
+class AlgebraMorphism(NamedTuple):
     """A shape map with componentwise functions between the values."""
 
     src: AlgebraObject

@@ -34,19 +34,18 @@ PASS, FAIL, BAD_INPUT, GUARDRAIL = 0, 1, 2, 3
 
 
 def _emit(report, args):
-    """Print ``report`` (as JSON with ``--json``), write it to
-    ``--report-out`` if given, and return the exit code."""
+    """Write ``report`` to ``--report-out`` if given, print it (as JSON with
+    ``--json``) and return the exit code."""
     text = formats.to_json_string(report)
     summary = report["summary"]
+    if args.report_out:
+        formats.write_text(args.report_out, text)
     if args.json:
         sys.stdout.write(text)
     else:
         for check in report["checks"]:
             sys.stdout.write(f"[{check['status'].upper():4}] {check['law']}\n")
         sys.stdout.write(f"{summary['passed']}/{summary['total']} checks passed\n")
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return PASS if summary["failed"] == 0 else FAIL
 
 
@@ -295,101 +294,152 @@ def cmd_suite(args):
                            trunc=args.trunc), args)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="clubcat",
-        description="Finite categories, twisted products of category-valued "
-                    "diagrams, clubs, operads and truncated simplicial sets, "
-                    "with exhaustive law checking.")
+def _usage_error(message):
+    """``error`` of the parsers of one command path: raise where argparse
+    would print a usage error and exit."""
+    raise argparse.ArgumentError(None, message)
+
+
+def _top_options(parser):
     parser.add_argument("--json", action="store_true",
                         help="print the machine-readable report")
     parser.add_argument("--report-out", metavar="FILE",
                         help="also write the report to a file")
+
+
+def _command_path(argv):
+    """The command of ``argv`` and the argument after it, which names the
+    subcommand of ``sset``, ``operad`` and ``algebra``; a usage error raises
+    ``argparse.ArgumentError``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.error = _usage_error
+    _top_options(parser)
+    parser.add_argument("command")
+    parser.add_argument("rest", nargs=argparse.REMAINDER)
+    args = parser.parse_args(argv)
+    return args.command, args.rest[0] if args.rest else None
+
+
+def build_parser(argv=None):
+    """The clubcat parser.
+
+    Given ``argv``, it holds only the parsers on the path to the command
+    that ``argv`` names, only that command's parser has ``-h``, and a usage
+    error raises ``argparse.ArgumentError``.
+    """
+    full = argv is None
+    path = None if full else _command_path(argv)
+    parser = argparse.ArgumentParser(
+        prog="clubcat", add_help=full,
+        description="Finite categories, twisted products of category-valued "
+                    "diagrams, clubs, operads and truncated simplicial sets, "
+                    "with exhaustive law checking.")
+    if not full:
+        parser.error = _usage_error
+    _top_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate any supported file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
+    def add(subparsers, name, depth=0, group=False, **kwargs):
+        """The parser of ``name`` at ``depth`` of the path, or None off it."""
+        if full:
+            return subparsers.add_parser(name, **kwargs)
+        if path[depth] != name:
+            return None
+        q = subparsers.add_parser(name, add_help=not group, **kwargs)
+        q.error = _usage_error
+        return q
 
-    p = sub.add_parser("semidirect", help="product of two diagram files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(fn=cmd_semidirect)
+    if p := add(sub, "validate", help="validate any supported file"):
+        p.add_argument("file")
+        p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("club-check", help="check the monoid axioms of a club")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_club_check)
+    if p := add(sub, "semidirect", help="product of two diagram files"):
+        p.add_argument("left")
+        p.add_argument("right")
+        p.add_argument("-o", "--out", required=True)
+        p.set_defaults(fn=cmd_semidirect)
 
-    p = sub.add_parser("sset", help="simplicial set operations")
-    ssub = p.add_subparsers(dest="sset_command", required=True)
-    q = ssub.add_parser("validate")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_validate)
-    for name, fn in (("product", cmd_sset_product), ("diag", cmd_sset_diag)):
-        q = ssub.add_parser(name)
-        q.add_argument("left")
-        q.add_argument("right")
-        q.add_argument("-o", "--out")
-        q.set_defaults(fn=fn)
-    q = ssub.add_parser("compose")
-    q.add_argument("file")
-    q.add_argument("-o", "--out")
-    q.set_defaults(fn=cmd_sset_compose)
-    q = ssub.add_parser("kan-check")
-    q.add_argument("file")
-    q.add_argument("--max-dim", type=int, default=None)
-    q.set_defaults(fn=cmd_sset_kan_check)
-    q = ssub.add_parser("law-check")
-    q.add_argument("file")
-    q.add_argument("--assoc", action="store_true")
-    q.add_argument("--unit", action="store_true")
-    q.set_defaults(fn=cmd_sset_law_check)
+    if p := add(sub, "club-check", help="check the monoid axioms of a club"):
+        p.add_argument("file")
+        p.set_defaults(fn=cmd_club_check)
 
-    p = sub.add_parser("operad", help="operad operations")
-    osub = p.add_subparsers(dest="operad_command", required=True)
-    for name, fn in (("validate", cmd_operad_validate),
-                     ("encode", cmd_operad_encode),
-                     ("to-club", cmd_operad_to_club),
-                     ("roundtrip", cmd_operad_roundtrip)):
-        q = osub.add_parser(name)
-        q.add_argument("file")
-        if name in ("encode", "to-club"):
+    if p := add(sub, "sset", group=True, help="simplicial set operations"):
+        ssub = p.add_subparsers(dest="sset_command", required=True)
+        if q := add(ssub, "validate", 1):
+            q.add_argument("file")
+            q.set_defaults(fn=cmd_validate)
+        for name, fn in (("product", cmd_sset_product),
+                         ("diag", cmd_sset_diag)):
+            if q := add(ssub, name, 1):
+                q.add_argument("left")
+                q.add_argument("right")
+                q.add_argument("-o", "--out")
+                q.set_defaults(fn=fn)
+        if q := add(ssub, "compose", 1):
+            q.add_argument("file")
             q.add_argument("-o", "--out")
-        q.set_defaults(fn=fn)
+            q.set_defaults(fn=cmd_sset_compose)
+        if q := add(ssub, "kan-check", 1):
+            q.add_argument("file")
+            q.add_argument("--max-dim", type=int, default=None)
+            q.set_defaults(fn=cmd_sset_kan_check)
+        if q := add(ssub, "law-check", 1):
+            q.add_argument("file")
+            q.add_argument("--assoc", action="store_true")
+            q.add_argument("--unit", action="store_true")
+            q.set_defaults(fn=cmd_sset_law_check)
 
-    p = sub.add_parser("algebra", help="actions, collapses and probes")
-    asub = p.add_subparsers(dest="algebra_command", required=True)
-    q = asub.add_parser("colimit")
-    q.add_argument("file")
-    q.set_defaults(fn=cmd_algebra_colimit)
-    q = asub.add_parser("ipoints")
-    q.add_argument("file")
-    q.add_argument("--gen", type=int, default=1,
-                   help="size of the probing generator")
-    q.add_argument("--dim", type=int, default=None)
-    q.set_defaults(fn=cmd_algebra_ipoints)
-    q = asub.add_parser("fibration-check")
-    q.add_argument("file", nargs="?", default=None)
-    q.add_argument("--gen", type=int, default=1)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--samples", type=int, default=50)
-    q.add_argument("--trunc", type=int, default=2)
-    q.set_defaults(fn=cmd_algebra_fibration_check)
+    if p := add(sub, "operad", group=True, help="operad operations"):
+        osub = p.add_subparsers(dest="operad_command", required=True)
+        for name, fn in (("validate", cmd_operad_validate),
+                         ("encode", cmd_operad_encode),
+                         ("to-club", cmd_operad_to_club),
+                         ("roundtrip", cmd_operad_roundtrip)):
+            if q := add(osub, name, 1):
+                q.add_argument("file")
+                if name in ("encode", "to-club"):
+                    q.add_argument("-o", "--out")
+                q.set_defaults(fn=fn)
 
-    p = sub.add_parser("suite", help="run a named law-check suite")
-    p.add_argument("name", choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(fn=cmd_suite)
+    if p := add(sub, "algebra", group=True,
+                help="actions, collapses and probes"):
+        asub = p.add_subparsers(dest="algebra_command", required=True)
+        if q := add(asub, "colimit", 1):
+            q.add_argument("file")
+            q.set_defaults(fn=cmd_algebra_colimit)
+        if q := add(asub, "ipoints", 1):
+            q.add_argument("file")
+            q.add_argument("--gen", type=int, default=1,
+                           help="size of the probing generator")
+            q.add_argument("--dim", type=int, default=None)
+            q.set_defaults(fn=cmd_algebra_ipoints)
+        if q := add(asub, "fibration-check", 1):
+            q.add_argument("file", nargs="?", default=None)
+            q.add_argument("--gen", type=int, default=1)
+            q.add_argument("--seed", type=int, default=0)
+            q.add_argument("--samples", type=int, default=50)
+            q.add_argument("--trunc", type=int, default=2)
+            q.set_defaults(fn=cmd_algebra_fibration_check)
+
+    if p := add(sub, "suite", help="run a named law-check suite"):
+        p.add_argument("name", choices=sorted(SUITES))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--trunc", type=int, default=None)
+        p.set_defaults(fn=cmd_suite)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = build_parser(argv).parse_args(argv)
+    except argparse.ArgumentError:
+        # -h above the command's own parser, a missing or unknown command,
+        # or a usage error: the full parser prints what it always printed
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuardrailExceeded as exc:

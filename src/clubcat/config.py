@@ -1,10 +1,9 @@
 """Enumeration guardrails and the file schema version."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Guardrails:
+class Guardrails(NamedTuple):
     """Size bounds that keep exhaustive constructions finite and fast.
 
     Enumeration of functors grows exponentially, so every operation that

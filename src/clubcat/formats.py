@@ -495,6 +495,8 @@ def parse_file(path):
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path} is not UTF-8 JSON") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     return parse_payload(data)
@@ -509,6 +511,13 @@ def serialize(kind, value):
     return {"schema": SCHEMA_VERSION, "kind": kind, **dump(value)}
 
 
+def write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def write_file(path, kind, value):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_json_string(serialize(kind, value)))
+    write_text(path, to_json_string(serialize(kind, value)))

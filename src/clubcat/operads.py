@@ -15,7 +15,7 @@ position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
 from .diagram import (DiagramInCat, DiagramMorphism, unit_diagram,
@@ -249,14 +249,13 @@ def free_operad(generators, cap, name="free"):
 # ---------------------------------------------------------------------------
 # diagram encodings (non-symmetric)
 
-@dataclass
-class EncodedCollection:
+class EncodedCollection(NamedTuple):
     diagram: DiagramInCat
     obj_of: dict          # element -> base object id
     elem_of: dict         # base object id -> (arity, element)
-    # symmetric encodings only: (permutation, source object id) <-> morphism id
-    mor_of: dict = field(default_factory=dict)
-    mor_data: dict = field(default_factory=dict)
+    # (permutation, source object id) <-> morphism id; empty when not symmetric
+    mor_of: dict
+    mor_data: dict
 
 
 def _encoded_objects(p: Collection):
@@ -280,7 +279,7 @@ def encode_ns(p: Collection):
         fiber_mor[base.identity(oid)] = identity_functor(fibers[oid])
     return EncodedCollection(
         DiagramInCat(base, fibers, fiber_mor, name=f"enc({p.name})"),
-        obj_of, elem_of)
+        obj_of, elem_of, {}, {})
 
 
 def _composite_name(op, args):
@@ -345,8 +344,7 @@ def _order_functor(kfib: FinCategory, fib, order):
     return Functor(kfib, fib.cat, fomap, fmmap)
 
 
-@dataclass
-class NsIsoResult:
+class NsIsoResult(NamedTuple):
     forward: DiagramMorphism
     product: SemidirectProduct
     composite_encoding: EncodedCollection
@@ -754,8 +752,7 @@ def sym_circ(p: SymCollection):
     return SymCollection(cap, levels, actions, name=f"({p.name}∘{p.name})")
 
 
-@dataclass
-class SymInclusionResult:
+class SymInclusionResult(NamedTuple):
     morphism: DiagramMorphism
     product: SemidirectProduct
     composite: SymCollection

@@ -16,7 +16,6 @@ same product agree on ids.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
@@ -412,8 +411,7 @@ def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
 # ---------------------------------------------------------------------------
 # coherence morphisms
 
-@dataclass
-class IsoPair:
+class IsoPair(NamedTuple):
     forward: DiagramMorphism
     problems: list     # from ``_verify_iso``; empty when forward is invertible
 
@@ -440,8 +438,7 @@ def _verify_iso(forward: DiagramMorphism):
     return problems
 
 
-@dataclass
-class AssociatorResult:
+class AssociatorResult(NamedTuple):
     iso: IsoPair
     p_xy: SemidirectProduct
     p_xy_z: SemidirectProduct
@@ -665,8 +662,7 @@ def pentagon_check(a_wxy: AssociatorResult, z: DiagramInCat, products: Products)
 # ---------------------------------------------------------------------------
 # clubs: monoids for the semidirect product
 
-@dataclass
-class ClubStructure:
+class ClubStructure(NamedTuple):
     """A carrier diagram with multiplication and unit morphisms.
 
     ``product`` is the (possibly truncated) C ⋉ C the multiplication is

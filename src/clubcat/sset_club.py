@@ -18,7 +18,7 @@ sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import FinCategory, Functor, LazyComposites
 from .simpset import (ExtensionalSSet, MonotoneMap, NormalForm,
@@ -136,8 +136,7 @@ def point_family(s: SimplicialSet):
     return constant_family(s, one_point(s.trunc), name="pointfam")
 
 
-@dataclass
-class ClubObjectSSet:
+class ClubObjectSSet(NamedTuple):
     base: SimplicialSet
     family: SimplexFamily
 
@@ -183,8 +182,7 @@ def _pair_sset(x: ClubObjectSSet, name, id_fn):
     return normalize_extensional(ext, id_fn=id_fn)
 
 
-@dataclass
-class ComposeResult:
+class ComposeResult(NamedTuple):
     sset: SimplicialSet
     nf_of: dict            # (dim, element) -> normal form in sset
     source: ClubObjectSSet
@@ -237,8 +235,7 @@ def compose(x: ClubObjectSSet, part_fn=None):
 # ---------------------------------------------------------------------------
 # the comparison functor into the pair category
 
-@dataclass
-class PairCategorySSet:
+class PairCategorySSet(NamedTuple):
     """The category of pairs (s, t) with operator morphisms, materialized."""
 
     cat: FinCategory
@@ -324,8 +321,7 @@ def delta_is_isomorphism(res: ComposeResult, pairs: PairCategorySSet):
 # ---------------------------------------------------------------------------
 # morphisms of club objects
 
-@dataclass
-class ClubMorphismSSet:
+class ClubMorphismSSet(NamedTuple):
     """A base map with a family of value maps, natural over all operators."""
 
     src: ClubObjectSSet

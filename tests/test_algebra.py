@@ -1,7 +1,7 @@
 import pytest
 
 from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
-                             FinSetDiagram, act_category,
+                             FinSetDiagram, IPoint, act_category,
                              colimit_act, colimit_finset,
                              constant_algebra_object, i_points,
                              i_points_sset, induced_map, is_fibration,
@@ -18,6 +18,12 @@ from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                constant_family, constant_two_level,
                                identity_club_morphism)
+
+
+def test_ipoint_hashes_as_its_fields():
+    # sets of probes iterate in the order their hashes give
+    assert hash(IPoint(1, "x", (0,))) == hash((1, "x", (0,)))
+    assert IPoint(1, "x", (0,)) == IPoint(1, "x", (0,))
 
 
 def test_act_category_unit_is_identity():

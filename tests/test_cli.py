@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from clubcat import formats, simpset, suites
+from clubcat import cli, formats, simpset, suites
 from clubcat.cli import build_parser, main
 from clubcat.fincat import walking_arrow
 from clubcat.generate import random_diagram
@@ -402,16 +402,128 @@ def test_word_operad_correspondence_failure_is_recorded(monkeypatch):
     assert statuses["composite-collection-correspondence:word-operad"] == "fail"
 
 
-def test_readme_example_session_parses():
+def _readme_session():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     session = readme.split("Example session:")[1].split("```sh\n")[1]
     lines = session.split("```")[0].splitlines()
     assert lines
+    argvs = []
     for line in lines:
         prog, *argv = shlex.split(line)
         assert prog == "clubcat"
+        argvs.append(argv)
+    return argvs
+
+
+def test_readme_example_session_parses():
+    for argv in _readme_session():
         build_parser().parse_args(argv)
+
+
+ONE_PATH_ARGVS = [
+    # one argv of each request shape of the benchmark pools
+    ["--json", "suite", "monoidal-laws", "--seed", "3", "--samples", "1"],
+    ["--json", "suite", "sset-laws", "--seed", "1", "--trunc", "3",
+     "--samples", "1"],
+    ["--json", "operad", "to-club", "operads/assoc.json",
+     "-o", "out/assoc.club.json"],
+    ["--json", "club-check", "clubs/assoc.json"],
+    ["--json", "suite", "operad-bijection", "--seed", "2", "--samples", "2"],
+    ["--json", "suite", "algebra-laws", "--seed", "4", "--trunc", "2",
+     "--samples", "1"],
+    ["--json", "suite", "stability", "--seed", "4", "--trunc", "2",
+     "--samples", "4"],
+    ["sset", "kan-check", "F", "--max-dim", "2"],
+    # an option value that is a command name, and an abbreviated option
+    ["--report-out", "validate", "suite", "club-check"],
+    ["--rep", "FILE", "validate", "F"],
+    ["sset", "validate", "F"],
+    ["operad", "validate", "F"],
+    ["algebra", "fibration-check", "--samples", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _readme_session() + ONE_PATH_ARGVS,
+                         ids=" ".join)
+def test_one_path_parse_matches_the_full_parser(argv):
+    assert (vars(build_parser(argv).parse_args(argv))
+            == vars(build_parser().parse_args(argv)))
+
+
+def test_commands_resolve_through_module_attributes(monkeypatch):
+    # the benchmark's tracer wraps commands by rebinding module attributes,
+    # which a table of commands built at import would not see
+    monkeypatch.setattr(cli, "cmd_club_check", lambda args: 7)
+    assert main(["club-check", "F"]) == 7
+
+
+def _exit_and_output(argv, parse, capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--json", "-h"], ["sset", "-h"],
+                                  ["sset", "kan-check", "-h"],
+                                  ["operad", "to-club", "-h"]], ids=" ".join)
+def test_help_is_the_full_parsers(argv, capsys):
+    code, out, err = _exit_and_output(argv, main, capsys)
+    assert (code, out, err) == _exit_and_output(
+        argv, build_parser().parse_args, capsys)
+    assert code == 0 and out.startswith("usage: clubcat") and not err
+
+
+@pytest.mark.parametrize("argv", [[], ["--json"], ["bogus", "F"],
+                                  ["sset"], ["sset", "bogus", "F"],
+                                  ["validate", "F", "extra"],
+                                  ["algebra", "ipoints", "--dim", "x", "F"]],
+                         ids=" ".join)
+def test_usage_errors_are_the_full_parsers(argv, capsys):
+    code, out, err = _exit_and_output(argv, main, capsys)
+    assert (code, out, err) == _exit_and_output(
+        argv, build_parser().parse_args, capsys)
+    assert code == 2 and err.startswith("usage: clubcat")
+
+
+def test_importing_the_cli_generates_no_dataclass_code():
+    # -S keeps site hooks out, so a .pth file can neither import the modules
+    # nor hide their import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import clubcat.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))", src],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_non_utf8_input_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {path} is not UTF-8 JSON\n"
+    assert out.out == ""
+
+
+def test_unwritable_outputs_are_invalid_input(workspace, capsys):
+    missing = workspace / "missing"
+    interval = str(workspace / "interval.json")
+    for argv in (["--report-out", str(missing / "r.json"), "validate", interval],
+                 ["--report-out", str(workspace), "validate", interval],
+                 ["operad", "to-club", str(workspace / "op.json"),
+                  "-o", str(missing / "x.json")],
+                 ["sset", "product", interval, interval,
+                  "-o", str(missing / "y.json")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.err.startswith("error: cannot write "), argv
+        assert out.out == "", argv
 
 
 def test_report_out_writes_file(workspace, tmp_path):

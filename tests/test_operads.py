@@ -20,6 +20,13 @@ def test_associative_operad_is_valid():
     assert validate_ns_operad(associative_operad(3, with_nullary=True)) == []
 
 
+def test_ns_encodings_share_no_tables():
+    a, b = encode_ns(associative_operad(2)), encode_ns(associative_operad(2))
+    assert a.mor_of == a.mor_data == {}
+    assert a.mor_of is not b.mor_of and a.mor_data is not b.mor_data
+    assert a.mor_of is not a.mor_data
+
+
 def test_cyclic_group_operad_is_valid():
     assert validate_ns_operad(cyclic_group_operad(3)) == []
 

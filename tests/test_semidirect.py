@@ -127,6 +127,16 @@ def test_guardrail_on_product_size():
         semidirect(x, y, Guardrails(max_product_objects=100))
 
 
+def test_guardrails_repr_and_equality():
+    assert repr(Guardrails()) == (
+        "Guardrails(max_base_objects=16, max_fiber_morphisms=8, "
+        "max_product_objects=4096, max_enum_morphisms=64)")
+    assert Guardrails() == Guardrails()
+    assert Guardrails(max_product_objects=100) != Guardrails()
+    assert Guardrails(max_product_objects=100) == Guardrails(
+        max_product_objects=100)
+
+
 def test_product_objects_refuse_what_the_build_refuses():
     import random
     from clubcat.generate import random_diagram
