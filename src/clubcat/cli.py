@@ -40,12 +40,17 @@ def _emit(report, args):
     summary = report["summary"]
     if args.report_out:
         formats.write_text(args.report_out, text)
-    if args.json:
+    if not args.json:
+        text = "".join(f"[{check['status'].upper():4}] {check['law']}\n"
+                       for check in report["checks"])
+        text += f"{summary['passed']}/{summary['total']} checks passed\n"
+    if sys.stdout is None:
+        raise InputError("cannot write stdout: it is closed")
+    try:
         sys.stdout.write(text)
-    else:
-        for check in report["checks"]:
-            sys.stdout.write(f"[{check['status'].upper():4}] {check['law']}\n")
-        sys.stdout.write(f"{summary['passed']}/{summary['total']} checks passed\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write stdout: {exc}") from None
     return PASS if summary["failed"] == 0 else FAIL
 
 
@@ -173,10 +178,10 @@ def cmd_sset_compose(args):
 
 
 def cmd_sset_kan_check(args):
-    if args.max_dim is not None and args.max_dim < 0:
-        raise InputError("kan-check needs a nonnegative --max-dim")
     value = _parse_as(args.file, "map", "kan-check")
     max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
+    if max_dim < 0:
+        raise InputError("kan-check needs a nonnegative --max-dim")
     ok, witness = is_kan_fibration(value, max_dim)
     return _emit_check(args, "sset kan-check", "horn-lifting", ok,
                        {"max_dim": max_dim, "witness": witness})
@@ -294,152 +299,146 @@ def cmd_suite(args):
                            trunc=args.trunc), args)
 
 
-def _usage_error(message):
-    """``error`` of the parsers of one command path: raise where argparse
-    would print a usage error and exit."""
-    raise argparse.ArgumentError(None, message)
+_FILE = (("file",), {})
+_OUT = (("-o", "--out"), {})
+_PAIR = [(("left",), {}), (("right",), {}), _OUT]
+
+# Each command path maps to its help text (None for a command listed without
+# one), its handler's name (None for the top level and the groups, whose next
+# argument names a command; a name, so a rebound cmd_* is the one called) and
+# the add_argument arguments of its positionals and options, in order.
+_GRAMMAR = {
+    (): ("Finite categories, twisted products of category-valued diagrams, "
+         "clubs, operads and truncated simplicial sets, with exhaustive law "
+         "checking.", None,
+         [(("--json",), {"action": "store_true",
+                         "help": "print the machine-readable report"}),
+          (("--report-out",), {"metavar": "FILE",
+                               "help": "also write the report to a file"})]),
+    ("validate",): ("validate any supported file", "cmd_validate", [_FILE]),
+    ("semidirect",): ("product of two diagram files", "cmd_semidirect",
+                      _PAIR[:2] + [(("-o", "--out"), {"required": True})]),
+    ("club-check",): ("check the monoid axioms of a club", "cmd_club_check",
+                      [_FILE]),
+    ("sset",): ("simplicial set operations", None, []),
+    ("sset", "validate"): (None, "cmd_validate", [_FILE]),
+    ("sset", "product"): (None, "cmd_sset_product", _PAIR),
+    ("sset", "diag"): (None, "cmd_sset_diag", _PAIR),
+    ("sset", "compose"): (None, "cmd_sset_compose", [_FILE, _OUT]),
+    ("sset", "kan-check"): (None, "cmd_sset_kan_check",
+                            [_FILE, (("--max-dim",), {"type": int})]),
+    ("sset", "law-check"): (None, "cmd_sset_law_check",
+                            [_FILE, (("--assoc",), {"action": "store_true"}),
+                             (("--unit",), {"action": "store_true"})]),
+    ("operad",): ("operad operations", None, []),
+    ("operad", "validate"): (None, "cmd_operad_validate", [_FILE]),
+    ("operad", "encode"): (None, "cmd_operad_encode", [_FILE, _OUT]),
+    ("operad", "to-club"): (None, "cmd_operad_to_club", [_FILE, _OUT]),
+    ("operad", "roundtrip"): (None, "cmd_operad_roundtrip", [_FILE]),
+    ("algebra",): ("actions, collapses and probes", None, []),
+    ("algebra", "colimit"): (None, "cmd_algebra_colimit", [_FILE]),
+    ("algebra", "ipoints"): (None, "cmd_algebra_ipoints", [
+        _FILE, (("--gen",), {"type": int, "default": 1,
+                             "help": "size of the probing generator"}),
+        (("--dim",), {"type": int})]),
+    ("algebra", "fibration-check"): (None, "cmd_algebra_fibration_check", [
+        (("file",), {"nargs": "?"}),
+        (("--gen",), {"type": int, "default": 1}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--samples",), {"type": int, "default": 50}),
+        (("--trunc",), {"type": int, "default": 2})]),
+    ("suite",): ("run a named law-check suite", "cmd_suite",
+                 [(("name",), {"choices": sorted(SUITES)}),
+                  (("--seed",), {"type": int, "default": 0}),
+                  (("--samples",), {"type": int}),
+                  (("--trunc",), {"type": int})]),
+}
 
 
-def _top_options(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="print the machine-readable report")
-    parser.add_argument("--report-out", metavar="FILE",
-                        help="also write the report to a file")
+def build_parser():
+    """The clubcat parser, built from ``_GRAMMAR``."""
+    subparsers = {}
+    for path, (text, handler, arguments) in _GRAMMAR.items():
+        if path:
+            parser = subparsers[path[:-1]].add_parser(
+                path[-1], **({"help": text} if text else {}))
+        else:
+            parser = top = argparse.ArgumentParser(prog="clubcat",
+                                                   description=text)
+        for flags, kwargs in arguments:
+            parser.add_argument(*flags, **kwargs)
+        if handler:
+            parser.set_defaults(fn=globals()[handler])
+        else:
+            subparsers[path] = parser.add_subparsers(
+                dest="_".join(path + ("command",)), required=True)
+    return top
 
 
-def _command_path(argv):
-    """The command of ``argv`` and the argument after it, which names the
-    subcommand of ``sset``, ``operad`` and ``algebra``; a usage error raises
-    ``argparse.ArgumentError``."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.error = _usage_error
-    _top_options(parser)
-    parser.add_argument("command")
-    parser.add_argument("rest", nargs=argparse.REMAINDER)
-    args = parser.parse_args(argv)
-    return args.command, args.rest[0] if args.rest else None
+def _dest(flags):
+    return flags[-1].lstrip("-").replace("-", "_")
 
 
-def build_parser(argv=None):
-    """The clubcat parser.
+def _typed(kwargs, text):
+    """``text`` as argparse stores it; ValueError for a usage error."""
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(text)
+    return value
 
-    Given ``argv``, it holds only the parsers on the path to the command
-    that ``argv`` names, only that command's parser has ``-h``, and a usage
-    error raises ``argparse.ArgumentError``.
-    """
-    full = argv is None
-    path = None if full else _command_path(argv)
-    parser = argparse.ArgumentParser(
-        prog="clubcat", add_help=full,
-        description="Finite categories, twisted products of category-valued "
-                    "diagrams, clubs, operads and truncated simplicial sets, "
-                    "with exhaustive law checking.")
-    if not full:
-        parser.error = _usage_error
-    _top_options(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(subparsers, name, depth=0, group=False, **kwargs):
-        """The parser of ``name`` at ``depth`` of the path, or None off it."""
-        if full:
-            return subparsers.add_parser(name, **kwargs)
-        if path[depth] != name:
-            return None
-        q = subparsers.add_parser(name, add_help=not group, **kwargs)
-        q.error = _usage_error
-        return q
-
-    if p := add(sub, "validate", help="validate any supported file"):
-        p.add_argument("file")
-        p.set_defaults(fn=cmd_validate)
-
-    if p := add(sub, "semidirect", help="product of two diagram files"):
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("-o", "--out", required=True)
-        p.set_defaults(fn=cmd_semidirect)
-
-    if p := add(sub, "club-check", help="check the monoid axioms of a club"):
-        p.add_argument("file")
-        p.set_defaults(fn=cmd_club_check)
-
-    if p := add(sub, "sset", group=True, help="simplicial set operations"):
-        ssub = p.add_subparsers(dest="sset_command", required=True)
-        if q := add(ssub, "validate", 1):
-            q.add_argument("file")
-            q.set_defaults(fn=cmd_validate)
-        for name, fn in (("product", cmd_sset_product),
-                         ("diag", cmd_sset_diag)):
-            if q := add(ssub, name, 1):
-                q.add_argument("left")
-                q.add_argument("right")
-                q.add_argument("-o", "--out")
-                q.set_defaults(fn=fn)
-        if q := add(ssub, "compose", 1):
-            q.add_argument("file")
-            q.add_argument("-o", "--out")
-            q.set_defaults(fn=cmd_sset_compose)
-        if q := add(ssub, "kan-check", 1):
-            q.add_argument("file")
-            q.add_argument("--max-dim", type=int, default=None)
-            q.set_defaults(fn=cmd_sset_kan_check)
-        if q := add(ssub, "law-check", 1):
-            q.add_argument("file")
-            q.add_argument("--assoc", action="store_true")
-            q.add_argument("--unit", action="store_true")
-            q.set_defaults(fn=cmd_sset_law_check)
-
-    if p := add(sub, "operad", group=True, help="operad operations"):
-        osub = p.add_subparsers(dest="operad_command", required=True)
-        for name, fn in (("validate", cmd_operad_validate),
-                         ("encode", cmd_operad_encode),
-                         ("to-club", cmd_operad_to_club),
-                         ("roundtrip", cmd_operad_roundtrip)):
-            if q := add(osub, name, 1):
-                q.add_argument("file")
-                if name in ("encode", "to-club"):
-                    q.add_argument("-o", "--out")
-                q.set_defaults(fn=fn)
-
-    if p := add(sub, "algebra", group=True,
-                help="actions, collapses and probes"):
-        asub = p.add_subparsers(dest="algebra_command", required=True)
-        if q := add(asub, "colimit", 1):
-            q.add_argument("file")
-            q.set_defaults(fn=cmd_algebra_colimit)
-        if q := add(asub, "ipoints", 1):
-            q.add_argument("file")
-            q.add_argument("--gen", type=int, default=1,
-                           help="size of the probing generator")
-            q.add_argument("--dim", type=int, default=None)
-            q.set_defaults(fn=cmd_algebra_ipoints)
-        if q := add(asub, "fibration-check", 1):
-            q.add_argument("file", nargs="?", default=None)
-            q.add_argument("--gen", type=int, default=1)
-            q.add_argument("--seed", type=int, default=0)
-            q.add_argument("--samples", type=int, default=50)
-            q.add_argument("--trunc", type=int, default=2)
-            q.set_defaults(fn=cmd_algebra_fibration_check)
-
-    if p := add(sub, "suite", help="run a named law-check suite"):
-        p.add_argument("name", choices=sorted(SUITES))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--trunc", type=int, default=None)
-        p.set_defaults(fn=cmd_suite)
-
-    return parser
+def _read_plain(argv):
+    """``build_parser().parse_args(argv)``, read without a parser, or None
+    unless ``argv`` is spelled plainly: exact command and option names, each
+    option value a separate token not starting with "-", every required
+    argument given, and an optional positional only as the first argument of
+    its command, where argparse versions agree on it."""
+    path, (_, handler, arguments) = (), _GRAMMAR[()]
+    values, every = {}, list(arguments)
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            option = [a for a in arguments
+                      if token[:1] == "-" and token in a[0]]
+            unread = [a for a in arguments
+                      if a[0][0][:1] != "-" and _dest(a[0]) not in values]
+            if option:
+                [(flags, kwargs)] = option
+                if "action" in kwargs:
+                    values[_dest(flags)] = True
+                else:
+                    text = next(tokens, "-")
+                    if text[:1] == "-":
+                        return None
+                    values[_dest(flags)] = _typed(kwargs, text)
+            elif handler and unread and token[:1] != "-" and (
+                    "nargs" not in unread[0][1]
+                    or not any(_dest(f) in values for f, _ in arguments)):
+                values[_dest(unread[0][0])] = _typed(unread[0][1], token)
+            elif not handler and path + (token,) in _GRAMMAR:
+                values["_".join(path + ("command",))] = token
+                path += (token,)
+                _, handler, arguments = _GRAMMAR[path]
+                every += arguments
+            else:
+                return None
+    except ValueError:
+        return None
+    for flags, kwargs in every:
+        if _dest(flags) not in values:
+            if kwargs.get("required") or (flags[0][:1] != "-"
+                                          and "nargs" not in kwargs):
+                return None
+            values[_dest(flags)] = kwargs.get(
+                "default", False if "action" in kwargs else None)
+    return handler and argparse.Namespace(fn=globals()[handler], **values)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except argparse.ArgumentError:
-        # -h above the command's own parser, a missing or unknown command,
-        # or a usage error: the full parser prints what it always printed
-        args = build_parser().parse_args(argv)
+    # argparse reads what the plain reader leaves, and prints help and errors
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuardrailExceeded as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -377,11 +378,15 @@ def test_negative_dimension_bounds_are_rejected(workspace, capsys):
         "0": nondeg("pt", 0), "1": nondeg("pt", 0),
         "01": NormalForm(degeneracy_map(0, 0), "pt")})
     formats.write_file(workspace / "collapse.json", "map", collapse)
+    formats.write_file(workspace / "id0.json", "map",
+                       identity_smap(standard_simplex(1, 0)))
     assert main(["sset", "kan-check", str(workspace / "collapse.json"),
                  "--max-dim", "2"]) == 1
     capsys.readouterr()
     for argv in (["sset", "kan-check", str(workspace / "collapse.json"),
                   "--max-dim", "-3"],
+                 # the default bound at truncation 0 is -1
+                 ["--json", "sset", "kan-check", str(workspace / "id0.json")],
                  ["algebra", "ipoints", str(workspace / "alg.json"),
                   "--dim", "-1"],
                  # a negative generator size is not the empty generator
@@ -421,7 +426,7 @@ def test_readme_example_session_parses():
         build_parser().parse_args(argv)
 
 
-ONE_PATH_ARGVS = [
+PLAIN_ARGVS = [
     # one argv of each request shape of the benchmark pools
     ["--json", "suite", "monoidal-laws", "--seed", "3", "--samples", "1"],
     ["--json", "suite", "sset-laws", "--seed", "1", "--trunc", "3",
@@ -434,21 +439,71 @@ ONE_PATH_ARGVS = [
      "--samples", "1"],
     ["--json", "suite", "stability", "--seed", "4", "--trunc", "2",
      "--samples", "4"],
-    ["sset", "kan-check", "F", "--max-dim", "2"],
-    # an option value that is a command name, and an abbreviated option
-    ["--report-out", "validate", "suite", "club-check"],
-    ["--rep", "FILE", "validate", "F"],
+    # one argv of each command
+    ["validate", "F"],
+    ["semidirect", "L", "R", "-o", "OUT"],
+    ["--report-out", "R", "club-check", "F"],
     ["sset", "validate", "F"],
+    ["sset", "product", "A", "B", "--out", "OUT"],
+    ["sset", "diag", "A", "B"],
+    ["sset", "compose", "F", "-o", "OUT"],
+    ["sset", "kan-check", "F", "--max-dim", "2"],
+    ["sset", "law-check", "F", "--assoc"],
     ["operad", "validate", "F"],
+    ["operad", "encode", "F", "-o", "OUT"],
+    ["operad", "to-club", "F"],
+    ["operad", "roundtrip", "F"],
+    ["algebra", "colimit", "F"],
+    ["algebra", "ipoints", "F", "--gen", "2", "--dim", "0"],
     ["algebra", "fibration-check", "--samples", "3"],
+    ["suite", "stability", "--trunc", "1"],
+    # an option before a positional, a repeated option, an optional
+    # positional first, and an option value that is a command name
+    ["sset", "law-check", "--unit", "--assoc", "F"],
+    ["suite", "club-check", "--seed", "1", "--seed", "2"],
+    ["algebra", "fibration-check", "F", "--gen", "0"],
+    ["--report-out", "validate", "suite", "club-check"],
 ]
 
+OTHER_ARGVS = [
+    ["suite", "club-check", "--seed=3"],
+    ["--rep", "FILE", "validate", "F"],
+    ["sset", "kan-check", "F", "--max-dim", "-1"],
+    ["operad", "to-club", "F", "-oOUT"],
+    ["validate", "--", "F"],
+    ["algebra", "fibration-check", "--gen", "0", "F"],
+    ["suite", "nope"],
+    ["semidirect", "L", "R"],
+    ["validate", "F", "extra"],
+    ["algebra", "ipoints", "F", "--dim", "x"],
+    ["club-check", "F", "--json"],
+] + [[*path, "-h"] for path in cli._GRAMMAR]
 
-@pytest.mark.parametrize("argv", _readme_session() + ONE_PATH_ARGVS,
+
+@pytest.mark.parametrize("argv", _readme_session() + PLAIN_ARGVS + OTHER_ARGVS,
                          ids=" ".join)
 def test_one_path_parse_matches_the_full_parser(argv):
-    assert (vars(build_parser(argv).parse_args(argv))
-            == vars(build_parser().parse_args(argv)))
+    # the plain reader reads argv as argparse does, or leaves it to argparse
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_plain_command_lines_build_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _, handler, _ in cli._GRAMMAR.values():
+        if handler:
+            monkeypatch.setattr(cli, handler, lambda args: 0)
+    for argv in _readme_session() + PLAIN_ARGVS:
+        assert main(argv) == 0, argv
+    assert built == []
 
 
 def test_commands_resolve_through_module_attributes(monkeypatch):
@@ -499,6 +554,40 @@ def test_importing_the_cli_generates_no_dataclass_code():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_reading_a_plain_command_line_loads_neither_locale_nor_shutil(
+        tmp_path):
+    # argparse imports them when it builds a parser; -S as above
+    from clubcat.operads import operad_to_club
+    path = tmp_path / "z3.json"
+    formats.write_file(path, "club", operad_to_club(cyclic_group_operad(3)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from clubcat.cli import main; "
+         "code = main(['--json', 'club-check', sys.argv[2]]); "
+         "print(code, sorted({'locale', 'shutil'} & set(sys.modules)))",
+         src, str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 []\n")
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [None, _BrokenPipe()],
+                         ids=["closed", "broken-pipe"])
+def test_unwritable_stdout_is_invalid_input(stdout, workspace, capsys,
+                                            monkeypatch):
+    # exit 1 says a law failed; a report that cannot be printed is exit 2
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--json", "validate", str(workspace / "interval.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write stdout")
 
 
 def test_non_utf8_input_is_invalid_input(tmp_path, capsys):
