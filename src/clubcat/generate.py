@@ -110,9 +110,7 @@ def random_diagram(rng: random.Random, name="rand"):
         if not cands:
             return random_diagram(rng, name)
         direct[m] = cands
-    # fill in dependency order: composites forced when both factors chosen
     chosen = {}
-    order = sorted(nonid, key=lambda m: len(m))
     forced = {}
     for (g, f), gf in base.comp.items():
         if gf in nonid and not base.is_identity(g) and not base.is_identity(f):

@@ -597,6 +597,22 @@ class SymOperad(NsOperad, SymCollection):
         self.actions = {n: dict(actions.get(n, {})) for n in range(cap + 1)}
 
 
+def _relabellings(p: SymCollection, args):
+    """Each relabelling (sigma, taus) of an argument tuple, in order, with
+    the moved arguments (argument i acted on by taus[i] and placed at
+    sigma[i]) and the block permutation it induces on the flattened inputs."""
+    n = len(args)
+    sizes = [p.arity_of(q) for q in args]
+    tau_pools = [_all_perms(m) for m in sizes]
+    for sigma in _all_perms(n):
+        for taus in itertools.product(*tau_pools):
+            moved = [None] * n
+            for i in range(n):
+                moved[sigma[i]] = p.act(taus[i], args[i])
+            yield (sigma, taus, tuple(moved),
+                   block_permutation(sigma, taus, sizes))
+
+
 def validate_sym_operad(p: SymOperad):
     report = validate_sym_collection(p)
     report += validate_ns_operad(p)
@@ -604,21 +620,13 @@ def validate_sym_operad(p: SymOperad):
         return report
     # equivariance: block(sigma, taus) . gamma(op; qs) = gamma(sigma.op; moved)
     for (op, qs) in _composable_tuples(p):
-        n = len(qs)
-        sizes = [p.arity_of(q) for q in qs]
-        for sigma in _all_perms(n):
-            tau_pools = [_all_perms(m) for m in sizes]
-            for taus in itertools.product(*tau_pools):
-                moved = [None] * n
-                for i in range(n):
-                    moved[sigma[i]] = p.act(taus[i], qs[i])
-                lhs = p.act(block_permutation(sigma, taus, sizes),
-                            p.gamma[(op, qs)])
-                rhs = p.gamma[(p.act(sigma, op), tuple(moved))]
-                if lhs != rhs:
-                    report.append(
-                        f"equivariance fails at ({op!r}; {qs!r}) with "
-                        f"sigma={sigma!r}, taus={taus!r}")
+        for sigma, taus, moved, block in _relabellings(p, qs):
+            lhs = p.act(block, p.gamma[(op, qs)])
+            rhs = p.gamma[(p.act(sigma, op), moved)]
+            if lhs != rhs:
+                report.append(
+                    f"equivariance fails at ({op!r}; {qs!r}) with "
+                    f"sigma={sigma!r}, taus={taus!r}")
     return report
 
 
@@ -701,19 +709,9 @@ def _block_of(enc: EncodedCollection, prod: SemidirectProduct, mid):
 def _orbit_rep(p: SymCollection, op, args, perm):
     """The least decorated tuple in the orbit of (op, args, perm) under
     relabelling by (sigma, taus)."""
-    n = len(args)
-    sizes = [p.arity_of(q) for q in args]
-    seen = set()
-    for sigma in _all_perms(n):
-        tau_pools = [_all_perms(m) for m in sizes]
-        for taus in itertools.product(*tau_pools):
-            moved = [None] * n
-            for i in range(n):
-                moved[sigma[i]] = p.act(taus[i], args[i])
-            blk = block_permutation(sigma, taus, sizes)
-            seen.add((p.act(sigma, op) if n >= 2 else op, tuple(moved),
-                      _perm_compose(perm, _perm_inverse(blk))))
-    return min(seen)
+    return min((p.act(sigma, op), moved,
+                _perm_compose(perm, _perm_inverse(block)))
+               for sigma, _, moved, block in _relabellings(p, args))
 
 
 def _class_name(rep):
@@ -811,18 +809,14 @@ def symmetric_associative_operad(cap, name="sym-assoc"):
     permutations into the blocks permuted by the operation, and each group
     acts on its own level by composition.
     """
-    levels = {n: ["s" + "".join(str(v) for v in perm)
-                  for perm in _all_perms(n)] if n >= 1 else []
-              for n in range(cap + 1)}
-    perm_of = {}
-    for n in range(1, cap + 1):
-        for perm in _all_perms(n):
-            perm_of["s" + "".join(str(v) for v in perm)] = perm
-
     def name_of(perm):
         return "s" + "".join(str(v) for v in perm)
 
-    op = NsOperad(cap, levels, name_of.__call__((0,)), {}, name=name)
+    levels = {n: [name_of(perm) for perm in _all_perms(n)] if n >= 1 else []
+              for n in range(cap + 1)}
+    perm_of = {name_of(perm): perm
+               for n in range(1, cap + 1) for perm in _all_perms(n)}
+    op = NsOperad(cap, levels, name_of((0,)), {}, name=name)
     gamma = {}
     for (p, args) in _composable_tuples(op):
         sizes = [op.arity_of(q) for q in args]

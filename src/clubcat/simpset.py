@@ -815,7 +815,6 @@ def is_kan_fibration(f: SimplicialMap, max_dim):
     for n in range(1, max_dim + 1):
         for k in range(n + 1):
             h = horn(n, k, src.trunc)
-            top = _subset_id(list(range(n + 1)))
             horn_face_ids = [_subset_id([v for v in range(n + 1) if v != i])
                              for i in range(n + 1)]
             for u in enumerate_smaps(h, src):

@@ -266,7 +266,6 @@ def pair_category_sset(x: ClubObjectSSet):
     identities = {}
     for pid in objects:
         snf, tnf = obj_data[pid]
-        v1 = fam.value(snf.base)
         for m in range(s.trunc + 1):
             for theta in all_monotone_maps(m, snf.dim):
                 s2 = apply_operator(s, snf, theta)
@@ -502,6 +501,26 @@ class TwoLevelFamily:
         return compose_smaps(rec_map, self.s_maps[(y, i, t.base)]), rec_t
 
 
+def _face_steps(tlf: TwoLevelFamily):
+    """The base-side transport along each face i of each non-degenerate base
+    simplex y, as a morphism of club objects from the inner data over y to
+    the inner data over that face: yields ((y, i), step) in base order.
+    Transports missing from ``s_maps`` are missing components."""
+    s, psi = tlf.base, tlf.psi
+    for k in range(1, s.trunc + 1):
+        for y in s.nondeg[k]:
+            v = psi.values[y]
+            src = ClubObjectSSet(v, tlf.chi[y])
+            for i in range(k + 1):
+                y2 = s.faces[y][i].base
+                phi = {t: tlf.s_maps[(y, i, t)]
+                       for n in range(v.trunc + 1) for t in v.nondeg[n]
+                       if (y, i, t) in tlf.s_maps}
+                tgt = ClubObjectSSet(psi.values[y2], tlf.chi[y2])
+                yield (y, i), ClubMorphismSSet(src, tgt, psi.face_maps[(y, i)],
+                                               phi)
+
+
 def validate_two_level(tlf: TwoLevelFamily):
     """Validity of both levels plus coherence of the base-side transports."""
     report = [f"base family: {r}" for r in validate_family(tlf.psi)]
@@ -521,53 +540,10 @@ def validate_two_level(tlf: TwoLevelFamily):
                           for r in validate_family(fam))
     if report:
         return report
-    # endpoints of the base-side generators
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            v = tlf.psi.values[y]
-            for i in range(k + 1):
-                y2 = s.faces[y][i].base
-                tmap = tlf.psi.face_maps[(y, i)]
-                for n in range(s.trunc + 1):
-                    for t in v.nondeg[n]:
-                        m = tlf.s_maps.get((y, i, t))
-                        if m is None:
-                            report.append(f"transport missing at ({y!r}, {i}, {t!r})")
-                            continue
-                        moved = tmap.apply(nondeg(t, n))
-                        if (m.src is not tlf.value(y, t)
-                                or m.tgt is not tlf.value(y2, moved.base)):
-                            report.append(
-                                f"transport at ({y!r}, {i}, {t!r}) has wrong endpoints")
-                        else:
-                            report.extend(
-                                f"transport at ({y!r}, {i}, {t!r}): {r}"
-                                for r in validate_smap(m))
-    if report:
-        return report
-    # naturality of the base-side transports in the value direction
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            v = tlf.psi.values[y]
-            for i in range(k + 1):
-                y2 = s.faces[y][i].base
-                tmap = tlf.psi.face_maps[(y, i)]
-                for n in range(s.trunc + 1):
-                    for t in v.all_simplices(n):
-                        for m2 in range(s.trunc + 1):
-                            for theta in all_monotone_maps(m2, n):
-                                t_out = apply_operator(v, t, theta)
-                                moved = tmap.apply(t)
-                                path1 = compose_smaps(
-                                    tlf.chi[y2].transport(moved, theta),
-                                    tlf.s_maps[(y, i, t.base)])
-                                path2 = compose_smaps(
-                                    tlf.s_maps[(y, i, t_out.base)],
-                                    tlf.chi[y].transport(t, theta))
-                                if not smap_equal(path1, path2):
-                                    report.append(
-                                        f"transport naturality fails at "
-                                        f"({y!r}, {i}, {nf_id(t)!r}, {theta.values!r})")
+    # each base-side face transport is a morphism of club objects
+    for (y, i), step in _face_steps(tlf):
+        report.extend(f"transport {r} along ({y!r}, {i})"
+                      for r in validate_club_morphism(step))
     if report:
         return report
     # coherence of iterated base-side transports, generator by generator
@@ -624,26 +600,12 @@ def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
 def _inner_composites(tlf: TwoLevelFamily):
     """Per-simplex inner composites assembled into a family over the base."""
     s = tlf.base
-    inner_obj = {}
-    inner_res = {}
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            obj = ClubObjectSSet(tlf.psi.values[y], tlf.chi[y])
-            inner_obj[y] = obj
-            inner_res[y] = compose(obj)
-    values = {y: inner_res[y].sset for y in inner_res}
-    face_maps = {}
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            v = tlf.psi.values[y]
-            for i in range(k + 1):
-                y2 = s.faces[y][i].base
-                f = tlf.psi.face_maps[(y, i)]
-                phi = {t: tlf.s_maps[(y, i, t)]
-                       for n in range(s.trunc + 1) for t in v.nondeg[n]}
-                step = ClubMorphismSSet(inner_obj[y], inner_obj[y2], f, phi)
-                face_maps[(y, i)] = compose_morphism(step, inner_res[y],
-                                                     inner_res[y2])
+    inner_res = {y: compose(ClubObjectSSet(tlf.psi.values[y], tlf.chi[y]))
+                 for k in range(s.trunc + 1) for y in s.nondeg[k]}
+    values = {y: res.sset for y, res in inner_res.items()}
+    face_maps = {(y, i): compose_morphism(step, inner_res[y],
+                                          inner_res[s.faces[y][i].base])
+                 for (y, i), step in _face_steps(tlf)}
     return SimplexFamily(s, values, face_maps, name="inner"), inner_res
 
 

@@ -134,7 +134,6 @@ def test_points_count_matches_family_enumeration():
     assert validate_finset_diagram(d) == []
     x = AlgebraObject(shape, d)
     # oracle: brute-force natural families over the standard-simplex operators
-    cat_d1 = cat
     for n in range(2):
         got = i_points(x, ("*",), n)
         count = 0

@@ -94,9 +94,6 @@ def test_hom_adjunction_at_desk_scale():
 
 
 def test_associativity_of_composition_on_triple():
-    x = arrow_diagram_with_fibers()
-    i = identity_diagram_morphism(x)
-    # build a non-identity endomorphism of the constant diagram instead
     c = walking_arrow()
     y = constantify(c)
     one = terminal_category()

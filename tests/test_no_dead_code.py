@@ -12,8 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clubcat"
-# the ``paper-claims`` suite of ROADMAP item 1 will call it
-EXEMPT = {"validate_club_morphism"}
 
 
 def _definitions(tree):
@@ -59,8 +57,6 @@ def test_every_definition_is_named_outside_itself():
         if path.parent != PACKAGE:
             continue
         for name, first, last in _definitions(tree):
-            if name in EXEMPT:
-                continue
             if not any(where != path or not first <= line <= last
                        for where, line in uses.get(name, [])):
                 unused.append(f"{path.name}:{first} {name}")

@@ -542,3 +542,22 @@ def test_swapped_s_maps_break_transport_coherence():
     report = validate_two_level(tlf)
     assert report
     assert all(r.startswith("transport coherence fails") for r in report)
+
+
+def test_missing_s_map_is_one_missing_transport_component():
+    s = standard_simplex(1, 1)
+    tlf = constant_two_level(s, standard_simplex(1, 1), one_point(1))
+    del tlf.s_maps[("01", 0, "01")]
+    assert validate_two_level(tlf) == [
+        "transport component missing at '01' along ('01', 0)"]
+
+
+def test_s_map_into_the_wrong_value_has_wrong_endpoints():
+    s = standard_simplex(1, 1)
+    u = one_point(1)
+    tlf = constant_two_level(s, standard_simplex(1, 1), u)
+    wrong = SimplicialMap(u, standard_simplex(1, 1), {"pt": nondeg("0", 0)})
+    assert validate_smap(wrong) == []
+    tlf.s_maps[("01", 0, "01")] = wrong
+    assert validate_two_level(tlf) == [
+        "transport component at '01' has wrong endpoints along ('01', 0)"]
