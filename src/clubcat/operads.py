@@ -347,7 +347,6 @@ def _order_functor(kfib: FinCategory, fib, order):
 class NsIsoResult(NamedTuple):
     forward: DiagramMorphism
     product: SemidirectProduct
-    composite_encoding: EncodedCollection
     problems: list     # from ``_verify_iso``; empty when forward is invertible
 
 
@@ -386,7 +385,7 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
     base_fwd = Functor(enc_pp.diagram.base, prod.diagram.base, omap, mmap)
     forward = DiagramMorphism(enc_pp.diagram, prod.diagram, base_fwd, rho,
                               name="tuple-to-pair")
-    return NsIsoResult(forward, prod, enc_pp, _verify_iso(forward))
+    return NsIsoResult(forward, prod, _verify_iso(forward))
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +750,7 @@ def sym_circ(p: SymCollection):
 
 
 class SymInclusionResult(NamedTuple):
-    morphism: DiagramMorphism
     product: SemidirectProduct
-    composite: SymCollection
     injective: bool
     surjective_on_objects: bool
     missing_objects: list
@@ -792,8 +789,7 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
     inj_mor = len(set(mmap.values())) == len(mmap)
     hit = set(omap.values())
     missing = [cid for cid in enc_c.diagram.base.objects if cid not in hit]
-    return SymInclusionResult(morphism, prod, comp, inj_obj and inj_mor,
-                              not missing, missing)
+    return SymInclusionResult(prod, inj_obj and inj_mor, not missing, missing)
 
 
 def sym_operad_to_club(p: SymOperad, guard: Guardrails = DEFAULT_GUARDRAILS):

@@ -143,6 +143,37 @@ def _component_test(c: FinCategory):
         pair in hom for pair in zip(src_objs, tgt_objs))
 
 
+def _product_morphisms(x: DiagramInCat, target: FinCategory, over):
+    """Yield (f, end1, end2, phi) for each morphism of a product over ``x``.
+
+    ``over[d]`` lists (end, psi) for the product objects over d, each psi a
+    functor from X(d) into ``target``.  A morphism from (d1, psi1) to (d2,
+    psi2) is a pair of f: d1 -> d2 and phi: psi1 => psi2 ∘ X(f).  They come
+    in ``x.base.mor_ids`` order, then source ends, then target ends, then
+    ``enumerate_nat_trans`` order.  A pair of ends whose object maps meet an
+    empty hom-set of ``target`` has no phi, so it is skipped before psi2 ∘
+    X(f) is composed.
+    """
+    has_components = _component_test(target)
+    base = x.base
+    for f in base.mor_ids:
+        ends2 = over[base.tgt[f]]
+        rf = x.fiber_mor[f]
+        fib_objs = rf.src.objects
+        shifted_objs = [tuple(psi2.omap[rf.omap[a]] for a in fib_objs)
+                        for _, psi2 in ends2]
+        shifted = [None] * len(ends2)   # psi2 ∘ X(f), composed on first use
+        for end1, psi1 in over[base.src[f]]:
+            objs1 = tuple(psi1.omap[a] for a in fib_objs)
+            for j, (end2, psi2) in enumerate(ends2):
+                if not has_components(objs1, shifted_objs[j]):
+                    continue
+                if shifted[j] is None:
+                    shifted[j] = compose_functors(psi2, rf)
+                for phi in enumerate_nat_trans(psi1, shifted[j]):
+                    yield f, end1, end2, phi
+
+
 def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
     """Yield (rank, psi) in lexicographic order, honouring an optional key filter.
 
@@ -257,46 +288,27 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
     objects = list(obj_data)
     obj_id = {(d, functor_key(psi)): oid for oid, (d, psi) in obj_data.items()}
 
-    # psi2 ∘ R(f) depends only on (oid2, f): its object map, and the functor
-    # itself, composed only once a pair passes the hom-set test
-    shifted_objs, shifted_of = {}, {}
-    has_components = _component_test(y.base)
+    over = {d: [] for d in x.base.objects}
+    for oid, (d, psi) in obj_data.items():
+        over[d].append((oid, psi))
+    # ids follow source object, target object, then f: hom-sets list f in
+    # mor_ids order, and the stable sort keeps the phis of each f in order
+    position = {oid: i for i, oid in enumerate(objects)}
+    f_position = {f: i for i, f in enumerate(x.base.mor_ids)}
+    found = sorted(_product_morphisms(x, y.base, over),
+                   key=lambda m: (position[m[1]], position[m[2]], f_position[m[0]]))
     morphisms = []
     mor_data, mor_id = {}, {}
     identities = {}
-    reachable = {}  # d1 -> the objects (d2, psi2) with a base morphism d1 -> d2
-    for oid1 in objects:
-        d1, psi1 = obj_data[oid1]
-        src_objs = tuple(psi1.omap[a] for a in psi1.src.objects)
-        targets = reachable.get(d1)
-        if targets is None:
-            targets = reachable[d1] = [oid2 for oid2 in objects
-                                       if (d1, obj_data[oid2][0]) in x.base.hom]
-        for oid2 in targets:
-            d2, psi2 = obj_data[oid2]
-            for f in x.base.hom_set(d1, d2):
-                shift_key = (oid2, f)
-                tgt_objs = shifted_objs.get(shift_key)
-                if tgt_objs is None:
-                    rf = x.fiber_mor[f]
-                    tgt_objs = shifted_objs[shift_key] = tuple(
-                        psi2.omap[rf.omap[a]] for a in psi1.src.objects)
-                if not has_components(src_objs, tgt_objs):
-                    continue
-                shifted = shifted_of.get(shift_key)
-                if shifted is None:
-                    shifted = shifted_of[shift_key] = compose_functors(
-                        psi2, x.fiber_mor[f])
-                for phi in enumerate_nat_trans(psi1, shifted):
-                    mid = f"m{len(morphisms)}"
-                    morphisms.append((mid, oid1, oid2))
-                    mor_data[mid] = (f, phi)
-                    key = (oid1, oid2, f,
-                           tuple(phi.components[a] for a in psi1.src.objects))
-                    mor_id[key] = mid
-                    if (f == x.base.identity(d1) and oid1 == oid2
-                            and all(y.base.is_identity(c) for c in phi.components.values())):
-                        identities[oid1] = mid
+    for f, oid1, oid2, phi in found:
+        mid = f"m{len(morphisms)}"
+        morphisms.append((mid, oid1, oid2))
+        mor_data[mid] = (f, phi)
+        fib_objs = obj_data[oid1][1].src.objects
+        mor_id[(oid1, oid2, f, tuple(phi.components[a] for a in fib_objs))] = mid
+        if (x.base.is_identity(f) and oid1 == oid2
+                and all(y.base.is_identity(c) for c in phi.components.values())):
+            identities[oid1] = mid
 
     comp = {}
     mor_by_src = {}
@@ -441,9 +453,7 @@ def _verify_iso(forward: DiagramMorphism):
 class AssociatorResult(NamedTuple):
     iso: IsoPair
     p_xy: SemidirectProduct
-    p_xy_z: SemidirectProduct
     p_yz: SemidirectProduct
-    p_x_yz: SemidirectProduct
 
 
 def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
@@ -505,7 +515,7 @@ def associator(x: DiagramInCat, y: DiagramInCat, z: DiagramInCat,
     forward = DiagramMorphism(p_xy_z.diagram, p_x_yz.diagram, base_fwd, rho_fwd,
                               name="assoc")
     iso = IsoPair(forward, _verify_iso(forward))
-    return AssociatorResult(iso, p_xy, p_xy_z, p_yz, p_x_yz)
+    return AssociatorResult(iso, p_xy, p_yz)
 
 
 def _chi_along(fib, psi, chi, y, alpha, b):
@@ -726,17 +736,15 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         return report
 
     # --- associativity --------------------------------------------------
-    ends = {}   # product object -> a _ChiEnd per functor chi out of its fiber
+    over = {}   # product object -> (_ChiEnd, chi) per functor chi out of its fiber
     for oid1 in p.diagram.base.objects:
         b1 = mu.base_functor.omap[oid1]
         rho1 = mu.rho[oid1]
-        fib = p.fibers[oid1].cat
-        ends[oid1] = []
-        for chi in enumerate_functors(fib, c.base, guard):
+        over[oid1] = []
+        for chi in enumerate_functors(p.fibers[oid1].cat, c.base, guard):
             lhs_oid2 = _route_left(s, p, b1, rho1, chi)
             right = _route_right(s, p, oid1, chi)
-            ends[oid1].append(_ChiEnd(chi, tuple(chi.omap[a] for a in fib.objects),
-                                      lhs_oid2, right))
+            over[oid1].append((_ChiEnd(chi, lhs_oid2, right), chi))
             where = f"object ({p.describe_object(oid1)}, chi={functor_key(chi)})"
             if (lhs_oid2 is None) != (right is None):
                 if note(f"associativity domain mismatch at {where}: "
@@ -759,9 +767,10 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
             for msg in fails:
                 if note(f"associativity fails on fiber components at {where}: {msg}"):
                     return report
-    # morphism-level associativity
-    for msg in _assoc_on_morphisms(s, p, ends):
-        if note(msg):
+    # morphism-level associativity: theta runs over the morphisms of P ⋉ C
+    for mid, end1, end2, theta in _product_morphisms(p.diagram, c.base, over):
+        msg = _assoc_single_morphism(s, p, mid, end1, end2, theta)
+        if msg is not None and note(msg):
             return report
     return report
 
@@ -936,51 +945,18 @@ def _rho_route_compare(s, p, oid1, oid2, rho1, b_final, xi_oids, oid_out):
 
 
 class _ChiEnd(NamedTuple):
-    """A functor chi out of the fiber over a product object, with its object
-    map in the fiber's object order and its two routes: ``left`` as from
-    ``_route_left`` and ``right`` as from ``_route_right``."""
+    """A functor chi out of the fiber over a product object, with its two
+    routes: ``left`` as from ``_route_left`` and ``right`` as from
+    ``_route_right``."""
 
     chi: Functor
-    objs: tuple
     left: object
     right: object
 
 
-def _assoc_on_morphisms(s, p, ends):
-    """Morphism-level agreement of the two evaluation orders.
-
-    ``ends`` maps each product object to its ``_ChiEnd``s.  A pair (chi1,
-    chi2) whose object maps meet an empty hom-set has no theta: chi1 =>
-    chi2 ∘ transport, so it is skipped before chi2 ∘ transport is composed.
-    """
-    c = s.carrier
-    has_components = _component_test(c.base)
-    out = []
-    base = p.diagram.base
-    for mid in base.mor_ids:
-        oid1, oid1b = base.src[mid], base.tgt[mid]
-        transport = p.diagram.fiber_mor[mid]
-        position = {b: i for i, b in enumerate(p.fibers[oid1b].cat.objects)}
-        moved = [position[transport.omap[a]] for a in p.fibers[oid1].cat.objects]
-        ends2 = ends[oid1b]
-        shifted_objs = [tuple(end2.objs[i] for i in moved) for end2 in ends2]
-        shifted = [None] * len(ends2)   # chi2 ∘ transport, composed on first use
-        for end1 in ends[oid1]:
-            objs1 = end1.objs
-            for j, end2 in enumerate(ends2):
-                if not has_components(objs1, shifted_objs[j]):
-                    continue
-                if shifted[j] is None:
-                    shifted[j] = compose_functors(end2.chi, transport)
-                for theta in enumerate_nat_trans(end1.chi, shifted[j]):
-                    ok, msg = _assoc_single_morphism(s, p, mid, end1, end2, theta)
-                    if not ok:
-                        out.append(msg)
-    return out
-
-
 def _assoc_single_morphism(s, p, mid, end1, end2, theta):
-    """Both routes on theta: end1.chi => end2.chi ∘ transport over ``mid``."""
+    """Both routes on theta: end1.chi => end2.chi ∘ transport over ``mid``;
+    the failure message, or None."""
     c = s.carrier
     mu = s.mu
     oid1 = p.diagram.base.src[mid]
@@ -1009,8 +985,8 @@ def _assoc_single_morphism(s, p, mid, end1, end2, theta):
             if outer is not None:
                 rhs = mu.base_functor.mmap[outer]
     if lhs == rhs:
-        return True, ""
+        return None
     where = f"morphism {mid!r} with theta={tuple(sorted(theta.components.items()))!r}"
     if (lhs is None) != (rhs is None):
-        return False, f"associativity domain mismatch at {where}"
-    return False, f"associativity fails on base morphisms at {where}: {lhs!r} != {rhs!r}"
+        return f"associativity domain mismatch at {where}"
+    return f"associativity fails on base morphisms at {where}: {lhs!r} != {rhs!r}"

@@ -186,7 +186,6 @@ class ComposeResult(NamedTuple):
     sset: SimplicialSet
     nf_of: dict            # (dim, element) -> normal form in sset
     source: ClubObjectSSet
-    parts_of: dict         # nondeg id in sset -> canonical atomic tuple
     base_pair: dict        # nondeg id in sset -> (s, t) ids of its pair
 
     def base_pair_nfs(self, uid):
@@ -224,12 +223,10 @@ def compose(x: ClubObjectSSet, part_fn=None):
 
     sset, nf_of = _pair_sset(x, f"diagT({x.base.name})", id_fn)
     base_pair = {}
-    parts_of = {}
     for (_, elt), nf in nf_of.items():
         if nf.is_nondegenerate():
             base_pair[nf.base] = elt
-            parts_of[nf.base] = part_fn(elt)
-    return ComposeResult(sset, nf_of, x, parts_of, base_pair)
+    return ComposeResult(sset, nf_of, x, base_pair)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def bisimplicial_of(x):
 
 def reference_compose(x, part_fn=None):
     """``compose`` as the diagonal of the whole pair bisimplicial set:
-    returns (sset, nf_of, parts_of, base_pair)."""
+    returns (sset, nf_of, base_pair)."""
     bisim = bisimplicial_of(x)
     if part_fn is None:
         def part_fn(elt):
@@ -213,11 +213,9 @@ def reference_compose(x, part_fn=None):
 
     sset, nf_of = diag(bisim, id_fn=id_fn)
     base_pair = {}
-    parts_of = {}
     for k in range(sset.trunc + 1):
         for elt in bisim.elements[(k, k)]:
             nf = nf_of[(k, elt)]
             if nf.is_nondegenerate():
                 base_pair[nf.base] = elt
-                parts_of[nf.base] = part_fn(elt)
-    return sset, nf_of, parts_of, base_pair
+    return sset, nf_of, base_pair

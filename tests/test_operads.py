@@ -7,7 +7,7 @@ from clubcat.operads import (Collection, NsOperad, associative_operad,
                              commutative_operad, cyclic_group_operad,
                              encode_ns, encode_sym, free_operad,
                              ns_iso_check, operad_to_club, swap_pair_operad,
-                             sym_inclusion, sym_operad_to_club,
+                             sym_circ, sym_inclusion, sym_operad_to_club,
                              validate_ns_operad, validate_sym_operad)
 from clubcat.semidirect import club_check
 
@@ -108,9 +108,10 @@ def test_ns_iso_check_associative():
     assert validate_diagram(res.product.diagram) == []
     # levelwise counts agree by construction; the check verified both ways
     pp = circ(p, p)
+    enc_pp = encode_ns(pp)
     for k in range(4):
-        got = [oid for oid in res.composite_encoding.diagram.base.objects
-               if res.composite_encoding.elem_of[oid][0] == k]
+        got = [oid for oid in enc_pp.diagram.base.objects
+               if enc_pp.elem_of[oid][0] == k]
         assert len(got) == len(pp.levels[k])
 
 
@@ -227,7 +228,7 @@ def test_sym_inclusion_injective_not_surjective():
     assert not res.surjective_on_objects
     assert res.missing_objects
     # derived count at the top level: orbit classes of decorated tuples
-    comp = res.composite
+    comp = sym_circ(p)
     level3_classes = len(comp.levels[3])
     level3_objects = sum(1 for oid in res.product.diagram.base.objects
                          if _total_arity(res, p, oid) == 3)

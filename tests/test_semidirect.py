@@ -545,8 +545,10 @@ def _id_fixture_products():
         except GuardrailExceeded:
             continue
         break
-    for name in ("p_xy", "p_yz", "p_xy_z", "p_x_yz"):
-        yield f"random triple {name}", getattr(res, name)
+    yield "random triple p_xy", res.p_xy
+    yield "random triple p_yz", res.p_yz
+    yield "random triple p_xy_z", products(res.p_xy.diagram, z)
+    yield "random triple p_x_yz", products(x, res.p_yz.diagram)
 
 
 def test_product_morphism_ids_match_all_pairs_reference():
@@ -657,6 +659,22 @@ def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeyp
     assert (report == []) == (make_club is not _golden_mutant_club)
 
 
+def test_club_check_stops_at_the_first_failing_theta(monkeypatch):
+    import clubcat.semidirect as module
+    real = module._assoc_single_morphism
+    calls = []
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            return "planted failure"
+        return real(*args)
+
+    monkeypatch.setattr(module, "_assoc_single_morphism", failing_third)
+    assert club_check(_free_binary_club(), stop_early=True) == ["planted failure"]
+    assert len(calls) == 3
+
+
 def test_join_club_has_thetas_between_different_objects():
     club = _join_club()
     arrow = club.carrier.base
@@ -674,7 +692,7 @@ def test_pentagon_trips_guardrail_at_once(monkeypatch):
     z = discrete_diagram(["t"], [1])
     products = Products()
     a_wxy = associator(w, x, y, products)
-    assert len(a_wxy.p_xy_z.diagram.base.objects) == 36
+    assert len(products(a_wxy.p_xy.diagram, y).diagram.base.objects) == 36
     real = module.build_semidirect
     calls = []
 
