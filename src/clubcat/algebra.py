@@ -47,12 +47,6 @@ class FinSetDiagram:
         self.maps = {m: dict(f) for m, f in maps.items()}
         self.name = name
 
-    def value(self, obj):
-        return self.values[obj]
-
-    def map(self, mor):
-        return self.maps[mor]
-
     def __repr__(self):
         return f"FinSetDiagram({self.name!r}, {len(self.values)} objects)"
 

@@ -105,9 +105,6 @@ class MonotoneMap:
     def is_identity(self):
         return self._identity
 
-    def is_injective(self):
-        return len(set(self.values)) == len(self.values)
-
     def is_surjective(self):
         return self._surjective
 
@@ -257,9 +254,6 @@ class SimplicialSet:
         self._nf_cache = None
         self._simplex_cat = None
 
-    def face(self, simplex_id, i):
-        return self.faces[simplex_id][i]
-
     def normal_forms(self):
         """Canonical id -> normal form, for every simplex up to the truncation."""
         if self._nf_cache is None:
@@ -385,9 +379,6 @@ def validate_sset(s: SimplicialSet):
 # ---------------------------------------------------------------------------
 # standard complexes
 
-RESERVED_ID_CHARS = set("|@()")
-
-
 def _subset_id(vertices):
     return "".join(str(v) for v in vertices)
 
@@ -466,24 +457,19 @@ def joint_factor(eta1: MonotoneMap, eta2: MonotoneMap):
 
     Returns (sigma, eta1', eta2') with eta_i = eta_i' ∘ sigma and sigma the
     largest common surjective right factor; (eta1', eta2') share no repeat.
+    Index i is kept when it is 0 or when eta1 or eta2 changes value at i.
     """
-    k = eta1.m
-    common = [i for i in range(k)
-              if eta1.values[i] == eta1.values[i + 1]
-              and eta2.values[i] == eta2.values[i + 1]]
-    if not common:
-        return identity_map(k), eta1, eta2
-    keep = [i for i in range(k + 1) if i not in set(c + 1 for c in common)]
-    sigma_vals = []
-    pos = -1
-    for i in range(k + 1):
-        if i in set(keep):
-            pos += 1
-        sigma_vals.append(pos)
-    sigma = MonotoneMap(len(keep) - 1, sigma_vals)
-    eta1p = MonotoneMap(eta1.n, [eta1.values[i] for i in keep])
-    eta2p = MonotoneMap(eta2.n, [eta2.values[i] for i in keep])
-    return sigma, eta1p, eta2p
+    v1, v2 = eta1.values, eta2.values
+    keep, sigma_vals = [], []
+    for i in range(len(v1)):
+        if not i or v1[i] != v1[i - 1] or v2[i] != v2[i - 1]:
+            keep.append(i)
+        sigma_vals.append(len(keep) - 1)
+    if len(keep) == len(v1):
+        return identity_map(eta1.m), eta1, eta2
+    return (MonotoneMap(len(keep) - 1, sigma_vals),
+            MonotoneMap(eta1.n, [v1[i] for i in keep]),
+            MonotoneMap(eta2.n, [v2[i] for i in keep]))
 
 
 def _pair_id(x: NormalForm, y: NormalForm):

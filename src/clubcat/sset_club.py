@@ -10,7 +10,11 @@ every generator, which pins down the whole composition table.
 Composition of a family over S builds the diagonal of the pairs (s, t)
 directly: its k-simplices are the pairs of a k-simplex s and a k-simplex t of
 value(s), and an operator moves s and acts on the transported t.  Only the
-equal bidegrees of the bisimplicial set of pairs are built.  Multi-level
+equal bidegrees of the bisimplicial set of pairs are built, in one pass on
+normal forms: transport along a degeneracy is the identity, so a pair is
+degenerate exactly when s and t share a degeneracy, which
+``simpset.joint_factor`` splits off as it does for ``simpset.product``, and
+only the non-degenerate pairs compute their faces.  Multi-level
 composites are named by flattening the component tuples, so the two
 evaluation orders of a two-level family produce literally equal simplicial
 sets.
@@ -21,12 +25,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fincat import FinCategory, Functor, LazyComposites
-from .simpset import (ExtensionalSSet, MonotoneMap, NormalForm,
-                      SimplicialMap, SimplicialSet, all_monotone_maps,
-                      apply_operator, compose_maps, compose_smaps,
-                      degeneracy_map, ez_factor, face_map, identity_smap,
-                      iso_sset, nf_id, nondeg, normalize_extensional,
-                      one_point, smap_equal, validate_smap, validate_sset)
+from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
+                      all_monotone_maps, apply_operator, compose_maps,
+                      compose_smaps, ez_factor, face_map, identity_smap,
+                      iso_sset, joint_factor, nf_id, nondeg, one_point,
+                      smap_equal, validate_smap, validate_sset)
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +147,6 @@ class ClubObjectSSet(NamedTuple):
 # ---------------------------------------------------------------------------
 # the pairs (s, t) and their diagonal
 
-def _pair_sset(x: ClubObjectSSet, name, id_fn):
-    """The diagonal of the pairs (s, t) of a family under the operators
-    acting on s, normalized: returns (SimplicialSet, nf_of) with nf_of keyed
-    by (dim, (s id, t id)).
-
-    Its k-simplices are the pairs of a k-simplex s and a k-simplex t of
-    value(s), and theta sends (s, t) to (theta*s,
-    theta*(transport(s, theta)(t))).  Pairs are listed by s, then t, each in
-    canonical order.
-    """
-    s, fam = x.base, x.family
-    tr = s.trunc
-    elements, pair_nfs = {}, {}
-    for k in range(tr + 1):
-        nfs = pair_nfs[k] = {}
-        for snf in s.all_simplices(k):
-            sid = nf_id(snf)
-            for tnf in fam.values[snf.base].all_simplices(k):
-                nfs[(sid, nf_id(tnf))] = (snf, tnf)
-        elements[k] = list(nfs)
-
-    def act(k, theta):
-        table = {}
-        for elt, (snf, tnf) in pair_nfs[k].items():
-            s2 = apply_operator(s, snf, theta)
-            t2 = fam.transport(snf, theta).apply(tnf)
-            t2 = apply_operator(fam.values[s2.base], t2, theta)
-            table[elt] = (nf_id(s2), nf_id(t2))
-        return table
-
-    face = {(k, i): act(k, face_map(k, i))
-            for k in range(1, tr + 1) for i in range(k + 1)}
-    degen = {(k, i): act(k, degeneracy_map(k, i))
-             for k in range(tr) for i in range(k + 1)}
-    ext = ExtensionalSSet(tr, elements, face, degen, name=name)
-    return normalize_extensional(ext, id_fn=id_fn)
-
-
 class ComposeResult(NamedTuple):
     sset: SimplicialSet
     nf_of: dict            # (dim, element) -> normal form in sset
@@ -196,19 +161,21 @@ class ComposeResult(NamedTuple):
         return snf, tnf
 
     def pair_of(self, u: NormalForm):
-        """The (s, t) pair of any simplex of the composite."""
-        fam = self.source.family
-        s = self.source.base
+        """The (s, t) pair of any simplex of the composite.  ``u.eta`` is a
+        surjection, so the transport along it is the identity."""
         snf, tnf = self.base_pair_nfs(u.base)
-        s_out = apply_operator(s, snf, u.eta)
-        moved = fam.transport(snf, u.eta).apply(tnf)
-        v_out = fam.value(s_out.base)
-        t_out = apply_operator(v_out, moved, u.eta)
+        s_out = apply_operator(self.source.base, snf, u.eta)
+        t_out = apply_operator(self.source.family.values[snf.base], tnf, u.eta)
         return s_out, t_out
 
 
 def compose(x: ClubObjectSSet, part_fn=None):
     """The diagonal of the pairs (s, t), with canonical naming.
+
+    Pairs are visited by dimension, then s, then t, each in canonical order.
+    A degenerate pair is the shared degeneracy of s and t applied to a
+    non-degenerate pair one dimension down; the face i of a non-degenerate
+    pair is (d_i s, d_i(transport(s, d_i)(t))).
 
     ``part_fn`` may unfold an element into its atomic component tuple; the
     default treats the two components as atoms.  Nested composites flatten
@@ -218,14 +185,33 @@ def compose(x: ClubObjectSSet, part_fn=None):
         def part_fn(elt):
             return elt
 
-    def id_fn(elt):
-        return "|".join(part_fn(elt))
-
-    sset, nf_of = _pair_sset(x, f"diagT({x.base.name})", id_fn)
-    base_pair = {}
-    for (_, elt), nf in nf_of.items():
-        if nf.is_nondegenerate():
-            base_pair[nf.base] = elt
+    s, fam = x.base, x.family
+    nondeg_by_dim = {k: [] for k in range(s.trunc + 1)}
+    faces, nf_of, base_pair = {}, {}, {}
+    for k in range(s.trunc + 1):
+        for snf in s.all_simplices(k):
+            sid = nf_id(snf)
+            for tnf in fam.values[snf.base].all_simplices(k):
+                elt = (sid, nf_id(tnf))
+                sigma, e1, e2 = joint_factor(snf.eta, tnf.eta)
+                if not sigma.is_identity():
+                    low = (nf_id(NormalForm(e1, snf.base)),
+                           nf_id(NormalForm(e2, tnf.base)))
+                    nf_of[(k, elt)] = NormalForm(sigma, nf_of[(sigma.n, low)].base)
+                    continue
+                uid = "|".join(part_fn(elt))
+                nf_of[(k, elt)] = nondeg(uid, k)
+                nondeg_by_dim[k].append(uid)
+                base_pair[uid] = elt
+                if k:
+                    fs = faces[uid] = []
+                    for i in range(k + 1):
+                        d = face_map(k, i)
+                        s2 = apply_operator(s, snf, d)
+                        t2 = apply_operator(fam.values[s2.base],
+                                            fam.transport(snf, d).apply(tnf), d)
+                        fs.append(nf_of[(k - 1, (nf_id(s2), nf_id(t2)))])
+    sset = SimplicialSet(s.trunc, nondeg_by_dim, faces, name=f"diagT({s.name})")
     return ComposeResult(sset, nf_of, x, base_pair)
 
 

@@ -10,8 +10,8 @@ from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              compose_smaps, degeneracy_map, disjoint_union,
                              enumerate_smaps, ez_factor, face_map, horn,
                              identity_map, identity_smap, is_injective,
-                             is_kan_fibration, iso_sset, nf_id, nondeg,
-                             one_point, product, simplex_category,
+                             is_kan_fibration, iso_sset, joint_factor, nf_id,
+                             nondeg, one_point, product, simplex_category,
                              smap_equal, standard_simplex,
                              surjections, SimplicialMap, validate_smap,
                              validate_sset)
@@ -364,6 +364,21 @@ def test_square_counts_match_joint_oracle():
     # vertices are pairs of vertices: 4; edges: 5; triangles: 2
     assert [len(p.nondeg[k]) for k in range(3)] == [4, 5, 2]
     assert [oracle(k) for k in range(3)] == [4, 5, 2]
+
+
+def test_joint_factor_splits_exactly_the_shared_repeats():
+    def repeats(eta):
+        return {i for i in range(eta.m) if eta.values[i] == eta.values[i + 1]}
+
+    for k in range(6):
+        onto = [eta for j in range(k + 1) for eta in surjections(k, j)]
+        for eta1, eta2 in itertools.product(onto, repeat=2):
+            sigma, e1, e2 = joint_factor(eta1, eta2)
+            assert compose_maps(e1, sigma) == eta1
+            assert compose_maps(e2, sigma) == eta2
+            assert sigma.is_surjective()
+            assert not repeats(e1) & repeats(e2)
+            assert repeats(sigma) == repeats(eta1) & repeats(eta2)
 
 
 def test_disjoint_union_counts():

@@ -9,7 +9,7 @@ from clubcat.generate import random_family, random_two_level
 from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
                              compose_maps, compose_smaps, degeneracy_map,
                              disjoint_union, identity_smap,
-                             is_injective, iso_sset, nondeg, one_point,
+                             is_injective, iso_sset, nf_id, nondeg, one_point,
                              product, standard_simplex, validate_smap,
                              validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
@@ -465,12 +465,37 @@ def assert_compose_matches_reference(x, part_fn=None):
     sset, nf_of, base_pair = reference_compose(x, part_fn=part_fn)
     assert_same_presentation((res.sset, res.nf_of), (sset, nf_of))
     assert list(res.base_pair.items()) == list(base_pair.items())
+    for (_, elt), nf in nf_of.items():
+        snf, tnf = res.pair_of(nf)
+        assert (nf_id(snf), nf_id(tnf)) == elt
 
 
-@pytest.mark.parametrize("trunc", [1, 2, 3])
+def hand_families(trunc):
+    """Valid families that no generator draws: the amalgam of two points
+    along S^0 over the interval, S^0 over the interval with one face map the
+    swap, and S^0 over the boundary of the triangle with the swap on face 0
+    of the edge 01."""
+    pt, s0 = one_point(trunc), two_points(trunc)
+    d1 = standard_simplex(1, trunc)
+    amalgam = SimplexFamily(d1, {"0": pt, "1": pt, "01": s0},
+                            {("01", i): collapse_map(s0, pt) for i in range(2)})
+    twisted = constant_family(d1, s0)
+    twisted.face_maps[("01", 0)] = swap_map(s0)
+    circle = constant_family(boundary(2, trunc), s0)
+    circle.face_maps[("01", 0)] = swap_map(s0)
+    out = []
+    for fam in (amalgam, twisted, circle):
+        assert validate_family(fam) == []
+        out.append(ClubObjectSSet(fam.base, fam))
+    return out
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
 def test_compose_matches_the_bisimplicial_diagonal(trunc):
-    for seed in range(12):
-        x = random_family(random.Random(seed), trunc)
+    families = [random_family(random.Random(seed), trunc) for seed in range(12)]
+    if trunc <= 3:
+        families += hand_families(trunc)
+    for x in families:
         assert_compose_matches_reference(x)
         assert_compose_matches_reference(
             x, part_fn=lambda elt: (elt[1], "/", elt[0]))
