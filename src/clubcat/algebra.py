@@ -344,6 +344,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
 
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(ClubObjectSSet(s, tlf.psi))
+    base_side = tlf.outer()
     t1 = res1.sset
     t_cat = t1.category()
     values, maps = {}, {}
@@ -357,9 +358,9 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         theta = t_cat.operator_of[mid]
         oid = t_cat.src[mid]
         snf, tnf = pair_cache[oid]
-        smap_s, moved = tlf.s_transport(snf, tnf, theta)
-        inner = tlf.chi[apply_operator(s, snf, theta).base].transport(moved, theta)
-        f1 = _smap_function(smap_s)
+        step = base_side.transport(snf, theta)
+        inner = step.tgt.family.transport(step.f.apply(tnf), theta)
+        f1 = _smap_function(step.phi[tnf.base])
         f2 = _smap_function(inner)
         maps[mid] = {e: f2[f1[e]] for e in values[oid]}
     one_stage = FinSetDiagram(t_cat, values, maps, name="one-stage")
@@ -373,7 +374,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
     inner_reps, inner_classes = {}, {}
     for oid in s_cat.objects:
         snf = s_cat.simplex_of[oid]
-        v = tlf.psi.value(snf.base)
+        v = tlf.psi.values[snf.base]
         v_cat = v.category()
         ivalues = {}
         imaps = {}
@@ -398,13 +399,13 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         theta = s_cat.operator_of[mid]
         oid, tid_out = s_cat.src[mid], s_cat.tgt[mid]
         snf = s_cat.simplex_of[oid]
+        lookup = tlf.psi.values[snf.base].normal_forms()
+        step = base_side.transport(snf, theta)
         table = {}
         for (t, e) in inner_reps[oid]:
-            v = tlf.psi.value(snf.base)
-            tnf = v.normal_forms()[t]
-            smap_s, moved_t = tlf.s_transport(snf, tnf, theta)
-            moved_e = _smap_function(smap_s)[e]
-            cls = inner_classes[tid_out][(nf_id(moved_t), moved_e)]
+            tnf = lookup[t]
+            moved_e = _smap_function(step.phi[tnf.base])[e]
+            cls = inner_classes[tid_out][(nf_id(step.f.apply(tnf)), moved_e)]
             table[f"{t}&{e}"] = f"{cls[0]}&{cls[1]}"
         omaps[mid] = table
     outer = FinSetDiagram(s_cat, ovalues, omaps, name="two-stage")

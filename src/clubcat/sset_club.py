@@ -18,6 +18,12 @@ only the non-degenerate pairs compute their faces.  Multi-level
 composites are named by flattening the component tuples, so the two
 evaluation orders of a two-level family produce literally equal simplicial
 sets.
+
+The base side of a two-level family is itself a family, ``outer()``: its
+values are club objects and its face maps are morphisms of club objects.
+``SimplexFamily`` takes its value category (identity, composition and
+equality) from three class attributes, so one transport recursion and one
+functoriality walk serve both levels.
 """
 
 from __future__ import annotations
@@ -42,7 +48,14 @@ class SimplexFamily:
     maps the value at y to the value at the non-degenerate base of its i-th
     face.  Degeneracy operators act as identities, so the value at any
     simplex is the value at its base.
+
+    ``_identity``, ``_compose`` and ``_equal`` are the operations of the
+    category the values live in: simplicial sets and their maps here.
     """
+
+    _identity = staticmethod(identity_smap)
+    _compose = staticmethod(compose_smaps)
+    _equal = staticmethod(smap_equal)
 
     def __init__(self, base: SimplicialSet, values, face_maps, name=""):
         self.base = base
@@ -50,12 +63,7 @@ class SimplexFamily:
         self.face_maps = dict(face_maps)
         self.name = name
         self._transport_cache = {}
-
-    def value(self, simplex):
-        """The simplicial set at a simplex given by id or normal form."""
-        if isinstance(simplex, NormalForm):
-            return self.values[simplex.base]
-        return self.values[self.base.normal_forms()[simplex].base]
+        self._club_identity = None    # see identity_club_morphism
 
     def transport(self, x: NormalForm, theta: MonotoneMap):
         """The map value(x) -> value(theta* x) induced by the operator."""
@@ -71,10 +79,28 @@ class SimplexFamily:
 
     def _transport_injective(self, y, delta):
         if delta.m == delta.n:
-            return identity_smap(self.values[y])
+            return self._identity(self.values[y])
         i, rest = delta.peel_face()
-        return compose_smaps(self.transport(self.base.faces[y][i], rest),
+        return self._compose(self.transport(self.base.faces[y][i], rest),
                              self.face_maps[(y, i)])
+
+    def functoriality_failures(self):
+        """Each (x, theta, g) at which transport along theta then along the
+        generator g differs from transport along their composite.  Checking
+        every (x, theta) against every generator composes to the full
+        composition law by induction on decompositions."""
+        s = self.base
+        for k in range(s.trunc + 1):
+            for x in s.all_simplices(k):
+                for m in range(s.trunc + 1):
+                    for theta in all_monotone_maps(m, k):
+                        through = self.transport(x, theta)
+                        y = apply_operator(s, x, theta)
+                        for g in s.generators(m):
+                            lhs = self._compose(self.transport(y, g), through)
+                            rhs = self.transport(x, compose_maps(theta, g))
+                            if not self._equal(lhs, rhs):
+                                yield x, theta, g
 
 
 def validate_family(fam: SimplexFamily):
@@ -109,22 +135,8 @@ def validate_family(fam: SimplexFamily):
                                   for r in validate_smap(m))
     if report:
         return report
-    # functoriality: checking every (x, theta) against every generator
-    # composes to the full composition law by induction on decompositions
-    for k in range(s.trunc + 1):
-        for x in s.all_simplices(k):
-            for m in range(s.trunc + 1):
-                for theta in all_monotone_maps(m, k):
-                    through = fam.transport(x, theta)
-                    y = apply_operator(s, x, theta)
-                    for g in s.generators(m):
-                        lhs = compose_smaps(fam.transport(y, g), through)
-                        rhs = fam.transport(x, compose_maps(theta, g))
-                        if not smap_equal(lhs, rhs):
-                            report.append(
-                                f"functoriality fails at {nf_id(x)!r} with "
-                                f"{theta.values!r} then {g.values!r}")
-    return report
+    return [f"functoriality fails at {nf_id(x)!r} with {theta.values!r} "
+            f"then {g.values!r}" for x, theta, g in fam.functoriality_failures()]
 
 
 def constant_family(s: SimplicialSet, t: SimplicialSet, name=""):
@@ -157,7 +169,7 @@ class ComposeResult(NamedTuple):
         """The (s, t) normal forms of a nondegenerate simplex of the composite."""
         sid, tid = self.base_pair[uid]
         snf = self.source.base.normal_forms()[sid]
-        tnf = self.source.family.value(snf.base).normal_forms()[tid]
+        tnf = self.source.family.values[snf.base].normal_forms()[tid]
         return snf, tnf
 
     def pair_of(self, u: NormalForm):
@@ -237,7 +249,7 @@ def pair_category_sset(x: ClubObjectSSet):
     obj_id, obj_data = {}, {}
     for oid in s_cat.objects:
         snf = s_cat.simplex_of[oid]
-        v = fam.value(snf.base)
+        v = fam.values[snf.base]
         for n in range(s.trunc + 1):
             for tnf in v.all_simplices(n):
                 pid = f"{oid}&{nf_id(tnf)}"
@@ -253,7 +265,7 @@ def pair_category_sset(x: ClubObjectSSet):
             for theta in all_monotone_maps(m, snf.dim):
                 s2 = apply_operator(s, snf, theta)
                 moved = fam.transport(snf, theta).apply(tnf)
-                v2 = fam.value(s2.base)
+                v2 = fam.values[s2.base]
                 for m2 in range(s.trunc + 1):
                     for theta2 in all_monotone_maps(m2, moved.dim):
                         t2 = apply_operator(v2, moved, theta2)
@@ -311,11 +323,6 @@ class ClubMorphismSSet(NamedTuple):
     f: SimplicialMap
     phi: dict              # nondeg base simplex id -> SimplicialMap
 
-    def phi_at(self, simplex):
-        if isinstance(simplex, NormalForm):
-            return self.phi[simplex.base]
-        return self.phi[self.src.base.normal_forms()[simplex].base]
-
 
 def validate_club_morphism(m: ClubMorphismSSet):
     report = [f"base map: {r}" for r in validate_smap(m.f)]
@@ -330,7 +337,7 @@ def validate_club_morphism(m: ClubMorphismSSet):
                 report.append(f"component missing at {y!r}")
                 continue
             want_src = fam1.values[y]
-            want_tgt = fam2.value(m.f.images[y].base)
+            want_tgt = fam2.values[m.f.images[y].base]
             if comp.src is not want_src or comp.tgt is not want_tgt:
                 report.append(f"component at {y!r} has wrong endpoints")
             else:
@@ -343,9 +350,9 @@ def validate_club_morphism(m: ClubMorphismSSet):
             for mm in range(s.trunc + 1):
                 for theta in all_monotone_maps(mm, k):
                     y = apply_operator(s, x, theta)
-                    lhs = compose_smaps(m.phi_at(y), fam1.transport(x, theta))
+                    lhs = compose_smaps(m.phi[y.base], fam1.transport(x, theta))
                     rhs = compose_smaps(fam2.transport(m.f.apply(x), theta),
-                                        m.phi_at(x))
+                                        m.phi[x.base])
                     if not smap_equal(lhs, rhs):
                         report.append(
                             f"naturality fails at {nf_id(x)!r} with {theta.values!r}")
@@ -353,9 +360,31 @@ def validate_club_morphism(m: ClubMorphismSSet):
 
 
 def identity_club_morphism(x: ClubObjectSSet):
-    phi = {y: identity_smap(x.family.values[y])
-           for k in range(x.base.trunc + 1) for y in x.base.nondeg[k]}
-    return ClubMorphismSSet(x, x, identity_smap(x.base), phi)
+    """The identity of a club object, built once per family."""
+    fam = x.family
+    if fam._club_identity is None:
+        phi = {y: identity_smap(fam.values[y])
+               for k in range(x.base.trunc + 1) for y in x.base.nondeg[k]}
+        fam._club_identity = ClubMorphismSSet(x, x, identity_smap(x.base), phi)
+    return fam._club_identity
+
+
+def compose_club_morphisms(g: ClubMorphismSSet, m: ClubMorphismSSet):
+    """g after m: the base maps composed, and at y the component of g at
+    the image of y after the component of m at y.  Composing with an
+    identity from ``identity_club_morphism`` returns the other morphism."""
+    if m is m.src.family._club_identity:
+        return g
+    if g is g.src.family._club_identity:
+        return m
+    phi = {y: compose_smaps(g.phi[m.f.images[y].base], comp)
+           for y, comp in m.phi.items()}
+    return ClubMorphismSSet(m.src, g.tgt, compose_smaps(g.f, m.f), phi)
+
+
+def club_morphism_equal(a: ClubMorphismSSet, b: ClubMorphismSSet):
+    return a is b or (smap_equal(a.f, b.f) and a.phi.keys() == b.phi.keys()
+                      and all(smap_equal(c, b.phi[y]) for y, c in a.phi.items()))
 
 
 def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult,
@@ -367,7 +396,7 @@ def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult,
         for uid in res_src.sset.nondeg[k]:
             snf, tnf = res_src.base_pair_nfs(uid)
             s2 = m.f.apply(snf)
-            t2 = m.phi_at(snf).apply(tnf)
+            t2 = m.phi[snf.base].apply(tnf)
             images[uid] = res_tgt.nf_of[(k, (nf_id(s2), nf_id(t2)))]
     return SimplicialMap(res_src.sset, res_tgt.sset, images,
                          name="composed")
@@ -393,7 +422,7 @@ def delta_naturality_check(morphisms):
             s2a, t2a = res2.pair_of(g.apply(u))
             # route 2: act on the pair componentwise
             s2b = m.f.apply(s1)
-            t2b = m.phi_at(s1).apply(t1)
+            t2b = m.phi[s1.base].apply(t1)
             if (nf_id(s2a), nf_id(t2a)) != (nf_id(s2b), nf_id(t2b)):
                 report.append(
                     f"sample {idx}: comparison square fails at {nf_id(u)!r}")
@@ -425,6 +454,15 @@ def unit_law_point_base(value: SimplicialSet):
 # ---------------------------------------------------------------------------
 # two-level families and associativity of composition
 
+class ClubObjectFamily(SimplexFamily):
+    """A family whose values are club objects and whose face maps are
+    morphisms of club objects."""
+
+    _identity = staticmethod(identity_club_morphism)
+    _compose = staticmethod(compose_club_morphisms)
+    _equal = staticmethod(club_morphism_equal)
+
+
 class TwoLevelFamily:
     """A family over S together with a family over each pair (s, t).
 
@@ -440,7 +478,7 @@ class TwoLevelFamily:
         self.chi = dict(chi)          # nondeg s -> SimplexFamily over psi.values[s]
         self.s_maps = dict(s_maps)    # (s, i, t_nondeg) -> SimplicialMap
         self.name = name
-        self._cache = {}
+        self._outer = None
 
     @classmethod
     def constant_inner(cls, psi: SimplexFamily, u: SimplicialSet, name=""):
@@ -458,54 +496,34 @@ class TwoLevelFamily:
     def value(self, s_base, t_base):
         return self.chi[s_base].values[t_base]
 
-    def s_transport(self, x: NormalForm, t: NormalForm, theta: MonotoneMap):
-        """Transport of the (x, t) value along the operator on the base side.
-
-        Returns (map, moved_t) where moved_t is the image of t in the value
-        of psi over theta* x.
-        """
-        key = (x, t, theta)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        kappa = compose_maps(x.eta, theta)
-        delta, sigma = ez_factor(kappa)
-        out = self._s_transport_injective(x.base, t, delta)
-        self._cache[key] = out
-        return out
-
-    def _s_transport_injective(self, y, t, delta):
-        if delta.m == delta.n:
-            return identity_smap(self.value(y, t.base)), t
-        i, rest = delta.peel_face()
-        k = self.base.dim_of[y]
-        moved = self.psi.transport(nondeg(y, k), face_map(k, i)).apply(t)
-        rec_map, rec_t = self.s_transport(self.base.faces[y][i], moved, rest)
-        return compose_smaps(rec_map, self.s_maps[(y, i, t.base)]), rec_t
-
-
-def _face_steps(tlf: TwoLevelFamily):
-    """The base-side transport along each face i of each non-degenerate base
-    simplex y, as a morphism of club objects from the inner data over y to
-    the inner data over that face: yields ((y, i), step) in base order.
-    Transports missing from ``s_maps`` are missing components."""
-    s, psi = tlf.base, tlf.psi
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            v = psi.values[y]
-            src = ClubObjectSSet(v, tlf.chi[y])
-            for i in range(k + 1):
-                y2 = s.faces[y][i].base
-                phi = {t: tlf.s_maps[(y, i, t)]
-                       for n in range(v.trunc + 1) for t in v.nondeg[n]
-                       if (y, i, t) in tlf.s_maps}
-                tgt = ClubObjectSSet(psi.values[y2], tlf.chi[y2])
-                yield (y, i), ClubMorphismSSet(src, tgt, psi.face_maps[(y, i)],
-                                               phi)
+    def outer(self):
+        """The base side as a family of club objects, built on first use:
+        the value at y is (psi at y, chi at y), and the face map at (y, i) is
+        psi's face map with the transports ``s_maps[(y, i, t)]`` as
+        components.  A transport missing from ``s_maps`` is a missing
+        component."""
+        if self._outer is None:
+            s, psi = self.base, self.psi
+            values = {y: ClubObjectSSet(psi.values[y], self.chi[y])
+                      for k in range(s.trunc + 1) for y in s.nondeg[k]}
+            face_maps = {}
+            for k in range(1, s.trunc + 1):
+                for y in s.nondeg[k]:
+                    v = psi.values[y]
+                    for i in range(k + 1):
+                        phi = {t: self.s_maps[(y, i, t)]
+                               for n in range(v.trunc + 1) for t in v.nondeg[n]
+                               if (y, i, t) in self.s_maps}
+                        face_maps[(y, i)] = ClubMorphismSSet(
+                            values[y], values[s.faces[y][i].base],
+                            psi.face_maps[(y, i)], phi)
+            self._outer = ClubObjectFamily(s, values, face_maps, name="outer")
+        return self._outer
 
 
 def validate_two_level(tlf: TwoLevelFamily):
-    """Validity of both levels plus coherence of the base-side transports."""
+    """Validity of both levels, each base-side face transport as a morphism
+    of club objects, then functoriality of the outer family."""
     report = [f"base family: {r}" for r in validate_family(tlf.psi)]
     if report:
         return report
@@ -523,34 +541,14 @@ def validate_two_level(tlf: TwoLevelFamily):
                           for r in validate_family(fam))
     if report:
         return report
-    # each base-side face transport is a morphism of club objects
-    for (y, i), step in _face_steps(tlf):
+    outer = tlf.outer()
+    for (y, i), step in outer.face_maps.items():
         report.extend(f"transport {r} along ({y!r}, {i})"
                       for r in validate_club_morphism(step))
     if report:
         return report
-    # coherence of iterated base-side transports, generator by generator
-    for k in range(s.trunc + 1):
-        for x in s.all_simplices(k):
-            v = tlf.psi.value(x.base)
-            for n in range(s.trunc + 1):
-                for t in v.nondeg[n]:
-                    tn = nondeg(t, n)
-                    for m2 in range(s.trunc + 1):
-                        for theta in all_monotone_maps(m2, k):
-                            step, moved = tlf.s_transport(x, tn, theta)
-                            y = apply_operator(s, x, theta)
-                            for g in s.generators(m2):
-                                nxt, moved2 = tlf.s_transport(y, moved, g)
-                                lhs = compose_smaps(nxt, step)
-                                rhs, moved3 = tlf.s_transport(
-                                    x, tn, compose_maps(theta, g))
-                                if moved2 != moved3 or not smap_equal(lhs, rhs):
-                                    report.append(
-                                        f"transport coherence fails at "
-                                        f"({nf_id(x)!r}, {t!r}, {theta.values!r}, "
-                                        f"{g.values!r})")
-    return report
+    return [f"transport coherence fails at ({nf_id(x)!r}, {theta.values!r}, "
+            f"{g.values!r})" for x, theta, g in outer.functoriality_failures()]
 
 
 def constant_two_level(s: SimplicialSet, t: SimplicialSet, u: SimplicialSet):
@@ -561,7 +559,7 @@ def constant_two_level(s: SimplicialSet, t: SimplicialSet, u: SimplicialSet):
 def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
     """The two-level data as a family over the composed base."""
     t1 = res1.sset
-    s = tlf.base
+    outer = tlf.outer()
     values = {}
     for k in range(t1.trunc + 1):
         for uid in t1.nondeg[k]:
@@ -573,10 +571,9 @@ def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
             snf, tnf = res1.base_pair_nfs(uid)
             for i in range(k + 1):
                 d = face_map(k, i)
-                smap_s, moved = tlf.s_transport(snf, tnf, d)
-                s2 = apply_operator(s, snf, d)
-                inner = tlf.chi[s2.base].transport(moved, d)
-                face_maps[(uid, i)] = compose_smaps(inner, smap_s)
+                step = outer.transport(snf, d)
+                inner = step.tgt.family.transport(step.f.apply(tnf), d)
+                face_maps[(uid, i)] = compose_smaps(inner, step.phi[tnf.base])
     return SimplexFamily(t1, values, face_maps, name="flattened")
 
 
@@ -588,7 +585,7 @@ def _inner_composites(tlf: TwoLevelFamily):
     values = {y: res.sset for y, res in inner_res.items()}
     face_maps = {(y, i): compose_morphism(step, inner_res[y],
                                           inner_res[s.faces[y][i].base])
-                 for (y, i), step in _face_steps(tlf)}
+                 for (y, i), step in tlf.outer().face_maps.items()}
     return SimplexFamily(s, values, face_maps, name="inner"), inner_res
 
 

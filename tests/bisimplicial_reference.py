@@ -4,11 +4,16 @@
 builds the whole bisimplicial set, every bidegree with its horizontal and
 vertical actions, and then takes its diagonal, as the package did before.
 The tests compare the direct construction with it table for table.
+
+It also keeps the base-side transport of a two-level family one inner
+simplex t at a time, the way the package computed it before the base side
+became a family of club objects.
 """
 
 from clubcat.simpset import (ExtensionalSSet, _default_id, apply_operator,
-                             degeneracy_map, face_map, nf_id,
-                             normalize_extensional)
+                             compose_maps, compose_smaps, degeneracy_map,
+                             ez_factor, face_map, identity_smap, nf_id,
+                             nondeg, normalize_extensional)
 
 
 class BisimplicialSet:
@@ -155,7 +160,7 @@ def bisimplicial_of(x):
         for n in range(tr + 1):
             elems = []
             for snf in s_simplices[m]:
-                v = fam.value(snf.base)
+                v = fam.values[snf.base]
                 for tnf in v.all_simplices(n):
                     elems.append((nf_id(snf), nf_id(tnf)))
             elements[(m, n)] = elems
@@ -166,7 +171,7 @@ def bisimplicial_of(x):
         table = {}
         for (sid, tid) in elements[(m, n)]:
             snf = s_lookup[sid]
-            v = fam.value(snf.base)
+            v = fam.values[snf.base]
             tnf = v.normal_forms()[tid]
             s2 = apply_operator(s, snf, theta)
             moved = fam.transport(snf, theta).apply(tnf)
@@ -177,7 +182,7 @@ def bisimplicial_of(x):
         table = {}
         for (sid, tid) in elements[(m, n)]:
             snf = s_lookup[sid]
-            v = fam.value(snf.base)
+            v = fam.values[snf.base]
             tnf = v.normal_forms()[tid]
             table[(sid, tid)] = (sid, nf_id(apply_operator(v, tnf, theta)))
         return table
@@ -219,3 +224,18 @@ def reference_compose(x, part_fn=None):
             if nf.is_nondegenerate():
                 base_pair[nf.base] = elt
     return sset, nf_of, base_pair
+
+
+def s_transport(tlf, x, t, theta):
+    """Transport of the value of ``tlf`` at (x, t) along the operator theta
+    on the base side, for one simplex t of the value of psi at x: returns
+    (map, moved t), moved t being the image of t over theta* x."""
+    delta, _ = ez_factor(compose_maps(x.eta, theta))
+    y = x.base
+    if delta.m == delta.n:
+        return identity_smap(tlf.value(y, t.base)), t
+    i, rest = delta.peel_face()
+    k = tlf.base.dim_of[y]
+    moved = tlf.psi.transport(nondeg(y, k), face_map(k, i)).apply(t)
+    rec_map, rec_t = s_transport(tlf, tlf.base.faces[y][i], moved, rest)
+    return compose_smaps(rec_map, tlf.s_maps[(y, i, t.base)]), rec_t

@@ -9,8 +9,10 @@ not count either.  What counts as a use depends on the kind of definition:
   ``src/``: as an identifier, an attribute, an imported name or a string
   constant.  The re-export lists of ``clubcat/__init__.py`` do not count,
   since re-exporting is not a use;
-- a method is used only when its name is read as an attribute (``x.name``),
-  so a same-named function, variable or string does not hide it;
+- a method, or a non-dunder name assigned or annotated in a class body (a
+  record field included), is used only when its name is read as an
+  attribute (``x.name``), so a same-named function, variable or string does
+  not hide it;
 - a module-level assignment to a non-dunder name is used only when that name
   is loaded, as an identifier or an attribute.
 """
@@ -24,7 +26,8 @@ PACKAGE = ROOT / "src" / "clubcat"
 
 def _definitions(tree):
     """(kind, name, first line, last line) of each module-level function,
-    class and non-dunder assignment, and each non-dunder method."""
+    class and non-dunder assignment, and of each non-dunder method and
+    class-body assignment."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -35,12 +38,19 @@ def _definitions(tree):
                         and not item.name.startswith("__")):
                     out.append(("attribute", item.name, item.lineno,
                                 item.end_lineno))
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        for target in targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                out.append(("load", target.id, node.lineno, node.end_lineno))
+                out.extend(("attribute", name, item.lineno, item.end_lineno)
+                           for name in _assigned(item))
+        out.extend(("load", name, node.lineno, node.end_lineno)
+                   for name in _assigned(node))
     return out
+
+
+def _assigned(node):
+    """The non-dunder names an assignment or annotation statement binds."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
 def _uses(tree, is_init):

@@ -6,15 +6,16 @@ from clubcat import sset_club
 from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
 from clubcat.generate import random_family, random_two_level
-from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
-                             compose_maps, compose_smaps, degeneracy_map,
-                             disjoint_union, identity_smap,
-                             is_injective, iso_sset, nf_id, nondeg, one_point,
-                             product, standard_simplex, validate_smap,
-                             validate_sset)
+from clubcat.simpset import (SimplicialMap, all_monotone_maps,
+                             apply_operator, boundary, compose_maps,
+                             compose_smaps, degeneracy_map, disjoint_union,
+                             identity_smap, is_injective, iso_sset, nf_id,
+                             nondeg, one_point, product, smap_equal,
+                             standard_simplex, validate_smap, validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                SimplexFamily, TwoLevelFamily,
-                               associativity_check, compose, compose_morphism,
+                               associativity_check, compose,
+                               compose_club_morphisms, compose_morphism,
                                constant_family, constant_two_level,
                                delta_functor, delta_is_isomorphism,
                                delta_naturality_check, identity_club_morphism,
@@ -24,7 +25,7 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                validate_two_level)
 
 from bisimplicial_reference import (bisimplicial_of, reference_compose,
-                                    validate_bisimplicial)
+                                    s_transport, validate_bisimplicial)
 
 
 def collapse_map(s, t):
@@ -124,7 +125,7 @@ def test_bidegree_counts_match_enumeration():
     assert validate_bisimplicial(b) == []
     for m in range(3):
         for n in range(3):
-            expected = sum(len(fam.value(x.base).all_simplices(n))
+            expected = sum(len(fam.values[x.base].all_simplices(n))
                            for x in s.all_simplices(m))
             assert len(b.elements[(m, n)]) == expected
 
@@ -291,7 +292,7 @@ def test_compose_morphism_functorial():
     m2 = identity_club_morphism(y)
     both = ClubMorphismSSet(
         x, y, compose_smaps(m2.f, m1.f),
-        {z: compose_smaps(m2.phi_at(m1.f.images[z].base), m1.phi[z])
+        {z: compose_smaps(m2.phi[m1.f.images[z].base], m1.phi[z])
          for k in range(3) for z in s.nondeg[k]})
     rx, ry = compose(x), compose(y)
     lhs = compose_morphism(both, rx, ry)
@@ -395,6 +396,60 @@ def test_grid_two_level_valid_and_associative():
     assert associativity_check(tlf) == []
 
 
+def outer_fixtures():
+    """Valid two-level families: random ones at trunc 2 and 3, a grid over
+    the 2-simplex, and constant inner values over a psi whose face maps move
+    t (every generated psi is constant)."""
+    fams = [random_two_level(random.Random(seed), trunc)
+            for trunc in (2, 3) for seed in range(12)]
+    s2 = standard_simplex(2, 2)
+    k0, k1 = standard_simplex(1, 2), one_point(2)
+    chain, chain_maps = [k0, k1, k1], [collapse_map(k0, k1), identity_smap(k1)]
+    fams.append(grid_two_level(s2, standard_simplex(1, 2), chain, chain_maps))
+    fams.append(TwoLevelFamily.constant_inner(
+        minvertex_family(s2, chain, chain_maps), two_points(2)))
+    return fams
+
+
+def test_outer_transport_matches_the_per_t_recursion():
+    for tlf in outer_fixtures():
+        assert validate_two_level(tlf) == []
+        s, outer = tlf.base, tlf.outer()
+        for k in range(s.trunc + 1):
+            for x in s.all_simplices(k):
+                v = tlf.psi.values[x.base]
+                for m in range(s.trunc + 1):
+                    for theta in all_monotone_maps(m, k):
+                        step = outer.transport(x, theta)
+                        for n in range(v.trunc + 1):
+                            for t in v.nondeg[n]:
+                                tn = nondeg(t, n)
+                                want, moved = s_transport(tlf, x, tn, theta)
+                                assert smap_equal(step.phi[t], want)
+                                assert step.f.apply(tn) == moved
+
+
+def test_composed_face_transports_are_club_morphisms():
+    pairs = 0
+    for tlf in outer_fixtures():
+        s, steps = tlf.base, tlf.outer().face_maps
+        for (y, i), m in steps.items():
+            for (face, _), g in steps.items():
+                if face != s.faces[y][i].base:
+                    continue
+                gm = compose_club_morphisms(g, m)
+                assert validate_club_morphism(gm) == []
+                assert compose_club_morphisms(identity_club_morphism(m.tgt), m) is m
+                assert compose_club_morphisms(m, identity_club_morphism(m.src)) is m
+                ra, rb, rc = compose(m.src), compose(m.tgt), compose(g.tgt)
+                lhs = compose_morphism(gm, ra, rc)
+                rhs = compose_smaps(compose_morphism(g, rb, rc),
+                                    compose_morphism(m, ra, rb))
+                assert lhs.images == rhs.images
+                pairs += 1
+    assert pairs == 36    # 24 in the random families, 6 in each fixture
+
+
 def test_sset_equal_detects_difference():
     a = standard_simplex(1, 2)
     b = boundary(2, 2)
@@ -421,7 +476,8 @@ def test_two_level_full_pair_functoriality():
         th, tv = pairs.mor_data[mid]
         pid = pairs.cat.src[mid]
         snf, tnf = pairs.obj_data[pid]
-        m1, moved = tlf.s_transport(snf, tnf, th)
+        step = tlf.outer().transport(snf, th)
+        m1, moved = step.phi[tnf.base], step.f.apply(tnf)
         s2 = apply_operator(s, snf, th)
         m2 = tlf.chi[s2.base].transport(moved, tv)
         return compose_smaps(m2, m1)

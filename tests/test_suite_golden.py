@@ -22,6 +22,7 @@ CASES = [
     ("sset-laws", 0, 2, 2),
     ("sset-laws", 1, 2, 2),
     ("sset-laws", 0, 1, 3),
+    ("sset-laws", 0, 1, 4),
     ("algebra-laws", 0, 1, 2),
     ("algebra-laws", 1, 1, 2),
     ("stability", 0, 4, 2),
