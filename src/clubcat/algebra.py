@@ -64,10 +64,11 @@ def validate_finset_diagram(d: FinSetDiagram):
     for m in d.cat.mor_ids:
         src, tgt = d.cat.src[m], d.cat.tgt[m]
         f = d.maps[m]
+        tgt_values = set(d.values[tgt])
         for e in d.values[src]:
             if e not in f:
                 report.append(f"map at {m!r} undefined on {e!r}")
-            elif f[e] not in set(d.values[tgt]):
+            elif f[e] not in tgt_values:
                 report.append(f"map at {m!r} leaves the target at {e!r}")
     if report:
         return report
@@ -252,11 +253,11 @@ def validate_algebra_morphism(m: AlgebraMorphism):
             continue
         src_val = m.src.diagram.values[oid]
         xnf = cat.simplex_of[oid]
-        tgt_val = m.tgt.diagram.values[nf_id(m.f.apply(xnf))]
+        tgt_val = set(m.tgt.diagram.values[nf_id(m.f.apply(xnf))])
         for e in src_val:
             if e not in comp:
                 report.append(f"component at {oid!r} undefined on {e!r}")
-            elif comp[e] not in set(tgt_val):
+            elif comp[e] not in tgt_val:
                 report.append(f"component at {oid!r} leaves the target")
     if report:
         return report

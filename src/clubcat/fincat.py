@@ -251,10 +251,11 @@ def identity_functor(c: FinCategory):
 
 def validate_functor(f: Functor):
     report = []
+    tgt_objects = set(f.tgt.objects)
     for x in f.src.objects:
         if x not in f.omap:
             report.append(f"object map missing at {x!r}")
-        elif f.omap[x] not in set(f.tgt.objects):
+        elif f.omap[x] not in tgt_objects:
             report.append(f"object map sends {x!r} outside the target")
     for m in f.src.mor_ids:
         if m not in f.mmap:

@@ -10,8 +10,9 @@ injective part on stored faces, keep the surjective part symbolic.
 Monotone maps are interned, one instance per value list, and validated once.
 Composition and Eilenberg-Zilber factorization of maps are memoized on the
 interned maps, and so are the identity, face and degeneracy maps by their
-indices.  Each simplicial set memoizes the action of operators on its
-simplices, its simplices and generators per dimension and its identity map.
+indices, and the tuple of all monotone maps [m] -> [n] by (m, n).  Each
+simplicial set memoizes the action of operators on its simplices, its
+simplices and generators per dimension and its identity map.
 Simplicial maps are interned per source set, one instance per target, name
 and image table, and their composition is memoized on the interned maps.
 All of these are pure, so the memos never change a result; the module-level
@@ -173,10 +174,20 @@ def ez_factor(theta: MonotoneMap):
     return theta._factors
 
 
+# (m, n) -> every monotone [m] -> [n]: a memo of tuples of interned maps,
+# bounded like _FACES by the dimensions in use.
+_ALL_MAPS = {}
+
+
 def all_monotone_maps(m, n):
-    """All monotone [m] -> [n] in lexicographic order of value tuples."""
-    return [MonotoneMap(n, c)
-            for c in itertools.combinations_with_replacement(range(n + 1), m + 1)]
+    """All monotone [m] -> [n] in lexicographic order of value tuples, as
+    one tuple per (m, n), built once."""
+    maps = _ALL_MAPS.get((m, n))
+    if maps is None:
+        maps = _ALL_MAPS[(m, n)] = tuple(
+            MonotoneMap(n, c)
+            for c in itertools.combinations_with_replacement(range(n + 1), m + 1))
+    return maps
 
 
 def surjections(m, j):

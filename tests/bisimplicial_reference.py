@@ -7,13 +7,16 @@ The tests compare the direct construction with it table for table.
 
 It also keeps the base-side transport of a two-level family one inner
 simplex t at a time, the way the package computed it before the base side
-became a family of club objects.
+became a family of club objects, and the functoriality and naturality walks
+as they were before they were memoized on normal forms: every check
+evaluated at every (x, theta, g).
 """
 
-from clubcat.simpset import (ExtensionalSSet, _default_id, apply_operator,
-                             compose_maps, compose_smaps, degeneracy_map,
-                             ez_factor, face_map, identity_smap, nf_id,
-                             nondeg, normalize_extensional)
+from clubcat.simpset import (ExtensionalSSet, _default_id, all_monotone_maps,
+                             apply_operator, compose_maps, compose_smaps,
+                             degeneracy_map, ez_factor, face_map,
+                             identity_smap, nf_id, nondeg,
+                             normalize_extensional, smap_equal)
 
 
 class BisimplicialSet:
@@ -239,3 +242,42 @@ def s_transport(tlf, x, t, theta):
     moved = tlf.psi.transport(nondeg(y, k), face_map(k, i)).apply(t)
     rec_map, rec_t = s_transport(tlf, tlf.base.faces[y][i], moved, rest)
     return compose_smaps(rec_map, tlf.s_maps[(y, i, t.base)]), rec_t
+
+
+def reference_functoriality_failures(fam):
+    """``SimplexFamily.functoriality_failures`` with no memo: each (x, theta,
+    g), in walk order, at which transport along theta then g differs from
+    transport along their composite."""
+    s = fam.base
+    for k in range(s.trunc + 1):
+        for x in s.all_simplices(k):
+            for m in range(s.trunc + 1):
+                for theta in all_monotone_maps(m, k):
+                    through = fam.transport(x, theta)
+                    y = apply_operator(s, x, theta)
+                    for g in s.generators(m):
+                        lhs = fam._compose(fam.transport(y, g), through)
+                        rhs = fam.transport(x, compose_maps(theta, g))
+                        if not fam._equal(lhs, rhs):
+                            yield x, theta, g
+
+
+def reference_naturality_failures(m):
+    """The naturality loop of ``validate_club_morphism`` with no memo, for a
+    morphism whose base map and components are valid: one message per
+    (x, theta), in walk order, at which the square fails."""
+    report = []
+    s = m.src.base
+    fam1, fam2 = m.src.family, m.tgt.family
+    for k in range(s.trunc + 1):
+        for x in s.all_simplices(k):
+            for mm in range(s.trunc + 1):
+                for theta in all_monotone_maps(mm, k):
+                    y = apply_operator(s, x, theta)
+                    lhs = compose_smaps(m.phi[y.base], fam1.transport(x, theta))
+                    rhs = compose_smaps(fam2.transport(m.f.apply(x), theta),
+                                        m.phi[x.base])
+                    if not smap_equal(lhs, rhs):
+                        report.append(
+                            f"naturality fails at {nf_id(x)!r} with {theta.values!r}")
+    return report

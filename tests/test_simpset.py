@@ -64,6 +64,16 @@ def test_surjection_counts():
             assert len(surjections(m, j)) == comb(m, m - j)
 
 
+def test_all_monotone_maps_is_one_tuple_per_dimension_pair():
+    for m in range(5):
+        for n in range(5):
+            maps = all_monotone_maps(m, n)
+            assert isinstance(maps, tuple)
+            assert all_monotone_maps(m, n) is maps
+            want = itertools.combinations_with_replacement(range(n + 1), m + 1)
+            assert [t.values for t in maps] == list(want)
+
+
 def test_equal_maps_are_one_interned_object():
     m = MonotoneMap(3, [0, 1, 2, 3])
     assert MonotoneMap(3, (0, 1, 2, 3)) is m

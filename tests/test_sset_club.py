@@ -25,6 +25,8 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                validate_two_level)
 
 from bisimplicial_reference import (bisimplicial_of, reference_compose,
+                                    reference_functoriality_failures,
+                                    reference_naturality_failures,
                                     s_transport, validate_bisimplicial)
 
 
@@ -602,24 +604,32 @@ def test_swapped_face_map_breaks_functoriality():
     assert all(r.startswith("functoriality fails") for r in report)
 
 
-def test_swapped_s_map_breaks_transport_naturality():
-    s = standard_simplex(1, 1)
-    u = two_points(1)
-    tlf = constant_two_level(s, standard_simplex(1, 1), u)
+def swapped_s_map_two_level(trunc=1):
+    """One s_map over the interval swapped: a transport that is not natural."""
+    u = two_points(trunc)
+    tlf = constant_two_level(standard_simplex(1, trunc),
+                             standard_simplex(1, trunc), u)
     tlf.s_maps[("01", 0, "01")] = swap_map(u)
-    report = validate_two_level(tlf)
+    return tlf
+
+
+def swapped_s_maps_two_level():
+    """Every s_map along one face of the 2-simplex swapped alike: natural
+    transports whose two routes around the 2-simplex disagree."""
+    u = two_points(2)
+    tlf = constant_two_level(standard_simplex(2, 2), one_point(2), u)
+    tlf.s_maps[("012", 0, "pt")] = swap_map(u)
+    return tlf
+
+
+def test_swapped_s_map_breaks_transport_naturality():
+    report = validate_two_level(swapped_s_map_two_level())
     assert report
     assert all(r.startswith("transport naturality fails") for r in report)
 
 
 def test_swapped_s_maps_break_transport_coherence():
-    # every s_map along one face swapped alike keeps naturality; the two
-    # routes around the 2-simplex then disagree
-    s = standard_simplex(2, 2)
-    u = two_points(2)
-    tlf = constant_two_level(s, one_point(2), u)
-    tlf.s_maps[("012", 0, "pt")] = swap_map(u)
-    report = validate_two_level(tlf)
+    report = validate_two_level(swapped_s_maps_two_level())
     assert report
     assert all(r.startswith("transport coherence fails") for r in report)
 
@@ -641,3 +651,51 @@ def test_s_map_into_the_wrong_value_has_wrong_endpoints():
     tlf.s_maps[("01", 0, "01")] = wrong
     assert validate_two_level(tlf) == [
         "transport component at '01' has wrong endpoints along ('01', 0)"]
+
+
+# ---------------------------------------------------------------------------
+# the law walks, memoized on normal forms, against the unmemoized reference
+
+def swapped_face_families(n):
+    """The constant family of two points over the n-simplex, at truncation
+    n, with one face map swapped: one family for each face map."""
+    s, t = standard_simplex(n, n), two_points(n)
+    out = []
+    for key in constant_family(s, t).face_maps:
+        fam = constant_family(s, t)
+        fam.face_maps[key] = swap_map(t)
+        out.append(fam)
+    return out
+
+
+def test_law_walks_match_the_unmemoized_reference():
+    s2 = standard_simplex(2, 2)
+    k0, k1 = standard_simplex(1, 2), one_point(2)
+    families = [minvertex_family(s2, [k0, k1, k1],
+                                 [collapse_map(k0, k1), identity_smap(k1)])]
+    families += [x.family for trunc in (1, 2, 3) for x in hand_families(trunc)]
+    families += [random_family(random.Random(seed), trunc).family
+                 for trunc in (2, 3) for seed in range(8)]
+    families += swapped_face_families(2) + swapped_face_families(3)
+    # outer_fixtures holds random_two_level seeds 0-11 at trunc 2 and 3
+    two_levels = outer_fixtures() + [swapped_s_map_two_level(1),
+                                     swapped_s_map_two_level(2),
+                                     swapped_s_maps_two_level()]
+    morphisms = []
+    for tlf in two_levels:
+        families += [tlf.psi, *tlf.chi.values(), tlf.outer()]
+        morphisms += tlf.outer().face_maps.values()
+    failures = []
+    for fam in families:
+        got = list(fam.functoriality_failures())
+        assert got == list(reference_functoriality_failures(fam))
+        failures += got
+    unnatural = []
+    for m in morphisms:
+        got = validate_club_morphism(m)
+        assert got == reference_naturality_failures(m)
+        unnatural += got
+    # a failure at a degenerate simplex is one the memo answers for a key
+    # first met at another simplex
+    assert any(not x.is_nondegenerate() for x, _, _ in failures)
+    assert any("@" in r for r in unnatural)
