@@ -17,7 +17,7 @@ from .fincat import (FinCategory, compose_functors, discrete_category,
 from .operads import (NsOperad, _composable_tuples, associative_operad,
                       cyclic_group_operad, free_operad, monoid_operad,
                       Collection, validate_ns_operad)
-from .semidirect import Products, fiber_semidirect, product_objects
+from .semidirect import Products
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
@@ -139,39 +139,40 @@ def _fibers(d: DiagramInCat):
     return [d.fiber_obj[o] for o in d.base.objects]
 
 
-def _product_fibers(x: DiagramInCat, y: DiagramInCat):
-    """The fibers of X ⋉ Y, from its objects alone."""
-    return [fiber_semidirect(x, d, psi, y)
-            for d, psi in product_objects(x, y).values()]
-
-
 def random_triple(rng: random.Random):
     """Three random diagrams whose three-fold products have at most 150
     objects, from at most 80 draws, and their ``Products`` with X⋉Y, Y⋉Z.
 
     Checks the intermediate pair fibers against the fiber guardrail so the
     three-fold products on both sides are constructible.  Every filter is a
-    function of the three diagrams and draws nothing, and each product is
-    built only as far as the filters reached so far need it.
+    function of the three diagrams and draws nothing, so their order decides
+    only the cost of a rejected try: the cheap ones run first.  In order:
+    the object count of X⋉Y; the fibers of X⋉Y against the bound on the
+    fibers of (X⋉Y)⋉Z; the fibers of Y⋉Z against theirs and the bound on
+    the fibers of X⋉(Y⋉Z); the object counts of both three-fold products;
+    the morphism counts of X⋉Y and Y⋉Z.  The fibers and products are those
+    of the try's ``Products``, each built once, and only as far as the
+    filters reached so far need it.
     """
+    bound = DEFAULT_GUARDRAILS.max_fiber_morphisms
     for _ in range(80):
         x = random_diagram(rng, name="X")
         y = random_diagram(rng, name="Y")
         z = random_diagram(rng, name="Z")
         if _predicted_product_objects(_fibers(x), y.base) > 40:
             continue
-        try:
-            fib_xy = _product_fibers(x, y)
-            fib_yz = _product_fibers(y, z)
-        except GuardrailExceeded:
-            continue
-        bound = DEFAULT_GUARDRAILS.max_fiber_morphisms
-        if _max_fiber_morphisms(fib_xy) > bound:
-            continue
-        if _max_fiber_morphisms(fib_yz) > bound:
-            continue
         products = Products()
         try:
+            fib_xy = [f.cat for f in products.fibers(x, y).values()]
+            # the factor is at least 1, so this bounds X⋉Y's fibers too
+            if (_max_fiber_morphisms(fib_xy)
+                    * max(1, _max_fiber_morphisms(_fibers(z))) > bound):
+                continue
+            fib_yz = [f.cat for f in products.fibers(y, z).values()]
+            if (_max_fiber_morphisms(fib_yz) > bound
+                    or _max_fiber_morphisms(_fibers(x))
+                    * max(1, _max_fiber_morphisms(fib_yz)) > bound):
+                continue
             if _predicted_product_objects(fib_xy, z.base) > 150:
                 continue
             base_yz = products(y, z).diagram.base
@@ -181,13 +182,6 @@ def random_triple(rng: random.Random):
             continue
         if (len(products(x, y).diagram.base.mor_ids) > 300
                 or len(base_yz.mor_ids) > 300):
-            continue
-        # conservative bound on the fibers of the three-fold products
-        if (_max_fiber_morphisms(fib_xy)
-                * max(1, _max_fiber_morphisms(_fibers(z))) > bound):
-            continue
-        if (_max_fiber_morphisms(_fibers(x))
-                * max(1, _max_fiber_morphisms(fib_yz)) > bound):
             continue
         return x, y, z, products
     raise GuardrailExceeded("no triple fit the size budget")

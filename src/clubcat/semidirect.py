@@ -15,7 +15,6 @@ same product agree on ids.
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
@@ -109,13 +108,16 @@ def pullback_diagram(psi: Functor, right: DiagramInCat):
         name=f"pullback({right.name})")
 
 
-def fiber_semidirect(left: DiagramInCat, d, psi: Functor, right: DiagramInCat):
-    """The fiber category over (d, psi): pairs twisted by the right diagram."""
+def fiber_semidirect(left: DiagramInCat, d, psi: Functor, right: DiagramInCat,
+                     name=None):
+    """The fiber over (d, psi): the ``PairCategory`` of pairs twisted by the
+    right diagram, named ``name`` (default ``fiber(<d>)``)."""
     if psi.src is not left.fiber_obj[d] and psi.src.objects != left.fiber_obj[d].objects:
         raise InputError("psi must start at the left fiber over d")
     if psi.tgt is not right.base and psi.tgt.objects != right.base.objects:
         raise InputError("psi must land in the right base")
-    return PairCategory(pullback_diagram(psi, right), name=f"fiber({d})").cat
+    return PairCategory(pullback_diagram(psi, right),
+                        name=f"fiber({d})" if name is None else name)
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +127,6 @@ def _is_discrete(c: FinCategory):
     return all(c.is_identity(m) for m in c.mor_ids)
 
 
-def _component_test(c: FinCategory):
-    """A test on two object tuples of one length: whether ``c`` has a
-    morphism from each object of the first to the object at the same
-    position of the second.
-
-    A natural transformation F => G into ``c`` needs one such morphism per
-    object, so where the test fails on the object maps of F and G,
-    ``enumerate_nat_trans(F, G)`` returns [].  ``c.hom`` keys only the
-    non-empty hom-sets; in a discrete ``c`` those are the hom-sets of an
-    object to itself, so the test is equality.
-    """
-    if _is_discrete(c):
-        return operator.eq
-    hom = c.hom
-    return lambda src_objs, tgt_objs: all(
-        pair in hom for pair in zip(src_objs, tgt_objs))
-
-
 def _product_morphisms(x: DiagramInCat, target: FinCategory, over):
     """Yield (f, end1, end2, phi) for each morphism of a product over ``x``.
 
@@ -150,11 +134,18 @@ def _product_morphisms(x: DiagramInCat, target: FinCategory, over):
     functor from X(d) into ``target``.  A morphism from (d1, psi1) to (d2,
     psi2) is a pair of f: d1 -> d2 and phi: psi1 => psi2 ∘ X(f).  They come
     in ``x.base.mor_ids`` order, then source ends, then target ends, then
-    ``enumerate_nat_trans`` order.  A pair of ends whose object maps meet an
-    empty hom-set of ``target`` has no phi, so it is skipped before psi2 ∘
-    X(f) is composed.
+    ``enumerate_nat_trans`` order.
+
+    phi needs a morphism of ``target`` from each psi1(a) to (psi2 ∘ X(f))(a),
+    so a pair of ends whose object maps meet an empty hom-set has none and
+    is skipped before psi2 ∘ X(f) is composed.  ``target.hom`` keys only the
+    non-empty hom-sets; in a discrete ``target`` those are the hom-sets of
+    an object to itself, so the object maps must be equal: there the target
+    ends of each f are bucketed by their shifted object tuple, and a source
+    end walks only its own bucket, in ascending position.
     """
-    has_components = _component_test(target)
+    discrete = _is_discrete(target)
+    hom = target.hom
     base = x.base
     for f in base.mor_ids:
         ends2 = over[base.tgt[f]]
@@ -162,12 +153,20 @@ def _product_morphisms(x: DiagramInCat, target: FinCategory, over):
         fib_objs = rf.src.objects
         shifted_objs = [tuple(psi2.omap[rf.omap[a]] for a in fib_objs)
                         for _, psi2 in ends2]
+        if discrete:
+            buckets = {}
+            for j, objs2 in enumerate(shifted_objs):
+                buckets.setdefault(objs2, []).append(j)
         shifted = [None] * len(ends2)   # psi2 ∘ X(f), composed on first use
         for end1, psi1 in over[base.src[f]]:
             objs1 = tuple(psi1.omap[a] for a in fib_objs)
-            for j, (end2, psi2) in enumerate(ends2):
-                if not has_components(objs1, shifted_objs[j]):
-                    continue
+            if discrete:
+                matching = buckets.get(objs1, ())
+            else:
+                matching = [j for j, objs2 in enumerate(shifted_objs)
+                            if all(pair in hom for pair in zip(objs1, objs2))]
+            for j in matching:
+                end2, psi2 = ends2[j]
                 if shifted[j] is None:
                     shifted[j] = compose_functors(psi2, rf)
                 for phi in enumerate_nat_trans(psi1, shifted[j]):
@@ -277,14 +276,27 @@ def product_objects(x: DiagramInCat, y: DiagramInCat,
     return obj_data
 
 
+def product_fibers(x: DiagramInCat, y: DiagramInCat, obj_data):
+    """The fiber of X ⋉ Y over each object of ``obj_data`` (the result of
+    ``product_objects``), as a dict from object id to ``PairCategory``."""
+    return {oid: fiber_semidirect(x, d, psi, y, name=f"fib({oid})")
+            for oid, (d, psi) in obj_data.items()}
+
+
 def build_semidirect(x: DiagramInCat, y: DiagramInCat,
-                     guard: Guardrails = DEFAULT_GUARDRAILS, keep=None):
+                     guard: Guardrails = DEFAULT_GUARDRAILS, keep=None,
+                     obj_data=None, fibers=None):
     """Construct X ⋉ Y, optionally restricted to a set of object keys.
 
     ``keep`` is None for the full product, or a dict mapping left-base object
-    ids to sets of functor keys to retain over that object.
+    ids to sets of functor keys to retain over that object.  ``obj_data`` and
+    ``fibers``, when given, are this product's ``product_objects`` and
+    ``product_fibers``, already built; the morphisms are built on them.
     """
-    obj_data = product_objects(x, y, guard, keep)
+    if obj_data is None:
+        obj_data = product_objects(x, y, guard, keep)
+    if fibers is None:
+        fibers = product_fibers(x, y, obj_data)
     objects = list(obj_data)
     obj_id = {(d, functor_key(psi)): oid for oid, (d, psi) in obj_data.items()}
 
@@ -331,10 +343,6 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
     base = FinCategory(objects, morphisms, identities, comp,
                        name=f"({x.base.name}|x|{y.base.name})")
 
-    fibers = {oid: PairCategory(pullback_diagram(obj_data[oid][1], y),
-                                name=f"fib({oid})")
-              for oid in objects}
-
     fiber_obj = {oid: fibers[oid].cat for oid in objects}
     fiber_mor = {}
     for (mid, s, t) in morphisms:
@@ -355,25 +363,49 @@ def semidirect(x: DiagramInCat, y: DiagramInCat,
 
 
 class Products:
-    """The full products of one sample, each built once.
+    """The full products of one sample, each built once, in stages.
 
-    ``products(x, y)`` is ``build_semidirect(x, y, guard)``, kept under the
-    identities of its factors; a kept product holds both factors, so their
-    ids cannot be reused while the table lives.  ``unit`` is the one unit
-    diagram of the sample: the unitors and the triangle build their products
-    with 1 on it.  Make one table per sample and drop it with the sample.
+    ``products.objects(x, y)`` is ``product_objects(x, y, guard)``,
+    ``products.fibers(x, y)`` is ``product_fibers`` on those objects, and
+    ``products(x, y)`` is ``build_semidirect(x, y, guard)`` built on both.
+    Each stage is kept under the identities of the factors, and the first
+    stage of a product keeps both factors, so their ids cannot be reused
+    while the table lives.  A refused product keeps nothing.  ``unit`` is
+    the one unit diagram of the sample: the unitors and the triangle build
+    their products with 1 on it.  Make one table per sample and drop it
+    with the sample.
     """
 
     def __init__(self, guard: Guardrails = DEFAULT_GUARDRAILS):
         self.guard = guard
         self.unit = unit_diagram()
-        self._built = {}
+        # each keyed by (id(x), id(y)); a fibers entry is made only after
+        # its objects entry, which holds x and y
+        self._objects = {}    # -> (x, y, obj_data)
+        self._fibers = {}     # -> fibers
+        self._built = {}      # -> SemidirectProduct, which holds x and y
+
+    def objects(self, x: DiagramInCat, y: DiagramInCat):
+        key = (id(x), id(y))
+        entry = self._objects.get(key)
+        if entry is None:
+            entry = self._objects[key] = (x, y, product_objects(x, y, self.guard))
+        return entry[2]
+
+    def fibers(self, x: DiagramInCat, y: DiagramInCat):
+        key = (id(x), id(y))
+        fibers = self._fibers.get(key)
+        if fibers is None:
+            fibers = self._fibers[key] = product_fibers(x, y, self.objects(x, y))
+        return fibers
 
     def __call__(self, x: DiagramInCat, y: DiagramInCat):
         key = (id(x), id(y))
         p = self._built.get(key)
         if p is None:
-            p = self._built[key] = build_semidirect(x, y, self.guard)
+            p = self._built[key] = build_semidirect(
+                x, y, self.guard, obj_data=self.objects(x, y),
+                fibers=self.fibers(x, y))
         return p
 
 

@@ -22,8 +22,7 @@ from .operads import (NsOperad, associative_operad, club_round_trips,
                       swap_pair_operad, sym_inclusion, sym_operad_to_club,
                       symmetric_associative_operad)
 from .semidirect import (associator, club_check, pentagon_check,
-                         product_objects, semidirect, triangle_check,
-                         trivial_club, unitors)
+                         semidirect, triangle_check, trivial_club, unitors)
 from .simpset import (SimplicialMap, apply_operator, boundary,
                       degeneracy_map, disjoint_union, iso_sset,
                       is_kan_fibration, nondeg, one_point, product,
@@ -96,9 +95,10 @@ def _monoidal_laws(suite, config):
             p_xy = products(x, y)
             p_yz = products(y, z)
             # the associator's other two products trip here if they would
-            # trip there: every refusal happens in their object phase
-            n_xy_z = len(product_objects(p_xy.diagram, z, guard))
-            product_objects(x, p_yz.diagram, guard)
+            # trip there: every refusal happens in their object phase, which
+            # the table keeps for the associator
+            n_xy_z = len(products.objects(p_xy.diagram, z))
+            products.objects(x, p_yz.diagram)
             if n_xy_z > guard.max_base_objects:
                 # pentagon_check first builds ((X⋉Y)⋉Z)⋉W, which trips on
                 # this base whatever W is.  The unitors and the triangle

@@ -53,7 +53,7 @@ def test_fiber_over_discrete_two_is_disjoint_union():
     fib = left.fiber_obj["d"]
     psi = Functor(fib, right.base, {"df0": "x", "df1": "y"},
                   {fib.identity("df0"): "id_x", fib.identity("df1"): "id_y"})
-    cat = fiber_semidirect(left, "d", psi, right)
+    cat = fiber_semidirect(left, "d", psi, right).cat
     assert validate_category(cat) == []
     # fibers over x (2 objects) and over y (1 object), no cross morphisms
     assert len(cat.objects) == 3
@@ -65,7 +65,7 @@ def test_fiber_over_point_collapses():
     right = arrow_diagram()
     fib = left.fiber_obj["d"]
     psi = Functor(fib, right.base, {"df0": "x"}, {fib.identity("df0"): "id_x"})
-    cat = fiber_semidirect(left, "d", psi, right)
+    cat = fiber_semidirect(left, "d", psi, right).cat
     assert find_isomorphism(cat, right.fiber_obj["x"]) is not None
 
 
@@ -77,7 +77,7 @@ def test_fiber_pair_counts_brute_force():
     rbase = discrete_category(["u"])
     right = DiagramInCat(rbase, {"u": arrow}, {"id_u": identity_functor(arrow)})
     psi = constant_functor(arrow, rbase, "u")
-    cat = fiber_semidirect(left, "d", psi, right)
+    cat = fiber_semidirect(left, "d", psi, right).cat
     assert validate_category(cat) == []
     # brute force: objects are pairs, morphisms are (alpha, beta) with
     # beta from the transported source (transport is the identity here)
@@ -534,6 +534,16 @@ def _id_fixture_products():
                                 {"id_d": identity_functor(arrow)})
     yield "arrow", build_semidirect(arrow_diagram(), arrow_diagram())
     yield "non-discrete fiber", build_semidirect(non_discrete, arrow_diagram())
+    # the transport along x -> y is not onto, so over the discrete base the
+    # four psis over y have two shifted object tuples: the morphism index
+    # has buckets with more than one target end
+    one, two = terminal_category(), discrete_category(["p", "q"])
+    into = DiagramInCat(walking_arrow(), {"x": one, "y": two},
+                        {"id_x": identity_functor(one),
+                         "id_y": identity_functor(two),
+                         "a": Functor(one, two, {"*": "p"}, {"id_*": "id_p"})})
+    yield "shared index bucket", build_semidirect(
+        into, discrete_diagram(["u", "v"], [1, 1]))
     yield "keep-restricted operad product", operad_to_club(
         free_operad({2: ["g"]}, 3)).product
     yield "symmetric operad product", _symmetric_club().product
@@ -637,8 +647,14 @@ def _free_binary_club():
     return operad_to_club(free_operad({2: ["g"]}, 3))
 
 
+def _free_binary_ternary_club():
+    from clubcat.operads import free_operad, operad_to_club
+    return operad_to_club(free_operad({2: ["g"], 3: ["t"]}, 3))
+
+
 @pytest.mark.parametrize("make_club", [_free_binary_club, _golden_mutant_club,
-                                       _symmetric_club, _join_club],
+                                       _symmetric_club, _join_club,
+                                       _free_binary_ternary_club],
                          ids=lambda make: make.__name__.strip("_"))
 def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeypatch):
     import clubcat.semidirect as module

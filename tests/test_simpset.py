@@ -533,6 +533,6 @@ def test_random_fiber_semidirect_validates():
         if not cands:
             continue
         psi = cands[rng.randrange(len(cands))]
-        cat = fiber_semidirect(left, d, psi, right)
+        cat = fiber_semidirect(left, d, psi, right).cat
         assert validate_category(cat) == []
         checked += 1

@@ -32,6 +32,7 @@ CASES = [
     ("monoidal-laws", 0, 1, None),
     ("monoidal-laws", 1, 1, None),
     ("monoidal-laws", 2, 2, None),
+    ("monoidal-laws", 9, 5, None),
 ]
 
 
