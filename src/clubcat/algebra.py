@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_GUARDRAILS, Guardrails
 from .diagram import DiagramInCat, constantify
-from .errors import InputError
+from .errors import GuardrailExceeded, InputError
 from .fincat import FinCategory
 from .semidirect import build_semidirect
 from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
@@ -53,33 +53,35 @@ class FinSetDiagram:
 
 def validate_finset_diagram(d: FinSetDiagram):
     report = []
-    for o in d.cat.objects:
-        if o not in d.values:
+    cat, values, maps = d.cat, d.values, d.maps
+    for o in cat.objects:
+        if o not in values:
             report.append(f"value missing at {o!r}")
-    for m in d.cat.mor_ids:
-        if m not in d.maps:
+    for m in cat.mor_ids:
+        if m not in maps:
             report.append(f"map missing at {m!r}")
     if report:
         return report
-    for m in d.cat.mor_ids:
-        src, tgt = d.cat.src[m], d.cat.tgt[m]
-        f = d.maps[m]
-        tgt_values = set(d.values[tgt])
-        for e in d.values[src]:
+    value_sets = {o: set(values[o]) for o in cat.objects}
+    for m in cat.mor_ids:
+        f = maps[m]
+        tgt_values = value_sets[cat.tgt[m]]
+        for e in values[cat.src[m]]:
             if e not in f:
                 report.append(f"map at {m!r} undefined on {e!r}")
             elif f[e] not in tgt_values:
                 report.append(f"map at {m!r} leaves the target at {e!r}")
     if report:
         return report
-    for o in d.cat.objects:
-        i = d.cat.identity(o)
-        if any(d.maps[i][e] != e for e in d.values[o]):
+    for o in cat.objects:
+        i = cat.identity(o)
+        if any(maps[i][e] != e for e in values[o]):
             report.append(f"identity map is not the identity at {o!r}")
-    for (g, f), gf in d.cat.comp.items():
-        src = d.cat.src[f]
-        for e in d.values[src]:
-            if d.maps[gf][e] != d.maps[g][d.maps[f][e]]:
+    src = cat.src
+    for (g, f), gf in cat.comp.items():
+        map_g, map_f, map_gf = maps[g], maps[f], maps[gf]
+        for e in values[src[f]]:
+            if map_gf[e] != map_g[map_f[e]]:
                 report.append(f"functoriality fails at ({g!r}, {f!r}) on {e!r}")
                 break
     return report
@@ -135,12 +137,17 @@ COLIMIT_SIZE_BOUND = 10_000
 def colimit_finset(d: FinSetDiagram):
     """Classes of the disjoint union under all operator maps.
 
-    Returns the sorted list of canonical representatives (object-index,
-    element) plus the class map, deterministic in the listing orders.
+    Returns the sorted list of canonical representatives (object id,
+    element) plus the class map from each (object id, element) to its
+    representative, deterministic in the listing orders.  Refuses, with
+    ``GuardrailExceeded``, a diagram whose values hold more than
+    ``COLIMIT_SIZE_BOUND`` elements together.
     """
     total = sum(len(v) for v in d.values.values())
     if total > COLIMIT_SIZE_BOUND:
-        raise InputError(f"colimit input larger than the bound {COLIMIT_SIZE_BOUND}")
+        raise GuardrailExceeded(
+            f"colimit input has {total} elements, above the bound "
+            f"COLIMIT_SIZE_BOUND = {COLIMIT_SIZE_BOUND}")
     index = {o: i for i, o in enumerate(d.cat.objects)}
     uf = _UnionFind()
     for o in d.cat.objects:
@@ -333,7 +340,9 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
 
     The two-level family must take discrete values (finite sets as discrete
     complexes).  Compares the canonical map between both colimits and reports
-    any failure of bijectivity.
+    any failure of bijectivity.  The inner diagram over a base simplex reads
+    only its base (``psi.values``, ``tlf.value`` and ``tlf.chi``), so it is
+    built and collapsed once per non-degenerate base simplex.
     """
     report = []
     s = tlf.base
@@ -342,6 +351,15 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
                    for t, val in fam.values.items()]:
         if any(v.nondeg[k] for k in range(1, v.trunc + 1)):
             raise InputError("two-stage evaluation needs discrete values")
+
+    functions = {}
+
+    def function(f):
+        """The vertex function of a map between discrete values, once per map."""
+        fn = functions.get(f)
+        if fn is None:
+            fn = functions[f] = _smap_function(f)
+        return fn
 
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(ClubObjectSSet(s, tlf.psi))
@@ -361,8 +379,8 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         snf, tnf = pair_cache[oid]
         step = base_side.transport(snf, theta)
         inner = step.tgt.family.transport(step.f.apply(tnf), theta)
-        f1 = _smap_function(step.phi[tnf.base])
-        f2 = _smap_function(inner)
+        f1 = function(step.phi[tnf.base])
+        f2 = function(inner)
         maps[mid] = {e: f2[f1[e]] for e in values[oid]}
     one_stage = FinSetDiagram(t_cat, values, maps, name="one-stage")
     bad = validate_finset_diagram(one_stage)
@@ -371,29 +389,26 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
     reps_a, classes_a = colimit_finset(one_stage)
 
     # two stages: collapse each inner diagram, then collapse over the base
-    s_cat = s.category()
     inner_reps, inner_classes = {}, {}
-    for oid in s_cat.objects:
-        snf = s_cat.simplex_of[oid]
-        v = tlf.psi.values[snf.base]
-        v_cat = v.category()
-        ivalues = {}
-        imaps = {}
-        for t_oid in v_cat.objects:
-            tnf = v_cat.simplex_of[t_oid]
-            ivalues[t_oid] = _discrete_elements(tlf.value(snf.base, tnf.base))
-        for t_mid in v_cat.mor_ids:
-            theta = v_cat.operator_of[t_mid]
-            t_oid = v_cat.src[t_mid]
-            tnf = v_cat.simplex_of[t_oid]
-            f = _smap_function(tlf.chi[snf.base].transport(tnf, theta))
-            imaps[t_mid] = {e: f[e] for e in ivalues[t_oid]}
-        idiag = FinSetDiagram(v_cat, ivalues, imaps, name=f"inner({oid})")
-        reps, classes = colimit_finset(idiag)
-        inner_reps[oid] = reps
-        inner_classes[oid] = classes
+    for k in range(s.trunc + 1):
+        for y in s.nondeg[k]:
+            v_cat = tlf.psi.values[y].category()
+            chi = tlf.chi[y]
+            ivalues = {}
+            imaps = {}
+            for t_oid in v_cat.objects:
+                tnf = v_cat.simplex_of[t_oid]
+                ivalues[t_oid] = _discrete_elements(tlf.value(y, tnf.base))
+            for t_mid in v_cat.mor_ids:
+                theta = v_cat.operator_of[t_mid]
+                t_oid = v_cat.src[t_mid]
+                f = function(chi.transport(v_cat.simplex_of[t_oid], theta))
+                imaps[t_mid] = {e: f[e] for e in ivalues[t_oid]}
+            idiag = FinSetDiagram(v_cat, ivalues, imaps, name=f"inner({y})")
+            inner_reps[y], inner_classes[y] = colimit_finset(idiag)
 
-    ovalues = {oid: [f"{t}&{e}" for (t, e) in inner_reps[oid]]
+    s_cat = s.category()
+    ovalues = {oid: [f"{t}&{e}" for (t, e) in inner_reps[s_cat.simplex_of[oid].base]]
                for oid in s_cat.objects}
     omaps = {}
     for mid in s_cat.mor_ids:
@@ -401,12 +416,13 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         oid, tid_out = s_cat.src[mid], s_cat.tgt[mid]
         snf = s_cat.simplex_of[oid]
         lookup = tlf.psi.values[snf.base].normal_forms()
+        classes_out = inner_classes[s_cat.simplex_of[tid_out].base]
         step = base_side.transport(snf, theta)
         table = {}
-        for (t, e) in inner_reps[oid]:
+        for (t, e) in inner_reps[snf.base]:
             tnf = lookup[t]
-            moved_e = _smap_function(step.phi[tnf.base])[e]
-            cls = inner_classes[tid_out][(nf_id(step.f.apply(tnf)), moved_e)]
+            moved_e = function(step.phi[tnf.base])[e]
+            cls = classes_out[(nf_id(step.f.apply(tnf)), moved_e)]
             table[f"{t}&{e}"] = f"{cls[0]}&{cls[1]}"
         omaps[mid] = table
     outer = FinSetDiagram(s_cat, ovalues, omaps, name="two-stage")
@@ -421,8 +437,9 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
     for oid in t_cat.objects:
         snf, tnf = pair_cache[oid]
         s_oid = nf_id(snf)
+        classes = inner_classes[snf.base]
         for e in one_stage.values[oid]:
-            cls_inner = inner_classes[s_oid][(nf_id(tnf), e)]
+            cls_inner = classes[(nf_id(tnf), e)]
             target = classes_b[(s_oid, f"{cls_inner[0]}&{cls_inner[1]}")]
             key = classes_a[(oid, e)]
             if key in image and image[key] != target:

@@ -6,8 +6,12 @@ Conventions used everywhere downstream:
 * ``comp[(g, f)]`` is the composite ``g after f``; ``comp`` is a mapping,
   total on composable pairs and nothing else, kept as given (not copied).
   Most builders pass a dict; the category of simplices of ``simpset`` and the
-  pair category of ``sset_club`` pass a ``LazyComposites``, which fills each
-  composite on first read;
+  pair category of ``sset_club`` pass a ``LazyComposites``.  It computes a
+  composite read by key on first read and keeps it; its ``items()`` walks
+  every composable pair in key order and keeps nothing, so a check that
+  walks the table once stores no composite.  Both builders find a composite
+  by looking up its operators in a table of the source object's morphisms,
+  so no id is built per pair;
 * every collection keeps a fixed insertion order, and every enumeration and
   every "first found" answer is deterministic with respect to that order.
 """
@@ -64,12 +68,16 @@ class FinCategory:
 
 class LazyComposites(Mapping):
     """A composition table filled on first read: ``composite(g, f)`` gives
-    the id of g after f, computed when the pair is first read and kept.
+    the id of g after f, computed when the pair is first read by key and
+    kept.
 
     Its keys are those of the full table, in its order: every composable pair
     (g, f), by f in morphism order, then by g among the morphisms out of the
     target of f.  Membership and length compute no composite; writing an
-    entry replaces it.
+    entry replaces it.  ``items()`` walks the pairs in that order itself,
+    without the key checks of a read: it returns a kept entry (one read or
+    written before) as kept, so an overridden composite stays visible, and
+    computes the others without keeping them.
     """
 
     def __init__(self, morphisms, composite):
@@ -104,6 +112,15 @@ class LazyComposites(Mapping):
         for (f, _, b) in self._morphisms:
             for g in self._by_src.get(b, ()):
                 yield (g, f)
+
+    def items(self):
+        """Every (key, composite) pair in key order; see the class."""
+        known, composite, by_src = self._known, self._composite, self._by_src
+        for (f, _, b) in self._morphisms:
+            for g in by_src.get(b, ()):
+                key = (g, f)
+                gf = known.get(key)
+                yield key, (composite(g, f) if gf is None else gf)
 
     def __len__(self):
         return self._len

@@ -12,7 +12,10 @@ Composition and Eilenberg-Zilber factorization of maps are memoized on the
 interned maps, and so are the identity, face and degeneracy maps by their
 indices, and the tuple of all monotone maps [m] -> [n] by (m, n).  Each
 simplicial set memoizes the action of operators on its simplices, its
-simplices and generators per dimension and its identity map.
+simplices and generators per dimension, its identity map and its category
+of simplices.  The category of simplices keeps, beside its morphism list, a
+table of operators per object, ``mor_of[oid]`` (operator -> morphism id), so
+a composite is one lookup and composing builds no id per pair.
 Simplicial maps are interned per source set, one instance per target, name
 and image table, and their composition is memoized on the interned maps.
 All of these are pure, so the memos never change a result; the module-level
@@ -676,13 +679,16 @@ def iso_sset(s: SimplicialSet, t: SimplicialSet):
 
 class SimplexCategory(FinCategory):
     """A category of simplices that knows the simplex each object names
-    (``simplex_of``) and the operator each morphism applies (``operator_of``)."""
+    (``simplex_of``), the operator each morphism applies (``operator_of``)
+    and, per object, the morphism out of it for each operator
+    (``mor_of[oid][theta]``)."""
 
     def __init__(self, objects, morphisms, identities, comp, simplex_of,
-                 operator_of, name=""):
+                 operator_of, mor_of, name=""):
         super().__init__(objects, morphisms, identities, comp, name=name)
         self.simplex_of = simplex_of
         self.operator_of = operator_of
+        self.mor_of = mor_of
 
     @staticmethod
     def mor_id(src_id, theta):
@@ -696,36 +702,42 @@ def simplex_category(s: SimplicialSet):
     Hom(x, y) is the set of monotone maps theta with theta*(x) = y; the
     operator theta: [m] -> [n] is a morphism from the n-simplex x to the
     m-simplex theta*(x).  Composition is composition of monotone maps in the
-    opposite order of application.
+    opposite order of application: a composite is looked up in the operator
+    table of the source object, so no id is built per pair.  Target ids are
+    looked up by normal form, so none is built per morphism either.
     """
     objects = []
     obj_nf = {}
+    id_of = {}
     for k in range(s.trunc + 1):
         for nf in s.all_simplices(k):
             oid = nf_id(nf)
             objects.append(oid)
             obj_nf[oid] = nf
+            id_of[nf] = oid
     morphisms = []
     identities = {}
     operator_of = {}
+    mor_of = {}
     for oid in objects:
         x = obj_nf[oid]
+        row = mor_of[oid] = {}
         for m in range(s.trunc + 1):
             for theta in all_monotone_maps(m, x.dim):
                 y = apply_operator(s, x, theta)
                 mid = SimplexCategory.mor_id(oid, theta)
-                morphisms.append((mid, oid, nf_id(y)))
+                morphisms.append((mid, oid, id_of[y]))
                 operator_of[mid] = theta
+                row[theta] = mid
                 if theta.is_identity() and m == x.dim:
                     identities[oid] = mid
 
     def composite(g, f):
-        return SimplexCategory.mor_id(
-            cat.src[f], compose_maps(operator_of[f], operator_of[g]))
+        return mor_of[cat.src[f]][compose_maps(operator_of[f], operator_of[g])]
 
     cat = SimplexCategory(objects, morphisms, identities,
                           LazyComposites(morphisms, composite), obj_nf,
-                          operator_of, name=f"S({s.name})")
+                          operator_of, mor_of, name=f"S({s.name})")
     return cat
 
 

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from clubcat import algebra
 from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              FinSetDiagram, IPoint, act_category,
                              colimit_act, colimit_finset,
@@ -10,6 +13,7 @@ from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              validate_algebra_morphism,
                              validate_finset_diagram)
 from clubcat.fincat import discrete_category, find_isomorphism, validate_category
+from clubcat.generate import random_two_level
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
 from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
@@ -18,6 +22,8 @@ from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
 from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                constant_family, constant_two_level,
                                identity_club_morphism)
+from finset_reference import (reference_two_stage_colimit_check,
+                              reference_validate_finset_diagram)
 
 
 def test_ipoint_hashes_as_its_fields():
@@ -284,3 +290,121 @@ def test_algebra_associativity_check_wrapper():
                constant_two_level(s, one_point(2),
                                   disjoint_union(one_point(2), one_point(2)))]
     assert algebra_associativity_check(samples) == []
+
+
+# ---------------------------------------------------------------------------
+# the checks against their references
+
+def checked_diagrams(monkeypatch, tlf):
+    """The diagrams that ``two_stage_colimit_check`` validates on tlf."""
+    seen = []
+    real = algebra.validate_finset_diagram
+
+    def recording(d):
+        seen.append(d)
+        return real(d)
+
+    monkeypatch.setattr(algebra, "validate_finset_diagram", recording)
+    two_stage_colimit_check(tlf)
+    monkeypatch.undo()
+    return seen
+
+
+def pool_diagrams(monkeypatch):
+    """The one-stage and outer diagrams of the two-level families that
+    ``algebra-laws`` draws at truncation 2, seeds 0-19."""
+    out = []
+    for seed in range(20):
+        tlf = random_two_level(random.Random(seed), 2, discrete=True)
+        out.extend(checked_diagrams(monkeypatch, tlf))
+    return out
+
+
+def test_finset_validation_matches_the_reference_on_the_pool(monkeypatch):
+    diagrams = pool_diagrams(monkeypatch)
+    assert [d.name for d in diagrams] == ["one-stage", "two-stage"] * 20
+    for d in diagrams:
+        assert validate_finset_diagram(d) == reference_validate_finset_diagram(d)
+
+
+def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
+    diagrams = pool_diagrams(monkeypatch)
+    # one element moved at an identity
+    d, o = next((d, o) for d in diagrams for o in d.cat.objects
+                if len(d.values[o]) >= 2)
+    mutant = FinSetDiagram(d.cat, d.values, d.maps)
+    e0, e1 = d.values[o][:2]
+    mutant.maps[d.cat.identity(o)][e0] = e1
+    report = validate_finset_diagram(mutant)
+    assert f"identity map is not the identity at {o!r}" in report
+    assert any(r.startswith("functoriality fails") for r in report)
+    assert report == reference_validate_finset_diagram(mutant)
+    # one element moved at a morphism out of a degenerate simplex
+    d, m = next((d, m) for d in diagrams for m in d.cat.nonidentity_morphisms()
+                if not d.cat.simplex_of[d.cat.src[m]].is_nondegenerate()
+                and len(d.values[d.cat.tgt[m]]) >= 2)
+    mutant = FinSetDiagram(d.cat, d.values, d.maps)
+    e = d.values[d.cat.src[m]][0]
+    mutant.maps[m][e] = next(x for x in d.values[d.cat.tgt[m]]
+                             if x != d.maps[m][e])
+    report = validate_finset_diagram(mutant)
+    assert report and all(r.startswith("functoriality fails") for r in report)
+    assert report == reference_validate_finset_diagram(mutant)
+
+
+def test_finset_validation_reads_an_overridden_composite(monkeypatch):
+    # each family is drawn afresh, so the overridden table is this test's own
+    diagrams = pool_diagrams(monkeypatch)
+    d, key, other = next(
+        (d, (g, f), other) for d in diagrams
+        for (g, f), gf in d.cat.comp.items()
+        for other in d.cat.mor_ids if d.cat.src[other] == d.cat.src[f]
+        and any(d.maps[other][e] != d.maps[gf][e]
+                for e in d.values[d.cat.src[f]]))
+    assert validate_finset_diagram(d) == []
+    d.cat.comp[key] = other
+    report = validate_finset_diagram(d)
+    assert any(r.startswith(f"functoriality fails at {key!r}") for r in report)
+    assert report == reference_validate_finset_diagram(d)
+
+
+def counted_check(monkeypatch, tlf):
+    """The report of ``two_stage_colimit_check`` on tlf and the names of the
+    diagrams it collapses, in order."""
+    names = []
+    real = algebra.colimit_finset
+
+    def counting(d):
+        names.append(d.name)
+        return real(d)
+
+    monkeypatch.setattr(algebra, "colimit_finset", counting)
+    report = two_stage_colimit_check(tlf)
+    monkeypatch.undo()
+    return report, names
+
+
+def test_two_stage_builds_one_inner_colimit_per_base_simplex(monkeypatch):
+    for seed in range(20):
+        tlf = random_two_level(random.Random(seed), 2, discrete=True)
+        report, names = counted_check(monkeypatch, tlf)
+        s = tlf.base
+        inner = [f"inner({y})" for k in range(s.trunc + 1) for y in s.nondeg[k]]
+        assert names == ["one-stage", *inner, "two-stage"]
+        assert report == reference_two_stage_colimit_check(tlf) == []
+
+
+def test_two_stage_negative_control_matches_the_reference(monkeypatch):
+    # swapping the two points along one face of the triangle, and along no
+    # other, breaks functoriality of the one-stage diagram
+    s = standard_simplex(2, 2)
+    u = disjoint_union(one_point(2), one_point(2))
+    a, b = u.nondeg[0]
+    tlf = constant_two_level(s, one_point(2), u)
+    tlf.s_maps[("012", 0, "pt")] = SimplicialMap(
+        u, u, {a: nondeg(b, 0), b: nondeg(a, 0)})
+    report, names = counted_check(monkeypatch, tlf)
+    assert names == []
+    assert report and all(r.startswith("one-stage diagram: functoriality fails")
+                          for r in report)
+    assert report == reference_two_stage_colimit_check(tlf)

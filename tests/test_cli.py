@@ -131,6 +131,18 @@ def test_validate_one_vertex_at_high_truncation_is_quick(tmp_path):
     assert "[PASS] well-formed:sset" in proc.stdout
 
 
+def test_algebra_colimit_above_the_size_bound_exits_3(tmp_path, capsys):
+    # a refusal for size is a guardrail (exit 3), not invalid input (exit 2)
+    path = tmp_path / "big.json"
+    formats.write_file(path, "algebra-object", constant_algebra_object(
+        one_point(0), [f"e{i}" for i in range(10_001)]))
+    capsys.readouterr()
+    assert main(["algebra", "colimit", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guardrail:") and "10000" in err
+    assert "Traceback" not in err
+
+
 def test_validation_failure_exit_code(workspace, tmp_path):
     data = formats.serialize("operad", cyclic_group_operad(3))
     for entry in data["gamma"]:

@@ -308,6 +308,13 @@ def test_simplex_category_interval_trunc1():
     assert len(cat.objects) == 5  # 2 vertices + nondeg edge + 2 degenerate edges
 
 
+def test_simplex_category_operator_table_inverts_operator_of():
+    cat = simplex_category(product(standard_simplex(1, 2), boundary(2, 2)))
+    assert [cat.mor_of[cat.src[m]][cat.operator_of[m]]
+            for m in cat.mor_ids] == cat.mor_ids
+    assert sum(len(row) for row in cat.mor_of.values()) == len(cat.mor_ids)
+
+
 def eager_simplex_composites(cat):
     """Every composite of a category of simplices, composed in advance: the
     reference for the table that ``simplex_category`` fills on first read."""
