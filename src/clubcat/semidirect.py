@@ -777,9 +777,9 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
             lhs_oid2 = _route_left(s, p, b1, rho1, chi)
             right = _route_right(s, p, oid1, chi)
             over[oid1].append((_ChiEnd(chi, lhs_oid2, right), chi))
-            where = f"object ({p.describe_object(oid1)}, chi={functor_key(chi)})"
             if (lhs_oid2 is None) != (right is None):
-                if note(f"associativity domain mismatch at {where}: "
+                if note(f"associativity domain mismatch at "
+                        f"{_object_where(p, oid1, chi)}: "
                         f"left defined={lhs_oid2 is not None}, "
                         f"right defined={right is not None}"):
                     return report
@@ -790,14 +790,16 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
             lhs = mu.base_functor.omap[lhs_oid2]
             rhs = mu.base_functor.omap[oid_out]
             if lhs != rhs:
-                if note(f"associativity fails on base objects at {where}: "
+                if note(f"associativity fails on base objects at "
+                        f"{_object_where(p, oid1, chi)}: "
                         f"{lhs!r} != {rhs!r}"):
                     return report
                 continue
             fails = _rho_route_compare(s, p, oid1, lhs_oid2, rho1, lhs,
                                        xi_oids, oid_out)
             for msg in fails:
-                if note(f"associativity fails on fiber components at {where}: {msg}"):
+                if note(f"associativity fails on fiber components at "
+                        f"{_object_where(p, oid1, chi)}: {msg}"):
                     return report
     # morphism-level associativity: theta runs over the morphisms of P ⋉ C
     for mid, end1, end2, theta in _product_morphisms(p.diagram, c.base, over):
@@ -805,6 +807,12 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         if msg is not None and note(msg):
             return report
     return report
+
+
+def _object_where(p, oid, chi):
+    """Where an object-level associativity check failed, built only for a
+    failure."""
+    return f"object ({p.describe_object(oid)}, chi={functor_key(chi)})"
 
 
 def _unit_laws(s, p, guard, note, e_obj):

@@ -10,13 +10,21 @@ simplex t at a time, the way the package computed it before the base side
 became a family of club objects, and the functoriality and naturality walks
 as they were before they were memoized on normal forms: every check
 evaluated at every (x, theta, g).
+
+Finally it keeps the comparison checks as they were before they stopped
+building what they do not read: the pair category computed morphism by
+morphism, and the naturality square walked over the objects of the
+composite's category of simplices.
 """
 
+from clubcat.fincat import FinCategory, LazyComposites
 from clubcat.simpset import (ExtensionalSSet, _default_id, all_monotone_maps,
                              apply_operator, compose_maps, compose_smaps,
                              degeneracy_map, ez_factor, face_map,
                              identity_smap, nf_id, nondeg,
                              normalize_extensional, smap_equal)
+from clubcat.sset_club import (PairCategorySSet, compose,
+                               compose_morphism)
 
 
 class BisimplicialSet:
@@ -280,4 +288,72 @@ def reference_naturality_failures(m):
                     if not smap_equal(lhs, rhs):
                         report.append(
                             f"naturality fails at {nf_id(x)!r} with {theta.values!r}")
+    return report
+
+
+def reference_pair_category_sset(x):
+    """``pair_category_sset`` computing theta* s, the transport and every
+    target once per morphism, over the base's category of simplices."""
+    s, fam = x.base, x.family
+    s_cat = s.category()
+    objects = []
+    obj_id, obj_data = {}, {}
+    for oid in s_cat.objects:
+        snf = s_cat.simplex_of[oid]
+        v = fam.values[snf.base]
+        for n in range(s.trunc + 1):
+            for tnf in v.all_simplices(n):
+                pid = f"{oid}&{nf_id(tnf)}"
+                objects.append(pid)
+                obj_id[(oid, nf_id(tnf))] = pid
+                obj_data[pid] = (snf, tnf)
+    morphisms = []
+    mor_id, mor_data = {}, {}
+    identities = {}
+    for pid in objects:
+        snf, tnf = obj_data[pid]
+        for m in range(s.trunc + 1):
+            for theta in all_monotone_maps(m, snf.dim):
+                s2 = apply_operator(s, snf, theta)
+                moved = fam.transport(snf, theta).apply(tnf)
+                v2 = fam.values[s2.base]
+                for m2 in range(s.trunc + 1):
+                    for theta2 in all_monotone_maps(m2, moved.dim):
+                        t2 = apply_operator(v2, moved, theta2)
+                        mid = f"{pid}!{theta.label}!{theta2.label}"
+                        tgt = obj_id[(nf_id(s2), nf_id(t2))]
+                        morphisms.append((mid, pid, tgt))
+                        mor_id[(pid, theta, theta2)] = mid
+                        mor_data[mid] = (theta, theta2)
+                        if theta.is_identity() and theta2.is_identity():
+                            identities[pid] = mid
+
+    def composite(g, f):
+        th_f, tv_f = mor_data[f]
+        th_g, tv_g = mor_data[g]
+        return mor_id[(cat.src[f], compose_maps(th_f, th_g), compose_maps(tv_f, tv_g))]
+
+    cat = FinCategory(objects, morphisms, identities,
+                      LazyComposites(morphisms, composite), name="pairs")
+    return PairCategorySSet(cat, obj_id, obj_data, mor_id, mor_data)
+
+
+def reference_delta_naturality_check(morphisms):
+    """``delta_naturality_check`` walking the objects of each source
+    composite's category of simplices."""
+    report = []
+    for idx, m in enumerate(morphisms):
+        res1 = compose(m.src)
+        res2 = compose(m.tgt)
+        g = compose_morphism(m, res1, res2)
+        t_cat1 = res1.sset.category()
+        for oid in t_cat1.objects:
+            u = t_cat1.simplex_of[oid]
+            s1, t1 = res1.pair_of(u)
+            s2a, t2a = res2.pair_of(g.apply(u))
+            s2b = m.f.apply(s1)
+            t2b = m.phi[s1.base].apply(t1)
+            if (nf_id(s2a), nf_id(t2a)) != (nf_id(s2b), nf_id(t2b)):
+                report.append(
+                    f"sample {idx}: comparison square fails at {nf_id(u)!r}")
     return report

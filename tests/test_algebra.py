@@ -408,3 +408,50 @@ def test_two_stage_negative_control_matches_the_reference(monkeypatch):
     assert report and all(r.startswith("one-stage diagram: functoriality fails")
                           for r in report)
     assert report == reference_two_stage_colimit_check(tlf)
+
+
+def split_class(reps, classes):
+    """The last member of the first class with two or more members made a
+    class of its own."""
+    members = {}
+    for e, r in classes.items():
+        members.setdefault(r, []).append(e)
+    r, ms = next((r, ms) for r, ms in members.items() if len(ms) >= 2)
+    m = next(e for e in reversed(ms) if e != r)
+    return sorted(reps + [m]), {**classes, m: m}
+
+
+def move_element(reps, classes):
+    """A non-representative member of the first class with two or more
+    members moved to the class of another representative."""
+    members = {}
+    for e, r in classes.items():
+        members.setdefault(r, []).append(e)
+    r, ms = next((r, ms) for r, ms in members.items() if len(ms) >= 2)
+    m = next(e for e in ms if e != r)
+    return reps, {**classes, m: next(x for x in reps if x != r)}
+
+
+def test_two_stage_comparison_reports_injected_faults(monkeypatch):
+    # the comparison stage sees the two-stage colimit with one fault; the
+    # one-stage and inner colimits are left alone
+    real = algebra.colimit_finset
+    reports = []
+    for fault in (split_class, move_element):
+        for seed in (0, 1):
+            tlf = random_two_level(random.Random(seed), 2, discrete=True)
+            assert two_stage_colimit_check(tlf) == []
+
+            def faulted(d):
+                reps, classes = real(d)
+                return fault(reps, classes) if d.name == "two-stage" else (
+                    reps, classes)
+
+            monkeypatch.setattr(algebra, "colimit_finset", faulted)
+            report = two_stage_colimit_check(tlf)
+            monkeypatch.undo()
+            assert report
+            reports.extend(report)
+    for prefix in ("comparison not well-defined at class ",
+                   "colimit sizes differ: ", "comparison misses "):
+        assert any(r.startswith(prefix) for r in reports)

@@ -675,6 +675,20 @@ def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeyp
     assert (report == []) == (make_club is not _golden_mutant_club)
 
 
+def test_passing_club_check_describes_no_object(monkeypatch):
+    import clubcat.semidirect as module
+    real = module.SemidirectProduct.describe_object
+    calls = []
+
+    def counting(self, oid):
+        calls.append(oid)
+        return real(self, oid)
+
+    monkeypatch.setattr(module.SemidirectProduct, "describe_object", counting)
+    assert club_check(_free_binary_club()) == []
+    assert calls == []
+
+
 def test_club_check_stops_at_the_first_failing_theta(monkeypatch):
     import clubcat.semidirect as module
     real = module._assoc_single_morphism

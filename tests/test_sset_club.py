@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from clubcat import sset_club
+from clubcat import simpset, sset_club, suites
 from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
 from clubcat.generate import random_family, random_two_level
@@ -24,9 +25,12 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
                                validate_club_morphism, validate_family,
                                validate_two_level)
 
+import bisimplicial_reference
 from bisimplicial_reference import (bisimplicial_of, reference_compose,
+                                    reference_delta_naturality_check,
                                     reference_functoriality_failures,
                                     reference_naturality_failures,
+                                    reference_pair_category_sset,
                                     s_transport, validate_bisimplicial)
 
 
@@ -251,6 +255,117 @@ def test_pair_category_composes_only_what_is_read(monkeypatch):
     calls = 0
     assert validate_functor(delta_functor(res, pairs)) == []
     assert calls <= 2 * len(res.sset.category().comp)
+
+
+def grid_psi_object():
+    """The base side (s, psi) of the grid two-level family over the
+    interval, at truncation 1."""
+    s = standard_simplex(1, 1)
+    k0, k1 = standard_simplex(1, 1), one_point(1)
+    tlf = grid_two_level(s, standard_simplex(1, 1), [k0, k1, k1],
+                         [collapse_map(k0, k1), identity_smap(k1)])
+    return ClubObjectSSet(s, tlf.psi)
+
+
+def assert_same_pair_tables(pairs, ref, composites=None):
+    """Equal objects, morphism list, identities, obj_id, obj_data, mor_id and
+    mor_data, each in order, and the first ``composites`` composites (all of
+    them when None) in key order."""
+    assert pairs.cat.objects == ref.cat.objects
+    assert pairs.cat.morphisms == ref.cat.morphisms
+    assert list(pairs.cat.identities.items()) == list(ref.cat.identities.items())
+    assert list(pairs.obj_id.items()) == list(ref.obj_id.items())
+    assert list(pairs.obj_data.items()) == list(ref.obj_data.items())
+    assert list(pairs.mor_id.items()) == list(ref.mor_id.items())
+    assert list(pairs.mor_data.items()) == list(ref.mor_data.items())
+    assert len(pairs.cat.comp) == len(ref.cat.comp)
+    assert (list(itertools.islice(pairs.cat.comp.items(), composites))
+            == list(itertools.islice(ref.cat.comp.items(), composites)))
+
+
+@pytest.mark.parametrize("case", ["fixture", "grid"] + [
+    (seed, trunc) for trunc in (1, 2) for seed in range(4)], ids=str)
+def test_pair_category_matches_the_per_morphism_reference(case):
+    if case == "fixture":
+        x = comparison_fixture()
+    elif case == "grid":
+        x = grid_psi_object()
+    else:
+        seed, trunc = case
+        x = random_family(random.Random(seed), trunc)
+    pairs = pair_category_sset(x)
+    # the trunc-2 families have millions of composable pairs: compare a prefix
+    limit = 5000 if isinstance(case, tuple) and case[1] == 2 else None
+    assert_same_pair_tables(pairs, reference_pair_category_sset(x), limit)
+
+
+def suite_naturality_samples(monkeypatch, seed):
+    """The morphisms ``sset-laws`` checks for comparison naturality at
+    truncation 2 with one sample."""
+    seen = []
+    real = suites.delta_naturality_check
+
+    def recording(samples):
+        seen.extend(samples)
+        return real(samples)
+
+    monkeypatch.setattr(suites, "delta_naturality_check", recording)
+    suites.run_suite("sset-laws", seed=seed, samples=1, trunc=2)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_delta_naturality_matches_the_reference_on_suite_samples(monkeypatch,
+                                                                 seed):
+    samples = suite_naturality_samples(monkeypatch, seed)
+    assert len(samples) == 4
+    assert delta_naturality_check(samples) == []
+    assert reference_delta_naturality_check(samples) == []
+
+
+def test_delta_naturality_negative_control_matches_the_reference(monkeypatch):
+    # the induced map of composites is built from the same components as
+    # the componentwise route, so no well-typed phi breaks the square: the
+    # corrupted image is read by the componentwise route only
+    samples = suite_naturality_samples(monkeypatch, 0)
+    idx, good, y, comp, x, alt = next(
+        (idx, m, y, comp, x, alt) for idx, m in enumerate(samples)
+        for y, comp in m.phi.items() for x, img in comp.images.items()
+        for alt in comp.tgt.all_simplices(img.dim) if alt != img)
+    phi = dict(good.phi)
+    phi[y] = SimplicialMap(comp.src, comp.tgt, {**comp.images, x: alt},
+                           name="corrupted")
+    bad = ClubMorphismSSet(good.src, good.tgt, good.f, phi)
+    samples[idx] = bad
+    real = sset_club.compose_morphism
+
+    def induced_from_good(m, res_src, res_tgt):
+        return real(good if m is bad else m, res_src, res_tgt)
+
+    monkeypatch.setattr(sset_club, "compose_morphism", induced_from_good)
+    monkeypatch.setattr(bisimplicial_reference, "compose_morphism",
+                        induced_from_good)
+    report = delta_naturality_check(samples)
+    assert report
+    assert all(r.startswith(f"sample {idx}: comparison square fails at ")
+               for r in report)
+    assert report == reference_delta_naturality_check(samples)
+
+
+def test_delta_naturality_builds_no_category_of_simplices(monkeypatch):
+    samples = suite_naturality_samples(monkeypatch, 0)
+    calls = 0
+    real = simpset.simplex_category
+
+    def counting(s):
+        nonlocal calls
+        calls += 1
+        return real(s)
+
+    monkeypatch.setattr(simpset, "simplex_category", counting)
+    assert delta_naturality_check(samples) == []
+    assert calls == 0
 
 
 # ---------------------------------------------------------------------------

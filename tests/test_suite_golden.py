@@ -19,6 +19,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "suite_reports.json"
 
 # (suite, seed, samples, trunc); None keeps the suite's default
 CASES = [
+    ("sset-laws", 0, 1, 1),
     ("sset-laws", 0, 2, 2),
     ("sset-laws", 1, 2, 2),
     ("sset-laws", 0, 1, 3),
