@@ -14,10 +14,10 @@ from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       apply_operator, boundary, disjoint_union, ez_factor,
                       horn, is_injective, is_kan_fibration, iso_sset,
                       one_point, product, simplex_category, standard_simplex)
-from .sset_club import (ClubMorphismSSet, ClubObjectSSet, SimplexFamily,
-                        TwoLevelFamily, associativity_check, compose,
-                        compose_morphism, delta_naturality_check,
-                        unit_law_point_base, unit_law_point_values)
+from .sset_club import (ClubMorphismSSet, SimplexFamily, TwoLevelFamily,
+                        associativity_check, compose, compose_morphism,
+                        delta_naturality_check, unit_law_point_base,
+                        unit_law_point_values)
 from .operads import (Collection, NsOperad, SymOperad, circ, club_to_operad,
                       encode_ns, encode_sym, ns_iso_check, operad_to_club,
                       sym_inclusion, sym_operad_to_club)

@@ -25,8 +25,8 @@ from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
                       SimplicialSet, apply_operator, degeneracy_map,
                       face_map, is_injective, is_kan_fibration, nf_id,
                       normalize_extensional, validate_smap)
-from .sset_club import (ClubMorphismSSet, ClubObjectSSet, TwoLevelFamily,
-                        compose, compose_morphism)
+from .sset_club import (ClubMorphismSSet, TwoLevelFamily, compose,
+                        compose_morphism)
 
 
 def act_category(c: DiagramInCat, m: FinCategory,
@@ -362,7 +362,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         return fn
 
     # one stage: compose the pair, then collapse over the composite's simplices
-    res1 = compose(ClubObjectSSet(s, tlf.psi))
+    res1 = compose(tlf.psi)
     base_side = tlf.outer()
     t1 = res1.sset
     t_cat = t1.category()
@@ -378,7 +378,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         oid = t_cat.src[mid]
         snf, tnf = pair_cache[oid]
         step = base_side.transport(snf, theta)
-        inner = step.tgt.family.transport(step.f.apply(tnf), theta)
+        inner = step.tgt.transport(step.f.apply(tnf), theta)
         f1 = function(step.phi[tnf.base])
         f2 = function(inner)
         maps[mid] = {e: f2[f1[e]] for e in values[oid]}
@@ -470,14 +470,14 @@ def _product_type_map(m: ClubMorphismSSet):
     for k in range(s.trunc + 1):
         if len(s.nondeg[k]) != len(m.tgt.base.nondeg[k]):
             return None
-    src_vals = {id(v) for v in m.src.family.values.values()}
-    tgt_vals = {id(v) for v in m.tgt.family.values.values()}
+    src_vals = {id(v) for v in m.src.values.values()}
+    tgt_vals = {id(v) for v in m.tgt.values.values()}
     if len(src_vals) > 1 or len(tgt_vals) > 1:
         return None
     phis = list(m.phi.values())
     if not phis or any(p.images != phis[0].images for p in phis[1:]):
         return None
-    for fam in (m.src.family, m.tgt.family):
+    for fam in (m.src, m.tgt):
         for f in fam.face_maps.values():
             if any(not nf.is_nondegenerate() or nf.base != x
                    for x, nf in f.images.items()):

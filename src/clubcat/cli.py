@@ -25,8 +25,8 @@ from .operads import (SymOperad, club_round_trips, encode_ns, encode_sym,
 from .semidirect import club_check, semidirect
 from .simpset import (is_kan_fibration, one_point, product, validate_smap,
                       validate_sset)
-from .sset_club import (ClubObjectSSet, TwoLevelFamily, associativity_check,
-                        compose, constant_family, unit_law_point_base,
+from .sset_club import (TwoLevelFamily, associativity_check, compose,
+                        constant_family, unit_law_point_base,
                         unit_law_point_values, validate_family)
 from .suites import SUITES, Report, run_suite
 
@@ -98,7 +98,7 @@ def _validate_value(kind, value):
         return (validate_sset(value.src) + validate_sset(value.tgt)
                 + validate_smap(value))
     if kind == "club-object":
-        return validate_sset(value.base) + validate_family(value.family)
+        return validate_sset(value.base) + validate_family(value)
     if kind == "operad":
         return _operad_violations(value)
     if kind == "club":
@@ -161,13 +161,13 @@ def cmd_sset_diag(args):
         raise InputError("external product needs equal truncation levels")
     # the diagonal of the external product a x b: the composite of the
     # constant family with value b over a
-    result = compose(ClubObjectSSet(a, constant_family(a, b))).sset
+    result = compose(constant_family(a, b)).sset
     return _emit_sset(args, "diag", "diagonal-constructed", result)
 
 
 def _valid_club_object(args, what):
     obj = _parse_as(args.file, "club-object", what)
-    _require_valid(validate_family(obj.family), "invalid family")
+    _require_valid(validate_family(obj), "invalid family")
     return obj
 
 
@@ -195,14 +195,14 @@ def cmd_sset_law_check(args):
         report.record("unit-law-point-values", not violations,
                       {"violations": violations})
         seen = []
-        for value in obj.family.values.values():
+        for value in obj.values.values():
             if id(value) not in seen:
                 seen.append(id(value))
                 violations = unit_law_point_base(value)
                 report.record("unit-law-point-base", not violations,
                               {"violations": violations})
     if args.assoc:
-        tlf = TwoLevelFamily.constant_inner(obj.family, one_point(obj.base.trunc))
+        tlf = TwoLevelFamily.constant_inner(obj, one_point(obj.base.trunc))
         violations = associativity_check(tlf)
         report.record("diagonal-associativity", not violations,
                       {"violations": violations[:5]})

@@ -20,7 +20,7 @@ from .operads import NsOperad, SymOperad
 from .semidirect import ClubStructure, build_semidirect
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       nf_id)
-from .sset_club import ClubObjectSSet, SimplexFamily
+from .sset_club import SimplexFamily
 
 
 def _check_id(value, what):
@@ -218,10 +218,9 @@ def smap_from_json(data, what="map"):
 # ---------------------------------------------------------------------------
 # club objects over simplicial sets
 
-def club_object_to_json(x: ClubObjectSSet):
-    fam = x.family
+def club_object_to_json(fam: SimplexFamily):
     out = {
-        "base": sset_to_json(x.base),
+        "base": sset_to_json(fam.base),
         "fibers": {y: sset_to_json(v) for y, v in fam.values.items()},
         "fiber_maps": {f"d{i}@{y}": smap_images_to_json(m)
                        for (y, i), m in fam.face_maps.items()},
@@ -255,8 +254,7 @@ def club_object_from_json(data, what="club object"):
         tgt = values[base.faces[simplex][i].base]
         face_maps[(simplex, i)] = smap_images_from_json(images, values[simplex],
                                                         tgt, f"{what} map {key!r}")
-    fam = SimplexFamily(base, values, face_maps)
-    return ClubObjectSSet(base, fam)
+    return SimplexFamily(base, values, face_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +382,7 @@ def club_from_json(data, what="club"):
                                       carrier.fiber_obj[e_obj],
                                       u.fiber_obj["*"])}
     eta = DiagramMorphism(u, carrier, eta_base, eta_rho, name="eta")
-    return ClubStructure(carrier, product, mu, eta, cap=cap)
+    return ClubStructure(product, mu, eta, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .semidirect import Products
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
-from .sset_club import (ClubMorphismSSet, ClubObjectSSet, SimplexFamily,
-                        TwoLevelFamily, constant_family, constant_two_level,
+from .sset_club import (ClubMorphismSSet, SimplexFamily, TwoLevelFamily,
+                        constant_family, constant_two_level,
                         identity_club_morphism)
 
 
@@ -375,9 +375,9 @@ def random_chain(rng: random.Random, trunc, length=3, discrete=False):
 def random_family(rng: random.Random, trunc):
     s = base_pool(rng, trunc)
     if rng.random() < 0.5:
-        return ClubObjectSSet(s, constant_family(s, sset_pool(rng, trunc)))
+        return constant_family(s, sset_pool(rng, trunc))
     chain, steps = random_chain(rng, trunc)
-    return ClubObjectSSet(s, minvertex_chain_family(s, chain, steps))
+    return minvertex_chain_family(s, chain, steps)
 
 
 def random_two_level(rng: random.Random, trunc, discrete=False):
@@ -393,17 +393,9 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
     chi, s_maps = {}, {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
-            off = _minv(y)
-            values = {z: chain[min(off + _minv(z), len(chain) - 1)]
-                      for kk in range(t.trunc + 1) for z in t.nondeg[kk]}
-            face_maps = {}
-            for kk in range(1, t.trunc + 1):
-                for z in t.nondeg[kk]:
-                    for i in range(kk + 1):
-                        face_maps[(z, i)] = _chain_step(
-                            chain, steps, off + _minv(z),
-                            off + _minv(t.faces[z][i].base))
-            chi[y] = SimplexFamily(t, values, face_maps, name=f"chi{y}")
+            o = min(_minv(y), len(chain) - 1)
+            chi[y] = minvertex_chain_family(t, chain[o:], steps[o:],
+                                            name=f"chi{y}")
     for k in range(1, s.trunc + 1):
         for y in s.nondeg[k]:
             for i in range(k + 1):
@@ -412,7 +404,7 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
                     for z in t.nondeg[kk]:
                         s_maps[(y, i, z)] = _chain_step(chain, steps, a + _minv(z),
                                                         b + _minv(z))
-    return TwoLevelFamily(s, psi, chi, s_maps, name="rand2")
+    return TwoLevelFamily(psi, chi, s_maps, name="rand2")
 
 
 def random_stability_sample(rng: random.Random, trunc):
@@ -436,7 +428,7 @@ def random_stability_sample(rng: random.Random, trunc):
         t0 = one_point(trunc)
         t1 = rng.choice([standard_simplex(1, trunc), one_point(trunc)])
         comp = SimplicialMap(t0, t1, {"pt": nondeg(t1.nondeg[0][0], 0)})
-    x = ClubObjectSSet(s, constant_family(s, t0))
-    y = ClubObjectSSet(s, constant_family(s, t1))
+    x = constant_family(s, t0)
+    y = constant_family(s, t1)
     phi = {z: comp for k in range(trunc + 1) for z in s.nondeg[k]}
     return ClubMorphismSSet(x, y, identity_smap(s), phi)

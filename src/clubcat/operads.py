@@ -439,7 +439,7 @@ def _club_from_encoding(p: NsOperad, enc: EncodedCollection, guard):
     eta_rho = {"*": Functor(efib, one, {o: "*" for o in efib.objects},
                             {m: "id_*" for m in efib.mor_ids})}
     eta = DiagramMorphism(u, enc.diagram, eta_base, eta_rho, name="eta")
-    return ClubStructure(enc.diagram, prod, mu, eta, cap=p.cap)
+    return ClubStructure(prod, mu, eta, cap=p.cap)
 
 
 def operad_to_club(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):

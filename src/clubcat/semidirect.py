@@ -708,24 +708,27 @@ class ClubStructure(NamedTuple):
     """A carrier diagram with multiplication and unit morphisms.
 
     ``product`` is the (possibly truncated) C ⋉ C the multiplication is
-    defined on; ``mu`` maps its diagram to the carrier and ``eta`` maps the
-    unit diagram to the carrier.  ``cap`` is the arity bound of a club built
-    from an operad, which its carrier cannot show when the top levels are
-    empty; None for other clubs.
+    defined on; ``mu`` maps its diagram to the carrier, the target of
+    ``mu``, and ``eta`` maps the unit diagram to the carrier.  ``cap`` is the
+    arity bound of a club built from an operad, which its carrier cannot
+    show when the top levels are empty; None for other clubs.
     """
 
-    carrier: DiagramInCat
     product: SemidirectProduct
     mu: DiagramMorphism
     eta: DiagramMorphism
     cap: int | None = None
+
+    @property
+    def carrier(self) -> DiagramInCat:
+        return self.mu.tgt
 
 
 def trivial_club(guard: Guardrails = DEFAULT_GUARDRAILS):
     """The one-object club: carrier the unit diagram, multiplication the unitor."""
     products = Products(guard)
     u = products.unit
-    return ClubStructure(u, products(u, u), left_unitor(u, products).forward,
+    return ClubStructure(products(u, u), left_unitor(u, products).forward,
                          identity_diagram_morphism(u))
 
 
@@ -759,6 +762,8 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         return report
     if len(s.eta.src.base.objects) != 1 or len(s.eta.src.base.mor_ids) != 1:
         return ["eta does not start at the unit diagram"]
+    if s.mu.src is not s.product.diagram:
+        return ["mu does not start at the product"]
     p = s.product
     mu, eta = s.mu, s.eta
     e_obj = eta.base_functor.omap["*"]

@@ -19,8 +19,9 @@ composites are named by flattening the component tuples, so the two
 evaluation orders of a two-level family produce literally equal simplicial
 sets.
 
-The base side of a two-level family is itself a family, ``outer()``: its
-values are club objects and its face maps are morphisms of club objects.
+A club object is a family: its base is ``family.base``.  The base side of
+a two-level family is itself a family, ``outer()``: its values are the inner
+families and its face maps are morphisms of club objects.
 ``SimplexFamily`` takes its value category (identity, composition and
 equality) from three class attributes, so one transport recursion and one
 functoriality walk serve both levels.
@@ -172,25 +173,20 @@ def point_family(s: SimplicialSet):
     return constant_family(s, one_point(s.trunc), name="pointfam")
 
 
-class ClubObjectSSet(NamedTuple):
-    base: SimplicialSet
-    family: SimplexFamily
-
-
 # ---------------------------------------------------------------------------
 # the pairs (s, t) and their diagonal
 
 class ComposeResult(NamedTuple):
     sset: SimplicialSet
     nf_of: dict            # (dim, element) -> normal form in sset
-    source: ClubObjectSSet
+    source: SimplexFamily
     base_pair: dict        # nondeg id in sset -> (s, t) ids of its pair
 
     def base_pair_nfs(self, uid):
         """The (s, t) normal forms of a nondegenerate simplex of the composite."""
         sid, tid = self.base_pair[uid]
         snf = self.source.base.normal_forms()[sid]
-        tnf = self.source.family.values[snf.base].normal_forms()[tid]
+        tnf = self.source.values[snf.base].normal_forms()[tid]
         return snf, tnf
 
     def pair_of(self, u: NormalForm):
@@ -198,11 +194,11 @@ class ComposeResult(NamedTuple):
         surjection, so the transport along it is the identity."""
         snf, tnf = self.base_pair_nfs(u.base)
         s_out = apply_operator(self.source.base, snf, u.eta)
-        t_out = apply_operator(self.source.family.values[snf.base], tnf, u.eta)
+        t_out = apply_operator(self.source.values[snf.base], tnf, u.eta)
         return s_out, t_out
 
 
-def compose(x: ClubObjectSSet, part_fn=None):
+def compose(fam: SimplexFamily, part_fn=None):
     """The diagonal of the pairs (s, t), with canonical naming.
 
     Pairs are visited by dimension, then s, then t, each in canonical order.
@@ -218,7 +214,7 @@ def compose(x: ClubObjectSSet, part_fn=None):
         def part_fn(elt):
             return elt
 
-    s, fam = x.base, x.family
+    s = fam.base
     nondeg_by_dim = {k: [] for k in range(s.trunc + 1)}
     faces, nf_of, base_pair = {}, {}, {}
     for k in range(s.trunc + 1):
@@ -245,7 +241,7 @@ def compose(x: ClubObjectSSet, part_fn=None):
                                             fam.transport(snf, d).apply(tnf), d)
                         fs.append(nf_of[(k - 1, (nf_id(s2), nf_id(t2)))])
     sset = SimplicialSet(s.trunc, nondeg_by_dim, faces, name=f"diagT({s.name})")
-    return ComposeResult(sset, nf_of, x, base_pair)
+    return ComposeResult(sset, nf_of, fam, base_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ class PairCategorySSet(NamedTuple):
     mor_data: dict
 
 
-def pair_category_sset(x: ClubObjectSSet):
+def pair_category_sset(fam: SimplexFamily):
     """Materialize the pair category of a family (small fixtures only): its
     objects and morphisms in full, its composites on first read.
 
@@ -272,7 +268,7 @@ def pair_category_sset(x: ClubObjectSSet):
     theta); the morphisms (theta2, target) out of a moved simplex over
     theta* s are one row, built once and read by every morphism landing
     there."""
-    s, fam = x.base, x.family
+    s = fam.base
     trunc = s.trunc
     objects = []
     obj_id, obj_data = {}, {}
@@ -370,8 +366,8 @@ def delta_is_isomorphism(res: ComposeResult, pairs: PairCategorySSet):
 class ClubMorphismSSet(NamedTuple):
     """A base map with a family of value maps, natural over all operators."""
 
-    src: ClubObjectSSet
-    tgt: ClubObjectSSet
+    src: SimplexFamily
+    tgt: SimplexFamily
     f: SimplicialMap
     phi: dict              # nondeg base simplex id -> SimplicialMap
 
@@ -380,8 +376,10 @@ def validate_club_morphism(m: ClubMorphismSSet):
     report = [f"base map: {r}" for r in validate_smap(m.f)]
     if report:
         return report
-    s = m.src.base
-    fam1, fam2 = m.src.family, m.tgt.family
+    fam1, fam2 = m.src, m.tgt
+    if m.f.src is not fam1.base or m.f.tgt is not fam2.base:
+        return ["base map has wrong endpoints"]
+    s = fam1.base
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
             comp = m.phi.get(y)
@@ -421,13 +419,13 @@ def validate_club_morphism(m: ClubMorphismSSet):
     return report
 
 
-def identity_club_morphism(x: ClubObjectSSet):
+def identity_club_morphism(fam: SimplexFamily):
     """The identity of a club object, built once per family."""
-    fam = x.family
     if fam._club_identity is None:
+        s = fam.base
         phi = {y: identity_smap(fam.values[y])
-               for k in range(x.base.trunc + 1) for y in x.base.nondeg[k]}
-        fam._club_identity = ClubMorphismSSet(x, x, identity_smap(x.base), phi)
+               for k in range(s.trunc + 1) for y in s.nondeg[k]}
+        fam._club_identity = ClubMorphismSSet(fam, fam, identity_smap(s), phi)
     return fam._club_identity
 
 
@@ -435,9 +433,9 @@ def compose_club_morphisms(g: ClubMorphismSSet, m: ClubMorphismSSet):
     """g after m: the base maps composed, and at y the component of g at
     the image of y after the component of m at y.  Composing with an
     identity from ``identity_club_morphism`` returns the other morphism."""
-    if m is m.src.family._club_identity:
+    if m is m.src._club_identity:
         return g
-    if g is g.src.family._club_identity:
+    if g is g.src._club_identity:
         return m
     phi = {y: compose_smaps(g.phi[m.f.images[y].base], comp)
            for y, comp in m.phi.items()}
@@ -498,7 +496,7 @@ def delta_naturality_check(morphisms):
 def unit_law_point_values(s: SimplicialSet):
     """The composite over ``s`` with every value the point is isomorphic to
     ``s``."""
-    res = compose(ClubObjectSSet(s, point_family(s)))
+    res = compose(point_family(s))
     if iso_sset(res.sset, s) is None:
         return [f"point-valued composite not isomorphic to {s.name!r}"]
     return []
@@ -508,7 +506,7 @@ def unit_law_point_base(value: SimplicialSet):
     """The composite over the point with value ``value`` is isomorphic to
     ``value``."""
     pt = one_point(value.trunc)
-    res = compose(ClubObjectSSet(pt, constant_family(pt, value)))
+    res = compose(constant_family(pt, value))
     if iso_sset(res.sset, value) is None:
         return [f"point-based composite not isomorphic to {value.name!r}"]
     return []
@@ -518,8 +516,8 @@ def unit_law_point_base(value: SimplicialSet):
 # two-level families and associativity of composition
 
 class ClubObjectFamily(SimplexFamily):
-    """A family whose values are club objects and whose face maps are
-    morphisms of club objects."""
+    """A family whose values are families, the club objects, and whose face
+    maps are morphisms of club objects."""
 
     _identity = staticmethod(identity_club_morphism)
     _compose = staticmethod(compose_club_morphisms)
@@ -534,9 +532,8 @@ class TwoLevelFamily:
     (s, t) along the i-th face of s, landing at the value over the moved pair.
     """
 
-    def __init__(self, base: SimplicialSet, psi: SimplexFamily, chi, s_maps,
-                 name=""):
-        self.base = base
+    def __init__(self, psi: SimplexFamily, chi, s_maps, name=""):
+        self.base = psi.base
         self.psi = psi
         self.chi = dict(chi)          # nondeg s -> SimplexFamily over psi.values[s]
         self.s_maps = dict(s_maps)    # (s, i, t_nondeg) -> SimplicialMap
@@ -554,20 +551,20 @@ class TwoLevelFamily:
                   for k in range(1, s.trunc + 1) for y in s.nondeg[k]
                   for i in range(k + 1)
                   for n in range(s.trunc + 1) for t in psi.values[y].nondeg[n]}
-        return cls(s, psi, chi, s_maps, name=name)
+        return cls(psi, chi, s_maps, name=name)
 
     def value(self, s_base, t_base):
         return self.chi[s_base].values[t_base]
 
     def outer(self):
         """The base side as a family of club objects, built on first use:
-        the value at y is (psi at y, chi at y), and the face map at (y, i) is
+        the value at y is chi at y, and the face map at (y, i) is
         psi's face map with the transports ``s_maps[(y, i, t)]`` as
         components.  A transport missing from ``s_maps`` is a missing
         component."""
         if self._outer is None:
             s, psi = self.base, self.psi
-            values = {y: ClubObjectSSet(psi.values[y], self.chi[y])
+            values = {y: self.chi[y]
                       for k in range(s.trunc + 1) for y in s.nondeg[k]}
             face_maps = {}
             for k in range(1, s.trunc + 1):
@@ -635,7 +632,7 @@ def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
             for i in range(k + 1):
                 d = face_map(k, i)
                 step = outer.transport(snf, d)
-                inner = step.tgt.family.transport(step.f.apply(tnf), d)
+                inner = step.tgt.transport(step.f.apply(tnf), d)
                 face_maps[(uid, i)] = compose_smaps(inner, step.phi[tnf.base])
     return SimplexFamily(t1, values, face_maps, name="flattened")
 
@@ -643,7 +640,7 @@ def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
 def _inner_composites(tlf: TwoLevelFamily):
     """Per-simplex inner composites assembled into a family over the base."""
     s = tlf.base
-    inner_res = {y: compose(ClubObjectSSet(tlf.psi.values[y], tlf.chi[y]))
+    inner_res = {y: compose(tlf.chi[y])
                  for k in range(s.trunc + 1) for y in s.nondeg[k]}
     values = {y: res.sset for y, res in inner_res.items()}
     face_maps = {(y, i): compose_morphism(step, inner_res[y],
@@ -681,7 +678,7 @@ def associativity_check(tlf: TwoLevelFamily):
     s = tlf.base
     s_lookup = s.normal_forms()
 
-    res1 = compose(ClubObjectSSet(s, tlf.psi))
+    res1 = compose(tlf.psi)
     flat = _flattened_family(tlf, res1)
 
     def outer_parts(elt):
@@ -690,7 +687,7 @@ def associativity_check(tlf: TwoLevelFamily):
         snf, tnf = res1.pair_of(u_nf)
         return (nf_id(snf), nf_id(tnf), wid)
 
-    left = compose(ClubObjectSSet(res1.sset, flat), part_fn=outer_parts)
+    left = compose(flat, part_fn=outer_parts)
 
     inner_fam, inner_res = _inner_composites(tlf)
 
@@ -702,7 +699,7 @@ def associativity_check(tlf: TwoLevelFamily):
         tnf, wnf = r.pair_of(w_nf)
         return (sid, nf_id(tnf), nf_id(wnf))
 
-    right = compose(ClubObjectSSet(s, inner_fam), part_fn=right_parts)
+    right = compose(inner_fam, part_fn=right_parts)
 
     if not sset_equal(left.sset, right.sset):
         for k in range(s.trunc + 1):

@@ -27,8 +27,8 @@ from .simpset import (SimplicialMap, apply_operator, boundary,
                       degeneracy_map, disjoint_union, iso_sset,
                       is_kan_fibration, nondeg, one_point, product,
                       standard_simplex)
-from .sset_club import (ClubObjectSSet, associativity_check, compose,
-                        constant_family, delta_functor, delta_is_isomorphism,
+from .sset_club import (associativity_check, compose, constant_family,
+                        delta_functor, delta_is_isomorphism,
                         delta_naturality_check, identity_club_morphism,
                         pair_category_sset, unit_law_point_base,
                         unit_law_point_values)
@@ -250,7 +250,7 @@ def _sset_laws(suite, config):
 
     s = standard_simplex(1, trunc)
     t = standard_simplex(1, trunc)
-    res = compose(ClubObjectSSet(s, constant_family(s, t)))
+    res = compose(constant_family(s, t))
     counts = [len(res.sset.nondeg[k]) for k in range(min(3, trunc + 1))]
     ok = (counts == [4, 5, 2][:len(counts)]
           and iso_sset(res.sset, product(s, t)) is not None)
@@ -259,10 +259,10 @@ def _sset_laws(suite, config):
     extra_failures = []
     for idx in range(max(3, samples // 4)):
         obj = gen.random_family(rng, trunc)
-        values = {id(v) for v in obj.family.values.values()}
+        values = {id(v) for v in obj.values.values()}
         if len(values) != 1:
             continue
-        value = next(iter(obj.family.values.values()))
+        value = next(iter(obj.values.values()))
         r = compose(obj)
         if iso_sset(r.sset, product(obj.base, value)) is None:
             extra_failures.append(idx)
@@ -278,9 +278,8 @@ def _sset_laws(suite, config):
     suite.record("diagonal-associativity", not assoc_failures,
                  {"samples": samples, "failures": assoc_failures})
 
-    fixture = ClubObjectSSet(one_point(min(2, trunc)),
-                             constant_family(one_point(min(2, trunc)),
-                                             standard_simplex(1, min(2, trunc))))
+    fixture = constant_family(one_point(min(2, trunc)),
+                              standard_simplex(1, min(2, trunc)))
     res = compose(fixture)
     pairs = pair_category_sset(fixture)
     bad = validate_functor(delta_functor(res, pairs))

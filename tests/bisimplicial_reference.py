@@ -157,13 +157,13 @@ def diag(b: BisimplicialSet, id_fn=_default_id):
     return normalize_extensional(ext, id_fn=id_fn)
 
 
-def bisimplicial_of(x):
+def bisimplicial_of(fam):
     """Elements (s, t) with s a base simplex and t a simplex of its value.
 
     Horizontal operators move s and transport t; vertical operators act
     inside the value.
     """
-    s, fam = x.base, x.family
+    s = fam.base
     tr = s.trunc
     s_simplices = {m: s.all_simplices(m) for m in range(tr + 1)}
     elements = {}
@@ -276,7 +276,7 @@ def reference_naturality_failures(m):
     (x, theta), in walk order, at which the square fails."""
     report = []
     s = m.src.base
-    fam1, fam2 = m.src.family, m.tgt.family
+    fam1, fam2 = m.src, m.tgt
     for k in range(s.trunc + 1):
         for x in s.all_simplices(k):
             for mm in range(s.trunc + 1):
@@ -291,10 +291,10 @@ def reference_naturality_failures(m):
     return report
 
 
-def reference_pair_category_sset(x):
+def reference_pair_category_sset(fam):
     """``pair_category_sset`` computing theta* s, the transport and every
     target once per morphism, over the base's category of simplices."""
-    s, fam = x.base, x.family
+    s = fam.base
     s_cat = s.category()
     objects = []
     obj_id, obj_data = {}, {}

@@ -14,7 +14,7 @@ report.
 from clubcat.algebra import FinSetDiagram, colimit_finset
 from clubcat.errors import InputError
 from clubcat.simpset import nf_id
-from clubcat.sset_club import ClubObjectSSet, compose
+from clubcat.sset_club import compose
 
 
 def _discrete_elements(v):
@@ -77,7 +77,7 @@ def reference_two_stage_colimit_check(tlf):
             raise InputError("two-stage evaluation needs discrete values")
 
     # one stage: compose the pair, then collapse over the composite's simplices
-    res1 = compose(ClubObjectSSet(s, tlf.psi))
+    res1 = compose(tlf.psi)
     base_side = tlf.outer()
     t1 = res1.sset
     t_cat = t1.category()
@@ -93,7 +93,7 @@ def reference_two_stage_colimit_check(tlf):
         oid = t_cat.src[mid]
         snf, tnf = pair_cache[oid]
         step = base_side.transport(snf, theta)
-        inner = step.tgt.family.transport(step.f.apply(tnf), theta)
+        inner = step.tgt.transport(step.f.apply(tnf), theta)
         f1 = _smap_function(step.phi[tnf.base])
         f2 = _smap_function(inner)
         maps[mid] = {e: f2[f1[e]] for e in values[oid]}

@@ -22,10 +22,10 @@ from clubcat.simpset import (SimplicialMap, apply_operator, boundary,
                              degeneracy_map, disjoint_union,
                              is_kan_fibration, iso_sset, nondeg, one_point,
                              product, standard_simplex)
-from clubcat.sset_club import (ClubObjectSSet, associativity_check, compose,
-                               constant_family, delta_functor,
-                               delta_is_isomorphism, pair_category_sset,
-                               unit_law_point_base, unit_law_point_values)
+from clubcat.sset_club import (associativity_check, compose, constant_family,
+                               delta_functor, delta_is_isomorphism,
+                               pair_category_sset, unit_law_point_base,
+                               unit_law_point_values)
 from clubcat.algebra import (colimit_act, constant_algebra_object,
                              sset_stability_check, two_stage_colimit_check)
 from clubcat.suites import run_suite
@@ -158,7 +158,7 @@ def test_c5_sset_club_laws_trunc3():
 
     s = standard_simplex(1, trunc)
     t = standard_simplex(1, trunc)
-    res = compose(ClubObjectSSet(s, constant_family(s, t)))
+    res = compose(constant_family(s, t))
     counts = tuple(len(res.sset.nondeg[k]) for k in range(3))
     product_iso = iso_sset(res.sset, product(s, t)) is not None
     ok = (not unit_failures and assoc_failures == 0
@@ -172,9 +172,7 @@ def test_c5_sset_club_laws_trunc3():
 def test_c6_comparison_functor_not_invertible():
     """The diagonal comparison is a verified functor and verified not to be
     an isomorphism."""
-    fixture = ClubObjectSSet(one_point(2),
-                             constant_family(one_point(2),
-                                             standard_simplex(1, 2)))
+    fixture = constant_family(one_point(2), standard_simplex(1, 2))
     res = compose(fixture)
     pairs = pair_category_sset(fixture)
     assert validate_functor(delta_functor(res, pairs)) == []

@@ -19,9 +19,8 @@ from clubcat.diagram import unit_diagram
 from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
                              nf_id, nondeg, one_point, standard_simplex,
                              validate_sset)
-from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
-                               constant_family, constant_two_level,
-                               identity_club_morphism)
+from clubcat.sset_club import (ClubMorphismSSet, constant_family,
+                               constant_two_level, identity_club_morphism)
 from finset_reference import (reference_two_stage_colimit_check,
                               reference_validate_finset_diagram)
 
@@ -242,7 +241,7 @@ def test_two_stage_rejects_nondiscrete():
 
 def test_stability_identity_samples():
     s = standard_simplex(1, 2)
-    x = ClubObjectSSet(s, constant_family(s, one_point(2)))
+    x = constant_family(s, one_point(2))
     assert sset_stability_check([identity_club_morphism(x)]) == []
 
 
@@ -250,8 +249,8 @@ def test_stability_injective_composite():
     s = standard_simplex(1, 2)
     t0, t1 = one_point(2), standard_simplex(1, 2)
     incl = SimplicialMap(t0, t1, {"pt": nondeg("0", 0)})
-    x = ClubObjectSSet(s, constant_family(s, t0))
-    y = ClubObjectSSet(s, constant_family(s, t1))
+    x = constant_family(s, t0)
+    y = constant_family(s, t1)
     m = ClubMorphismSSet(x, y, identity_smap(s),
                          {z: incl for k in range(3) for z in s.nondeg[k]})
     assert sset_stability_check([m]) == []

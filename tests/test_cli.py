@@ -1,10 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,12 +16,12 @@ import pytest
 from clubcat import cli, formats, simpset, suites
 from clubcat.cli import build_parser, main
 from clubcat.fincat import walking_arrow
-from clubcat.generate import random_diagram
+from clubcat.generate import random_diagram, random_family
 from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
 from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
                              identity_smap, nondeg, one_point,
                              standard_simplex)
-from clubcat.sset_club import ClubObjectSSet, constant_family
+from clubcat.sset_club import constant_family
 from clubcat.algebra import AlgebraMorphism, constant_algebra_object
 
 
@@ -29,7 +32,7 @@ def workspace(tmp_path):
     formats.write_file(tmp_path / "com.json", "operad", commutative_operad(2))
     s = standard_simplex(1, 2)
     formats.write_file(tmp_path / "obj.json", "club-object",
-                       ClubObjectSSet(s, constant_family(s, s)))
+                       constant_family(s, s))
     formats.write_file(tmp_path / "alg.json", "algebra-object",
                        constant_algebra_object(s, ["u", "v"]))
     return tmp_path
@@ -260,7 +263,6 @@ def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
 
 
 def test_club_object_file_single_field_fuzz_never_crashes(tmp_path, capsys):
-    from clubcat.generate import random_family
     original = formats.serialize("club-object", random_family(random.Random(3), 1))
     assert _single_field_fuzz(original, tmp_path, capsys) == 279
 
@@ -633,3 +635,53 @@ def test_report_out_writes_file(workspace, tmp_path):
                  str(workspace / "interval.json")]) == 0
     data = json.loads(out.read_text())
     assert data["summary"]["failed"] == 0
+
+
+# recorded with ``python tests/test_cli.py``; re-record only when an output
+# changes on purpose
+CLUB_OBJECT_GOLDEN = Path(__file__).parent / "golden" / "club_object_cli.json"
+
+
+def _club_object_inputs():
+    """The club objects whose command outputs ``club_object_cli.json`` pins:
+    four random families and the constant family of the workspace."""
+    inputs = {f"random_family:{seed}": random_family(random.Random(seed), 2)
+              for seed in (1, 2, 3, 5)}
+    s = standard_simplex(1, 2)
+    inputs["constant-interval"] = constant_family(s, s)
+    return inputs
+
+
+def _club_object_cli_outputs(directory):
+    """Exit code, stdout and ``-o`` bytes of the club-object commands on
+    each input, keyed by input and command."""
+    outputs = {}
+    for label, obj in _club_object_inputs().items():
+        path = directory / f"{label.replace(':', '-')}.json"
+        out = directory / "composite.json"
+        formats.write_file(path, "club-object", obj)
+        for name, argv in (("validate", ["validate", str(path)]),
+                           ("compose", ["sset", "compose", str(path),
+                                        "-o", str(out)]),
+                           ("law-check", ["sset", "law-check", str(path),
+                                          "--unit", "--assoc"])):
+            out.unlink(missing_ok=True)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["--json"] + argv)
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            outputs[f"{label}:{name}"] = {
+                "exit": code, "stdout": stdout.getvalue(), "out": written}
+    return outputs
+
+
+def test_club_object_commands_match_golden(tmp_path):
+    golden = json.loads(CLUB_OBJECT_GOLDEN.read_text(encoding="utf-8"))
+    assert _club_object_cli_outputs(tmp_path) == golden
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        CLUB_OBJECT_GOLDEN.write_text(
+            json.dumps(_club_object_cli_outputs(Path(scratch)), indent=1,
+                       sort_keys=True) + "\n", encoding="utf-8")

@@ -10,8 +10,7 @@ from clubcat.operads import (associative_operad, commutative_operad,
                              free_operad, operad_to_club, swap_pair_operad)
 from clubcat.semidirect import club_check
 from clubcat.simpset import boundary, product, standard_simplex, validate_sset
-from clubcat.sset_club import (ClubObjectSSet, constant_family,
-                               validate_family)
+from clubcat.sset_club import constant_family, validate_family
 from clubcat.algebra import constant_algebra_object, validate_finset_diagram
 
 
@@ -67,9 +66,9 @@ def test_sym_operad_roundtrip():
 
 def test_club_object_roundtrip():
     s = standard_simplex(1, 2)
-    obj = ClubObjectSSet(s, constant_family(s, boundary(2, 2)))
+    obj = constant_family(s, boundary(2, 2))
     back = roundtrip("club-object", obj)
-    assert validate_family(back.family) == []
+    assert validate_family(back) == []
 
 
 def test_club_roundtrip_and_check():
@@ -104,8 +103,7 @@ def test_kind_inference_diagram_vs_club_object():
     d.pop("kind")
     assert formats.infer_kind(d) == "diagram"
     s = standard_simplex(1, 1)
-    o = formats.serialize("club-object",
-                          ClubObjectSSet(s, constant_family(s, s)))
+    o = formats.serialize("club-object", constant_family(s, s))
     o.pop("kind")
     assert formats.infer_kind(o) == "club-object"
 

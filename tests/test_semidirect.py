@@ -426,8 +426,17 @@ def test_corrupted_club_fails_with_witness():
                                  bad_mu.rho[next(iter(bad_mu.rho))].tgt,
                                  {}, {})})
     from clubcat.semidirect import ClubStructure
-    bad = ClubStructure(club.carrier, club.product, broken, club.eta)
+    bad = ClubStructure(club.product, broken, club.eta)
     assert club_check(bad) != []
+
+
+def test_mu_out_of_another_product_is_reported():
+    from clubcat.operads import free_operad, operad_to_club
+    from clubcat.semidirect import ClubStructure
+    club = operad_to_club(free_operad({2: ["g"]}, 3))
+    other = operad_to_club(associative_operad(3, with_nullary=True))
+    bad = ClubStructure(other.product, club.mu, club.eta)
+    assert club_check(bad) == ["mu does not start at the product"]
 
 
 def test_random_products_always_validate():
@@ -464,7 +473,7 @@ def test_club_check_reports_remapped_object():
                       if omap[oid] == "2:g__")
     omap[target_oid] = "1:_"
     broken = ClubStructure(
-        club.carrier, club.product,
+        club.product,
         type(mu)(mu.src, mu.tgt,
                  Functor(mu.base_functor.src, mu.base_functor.tgt, omap,
                          dict(mu.base_functor.mmap)),
@@ -631,7 +640,7 @@ def _join_club():
     eta = DiagramMorphism(unit_diagram(), c,
                           Functor(one, arrow, {"*": "x"}, {"id_*": "id_x"}),
                           {"*": identity_functor(one)})
-    return ClubStructure(c, p, mu, eta)
+    return ClubStructure(p, mu, eta)
 
 
 def _golden_mutant_club():

@@ -17,7 +17,7 @@ from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              validate_sset)
 from clubcat.fincat import validate_category
 from clubcat.generate import random_family
-from clubcat.sset_club import ClubObjectSSet, constant_family
+from clubcat.sset_club import constant_family
 
 from bisimplicial_reference import (bisimplicial_of, diag,
                                     validate_bisimplicial)
@@ -172,7 +172,7 @@ def test_memoized_simplices_generators_and_identity_equal_a_fresh_build():
 def test_interned_maps_and_memoized_composites_match_a_fresh_build():
     maps = []
     for seed in range(12):
-        fam = random_family(random.Random(seed), 2).family
+        fam = random_family(random.Random(seed), 2)
         maps.extend(fam.face_maps.values())
         maps.extend(identity_smap(v) for v in fam.values.values())
     assert maps
@@ -411,7 +411,7 @@ def test_disjoint_union_counts():
 def _external_product(s, t):
     """The bisimplicial set with (m, n)-elements S_m x T_n: the pairs of the
     constant family with value t over s."""
-    return bisimplicial_of(ClubObjectSSet(s, constant_family(s, t)))
+    return bisimplicial_of(constant_family(s, t))
 
 
 def test_external_product_diag_is_product():

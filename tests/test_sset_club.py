@@ -13,9 +13,8 @@ from clubcat.simpset import (SimplicialMap, all_monotone_maps,
                              identity_smap, is_injective, iso_sset, nf_id,
                              nondeg, one_point, product, smap_equal,
                              standard_simplex, validate_smap, validate_sset)
-from clubcat.sset_club import (ClubMorphismSSet, ClubObjectSSet,
-                               SimplexFamily, TwoLevelFamily,
-                               associativity_check, compose,
+from clubcat.sset_club import (ClubMorphismSSet, SimplexFamily,
+                               TwoLevelFamily, associativity_check, compose,
                                compose_club_morphisms, compose_morphism,
                                constant_family, constant_two_level,
                                delta_functor, delta_is_isomorphism,
@@ -127,7 +126,7 @@ def test_bidegree_counts_match_enumeration():
     fam = minvertex_family(s, [k0, k1, k1], [collapse_map(k0, k1),
                                              identity_smap(k1)])
     assert validate_family(fam) == []
-    b = bisimplicial_of(ClubObjectSSet(s, fam))
+    b = bisimplicial_of(fam)
     assert validate_bisimplicial(b) == []
     for m in range(3):
         for n in range(3):
@@ -140,7 +139,7 @@ def test_compose_constant_family_is_product():
     for (s, t) in [(standard_simplex(1, 2), standard_simplex(1, 2)),
                    (standard_simplex(2, 2), standard_simplex(1, 2)),
                    (boundary(2, 2), one_point(2))]:
-        res = compose(ClubObjectSSet(s, constant_family(s, t)))
+        res = compose(constant_family(s, t))
         assert validate_sset(res.sset) == []
         p = product(s, t)
         assert iso_sset(res.sset, p) is not None
@@ -148,7 +147,7 @@ def test_compose_constant_family_is_product():
 
 def test_compose_square_counts():
     s = standard_simplex(1, 3)
-    res = compose(ClubObjectSSet(s, constant_family(s, standard_simplex(1, 3))))
+    res = compose(constant_family(s, standard_simplex(1, 3)))
     assert [len(res.sset.nondeg[k]) for k in range(3)] == [4, 5, 2]
 
 
@@ -164,7 +163,7 @@ def test_compose_nonconstant_family():
     k0 = standard_simplex(1, 2)
     k1 = one_point(2)
     fam = minvertex_family(s, [k0, k1], [collapse_map(k0, k1)])
-    res = compose(ClubObjectSSet(s, fam))
+    res = compose(fam)
     assert validate_sset(res.sset) == []
     # vertices: (vertex, vertex-of-value): 2 over "0", 1 over "1"
     assert len(res.sset.nondeg[0]) == 3
@@ -176,7 +175,7 @@ def test_compose_nonconstant_family():
 def test_delta_is_functor_but_not_iso():
     s = one_point(1)
     fam = constant_family(s, standard_simplex(1, 1))
-    res = compose(ClubObjectSSet(s, fam))
+    res = compose(fam)
     pairs = pair_category_sset(res.source)
     assert validate_category(pairs.cat) == []
     f = delta_functor(res, pairs)
@@ -188,7 +187,7 @@ def test_corrupted_pair_category_fails_the_functor_check():
     # one composite of the pair category sent to another morphism: the
     # comparison is still built, and the functor check reports the law
     s = one_point(1)
-    res = compose(ClubObjectSSet(s, constant_family(s, standard_simplex(1, 1))))
+    res = compose(constant_family(s, standard_simplex(1, 1)))
     pairs = pair_category_sset(res.source)
     f = delta_functor(res, pairs)
     g, h = next(key for key in f.src.comp
@@ -204,7 +203,7 @@ def comparison_fixture():
     """The family of the suite's comparison-functor check: the constant
     family with value the interval over the point, at truncation 2."""
     s = one_point(2)
-    return ClubObjectSSet(s, constant_family(s, standard_simplex(1, 2)))
+    return constant_family(s, standard_simplex(1, 2))
 
 
 def eager_pair_composites(pairs):
@@ -258,13 +257,13 @@ def test_pair_category_composes_only_what_is_read(monkeypatch):
 
 
 def grid_psi_object():
-    """The base side (s, psi) of the grid two-level family over the
+    """The base family psi of the grid two-level family over the
     interval, at truncation 1."""
     s = standard_simplex(1, 1)
     k0, k1 = standard_simplex(1, 1), one_point(1)
     tlf = grid_two_level(s, standard_simplex(1, 1), [k0, k1, k1],
                          [collapse_map(k0, k1), identity_smap(k1)])
-    return ClubObjectSSet(s, tlf.psi)
+    return tlf.psi
 
 
 def assert_same_pair_tables(pairs, ref, composites=None):
@@ -373,7 +372,7 @@ def test_delta_naturality_builds_no_category_of_simplices(monkeypatch):
 
 def test_identity_morphism_composes_to_identity():
     s = standard_simplex(1, 2)
-    x = ClubObjectSSet(s, constant_family(s, standard_simplex(1, 2)))
+    x = constant_family(s, standard_simplex(1, 2))
     m = identity_club_morphism(x)
     assert validate_club_morphism(m) == []
     res = compose(x)
@@ -388,8 +387,8 @@ def test_constant_inclusion_morphism():
     t_big = standard_simplex(1, 2)
     incl = SimplicialMap(t_small, t_big, {"pt": nondeg("0", 0)})
     assert validate_smap(incl) == []
-    x = ClubObjectSSet(s, constant_family(s, t_small))
-    y = ClubObjectSSet(s, constant_family(s, t_big))
+    x = constant_family(s, t_small)
+    y = constant_family(s, t_big)
     phi = {z: incl for k in range(3) for z in s.nondeg[k]}
     m = ClubMorphismSSet(x, y, identity_smap(s), phi)
     assert validate_club_morphism(m) == []
@@ -398,12 +397,21 @@ def test_constant_inclusion_morphism():
     assert is_injective(g)
 
 
+def test_base_map_between_other_bases_is_reported():
+    # every component is a valid identity over the right value, but the
+    # base map is the identity of the triangle's boundary, not of the base
+    s = standard_simplex(1, 2)
+    x = constant_family(s, one_point(2))
+    m = identity_club_morphism(x)._replace(f=identity_smap(boundary(2, 2)))
+    assert validate_club_morphism(m) == ["base map has wrong endpoints"]
+
+
 def test_compose_morphism_functorial():
     s = standard_simplex(1, 2)
     t0, t1 = one_point(2), standard_simplex(1, 2)
     incl0 = SimplicialMap(t0, t1, {"pt": nondeg("0", 0)})
-    x = ClubObjectSSet(s, constant_family(s, t0))
-    y = ClubObjectSSet(s, constant_family(s, t1))
+    x = constant_family(s, t0)
+    y = constant_family(s, t1)
     m1 = ClubMorphismSSet(x, y, identity_smap(s),
                           {z: incl0 for k in range(3) for z in s.nondeg[k]})
     m2 = identity_club_morphism(y)
@@ -421,8 +429,8 @@ def test_delta_naturality_on_samples():
     s = standard_simplex(1, 2)
     t0, t1 = one_point(2), standard_simplex(1, 2)
     incl0 = SimplicialMap(t0, t1, {"pt": nondeg("0", 0)})
-    x = ClubObjectSSet(s, constant_family(s, t0))
-    y = ClubObjectSSet(s, constant_family(s, t1))
+    x = constant_family(s, t0)
+    y = constant_family(s, t1)
     m1 = ClubMorphismSSet(x, y, identity_smap(s),
                           {z: incl0 for k in range(3) for z in s.nondeg[k]})
     samples = [identity_club_morphism(x), m1]
@@ -451,10 +459,10 @@ def test_associativity_constant_is_triple_product():
     tlf = constant_two_level(s, t, u)
     assert associativity_check(tlf) == []
     # both orders agree with the three-fold product
-    res1 = compose(ClubObjectSSet(s, tlf.psi))
+    res1 = compose(tlf.psi)
     from clubcat.sset_club import _flattened_family
     flat = _flattened_family(tlf, res1)
-    left = compose(ClubObjectSSet(res1.sset, flat))
+    left = compose(flat)
     triple = product(product(s, t), u)
     assert iso_sset(left.sset, triple) is not None
 
@@ -499,7 +507,7 @@ def grid_two_level(s, t, chain, chain_maps):
                     for z in t.nondeg[kk]:
                         s_maps[(y, i, z)] = step(a + minvertex_of(z),
                                                  b + minvertex_of(z))
-    return TwoLevelFamily(s, psi, chi, s_maps, name="grid")
+    return TwoLevelFamily(psi, chi, s_maps, name="grid")
 
 
 def test_grid_two_level_valid_and_associative():
@@ -587,7 +595,7 @@ def test_two_level_full_pair_functoriality():
     tlf = grid_two_level(s, t, [k0, k1, k1],
                          [collapse_map(k0, k1), identity_smap(k1)])
     assert validate_two_level(tlf) == []
-    pairs = pair_category_sset(ClubObjectSSet(s, tlf.psi))
+    pairs = pair_category_sset(tlf.psi)
 
     def chi_of(mid):
         th, tv = pairs.mor_data[mid]
@@ -611,7 +619,7 @@ def test_family_with_empty_value():
     k1 = one_point(2)
     fam = minvertex_family(s, [empty, k1], [SimplicialMap(empty, k1, {})])
     assert validate_family(fam) == []
-    res = compose(ClubObjectSSet(s, fam))
+    res = compose(fam)
     assert validate_sset(res.sset) == []
     # only the pairs over the vertex with a point fiber survive
     assert len(res.sset.nondeg[0]) == 1
@@ -656,11 +664,9 @@ def hand_families(trunc):
     twisted.face_maps[("01", 0)] = swap_map(s0)
     circle = constant_family(boundary(2, trunc), s0)
     circle.face_maps[("01", 0)] = swap_map(s0)
-    out = []
     for fam in (amalgam, twisted, circle):
         assert validate_family(fam) == []
-        out.append(ClubObjectSSet(fam.base, fam))
-    return out
+    return [amalgam, twisted, circle]
 
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 4])
@@ -788,8 +794,8 @@ def test_law_walks_match_the_unmemoized_reference():
     k0, k1 = standard_simplex(1, 2), one_point(2)
     families = [minvertex_family(s2, [k0, k1, k1],
                                  [collapse_map(k0, k1), identity_smap(k1)])]
-    families += [x.family for trunc in (1, 2, 3) for x in hand_families(trunc)]
-    families += [random_family(random.Random(seed), trunc).family
+    families += [fam for trunc in (1, 2, 3) for fam in hand_families(trunc)]
+    families += [random_family(random.Random(seed), trunc)
                  for trunc in (2, 3) for seed in range(8)]
     families += swapped_face_families(2) + swapped_face_families(3)
     # outer_fixtures holds random_two_level seeds 0-11 at trunc 2 and 3
