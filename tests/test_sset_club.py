@@ -1,9 +1,12 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
 
 from clubcat import simpset, sset_club, suites
+from clubcat.algebra import two_stage_colimit_check
 from clubcat.errors import InputError
 from clubcat.fincat import validate_category, validate_functor
 from clubcat.generate import random_family, random_two_level
@@ -755,22 +758,34 @@ def test_swapped_s_maps_break_transport_coherence():
     assert all(r.startswith("transport coherence fails") for r in report)
 
 
-def test_missing_s_map_is_one_missing_transport_component():
+def missing_component_two_level():
+    """The constant two-level family over the interval with the transport
+    component at (01, 0, 01) removed."""
     s = standard_simplex(1, 1)
     tlf = constant_two_level(s, standard_simplex(1, 1), one_point(1))
     del tlf.s_maps[("01", 0, "01")]
-    assert validate_two_level(tlf) == [
-        "transport component missing at '01' along ('01', 0)"]
+    return tlf
 
 
-def test_s_map_into_the_wrong_value_has_wrong_endpoints():
+def wrong_endpoint_two_level():
+    """The constant two-level family over the interval with one transport
+    component a valid map into the wrong value."""
     s = standard_simplex(1, 1)
     u = one_point(1)
     tlf = constant_two_level(s, standard_simplex(1, 1), u)
     wrong = SimplicialMap(u, standard_simplex(1, 1), {"pt": nondeg("0", 0)})
     assert validate_smap(wrong) == []
     tlf.s_maps[("01", 0, "01")] = wrong
-    assert validate_two_level(tlf) == [
+    return tlf
+
+
+def test_missing_s_map_is_one_missing_transport_component():
+    assert validate_two_level(missing_component_two_level()) == [
+        "transport component missing at '01' along ('01', 0)"]
+
+
+def test_s_map_into_the_wrong_value_has_wrong_endpoints():
+    assert validate_two_level(wrong_endpoint_two_level()) == [
         "transport component at '01' has wrong endpoints along ('01', 0)"]
 
 
@@ -820,3 +835,66 @@ def test_law_walks_match_the_unmemoized_reference():
     # first met at another simplex
     assert any(not x.is_nondegenerate() for x, _, _ in failures)
     assert any("@" in r for r in unnatural)
+
+
+# ---------------------------------------------------------------------------
+# full reports on two-level families, against reports recorded before the
+# two-level family became its family of club objects
+
+TWO_LEVEL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "two_level_reports.json"
+
+
+def two_level_report_cases():
+    """(case id, thunk) for every recorded report: ``validate_two_level`` and
+    ``associativity_check`` on the hand-built and random two-level families,
+    and ``two_stage_colimit_check`` on the discrete ones that ``algebra-laws``
+    draws at truncation 2 and on the swapped control of test_algebra.py,
+    which is ``swapped_s_maps_two_level()``."""
+    named = [("swapped-component-trunc1", lambda: swapped_s_map_two_level(1)),
+             ("swapped-component-trunc2", lambda: swapped_s_map_two_level(2)),
+             ("swapped-face-components", swapped_s_maps_two_level),
+             ("missing-component", missing_component_two_level),
+             ("wrong-endpoint", wrong_endpoint_two_level),
+             ("grid", grid_interval_two_level)]
+    named += [(f"random-trunc{trunc}-seed{seed}",
+               lambda seed=seed, trunc=trunc:
+               random_two_level(random.Random(seed), trunc))
+              for trunc in (2, 3) for seed in range(12)]
+    cases = []
+    for name, make in named:
+        cases.append((f"validate_two_level:{name}",
+                      lambda make=make: validate_two_level(make())))
+        cases.append((f"associativity_check:{name}",
+                      lambda make=make: associativity_check(make())))
+    cases += [(f"two_stage_colimit_check:random-discrete-seed{seed}",
+               lambda seed=seed: two_stage_colimit_check(
+                   random_two_level(random.Random(seed), 2, discrete=True)))
+              for seed in range(20)]
+    cases.append(("two_stage_colimit_check:swapped-face-components",
+                  lambda: two_stage_colimit_check(swapped_s_maps_two_level())))
+    return cases
+
+
+def grid_interval_two_level():
+    """The grid two-level family of ``test_grid_two_level_valid_and_associative``."""
+    k0, k1 = standard_simplex(1, 2), one_point(2)
+    return grid_two_level(standard_simplex(1, 2), standard_simplex(1, 2),
+                          [k0, k1, k1], [collapse_map(k0, k1), identity_smap(k1)])
+
+
+def test_two_level_reports_match_the_golden():
+    golden = json.loads(TWO_LEVEL_GOLDEN.read_text(encoding="utf-8"))
+    cases = two_level_report_cases()
+    assert [name for name, _ in cases] == list(golden)
+    for name, report in cases:
+        assert report() == golden[name], name
+    # the controls fail, each with the reports recorded for it
+    assert golden["validate_two_level:swapped-face-components"]
+    assert golden["two_stage_colimit_check:swapped-face-components"]
+
+
+if __name__ == "__main__":
+    # re-record only when a report changes on purpose
+    TWO_LEVEL_GOLDEN.write_text(
+        json.dumps({name: report() for name, report in two_level_report_cases()},
+                   indent=1) + "\n", encoding="utf-8")
