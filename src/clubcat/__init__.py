@@ -14,7 +14,7 @@ from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
                       apply_operator, boundary, disjoint_union, ez_factor,
                       horn, is_injective, is_kan_fibration, iso_sset,
                       one_point, product, simplex_category, standard_simplex)
-from .sset_club import (ClubMorphismSSet, SimplexFamily, TwoLevelFamily,
+from .sset_club import (ClubMorphismSSet, ClubObjectFamily, SimplexFamily,
                         associativity_check, compose, compose_morphism,
                         delta_naturality_check, unit_law_point_base,
                         unit_law_point_values)

@@ -25,7 +25,7 @@ from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
                       SimplicialSet, apply_operator, degeneracy_map,
                       face_map, is_injective, is_kan_fibration, nf_id,
                       normalize_extensional, validate_smap)
-from .sset_club import (ClubMorphismSSet, TwoLevelFamily, compose,
+from .sset_club import (ClubMorphismSSet, ClubObjectFamily, compose,
                         compose_morphism)
 
 
@@ -335,22 +335,22 @@ def _smap_function(f: SimplicialMap):
     return {x: f.images[x].base for x in f.src.nondeg[0]}
 
 
-def two_stage_colimit_check(tlf: TwoLevelFamily):
+def two_stage_colimit_check(tlf: ClubObjectFamily):
     """Collapsing after composing the club equals collapsing stagewise.
 
     The two-level family must take discrete values (finite sets as discrete
     complexes).  Compares the canonical map between both colimits and reports
     any failure of bijectivity.  The inner diagram over a base simplex reads
-    only its base (``psi.values``, ``tlf.value`` and ``tlf.chi``), so it is
-    built and collapsed once per non-degenerate base simplex.
+    only its base (``psi.values`` and ``tlf.values``), so it is built and
+    collapsed once per non-degenerate base simplex.
     """
     report = []
     s = tlf.base
 
-    for key, v in [((y, t), val) for y, fam in tlf.chi.items()
-                   for t, val in fam.values.items()]:
-        if any(v.nondeg[k] for k in range(1, v.trunc + 1)):
-            raise InputError("two-stage evaluation needs discrete values")
+    for fam in tlf.values.values():
+        for v in fam.values.values():
+            if any(v.nondeg[k] for k in range(1, v.trunc + 1)):
+                raise InputError("two-stage evaluation needs discrete values")
 
     functions = {}
 
@@ -363,7 +363,6 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
 
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(tlf.psi)
-    base_side = tlf.outer()
     t1 = res1.sset
     t_cat = t1.category()
     values, maps = {}, {}
@@ -372,12 +371,12 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         u = t_cat.simplex_of[oid]
         snf, tnf = res1.pair_of(u)
         pair_cache[oid] = (snf, tnf)
-        values[oid] = _discrete_elements(tlf.value(snf.base, tnf.base))
+        values[oid] = _discrete_elements(tlf.values[snf.base].values[tnf.base])
     for mid in t_cat.mor_ids:
         theta = t_cat.operator_of[mid]
         oid = t_cat.src[mid]
         snf, tnf = pair_cache[oid]
-        step = base_side.transport(snf, theta)
+        step = tlf.transport(snf, theta)
         inner = step.tgt.transport(step.f.apply(tnf), theta)
         f1 = function(step.phi[tnf.base])
         f2 = function(inner)
@@ -393,12 +392,12 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
             v_cat = tlf.psi.values[y].category()
-            chi = tlf.chi[y]
+            chi = tlf.values[y]
             ivalues = {}
             imaps = {}
             for t_oid in v_cat.objects:
                 tnf = v_cat.simplex_of[t_oid]
-                ivalues[t_oid] = _discrete_elements(tlf.value(y, tnf.base))
+                ivalues[t_oid] = _discrete_elements(chi.values[tnf.base])
             for t_mid in v_cat.mor_ids:
                 theta = v_cat.operator_of[t_mid]
                 t_oid = v_cat.src[t_mid]
@@ -417,7 +416,7 @@ def two_stage_colimit_check(tlf: TwoLevelFamily):
         snf = s_cat.simplex_of[oid]
         lookup = tlf.psi.values[snf.base].normal_forms()
         classes_out = inner_classes[s_cat.simplex_of[tid_out].base]
-        step = base_side.transport(snf, theta)
+        step = tlf.transport(snf, theta)
         table = {}
         for (t, e) in inner_reps[snf.base]:
             tnf = lookup[t]

@@ -25,8 +25,8 @@ from .operads import (SymOperad, club_round_trips, encode_ns, encode_sym,
 from .semidirect import club_check, semidirect
 from .simpset import (is_kan_fibration, one_point, product, validate_smap,
                       validate_sset)
-from .sset_club import (TwoLevelFamily, associativity_check, compose,
-                        constant_family, unit_law_point_base,
+from .sset_club import (associativity_check, compose, constant_family,
+                        constant_inner, unit_law_point_base,
                         unit_law_point_values, validate_family)
 from .suites import SUITES, Report, run_suite
 
@@ -202,7 +202,7 @@ def cmd_sset_law_check(args):
                 report.record("unit-law-point-base", not violations,
                               {"violations": violations})
     if args.assoc:
-        tlf = TwoLevelFamily.constant_inner(obj, one_point(obj.base.trunc))
+        tlf = constant_inner(obj, one_point(obj.base.trunc))
         violations = associativity_check(tlf)
         report.record("diagonal-associativity", not violations,
                       {"violations": violations[:5]})

@@ -21,7 +21,7 @@ from .semidirect import Products
 from .simpset import (SimplicialMap, SimplicialSet, apply_operator, boundary,
                       compose_smaps, degeneracy_map, disjoint_union,
                       identity_smap, nondeg, one_point, standard_simplex)
-from .sset_club import (ClubMorphismSSet, SimplexFamily, TwoLevelFamily,
+from .sset_club import (ClubMorphismSSet, ClubObjectFamily, SimplexFamily,
                         constant_family, constant_two_level,
                         identity_club_morphism)
 
@@ -389,8 +389,7 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
         return constant_two_level(s, t, u)
     t = rng.choice([standard_simplex(1, trunc), standard_simplex(0, trunc)])
     chain, steps = random_chain(rng, trunc, length=4, discrete=discrete)
-    psi = constant_family(s, t)
-    chi, s_maps = {}, {}
+    chi, face_maps = {}, {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
             o = min(_minv(y), len(chain) - 1)
@@ -399,12 +398,13 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
     for k in range(1, s.trunc + 1):
         for y in s.nondeg[k]:
             for i in range(k + 1):
-                a, b = _minv(y), _minv(s.faces[y][i].base)
-                for kk in range(t.trunc + 1):
-                    for z in t.nondeg[kk]:
-                        s_maps[(y, i, z)] = _chain_step(chain, steps, a + _minv(z),
-                                                        b + _minv(z))
-    return TwoLevelFamily(psi, chi, s_maps, name="rand2")
+                face = s.faces[y][i].base
+                a, b = _minv(y), _minv(face)
+                phi = {z: _chain_step(chain, steps, a + _minv(z), b + _minv(z))
+                       for kk in range(t.trunc + 1) for z in t.nondeg[kk]}
+                face_maps[(y, i)] = ClubMorphismSSet(chi[y], chi[face],
+                                                     identity_smap(t), phi)
+    return ClubObjectFamily(s, chi, face_maps, name="rand2")
 
 
 def random_stability_sample(rng: random.Random, trunc):

@@ -762,6 +762,8 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         return report
     if len(s.eta.src.base.objects) != 1 or len(s.eta.src.base.mor_ids) != 1:
         return ["eta does not start at the unit diagram"]
+    if s.eta.tgt is not c:
+        return ["eta does not land in the carrier"]
     if s.mu.src is not s.product.diagram:
         return ["mu does not start at the product"]
     p = s.product
@@ -781,7 +783,7 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
         for chi in enumerate_functors(p.fibers[oid1].cat, c.base, guard):
             lhs_oid2 = _route_left(s, p, b1, rho1, chi)
             right = _route_right(s, p, oid1, chi)
-            over[oid1].append((_ChiEnd(chi, lhs_oid2, right), chi))
+            over[oid1].append((_ChiEnd(lhs_oid2, right), chi))
             if (lhs_oid2 is None) != (right is None):
                 if note(f"associativity domain mismatch at "
                         f"{_object_where(p, oid1, chi)}: "
@@ -990,18 +992,18 @@ def _rho_route_compare(s, p, oid1, oid2, rho1, b_final, xi_oids, oid_out):
 
 
 class _ChiEnd(NamedTuple):
-    """A functor chi out of the fiber over a product object, with its two
-    routes: ``left`` as from ``_route_left`` and ``right`` as from
-    ``_route_right``."""
+    """The two routes of a functor chi out of the fiber over a product
+    object: ``left`` as from ``_route_left`` and ``right`` as from
+    ``_route_right``.  ``over`` pairs each end with its chi."""
 
-    chi: Functor
     left: object
     right: object
 
 
 def _assoc_single_morphism(s, p, mid, end1, end2, theta):
-    """Both routes on theta: end1.chi => end2.chi ∘ transport over ``mid``;
-    the failure message, or None."""
+    """Both routes on theta: chi1 => chi2 ∘ transport over ``mid``, chi1
+    and chi2 the functors of ``end1`` and ``end2``; the failure message, or
+    None."""
     c = s.carrier
     mu = s.mu
     oid1 = p.diagram.base.src[mid]

@@ -19,12 +19,14 @@ composites are named by flattening the component tuples, so the two
 evaluation orders of a two-level family produce literally equal simplicial
 sets.
 
-A club object is a family: its base is ``family.base``.  The base side of
-a two-level family is itself a family, ``outer()``: its values are the inner
-families and its face maps are morphisms of club objects.
-``SimplexFamily`` takes its value category (identity, composition and
-equality) from three class attributes, so one transport recursion and one
-functoriality walk serve both levels.
+A club object is a family: its base is ``family.base``.  A two-level
+family is a family of club objects, ``ClubObjectFamily``: its values are
+the inner families and its face maps are morphisms of club objects, whose
+components are the transports of the inner values along the base.  Its
+``psi``, the family of the values' bases, is built from those values and
+the base maps of the face maps.  ``SimplexFamily`` takes its value category
+(identity, composition and equality) from three class attributes, so one
+transport recursion and one functoriality walk serve both levels.
 
 The law walks visit every simplex x, operator theta and generator, but a
 check at (x, theta) is a function of (x.base, x.eta∘theta) alone: x is
@@ -470,6 +472,12 @@ def delta_naturality_check(morphisms):
     g the induced map of composites, with the pair reached by acting on the
     pair of u componentwise.  The comparison is per simplex: no operator is
     walked.
+
+    ``compose_morphism`` builds g from the same f and phi that the
+    componentwise route reads, so the square commutes for every well-typed
+    phi.  The check therefore tests that the names ``compose`` gives and
+    ``ComposeResult.pair_of`` agree; a wrong phi goes undetected here, and
+    ``validate_club_morphism`` is what checks it.
     """
     report = []
     for idx, m in enumerate(morphisms):
@@ -517,135 +525,108 @@ def unit_law_point_base(value: SimplicialSet):
 
 class ClubObjectFamily(SimplexFamily):
     """A family whose values are families, the club objects, and whose face
-    maps are morphisms of club objects."""
+    maps are morphisms of club objects: a two-level family.
+
+    ``values[y]`` is the inner family over the value of psi at y, and
+    ``face_maps[(y, i)].phi[t]`` transports the value at (y, t) along the
+    i-th face of y.  ``psi``, the family of the values' bases with the base
+    maps of the face maps, is built from them."""
 
     _identity = staticmethod(identity_club_morphism)
     _compose = staticmethod(compose_club_morphisms)
     _equal = staticmethod(club_morphism_equal)
 
-
-class TwoLevelFamily:
-    """A family over S together with a family over each pair (s, t).
-
-    ``chi[s]`` is a simplex-indexed family over the value of psi at the
-    non-degenerate simplex s; ``s_maps[(s, i, t)]`` transports the value at
-    (s, t) along the i-th face of s, landing at the value over the moved pair.
-    """
-
-    def __init__(self, psi: SimplexFamily, chi, s_maps, name=""):
-        self.base = psi.base
-        self.psi = psi
-        self.chi = dict(chi)          # nondeg s -> SimplexFamily over psi.values[s]
-        self.s_maps = dict(s_maps)    # (s, i, t_nondeg) -> SimplicialMap
-        self.name = name
-        self._outer = None
-
-    @classmethod
-    def constant_inner(cls, psi: SimplexFamily, u: SimplicialSet, name=""):
-        """The two-level family over psi with every inner value u and every
-        transport the identity."""
-        s = psi.base
-        chi = {y: constant_family(psi.values[y], u)
-               for k in range(s.trunc + 1) for y in s.nondeg[k]}
-        s_maps = {(y, i, t): identity_smap(u)
-                  for k in range(1, s.trunc + 1) for y in s.nondeg[k]
-                  for i in range(k + 1)
-                  for n in range(s.trunc + 1) for t in psi.values[y].nondeg[n]}
-        return cls(psi, chi, s_maps, name=name)
-
-    def value(self, s_base, t_base):
-        return self.chi[s_base].values[t_base]
-
-    def outer(self):
-        """The base side as a family of club objects, built on first use:
-        the value at y is chi at y, and the face map at (y, i) is
-        psi's face map with the transports ``s_maps[(y, i, t)]`` as
-        components.  A transport missing from ``s_maps`` is a missing
-        component."""
-        if self._outer is None:
-            s, psi = self.base, self.psi
-            values = {y: self.chi[y]
-                      for k in range(s.trunc + 1) for y in s.nondeg[k]}
-            face_maps = {}
-            for k in range(1, s.trunc + 1):
-                for y in s.nondeg[k]:
-                    v = psi.values[y]
-                    for i in range(k + 1):
-                        phi = {t: self.s_maps[(y, i, t)]
-                               for n in range(v.trunc + 1) for t in v.nondeg[n]
-                               if (y, i, t) in self.s_maps}
-                        face_maps[(y, i)] = ClubMorphismSSet(
-                            values[y], values[s.faces[y][i].base],
-                            psi.face_maps[(y, i)], phi)
-            self._outer = ClubObjectFamily(s, values, face_maps, name="outer")
-        return self._outer
+    def __init__(self, base: SimplicialSet, values, face_maps, name=""):
+        super().__init__(base, values, face_maps, name=name)
+        self.psi = SimplexFamily(
+            base, {y: fam.base for y, fam in self.values.items()},
+            {key: m.f for key, m in self.face_maps.items()}, name="psi")
 
 
-def validate_two_level(tlf: TwoLevelFamily):
+def constant_inner(psi: SimplexFamily, u: SimplicialSet, name=""):
+    """The two-level family over psi with every inner value u and every
+    transport the identity."""
+    s = psi.base
+    values = {y: constant_family(psi.values[y], u)
+              for k in range(s.trunc + 1) for y in s.nondeg[k]}
+    face_maps = {}
+    for (y, i), f in psi.face_maps.items():
+        phi = {t: identity_smap(u)
+               for n in range(s.trunc + 1) for t in psi.values[y].nondeg[n]}
+        face_maps[(y, i)] = ClubMorphismSSet(
+            values[y], values[s.faces[y][i].base], f, phi)
+    return ClubObjectFamily(s, values, face_maps, name=name)
+
+
+def validate_two_level(tlf: ClubObjectFamily):
     """Validity of both levels, each base-side face transport as a morphism
-    of club objects, then functoriality of the outer family."""
+    of club objects, then functoriality of the two-level family."""
+    s = tlf.base
+    report = [f"inner family missing at {y!r}"
+              for k in range(s.trunc + 1) for y in s.nondeg[k]
+              if y not in tlf.values]
+    if report:
+        return report
     report = [f"base family: {r}" for r in validate_family(tlf.psi)]
     if report:
         return report
-    s = tlf.base
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
-            fam = tlf.chi.get(y)
-            if fam is None:
-                report.append(f"inner family missing at {y!r}")
-                continue
-            if fam.base is not tlf.psi.values[y]:
-                report.append(f"inner family at {y!r} has the wrong base")
-                continue
             report.extend(f"inner family at {y!r}: {r}"
-                          for r in validate_family(fam))
+                          for r in validate_family(tlf.values[y]))
     if report:
         return report
-    outer = tlf.outer()
-    for (y, i), step in outer.face_maps.items():
-        report.extend(f"transport {r} along ({y!r}, {i})"
-                      for r in validate_club_morphism(step))
+    for k in range(1, s.trunc + 1):
+        for y in s.nondeg[k]:
+            for i in range(k + 1):
+                step = tlf.face_maps[(y, i)]
+                if (step.src is not tlf.values[y]
+                        or step.tgt is not tlf.values[s.faces[y][i].base]):
+                    report.append(f"transport along ({y!r}, {i}) has wrong endpoints")
+                else:
+                    report.extend(f"transport {r} along ({y!r}, {i})"
+                                  for r in validate_club_morphism(step))
     if report:
         return report
     return [f"transport coherence fails at ({nf_id(x)!r}, {theta.values!r}, "
-            f"{g.values!r})" for x, theta, g in outer.functoriality_failures()]
+            f"{g.values!r})" for x, theta, g in tlf.functoriality_failures()]
 
 
 def constant_two_level(s: SimplicialSet, t: SimplicialSet, u: SimplicialSet):
     """The two-level family with constant values t and u."""
-    return TwoLevelFamily.constant_inner(constant_family(s, t), u, name="const2")
+    return constant_inner(constant_family(s, t), u, name="const2")
 
 
-def _flattened_family(tlf: TwoLevelFamily, res1: ComposeResult):
+def _flattened_family(tlf: ClubObjectFamily, res1: ComposeResult):
     """The two-level data as a family over the composed base."""
     t1 = res1.sset
-    outer = tlf.outer()
     values = {}
     for k in range(t1.trunc + 1):
         for uid in t1.nondeg[k]:
             snf, tnf = res1.base_pair_nfs(uid)
-            values[uid] = tlf.value(snf.base, tnf.base)
+            values[uid] = tlf.values[snf.base].values[tnf.base]
     face_maps = {}
     for k in range(1, t1.trunc + 1):
         for uid in t1.nondeg[k]:
             snf, tnf = res1.base_pair_nfs(uid)
             for i in range(k + 1):
                 d = face_map(k, i)
-                step = outer.transport(snf, d)
+                step = tlf.transport(snf, d)
                 inner = step.tgt.transport(step.f.apply(tnf), d)
                 face_maps[(uid, i)] = compose_smaps(inner, step.phi[tnf.base])
     return SimplexFamily(t1, values, face_maps, name="flattened")
 
 
-def _inner_composites(tlf: TwoLevelFamily):
+def _inner_composites(tlf: ClubObjectFamily):
     """Per-simplex inner composites assembled into a family over the base."""
     s = tlf.base
-    inner_res = {y: compose(tlf.chi[y])
+    inner_res = {y: compose(tlf.values[y])
                  for k in range(s.trunc + 1) for y in s.nondeg[k]}
     values = {y: res.sset for y, res in inner_res.items()}
-    face_maps = {(y, i): compose_morphism(step, inner_res[y],
+    face_maps = {(y, i): compose_morphism(tlf.face_maps[(y, i)], inner_res[y],
                                           inner_res[s.faces[y][i].base])
-                 for (y, i), step in tlf.outer().face_maps.items()}
+                 for k in range(1, s.trunc + 1) for y in s.nondeg[k]
+                 for i in range(k + 1)}
     return SimplexFamily(s, values, face_maps, name="inner"), inner_res
 
 
@@ -663,7 +644,7 @@ def sset_equal(a: SimplicialSet, b: SimplicialSet):
     return True
 
 
-def associativity_check(tlf: TwoLevelFamily):
+def associativity_check(tlf: ClubObjectFamily):
     """Both evaluation orders of a two-level family give the same composite.
 
     The one-step-at-a-time composite composes the base pair first and then

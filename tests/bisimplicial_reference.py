@@ -244,12 +244,12 @@ def s_transport(tlf, x, t, theta):
     delta, _ = ez_factor(compose_maps(x.eta, theta))
     y = x.base
     if delta.m == delta.n:
-        return identity_smap(tlf.value(y, t.base)), t
+        return identity_smap(tlf.values[y].values[t.base]), t
     i, rest = delta.peel_face()
     k = tlf.base.dim_of[y]
     moved = tlf.psi.transport(nondeg(y, k), face_map(k, i)).apply(t)
     rec_map, rec_t = s_transport(tlf, tlf.base.faces[y][i], moved, rest)
-    return compose_smaps(rec_map, tlf.s_maps[(y, i, t.base)]), rec_t
+    return compose_smaps(rec_map, tlf.face_maps[(y, i)].phi[t.base]), rec_t
 
 
 def reference_functoriality_failures(fam):

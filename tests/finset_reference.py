@@ -71,14 +71,13 @@ def reference_two_stage_colimit_check(tlf):
     report = []
     s = tlf.base
 
-    for key, v in [((y, t), val) for y, fam in tlf.chi.items()
+    for key, v in [((y, t), val) for y, fam in tlf.values.items()
                    for t, val in fam.values.items()]:
         if any(v.nondeg[k] for k in range(1, v.trunc + 1)):
             raise InputError("two-stage evaluation needs discrete values")
 
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(tlf.psi)
-    base_side = tlf.outer()
     t1 = res1.sset
     t_cat = t1.category()
     values, maps = {}, {}
@@ -87,12 +86,12 @@ def reference_two_stage_colimit_check(tlf):
         u = t_cat.simplex_of[oid]
         snf, tnf = res1.pair_of(u)
         pair_cache[oid] = (snf, tnf)
-        values[oid] = _discrete_elements(tlf.value(snf.base, tnf.base))
+        values[oid] = _discrete_elements(tlf.values[snf.base].values[tnf.base])
     for mid in t_cat.mor_ids:
         theta = t_cat.operator_of[mid]
         oid = t_cat.src[mid]
         snf, tnf = pair_cache[oid]
-        step = base_side.transport(snf, theta)
+        step = tlf.transport(snf, theta)
         inner = step.tgt.transport(step.f.apply(tnf), theta)
         f1 = _smap_function(step.phi[tnf.base])
         f2 = _smap_function(inner)
@@ -114,12 +113,12 @@ def reference_two_stage_colimit_check(tlf):
         imaps = {}
         for t_oid in v_cat.objects:
             tnf = v_cat.simplex_of[t_oid]
-            ivalues[t_oid] = _discrete_elements(tlf.value(snf.base, tnf.base))
+            ivalues[t_oid] = _discrete_elements(tlf.values[snf.base].values[tnf.base])
         for t_mid in v_cat.mor_ids:
             theta = v_cat.operator_of[t_mid]
             t_oid = v_cat.src[t_mid]
             tnf = v_cat.simplex_of[t_oid]
-            f = _smap_function(tlf.chi[snf.base].transport(tnf, theta))
+            f = _smap_function(tlf.values[snf.base].transport(tnf, theta))
             imaps[t_mid] = {e: f[e] for e in ivalues[t_oid]}
         idiag = FinSetDiagram(v_cat, ivalues, imaps, name=f"inner({oid})")
         reps, classes = colimit_finset(idiag)
@@ -134,7 +133,7 @@ def reference_two_stage_colimit_check(tlf):
         oid, tid_out = s_cat.src[mid], s_cat.tgt[mid]
         snf = s_cat.simplex_of[oid]
         lookup = tlf.psi.values[snf.base].normal_forms()
-        step = base_side.transport(snf, theta)
+        step = tlf.transport(snf, theta)
         table = {}
         for (t, e) in inner_reps[oid]:
             tnf = lookup[t]

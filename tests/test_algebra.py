@@ -400,7 +400,7 @@ def test_two_stage_negative_control_matches_the_reference(monkeypatch):
     u = disjoint_union(one_point(2), one_point(2))
     a, b = u.nondeg[0]
     tlf = constant_two_level(s, one_point(2), u)
-    tlf.s_maps[("012", 0, "pt")] = SimplicialMap(
+    tlf.face_maps[("012", 0)].phi["pt"] = SimplicialMap(
         u, u, {a: nondeg(b, 0), b: nondeg(a, 0)})
     report, names = counted_check(monkeypatch, tlf)
     assert names == []

@@ -483,6 +483,19 @@ def test_club_check_reports_remapped_object():
     assert report != []
 
 
+def test_club_check_reports_an_eta_into_another_carrier():
+    # each club's unit paired with the other's product and multiplication:
+    # eta is a valid diagram morphism from the unit diagram, but into a
+    # carrier that mu does not land in, so it is reported, never raised
+    from clubcat.operads import associative_operad, free_operad, operad_to_club
+    from clubcat.semidirect import ClubStructure
+    club = operad_to_club(free_operad({2: ["g"]}, 3))
+    other = operad_to_club(associative_operad(3, with_nullary=True))
+    for a, b in ((club, other), (other, club)):
+        assert club_check(ClubStructure(a.product, a.mu, b.eta)) == [
+            "eta does not land in the carrier"]
+
+
 def _golden_unit_law_cases():
     import json
     import pathlib
@@ -670,13 +683,22 @@ def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeyp
     club = make_club()
     want = _all_pairs_thetas(club)
     real = module._assoc_single_morphism
+    real_morphisms = module._product_morphisms
+    chi_of = {}    # id of an end -> its chi, read from club_check's ``over``
     seen = []
 
+    def reading_ends(x, target, over):
+        chi_of.update((id(end), chi) for ends in over.values()
+                      for end, chi in ends)
+        return real_morphisms(x, target, over)
+
     def recording(s, p, mid, end1, end2, theta):
-        seen.append((mid, functor_key(end1.chi), functor_key(end2.chi),
+        seen.append((mid, functor_key(chi_of[id(end1)]),
+                     functor_key(chi_of[id(end2)]),
                      tuple(theta.components[a] for a in theta.src.src.objects)))
         return real(s, p, mid, end1, end2, theta)
 
+    monkeypatch.setattr(module, "_product_morphisms", reading_ends)
     monkeypatch.setattr(module, "_assoc_single_morphism", recording)
     report = club_check(club)
     assert want

@@ -16,10 +16,11 @@ from clubcat.simpset import (SimplicialMap, all_monotone_maps,
                              identity_smap, is_injective, iso_sset, nf_id,
                              nondeg, one_point, product, smap_equal,
                              standard_simplex, validate_smap, validate_sset)
-from clubcat.sset_club import (ClubMorphismSSet, SimplexFamily,
-                               TwoLevelFamily, associativity_check, compose,
+from clubcat.sset_club import (ClubMorphismSSet, ClubObjectFamily,
+                               SimplexFamily, associativity_check, compose,
                                compose_club_morphisms, compose_morphism,
-                               constant_family, constant_two_level,
+                               constant_family, constant_inner,
+                               constant_two_level,
                                delta_functor, delta_is_isomorphism,
                                delta_naturality_check, identity_club_morphism,
                                pair_category_sset, sset_equal,
@@ -472,7 +473,6 @@ def test_associativity_constant_is_triple_product():
 
 def grid_two_level(s, t, chain, chain_maps):
     """Constant psi at t; inner values varying by least vertices of s and t."""
-    psi = constant_family(s, t)
 
     def level(i):
         return min(i, len(chain) - 1)
@@ -487,7 +487,6 @@ def grid_two_level(s, t, chain, chain_maps):
         return m
 
     chi = {}
-    s_maps = {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
             off = minvertex_of(y)
@@ -501,16 +500,17 @@ def grid_two_level(s, t, chain, chain_maps):
                         b = level(off + minvertex_of(t.faces[z][i].base))
                         face_maps[(z, i)] = step(a, b)
             chi[y] = SimplexFamily(t, values, face_maps, name=f"chi{y}")
+    steps = {}
     for k in range(1, s.trunc + 1):
         for y in s.nondeg[k]:
             for i in range(k + 1):
-                a = minvertex_of(y)
-                b = minvertex_of(s.faces[y][i].base)
-                for kk in range(t.trunc + 1):
-                    for z in t.nondeg[kk]:
-                        s_maps[(y, i, z)] = step(a + minvertex_of(z),
-                                                 b + minvertex_of(z))
-    return TwoLevelFamily(psi, chi, s_maps, name="grid")
+                face = s.faces[y][i].base
+                a, b = minvertex_of(y), minvertex_of(face)
+                phi = {z: step(a + minvertex_of(z), b + minvertex_of(z))
+                       for kk in range(t.trunc + 1) for z in t.nondeg[kk]}
+                steps[(y, i)] = ClubMorphismSSet(chi[y], chi[face],
+                                                 identity_smap(t), phi)
+    return ClubObjectFamily(s, chi, steps, name="grid")
 
 
 def test_grid_two_level_valid_and_associative():
@@ -534,21 +534,21 @@ def outer_fixtures():
     k0, k1 = standard_simplex(1, 2), one_point(2)
     chain, chain_maps = [k0, k1, k1], [collapse_map(k0, k1), identity_smap(k1)]
     fams.append(grid_two_level(s2, standard_simplex(1, 2), chain, chain_maps))
-    fams.append(TwoLevelFamily.constant_inner(
-        minvertex_family(s2, chain, chain_maps), two_points(2)))
+    fams.append(constant_inner(minvertex_family(s2, chain, chain_maps),
+                               two_points(2)))
     return fams
 
 
 def test_outer_transport_matches_the_per_t_recursion():
     for tlf in outer_fixtures():
         assert validate_two_level(tlf) == []
-        s, outer = tlf.base, tlf.outer()
+        s = tlf.base
         for k in range(s.trunc + 1):
             for x in s.all_simplices(k):
                 v = tlf.psi.values[x.base]
                 for m in range(s.trunc + 1):
                     for theta in all_monotone_maps(m, k):
-                        step = outer.transport(x, theta)
+                        step = tlf.transport(x, theta)
                         for n in range(v.trunc + 1):
                             for t in v.nondeg[n]:
                                 tn = nondeg(t, n)
@@ -560,7 +560,7 @@ def test_outer_transport_matches_the_per_t_recursion():
 def test_composed_face_transports_are_club_morphisms():
     pairs = 0
     for tlf in outer_fixtures():
-        s, steps = tlf.base, tlf.outer().face_maps
+        s, steps = tlf.base, tlf.face_maps
         for (y, i), m in steps.items():
             for (face, _), g in steps.items():
                 if face != s.faces[y][i].base:
@@ -604,10 +604,10 @@ def test_two_level_full_pair_functoriality():
         th, tv = pairs.mor_data[mid]
         pid = pairs.cat.src[mid]
         snf, tnf = pairs.obj_data[pid]
-        step = tlf.outer().transport(snf, th)
+        step = tlf.transport(snf, th)
         m1, moved = step.phi[tnf.base], step.f.apply(tnf)
         s2 = apply_operator(s, snf, th)
-        m2 = tlf.chi[s2.base].transport(moved, tv)
+        m2 = tlf.values[s2.base].transport(moved, tv)
         return compose_smaps(m2, m1)
 
     tables = {mid: chi_of(mid) for mid in pairs.cat.mor_ids}
@@ -728,32 +728,34 @@ def test_swapped_face_map_breaks_functoriality():
     assert all(r.startswith("functoriality fails") for r in report)
 
 
-def swapped_s_map_two_level(trunc=1):
-    """One s_map over the interval swapped: a transport that is not natural."""
+def swapped_component_two_level(trunc=1):
+    """One transport component over the interval swapped: a face map that
+    is not natural."""
     u = two_points(trunc)
     tlf = constant_two_level(standard_simplex(1, trunc),
                              standard_simplex(1, trunc), u)
-    tlf.s_maps[("01", 0, "01")] = swap_map(u)
+    tlf.face_maps[("01", 0)].phi["01"] = swap_map(u)
     return tlf
 
 
-def swapped_s_maps_two_level():
-    """Every s_map along one face of the 2-simplex swapped alike: natural
-    transports whose two routes around the 2-simplex disagree."""
+def swapped_face_components_two_level():
+    """Every transport component along one face of the 2-simplex swapped
+    alike: natural face maps whose two routes around the 2-simplex
+    disagree."""
     u = two_points(2)
     tlf = constant_two_level(standard_simplex(2, 2), one_point(2), u)
-    tlf.s_maps[("012", 0, "pt")] = swap_map(u)
+    tlf.face_maps[("012", 0)].phi["pt"] = swap_map(u)
     return tlf
 
 
 def test_swapped_s_map_breaks_transport_naturality():
-    report = validate_two_level(swapped_s_map_two_level())
+    report = validate_two_level(swapped_component_two_level())
     assert report
     assert all(r.startswith("transport naturality fails") for r in report)
 
 
-def test_swapped_s_maps_break_transport_coherence():
-    report = validate_two_level(swapped_s_maps_two_level())
+def test_swapped_face_components_break_transport_coherence():
+    report = validate_two_level(swapped_face_components_two_level())
     assert report
     assert all(r.startswith("transport coherence fails") for r in report)
 
@@ -763,7 +765,7 @@ def missing_component_two_level():
     component at (01, 0, 01) removed."""
     s = standard_simplex(1, 1)
     tlf = constant_two_level(s, standard_simplex(1, 1), one_point(1))
-    del tlf.s_maps[("01", 0, "01")]
+    del tlf.face_maps[("01", 0)].phi["01"]
     return tlf
 
 
@@ -775,7 +777,7 @@ def wrong_endpoint_two_level():
     tlf = constant_two_level(s, standard_simplex(1, 1), u)
     wrong = SimplicialMap(u, standard_simplex(1, 1), {"pt": nondeg("0", 0)})
     assert validate_smap(wrong) == []
-    tlf.s_maps[("01", 0, "01")] = wrong
+    tlf.face_maps[("01", 0)].phi["01"] = wrong
     return tlf
 
 
@@ -787,6 +789,20 @@ def test_missing_s_map_is_one_missing_transport_component():
 def test_s_map_into_the_wrong_value_has_wrong_endpoints():
     assert validate_two_level(wrong_endpoint_two_level()) == [
         "transport component at '01' has wrong endpoints along ('01', 0)"]
+
+
+def test_face_map_from_another_club_object_has_wrong_endpoints():
+    # a valid morphism of club objects with the right base map, from a
+    # family equal to the value at 01 but not that value
+    u = one_point(1)
+    tlf = constant_two_level(standard_simplex(1, 1), standard_simplex(1, 1), u)
+    step = tlf.face_maps[("01", 0)]
+    stranger = step._replace(src=constant_family(step.src.base, u))
+    assert validate_club_morphism(stranger) == []
+    fam = ClubObjectFamily(tlf.base, tlf.values,
+                           {**tlf.face_maps, ("01", 0): stranger})
+    assert validate_two_level(fam) == [
+        "transport along ('01', 0) has wrong endpoints"]
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +830,13 @@ def test_law_walks_match_the_unmemoized_reference():
                  for trunc in (2, 3) for seed in range(8)]
     families += swapped_face_families(2) + swapped_face_families(3)
     # outer_fixtures holds random_two_level seeds 0-11 at trunc 2 and 3
-    two_levels = outer_fixtures() + [swapped_s_map_two_level(1),
-                                     swapped_s_map_two_level(2),
-                                     swapped_s_maps_two_level()]
+    two_levels = outer_fixtures() + [swapped_component_two_level(1),
+                                     swapped_component_two_level(2),
+                                     swapped_face_components_two_level()]
     morphisms = []
     for tlf in two_levels:
-        families += [tlf.psi, *tlf.chi.values(), tlf.outer()]
-        morphisms += tlf.outer().face_maps.values()
+        families += [tlf.psi, *tlf.values.values(), tlf]
+        morphisms += tlf.face_maps.values()
     failures = []
     for fam in families:
         got = list(fam.functoriality_failures())
@@ -838,8 +854,8 @@ def test_law_walks_match_the_unmemoized_reference():
 
 
 # ---------------------------------------------------------------------------
-# full reports on two-level families, against reports recorded before the
-# two-level family became its family of club objects
+# full reports on two-level families, compared line by line with the ones
+# in golden/two_level_reports.json
 
 TWO_LEVEL_GOLDEN = pathlib.Path(__file__).parent / "golden" / "two_level_reports.json"
 
@@ -849,10 +865,10 @@ def two_level_report_cases():
     ``associativity_check`` on the hand-built and random two-level families,
     and ``two_stage_colimit_check`` on the discrete ones that ``algebra-laws``
     draws at truncation 2 and on the swapped control of test_algebra.py,
-    which is ``swapped_s_maps_two_level()``."""
-    named = [("swapped-component-trunc1", lambda: swapped_s_map_two_level(1)),
-             ("swapped-component-trunc2", lambda: swapped_s_map_two_level(2)),
-             ("swapped-face-components", swapped_s_maps_two_level),
+    which is ``swapped_face_components_two_level()``."""
+    named = [("swapped-component-trunc1", lambda: swapped_component_two_level(1)),
+             ("swapped-component-trunc2", lambda: swapped_component_two_level(2)),
+             ("swapped-face-components", swapped_face_components_two_level),
              ("missing-component", missing_component_two_level),
              ("wrong-endpoint", wrong_endpoint_two_level),
              ("grid", grid_interval_two_level)]
@@ -871,7 +887,8 @@ def two_level_report_cases():
                    random_two_level(random.Random(seed), 2, discrete=True)))
               for seed in range(20)]
     cases.append(("two_stage_colimit_check:swapped-face-components",
-                  lambda: two_stage_colimit_check(swapped_s_maps_two_level())))
+                  lambda: two_stage_colimit_check(
+                      swapped_face_components_two_level())))
     return cases
 
 
