@@ -30,6 +30,11 @@ CASES = [
     ("stability", 1, 4, 2),
     ("club-check", 0, None, None),
     ("operad-bijection", 0, 2, None),
+    ("operad-bijection", 1, 2, None),
+    ("operad-bijection", 2, 2, None),
+    ("operad-bijection", 3, 2, None),
+    ("operad-bijection", 4, 2, None),
+    ("operad-bijection", 5, 2, None),
     ("monoidal-laws", 0, 1, None),
     ("monoidal-laws", 1, 1, None),
     ("monoidal-laws", 2, 2, None),
