@@ -391,15 +391,18 @@ def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
 # ---------------------------------------------------------------------------
 # operads as clubs
 
-def _club_from_encoding(p: NsOperad, enc: EncodedCollection, guard):
-    """Build the multiplication and unit of an encoded operad.
+def _club_from_encoding(p: NsOperad, enc: EncodedCollection,
+                        prod: SemidirectProduct):
+    """Build the multiplication and unit of an encoded operad on ``prod``,
+    the truncated square ``_square_within_cap(enc, p.cap, guard)``.
 
     mu sends a pair (op, args) to gamma(op; args) with the order-preserving
     identification of the flattened fiber, identities to identities, and any
     other morphism to the block permutation it makes of the flattened
-    inputs; eta picks the unit.
+    inputs; eta picks the unit.  The encoding and the square depend only on
+    the levels and the cap, so operads that differ only in gamma can share
+    them.
     """
-    prod = _square_within_cap(enc, p.cap, guard)
     base = enc.diagram.base
     pbase = prod.diagram.base
 
@@ -444,7 +447,8 @@ def _club_from_encoding(p: NsOperad, enc: EncodedCollection, guard):
 
 def operad_to_club(p: NsOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
     """The club structure on the non-symmetric encoding of an operad."""
-    return _club_from_encoding(p, encode_ns(p), guard)
+    enc = encode_ns(p)
+    return _club_from_encoding(p, enc, _square_within_cap(enc, p.cap, guard))
 
 
 def club_to_operad(s: ClubStructure):
@@ -728,9 +732,10 @@ def sym_circ(p: SymCollection):
     cap = p.cap
     levels = {k: [] for k in range(cap + 1)}
     class_rep = {}
+    rep_of = {}     # (op, args, perm) -> its orbit representative
     for _, (op, args), total in _composite_tuples(p, p):
         for perm in _all_perms(total):
-            rep = _orbit_rep(p, op, args, perm)
+            rep = rep_of[(op, args, perm)] = _orbit_rep(p, op, args, perm)
             name = _class_name(rep)
             if name not in class_rep:
                 class_rep[name] = rep
@@ -743,8 +748,13 @@ def sym_circ(p: SymCollection):
         for name in levels[k]:
             op, args, perm = class_rep[name]
             for s in _all_perms(k):
-                acts[(s, name)] = _class_name(
-                    _orbit_rep(p, op, args, _perm_compose(s, perm)))
+                key = (op, args, _perm_compose(s, perm))
+                rep = rep_of.get(key)
+                # a miss needs actions that change arities, which only a
+                # collection that fails validate_sym_collection has
+                if rep is None:
+                    rep = _orbit_rep(p, *key)
+                acts[(s, name)] = _class_name(rep)
         actions[k] = acts
     return SymCollection(cap, levels, actions, name=f"({p.name}∘{p.name})")
 
@@ -795,7 +805,8 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
 def sym_operad_to_club(p: SymOperad, guard: Guardrails = DEFAULT_GUARDRAILS):
     """The club structure on the symmetric encoding of an operad: gamma on
     objects and block permutations on morphisms."""
-    return _club_from_encoding(p, encode_sym(p), guard)
+    enc = encode_sym(p)
+    return _club_from_encoding(p, enc, _square_within_cap(enc, p.cap, guard))
 
 
 def symmetric_associative_operad(cap, name="sym-assoc"):

@@ -373,7 +373,8 @@ class Products:
     while the table lives.  A refused product keeps nothing.  ``unit`` is
     the one unit diagram of the sample: the unitors and the triangle build
     their products with 1 on it.  Make one table per sample and drop it
-    with the sample.
+    with the sample; for ``club_check``'s unit laws a sample is a carrier,
+    so clubs on one carrier can share one table.
     """
 
     def __init__(self, guard: Guardrails = DEFAULT_GUARDRAILS):
@@ -733,7 +734,7 @@ def trivial_club(guard: Guardrails = DEFAULT_GUARDRAILS):
 
 
 def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
-               stop_early=False):
+               stop_early=False, products: Products | None = None):
     """Exhaustively check the monoid axioms for a club structure.
 
     Verifies that mu and eta are valid diagram morphisms, that both unit
@@ -741,6 +742,11 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
     evaluation orders through the rebracketing isomorphism agree on every
     object, morphism and fiber component of the (truncated) triple product.
     Returns a list of failure descriptions; empty means the axioms hold.
+
+    The unit laws build 1 ⋉ C and C ⋉ 1 in ``products``, a fresh
+    ``Products(guard)`` when None.  Clubs on one carrier can share a table,
+    which then builds those two products once; the shared table's own guard
+    applies to them.
     """
     report = []
 
@@ -771,7 +777,8 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
     e_obj = eta.base_functor.omap["*"]
 
     # --- unit laws ------------------------------------------------------
-    if _unit_laws(s, p, guard, note, e_obj) and stop_early:
+    # a fresh table lives only through the unit laws
+    if _unit_laws(s, p, products or Products(guard), note, e_obj) and stop_early:
         return report
 
     # --- associativity --------------------------------------------------
@@ -822,7 +829,7 @@ def _object_where(p, oid, chi):
     return f"object ({p.describe_object(oid)}, chi={functor_key(chi)})"
 
 
-def _unit_laws(s, p, guard, note, e_obj):
+def _unit_laws(s, p, products, note, e_obj):
     """Both unit laws; returns True when ``note`` asks to stop."""
     c = s.carrier
     id_star = terminal_category().identity("*")
@@ -834,7 +841,6 @@ def _unit_laws(s, p, guard, note, e_obj):
                                    {m: c.base.identity(value) for m in fiber.mor_ids}))
 
     # left unit: mu ∘ (eta ⋉ id) against the left unitor on 1 ⋉ C
-    products = Products(guard)
     fiber_e = c.fiber_obj[e_obj]
     lu = left_unitor(c, products)
     if lu.problems:

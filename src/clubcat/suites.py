@@ -16,12 +16,13 @@ from .diagram import DiagramInCat
 from .fincat import (discrete_category, find_isomorphism, identity_functor,
                      validate_functor)
 from . import generate as gen
-from .operads import (NsOperad, associative_operad, club_round_trips,
+from .operads import (NsOperad, _club_from_encoding, _square_within_cap,
+                      associative_operad, club_round_trips,
                       commutative_operad, cyclic_group_operad, encode_ns,
                       free_operad, ns_iso_check, operad_to_club,
                       swap_pair_operad, sym_inclusion, sym_operad_to_club,
                       symmetric_associative_operad)
-from .semidirect import (associator, club_check, pentagon_check,
+from .semidirect import (Products, associator, club_check, pentagon_check,
                          semidirect, triangle_check, trivial_club, unitors)
 from .simpset import (SimplicialMap, apply_operator, boundary,
                       degeneracy_map, disjoint_union, iso_sset,
@@ -205,11 +206,21 @@ def _operad_bijection(suite, config):
     per_host = [wanted - 2 * (wanted // 3), wanted // 3, wanted // 3]
     total = 0
     for host, quota in zip(hosts, per_host):
+        # law_breaking_mutations builds each mutant as NsOperad(host.cap,
+        # host.levels, ...) and changes only gamma, so the host's encoding,
+        # its truncated square and the products of the unit laws serve
+        # every mutant of the host
+        enc = encode_ns(host)
+        square = _square_within_cap(enc, host.cap, DEFAULT_GUARDRAILS)
+        products = Products()
         mutations = gen.law_breaking_mutations(rng, host, quota)
         for (key, replacement, mutant) in mutations:
+            if mutant.cap != host.cap or mutant.levels != host.levels:
+                raise InputError(f"mutant of {host.name!r} at {key!r} does "
+                                 "not keep the host's levels and cap")
             total += 1
-            club = operad_to_club(mutant)
-            if club_check(club, stop_early=True) == []:
+            club = _club_from_encoding(mutant, enc, square)
+            if club_check(club, stop_early=True, products=products) == []:
                 surviving.append({"host": host.name, "entry": repr(key),
                                   "replacement": replacement})
     suite.record("mutation-kill-rate", total >= wanted and not surviving,

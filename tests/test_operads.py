@@ -1,14 +1,21 @@
+import itertools
+import sys
+
 import pytest
 
 from clubcat.diagram import validate_diagram
 from clubcat.errors import InputError
-from clubcat.operads import (Collection, NsOperad, associative_operad,
-                             block_permutation, circ, club_to_operad,
-                             commutative_operad, cyclic_group_operad,
-                             encode_ns, encode_sym, free_operad,
-                             ns_iso_check, operad_to_club, swap_pair_operad,
-                             sym_circ, sym_inclusion, sym_operad_to_club,
+from clubcat.operads import (Collection, NsOperad, SymCollection,
+                             _all_perms, _class_name, _club_from_encoding,
+                             _composite_tuples, _orbit_rep, _perm_compose,
+                             associative_operad, block_permutation, circ,
+                             club_to_operad, commutative_operad,
+                             cyclic_group_operad, encode_ns, encode_sym,
+                             free_operad, ns_iso_check, operad_to_club,
+                             swap_pair_operad, sym_circ, sym_inclusion,
+                             sym_operad_to_club, symmetric_associative_operad,
                              validate_ns_operad, validate_sym_operad)
+from clubcat import operads, suites
 from clubcat.semidirect import club_check
 
 
@@ -182,6 +189,105 @@ def test_arity_corruption_fails_club_check():
 
 
 # ---------------------------------------------------------------------------
+# mutants on their host's encoding
+
+def _bijection_mutant_clubs(monkeypatch, seed):
+    """Each (mutant, club, products) that ``operad-bijection`` checks at
+    ``seed`` and the benchmark's two samples: the club built on the host's
+    shared encoding and square, and the table ``club_check`` was given."""
+    built, tables = [], {}
+
+    def recording_club(mutant, enc, square):
+        club = _club_from_encoding(mutant, enc, square)
+        built.append((mutant, club))
+        return club
+
+    def recording_check(club, *args, **kwargs):
+        tables[id(club)] = kwargs.get("products")
+        return club_check(club, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "_club_from_encoding", recording_club)
+    monkeypatch.setattr(suites, "club_check", recording_check)
+    suites.run_suite("operad-bijection", seed=seed, samples=2)
+    monkeypatch.undo()
+    return [(mutant, club, tables[id(club)]) for mutant, club in built]
+
+
+def _functor_tables(f):
+    return f.omap, f.mmap
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_encoding_builds_each_mutant_club(monkeypatch, seed):
+    mutants = _bijection_mutant_clubs(monkeypatch, seed)
+    assert len(mutants) == 50
+    for mutant, club, products in mutants:
+        ref = operad_to_club(mutant)
+        assert (club.product.diagram.base.objects
+                == ref.product.diagram.base.objects)
+        assert (_functor_tables(club.mu.base_functor)
+                == _functor_tables(ref.mu.base_functor))
+        assert ({oid: _functor_tables(f) for oid, f in club.mu.rho.items()}
+                == {oid: _functor_tables(f) for oid, f in ref.mu.rho.items()})
+        assert (_functor_tables(club.eta.base_functor)
+                == _functor_tables(ref.eta.base_functor))
+        assert ({o: _functor_tables(f) for o, f in club.eta.rho.items()}
+                == {o: _functor_tables(f) for o, f in ref.eta.rho.items()})
+        assert club.cap == ref.cap
+        assert products is not None
+        for stop_early in (True, False):
+            shared = club_check(club, stop_early=stop_early,
+                                products=products)
+            assert shared == club_check(club, stop_early=stop_early)
+            assert shared != []
+
+
+def test_mutants_of_one_host_share_its_square_and_products(monkeypatch):
+    mutants = _bijection_mutant_clubs(monkeypatch, 0)
+    shared = [(id(club.carrier), id(club.product), id(products))
+              for _, club, products in mutants]
+    runs = [(key, len(list(group)))
+            for key, group in itertools.groupby(shared)]
+    # three hosts in turn, each with one encoding, one square and one table
+    assert [n for _, n in runs] == [18, 16, 16]
+    assert len({key for key, _ in runs}) == 3
+
+
+def test_square_is_built_once_per_host(monkeypatch):
+    # the correspondence for the word operad and 2 random collections, 4
+    # round trips, 3 hosts, the symmetric inclusion and 3 symmetric clubs
+    # make 14 squares; one square per mutant in place of one per host would
+    # make 61
+    original = operads._square_within_cap
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module that imported it holds its own reference
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("clubcat.")
+                and getattr(module, "_square_within_cap", None) is original):
+            monkeypatch.setattr(module, "_square_within_cap", counting)
+    for seed in range(6):
+        calls.clear()
+        suites.run_suite("operad-bijection", seed=seed, samples=2)
+        assert len(calls) == 14, seed
+
+
+def test_mutant_with_other_levels_is_refused(monkeypatch):
+    def relevelled(rng, op, count):
+        mutant = NsOperad(op.cap, {**op.levels, 0: ["z"]}, op.unit,
+                          dict(op.gamma), name=f"{op.name}-mut")
+        return [(next(iter(op.gamma)), "z", mutant)]
+
+    monkeypatch.setattr(suites.gen, "law_breaking_mutations", relevelled)
+    with pytest.raises(InputError, match="levels and cap"):
+        suites.run_suite("operad-bijection", seed=0, samples=0)
+
+
+# ---------------------------------------------------------------------------
 # symmetric case
 
 def test_block_permutation_composes():
@@ -281,5 +387,51 @@ def test_club_operad_bijection_both_ways():
 
 
 def test_symmetric_associative_operad_valid():
-    from clubcat.operads import symmetric_associative_operad
     assert validate_sym_operad(symmetric_associative_operad(3)) == []
+
+
+def _sym_circ_reference(p):
+    """The levels and actions of ``sym_circ`` by ``_orbit_rep`` on every
+    decorated tuple of both passes, without reusing representatives."""
+    levels = {k: [] for k in range(p.cap + 1)}
+    class_rep = {}
+    for _, (op, args), total in _composite_tuples(p, p):
+        for perm in _all_perms(total):
+            rep = _orbit_rep(p, op, args, perm)
+            name = _class_name(rep)
+            if name not in class_rep:
+                class_rep[name] = rep
+                levels[total].append(name)
+    levels = {k: sorted(names) for k, names in levels.items()}
+    actions = {}
+    for k in range(p.cap + 1):
+        acts = {}
+        for name in levels[k]:
+            op, args, perm = class_rep[name]
+            for s in _all_perms(k):
+                acts[(s, name)] = _class_name(
+                    _orbit_rep(p, op, args, _perm_compose(s, perm)))
+        actions[k] = acts
+    return levels, actions
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric_associative_operad(2),
+    lambda: symmetric_associative_operad(3),
+    lambda: commutative_operad(2),
+    lambda: commutative_operad(3),
+    swap_pair_operad,
+], ids=["sym-assoc2", "sym-assoc3", "comm2", "comm3", "swap2"])
+def test_sym_circ_matches_the_per_element_reference(make):
+    p = make()
+    comp = sym_circ(p)
+    assert (comp.levels, comp.actions) == _sym_circ_reference(p)
+
+
+def test_sym_circ_refuses_an_action_that_changes_arity():
+    # the swap sends the binary "a" to the unary "0", which leads the
+    # action table to tuples that the first pass never visited
+    p = SymCollection(2, {1: ["e", "0"], 2: ["a"]},
+                      {2: {((0, 1), "a"): "a", ((1, 0), "a"): "0"}})
+    with pytest.raises(InputError, match="permutation of length 2"):
+        sym_circ(p)
