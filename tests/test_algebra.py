@@ -326,19 +326,20 @@ def test_finset_validation_matches_the_reference_on_the_pool(monkeypatch):
         assert validate_finset_diagram(d) == reference_validate_finset_diagram(d)
 
 
-def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
-    diagrams = pool_diagrams(monkeypatch)
-    # one element moved at an identity
+def identity_map_mutant(diagrams):
+    """The first pool diagram with two elements at an object, one of them
+    moved at that object's identity; and the object."""
     d, o = next((d, o) for d in diagrams for o in d.cat.objects
                 if len(d.values[o]) >= 2)
     mutant = FinSetDiagram(d.cat, d.values, d.maps)
     e0, e1 = d.values[o][:2]
     mutant.maps[d.cat.identity(o)][e0] = e1
-    report = validate_finset_diagram(mutant)
-    assert f"identity map is not the identity at {o!r}" in report
-    assert any(r.startswith("functoriality fails") for r in report)
-    assert report == reference_validate_finset_diagram(mutant)
-    # one element moved at a morphism out of a degenerate simplex
+    return mutant, o
+
+
+def degenerate_map_mutant(diagrams):
+    """The first pool diagram with one element moved at a morphism out of a
+    degenerate simplex into a value of two or more elements."""
     d, m = next((d, m) for d in diagrams for m in d.cat.nonidentity_morphisms()
                 if not d.cat.simplex_of[d.cat.src[m]].is_nondegenerate()
                 and len(d.values[d.cat.tgt[m]]) >= 2)
@@ -346,14 +347,12 @@ def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
     e = d.values[d.cat.src[m]][0]
     mutant.maps[m][e] = next(x for x in d.values[d.cat.tgt[m]]
                              if x != d.maps[m][e])
-    report = validate_finset_diagram(mutant)
-    assert report and all(r.startswith("functoriality fails") for r in report)
-    assert report == reference_validate_finset_diagram(mutant)
+    return mutant
 
 
-def test_finset_validation_reads_an_overridden_composite(monkeypatch):
-    # each family is drawn afresh, so the overridden table is this test's own
-    diagrams = pool_diagrams(monkeypatch)
+def overridden_composite_diagram(diagrams):
+    """The first valid pool diagram with one composite (g, f) sent to another
+    morphism out of the source of f that moves an element; and (g, f)."""
     d, key, other = next(
         (d, (g, f), other) for d in diagrams
         for (g, f), gf in d.cat.comp.items()
@@ -362,6 +361,25 @@ def test_finset_validation_reads_an_overridden_composite(monkeypatch):
                 for e in d.values[d.cat.src[f]]))
     assert validate_finset_diagram(d) == []
     d.cat.comp[key] = other
+    return d, key
+
+
+def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
+    diagrams = pool_diagrams(monkeypatch)
+    mutant, o = identity_map_mutant(diagrams)
+    report = validate_finset_diagram(mutant)
+    assert f"identity map is not the identity at {o!r}" in report
+    assert any(r.startswith("functoriality fails") for r in report)
+    assert report == reference_validate_finset_diagram(mutant)
+    mutant = degenerate_map_mutant(diagrams)
+    report = validate_finset_diagram(mutant)
+    assert report and all(r.startswith("functoriality fails") for r in report)
+    assert report == reference_validate_finset_diagram(mutant)
+
+
+def test_finset_validation_reads_an_overridden_composite(monkeypatch):
+    # each family is drawn afresh, so the overridden table is this test's own
+    d, key = overridden_composite_diagram(pool_diagrams(monkeypatch))
     report = validate_finset_diagram(d)
     assert any(r.startswith(f"functoriality fails at {key!r}") for r in report)
     assert report == reference_validate_finset_diagram(d)

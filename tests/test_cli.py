@@ -321,14 +321,19 @@ def test_validating_a_deep_truncation_composes_almost_nothing(tmp_path,
     assert calls <= 100_000
 
 
-def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):
-    # mu sends the unit applied to a3 to the nullary a0, whose fiber has none
-    # of the objects of the fiber over a3
+def unit_breaking_club():
+    """The club of the associative operad with a nullary element whose mu
+    sends the unit applied to a3 to the nullary a0, whose fiber has none of
+    the objects of the fiber over a3."""
     from clubcat.operads import associative_operad, operad_to_club
-    from clubcat.semidirect import club_check
     op = associative_operad(3, with_nullary=True)
     op.gamma[("a1", ("a3",))] = "a0"
-    club = operad_to_club(op)
+    return operad_to_club(op)
+
+
+def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):
+    from clubcat.semidirect import club_check
+    club = unit_breaking_club()
     violations = club_check(club)
     assert "left unit law fails on object '3:a3': mu gives '0:a0'" in violations
     assert "left unit law fails on fiber object '0' over '3:a3'" in violations

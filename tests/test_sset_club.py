@@ -110,14 +110,19 @@ def test_minvertex_family_is_valid():
     assert validate_family(fam) == []
 
 
-def test_invalid_family_is_rejected():
+def invalid_family():
+    """The least-vertex family over the interval with one face map corrupted:
+    an identity with wrong endpoints swapped in."""
     s = standard_simplex(1, 2)
     k0 = standard_simplex(1, 2)
     k1 = one_point(2)
     fam = minvertex_family(s, [k0, k1], [collapse_map(k0, k1)])
-    # corrupt one face map: swap in an identity with wrong endpoints
     fam.face_maps[("01", 0)] = identity_smap(k0)
-    assert validate_family(fam) != []
+    return fam
+
+
+def test_invalid_family_is_rejected():
+    assert validate_family(invalid_family()) != []
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +192,10 @@ def test_delta_is_functor_but_not_iso():
     assert not delta_is_isomorphism(res, pairs)
 
 
-def test_corrupted_pair_category_fails_the_functor_check():
-    # one composite of the pair category sent to another morphism: the
-    # comparison is still built, and the functor check reports the law
+def corrupted_pair_functor():
+    """The comparison functor over the point with value the interval, into
+    its pair category with one composite sent to another morphism, and the
+    pair (g, h) whose composite it no longer preserves."""
     s = one_point(1)
     res = compose(constant_family(s, standard_simplex(1, 1)))
     pairs = pair_category_sset(res.source)
@@ -199,7 +205,13 @@ def test_corrupted_pair_category_fails_the_functor_check():
     key = (f.mmap[g], f.mmap[h])
     pairs.cat.comp[key] = next(m for m in pairs.cat.mor_ids
                                if m != pairs.cat.comp[key])
-    report = validate_functor(delta_functor(res, pairs))
+    return delta_functor(res, pairs), (g, h)
+
+
+def test_corrupted_pair_category_fails_the_functor_check():
+    # the comparison is still built, and the functor check reports the law
+    f, (g, h) = corrupted_pair_functor()
+    report = validate_functor(f)
     assert f"composition not preserved at ({g!r}, {h!r})" in report
 
 
@@ -717,11 +729,18 @@ def swap_map(t):
                                 "1:pt": nondeg("0:pt", 0)})
 
 
-def test_swapped_face_map_breaks_functoriality():
+def swapped_face_family():
+    """The constant family of two points over the 2-simplex with the face
+    map at (012, 0) the swap."""
     s = standard_simplex(2, 2)
     t = two_points(2)
     fam = constant_family(s, t)
     fam.face_maps[("012", 0)] = swap_map(t)
+    return fam
+
+
+def test_swapped_face_map_breaks_functoriality():
+    fam = swapped_face_family()
     assert validate_smap(fam.face_maps[("012", 0)]) == []
     report = validate_family(fam)
     assert report
