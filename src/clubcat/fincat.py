@@ -6,10 +6,8 @@ Conventions used everywhere downstream:
 * ``comp[(g, f)]`` is the composite ``g after f``; ``comp`` is a mapping,
   total on composable pairs and nothing else, kept as given (not copied).
   Most builders pass a dict; the category of simplices of ``simpset`` and the
-  pair category of ``sset_club`` pass a ``LazyComposites``.  It computes a
-  composite read by key on first read and keeps it; its ``items()`` walks
-  every composable pair in key order and keeps nothing, so a check that
-  walks the table once stores no composite.  Both builders find a composite
+  pair category of ``sset_club`` pass a ``LazyComposites``, which computes
+  each composite on read and stores none.  Both builders find a composite
   by looking up its operators in a table of the source object's morphisms,
   so no id is built per pair;
 * every collection keeps a fixed insertion order, and every enumeration and
@@ -67,17 +65,12 @@ class FinCategory:
 
 
 class LazyComposites(Mapping):
-    """A composition table filled on first read: ``composite(g, f)`` gives
-    the id of g after f, computed when the pair is first read by key and
-    kept.
+    """A composition table computed on read: ``composite(g, f)`` gives the
+    id of g after f, and no composite is stored.
 
     Its keys are those of the full table, in its order: every composable pair
     (g, f), by f in morphism order, then by g among the morphisms out of the
-    target of f.  Membership and length compute no composite; writing an
-    entry replaces it.  ``items()`` walks the pairs in that order itself,
-    without the key checks of a read: it returns a kept entry (one read or
-    written before) as kept, so an overridden composite stays visible, and
-    computes the others without keeping them.
+    target of f.  Membership and length compute no composite.
     """
 
     def __init__(self, morphisms, composite):
@@ -89,24 +82,15 @@ class LazyComposites(Mapping):
         for (m, a, _) in morphisms:
             self._by_src.setdefault(a, []).append(m)
         self._len = sum(len(self._by_src.get(b, ())) for (_, _, b) in morphisms)
-        self._known = {}
 
     def __contains__(self, key):
         g, f = key
         return f in self._tgt and self._tgt[f] == self._src.get(g)
 
     def __getitem__(self, key):
-        gf = self._known.get(key)
-        if gf is None:
-            if key not in self:
-                raise KeyError(key)
-            gf = self._known[key] = self._composite(*key)
-        return gf
-
-    def __setitem__(self, key, value):
         if key not in self:
             raise KeyError(key)
-        self._known[key] = value
+        return self._composite(*key)
 
     def __iter__(self):
         for (f, _, b) in self._morphisms:
@@ -114,13 +98,12 @@ class LazyComposites(Mapping):
                 yield (g, f)
 
     def items(self):
-        """Every (key, composite) pair in key order; see the class."""
-        known, composite, by_src = self._known, self._composite, self._by_src
+        """Every (key, composite) pair in key order, without the key checks
+        of a read."""
+        composite, by_src = self._composite, self._by_src
         for (f, _, b) in self._morphisms:
             for g in by_src.get(b, ()):
-                key = (g, f)
-                gf = known.get(key)
-                yield key, (composite(g, f) if gf is None else gf)
+                yield (g, f), composite(g, f)
 
     def __len__(self):
         return self._len

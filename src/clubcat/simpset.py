@@ -30,6 +30,7 @@ to theta*x.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from .errors import InputError
 from .fincat import FinCategory, LazyComposites
@@ -532,7 +533,8 @@ class SimplicialMap:
     Maps are interned: ``SimplicialMap(src, tgt, images, name)`` returns the
     one instance with that target set (by identity), name and image table
     (its items in order), kept in the source set's ``_smaps``, so it lives as
-    long as the source set.  ``images`` is therefore read-only.
+    long as the source set.  Every holder shares the instance, so ``images``
+    is a read-only mapping.
     ``_composed`` (f -> self∘f) memoizes ``compose_smaps``.
     """
 
@@ -544,7 +546,7 @@ class SimplicialMap:
             self = src._smaps[key] = object.__new__(cls)
             self.src = src
             self.tgt = tgt
-            self.images = images
+            self.images = MappingProxyType(images)
             self.name = name
             self._composed = {}
         return self

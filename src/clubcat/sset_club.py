@@ -39,6 +39,7 @@ the call, and report every (x, theta) that fails in walk order.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .fincat import FinCategory, Functor, LazyComposites
@@ -58,7 +59,9 @@ class SimplexFamily:
     ``values`` is keyed by non-degenerate simplex ids; ``face_maps[(y, i)]``
     maps the value at y to the value at the non-degenerate base of its i-th
     face.  Degeneracy operators act as identities, so the value at any
-    simplex is the value at its base.
+    simplex is the value at its base.  Both tables are read-only copies of
+    the ones given, so the transports cached from them cannot go stale: a
+    family with one entry changed is a new family.
 
     ``_identity``, ``_compose`` and ``_equal`` are the operations of the
     category the values live in: simplicial sets and their maps here.
@@ -70,8 +73,8 @@ class SimplexFamily:
 
     def __init__(self, base: SimplicialSet, values, face_maps, name=""):
         self.base = base
-        self.values = dict(values)
-        self.face_maps = dict(face_maps)
+        self.values = MappingProxyType(dict(values))
+        self.face_maps = MappingProxyType(dict(face_maps))
         self.name = name
         self._transport_cache = {}
         self._club_identity = None    # see identity_club_morphism
@@ -261,7 +264,7 @@ class PairCategorySSet(NamedTuple):
 
 def pair_category_sset(fam: SimplexFamily):
     """Materialize the pair category of a family (small fixtures only): its
-    objects and morphisms in full, its composites on first read.
+    objects and morphisms in full, its composites on read.
 
     Objects are the pairs (s, t), by s in canonical order, then t.  The
     morphisms out of (s, t) are the pairs (theta, theta2), theta acting on
@@ -530,7 +533,8 @@ class ClubObjectFamily(SimplexFamily):
     ``values[y]`` is the inner family over the value of psi at y, and
     ``face_maps[(y, i)].phi[t]`` transports the value at (y, t) along the
     i-th face of y.  ``psi``, the family of the values' bases with the base
-    maps of the face maps, is built from them."""
+    maps of the face maps, is built from them; the tables are read-only, so
+    psi cannot go stale."""
 
     _identity = staticmethod(identity_club_morphism)
     _compose = staticmethod(compose_club_morphisms)

@@ -16,13 +16,14 @@ from clubcat.fincat import discrete_category, find_isomorphism, validate_categor
 from clubcat.generate import random_two_level
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
-from clubcat.simpset import (SimplicialMap, disjoint_union, identity_smap,
-                             nf_id, nondeg, one_point, standard_simplex,
-                             validate_sset)
+from clubcat.simpset import (SimplexCategory, SimplicialMap, disjoint_union,
+                             identity_smap, nf_id, nondeg, one_point,
+                             standard_simplex, validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, constant_family,
                                constant_two_level, identity_club_morphism)
 from finset_reference import (reference_two_stage_colimit_check,
                               reference_validate_finset_diagram)
+from mutants import with_component
 
 
 def test_ipoint_hashes_as_its_fields():
@@ -331,10 +332,9 @@ def identity_map_mutant(diagrams):
     moved at that object's identity; and the object."""
     d, o = next((d, o) for d in diagrams for o in d.cat.objects
                 if len(d.values[o]) >= 2)
-    mutant = FinSetDiagram(d.cat, d.values, d.maps)
+    i = d.cat.identity(o)
     e0, e1 = d.values[o][:2]
-    mutant.maps[d.cat.identity(o)][e0] = e1
-    return mutant, o
+    return FinSetDiagram(d.cat, d.values, {**d.maps, i: {**d.maps[i], e0: e1}}), o
 
 
 def degenerate_map_mutant(diagrams):
@@ -343,16 +343,15 @@ def degenerate_map_mutant(diagrams):
     d, m = next((d, m) for d in diagrams for m in d.cat.nonidentity_morphisms()
                 if not d.cat.simplex_of[d.cat.src[m]].is_nondegenerate()
                 and len(d.values[d.cat.tgt[m]]) >= 2)
-    mutant = FinSetDiagram(d.cat, d.values, d.maps)
     e = d.values[d.cat.src[m]][0]
-    mutant.maps[m][e] = next(x for x in d.values[d.cat.tgt[m]]
-                             if x != d.maps[m][e])
-    return mutant
+    moved = next(x for x in d.values[d.cat.tgt[m]] if x != d.maps[m][e])
+    return FinSetDiagram(d.cat, d.values, {**d.maps, m: {**d.maps[m], e: moved}})
 
 
 def overridden_composite_diagram(diagrams):
     """The first valid pool diagram with one composite (g, f) sent to another
-    morphism out of the source of f that moves an element; and (g, f)."""
+    morphism out of the source of f that moves an element, over a category
+    of simplices of its own; and (g, f)."""
     d, key, other = next(
         (d, (g, f), other) for d in diagrams
         for (g, f), gf in d.cat.comp.items()
@@ -360,8 +359,11 @@ def overridden_composite_diagram(diagrams):
         and any(d.maps[other][e] != d.maps[gf][e]
                 for e in d.values[d.cat.src[f]]))
     assert validate_finset_diagram(d) == []
-    d.cat.comp[key] = other
-    return d, key
+    c = d.cat
+    cat = SimplexCategory(c.objects, c.morphisms, c.identities,
+                          {**c.comp, key: other}, c.simplex_of, c.operator_of,
+                          c.mor_of, name=c.name)
+    return FinSetDiagram(cat, d.values, d.maps, name=d.name), key
 
 
 def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
@@ -378,7 +380,6 @@ def test_finset_validation_matches_the_reference_on_map_mutants(monkeypatch):
 
 
 def test_finset_validation_reads_an_overridden_composite(monkeypatch):
-    # each family is drawn afresh, so the overridden table is this test's own
     d, key = overridden_composite_diagram(pool_diagrams(monkeypatch))
     report = validate_finset_diagram(d)
     assert any(r.startswith(f"functoriality fails at {key!r}") for r in report)
@@ -417,9 +418,8 @@ def test_two_stage_negative_control_matches_the_reference(monkeypatch):
     s = standard_simplex(2, 2)
     u = disjoint_union(one_point(2), one_point(2))
     a, b = u.nondeg[0]
-    tlf = constant_two_level(s, one_point(2), u)
-    tlf.face_maps[("012", 0)].phi["pt"] = SimplicialMap(
-        u, u, {a: nondeg(b, 0), b: nondeg(a, 0)})
+    tlf = with_component(constant_two_level(s, one_point(2), u), ("012", 0),
+                         "pt", SimplicialMap(u, u, {a: nondeg(b, 0), b: nondeg(a, 0)}))
     report, names = counted_check(monkeypatch, tlf)
     assert names == []
     assert report and all(r.startswith("one-stage diagram: functoriality fails")

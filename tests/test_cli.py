@@ -23,6 +23,7 @@ from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
                              standard_simplex)
 from clubcat.sset_club import constant_family
 from clubcat.algebra import AlgebraMorphism, constant_algebra_object
+from mutants import with_gamma
 
 
 @pytest.fixture
@@ -327,8 +328,7 @@ def unit_breaking_club():
     the objects of the fiber over a3."""
     from clubcat.operads import associative_operad, operad_to_club
     op = associative_operad(3, with_nullary=True)
-    op.gamma[("a1", ("a3",))] = "a0"
-    return operad_to_club(op)
+    return operad_to_club(with_gamma(op, ("a1", ("a3",)), "a0"))
 
 
 def test_club_check_reports_unit_law_failing_on_objects(tmp_path, capsys):

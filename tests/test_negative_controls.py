@@ -35,9 +35,9 @@ def negative_control_cases(monkeypatch):
              ("validate_family:swapped-face",
               lambda: validate_family(swapped_face_family()))]
     for n in (2, 3):
-        for i in range(len(swapped_face_families(n))):
+        for i, fam in enumerate(swapped_face_families(n)):
             cases.append((f"validate_family:swapped-face-families{n}-{i}",
-                          lambda n=n, i=i: validate_family(swapped_face_families(n)[i])))
+                          lambda fam=fam: validate_family(fam)))
     cases += [
         ("validate_functor:corrupted-pair-category",
          lambda: validate_functor(corrupted_pair_functor()[0])),

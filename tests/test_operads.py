@@ -17,6 +17,7 @@ from clubcat.operads import (Collection, NsOperad, SymCollection,
                              validate_ns_operad, validate_sym_operad)
 from clubcat import operads, suites
 from clubcat.semidirect import club_check
+from mutants import with_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +362,22 @@ def test_com_club_cap3_passes():
     assert club_check(sym_operad_to_club(commutative_operad(3))) == []
 
 
+# a composite sent to an element whose arity has no block permutation for
+# the product's non-identity morphism over it: operad, gamma key, result
+WRONG_ARITY = {
+    "comm2": (lambda: commutative_operad(2), ("a1", ("a2",)), "a1"),
+    "swap2": (swap_pair_operad, ("a", ("e", "e")), "e"),
+}
+
+
 def wrong_arity_club(name):
-    """The club of a symmetric operad with one composite sent to an element
-    whose arity has no block permutation for the product's non-identity
-    morphism over it."""
-    make, key, result = {
-        "comm2": (lambda: commutative_operad(2), ("a1", ("a2",)), "a1"),
-        "swap2": (swap_pair_operad, ("a", ("e", "e")), "e"),
-    }[name]
-    op = make()
-    op.gamma[key] = result
-    return sym_operad_to_club(op)
+    """The club of the symmetric operad ``WRONG_ARITY[name]`` with its one
+    composite changed."""
+    make, key, result = WRONG_ARITY[name]
+    return sym_operad_to_club(with_gamma(make(), key, result))
 
 
-@pytest.mark.parametrize("name", ["comm2", "swap2"])
+@pytest.mark.parametrize("name", WRONG_ARITY)
 def test_sym_club_with_wrong_arity_result_is_reported(name):
     report = club_check(wrong_arity_club(name))
     assert report and report[0].startswith("mu: ")

@@ -23,6 +23,7 @@ from clubcat.semidirect import (Products, _verify_iso, associator,
                                 trivial_club, unitors)
 
 from fincat_reference import constant_functor
+from mutants import with_gamma
 
 
 def arrow_diagram():
@@ -510,8 +511,8 @@ def test_unit_law_reports_match_golden(case):
     # to a0 breaks the left unit law, the right one or both; the full report
     # is compared line by line, in order
     from clubcat.operads import associative_operad, operad_to_club
-    op = associative_operad(3, with_nullary=True)
-    op.gamma[(case["op"], tuple(case["args"]))] = case["result"]
+    op = with_gamma(associative_operad(3, with_nullary=True),
+                    (case["op"], tuple(case["args"])), case["result"])
     assert club_check(operad_to_club(op)) == case["violations"]
 
 
@@ -659,8 +660,8 @@ def _join_club():
 def _golden_mutant_club():
     from clubcat.operads import associative_operad, operad_to_club
     case = _golden_unit_law_cases()[0]
-    mutant = associative_operad(3, with_nullary=True)
-    mutant.gamma[(case["op"], tuple(case["args"]))] = case["result"]
+    mutant = with_gamma(associative_operad(3, with_nullary=True),
+                        (case["op"], tuple(case["args"])), case["result"])
     return operad_to_club(mutant)
 
 

@@ -317,7 +317,7 @@ def test_simplex_category_operator_table_inverts_operator_of():
 
 def eager_simplex_composites(cat):
     """Every composite of a category of simplices, composed in advance: the
-    reference for the table that ``simplex_category`` fills on first read."""
+    reference for the table that ``simplex_category`` computes on read."""
     by_src = {}
     for (mid, a, _) in cat.morphisms:
         by_src.setdefault(a, []).append(mid)

@@ -8,7 +8,7 @@ import pytest
 from clubcat import simpset, sset_club, suites
 from clubcat.algebra import two_stage_colimit_check
 from clubcat.errors import InputError
-from clubcat.fincat import validate_category, validate_functor
+from clubcat.fincat import FinCategory, validate_category, validate_functor
 from clubcat.generate import random_family, random_two_level
 from clubcat.simpset import (SimplicialMap, all_monotone_maps,
                              apply_operator, boundary, compose_maps,
@@ -35,6 +35,7 @@ from bisimplicial_reference import (bisimplicial_of, reference_compose,
                                     reference_naturality_failures,
                                     reference_pair_category_sset,
                                     s_transport, validate_bisimplicial)
+from mutants import with_component, with_face_map
 
 
 def collapse_map(s, t):
@@ -117,8 +118,7 @@ def invalid_family():
     k0 = standard_simplex(1, 2)
     k1 = one_point(2)
     fam = minvertex_family(s, [k0, k1], [collapse_map(k0, k1)])
-    fam.face_maps[("01", 0)] = identity_smap(k0)
-    return fam
+    return with_face_map(fam, ("01", 0), identity_smap(k0))
 
 
 def test_invalid_family_is_rejected():
@@ -203,9 +203,11 @@ def corrupted_pair_functor():
     g, h = next(key for key in f.src.comp
                 if not (f.src.is_identity(key[0]) or f.src.is_identity(key[1])))
     key = (f.mmap[g], f.mmap[h])
-    pairs.cat.comp[key] = next(m for m in pairs.cat.mor_ids
-                               if m != pairs.cat.comp[key])
-    return delta_functor(res, pairs), (g, h)
+    c = pairs.cat
+    other = next(m for m in c.mor_ids if m != c.comp[key])
+    corrupted = FinCategory(c.objects, c.morphisms, c.identities,
+                            {**c.comp, key: other}, name=c.name)
+    return delta_functor(res, pairs._replace(cat=corrupted)), (g, h)
 
 
 def test_corrupted_pair_category_fails_the_functor_check():
@@ -224,7 +226,7 @@ def comparison_fixture():
 
 def eager_pair_composites(pairs):
     """Every composite of the pair category, composed in advance: the
-    reference for the table that ``pair_category_sset`` fills on first read."""
+    reference for the table that ``pair_category_sset`` computes on read."""
     by_src = {}
     for (mid, a, _) in pairs.cat.morphisms:
         by_src.setdefault(a, []).append(mid)
@@ -675,10 +677,9 @@ def hand_families(trunc):
     d1 = standard_simplex(1, trunc)
     amalgam = SimplexFamily(d1, {"0": pt, "1": pt, "01": s0},
                             {("01", i): collapse_map(s0, pt) for i in range(2)})
-    twisted = constant_family(d1, s0)
-    twisted.face_maps[("01", 0)] = swap_map(s0)
-    circle = constant_family(boundary(2, trunc), s0)
-    circle.face_maps[("01", 0)] = swap_map(s0)
+    twisted = with_face_map(constant_family(d1, s0), ("01", 0), swap_map(s0))
+    circle = with_face_map(constant_family(boundary(2, trunc), s0), ("01", 0),
+                           swap_map(s0))
     for fam in (amalgam, twisted, circle):
         assert validate_family(fam) == []
     return [amalgam, twisted, circle]
@@ -734,9 +735,7 @@ def swapped_face_family():
     map at (012, 0) the swap."""
     s = standard_simplex(2, 2)
     t = two_points(2)
-    fam = constant_family(s, t)
-    fam.face_maps[("012", 0)] = swap_map(t)
-    return fam
+    return with_face_map(constant_family(s, t), ("012", 0), swap_map(t))
 
 
 def test_swapped_face_map_breaks_functoriality():
@@ -753,8 +752,7 @@ def swapped_component_two_level(trunc=1):
     u = two_points(trunc)
     tlf = constant_two_level(standard_simplex(1, trunc),
                              standard_simplex(1, trunc), u)
-    tlf.face_maps[("01", 0)].phi["01"] = swap_map(u)
-    return tlf
+    return with_component(tlf, ("01", 0), "01", swap_map(u))
 
 
 def swapped_face_components_two_level():
@@ -763,8 +761,7 @@ def swapped_face_components_two_level():
     disagree."""
     u = two_points(2)
     tlf = constant_two_level(standard_simplex(2, 2), one_point(2), u)
-    tlf.face_maps[("012", 0)].phi["pt"] = swap_map(u)
-    return tlf
+    return with_component(tlf, ("012", 0), "pt", swap_map(u))
 
 
 def test_swapped_s_map_breaks_transport_naturality():
@@ -784,8 +781,9 @@ def missing_component_two_level():
     component at (01, 0, 01) removed."""
     s = standard_simplex(1, 1)
     tlf = constant_two_level(s, standard_simplex(1, 1), one_point(1))
-    del tlf.face_maps[("01", 0)].phi["01"]
-    return tlf
+    step = tlf.face_maps[("01", 0)]
+    phi = {t: m for t, m in step.phi.items() if t != "01"}
+    return with_face_map(tlf, ("01", 0), step._replace(phi=phi))
 
 
 def wrong_endpoint_two_level():
@@ -796,8 +794,7 @@ def wrong_endpoint_two_level():
     tlf = constant_two_level(s, standard_simplex(1, 1), u)
     wrong = SimplicialMap(u, standard_simplex(1, 1), {"pt": nondeg("0", 0)})
     assert validate_smap(wrong) == []
-    tlf.face_maps[("01", 0)].phi["01"] = wrong
-    return tlf
+    return with_component(tlf, ("01", 0), "01", wrong)
 
 
 def test_missing_s_map_is_one_missing_transport_component():
@@ -825,18 +822,54 @@ def test_face_map_from_another_club_object_has_wrong_endpoints():
 
 
 # ---------------------------------------------------------------------------
+# built values are frozen: their tables refuse writes, and a value with one
+# entry changed is built anew, with its derived tables
+
+def test_built_tables_refuse_writes():
+    d1 = standard_simplex(1, 1)
+    tlf = constant_two_level(d1, d1, one_point(1))
+    step = tlf.face_maps[("01", 0)]
+    with pytest.raises(TypeError):
+        tlf.values["01"] = tlf.values["0"]
+    with pytest.raises(TypeError):
+        tlf.face_maps[("01", 0)] = step
+    f = step.f
+    assert SimplicialMap(f.src, f.tgt, f.images, f.name) is f
+    with pytest.raises(TypeError):
+        f.images["0"] = f.images["1"]
+    comp = d1.category().comp
+    key = next(iter(comp))
+    with pytest.raises(TypeError):
+        comp[key] = comp[key]
+
+
+def test_a_face_map_over_another_base_map_has_its_own_psi():
+    # the face map at (01, 0) of the constant two-level family over the
+    # interval, moved over the base map constant at 0; psi is built from
+    # the new face map, so both checks see the same family
+    d1 = standard_simplex(1, 1)
+    tlf = constant_two_level(d1, d1, one_point(1))
+    const0 = SimplicialMap(d1, d1, {
+        "0": nondeg("0", 0), "1": nondeg("0", 0),
+        "01": apply_operator(d1, nondeg("0", 0), degeneracy_map(0, 0))})
+    assert validate_smap(const0) == []
+    moved = tlf.face_maps[("01", 0)]._replace(f=const0)
+    fam = ClubObjectFamily(tlf.base, tlf.values,
+                           {**tlf.face_maps, ("01", 0): moved})
+    assert fam.psi.face_maps[("01", 0)] is const0
+    assert validate_two_level(fam) == []
+    assert associativity_check(fam) == []
+
+
+# ---------------------------------------------------------------------------
 # the law walks, memoized on normal forms, against the unmemoized reference
 
 def swapped_face_families(n):
     """The constant family of two points over the n-simplex, at truncation
     n, with one face map swapped: one family for each face map."""
     s, t = standard_simplex(n, n), two_points(n)
-    out = []
-    for key in constant_family(s, t).face_maps:
-        fam = constant_family(s, t)
-        fam.face_maps[key] = swap_map(t)
-        out.append(fam)
-    return out
+    fam = constant_family(s, t)
+    return [with_face_map(fam, key, swap_map(t)) for key in fam.face_maps]
 
 
 def test_law_walks_match_the_unmemoized_reference():
