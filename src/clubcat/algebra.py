@@ -21,10 +21,10 @@ from .diagram import DiagramInCat, constantify
 from .errors import GuardrailExceeded, InputError
 from .fincat import FinCategory
 from .semidirect import build_semidirect
-from .simpset import (ExtensionalSSet, SimplexCategory, SimplicialMap,
-                      SimplicialSet, apply_operator, degeneracy_map,
-                      face_map, is_injective, is_kan_fibration, nf_id,
-                      normalize_extensional, validate_smap)
+from .simpset import (NormalForm, SimplexCategory, SimplicialMap,
+                      SimplicialSet, apply_operator, compose_maps,
+                      degeneracy_map, face_map, is_injective,
+                      is_kan_fibration, nf_id, nondeg, validate_smap)
 from .sset_club import (ClubMorphismSSet, ClubObjectFamily, compose,
                         compose_morphism)
 
@@ -211,32 +211,48 @@ def i_points_sset(x: AlgebraObject, generator):
 
 
 def _i_points_with_nf(x: AlgebraObject, generator):
+    """The point complex and the normal form of each probe, keyed by
+    (dimension, (simplex id, mapping)).
+
+    One pass by dimension over the probes in ``i_points`` order.  A probe is
+    degenerate when, for the first i < n, degenerating its i-th face at i
+    gives the probe back; it then takes that face's normal form with the
+    degeneracy composed on.  Every other probe is a new non-degenerate
+    simplex named "simplex|mapping", with faces read one dimension down.
+    """
     shape = x.shape
     lookup = shape.normal_forms()
-    tr = shape.trunc
-    elements = {n: [(p.simplex, p.mapping) for p in i_points(x, generator, n)]
-                for n in range(tr + 1)}
 
-    def act(n, theta):
-        table = {}
-        for (sid, mapping) in elements[n]:
-            xnf = lookup[sid]
-            target = apply_operator(shape, xnf, theta)
-            f = x.diagram.maps[SimplexCategory.mor_id(sid, theta)]
-            table[(sid, mapping)] = (nf_id(target),
-                                     tuple(f[e] for e in mapping))
-        return table
+    def act(probe, theta):
+        sid, mapping = probe
+        f = x.diagram.maps[SimplexCategory.mor_id(sid, theta)]
+        return (nf_id(apply_operator(shape, lookup[sid], theta)),
+                tuple(f[e] for e in mapping))
 
-    face, degen = {}, {}
-    for n in range(tr + 1):
-        if n >= 1:
-            for i in range(n + 1):
-                face[(n, i)] = act(n, face_map(n, i))
-        if n + 1 <= tr:
-            for i in range(n + 1):
-                degen[(n, i)] = act(n, degeneracy_map(n, i))
-    ext = ExtensionalSSet(tr, elements, face, degen, name=f"pts({shape.name})")
-    return normalize_extensional(ext)
+    nf_of = {}
+    nondeg_by_dim = {}
+    faces = {}
+    for n in range(shape.trunc + 1):
+        nondeg_by_dim[n] = []
+        for p in i_points(x, generator, n):
+            probe = (p.simplex, p.mapping)
+            below = []
+            for i in range(n + 1) if n else ():
+                face = act(probe, face_map(n, i))
+                if i < n and act(face, degeneracy_map(n - 1, i)) == probe:
+                    nf = nf_of[(n - 1, face)]
+                    nf_of[(n, probe)] = NormalForm(
+                        compose_maps(nf.eta, degeneracy_map(n - 1, i)), nf.base)
+                    break
+                below.append(nf_of[(n - 1, face)])
+            else:
+                name = f"{p.simplex}|{p.mapping}"
+                nf_of[(n, probe)] = nondeg(name, n)
+                nondeg_by_dim[n].append(name)
+                if n:
+                    faces[name] = below
+    return (SimplicialSet(shape.trunc, nondeg_by_dim, faces,
+                          name=f"pts({shape.name})"), nf_of)
 
 
 class AlgebraMorphism(NamedTuple):
@@ -249,7 +265,9 @@ class AlgebraMorphism(NamedTuple):
 
 
 def validate_algebra_morphism(m: AlgebraMorphism):
-    report = [f"shape map: {r}" for r in validate_smap(m.f)]
+    report = ([f"source diagram: {r}" for r in validate_finset_diagram(m.src.diagram)]
+              + [f"target diagram: {r}" for r in validate_finset_diagram(m.tgt.diagram)]
+              or [f"shape map: {r}" for r in validate_smap(m.f)])
     if report:
         return report
     cat = m.src.diagram.cat

@@ -96,9 +96,9 @@ def _validate_value(kind, value):
         return validate_sset(value)
     if kind == "map":
         return (validate_sset(value.src) + validate_sset(value.tgt)
-                + validate_smap(value))
+                or validate_smap(value))
     if kind == "club-object":
-        return validate_sset(value.base) + validate_family(value)
+        return validate_family(value)
     if kind == "operad":
         return _operad_violations(value)
     if kind == "club":
@@ -106,7 +106,7 @@ def _validate_value(kind, value):
                 + [f"mu: {r}" for r in validate_diagram_morphism(value.mu)]
                 + [f"eta: {r}" for r in validate_diagram_morphism(value.eta)])
     if kind == "algebra-object":
-        return validate_sset(value.shape) + validate_finset_diagram(value.diagram)
+        return validate_finset_diagram(value.diagram)
     if kind == "algebra-morphism":
         return validate_algebra_morphism(value)
     raise InputError(f"no validator for kind {kind!r}")
@@ -179,6 +179,7 @@ def cmd_sset_compose(args):
 
 def cmd_sset_kan_check(args):
     value = _parse_as(args.file, "map", "kan-check")
+    _require_valid(_validate_value("map", value), "invalid map")
     max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
     if max_dim < 0:
         raise InputError("kan-check needs a nonnegative --max-dim")
@@ -264,6 +265,7 @@ def cmd_algebra_ipoints(args):
         raise InputError("ipoints needs a nonnegative --dim")
     generator = _generator(args)
     obj = _parse_as(args.file, "algebra-object", "ipoints")
+    _require_valid(validate_finset_diagram(obj.diagram), "invalid set diagram")
     if args.dim is not None:
         pts = i_points(obj, generator, args.dim)
         details = {"dimension": args.dim, "count": len(pts)}

@@ -19,7 +19,7 @@ from .fincat import FinCategory, Functor, functor_key
 from .operads import NsOperad, SymOperad
 from .semidirect import ClubStructure, build_semidirect
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
-                      nf_id)
+                      nf_id, validate_sset)
 from .sset_club import SimplexFamily
 
 
@@ -228,8 +228,18 @@ def club_object_to_json(fam: SimplexFamily):
     return out
 
 
+def _valid_sset_from_json(data, what):
+    """``sset_from_json`` for a simplicial set the loader builds on: one
+    that fails ``validate_sset`` is refused with ``SchemaError``."""
+    s = sset_from_json(data, what)
+    bad = validate_sset(s)
+    if bad:
+        raise SchemaError(f"{what} is not a valid simplicial set: {bad[0]}")
+    return s
+
+
 def club_object_from_json(data, what="club object"):
-    base = sset_from_json(_need(data, "base", what), f"{what} base")
+    base = _valid_sset_from_json(_need(data, "base", what), f"{what} base")
     fibers_raw = _need_dict(_need(data, "fibers", what), f"{what} fibers")
     values = {}
     for k in range(base.trunc + 1):
@@ -397,7 +407,7 @@ def algebra_object_to_json(x):
 
 
 def algebra_object_from_json(data, what="algebra object"):
-    shape = sset_from_json(_need(data, "shape", what), f"{what} shape")
+    shape = _valid_sset_from_json(_need(data, "shape", what), f"{what} shape")
     if "constant" in data:
         return constant_algebra_object(
             shape, _need_id_tuple(data["constant"], f"{what} constant element"))

@@ -656,12 +656,6 @@ def _smap_search(a: SimplicialSet, b: SimplicialSet, candidates, distinct):
     return backtrack(0)
 
 
-def enumerate_smaps(a: SimplicialSet, b: SimplicialSet):
-    """All simplicial maps a -> b, deterministically ordered (small inputs)."""
-    return [SimplicialMap(a, b, dict(images))
-            for images in _smap_search(a, b, b.all_simplices, distinct=False)]
-
-
 def iso_sset(s: SimplicialSet, t: SimplicialSet):
     """First isomorphism s -> t (bijective on non-degenerate simplices), or None."""
     if s.trunc != t.trunc:
@@ -744,81 +738,16 @@ def simplex_category(s: SimplicialSet):
 
 
 # ---------------------------------------------------------------------------
-# extensional presentations and normalization
-
-class ExtensionalSSet:
-    """A simplicial set given by raw elements per dimension and generator actions."""
-
-    def __init__(self, trunc, elements, face, degen, name=""):
-        self.trunc = trunc
-        self.elements = {k: list(elements.get(k, [])) for k in range(trunc + 1)}
-        self.face = face      # (k, i) -> dict element -> element  (dim k -> k-1)
-        self.degen = degen    # (k, i) -> dict element -> element  (dim k -> k+1)
-        self.name = name
-
-    def d(self, k, i, e):
-        return self.face[(k, i)][e]
-
-    def s(self, k, i, e):
-        return self.degen[(k, i)][e]
-
-
-def _default_id(elt):
-    if isinstance(elt, tuple):
-        return "|".join(str(p) for p in elt)
-    return str(elt)
-
-
-def normalize_extensional(e: ExtensionalSSet, id_fn=_default_id):
-    """Compute the non-degenerate skeleton and face normal forms.
-
-    Returns (SimplicialSet, nf_of) where nf_of maps (dim, element) to the
-    normal form of that element in the result.
-    """
-    nf_of = {}
-    nondeg_by_dim = {k: [] for k in range(e.trunc + 1)}
-    faces = {}
-    for k in range(e.trunc + 1):
-        for elt in e.elements[k]:
-            if k == 0:
-                nf_of[(0, elt)] = nondeg(id_fn(elt), 0)
-                nondeg_by_dim[0].append(id_fn(elt))
-                continue
-            split = None
-            for i in range(k):
-                if e.s(k - 1, i, e.d(k, i, elt)) == elt:
-                    split = i
-                    break
-            if split is None:
-                sid = id_fn(elt)
-                nf_of[(k, elt)] = nondeg(sid, k)
-                nondeg_by_dim[k].append(sid)
-            else:
-                below = nf_of[(k - 1, e.d(k, split, elt))]
-                nf_of[(k, elt)] = NormalForm(
-                    compose_maps(below.eta, degeneracy_map(k - 1, split)),
-                    below.base)
-        # face tables once the whole dimension is classified
-        if k > 0:
-            for elt in e.elements[k]:
-                nf = nf_of[(k, elt)]
-                if nf.is_nondegenerate():
-                    faces[nf.base] = [nf_of[(k - 1, e.d(k, i, elt))]
-                                      for i in range(k + 1)]
-    result = SimplicialSet(e.trunc, nondeg_by_dim, faces, name=e.name)
-    return result, nf_of
-
-
-# ---------------------------------------------------------------------------
 # Kan fibration checking
 
 def is_kan_fibration(f: SimplicialMap, max_dim):
     """Brute-force horn lifting up to the given dimension.
 
-    For every n <= max_dim, every horn index k and every commuting square
-    (horn -> src, simplex -> tgt) search for a diagonal lift.  Returns
-    (True, None) or (False, witness) with the first failing square in
-    canonical order.
+    For every n <= max_dim, every horn index k and every horn map u into the
+    source, in the order of the map search, the n-simplices of the target
+    whose faces are the images of u's faces must all be images of fillers
+    of u.  Returns (True, None) or (False, witness) with the first failing
+    square (u, w) in canonical order.
     """
     if max_dim > f.src.trunc - 1:
         raise InputError("horn checking needs max_dim <= trunc - 1")
@@ -828,28 +757,22 @@ def is_kan_fibration(f: SimplicialMap, max_dim):
             h = horn(n, k, src.trunc)
             horn_face_ids = [_subset_id([v for v in range(n + 1) if v != i])
                              for i in range(n + 1)]
-            for u in enumerate_smaps(h, src):
+            for u in _smap_search(h, src, src.all_simplices, distinct=False):
                 # faces of the sought lift forced by u (all i except k)
-                forced = {i: u.images[horn_face_ids[i]] for i in range(n + 1) if i != k}
+                forced = {i: u[horn_face_ids[i]] for i in range(n + 1) if i != k}
                 fu = {i: f.apply(forced[i]) for i in forced}
+                lifted = {f.apply(z) for z in src.all_simplices(n)
+                          if all(apply_operator(src, z, face_map(n, i)) == forced[i]
+                                 for i in forced)}
                 for w in tgt.all_simplices(n):
-                    if any(apply_operator(tgt, w, face_map(n, i)) != fu[i] for i in fu):
+                    if w in lifted or any(
+                            apply_operator(tgt, w, face_map(n, i)) != fu[i]
+                            for i in fu):
                         continue
-                    # the square (u, w) commutes; search a lift
-                    lift = None
-                    for z in src.all_simplices(n):
-                        if f.apply(z) != w:
-                            continue
-                        if any(apply_operator(src, z, face_map(n, i)) != forced[i]
-                               for i in forced):
-                            continue
-                        lift = z
-                        break
-                    if lift is None:
-                        witness = {
-                            "horn": (n, k),
-                            "horn_map": {x: nf_id(v) for x, v in sorted(u.images.items())},
-                            "simplex_image": nf_id(w),
-                        }
-                        return False, witness
+                    witness = {
+                        "horn": (n, k),
+                        "horn_map": {x: nf_id(v) for x, v in sorted(u.items())},
+                        "simplex_image": nf_id(w),
+                    }
+                    return False, witness
     return True, None

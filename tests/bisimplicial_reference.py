@@ -1,5 +1,12 @@
 """The pair bisimplicial set of a family, kept as a reference for the tests.
 
+It keeps the extensional presentation of a simplicial set, which the
+package no longer has: ``ExtensionalSSet`` holds every simplex with full
+face and degeneracy tables, and ``normalize_extensional`` (with its
+``_default_id`` naming) reduces it to normal form.  The slices and the
+diagonal below are built on it, and ``finset_reference`` builds the old
+point complexes on it.
+
 ``compose`` builds the diagonal of the pairs (s, t) directly.  This module
 builds the whole bisimplicial set, every bidegree with its horizontal and
 vertical actions, and then takes its diagonal, as the package did before.
@@ -18,14 +25,82 @@ composite's category of simplices.
 """
 
 from clubcat.fincat import FinCategory, LazyComposites
-from clubcat.simpset import (ExtensionalSSet, _default_id, all_monotone_maps,
+from clubcat.simpset import (NormalForm, SimplicialSet, all_monotone_maps,
                              apply_operator, compose_maps, compose_smaps,
                              degeneracy_map, ez_factor, face_map,
-                             identity_smap, nf_id, nondeg,
-                             normalize_extensional, smap_equal)
+                             identity_smap, nf_id, nondeg, smap_equal)
 from clubcat.sset_club import (PairCategorySSet, compose,
                                compose_morphism)
 
+
+# ---------------------------------------------------------------------------
+# extensional presentations and normalization
+
+class ExtensionalSSet:
+    """A simplicial set given by raw elements per dimension and generator actions."""
+
+    def __init__(self, trunc, elements, face, degen, name=""):
+        self.trunc = trunc
+        self.elements = {k: list(elements.get(k, [])) for k in range(trunc + 1)}
+        self.face = face      # (k, i) -> dict element -> element  (dim k -> k-1)
+        self.degen = degen    # (k, i) -> dict element -> element  (dim k -> k+1)
+        self.name = name
+
+    def d(self, k, i, e):
+        return self.face[(k, i)][e]
+
+    def s(self, k, i, e):
+        return self.degen[(k, i)][e]
+
+
+def _default_id(elt):
+    if isinstance(elt, tuple):
+        return "|".join(str(p) for p in elt)
+    return str(elt)
+
+
+def normalize_extensional(e: ExtensionalSSet, id_fn=_default_id):
+    """Compute the non-degenerate skeleton and face normal forms.
+
+    Returns (SimplicialSet, nf_of) where nf_of maps (dim, element) to the
+    normal form of that element in the result.
+    """
+    nf_of = {}
+    nondeg_by_dim = {k: [] for k in range(e.trunc + 1)}
+    faces = {}
+    for k in range(e.trunc + 1):
+        for elt in e.elements[k]:
+            if k == 0:
+                nf_of[(0, elt)] = nondeg(id_fn(elt), 0)
+                nondeg_by_dim[0].append(id_fn(elt))
+                continue
+            split = None
+            for i in range(k):
+                if e.s(k - 1, i, e.d(k, i, elt)) == elt:
+                    split = i
+                    break
+            if split is None:
+                sid = id_fn(elt)
+                nf_of[(k, elt)] = nondeg(sid, k)
+                nondeg_by_dim[k].append(sid)
+            else:
+                below = nf_of[(k - 1, e.d(k, split, elt))]
+                nf_of[(k, elt)] = NormalForm(
+                    compose_maps(below.eta, degeneracy_map(k - 1, split)),
+                    below.base)
+        # face tables once the whole dimension is classified
+        if k > 0:
+            for elt in e.elements[k]:
+                nf = nf_of[(k, elt)]
+                if nf.is_nondegenerate():
+                    faces[nf.base] = [nf_of[(k - 1, e.d(k, i, elt))]
+                                      for i in range(k + 1)]
+    result = SimplicialSet(e.trunc, nondeg_by_dim, faces, name=e.name)
+    return result, nf_of
+
+
+# ---------------------------------------------------------------------------
+# the pair bisimplicial set and its diagonal
 
 class BisimplicialSet:
     """Elements graded by bidegree with commuting horizontal and vertical actions."""

@@ -1,5 +1,5 @@
-"""Set-valued diagram checks as the package computed them before, kept as
-references for the tests.
+"""Set-valued diagram checks, point complexes and horn lifting as the
+package computed them before, kept as references for the tests.
 
 ``reference_validate_finset_diagram`` walks every composable pair by
 iterating over the composition table and reading each composite by key, and
@@ -9,11 +9,22 @@ colimit once per object of the base's category of simplices, degenerate
 simplices included, and converts each simplicial map to its vertex function
 at every use.  The tests compare the package's checks with them report for
 report.
+
+``reference_i_points_with_nf`` builds the point complex as the package did
+before it built it in normal form: the face and degeneracy tables of every
+probe as an ``ExtensionalSSet``, reduced by ``normalize_extensional``.
+``reference_is_kan_fibration`` lifts horns as the package did before it
+read the map search directly: it lists every horn map as an interned
+``SimplicialMap`` first, then searches a lift per commuting square.  The
+tests compare point complexes byte for byte and verdicts with witnesses.
 """
 
-from clubcat.algebra import FinSetDiagram, colimit_finset
+from bisimplicial_reference import ExtensionalSSet, normalize_extensional
+from clubcat.algebra import FinSetDiagram, colimit_finset, i_points
 from clubcat.errors import InputError
-from clubcat.simpset import nf_id
+from clubcat.simpset import (SimplexCategory, SimplicialMap, _smap_search,
+                             _subset_id, apply_operator, degeneracy_map,
+                             face_map, horn, nf_id)
 from clubcat.sset_club import compose
 
 
@@ -170,3 +181,74 @@ def reference_two_stage_colimit_check(tlf):
     if missing:
         report.append(f"comparison misses {len(missing)} two-stage classes")
     return report
+
+
+def reference_i_points_with_nf(x, generator):
+    shape = x.shape
+    lookup = shape.normal_forms()
+    tr = shape.trunc
+    elements = {n: [(p.simplex, p.mapping) for p in i_points(x, generator, n)]
+                for n in range(tr + 1)}
+
+    def act(n, theta):
+        table = {}
+        for (sid, mapping) in elements[n]:
+            xnf = lookup[sid]
+            target = apply_operator(shape, xnf, theta)
+            f = x.diagram.maps[SimplexCategory.mor_id(sid, theta)]
+            table[(sid, mapping)] = (nf_id(target),
+                                     tuple(f[e] for e in mapping))
+        return table
+
+    face, degen = {}, {}
+    for n in range(tr + 1):
+        if n >= 1:
+            for i in range(n + 1):
+                face[(n, i)] = act(n, face_map(n, i))
+        if n + 1 <= tr:
+            for i in range(n + 1):
+                degen[(n, i)] = act(n, degeneracy_map(n, i))
+    ext = ExtensionalSSet(tr, elements, face, degen, name=f"pts({shape.name})")
+    return normalize_extensional(ext)
+
+
+def reference_enumerate_smaps(a, b):
+    """All simplicial maps a -> b, deterministically ordered (small inputs)."""
+    return [SimplicialMap(a, b, dict(images))
+            for images in _smap_search(a, b, b.all_simplices, distinct=False)]
+
+
+def reference_is_kan_fibration(f, max_dim):
+    if max_dim > f.src.trunc - 1:
+        raise InputError("horn checking needs max_dim <= trunc - 1")
+    src, tgt = f.src, f.tgt
+    for n in range(1, max_dim + 1):
+        for k in range(n + 1):
+            h = horn(n, k, src.trunc)
+            horn_face_ids = [_subset_id([v for v in range(n + 1) if v != i])
+                             for i in range(n + 1)]
+            for u in reference_enumerate_smaps(h, src):
+                # faces of the sought lift forced by u (all i except k)
+                forced = {i: u.images[horn_face_ids[i]] for i in range(n + 1) if i != k}
+                fu = {i: f.apply(forced[i]) for i in forced}
+                for w in tgt.all_simplices(n):
+                    if any(apply_operator(tgt, w, face_map(n, i)) != fu[i] for i in fu):
+                        continue
+                    # the square (u, w) commutes; search a lift
+                    lift = None
+                    for z in src.all_simplices(n):
+                        if f.apply(z) != w:
+                            continue
+                        if any(apply_operator(src, z, face_map(n, i)) != forced[i]
+                               for i in forced):
+                            continue
+                        lift = z
+                        break
+                    if lift is None:
+                        witness = {
+                            "horn": (n, k),
+                            "horn_map": {x: nf_id(v) for x, v in sorted(u.images.items())},
+                            "simplex_image": nf_id(w),
+                        }
+                        return False, witness
+    return True, None

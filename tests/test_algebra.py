@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from clubcat import algebra
+from clubcat import algebra, formats
 from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              FinSetDiagram, IPoint, act_category,
                              colimit_act, colimit_finset,
@@ -13,15 +14,20 @@ from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              validate_algebra_morphism,
                              validate_finset_diagram)
 from clubcat.fincat import discrete_category, find_isomorphism, validate_category
-from clubcat.generate import random_two_level
+from clubcat.generate import random_stability_sample, random_two_level
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
-from clubcat.simpset import (SimplexCategory, SimplicialMap, disjoint_union,
-                             identity_smap, nf_id, nondeg, one_point,
+from clubcat.simpset import (MonotoneMap, NormalForm, SimplexCategory,
+                             SimplicialMap, boundary, degeneracy_map,
+                             disjoint_union, horn, identity_smap,
+                             is_kan_fibration, nf_id, nondeg, one_point,
                              standard_simplex, validate_sset)
-from clubcat.sset_club import (ClubMorphismSSet, constant_family,
-                               constant_two_level, identity_club_morphism)
-from finset_reference import (reference_two_stage_colimit_check,
+from clubcat.sset_club import (ClubMorphismSSet, compose, compose_morphism,
+                               constant_family, constant_two_level,
+                               identity_club_morphism)
+from finset_reference import (reference_i_points_with_nf,
+                              reference_is_kan_fibration,
+                              reference_two_stage_colimit_check,
                               reference_validate_finset_diagram)
 from mutants import with_component
 
@@ -472,3 +478,115 @@ def test_two_stage_comparison_reports_injected_faults(monkeypatch):
     for prefix in ("comparison not well-defined at class ",
                    "colimit sizes differ: ", "comparison misses "):
         assert any(r.startswith(prefix) for r in reports)
+
+
+def sweep_objects():
+    """Constant algebra objects over six small shapes at truncation 1-3,
+    with 1-3 elements, each with the generators of 0-2 elements."""
+    for trunc in (1, 2, 3):
+        shapes = [standard_simplex(1, trunc), standard_simplex(2, trunc),
+                  boundary(2, trunc), horn(2, 1, trunc), one_point(trunc),
+                  disjoint_union(one_point(trunc), standard_simplex(1, trunc))]
+        for shape in shapes:
+            for size in (1, 2, 3):
+                x = constant_algebra_object(shape, [f"e{i}" for i in range(size)])
+                for gen in ((), ("g0",), ("g0", "g1")):
+                    yield x, gen
+
+
+def degenerate_loop_object():
+    """Over the point at truncation 1: {u} at the vertex and {u, w} at its
+    degenerate edge, every other operator sending everything to u.  The
+    degeneracy is not a bijection, and the probe (s0 pt, w) is a
+    non-degenerate loop."""
+    shape = one_point(1)
+    cat = shape.category()
+    values = {o: ["u"] if cat.simplex_of[o].is_nondegenerate() else ["u", "w"]
+              for o in cat.objects}
+    maps = {m: ({e: e for e in values[cat.src[m]]} if m == cat.identity(cat.src[m])
+                else {e: "u" for e in values[cat.src[m]]})
+            for m in cat.mor_ids}
+    return AlgebraObject(shape, FinSetDiagram(cat, values, maps))
+
+
+def point_complex_bytes(pair):
+    sset, nf_of = pair
+    return (json.dumps(formats.sset_to_json(sset)), sset.name, repr(list(nf_of.items())))
+
+
+def test_point_complexes_match_the_extensional_reference():
+    cases = list(sweep_objects())
+    assert len(cases) == 162
+    loop = degenerate_loop_object()
+    assert validate_finset_diagram(loop.diagram) == []
+    cases += [(loop, gen) for gen in ((), ("g0",), ("g0", "g1"))]
+    for x, gen in cases:
+        assert (point_complex_bytes(algebra._i_points_with_nf(x, gen))
+                == point_complex_bytes(reference_i_points_with_nf(x, gen)))
+
+
+def test_a_non_bijective_degeneracy_gives_a_non_degenerate_loop():
+    x = degenerate_loop_object()
+    sset, nf_of = algebra._i_points_with_nf(x, ("g0",))
+    edge = nf_id(x.shape.all_simplices(1)[0])
+    loop = nf_of[(1, (edge, ("w",)))]
+    assert loop.is_nondegenerate()
+    assert not nf_of[(1, (edge, ("u",)))].is_nondegenerate()
+    vertex = nf_of[(0, ("pt", ("u",)))]
+    assert sset.faces[loop.base] == [vertex, vertex]
+    assert [len(sset.nondeg[k]) for k in (0, 1)] == [1, 1]
+
+
+def kan_verdicts_agree(f, max_dim):
+    got = is_kan_fibration(f, max_dim)
+    assert got == reference_is_kan_fibration(f, max_dim)
+    return got
+
+
+def test_horn_lifting_matches_the_reference_on_stability_composites():
+    verdicts = []
+    for trunc in (2, 3):
+        for seed in range(20):
+            m = random_stability_sample(random.Random(seed), trunc)
+            composed = compose_morphism(m, compose(m.src), compose(m.tgt))
+            verdicts.append(kan_verdicts_agree(composed, trunc - 1)[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_horn_lifting_matches_the_reference_on_induced_maps():
+    # the identity, the collapse of the values and the collapse onto the
+    # point, on each swept object above truncation 1 with at most one
+    # generator element
+    verdicts = []
+    for x, gen in sweep_objects():
+        shape = x.shape
+        if shape.trunc == 1 or len(gen) == 2:
+            continue
+        cat = shape.category()
+        first = x.diagram.values[cat.objects[0]][0]
+        pt = one_point(shape.trunc)
+        to_point = SimplicialMap(shape, pt, {
+            y: NormalForm(MonotoneMap(0, [0] * (k + 1)), "pt")
+            for k in range(shape.trunc + 1) for y in shape.nondeg[k]})
+        for tgt, f, phi in (
+                (x, identity_smap(shape), lambda e: e),
+                (constant_algebra_object(shape, [first]), identity_smap(shape),
+                 lambda e: first),
+                (constant_algebra_object(pt, [first]), to_point,
+                 lambda e: first)):
+            m = AlgebraMorphism(x, tgt, f,
+                                {oid: {e: phi(e) for e in x.diagram.values[oid]}
+                                 for oid in cat.objects})
+            assert validate_algebra_morphism(m) == []
+            verdicts.append(kan_verdicts_agree(
+                induced_map(m, gen), shape.trunc - 1)[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_horn_lifting_matches_the_reference_on_the_interval_over_a_point():
+    pt = one_point(3)
+    to_point = SimplicialMap(standard_simplex(1, 3), pt, {
+        "0": nondeg("pt", 0), "1": nondeg("pt", 0),
+        "01": NormalForm(degeneracy_map(0, 0), "pt")})
+    ok, witness = kan_verdicts_agree(to_point, 2)
+    assert not ok and witness["horn"] == (2, 0)

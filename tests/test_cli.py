@@ -17,7 +17,8 @@ from clubcat import cli, formats, simpset, suites
 from clubcat.cli import build_parser, main
 from clubcat.fincat import walking_arrow
 from clubcat.generate import random_diagram, random_family
-from clubcat.operads import commutative_operad, cyclic_group_operad, free_operad
+from clubcat.operads import (commutative_operad, cyclic_group_operad,
+                             free_operad, operad_to_club)
 from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
                              identity_smap, nondeg, one_point,
                              standard_simplex)
@@ -258,7 +259,6 @@ def _single_field_fuzz(original, tmp_path, capsys):
 
 
 def test_club_file_single_field_fuzz_never_crashes(tmp_path, capsys):
-    from clubcat.operads import operad_to_club
     original = formats.serialize("club", operad_to_club(free_operad({2: ["g"]}, 2)))
     assert _single_field_fuzz(original, tmp_path, capsys) == 438
 
@@ -297,6 +297,63 @@ def test_loader_single_field_fuzz_never_crashes(kind, tmp_path, capsys):
     make, mutations = LOADER_FUZZ_FIXTURES[kind]
     original = formats.serialize(kind, make())
     assert _single_field_fuzz(original, tmp_path, capsys) == mutations
+
+
+# kind -> the commands besides validate that read a file of that kind
+FILE_READERS = {
+    "map": [["sset", "kan-check"]],
+    "operad": [["operad", "to-club"], ["operad", "roundtrip"]],
+    "club": [["club-check"]],
+    "club-object": [["sset", "compose"], ["sset", "law-check"]],
+    "algebra-object": [["algebra", "ipoints"], ["algebra", "colimit"]],
+    "algebra-morphism": [["algebra", "fibration-check"]],
+}
+
+# fixture -> number of dict keys in its file
+_DELETIONS = {"category": 17, "diagram": 27, "sset": 30, "map": 34,
+              "operad": 18, "algebra-morphism": 180}
+
+# fixture -> (kind, fixture, number of dict keys in its file): the loader
+# fixtures, and those of the club, club-object and algebra-object fuzz tests
+DELETION_FUZZ_FIXTURES = {
+    **{kind: (kind, make, _DELETIONS[kind])
+       for kind, (make, _) in LOADER_FUZZ_FIXTURES.items()},
+    # trunc 1 has no horns, so kan-check searches only from trunc 2 on
+    "map-trunc-2": ("map", lambda: identity_smap(standard_simplex(2, 2)), 82),
+    "club": ("club", lambda: operad_to_club(free_operad({2: ["g"]}, 2)), 96),
+    "club-object": ("club-object",
+                    lambda: random_family(random.Random(3), 1), 63),
+    "algebra-object": ("algebra-object", lambda: constant_algebra_object(
+        standard_simplex(1, 1), ["u", "v"]), 77),
+}
+
+
+@pytest.mark.parametrize("fixture", DELETION_FUZZ_FIXTURES)
+def test_single_key_deletion_fuzz_never_crashes(fixture, tmp_path, capsys):
+    """Delete every dict key of a serialized file in turn, and run validate
+    and each command that reads the file's kind: each exits 0-3, and an
+    exit 2 prints an error line."""
+    kind, make, deletions = DELETION_FUZZ_FIXTURES[fixture]
+    original = formats.serialize(kind, make())
+    path = tmp_path / "mutant.json"
+    count = 0
+    for where in _json_paths(original):
+        data = json.loads(json.dumps(original))
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        if not isinstance(node, dict):
+            continue
+        del node[where[-1]]
+        path.write_text(json.dumps(data))
+        for command in [["validate"]] + FILE_READERS.get(kind, []):
+            capsys.readouterr()
+            code = main(command + [str(path)])
+            assert code in (0, 1, 2, 3), (where, command)
+            if code == 2:
+                assert capsys.readouterr().err.startswith("error:"), (where, command)
+        count += 1
+    assert count == deletions
 
 
 def test_validating_a_deep_truncation_composes_almost_nothing(tmp_path,
@@ -353,6 +410,25 @@ def test_algebra_commands(workspace, capsys):
                  "--dim", "0"]) == 0
     assert main(["algebra", "fibration-check", "--samples", "4",
                  "--seed", "1"]) == 0
+
+
+def test_algebra_commands_refuse_a_map_that_leaves_its_target(tmp_path, capsys):
+    x = constant_algebra_object(standard_simplex(1, 1), ["u", "v"])
+    obj = formats.serialize("algebra-object", x)
+    obj["maps"]["01!0"]["v"] = "w"
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    assert main(["algebra", "ipoints", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid set diagram: map at '01!0' leaves the target")
+    morphism = formats.serialize("algebra-morphism", _identity_algebra_morphism(x))
+    morphism["tgt"] = obj
+    path.write_text(json.dumps(morphism))
+    assert main(["--json", "validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"][
+        "violations"] == ["target diagram: map at '01!0' leaves the target at 'v'"]
+    assert main(["algebra", "fibration-check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid morphism: target diagram: ")
 
 
 def test_suite_deterministic(capsys):
