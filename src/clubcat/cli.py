@@ -8,6 +8,8 @@ and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import random
 import sys
 
@@ -31,6 +33,11 @@ from .sset_club import (associativity_check, compose, constant_family,
 from .suites import SUITES, Report, run_suite
 
 PASS, FAIL, BAD_INPUT, GUARDRAIL = 0, 1, 2, 3
+
+# At exit, move every live object to the garbage collector's permanent
+# generation, so that interpreter finalization walks no cycles and the OS
+# reclaims the memory; gc.disable() would not do, finalization collects anyway.
+atexit.register(gc.freeze)
 
 
 def _emit(report, args):

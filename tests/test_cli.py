@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -716,6 +717,62 @@ def test_report_out_writes_file(workspace, tmp_path):
                  str(workspace / "interval.json")]) == 0
     data = json.loads(out.read_text())
     assert data["summary"]["failed"] == 0
+
+
+def _cli_subprocess(argv, cwd):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "clubcat.cli"] + argv,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          timeout=120)
+
+
+def test_no_output_is_lost_at_exit(tmp_path):
+    # the CLI freezes the heap at exit, so finalization frees no cycles; every
+    # byte of stdout, --report-out and -o must still be written
+    argv = ["--json", "--report-out", "R", "suite", "stability", "--trunc",
+            "2", "--seed", "3", "--samples", "4"]
+    proc = _cli_subprocess(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv[:2] + [str(tmp_path / "in-process.json")]
+                    + argv[3:]) == 0
+    assert proc.stdout == (tmp_path / "R").read_bytes()
+    assert proc.stdout == stdout.getvalue().encode("utf-8")
+    assert proc.stdout == (tmp_path / "in-process.json").read_bytes()
+
+    operad = free_operad({2: ["g"]}, 3)
+    formats.write_file(tmp_path / "F", "operad", operad)
+    proc = _cli_subprocess(["operad", "to-club", "F", "-o", "OUT"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    formats.write_file(tmp_path / "in-process-club.json", "club",
+                       operad_to_club(operad))
+    assert ((tmp_path / "OUT").read_bytes()
+            == (tmp_path / "in-process-club.json").read_bytes())
+
+
+@pytest.mark.parametrize("module, frozen", [("clubcat", False),
+                                            ("clubcat.cli", True)])
+def test_only_the_cli_freezes_the_heap_at_exit(module, frozen):
+    # -S keeps site hooks out, so no .pth file registers an exit function
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import atexit, gc, sys; sys.path.insert(0, sys.argv[1]); "
+         f"import {module}; atexit._run_exitfuncs(); "
+         "print(gc.get_freeze_count())", src],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout) > 0) == frozen
+
+
+def test_main_freezes_nothing(workspace, capsys):
+    # a long-lived caller keeps collecting its garbage after main returns
+    before = gc.get_freeze_count()
+    assert main(["--json", "validate", str(workspace / "interval.json")]) == 0
+    assert main(["suite", "club-check", "--seed", "9"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 # recorded with ``python tests/test_cli.py``; re-record only when an output
