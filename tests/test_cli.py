@@ -730,14 +730,14 @@ def _cli_subprocess(argv, cwd):
 def test_no_output_is_lost_at_exit(tmp_path):
     # the CLI freezes the heap at exit, so finalization frees no cycles; every
     # byte of stdout, --report-out and -o must still be written
-    argv = ["--json", "--report-out", "R", "suite", "stability", "--trunc",
-            "2", "--seed", "3", "--samples", "4"]
-    proc = _cli_subprocess(argv, tmp_path)
+    suite = ["suite", "stability", "--trunc", "2", "--seed", "3",
+             "--samples", "4"]
+    proc = _cli_subprocess(["--json", "--report-out", "R"] + suite, tmp_path)
     assert proc.returncode == 0, proc.stderr
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(argv[:2] + [str(tmp_path / "in-process.json")]
-                    + argv[3:]) == 0
+        assert main(["--json", "--report-out",
+                     str(tmp_path / "in-process.json")] + suite) == 0
     assert proc.stdout == (tmp_path / "R").read_bytes()
     assert proc.stdout == stdout.getvalue().encode("utf-8")
     assert proc.stdout == (tmp_path / "in-process.json").read_bytes()
