@@ -373,8 +373,7 @@ class Products:
     while the table lives.  A refused product keeps nothing.  ``unit`` is
     the one unit diagram of the sample: the unitors and the triangle build
     their products with 1 on it.  Make one table per sample and drop it
-    with the sample; for ``club_check``'s unit laws a sample is a carrier,
-    so clubs on one carrier can share one table.
+    with the sample.
     """
 
     def __init__(self, guard: Guardrails = DEFAULT_GUARDRAILS):
@@ -725,28 +724,24 @@ class ClubStructure(NamedTuple):
         return self.mu.tgt
 
 
-def trivial_club(guard: Guardrails = DEFAULT_GUARDRAILS):
+def trivial_club():
     """The one-object club: carrier the unit diagram, multiplication the unitor."""
-    products = Products(guard)
+    products = Products()
     u = products.unit
     return ClubStructure(products(u, u), left_unitor(u, products).forward,
                          identity_diagram_morphism(u))
 
 
 def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
-               stop_early=False, products: Products | None = None):
+               stop_early=False):
     """Exhaustively check the monoid axioms for a club structure.
 
     Verifies that mu and eta are valid diagram morphisms, that both unit
-    triangles commute against the explicit unitors, and that the two
-    evaluation orders through the rebracketing isomorphism agree on every
-    object, morphism and fiber component of the (truncated) triple product.
-    Returns a list of failure descriptions; empty means the axioms hold.
-
-    The unit laws build 1 ⋉ C and C ⋉ 1 in ``products``, a fresh
-    ``Products(guard)`` when None.  Clubs on one carrier can share a table,
-    which then builds those two products once; the shared table's own guard
-    applies to them.
+    laws hold on the carrier C (mu after the unit on either side is the
+    identification 1 ⋉ C ≅ C ≅ C ⋉ 1), and that the two evaluation orders
+    through the rebracketing isomorphism agree on every object, morphism
+    and fiber component of the (truncated) triple product.  Returns a list
+    of failure descriptions; empty means the axioms hold.
     """
     report = []
 
@@ -777,8 +772,7 @@ def club_check(s: ClubStructure, guard: Guardrails = DEFAULT_GUARDRAILS,
     e_obj = eta.base_functor.omap["*"]
 
     # --- unit laws ------------------------------------------------------
-    # a fresh table lives only through the unit laws
-    if _unit_laws(s, p, products or Products(guard), note, e_obj) and stop_early:
+    if _unit_laws(s, p, note, e_obj) and stop_early:
         return report
 
     # --- associativity --------------------------------------------------
@@ -829,54 +823,48 @@ def _object_where(p, oid, chi):
     return f"object ({p.describe_object(oid)}, chi={functor_key(chi)})"
 
 
-def _unit_laws(s, p, products, note, e_obj):
-    """Both unit laws; returns True when ``note`` asks to stop."""
+def _unit_laws(s, p, note, e_obj):
+    """Both unit laws, read from the carrier's own tables; returns True when
+    ``note`` asks to stop.
+
+    mu after eta ⋉ 1 must be the identification 1 ⋉ C ≅ C, and mu after
+    1 ⋉ eta the identification C ⋉ 1 ≅ C.  Those products list their
+    objects and morphisms as C's objects and its morphisms by source and
+    target, so each side walks C in that order and builds nothing.
+    """
     c = s.carrier
-    id_star = terminal_category().identity("*")
     id_e = c.base.identity(e_obj)
+    fiber_e = c.fiber_obj[e_obj]
 
     def constant_key(fiber, value):
-        return functor_key(Functor(fiber, c.base,
-                                   {a: value for a in fiber.objects},
-                                   {m: c.base.identity(value) for m in fiber.mor_ids}))
+        return (tuple(value for _ in fiber.objects),
+                tuple(c.base.identity(value) for _ in fiber.mor_ids))
 
-    # left unit: mu ∘ (eta ⋉ id) against the left unitor on 1 ⋉ C
-    fiber_e = c.fiber_obj[e_obj]
-    lu = left_unitor(c, products)
-    if lu.problems:
-        if any(note(f"left unitor: {msg}") for msg in lu.problems):
-            return True
-    elif _unit_half(s.mu, p, products(products.unit, c), lu.forward, note, "left",
-                    lambda yv: (e_obj, constant_key(fiber_e, yv)),
-                    lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
-                    lambda a, b: ("*", b),
-                    lambda alpha, b1, beta: (id_star, b1, beta)):
-        return True
-
-    # right unit: mu ∘ (id ⋉ eta) against the right unitor on C ⋉ 1
-    ru = right_unitor(c, products)
-    if ru.problems:
-        return any(note(f"right unitor: {msg}") for msg in ru.problems)
-    return _unit_half(s.mu, p, products(c, products.unit), ru.forward, note, "right",
-                      lambda d: (d, constant_key(c.fiber_obj[d], e_obj)),
-                      lambda f: (f, tuple(id_e for _ in
-                                          c.fiber_obj[c.base.src[f]].objects)),
-                      lambda a, b: (a, "*"),
-                      lambda alpha, b1, beta: (alpha, "*", id_star))
+    # left unit: y is reached at (e, const y), and the fiber over y is read
+    # off the second component of each pair (a pair morphism's second
+    # component starts at its source's, since C sends id_y to the identity);
+    # right unit: d is reached at (d, const e), read off the first component
+    return (_unit_half(s.mu, p, c, note, "left",
+                       lambda y: (e_obj, constant_key(fiber_e, y)),
+                       lambda g: (id_e, tuple(g for _ in fiber_e.objects)),
+                       lambda a, b: b, lambda alpha, b1, beta: beta)
+            or _unit_half(s.mu, p, c, note, "right",
+                          lambda d: (d, constant_key(c.fiber_obj[d], e_obj)),
+                          lambda f: (f, tuple(id_e for _ in
+                                              c.fiber_obj[c.base.src[f]].objects)),
+                          lambda a, b: a, lambda alpha, b1, beta: alpha))
 
 
-def _unit_half(mu, p, p_u, unitor, note, side, obj_key, mor_key, pair, pair_mor):
-    """mu after inserting the unit on one side, against the forward
-    ``unitor`` out of that side's product ``p_u``, whose base functor gives
-    the expected objects and morphisms.  ``obj_key`` and ``mor_key`` send
-    those to the keys the unit inclusion reaches in ``p``; ``pair`` and
-    ``pair_mor`` send pair data of ``p``'s fibers to pair data of ``p_u``'s.
+def _unit_half(mu, p, c, note, side, obj_key, mor_key, read_obj, read_mor):
+    """mu after inserting the unit on one side must send each object and
+    morphism of the carrier ``c`` back to itself, and its rho must send each
+    fiber object and morphism back to a pair that ``read_obj`` and
+    ``read_mor`` read as it.  ``obj_key`` and ``mor_key`` send an object or
+    morphism of ``c`` to the key the unit inclusion reaches in ``p``.
     Returns True when ``note`` asks to stop."""
     img_of = {}
-    for oid in p_u.diagram.base.objects:
-        want = unitor.base_functor.omap[oid]
-        img = p.obj_id.get(obj_key(want))
-        img_of[oid] = img
+    for want in c.base.objects:
+        img = img_of[want] = p.obj_id.get(obj_key(want))
         if img is None:
             if note(f"{side} unit composite leaves the domain at {want!r}"):
                 return True
@@ -885,43 +873,35 @@ def _unit_half(mu, p, p_u, unitor, note, side, obj_key, mor_key, pair, pair_mor)
         if got != want:
             if note(f"{side} unit law fails on object {want!r}: mu gives {got!r}"):
                 return True
-        # fiber components: mu-rho then the inclusion's rho is the unitor
-        # rho; rho_mu starts at the fiber over mu's object, which the fiber
-        # over the expected object misses where the object law fails
+        # rho_mu starts at the fiber over mu's object, which the fiber over
+        # the expected object misses where the object law fails
         rho_mu = mu.rho[img]
         fib_img = p.fibers[img]
-        fib_u = p_u.fibers[oid]
-        expected = unitor.rho[oid]
-        for b in expected.src.objects:
+        fiber = c.fiber_obj[want]
+        for b in fiber.objects:
             pid = rho_mu.omap.get(b)
-            lhs = None
-            if pid is not None:
-                lhs = fib_u.obj_id[pair(*fib_img.obj_data[pid])]
-            if lhs != expected.omap[b]:
+            if pid is None or read_obj(*fib_img.obj_data[pid]) != b:
                 if note(f"{side} unit law fails on fiber object {b!r} over {want!r}"):
                     return True
-        for m in expected.src.mor_ids:
+        for m in fiber.mor_ids:
             qid = rho_mu.mmap.get(m)
-            lhs = None
-            if qid is not None:
-                lhs = fib_u.mor_id[pair_mor(*fib_img.mor_data[qid])]
-            if lhs != expected.mmap[m]:
+            if qid is None or read_mor(*fib_img.mor_data[qid]) != m:
                 if note(f"{side} unit law fails on fiber morphism {m!r} over {want!r}"):
                     return True
-    base_u = p_u.diagram.base
-    for mid in base_u.mor_ids:
-        s1, t1 = base_u.src[mid], base_u.tgt[mid]
-        if img_of[s1] is None or img_of[t1] is None:
-            continue
-        want = unitor.base_functor.mmap[mid]
-        img_mor = p.mor_id.get((img_of[s1], img_of[t1], *mor_key(want)))
-        if img_mor is None:
-            if note(f"{side} unit composite morphism leaves the domain at {want!r}"):
-                return True
-            continue
-        if mu.base_functor.mmap[img_mor] != want:
-            if note(f"{side} unit law fails on morphism {want!r}"):
-                return True
+    for y1 in c.base.objects:
+        for y2 in c.base.objects:
+            if img_of[y1] is None or img_of[y2] is None:
+                continue
+            for want in c.base.hom_set(y1, y2):
+                img_mor = p.mor_id.get((img_of[y1], img_of[y2], *mor_key(want)))
+                if img_mor is None:
+                    if note(f"{side} unit composite morphism leaves the domain "
+                            f"at {want!r}"):
+                        return True
+                    continue
+                if mu.base_functor.mmap[img_mor] != want:
+                    if note(f"{side} unit law fails on morphism {want!r}"):
+                        return True
     return False
 
 

@@ -22,8 +22,8 @@ from .operads import (NsOperad, _club_from_encoding, _square_within_cap,
                       free_operad, ns_iso_check, operad_to_club,
                       swap_pair_operad, sym_inclusion, sym_operad_to_club,
                       symmetric_associative_operad)
-from .semidirect import (Products, associator, club_check, pentagon_check,
-                         semidirect, triangle_check, trivial_club, unitors)
+from .semidirect import (associator, club_check, pentagon_check, semidirect,
+                         triangle_check, trivial_club, unitors)
 from .simpset import (SimplicialMap, apply_operator, boundary,
                       degeneracy_map, disjoint_union, iso_sset,
                       is_kan_fibration, nondeg, one_point, product,
@@ -207,12 +207,10 @@ def _operad_bijection(suite, config):
     total = 0
     for host, quota in zip(hosts, per_host):
         # law_breaking_mutations builds each mutant as NsOperad(host.cap,
-        # host.levels, ...) and changes only gamma, so the host's encoding,
-        # its truncated square and the products of the unit laws serve
-        # every mutant of the host
+        # host.levels, ...) and changes only gamma, so the host's encoding
+        # and its truncated square serve every mutant of the host
         enc = encode_ns(host)
         square = _square_within_cap(enc, host.cap, DEFAULT_GUARDRAILS)
-        products = Products()
         mutations = gen.law_breaking_mutations(rng, host, quota)
         for (key, replacement, mutant) in mutations:
             if mutant.cap != host.cap or mutant.levels != host.levels:
@@ -220,7 +218,7 @@ def _operad_bijection(suite, config):
                                  "not keep the host's levels and cap")
             total += 1
             club = _club_from_encoding(mutant, enc, square)
-            if club_check(club, stop_early=True, products=products) == []:
+            if club_check(club, stop_early=True) == []:
                 surviving.append({"host": host.name, "entry": repr(key),
                                   "replacement": replacement})
     suite.record("mutation-kill-rate", total >= wanted and not surviving,

@@ -211,19 +211,15 @@ def test_club_check_corrupted_exit_1(workspace, tmp_path):
     assert main(["club-check", str(path)]) == 1
 
 
-def test_club_check_broken_rebracketing_is_a_law_failure(tmp_path, capsys,
-                                                         monkeypatch):
+def test_broken_rebracketing_is_a_law_failure(capsys, monkeypatch):
     # a coherence isomorphism found not invertible is a failed check
     # (exit 1), not invalid input (exit 2)
     from clubcat import semidirect
-    from clubcat.operads import associative_operad, operad_to_club
-    path = tmp_path / "club.json"
-    formats.write_file(path, "club", operad_to_club(associative_operad(2)))
     monkeypatch.setattr(semidirect, "_verify_iso",
                         lambda forward: ["not invertible"])
-    assert main(["club-check", str(path)]) == 1
+    assert main(["suite", "monoidal-laws", "--samples", "1"]) == 1
     captured = capsys.readouterr()
-    assert "[FAIL] monoid-axioms" in captured.out
+    assert "[FAIL] rebracketing-and-unit-isomorphisms" in captured.out
     assert captured.err == ""
 
 

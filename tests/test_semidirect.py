@@ -1,27 +1,35 @@
 import random
+import re
 
 import pytest
 
-from clubcat.config import Guardrails
+import clubcat.semidirect as semidirect_module
+from clubcat import suites
+from clubcat.config import DEFAULT_GUARDRAILS, Guardrails
 from clubcat.diagram import (DiagramInCat, DiagramMorphism,
                              compose_diagram_morphisms, constantify,
                              diagram_morphism_equal,
                              identity_diagram_morphism, unit_diagram,
                              validate_diagram, validate_diagram_morphism)
 from clubcat.errors import GuardrailExceeded
-from clubcat.fincat import (Functor, discrete_category,
+from clubcat.fincat import (FinCategory, Functor, discrete_category,
                             enumerate_functors, find_isomorphism, functor_key,
                             identity_functor, terminal_category,
                             validate_category, walking_arrow)
 from clubcat.generate import random_triple
-from clubcat.operads import associative_operad, ns_iso_check
-from clubcat.semidirect import (Products, _verify_iso, associator,
-                                build_semidirect, club_check,
-                                fiber_semidirect, pentagon_check,
+from clubcat.operads import (_club_from_encoding, _square_within_cap,
+                             associative_operad, commutative_operad,
+                             cyclic_group_operad, encode_ns, free_operad,
+                             ns_iso_check, operad_to_club, swap_pair_operad,
+                             sym_operad_to_club, symmetric_associative_operad)
+from clubcat.semidirect import (ClubStructure, Products, SemidirectProduct,
+                                _verify_iso, associator, build_semidirect,
+                                club_check, fiber_semidirect, pentagon_check,
                                 product_objects, semidirect,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
 
+import unit_law_reference
 from fincat_reference import constant_functor
 from mutants import with_gamma
 
@@ -517,6 +525,154 @@ def test_unit_law_reports_match_golden(case):
 
 
 # ---------------------------------------------------------------------------
+# the unit laws, read from the carrier
+
+def _club_check_suite_clubs(monkeypatch):
+    """Every club the ``club-check`` suite checks: its six fixtures and its
+    corrupted control."""
+    clubs = []
+
+    def recording_check(club, *args, **kwargs):
+        clubs.append(club)
+        return club_check(club, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "club_check", recording_check)
+    suites.run_suite("club-check")
+    monkeypatch.undo()
+    return clubs
+
+
+def _gamma_mutants(op):
+    """Every operad that differs from op in one gamma entry."""
+    elems = [e for n in range(op.cap + 1) for e in op.levels[n]]
+    for key in sorted(op.gamma):
+        for result in elems:
+            if result != op.gamma[key]:
+                yield with_gamma(op, key, result)
+
+
+def _rho_mutants(club):
+    """club with one mu.rho component changed: two fiber-object images
+    swapped, or one fiber-object or fiber-morphism image dropped."""
+    mu = club.mu
+    for oid, rho in mu.rho.items():
+        objs = rho.src.objects
+        changed = [{**rho.omap, a: rho.omap[b], b: rho.omap[a]}
+                   for i, a in enumerate(objs) for b in objs[i + 1:]]
+        changed += [{x: y for x, y in rho.omap.items() if x != a} for a in objs]
+        tables = [(omap, rho.mmap) for omap in changed]
+        tables += [(rho.omap, {x: y for x, y in rho.mmap.items() if x != m})
+                   for m in rho.src.mor_ids]
+        for omap, mmap in tables:
+            broken = Functor(rho.src, rho.tgt, omap, mmap)
+            yield ClubStructure(
+                club.product,
+                DiagramMorphism(mu.src, mu.tgt, mu.base_functor,
+                                {**mu.rho, oid: broken}, name=mu.name),
+                club.eta)
+
+
+def _unit_law_sweep(monkeypatch):
+    """Clubs whose unit laws hold or fail in every way a note can say: the
+    suite's, the named operads', every single-entry gamma mutant of three
+    hosts, rho mutants, and products or multiplications that break a unit
+    composite."""
+    yield from _club_check_suite_clubs(monkeypatch)
+    named = [associative_operad(3, with_nullary=True),
+             free_operad({2: ["g"]}, 3), free_operad({2: ["g"], 3: ["t"]}, 3),
+             cyclic_group_operad(3)]
+    yield from (operad_to_club(op) for op in named)
+    sym_named = [commutative_operad(2), swap_pair_operad(),
+                 symmetric_associative_operad(2)]
+    yield from (sym_operad_to_club(op) for op in sym_named)
+    for host in (associative_operad(2), cyclic_group_operad(3),
+                 free_operad({2: ["g"]}, 3)):
+        enc = encode_ns(host)
+        square = _square_within_cap(enc, host.cap, DEFAULT_GUARDRAILS)
+        yield from (_club_from_encoding(mutant, enc, square)
+                    for mutant in _gamma_mutants(host))
+    for club in (operad_to_club(cyclic_group_operad(3)),
+                 operad_to_club(associative_operad(3, with_nullary=True)),
+                 sym_operad_to_club(commutative_operad(2)), _join_club()):
+        yield from _rho_mutants(club)
+    # products that lack a unit composite: the join club's without one of
+    # its objects, and without one morphism id
+    ends = [(d, y) for d in "xy" for y in "xy"]
+    for dropped in ends:
+        yield _join_club({d: {((y,), (f"id_{y}",)) for e, y in ends
+                              if e == d and (e, y) != dropped}
+                          for d in "xy"})
+    # mu sending every base morphism astray, over a base whose morphisms
+    # list by source and target in another order than by target and source
+    for club in (_join_club(order=_chain(["x", "y", "z"])), _symmetric_club()):
+        base = club.mu.base_functor
+        astray = Functor(base.src, base.tgt, base.omap,
+                         {m: "astray" for m in base.mmap})
+        yield club._replace(mu=DiagramMorphism(club.mu.src, club.mu.tgt,
+                                               astray, club.mu.rho))
+    club = _join_club()
+    p = club.product
+    for key in p.mor_id:
+        lacking = SemidirectProduct(
+            p.left, p.right, p.diagram, p.obj_data, p.obj_id, p.mor_data,
+            {k: mid for k, mid in p.mor_id.items() if k != key}, p.fibers)
+        yield club._replace(product=lacking)
+
+
+def _unit_notes(unit_laws, club, stop_early, *tables):
+    """The notes and the return value of one unit-law check of club."""
+    notes = []
+
+    def note(msg):
+        notes.append(msg)
+        return stop_early
+
+    e_obj = club.eta.base_functor.omap["*"]
+    stopped = unit_laws(club, club.product, *tables, note, e_obj)
+    return notes, stopped
+
+
+@pytest.mark.parametrize("stop_early", [True, False])
+def test_unit_laws_match_the_unitor_reference(monkeypatch, stop_early):
+    # the reference builds 1 ⋉ C and C ⋉ 1 and both unitors, once per carrier
+    tables = {}
+    passing, seen = 0, set()
+    for club in _unit_law_sweep(monkeypatch):
+        products = tables.setdefault(id(club.carrier),
+                                     (club.carrier, Products()))[1]
+        want = _unit_notes(unit_law_reference._unit_laws, club, stop_early,
+                           products)
+        assert _unit_notes(semidirect_module._unit_laws, club, stop_early) == want
+        passing += want == ([], False)
+        seen.update(re.sub(r" (at|on|over|:) .*", "", msg) for msg in want[0])
+    assert passing > 0
+    # every message either side can note, somewhere in the sweep
+    assert seen == {f"{side} unit {what}" for side in ("left", "right")
+                    for what in ("composite leaves the domain",
+                                 "law fails", "composite morphism leaves the domain")}
+
+
+def test_club_check_builds_no_product(monkeypatch):
+    clubs = _club_check_suite_clubs(monkeypatch)
+    assert len(clubs) == 7
+    calls = []
+
+    def counting(name):
+        original = getattr(semidirect_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("build_semidirect", "product_objects"):
+        monkeypatch.setattr(semidirect_module, name, counting(name))
+    for club in clubs:
+        club_check(club)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # product morphism ids and the reuse of a verified associator
 
 def _all_pairs_morphisms(p):
@@ -633,16 +789,27 @@ def _all_pairs_thetas(club):
     return cases
 
 
-def _join_club():
-    """The monoid ({x < y}, join, x) as a club with one-object fibers.  Its
-    carrier base is the walking arrow, so a theta of club_check's morphism
-    pass can have a component between different objects."""
-    from clubcat.diagram import DiagramMorphism
-    from clubcat.semidirect import ClubStructure
-    arrow = walking_arrow()
+def _chain(objects):
+    """The total order on ``objects`` as a category, x < y named "x<y"."""
+    below = [(x, y) for i, y in enumerate(objects) for x in objects[:i + 1]]
+    name = {(x, y): f"id_{x}" if x == y else f"{x}<{y}" for x, y in below}
+    return FinCategory(
+        objects, [(name[x, y], x, y) for x, y in below],
+        {x: f"id_{x}" for x in objects},
+        {(name[y, z], name[x, y]): name[x, z]
+         for x, y in below for y2, z in below if y2 == y}, name="chain")
+
+
+def _join_club(keep=None, order=None):
+    """The monoid ({x < y}, join, x) as a club with one-object fibers, its
+    product restricted by ``keep`` as in ``build_semidirect``.  Its carrier
+    base is the walking arrow, or the total order ``order`` with x first, so
+    a theta of club_check's morphism pass can have a component between
+    different objects."""
+    arrow = walking_arrow() if order is None else order
     one = terminal_category()
     c = constantify(arrow)
-    p = build_semidirect(c, c)
+    p = build_semidirect(c, c, keep=keep)
     base = p.diagram.base
     omap = {oid: max(d, psi.omap["*"]) for oid, (d, psi) in p.obj_data.items()}
     mmap = {m: arrow.hom_set(omap[base.src[m]], omap[base.tgt[m]])[0]
