@@ -293,7 +293,7 @@ def operad_from_json(data, what="operad"):
     levels = {n: [_check_id(e, f"{what} element")
                   for e in _need_list(raw.get(str(n), []), f"{what} level {n}")]
               for n in range(cap + 1)}
-    unit = _need(data, "unit", what)
+    unit = _check_id(_need(data, "unit", what), f"{what} unit")
     gamma = {}
     for entry in _need_list(_need(data, "gamma", what), f"{what} gamma"):
         op = _check_id(_need(entry, "op", what), f"{what} gamma op")

@@ -344,6 +344,42 @@ def _order_functor(kfib: FinCategory, fib, order):
     return Functor(kfib, fib.cat, fomap, fmmap)
 
 
+def _square_morphism(enc: EncodedCollection, prod: SemidirectProduct,
+                     target: EncodedCollection, target_oid, name):
+    """The diagram morphism from ``prod``, a truncated square of ``enc``, to
+    the encoding ``target``: the morphism that sends a pair (op; args) to
+    one element with its flattened inputs in order.
+
+    An object (op; args) goes to ``target_oid(op, args)``, its flattened
+    fiber onto that object's ordinal fiber in order (the empty functor when
+    the arities differ), an identity to the identity, and any other
+    morphism to the block permutation it makes.  When ``target`` has no
+    such permutation the entry stays unset, and
+    ``validate_diagram_morphism`` reports it.
+    """
+    tbase = target.diagram.base
+    pbase = prod.diagram.base
+    omap, mmap, rho = {}, {}, {}
+    for oid in pbase.objects:
+        roid = omap[oid] = target_oid(*_decode(enc.elem_of, prod, oid))
+        kfib = target.diagram.fiber_obj[roid]
+        order = _flat_order(enc.diagram, prod, oid)
+        if len(order) == len(kfib.objects):
+            rho[oid] = _order_functor(kfib, prod.fibers[oid], order)
+        else:
+            rho[oid] = Functor(kfib, prod.fibers[oid].cat, {}, {})
+    for mid in pbase.mor_ids:
+        roid = omap[pbase.src[mid]]
+        if pbase.is_identity(mid):
+            mmap[mid] = tbase.identity(roid)
+        else:
+            perm = target.mor_of.get((_block_of(enc, prod, mid), roid))
+            if perm is not None:
+                mmap[mid] = perm
+    return DiagramMorphism(prod.diagram, target.diagram,
+                           Functor(pbase, tbase, omap, mmap), rho, name=name)
+
+
 class NsIsoResult(NamedTuple):
     forward: DiagramMorphism
     product: SemidirectProduct
@@ -351,40 +387,16 @@ class NsIsoResult(NamedTuple):
 
 
 def ns_iso_check(p: Collection, guard: Guardrails = DEFAULT_GUARDRAILS):
-    """Exhibit the isomorphism from the encoded composite collection to the
-    (arity-truncated) product of the encoding with itself; ``problems`` is
-    empty when it is invertible."""
+    """Exhibit the isomorphism from the (arity-truncated) product of the
+    encoding with itself to the encoded composite collection; ``problems``
+    is empty when it is invertible."""
     enc = encode_ns(p)
-    pp = circ(p, p)
-    tuple_of = {name: tup for name, tup, _ in _composite_tuples(p, p)}
-    enc_pp = encode_ns(pp)
+    enc_pp = encode_ns(circ(p, p))
     prod = _square_within_cap(enc, p.cap, guard)
-
-    def product_oid(op, args):
-        oid = enc.obj_of[op]
-        omap_t = tuple(enc.obj_of[q] for q in args)
-        mmap_t = tuple(enc.diagram.base.identities[o] for o in omap_t)
-        return prod.obj_id[(oid, (omap_t, mmap_t))]
-
-    # forward: encoded composite -> product
-    omap, mmap = {}, {}
-    rho = {}
-    for cid in enc_pp.diagram.base.objects:
-        _, elem = enc_pp.elem_of[cid]
-        op, args = tuple_of[elem]
-        oid = product_oid(op, args)
-        omap[cid] = oid
-        mmap[enc_pp.diagram.base.identity(cid)] = prod.diagram.base.identity(oid)
-        fib = prod.fibers[oid]
-        kfib = enc_pp.diagram.fiber_obj[cid]
-        order = _flat_order(enc.diagram, prod, oid)
-        fomap = {pid: str(l) for l, pid in enumerate(order)}
-        fmmap = {fib.cat.identity(pid): kfib.identity(str(l))
-                 for l, pid in enumerate(order)}
-        rho[cid] = Functor(fib.cat, kfib, fomap, fmmap)
-    base_fwd = Functor(enc_pp.diagram.base, prod.diagram.base, omap, mmap)
-    forward = DiagramMorphism(enc_pp.diagram, prod.diagram, base_fwd, rho,
-                              name="tuple-to-pair")
+    forward = _square_morphism(
+        enc, prod, enc_pp,
+        lambda op, args: enc_pp.obj_of[_composite_name(op, args)],
+        "pair-to-tuple")
     return NsIsoResult(forward, prod, _verify_iso(forward))
 
 
@@ -404,35 +416,13 @@ def _club_from_encoding(p: NsOperad, enc: EncodedCollection,
     them.
     """
     base = enc.diagram.base
-    pbase = prod.diagram.base
 
-    omap, mmap, rho = {}, {}, {}
-    for oid in pbase.objects:
-        op, args = _decode(enc.elem_of, prod, oid)
-        result = p.compose(op, args)
-        roid = enc.obj_of.get(result)
-        if roid is None:
-            # signal breakage structurally; club_check reports it
-            roid = base.objects[0]
-        omap[oid] = roid
-        kfib = enc.diagram.fiber_obj[roid]
-        order = _flat_order(enc.diagram, prod, oid)
-        if len(order) == len(kfib.objects):
-            rho[oid] = _order_functor(kfib, prod.fibers[oid], order)
-        else:
-            rho[oid] = Functor(kfib, prod.fibers[oid].cat, {}, {})
-    for mid in pbase.mor_ids:
-        roid = omap[pbase.src[mid]]
-        if pbase.is_identity(mid):
-            mmap[mid] = base.identity(roid)
-        else:
-            perm = enc.mor_of.get((_block_of(enc, prod, mid), roid))
-            # a result of the wrong arity has no such permutation: leave the
-            # entry unset, and club_check reports the broken mu
-            if perm is not None:
-                mmap[mid] = perm
-    mu = DiagramMorphism(prod.diagram, enc.diagram,
-                         Functor(pbase, base, omap, mmap), rho, name="mu")
+    def result_oid(op, args):
+        # a result outside the encoding goes to the first object, which
+        # signals breakage structurally; club_check reports it
+        return enc.obj_of.get(p.compose(op, args), base.objects[0])
+
+    mu = _square_morphism(enc, prod, enc, result_oid, "mu")
 
     u = unit_diagram()
     e_oid = enc.obj_of[p.unit]
@@ -771,30 +761,18 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
     symmetric composite, with injectivity and surjectivity diagnostics."""
     enc = encode_sym(p)
     prod = _square_within_cap(enc, p.cap, guard)
-    comp = sym_circ(p)
-    enc_c = encode_sym(comp)
-    pbase = prod.diagram.base
+    enc_c = encode_sym(sym_circ(p))
 
-    omap, mmap, rho = {}, {}, {}
-    for oid in pbase.objects:
-        op, args = _decode(enc.elem_of, prod, oid)
+    def class_oid(op, args):
         total = sum(p.arity_of(a) for a in args)
-        rep = _orbit_rep(p, op, args, _perm_id(total))
-        cid = enc_c.obj_of[_class_name(rep)]
-        omap[oid] = cid
-        order = _flat_order(enc.diagram, prod, oid)
-        rho[oid] = _order_functor(enc_c.diagram.fiber_obj[cid], prod.fibers[oid],
-                                  order)
-    for mid in pbase.mor_ids:
-        blk = _block_of(enc, prod, mid)
-        mmap[mid] = enc_c.mor_of[(blk, omap[pbase.src[mid]])]
-    base = Functor(pbase, enc_c.diagram.base, omap, mmap)
-    morphism = DiagramMorphism(prod.diagram, enc_c.diagram, base, rho,
-                               name="sym-inclusion")
+        return enc_c.obj_of[_class_name(_orbit_rep(p, op, args, _perm_id(total)))]
+
+    morphism = _square_morphism(enc, prod, enc_c, class_oid, "sym-inclusion")
     problems = validate_diagram_morphism(morphism)
     if problems:
         raise InputError(f"symmetric inclusion is not a diagram morphism: "
                          f"{problems[:3]}")
+    omap, mmap = morphism.base_functor.omap, morphism.base_functor.mmap
     inj_obj = len(set(omap.values())) == len(omap)
     inj_mor = len(set(mmap.values())) == len(mmap)
     hit = set(omap.values())

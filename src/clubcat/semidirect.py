@@ -368,42 +368,36 @@ class Products:
     ``products.objects(x, y)`` is ``product_objects(x, y, guard)``,
     ``products.fibers(x, y)`` is ``product_fibers`` on those objects, and
     ``products(x, y)`` is ``build_semidirect(x, y, guard)`` built on both.
-    Each stage is kept under the identities of the factors, and the first
-    stage of a product keeps both factors, so their ids cannot be reused
-    while the table lives.  A refused product keeps nothing.  ``unit`` is
-    the one unit diagram of the sample: the unitors and the triangle build
-    their products with 1 on it.  Make one table per sample and drop it
-    with the sample.
+    Each stage is kept under the pair of factors, compared by identity, so
+    the table keeps the factors alive while it lives.  A refused product
+    keeps nothing.  ``unit`` is the one unit diagram of the sample: the
+    unitors and the triangle build their products with 1 on it.  Make one
+    table per sample and drop it with the sample.
     """
 
     def __init__(self, guard: Guardrails = DEFAULT_GUARDRAILS):
         self.guard = guard
         self.unit = unit_diagram()
-        # each keyed by (id(x), id(y)); a fibers entry is made only after
-        # its objects entry, which holds x and y
-        self._objects = {}    # -> (x, y, obj_data)
-        self._fibers = {}     # -> fibers
-        self._built = {}      # -> SemidirectProduct, which holds x and y
+        self._objects = {}    # (x, y) -> obj_data
+        self._fibers = {}     # (x, y) -> fibers
+        self._built = {}      # (x, y) -> SemidirectProduct
 
     def objects(self, x: DiagramInCat, y: DiagramInCat):
-        key = (id(x), id(y))
-        entry = self._objects.get(key)
-        if entry is None:
-            entry = self._objects[key] = (x, y, product_objects(x, y, self.guard))
-        return entry[2]
+        objects = self._objects.get((x, y))
+        if objects is None:
+            objects = self._objects[(x, y)] = product_objects(x, y, self.guard)
+        return objects
 
     def fibers(self, x: DiagramInCat, y: DiagramInCat):
-        key = (id(x), id(y))
-        fibers = self._fibers.get(key)
+        fibers = self._fibers.get((x, y))
         if fibers is None:
-            fibers = self._fibers[key] = product_fibers(x, y, self.objects(x, y))
+            fibers = self._fibers[(x, y)] = product_fibers(x, y, self.objects(x, y))
         return fibers
 
     def __call__(self, x: DiagramInCat, y: DiagramInCat):
-        key = (id(x), id(y))
-        p = self._built.get(key)
+        p = self._built.get((x, y))
         if p is None:
-            p = self._built[key] = build_semidirect(
+            p = self._built[(x, y)] = build_semidirect(
                 x, y, self.guard, obj_data=self.objects(x, y),
                 fibers=self.fibers(x, y))
         return p

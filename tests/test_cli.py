@@ -97,6 +97,8 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         "operad level is an integer":
             ("op.json", lambda d: d["levels"].__setitem__("0", 5)),
         "operad cap is a boolean": ("op.json", lambda d: d.update(cap=True)),
+        "operad unit is null": ("op.json", lambda d: d.update(unit=None)),
+        "operad unit is an integer": ("op.json", lambda d: d.update(unit=5)),
         "operad actions is an integer": ("com.json", lambda d: d.update(actions=5)),
         "operad actions entry is an integer":
             ("com.json", lambda d: d["actions"].__setitem__("2", 5)),

@@ -1,15 +1,19 @@
 import itertools
+import random
 import sys
 
 import pytest
 
-from clubcat.diagram import validate_diagram
+from clubcat import generate as gen
+from clubcat.config import DEFAULT_GUARDRAILS
+from clubcat.diagram import validate_diagram, validate_diagram_morphism
 from clubcat.errors import InputError
 from clubcat.operads import (Collection, NsOperad, SymCollection,
                              _all_perms, _class_name, _club_from_encoding,
                              _composite_tuples, _orbit_rep, _perm_compose,
-                             associative_operad, block_permutation, circ,
-                             club_to_operad, commutative_operad,
+                             _square_within_cap, associative_operad,
+                             block_permutation, circ, club_to_operad,
+                             commutative_operad,
                              cyclic_group_operad, encode_ns, encode_sym,
                              free_operad, ns_iso_check, operad_to_club,
                              swap_pair_operad, sym_circ, sym_inclusion,
@@ -17,6 +21,7 @@ from clubcat.operads import (Collection, NsOperad, SymCollection,
                              validate_ns_operad, validate_sym_operad)
 from clubcat import operads, suites
 from clubcat.semidirect import club_check
+import operads_reference
 from mutants import with_gamma
 
 
@@ -124,7 +129,6 @@ def test_ns_iso_check_associative():
 
 
 def test_ns_iso_check_random_small_collections():
-    import random
     rng = random.Random(7)
     for _ in range(5):
         cap = rng.choice([2, 3])
@@ -283,7 +287,6 @@ def test_mutant_with_other_levels_is_refused(monkeypatch):
 
 def test_block_permutation_composes():
     sizes = [2, 1, 3]
-    import random
     rng = random.Random(3)
     for _ in range(20):
         sigma = tuple(rng.sample(range(3), 3))
@@ -433,3 +436,108 @@ def test_sym_circ_refuses_an_action_that_changes_arity():
                       {2: {((0, 1), "a"): "a", ((1, 0), "a"): "0"}})
     with pytest.raises(InputError, match="permutation of length 2"):
         sym_circ(p)
+
+
+# ---------------------------------------------------------------------------
+# the three morphisms out of the square against their hand-written loops
+
+def _named_hosts():
+    """The ``clubs`` benchmark pool's seven named operads and the arity-3
+    commutative operad."""
+    return [associative_operad(3, with_nullary=True), free_operad({2: ["g"]}, 3),
+            free_operad({2: ["g"], 3: ["t"]}, 3), cyclic_group_operad(3),
+            commutative_operad(2), swap_pair_operad(),
+            symmetric_associative_operad(2), commutative_operad(3)]
+
+
+def _club_sweep():
+    """(label, operad, encoding, square) of each named host, of 20
+    law-breaking mutants of each non-symmetric host, and of two stray
+    mutants of every host: its last gamma entry sent outside the levels,
+    and to the unit."""
+    rng = random.Random(5)
+    for host in _named_hosts():
+        enc = (encode_sym if isinstance(host, SymCollection) else encode_ns)(host)
+        square = _square_within_cap(enc, host.cap, DEFAULT_GUARDRAILS)
+        yield host.name, host, enc, square
+        if not isinstance(host, SymCollection):
+            for key, result, mutant in gen.law_breaking_mutations(rng, host, 20):
+                yield f"{host.name} {key} -> {result}", mutant, enc, square
+        key = max(host.gamma)
+        for result in ("nowhere", host.unit):
+            yield (f"{host.name} {key} -> {result}",
+                   with_gamma(host, key, result), enc, square)
+
+
+def _tables(f):
+    return f.omap, f.mmap
+
+
+def _club_tables(club):
+    return (club.mu.name, _tables(club.mu.base_functor),
+            {d: _tables(comp) for d, comp in club.mu.rho.items()},
+            _tables(club.eta.base_functor),
+            {d: _tables(comp) for d, comp in club.eta.rho.items()}, club.cap)
+
+
+def test_club_from_encoding_matches_the_loop_reference():
+    labels = []
+    for label, op, enc, square in _club_sweep():
+        club = _club_from_encoding(op, enc, square)
+        want = operads_reference._club_from_encoding(op, enc, square)
+        assert club.product is want.product, label
+        assert _club_tables(club) == _club_tables(want), label
+        labels.append(label)
+    assert len(labels) == 8 + 4 * 20 + 8 * 2
+
+
+def _inclusion_tables(res):
+    return (res.injective, res.surjective_on_objects, res.missing_objects,
+            res.product.diagram.base.objects, res.product.diagram.base.mor_ids)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: commutative_operad(2), swap_pair_operad,
+    lambda: symmetric_associative_operad(2), lambda: commutative_operad(3),
+    lambda: symmetric_associative_operad(3),
+], ids=["comm2", "swap2", "sym-assoc2", "comm3", "sym-assoc3"])
+def test_sym_inclusion_matches_the_loop_reference(make, monkeypatch):
+    # record the inclusion each side builds, to compare its tables
+    built = []
+
+    def recording(morphism):
+        built.append(morphism)
+        return validate_diagram_morphism(morphism)
+
+    for module in (operads, operads_reference):
+        monkeypatch.setattr(module, "validate_diagram_morphism", recording)
+    got = sym_inclusion(make())
+    want = operads_reference.sym_inclusion(make())
+    assert _inclusion_tables(got) == _inclusion_tables(want)
+    new, old = built
+    assert _tables(new.base_functor) == _tables(old.base_functor)
+    assert ({d: _tables(comp) for d, comp in new.rho.items()}
+            == {d: _tables(comp) for d, comp in old.rho.items()})
+
+
+def _flipped(f):
+    """A functor's tables with their maps reversed; both must be injective."""
+    omap = {v: k for k, v in f.omap.items()}
+    mmap = {v: k for k, v in f.mmap.items()}
+    assert len(omap) == len(f.omap) and len(mmap) == len(f.mmap)
+    return omap, mmap
+
+
+def test_ns_iso_check_inverts_the_loop_reference():
+    rng = random.Random(5)
+    collections = [associative_operad(4)]
+    collections += [gen.random_collection(rng) for _ in range(40)]
+    for i, p in enumerate(collections):
+        got, want = ns_iso_check(p), operads_reference.ns_iso_check(p)
+        assert got.problems == want.problems == [], i
+        new, old = got.forward, want.forward
+        assert new.name == "pair-to-tuple"
+        assert _tables(new.base_functor) == _flipped(old.base_functor), i
+        assert new.rho.keys() == set(new.src.base.objects), i
+        for oid, comp in new.rho.items():
+            assert _tables(comp) == _flipped(old.rho[new.base_functor.omap[oid]]), i

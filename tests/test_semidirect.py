@@ -276,7 +276,7 @@ def _random_triple_isos():
 
 def _coherence_isos():
     """(label, result) of each coherence isomorphism of the fixtures above,
-    of the random triples and of the tuple-to-pair map of the associative
+    of the random triples and of the pair-to-tuple map of the associative
     operad at arity 4."""
     for x in [unit_diagram(), arrow_diagram(),
               discrete_diagram(["a", "b"], [2, 0]),
@@ -293,7 +293,7 @@ def _coherence_isos():
                      discrete_diagram(["w"], [1]))]:
         yield "associator", associator(x, y, z, Products()).iso
     yield from _random_triple_isos()
-    yield "tuple-to-pair", ns_iso_check(associative_operad(4))
+    yield "pair-to-tuple", ns_iso_check(associative_operad(4))
 
 
 def test_coherence_isomorphisms_invert_by_their_tables():
