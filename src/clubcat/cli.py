@@ -126,12 +126,19 @@ def cmd_validate(args):
                        {"violations": violations[:20]}, kind=kind)
 
 
-def cmd_semidirect(args):
-    left = _parse_as(args.left, "diagram", "semidirect")
-    right = _parse_as(args.right, "diagram", "semidirect")
+def _valid_pair(args, kind, what):
+    """The ``left`` and ``right`` files of ``kind``, each refused with
+    InputError if it fails its validator."""
+    left = _parse_as(args.left, kind, what)
+    right = _parse_as(args.right, kind, what)
     for value, path in ((left, args.left), (right, args.right)):
-        _require_valid(validate_diagram(value), f"{path} is not a valid diagram")
-    result = semidirect(left, right)
+        _require_valid(_validate_value(kind, value),
+                       f"{path} is not a valid {kind}")
+    return left, right
+
+
+def cmd_semidirect(args):
+    result = semidirect(*_valid_pair(args, "diagram", "semidirect"))
     if args.out:
         formats.write_file(args.out, "diagram", result)
     return _emit_check(args, "semidirect", "product-constructed", True,
@@ -156,14 +163,12 @@ def _emit_sset(args, command, law, result):
 
 
 def cmd_sset_product(args):
-    a = _parse_as(args.left, "sset", "product")
-    b = _parse_as(args.right, "sset", "product")
-    return _emit_sset(args, "product", "product-constructed", product(a, b))
+    return _emit_sset(args, "product", "product-constructed",
+                      product(*_valid_pair(args, "sset", "product")))
 
 
 def cmd_sset_diag(args):
-    a = _parse_as(args.left, "sset", "diag")
-    b = _parse_as(args.right, "sset", "diag")
+    a, b = _valid_pair(args, "sset", "diag")
     if a.trunc != b.trunc:
         raise InputError("external product needs equal truncation levels")
     # the diagonal of the external product a x b: the composite of the

@@ -351,14 +351,16 @@ def club_to_json(s):
 def club_from_json(data, what="club"):
     carrier = diagram_from_json(_need(data, "carrier", what), f"{what} carrier")
     cap = _need_cap(data["cap"], what) if "cap" in data else None
-    keep = {}
+    keep, domain = {}, []
     for entry in _need_list(_need(data, "domain", what), f"{what} domain"):
         if len(_need_list(entry, f"{what} domain entry")) != 3:
             raise SchemaError(f"{what} domain entries must be [d, omap, mmap]")
         d, okey, mkey = entry
-        keep.setdefault(_check_id(d, f"{what} domain object"), set()).add(
-            (_need_id_tuple(okey, f"{what} domain omap"),
-             _need_id_tuple(mkey, f"{what} domain mmap")))
+        d = _check_id(d, f"{what} domain object")
+        key = (_need_id_tuple(okey, f"{what} domain omap"),
+               _need_id_tuple(mkey, f"{what} domain mmap"))
+        keep.setdefault(d, set()).add(key)
+        domain.append((d, key))
     # the product is built on the carrier, so it must be a diagram first
     bad = validate_diagram(carrier)
     if bad:
@@ -366,6 +368,11 @@ def club_from_json(data, what="club"):
     for d in carrier.base.objects:
         keep.setdefault(d, set())
     product = build_semidirect(carrier, carrier, keep=keep)
+    # in file order, so that the message does not follow the hash seed
+    for d, key in domain:
+        if (d, key) not in product.obj_id:
+            raise SchemaError(f"{what} domain entry {[d, *map(list, key)]} "
+                              "names no object of the carrier's square")
     mu_raw = _need(data, "mu", what)
     mu_base = functor_from_json(_need(mu_raw, "base_functor", what),
                                 product.diagram.base, carrier.base)

@@ -23,7 +23,7 @@ from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,
                       unit_diagram, validate_diagram,
                       validate_diagram_morphism)
 from .errors import GuardrailExceeded, InputError
-from .fincat import (FinCategory, Functor, compose_functors,
+from .fincat import (FinCategory, Functor, _functor_search, compose_functors,
                      enumerate_functors, enumerate_nat_trans, functor_key,
                      terminal_category)
 
@@ -178,47 +178,40 @@ def _enumerate_psis(fiber: FinCategory, target: FinCategory, keep_keys, guard):
 
     The rank is the position in the full enumeration so that ids agree
     between restricted and unrestricted builds of the same product.  A
-    discrete fiber's functors are built one at a time, so a caller that
-    stops early builds no more of them.
+    discrete fiber's functors come from ``_functor_search`` one at a time, so
+    a caller that stops early builds no more of them.  A kept one is built
+    from its key alone, ranked by its object tuple read as a numeral in base
+    ``len(target.objects)``; a key that names no functor is skipped.
     """
-    if _is_discrete(fiber):
-        objs = fiber.objects
-        n = len(target.objects)
-        prefixes = None
-        if keep_keys is not None:
-            prefixes = set()
-            for (omap_t, _) in keep_keys:
-                for i in range(len(omap_t) + 1):
-                    prefixes.add(omap_t[:i])
-        weights = [n ** (len(objs) - 1 - i) for i in range(len(objs))]
-        obj_index = {o: i for i, o in enumerate(target.objects)}
-
-        def rec(i, chosen):
-            if prefixes is not None and tuple(chosen) not in prefixes:
-                return
-            if i == len(objs):
-                omap = dict(zip(objs, chosen))
-                mmap = {fiber.identities[x]: target.identities[omap[x]] for x in objs}
-                psi = Functor(fiber, target, omap, mmap)
-                key = functor_key(psi)
-                if keep_keys is None or key in keep_keys:
-                    rank = sum(weights[j] * obj_index[chosen[j]] for j in range(len(objs)))
-                    yield rank, psi
-                return
-            for o in target.objects:
-                chosen.append(o)
-                yield from rec(i + 1, chosen)
-                chosen.pop()
-
-        yield from rec(0, [])
-        return
-    bound = len(target.objects) ** max(1, len(fiber.objects))
-    if bound > 200_000:
-        raise GuardrailExceeded(
-            f"functor enumeration bound {bound} too large for a non-discrete fiber")
-    for rank, psi in enumerate(enumerate_functors(fiber, target, guard)):
-        if keep_keys is None or functor_key(psi) in keep_keys:
-            yield rank, psi
+    if not _is_discrete(fiber):
+        bound = len(target.objects) ** max(1, len(fiber.objects))
+        if bound > 200_000:
+            raise GuardrailExceeded(
+                f"functor enumeration bound {bound} too large for a non-discrete fiber")
+        for rank, psi in enumerate(enumerate_functors(fiber, target, guard)):
+            if keep_keys is None or functor_key(psi) in keep_keys:
+                yield rank, psi
+    elif keep_keys is None:
+        for rank, (omap, mmap) in enumerate(_functor_search(fiber, target)):
+            yield rank, Functor(fiber, target, omap, mmap)
+    else:
+        digit = {o: i for i, o in enumerate(target.objects)}
+        ranked = []
+        for key in keep_keys:
+            objs = key[0]
+            if len(objs) == len(fiber.objects) and all(o in digit for o in objs):
+                rank = 0
+                for o in objs:
+                    rank = rank * len(digit) + digit[o]
+                ranked.append((rank, key))
+        ranked.sort()
+        for rank, key in ranked:
+            omap = dict(zip(fiber.objects, key[0]))
+            psi = Functor(fiber, target, omap,
+                          {fiber.identities[x]: target.identities[omap[x]]
+                           for x in fiber.objects})
+            if functor_key(psi) == key:
+                yield rank, psi
 
 
 class SemidirectProduct:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -81,10 +82,13 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         assert main(["validate", str(bad)]) == 2, label
         assert capsys.readouterr().err.startswith("error:"), label
     # the same for operad, club and club-object files: wrong containers,
-    # boolean caps and a face map out of a vertex
-    from clubcat.operads import operad_to_club
+    # boolean caps, a face map out of a vertex and club domain entries that
+    # name no object of the carrier's square
+    from clubcat.operads import associative_operad, operad_to_club
     formats.write_file(workspace / "club.json", "club",
                        operad_to_club(cyclic_group_operad(3)))
+    formats.write_file(workspace / "assoc-club.json", "club",
+                       operad_to_club(associative_operad(2)))
     edits = {
         "operad gamma is an integer": ("op.json", lambda d: d.update(gamma=5)),
         "operad gamma args is an integer":
@@ -109,6 +113,17 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
             ("club.json", lambda d: d["domain"].__setitem__(0, 5)),
         "club cap is a boolean": ("club.json", lambda d: d.update(cap=True)),
         "club cap is a string": ("club.json", lambda d: d.update(cap="1")),
+        "club domain object is unknown":
+            ("assoc-club.json", lambda d: d["domain"].append(["9:zz", [], []])),
+        "club domain omap has the wrong length":
+            ("assoc-club.json", lambda d: d["domain"].append(
+                ["1:a1", ["1:a1", "1:a1"], ["id_1:a1", "id_1:a1"]])),
+        "club domain omap leaves the carrier base":
+            ("assoc-club.json", lambda d: d["domain"].append(
+                ["1:a1", ["9:zz"], ["id_9:zz"]])),
+        "club domain mmap is not the identities":
+            ("assoc-club.json", lambda d: d["domain"].append(
+                ["1:a1", ["1:a1"], ["id_2:a2"]])),
         "club-object fiber map on a vertex":
             ("obj.json", lambda d: d["fiber_maps"].update(
                 {"d0@0": d["fiber_maps"]["d0@01"]})),
@@ -117,9 +132,12 @@ def test_validate_schema_error(workspace, tmp_path, capsys):
         data = json.loads((workspace / source).read_text())
         edit(data)
         bad.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["validate", str(bad)]) == 2, label
-        assert capsys.readouterr().err.startswith("error:"), label
+        commands = ["validate"] + (["club-check"] if source.endswith("club.json")
+                                   else [])
+        for command in commands:
+            capsys.readouterr()
+            assert main([command, str(bad)]) == 2, (command, label)
+            assert capsys.readouterr().err.startswith("error:"), (command, label)
 
 
 def test_validate_one_vertex_at_high_truncation_is_quick(tmp_path):
@@ -180,6 +198,23 @@ def test_diag_matches_product_counts(workspace, capsys):
     assert main(["sset", "diag", str(workspace / "interval.json"),
                  str(workspace / "interval3.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_product_and_diag_refuse_an_invalid_sset(workspace, capsys):
+    # Δ[2] with the faces of its 2-simplex listed in reverse order
+    data = formats.serialize("sset", standard_simplex(2, 2))
+    data["faces"]["012"].reverse()
+    bad = workspace / "reversed-faces.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 1
+    good = str(workspace / "triangle.json")
+    formats.write_file(good, "sset", standard_simplex(2, 2))
+    for command in ("product", "diag"):
+        for pair in ([str(bad), good], [good, str(bad)]):
+            capsys.readouterr()
+            assert main(["sset", command, *pair]) == 2, (command, pair)
+            assert capsys.readouterr().err.startswith(
+                f"error: {bad} is not a valid sset"), (command, pair)
 
 
 def test_compose_and_law_check(workspace):
@@ -773,8 +808,8 @@ def test_main_freezes_nothing(workspace, capsys):
     assert gc.get_freeze_count() == before
 
 
-# recorded with ``python tests/test_cli.py``; re-record only when an output
-# changes on purpose
+# the goldens below are recorded with ``python tests/test_cli.py``;
+# re-record only when an output changes on purpose
 CLUB_OBJECT_GOLDEN = Path(__file__).parent / "golden" / "club_object_cli.json"
 
 
@@ -816,8 +851,53 @@ def test_club_object_commands_match_golden(tmp_path):
     assert _club_object_cli_outputs(tmp_path) == golden
 
 
+# ``semidirect -o`` writes product ids "<d>:psi<rank>", ranks in the functor
+# enumeration at d, which no benchmark report covers
+SEMIDIRECT_GOLDEN = Path(__file__).parent / "golden" / "semidirect_cli.json"
+
+
+def _semidirect_inputs():
+    """The pairs whose written products ``semidirect_cli.json`` pins: twenty
+    seeded random diagram pairs, eight of them with a walking-arrow left
+    fiber, and both orders of the product-non-symmetry witness."""
+    pairs = {}
+    for seed in range(20):
+        rng = random.Random(seed)
+        pairs[f"random_diagram:{seed}"] = (random_diagram(rng, "L"),
+                                           random_diagram(rng, "R"))
+    one = suites._pointed_diagram(["d"], [2])
+    two = suites._pointed_diagram(["u", "v"], [1, 1])
+    pairs["non-symmetry:left"] = (one, two)
+    pairs["non-symmetry:right"] = (two, one)
+    return pairs
+
+
+def _semidirect_cli_digests(directory):
+    """Exit code and sha256 of the ``-o`` bytes of ``semidirect`` on each
+    pair, keyed by pair."""
+    left, right, out = (directory / f"{name}.json"
+                        for name in ("left", "right", "product"))
+    digests = {}
+    for label, pair in _semidirect_inputs().items():
+        for path, value in zip((left, right), pair):
+            formats.write_file(path, "diagram", value)
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["semidirect", str(left), str(right), "-o", str(out)])
+        digests[label] = {"exit": code, "sha256": hashlib.sha256(
+            out.read_bytes()).hexdigest() if out.exists() else None}
+    return digests
+
+
+def test_written_products_match_golden(tmp_path):
+    golden = json.loads(SEMIDIRECT_GOLDEN.read_text(encoding="utf-8"))
+    assert _semidirect_cli_digests(tmp_path) == golden
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        CLUB_OBJECT_GOLDEN.write_text(
-            json.dumps(_club_object_cli_outputs(Path(scratch)), indent=1,
-                       sort_keys=True) + "\n", encoding="utf-8")
+        for golden, outputs in ((CLUB_OBJECT_GOLDEN, _club_object_cli_outputs),
+                                (SEMIDIRECT_GOLDEN, _semidirect_cli_digests)):
+            golden.write_text(
+                json.dumps(outputs(Path(scratch)), indent=1,
+                           sort_keys=True) + "\n", encoding="utf-8")

@@ -1,8 +1,10 @@
+import itertools
 import random
 import re
 
 import pytest
 
+import clubcat.operads as operads_module
 import clubcat.semidirect as semidirect_module
 from clubcat import suites
 from clubcat.config import DEFAULT_GUARDRAILS, Guardrails
@@ -16,12 +18,13 @@ from clubcat.fincat import (FinCategory, Functor, discrete_category,
                             enumerate_functors, find_isomorphism, functor_key,
                             identity_functor, terminal_category,
                             validate_category, walking_arrow)
-from clubcat.generate import random_triple
-from clubcat.operads import (_club_from_encoding, _square_within_cap,
+from clubcat.generate import random_diagram, random_triple
+from clubcat.operads import (SymOperad, _club_from_encoding, _square_within_cap,
                              associative_operad, commutative_operad,
-                             cyclic_group_operad, encode_ns, free_operad,
-                             ns_iso_check, operad_to_club, swap_pair_operad,
-                             sym_operad_to_club, symmetric_associative_operad)
+                             cyclic_group_operad, encode_ns, encode_sym,
+                             free_operad, ns_iso_check, operad_to_club,
+                             swap_pair_operad, sym_operad_to_club,
+                             symmetric_associative_operad)
 from clubcat.semidirect import (ClubStructure, Products, SemidirectProduct,
                                 _verify_iso, associator, build_semidirect,
                                 club_check, fiber_semidirect, pentagon_check,
@@ -29,6 +32,7 @@ from clubcat.semidirect import (ClubStructure, Products, SemidirectProduct,
                                 semidirect_on_morphisms, triangle_check,
                                 trivial_club, unitors)
 
+import semidirect_reference
 import unit_law_reference
 from fincat_reference import constant_functor
 from mutants import with_gamma
@@ -172,6 +176,114 @@ def test_product_objects_refuse_what_the_build_refuses():
         built += 1
     # the base, fiber and product-size limits each refused some pair
     assert refusals == {"base", "fiber", "product"} and built
+
+
+def _encode(op):
+    return encode_sym(op) if isinstance(op, SymOperad) else encode_ns(op)
+
+
+def _psi_sweep_targets():
+    """The encoding bases of the named operads, seeded random diagram bases
+    and the bases of seeded random products."""
+    operads = [associative_operad(4), associative_operad(3, with_nullary=True),
+               free_operad({2: ["g"]}, 4), free_operad({2: ["g"], 3: ["t"]}, 3),
+               cyclic_group_operad(3), commutative_operad(2), swap_pair_operad(),
+               symmetric_associative_operad(2), symmetric_associative_operad(3)]
+    targets = [_encode(op).diagram.base for op in operads]
+    rng = random.Random(37)
+    targets += [random_diagram(rng).base for _ in range(8)]
+    # a product base past max_base_objects is never a right base; the first
+    # of these has 68 morphisms, past the functor enumeration's limit
+    rng = random.Random(0)
+    while len(targets) < 24:
+        x, y = random_diagram(rng), random_diagram(rng)
+        base = build_semidirect(x, y).diagram.base
+        if len(base.objects) <= DEFAULT_GUARDRAILS.max_base_objects:
+            targets.append(base)
+    return targets
+
+
+def _psi_sweep_fibers():
+    """Discrete fibers of 0 to 3 objects, the walking arrow and a discrete
+    fiber whose morphisms are listed in reverse object order."""
+    objects = ["a", "b", "c"]
+    reversed_ids = FinCategory(objects, [(f"id_{o}", o, o) for o in objects[::-1]],
+                               {o: f"id_{o}" for o in objects},
+                               {(f"id_{o}", f"id_{o}"): f"id_{o}" for o in objects})
+    return [discrete_category(objects[:n]) for n in range(4)] + [
+        walking_arrow(), reversed_ids]
+
+
+def _psi_outcome(enumerate_psis, fiber, target, keep, stop=None):
+    """The (rank, key, object map, morphism map) of each psi, up to ``stop``
+    of them, or the refusal."""
+    try:
+        return [(rank, functor_key(psi), list(psi.omap.items()),
+                 list(psi.mmap.items()))
+                for rank, psi in itertools.islice(
+                    enumerate_psis(fiber, target, keep, DEFAULT_GUARDRAILS), stop)]
+    except GuardrailExceeded as exc:
+        return ("refused", str(exc))
+
+
+def _no_functor_keys(fiber, target, keys):
+    """Keys that name no functor fiber -> target: an object outside the
+    target, tuples of the wrong length, and known objects with a morphism
+    map that does not match them."""
+    n = len(fiber.objects)
+    bogus = {(("zz",) * n, ("id_zz",) * len(fiber.mor_ids)),
+             (tuple(target.objects[:1]) * (n + 1), ()),
+             (tuple(target.objects[:1]) * max(n - 1, 0), ())}
+    for objs, mors in keys[:3]:
+        bogus.add((objs, mors[::-1] + ("nope",)))
+        bogus.add((objs, mors[1:] + mors[:1]))
+    return bogus - set(keys)
+
+
+def _assert_psis_match(fiber, target, keep):
+    """Both enumerations agree on their first psi, their first three and all
+    of them; returns the reference's full outcome."""
+    for stop in (1, 3, None):
+        want = _psi_outcome(semidirect_reference._enumerate_psis, fiber,
+                            target, keep, stop)
+        assert _psi_outcome(semidirect_module._enumerate_psis, fiber, target,
+                            keep, stop) == want
+    return want
+
+
+def test_psis_match_the_backtracking_reference():
+    rng = random.Random(11)
+    refused = 0
+    for target in _psi_sweep_targets():
+        for fiber in _psi_sweep_fibers():
+            full = _assert_psis_match(fiber, target, None)
+            refused += full[0] == "refused"
+            keys = [] if full[0] == "refused" else [item[1] for item in full]
+            bogus = _no_functor_keys(fiber, target, keys)
+            for keep in [set(), bogus] + [
+                    set(rng.sample(keys, rng.randint(0, len(keys))))
+                    | set(rng.sample(sorted(bogus), rng.randint(0, len(bogus))))
+                    for _ in range(3)]:
+                _assert_psis_match(fiber, target, keep)
+    # the walking arrow is refused over the product bases past the
+    # enumeration's morphism limit
+    assert refused
+
+
+@pytest.mark.parametrize("op", [associative_operad(3), free_operad({2: ["g"]}, 4),
+                                cyclic_group_operad(3), swap_pair_operad(),
+                                symmetric_associative_operad(3)])
+def test_truncated_square_psis_match_the_reference(op, monkeypatch):
+    enc = _encode(op)
+    kept = []
+    monkeypatch.setattr(operads_module, "build_semidirect",
+                        lambda x, y, guard, keep: kept.append(keep))
+    _square_within_cap(enc, op.cap, DEFAULT_GUARDRAILS)
+    (keep,) = kept
+    for oid, keys in keep.items():
+        fiber = enc.diagram.fiber_obj[oid]
+        # every key the square keeps names a functor
+        assert len(_assert_psis_match(fiber, enc.diagram.base, keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------
