@@ -25,8 +25,8 @@ from .simpset import (NormalForm, SimplexCategory, SimplicialMap,
                       SimplicialSet, apply_operator, compose_maps,
                       degeneracy_map, face_map, is_injective,
                       is_kan_fibration, nf_id, nondeg, validate_smap)
-from .sset_club import (ClubMorphismSSet, ClubObjectFamily, compose,
-                        compose_morphism)
+from .sset_club import (ClubMorphismSSet, ClubObjectFamily,
+                        _flattened_family, compose, compose_morphism)
 
 
 def act_category(c: DiagramInCat, m: FinCategory,
@@ -132,6 +132,8 @@ class _UnionFind:
 
 # the most elements a colimit collapses: the values of all objects together
 COLIMIT_SIZE_BOUND = 10_000
+# the most probes ``i_points`` lists in one dimension
+PROBE_COUNT_BOUND = 100_000
 
 
 def colimit_finset(d: FinSetDiagram):
@@ -194,9 +196,17 @@ def i_points(x: AlgebraObject, generator, n):
 
     Naturality over the operators of the standard simplex is automatic once
     the value at the top simplex is fixed, so probes are exactly these pairs.
+    Refuses, with ``GuardrailExceeded``, to list more than
+    ``PROBE_COUNT_BOUND`` of them, counted before any is built.
     """
     out = []
     shape = x.shape
+    count = sum(len(x.diagram.values[nf_id(xnf)]) ** len(generator)
+                for xnf in shape.all_simplices(n))
+    if count > PROBE_COUNT_BOUND:
+        raise GuardrailExceeded(
+            f"{count} probes at dimension {n}, above the bound "
+            f"PROBE_COUNT_BOUND = {PROBE_COUNT_BOUND}")
     for xnf in shape.all_simplices(n):
         val = x.diagram.values[nf_id(xnf)]
         for combo in itertools.product(val, repeat=len(generator)):
@@ -358,9 +368,12 @@ def two_stage_colimit_check(tlf: ClubObjectFamily):
 
     The two-level family must take discrete values (finite sets as discrete
     complexes).  Compares the canonical map between both colimits and reports
-    any failure of bijectivity.  The inner diagram over a base simplex reads
-    only its base (``psi.values`` and ``tlf.values``), so it is built and
-    collapsed once per non-degenerate base simplex.
+    any failure of bijectivity.  One builder makes the set-valued diagram of
+    a family with discrete values over its base's category of simplices: the
+    one-stage diagram from the family flattened over the composed base
+    (``sset_club._flattened_family``), and the inner diagram over each
+    non-degenerate base simplex from its inner family, built and collapsed
+    once per simplex.
     """
     report = []
     s = tlf.base
@@ -379,27 +392,21 @@ def two_stage_colimit_check(tlf: ClubObjectFamily):
             fn = functions[f] = _smap_function(f)
         return fn
 
+    def diagram(fam, name):
+        """The vertices of the values, moved by the transports."""
+        cat = fam.base.category()
+        values = {oid: _discrete_elements(fam.values[cat.simplex_of[oid].base])
+                  for oid in cat.objects}
+        maps = {}
+        for mid in cat.mor_ids:
+            oid = cat.src[mid]
+            f = function(fam.transport(cat.simplex_of[oid], cat.operator_of[mid]))
+            maps[mid] = {e: f[e] for e in values[oid]}
+        return FinSetDiagram(cat, values, maps, name=name)
+
     # one stage: compose the pair, then collapse over the composite's simplices
     res1 = compose(tlf.psi)
-    t1 = res1.sset
-    t_cat = t1.category()
-    values, maps = {}, {}
-    pair_cache = {}
-    for oid in t_cat.objects:
-        u = t_cat.simplex_of[oid]
-        snf, tnf = res1.pair_of(u)
-        pair_cache[oid] = (snf, tnf)
-        values[oid] = _discrete_elements(tlf.values[snf.base].values[tnf.base])
-    for mid in t_cat.mor_ids:
-        theta = t_cat.operator_of[mid]
-        oid = t_cat.src[mid]
-        snf, tnf = pair_cache[oid]
-        step = tlf.transport(snf, theta)
-        inner = step.tgt.transport(step.f.apply(tnf), theta)
-        f1 = function(step.phi[tnf.base])
-        f2 = function(inner)
-        maps[mid] = {e: f2[f1[e]] for e in values[oid]}
-    one_stage = FinSetDiagram(t_cat, values, maps, name="one-stage")
+    one_stage = diagram(_flattened_family(tlf, res1), "one-stage")
     bad = validate_finset_diagram(one_stage)
     if bad:
         return [f"one-stage diagram: {r}" for r in bad]
@@ -409,20 +416,8 @@ def two_stage_colimit_check(tlf: ClubObjectFamily):
     inner_reps, inner_classes = {}, {}
     for k in range(s.trunc + 1):
         for y in s.nondeg[k]:
-            v_cat = tlf.psi.values[y].category()
-            chi = tlf.values[y]
-            ivalues = {}
-            imaps = {}
-            for t_oid in v_cat.objects:
-                tnf = v_cat.simplex_of[t_oid]
-                ivalues[t_oid] = _discrete_elements(chi.values[tnf.base])
-            for t_mid in v_cat.mor_ids:
-                theta = v_cat.operator_of[t_mid]
-                t_oid = v_cat.src[t_mid]
-                f = function(chi.transport(v_cat.simplex_of[t_oid], theta))
-                imaps[t_mid] = {e: f[e] for e in ivalues[t_oid]}
-            idiag = FinSetDiagram(v_cat, ivalues, imaps, name=f"inner({y})")
-            inner_reps[y], inner_classes[y] = colimit_finset(idiag)
+            inner_reps[y], inner_classes[y] = colimit_finset(
+                diagram(tlf.values[y], f"inner({y})"))
 
     s_cat = s.category()
     ovalues = {oid: [f"{t}&{e}" for (t, e) in inner_reps[s_cat.simplex_of[oid].base]]
@@ -451,8 +446,9 @@ def two_stage_colimit_check(tlf: ClubObjectFamily):
     # canonical comparison: a one-stage generator lands in the two-stage class
     # of its own pair
     image = {}
+    t_cat = one_stage.cat
     for oid in t_cat.objects:
-        snf, tnf = pair_cache[oid]
+        snf, tnf = res1.pair_of(t_cat.simplex_of[oid])
         s_oid = nf_id(snf)
         classes = inner_classes[snf.base]
         for e in one_stage.values[oid]:

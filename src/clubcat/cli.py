@@ -126,6 +126,14 @@ def cmd_validate(args):
                        {"violations": violations[:20]}, kind=kind)
 
 
+def _valid_file(path, kind, what, message):
+    """The ``kind`` file at ``path``, refused with InputError ``message`` if
+    it fails its validator."""
+    value = _parse_as(path, kind, what)
+    _require_valid(_validate_value(kind, value), message)
+    return value
+
+
 def _valid_pair(args, kind, what):
     """The ``left`` and ``right`` files of ``kind``, each refused with
     InputError if it fails its validator."""
@@ -177,21 +185,14 @@ def cmd_sset_diag(args):
     return _emit_sset(args, "diag", "diagonal-constructed", result)
 
 
-def _valid_club_object(args, what):
-    obj = _parse_as(args.file, "club-object", what)
-    _require_valid(validate_family(obj), "invalid family")
-    return obj
-
-
 def cmd_sset_compose(args):
-    obj = _valid_club_object(args, "compose")
+    obj = _valid_file(args.file, "club-object", "compose", "invalid family")
     return _emit_sset(args, "compose", "composite-constructed",
                       compose(obj).sset)
 
 
 def cmd_sset_kan_check(args):
-    value = _parse_as(args.file, "map", "kan-check")
-    _require_valid(_validate_value("map", value), "invalid map")
+    value = _valid_file(args.file, "map", "kan-check", "invalid map")
     max_dim = args.max_dim if args.max_dim is not None else value.src.trunc - 1
     if max_dim < 0:
         raise InputError("kan-check needs a nonnegative --max-dim")
@@ -201,7 +202,7 @@ def cmd_sset_kan_check(args):
 
 
 def cmd_sset_law_check(args):
-    obj = _valid_club_object(args, "law-check")
+    obj = _valid_file(args.file, "club-object", "law-check", "invalid family")
     report = Report(command="sset law-check")
     if args.unit or not (args.unit or args.assoc):
         violations = unit_law_point_values(obj.base)
@@ -222,12 +223,6 @@ def cmd_sset_law_check(args):
     return _emit(report.report(), args)
 
 
-def _valid_operad(args, what):
-    value = _parse_as(args.file, "operad", what)
-    _require_valid(_operad_violations(value), "invalid operad")
-    return value
-
-
 def cmd_operad_validate(args):
     value = _parse_as(args.file, "operad", "operad validate")
     violations = _operad_violations(value)
@@ -236,7 +231,7 @@ def cmd_operad_validate(args):
 
 
 def cmd_operad_encode(args):
-    value = _valid_operad(args, "operad encode")
+    value = _valid_file(args.file, "operad", "operad encode", "invalid operad")
     enc = encode_sym(value) if isinstance(value, SymOperad) else encode_ns(value)
     if args.out:
         formats.write_file(args.out, "diagram", enc.diagram)
@@ -245,7 +240,7 @@ def cmd_operad_encode(args):
 
 
 def cmd_operad_to_club(args):
-    value = _valid_operad(args, "operad to-club")
+    value = _valid_file(args.file, "operad", "operad to-club", "invalid operad")
     club = (sym_operad_to_club(value) if isinstance(value, SymOperad)
             else operad_to_club(value))
     if args.out:
@@ -255,7 +250,7 @@ def cmd_operad_to_club(args):
 
 
 def cmd_operad_roundtrip(args):
-    value = _valid_operad(args, "operad roundtrip")
+    value = _valid_file(args.file, "operad", "operad roundtrip", "invalid operad")
     if isinstance(value, SymOperad):
         raise InputError("roundtrip reads back plain composition tables; "
                          "use a non-symmetric operad")
@@ -264,8 +259,8 @@ def cmd_operad_roundtrip(args):
 
 
 def cmd_algebra_colimit(args):
-    obj = _parse_as(args.file, "algebra-object", "colimit")
-    _require_valid(validate_finset_diagram(obj.diagram), "invalid set diagram")
+    obj = _valid_file(args.file, "algebra-object", "colimit",
+                      "invalid set diagram")
     reps = colimit_act(obj)
     return _emit_check(args, "algebra colimit", "collapse-computed", True,
                        {"classes": len(reps),
@@ -276,8 +271,8 @@ def cmd_algebra_ipoints(args):
     if args.dim is not None and args.dim < 0:
         raise InputError("ipoints needs a nonnegative --dim")
     generator = _generator(args)
-    obj = _parse_as(args.file, "algebra-object", "ipoints")
-    _require_valid(validate_finset_diagram(obj.diagram), "invalid set diagram")
+    obj = _valid_file(args.file, "algebra-object", "ipoints",
+                      "invalid set diagram")
     if args.dim is not None:
         pts = i_points(obj, generator, args.dim)
         details = {"dimension": args.dim, "count": len(pts)}
@@ -293,8 +288,8 @@ def cmd_algebra_fibration_check(args):
     command = "algebra fibration-check"
     generator = _generator(args)
     if args.file:
-        m = _parse_as(args.file, "algebra-morphism", "fibration-check")
-        _require_valid(validate_algebra_morphism(m), "invalid morphism")
+        m = _valid_file(args.file, "algebra-morphism", "fibration-check",
+                        "invalid morphism")
         ok, info = is_fibration(m, [generator])
         return _emit_check(args, command, "fibration-predicate", ok, info or {})
     if args.trunc < 0 or args.samples < 0:

@@ -128,19 +128,16 @@ def validate_ns_operad(p: NsOperad):
         for q in p.levels[m]:
             if p.gamma[(p.unit, (q,))] != q:
                 report.append(f"left unit law fails at {q!r}")
-    # associativity: gamma(gamma(p; qs); rs) = gamma(p; gamma(q_i; r-segment))
+    # associativity: gamma(gamma(p; qs); rs) = gamma(p; gamma(q_i; r-segment)),
+    # rs ranging over the tuples composable with gamma(p; qs), of arity total
+    pool = p.all_elements()
     for (op, qs) in tuples:
-        n = len(qs)
         arities = [p.arity_of(q) for q in qs]
         total = sum(arities)
         if total == 0:
             continue
         inner = p.gamma[(op, qs)]
-        for (op2, rs) in tuples:
-            if op2 != inner:
-                continue
-            if len(rs) != total:
-                continue
+        for rs, _ in _bounded_tuples(total, pool, p.cap):
             lhs = p.gamma[(inner, rs)]
             segments = []
             pos = 0

@@ -32,9 +32,10 @@ The law walks visit every simplex x, operator theta and generator, but a
 check at (x, theta) is a function of (x.base, x.eta∘theta) alone: x is
 x.eta applied to the non-degenerate x.base, so theta* x and the transport
 along theta depend only on the composite operator out of x.base.  By the
-Eilenberg-Zilber lemma many (x, theta) share that key, so the functoriality
-and naturality walks evaluate each check once per key, in a memo local to
-the call, and report every (x, theta) that fails in walk order.
+Eilenberg-Zilber lemma many (x, theta) share that key, so one walk,
+``_failing_operators``, evaluates a check once per key, in a memo local to
+the walk, and yields every (x, theta) that fails, in walk order.  The
+functoriality and naturality laws both read it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
 
 # ---------------------------------------------------------------------------
 # simplex-indexed families
+
+def _failing_operators(s: SimplicialSet, check):
+    """Each (x, theta, value) with ``value = check(x, theta)`` truthy, over
+    every simplex x of ``s`` and operator theta into x, in walk order; the
+    check is evaluated once per key (x.base, x.eta∘theta)."""
+    memo = {}
+    for k in range(s.trunc + 1):
+        for x in s.all_simplices(k):
+            for m in range(s.trunc + 1):
+                for theta in all_monotone_maps(m, k):
+                    key = (x.base, compose_maps(x.eta, theta))
+                    value = memo.get(key)
+                    if value is None:
+                        value = memo[key] = check(x, theta)
+                    if value:
+                        yield x, theta, value
+
 
 class SimplexFamily:
     """Simplicial sets indexed by the simplices of a base, in reduced form.
@@ -104,30 +122,20 @@ class SimplexFamily:
         every (x, theta) against every generator composes to the full
         composition law by induction on decompositions.
 
-        Every (x, theta, g) is visited, degenerate x included, but the check
-        is evaluated once per key (x.base, kappa) with kappa = x.eta∘theta:
-        ``transport(x, theta)`` and ``apply_operator(s, x, theta)`` read only
-        x.base and kappa, and ``transport(x, theta∘g)`` reads x.base and
-        kappa∘g, the same interned map.  So the failing generators are a
-        function of the key, and a repeated key yields the stored ones."""
+        The failing generators read only the key (x.base, x.eta∘theta):
+        ``transport(x, theta∘g)`` reads x.base and x.eta∘theta∘g."""
         s = self.base
-        failing = {}
-        for k in range(s.trunc + 1):
-            for x in s.all_simplices(k):
-                for m in range(s.trunc + 1):
-                    for theta in all_monotone_maps(m, k):
-                        key = (x.base, compose_maps(x.eta, theta))
-                        gens = failing.get(key)
-                        if gens is None:
-                            through = self.transport(x, theta)
-                            y = apply_operator(s, x, theta)
-                            gens = failing[key] = [
-                                g for g in s.generators(m)
-                                if not self._equal(
-                                    self._compose(self.transport(y, g), through),
-                                    self.transport(x, compose_maps(theta, g)))]
-                        for g in gens:
-                            yield x, theta, g
+
+        def failing_generators(x, theta):
+            through = self.transport(x, theta)
+            y = apply_operator(s, x, theta)
+            return [g for g in s.generators(theta.m)
+                    if not self._equal(self._compose(self.transport(y, g), through),
+                                       self.transport(x, compose_maps(theta, g)))]
+
+        for x, theta, gens in _failing_operators(s, failing_generators):
+            for g in gens:
+                yield x, theta, g
 
 
 def validate_family(fam: SimplexFamily):
@@ -402,26 +410,16 @@ def validate_club_morphism(m: ClubMorphismSSet):
         return report
     # the square at (x, theta) reads only x.base and kappa = x.eta∘theta:
     # f(x) is x.eta applied to f(x.base), whose operator part is surjective,
-    # so f(x).eta∘theta is f(x.base).eta∘kappa.  Each square is evaluated
-    # once per key, and every (x, theta) is still reported.
-    natural = {}
-    for k in range(s.trunc + 1):
-        for x in s.all_simplices(k):
-            for mm in range(s.trunc + 1):
-                for theta in all_monotone_maps(mm, k):
-                    key = (x.base, compose_maps(x.eta, theta))
-                    ok = natural.get(key)
-                    if ok is None:
-                        y = apply_operator(s, x, theta)
-                        lhs = compose_smaps(m.phi[y.base],
-                                            fam1.transport(x, theta))
-                        rhs = compose_smaps(fam2.transport(m.f.apply(x), theta),
-                                            m.phi[x.base])
-                        ok = natural[key] = smap_equal(lhs, rhs)
-                    if not ok:
-                        report.append(
-                            f"naturality fails at {nf_id(x)!r} with {theta.values!r}")
-    return report
+    # so f(x).eta∘theta is f(x.base).eta∘kappa.
+
+    def unnatural(x, theta):
+        y = apply_operator(s, x, theta)
+        lhs = compose_smaps(m.phi[y.base], fam1.transport(x, theta))
+        rhs = compose_smaps(fam2.transport(m.f.apply(x), theta), m.phi[x.base])
+        return not smap_equal(lhs, rhs)
+
+    return [f"naturality fails at {nf_id(x)!r} with {theta.values!r}"
+            for x, theta, _ in _failing_operators(s, unnatural)]
 
 
 def identity_club_morphism(fam: SimplexFamily):

@@ -6,6 +6,10 @@ inclusion into the symmetric composite, and ``ns_iso_check`` the
 correspondence E(P∘P) ≅ E⋉E, mapped from the encoded composite to the
 square (``tuple-to-pair``), the inverse of the direction the package now
 builds.  They are the oracles of ``test_operads``'s reference sweeps.
+
+``validate_ns_operad`` scans every composable tuple for the outer
+compositions of its associativity law, as it did before the law read the
+tuples of the inner composite's arity directly.
 """
 
 from clubcat.config import DEFAULT_GUARDRAILS, Guardrails
@@ -15,10 +19,11 @@ from clubcat.errors import InputError
 from clubcat.fincat import Functor, terminal_category
 from clubcat.operads import (Collection, EncodedCollection, NsIsoResult,
                              NsOperad, SymCollection, SymInclusionResult,
-                             _block_of, _class_name, _composite_tuples,
-                             _decode, _flat_order, _order_functor, _orbit_rep,
-                             _perm_id, _square_within_cap, circ, encode_ns,
-                             encode_sym, sym_circ)
+                             _block_of, _class_name, _composable_tuples,
+                             _composite_tuples, _decode, _flat_order,
+                             _order_functor, _orbit_rep, _perm_id,
+                             _square_within_cap, circ, encode_ns, encode_sym,
+                             sym_circ, validate_collection)
 from clubcat.semidirect import ClubStructure, SemidirectProduct, _verify_iso
 
 
@@ -148,3 +153,62 @@ def sym_inclusion(p: SymCollection, guard: Guardrails = DEFAULT_GUARDRAILS):
     hit = set(omap.values())
     missing = [cid for cid in enc_c.diagram.base.objects if cid not in hit]
     return SymInclusionResult(prod, inj_obj and inj_mor, not missing, missing)
+
+
+def validate_ns_operad(p: NsOperad):
+    """Totality, unit laws and associativity of gamma within the cap."""
+    report = validate_collection(p)
+    if p.unit not in p.levels.get(1, []):
+        report.append("unit is not an element of arity one")
+        return report
+    tuples = _composable_tuples(p)
+    tuple_set = set(tuples)
+    for (op, args) in tuples:
+        key = (op, args)
+        if key not in p.gamma:
+            report.append(f"gamma missing at {key!r}")
+            continue
+        out = p.gamma[key]
+        want = sum(p.arity_of(q) for q in args)
+        if out not in p.levels.get(want, []):
+            report.append(f"gamma at {key!r} lands at {out!r}, not in arity {want}")
+    for key in p.gamma:
+        if key not in tuple_set:
+            report.append(f"gamma entry {key!r} outside the cap or malformed")
+    if report:
+        return report
+    for n in range(1, p.cap + 1):
+        for op in p.levels[n]:
+            if p.gamma[(op, tuple(p.unit for _ in range(n)))] != op:
+                report.append(f"right unit law fails at {op!r}")
+    for m in range(p.cap + 1):
+        for q in p.levels[m]:
+            if p.gamma[(p.unit, (q,))] != q:
+                report.append(f"left unit law fails at {q!r}")
+    # associativity: gamma(gamma(p; qs); rs) = gamma(p; gamma(q_i; r-segment))
+    for (op, qs) in tuples:
+        n = len(qs)
+        arities = [p.arity_of(q) for q in qs]
+        total = sum(arities)
+        if total == 0:
+            continue
+        inner = p.gamma[(op, qs)]
+        for (op2, rs) in tuples:
+            if op2 != inner:
+                continue
+            if len(rs) != total:
+                continue
+            lhs = p.gamma[(inner, rs)]
+            segments = []
+            pos = 0
+            for m in arities:
+                segments.append(rs[pos:pos + m])
+                pos += m
+            mids = []
+            for q, seg in zip(qs, segments):
+                mids.append(p.compose(q, seg))
+            rhs = p.gamma[(op, tuple(mids))]
+            if lhs != rhs:
+                report.append(
+                    f"associativity fails at ({op!r}; {qs!r}) with {rs!r}")
+    return report

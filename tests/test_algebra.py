@@ -14,7 +14,9 @@ from clubcat.algebra import (AlgebraMorphism, AlgebraObject,
                              validate_algebra_morphism,
                              validate_finset_diagram)
 from clubcat.fincat import discrete_category, find_isomorphism, validate_category
-from clubcat.generate import random_stability_sample, random_two_level
+from clubcat.generate import (discrete_sset, minvertex_chain_family,
+                              random_chain, random_stability_sample,
+                              random_two_level)
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
 from clubcat.simpset import (MonotoneMap, NormalForm, SimplexCategory,
@@ -23,8 +25,9 @@ from clubcat.simpset import (MonotoneMap, NormalForm, SimplexCategory,
                              is_kan_fibration, nf_id, nondeg, one_point,
                              standard_simplex, validate_sset)
 from clubcat.sset_club import (ClubMorphismSSet, compose, compose_morphism,
-                               constant_family, constant_two_level,
-                               identity_club_morphism)
+                               constant_family, constant_inner,
+                               constant_two_level, identity_club_morphism,
+                               validate_two_level)
 from finset_reference import (reference_i_points_with_nf,
                               reference_is_kan_fibration,
                               reference_two_stage_colimit_check,
@@ -431,6 +434,39 @@ def test_two_stage_negative_control_matches_the_reference(monkeypatch):
     assert report and all(r.startswith("one-stage diagram: functoriality fails")
                           for r in report)
     assert report == reference_two_stage_colimit_check(tlf)
+
+
+def moving_outer_cases():
+    """(family, control) pairs over Δ[1], Δ[2] and ∂Δ[2] at truncation 2:
+    psi takes point sets along a chain of vertex functions, so an outer
+    transport moves t, and every inner value is one discrete u.  The control
+    permutes the points of u in one component of one face map."""
+    rng = random.Random(38)
+    for s in (standard_simplex(1, 2), standard_simplex(2, 2), boundary(2, 2)):
+        for _ in range(12):
+            psi = minvertex_chain_family(s, *random_chain(rng, 2, discrete=True))
+            u = discrete_sset(2, rng.randint(2, 3), prefix="u")
+            tlf = constant_inner(psi, u)
+            key = rng.choice(sorted(tlf.face_maps))
+            t = rng.choice(psi.values[key[0]].nondeg[0])
+            points = u.nondeg[0]
+            cycle = SimplicialMap(u, u, {p: nondeg(points[i - 1], 0)
+                                         for i, p in enumerate(points)})
+            yield tlf, with_component(tlf, key, t, cycle)
+
+
+def test_two_stage_on_outer_transports_that_move_t():
+    reports = []
+    for tlf, control in moving_outer_cases():
+        assert validate_two_level(tlf) == []
+        assert any(f.src is not f.tgt for f in tlf.psi.face_maps.values())
+        for case in (tlf, control):
+            report = two_stage_colimit_check(case)
+            assert report == reference_two_stage_colimit_check(case)
+            reports.append(report)
+    assert len(reports) == 72
+    # every family passes; some controls fail
+    assert not any(reports[::2]) and any(reports[1::2])
 
 
 def split_class(reps, classes):

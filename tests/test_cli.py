@@ -22,11 +22,11 @@ from clubcat.generate import random_diagram, random_family
 from clubcat.operads import (commutative_operad, cyclic_group_operad,
                              free_operad, operad_to_club)
 from clubcat.simpset import (NormalForm, SimplicialMap, degeneracy_map,
-                             identity_smap, nondeg, one_point,
+                             disjoint_union, identity_smap, nondeg, one_point,
                              standard_simplex)
 from clubcat.sset_club import constant_family
 from clubcat.algebra import AlgebraMorphism, constant_algebra_object
-from mutants import with_gamma
+from mutants import with_face_map, with_gamma
 
 
 @pytest.fixture
@@ -169,6 +169,21 @@ def test_algebra_colimit_above_the_size_bound_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ipoints_above_the_probe_bound_exits_3(workspace, capsys):
+    # two values over the interval at truncation 2: 3 * 2**gen probes at
+    # dimension 1, counted before any is listed
+    path = str(workspace / "alg.json")
+    capsys.readouterr()
+    assert main(["algebra", "ipoints", path, "--gen", "17", "--dim", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("guardrail: 393216 probes at dimension 1, above the bound "
+                   "PROBE_COUNT_BOUND = 100000\n")
+    assert main(["--json", "algebra", "ipoints", path, "--gen", "15",
+                 "--dim", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"] == {
+        "count": 98_304, "dimension": 1}
+
+
 def test_validation_failure_exit_code(workspace, tmp_path):
     data = formats.serialize("operad", cyclic_group_operad(3))
     for entry in data["gamma"]:
@@ -215,6 +230,45 @@ def test_product_and_diag_refuse_an_invalid_sset(workspace, capsys):
             assert main(["sset", command, *pair]) == 2, (command, pair)
             assert capsys.readouterr().err.startswith(
                 f"error: {bad} is not a valid sset"), (command, pair)
+
+
+def _refusal(argv, capsys):
+    """The exit code and stderr of one command line."""
+    capsys.readouterr()
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_compose_refuses_an_invalid_family(tmp_path, capsys):
+    # two points over the triangle, with the points swapped along one face
+    u = disjoint_union(one_point(2), one_point(2))
+    a, b = u.nondeg[0]
+    fam = with_face_map(constant_family(standard_simplex(2, 2), u), ("012", 0),
+                        SimplicialMap(u, u, {a: nondeg(b, 0), b: nondeg(a, 0)}))
+    path = tmp_path / "swapped.json"
+    formats.write_file(path, "club-object", fam)
+    assert _refusal(["sset", "compose", str(path)], capsys) == (
+        2, "error: invalid family: functoriality fails at '012' with (1, 2) "
+           "then (1,)\n")
+
+
+def test_to_club_refuses_an_invalid_operad(tmp_path, capsys):
+    path = tmp_path / "z3.json"
+    formats.write_file(path, "operad",
+                       with_gamma(cyclic_group_operad(3), ("1", ("1",)), "0"))
+    assert _refusal(["operad", "to-club", str(path)], capsys) == (
+        2, "error: invalid operad: associativity fails at ('1'; ('1',)) "
+           "with ('2',)\n")
+
+
+def test_kan_check_refuses_an_invalid_map(tmp_path, capsys):
+    # the edge of the interval sent to a vertex, against its faces
+    data = formats.serialize("map", identity_smap(standard_simplex(1, 2)))
+    data["images"]["01"] = {"eta": [0, 0], "base": "0"}
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps(data))
+    assert _refusal(["sset", "kan-check", str(path)], capsys) == (
+        2, "error: invalid map: face d0 not preserved at '01'\n")
 
 
 def test_compose_and_law_check(workspace):

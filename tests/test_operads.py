@@ -480,6 +480,32 @@ def _club_tables(club):
             {d: _tables(comp) for d, comp in club.eta.rho.items()}, club.cap)
 
 
+def test_ns_validation_matches_the_tuple_scan_reference():
+    # the named non-symmetric hosts and the rest of random_operad's pool,
+    # each with 30 law-breaking mutants and 30 unfiltered single-entry edits
+    hosts = [associative_operad(cap, with_nullary=nullary)
+             for cap in (2, 3, 4) for nullary in (False, True)]
+    hosts += [free_operad({2: ["g"]}, 3), free_operad({2: ["g"]}, 4),
+              free_operad({2: ["g"], 3: ["t"]}, 3), cyclic_group_operad(2),
+              cyclic_group_operad(3), gen.boolean_and_operad(),
+              gen.idempotent_monoid_operad(),
+              gen.singleton_arity_operad([1, 2, 3], 3),
+              gen.singleton_arity_operad([1, 3], 4)]
+    rng = random.Random(38)
+    reports = []
+    for host in hosts:
+        cases = [host] + [m for _, _, m in gen.law_breaking_mutations(rng, host, 30)]
+        keys, elements = sorted(host.gamma), [e for _, e in host.all_elements()]
+        cases += [with_gamma(host, rng.choice(keys), rng.choice(elements))
+                  for _ in range(30)]
+        for op in cases:
+            report = validate_ns_operad(op)
+            assert report == operads_reference.validate_ns_operad(op), op.name
+            reports.append(report)
+    assert len(reports) == 15 * 61
+    assert sum(map(bool, reports)) >= 15 * 30
+
+
 def test_club_from_encoding_matches_the_loop_reference():
     labels = []
     for label, op, enc, square in _club_sweep():
