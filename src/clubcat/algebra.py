@@ -414,10 +414,9 @@ def two_stage_colimit_check(tlf: ClubObjectFamily):
 
     # two stages: collapse each inner diagram, then collapse over the base
     inner_reps, inner_classes = {}, {}
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            inner_reps[y], inner_classes[y] = colimit_finset(
-                diagram(tlf.values[y], f"inner({y})"))
+    for y, _ in s.listing():
+        inner_reps[y], inner_classes[y] = colimit_finset(
+            diagram(tlf.values[y], f"inner({y})"))
 
     s_cat = s.category()
     ovalues = {oid: [f"{t}&{e}" for (t, e) in inner_reps[s_cat.simplex_of[oid].base]]
@@ -515,8 +514,7 @@ def sset_stability_check(samples):
         res_tgt = compose(m.tgt)
         composed = compose_morphism(m, res_src, res_tgt)
         parts_injective = is_injective(m.f) and all(
-            is_injective(m.phi[y])
-            for k in range(m.src.base.trunc + 1) for y in m.src.base.nondeg[k])
+            is_injective(m.phi[y]) for y, _ in m.src.base.listing())
         if parts_injective and not is_injective(composed):
             report.append(f"sample {idx}: composite of injective data "
                           f"is not injective")

@@ -57,6 +57,17 @@ def _need_id_tuple(value, what):
     return tuple(_check_id(v, what) for v in _need_list(value, what))
 
 
+def _need_graded(value, top, what, degree):
+    """A JSON object keyed by degrees ``str(n)`` for 0 <= n <= top; any other
+    key is refused, and the caller reads a missing one as empty."""
+    raw = _need_dict(value, what)
+    degrees = {str(n) for n in range(top + 1)}
+    for key in raw:
+        if key not in degrees:
+            raise SchemaError(f"{what} key {key!r} is not {degree} in 0..{top}")
+    return raw
+
+
 def _need_cap(value, what):
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SchemaError(f"{what} cap must be a positive integer")
@@ -163,7 +174,8 @@ def sset_from_json(data, what="simplicial set"):
     trunc = _need(data, "trunc", what)
     if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
         raise SchemaError(f"{what} truncation must be a nonnegative integer")
-    raw = _need_dict(_need(data, "nondeg", what), f"{what} nondeg")
+    raw = _need_graded(_need(data, "nondeg", what), trunc, f"{what} nondeg",
+                       "a dimension")
     nondeg = {}
     dim_of = {}
     for k in range(trunc + 1):
@@ -242,18 +254,19 @@ def club_object_from_json(data, what="club object"):
     base = _valid_sset_from_json(_need(data, "base", what), f"{what} base")
     fibers_raw = _need_dict(_need(data, "fibers", what), f"{what} fibers")
     values = {}
-    for k in range(base.trunc + 1):
-        for y in base.nondeg[k]:
-            if y not in fibers_raw:
-                raise SchemaError(f"{what} has no fiber for simplex {y!r}")
-            values[y] = sset_from_json(fibers_raw[y], f"{what} fiber {y!r}")
+    for y, _ in base.listing():
+        if y not in fibers_raw:
+            raise SchemaError(f"{what} has no fiber for simplex {y!r}")
+        values[y] = sset_from_json(fibers_raw[y], f"{what} fiber {y!r}")
     face_maps = {}
     maps_raw = _need_dict(_need(data, "fiber_maps", what), f"{what} fiber_maps")
     for key, images in maps_raw.items():
         op, _, simplex = key.partition("@")
-        if not op.startswith("d") or not op[1:].isdigit() or not simplex:
+        index = op[1:]
+        if (not op.startswith("d") or not (index.isascii() and index.isdigit())
+                or not simplex):
             raise SchemaError(f"{what} fiber map key {key!r} is not 'd<i>@<simplex>'")
-        i = int(op[1:])
+        i = int(index)
         if simplex not in values:
             raise SchemaError(f"{what} fiber map for unknown simplex {simplex!r}")
         k = base.dim_of[simplex]
@@ -289,7 +302,8 @@ def operad_to_json(p: NsOperad):
 
 def operad_from_json(data, what="operad"):
     cap = _need_cap(_need(data, "cap", what), what)
-    raw = _need_dict(_need(data, "levels", what), f"{what} levels")
+    raw = _need_graded(_need(data, "levels", what), cap, f"{what} levels",
+                       "an arity")
     levels = {n: [_check_id(e, f"{what} element")
                   for e in _need_list(raw.get(str(n), []), f"{what} level {n}")]
               for n in range(cap + 1)}
@@ -304,10 +318,8 @@ def operad_from_json(data, what="operad"):
                                       f"{what} gamma result")
     if "actions" in data and data["actions"]:
         actions = {}
-        for n_str, entries in _need_dict(data["actions"], f"{what} actions").items():
-            if not n_str.isdecimal():
-                raise SchemaError(f"{what} action arity must be a number, "
-                                  f"got {n_str!r}")
+        for n_str, entries in _need_graded(data["actions"], cap, f"{what} actions",
+                                           "an arity").items():
             acts = {}
             for entry in _need_list(entries, f"{what} actions {n_str}"):
                 perm = _need_list(_need(entry, "perm", what), f"{what} action perm")

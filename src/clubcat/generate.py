@@ -282,12 +282,11 @@ def _vertex_function_map(a: SimplicialSet, b: SimplicialSet, fn):
     to the totally degenerate k-simplex on ``fn(x)``.  It is simplicial when
     ``a`` is discrete or ``fn`` is constant."""
     images = {}
-    for k in range(a.trunc + 1):
-        for x in a.nondeg[k]:
-            nf = nondeg(fn(x), 0)
-            for j in range(k):
-                nf = apply_operator(b, nf, degeneracy_map(j, 0))
-            images[x] = nf
+    for x, k in a.listing():
+        nf = nondeg(fn(x), 0)
+        for j in range(k):
+            nf = apply_operator(b, nf, degeneracy_map(j, 0))
+        images[x] = nf
     return SimplicialMap(a, b, images)
 
 
@@ -338,15 +337,9 @@ def _chain_step(chain, steps, i, j):
 
 def minvertex_chain_family(s: SimplicialSet, chain, steps, name="minv"):
     """Values by least vertex over a subset-named base, maps along a chain."""
-    values, face_maps = {}, {}
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            values[y] = chain[min(_minv(y), len(chain) - 1)]
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            for i in range(k + 1):
-                face_maps[(y, i)] = _chain_step(chain, steps, _minv(y),
-                                                _minv(s.faces[y][i].base))
+    values = {y: chain[min(_minv(y), len(chain) - 1)] for y, _ in s.listing()}
+    face_maps = {(y, i): _chain_step(chain, steps, _minv(y), _minv(s.faces[y][i].base))
+                 for y, i in s.face_slots()}
     return SimplexFamily(s, values, face_maps, name=name)
 
 
@@ -390,20 +383,15 @@ def random_two_level(rng: random.Random, trunc, discrete=False):
     t = rng.choice([standard_simplex(1, trunc), standard_simplex(0, trunc)])
     chain, steps = random_chain(rng, trunc, length=4, discrete=discrete)
     chi, face_maps = {}, {}
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            o = min(_minv(y), len(chain) - 1)
-            chi[y] = minvertex_chain_family(t, chain[o:], steps[o:],
-                                            name=f"chi{y}")
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            for i in range(k + 1):
-                face = s.faces[y][i].base
-                a, b = _minv(y), _minv(face)
-                phi = {z: _chain_step(chain, steps, a + _minv(z), b + _minv(z))
-                       for kk in range(t.trunc + 1) for z in t.nondeg[kk]}
-                face_maps[(y, i)] = ClubMorphismSSet(chi[y], chi[face],
-                                                     identity_smap(t), phi)
+    for y, _ in s.listing():
+        o = min(_minv(y), len(chain) - 1)
+        chi[y] = minvertex_chain_family(t, chain[o:], steps[o:], name=f"chi{y}")
+    for y, i in s.face_slots():
+        face = s.faces[y][i].base
+        a, b = _minv(y), _minv(face)
+        phi = {z: _chain_step(chain, steps, a + _minv(z), b + _minv(z))
+               for z, _ in t.listing()}
+        face_maps[(y, i)] = ClubMorphismSSet(chi[y], chi[face], identity_smap(t), phi)
     return ClubObjectFamily(s, chi, face_maps, name="rand2")
 
 
@@ -430,5 +418,5 @@ def random_stability_sample(rng: random.Random, trunc):
         comp = SimplicialMap(t0, t1, {"pt": nondeg(t1.nondeg[0][0], 0)})
     x = constant_family(s, t0)
     y = constant_family(s, t1)
-    phi = {z: comp for k in range(trunc + 1) for z in s.nondeg[k]}
+    phi = {z: comp for z, _ in s.listing()}
     return ClubMorphismSSet(x, y, identity_smap(s), phi)

@@ -13,9 +13,12 @@ interned maps, and so are the identity, face and degeneracy maps by their
 indices, and the tuple of all monotone maps [m] -> [n] by (m, n).  Each
 simplicial set memoizes the action of operators on its simplices, its
 simplices and generators per dimension, its identity map and its category
-of simplices.  The category of simplices keeps, beside its morphism list, a
-table of operators per object, ``mor_of[oid]`` (operator -> morphism id), so
-a composite is one lookup and composing builds no id per pair.
+of simplices, and lists once, as tuples, the three orders every law walk
+visits: its non-degenerate simplices (``listing``), their face slots
+(``face_slots``) and the operators into each dimension (``operators_into``).
+The category of simplices keeps, beside its morphism list, a table of
+operators per object, ``mor_of[oid]`` (operator -> morphism id), so a
+composite is one lookup and composing builds no id per pair.
 Simplicial maps are interned per source set, one instance per target, name
 and image table, and their composition is memoized on the interned maps.
 All of these are pure, so the memos never change a result; the module-level
@@ -252,19 +255,21 @@ class SimplicialSet:
         self.nondeg = {k: list(nondeg_by_dim.get(k, [])) for k in range(trunc + 1)}
         self.faces = {s: list(fs) for s, fs in faces.items()}
         self.name = name
-        self.dim_of = {}
-        for k in range(trunc + 1):
-            for s in self.nondeg[k]:
-                self.dim_of[s] = k
+        self.dim_of = {x: k for k, xs in self.nondeg.items() for x in xs}
         # per-set memos: (base, eta, theta) -> theta*(eta, base) for
         # apply_operator; k -> the k-simplices, m -> the generators out of
-        # dimension m, the identity map, the canonical id -> simplex lookup
-        # and the category of simplices, all built on first use; and the
-        # interned simplicial maps out of this set (see SimplicialMap)
+        # dimension m, the listings of simplices and face slots, k -> the
+        # operators into dimension k, the identity map, the canonical id ->
+        # simplex lookup and the category of simplices, all built on first
+        # use; and the interned simplicial maps out of this set (see
+        # SimplicialMap)
         self._op_memo = {}
         self._smaps = {}
         self._simplices = {}
         self._generators = {}
+        self._listing = None
+        self._face_slots = None
+        self._operators = {}
         self._identity = None
         self._nf_cache = None
         self._simplex_cat = None
@@ -292,6 +297,34 @@ class SimplicialSet:
                       if m < self.trunc else [])
             gens = self._generators[m] = tuple(faces + degens)
         return gens
+
+    def listing(self):
+        """The (id, k) of every non-degenerate simplex, by dimension k and
+        then in listing order.  Read from the ``nondeg`` lists, so an id
+        listed twice is visited twice.  A tuple, built once per set."""
+        if self._listing is None:
+            self._listing = tuple((x, k) for k in range(self.trunc + 1)
+                                  for x in self.nondeg[k])
+        return self._listing
+
+    def face_slots(self):
+        """The (id, i) of every face i of every non-degenerate simplex of
+        dimension k >= 1, in listing order and then by i.  A tuple, built
+        once per set."""
+        if self._face_slots is None:
+            self._face_slots = tuple((x, i) for x, k in self.listing() if k
+                                     for i in range(k + 1))
+        return self._face_slots
+
+    def operators_into(self, k):
+        """Every monotone [m] -> [k] with m <= trunc, by m and then
+        lexicographically.  A tuple, built once per k."""
+        ops = self._operators.get(k)
+        if ops is None:
+            ops = self._operators[k] = tuple(
+                theta for m in range(self.trunc + 1)
+                for theta in all_monotone_maps(m, k))
+        return ops
 
     def all_simplices(self, k):
         """Every k-simplex (normal forms), canonical order: by base dim, base,
@@ -346,48 +379,44 @@ def validate_sset(s: SimplicialSet):
     """Face-table well-formedness, simplicial identities, honesty of the skeleton."""
     report = []
     seen = set()
-    for k in range(s.trunc + 1):
-        for x in s.nondeg[k]:
-            if x in seen:
-                report.append(f"duplicate simplex id {x!r}")
-            seen.add(x)
-    for k in range(s.trunc + 1):
-        for x in s.nondeg[k]:
-            fs = s.faces.get(x)
-            if k == 0:
-                if fs not in (None, []):
-                    report.append(f"vertex {x!r} has faces listed")
-                continue
-            if fs is None or len(fs) != k + 1:
-                report.append(f"simplex {x!r} needs {k + 1} faces")
-                continue
-            for i, nf in enumerate(fs):
-                if nf.base not in s.dim_of:
-                    report.append(f"face {i} of {x!r} references unknown {nf.base!r}")
-                elif nf.dim != k - 1:
-                    report.append(f"face {i} of {x!r} has dimension {nf.dim}")
-                elif s.dim_of[nf.base] != nf.eta.n:
-                    report.append(f"face {i} of {x!r} has inconsistent normal form")
+    for x, _ in s.listing():
+        if x in seen:
+            report.append(f"duplicate simplex id {x!r}")
+        seen.add(x)
+    for x, k in s.listing():
+        fs = s.faces.get(x)
+        if k == 0:
+            if fs not in (None, []):
+                report.append(f"vertex {x!r} has faces listed")
+            continue
+        if fs is None or len(fs) != k + 1:
+            report.append(f"simplex {x!r} needs {k + 1} faces")
+            continue
+        for i, nf in enumerate(fs):
+            if nf.base not in s.dim_of:
+                report.append(f"face {i} of {x!r} references unknown {nf.base!r}")
+            elif nf.dim != k - 1:
+                report.append(f"face {i} of {x!r} has dimension {nf.dim}")
+            elif s.dim_of[nf.base] != nf.eta.n:
+                report.append(f"face {i} of {x!r} has inconsistent normal form")
     if report:
         return report
-    for k in range(2, s.trunc + 1):
-        for x in s.nondeg[k]:
-            for j in range(k + 1):
-                for i in range(j):
-                    left = apply_operator(s, s.faces[x][j], face_map(k - 1, i))
-                    right = apply_operator(s, s.faces[x][i], face_map(k - 1, j - 1))
-                    if left != right:
-                        report.append(
-                            f"simplicial identity d{i} d{j} fails at {x!r}")
+    # d_i d_j = d_(j-1) d_i for i < j, from dimension 2 on
+    for x, k in s.listing():
+        for j in range(k + 1 if k >= 2 else 0):
+            for i in range(j):
+                left = apply_operator(s, s.faces[x][j], face_map(k - 1, i))
+                right = apply_operator(s, s.faces[x][i], face_map(k - 1, j - 1))
+                if left != right:
+                    report.append(f"simplicial identity d{i} d{j} fails at {x!r}")
     # declared non-degenerate simplices must not be secretly degenerate
-    for k in range(1, s.trunc + 1):
-        for x in s.nondeg[k]:
-            xf = nondeg(x, k)
-            for i in range(k):
-                op = compose_maps(face_map(k, i), degeneracy_map(k - 1, i))
-                if apply_operator(s, xf, op) == xf:
-                    report.append(f"simplex {x!r} is degenerate (splits at {i})")
-                    break
+    for x, k in s.listing():
+        xf = nondeg(x, k)
+        for i in range(k):
+            op = compose_maps(face_map(k, i), degeneracy_map(k - 1, i))
+            if apply_operator(s, xf, op) == xf:
+                report.append(f"simplex {x!r} is degenerate (splits at {i})")
+                break
     return report
 
 
@@ -561,11 +590,8 @@ class SimplicialMap:
 def identity_smap(s: SimplicialSet):
     """The identity of s, built once per set."""
     if s._identity is None:
-        images = {}
-        for k in range(s.trunc + 1):
-            for x in s.nondeg[k]:
-                images[x] = nondeg(x, k)
-        s._identity = SimplicialMap(s, s, images, name="id")
+        s._identity = SimplicialMap(s, s, {x: nondeg(x, k) for x, k in s.listing()},
+                                    name="id")
     return s._identity
 
 
@@ -583,24 +609,21 @@ def smap_equal(f: SimplicialMap, g: SimplicialMap):
 
 def validate_smap(f: SimplicialMap):
     report = []
-    for k in range(f.src.trunc + 1):
-        for x in f.src.nondeg[k]:
-            img = f.images.get(x)
-            if img is None:
-                report.append(f"image missing for {x!r}")
-            elif img.dim != k:
-                report.append(f"image of {x!r} has dimension {img.dim}, wanted {k}")
-            elif img.base not in f.tgt.dim_of:
-                report.append(f"image of {x!r} references unknown {img.base!r}")
+    for x, k in f.src.listing():
+        img = f.images.get(x)
+        if img is None:
+            report.append(f"image missing for {x!r}")
+        elif img.dim != k:
+            report.append(f"image of {x!r} has dimension {img.dim}, wanted {k}")
+        elif img.base not in f.tgt.dim_of:
+            report.append(f"image of {x!r} references unknown {img.base!r}")
     if report:
         return report
-    for k in range(1, f.src.trunc + 1):
-        for x in f.src.nondeg[k]:
-            for i in range(k + 1):
-                via_src = f.apply(f.src.faces[x][i])
-                via_tgt = apply_operator(f.tgt, f.images[x], face_map(k, i))
-                if via_src != via_tgt:
-                    report.append(f"face d{i} not preserved at {x!r}")
+    for x, i in f.src.face_slots():
+        via_src = f.apply(f.src.faces[x][i])
+        via_tgt = apply_operator(f.tgt, f.images[x], face_map(f.src.dim_of[x], i))
+        if via_src != via_tgt:
+            report.append(f"face d{i} not preserved at {x!r}")
     return report
 
 
@@ -630,7 +653,7 @@ def _smap_search(a: SimplicialSet, b: SimplicialSet, candidates, distinct):
     faces are the images of its own faces and, when ``distinct``, that are
     not yet an image.  Each table is yielded live: copy it to keep it.
     """
-    order = [(k, x) for k in range(a.trunc + 1) for x in a.nondeg[k]]
+    order = a.listing()
     images = {}
     used = set()
 
@@ -638,7 +661,7 @@ def _smap_search(a: SimplicialSet, b: SimplicialSet, candidates, distinct):
         if i == len(order):
             yield images
             return
-        k, x = order[i]
+        x, k = order[i]
         wanted = ([apply_operator(b, images[nf.base], nf.eta) for nf in a.faces[x]]
                   if k else [])
         for cand in candidates(k):
@@ -702,37 +725,27 @@ def simplex_category(s: SimplicialSet):
     table of the source object, so no id is built per pair.  Target ids are
     looked up by normal form, so none is built per morphism either.
     """
-    objects = []
-    obj_nf = {}
-    id_of = {}
-    for k in range(s.trunc + 1):
-        for nf in s.all_simplices(k):
-            oid = nf_id(nf)
-            objects.append(oid)
-            obj_nf[oid] = nf
-            id_of[nf] = oid
+    simplex_of = s.normal_forms()
+    id_of = {nf: oid for oid, nf in simplex_of.items()}
     morphisms = []
     identities = {}
     operator_of = {}
     mor_of = {}
-    for oid in objects:
-        x = obj_nf[oid]
+    for oid, x in simplex_of.items():
         row = mor_of[oid] = {}
-        for m in range(s.trunc + 1):
-            for theta in all_monotone_maps(m, x.dim):
-                y = apply_operator(s, x, theta)
-                mid = SimplexCategory.mor_id(oid, theta)
-                morphisms.append((mid, oid, id_of[y]))
-                operator_of[mid] = theta
-                row[theta] = mid
-                if theta.is_identity() and m == x.dim:
-                    identities[oid] = mid
+        for theta in s.operators_into(x.dim):
+            mid = SimplexCategory.mor_id(oid, theta)
+            morphisms.append((mid, oid, id_of[apply_operator(s, x, theta)]))
+            operator_of[mid] = theta
+            row[theta] = mid
+            if theta.is_identity():
+                identities[oid] = mid
 
     def composite(g, f):
         return mor_of[cat.src[f]][compose_maps(operator_of[f], operator_of[g])]
 
-    cat = SimplexCategory(objects, morphisms, identities,
-                          LazyComposites(morphisms, composite), obj_nf,
+    cat = SimplexCategory(simplex_of, morphisms, identities,
+                          LazyComposites(morphisms, composite), simplex_of,
                           operator_of, mor_of, name=f"S({s.name})")
     return cat
 

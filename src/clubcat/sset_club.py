@@ -45,10 +45,10 @@ from typing import NamedTuple
 
 from .fincat import FinCategory, Functor, LazyComposites
 from .simpset import (MonotoneMap, NormalForm, SimplicialMap, SimplicialSet,
-                      all_monotone_maps, apply_operator, compose_maps,
-                      compose_smaps, ez_factor, face_map, identity_smap,
-                      iso_sset, joint_factor, nf_id, nondeg, one_point,
-                      smap_equal, validate_smap, validate_sset)
+                      apply_operator, compose_maps, compose_smaps, ez_factor,
+                      face_map, identity_smap, iso_sset, joint_factor, nf_id,
+                      nondeg, one_point, smap_equal, validate_smap,
+                      validate_sset)
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +61,13 @@ def _failing_operators(s: SimplicialSet, check):
     memo = {}
     for k in range(s.trunc + 1):
         for x in s.all_simplices(k):
-            for m in range(s.trunc + 1):
-                for theta in all_monotone_maps(m, k):
-                    key = (x.base, compose_maps(x.eta, theta))
-                    value = memo.get(key)
-                    if value is None:
-                        value = memo[key] = check(x, theta)
-                    if value:
-                        yield x, theta, value
+            for theta in s.operators_into(k):
+                key = (x.base, compose_maps(x.eta, theta))
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = check(x, theta)
+                if value:
+                    yield x, theta, value
 
 
 class SimplexFamily:
@@ -142,32 +141,26 @@ def validate_family(fam: SimplexFamily):
     """Endpoint checks plus functoriality against every operator/generator pair."""
     report = []
     s = fam.base
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            if y not in fam.values:
-                report.append(f"value missing at {y!r}")
-                continue
-            v = fam.values[y]
-            if v.trunc != s.trunc:
-                report.append(f"value at {y!r} has truncation {v.trunc}")
-            else:
-                report.extend(f"value at {y!r}: {r}" for r in validate_sset(v))
+    for y, _ in s.listing():
+        if y not in fam.values:
+            report.append(f"value missing at {y!r}")
+            continue
+        v = fam.values[y]
+        if v.trunc != s.trunc:
+            report.append(f"value at {y!r} has truncation {v.trunc}")
+        else:
+            report.extend(f"value at {y!r}: {r}" for r in validate_sset(v))
     if report:
         return report
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            for i in range(k + 1):
-                m = fam.face_maps.get((y, i))
-                if m is None:
-                    report.append(f"face map missing at ({y!r}, {i})")
-                    continue
-                want_src = fam.values[y]
-                want_tgt = fam.values[s.faces[y][i].base]
-                if m.src is not want_src or m.tgt is not want_tgt:
-                    report.append(f"face map at ({y!r}, {i}) has wrong endpoints")
-                else:
-                    report.extend(f"face map at ({y!r}, {i}): {r}"
-                                  for r in validate_smap(m))
+    for y, i in s.face_slots():
+        m = fam.face_maps.get((y, i))
+        if m is None:
+            report.append(f"face map missing at ({y!r}, {i})")
+            continue
+        if m.src is not fam.values[y] or m.tgt is not fam.values[s.faces[y][i].base]:
+            report.append(f"face map at ({y!r}, {i}) has wrong endpoints")
+        else:
+            report.extend(f"face map at ({y!r}, {i}): {r}" for r in validate_smap(m))
     if report:
         return report
     return [f"functoriality fails at {nf_id(x)!r} with {theta.values!r} "
@@ -175,10 +168,8 @@ def validate_family(fam: SimplexFamily):
 
 
 def constant_family(s: SimplicialSet, t: SimplicialSet, name=""):
-    values = {y: t for k in range(s.trunc + 1) for y in s.nondeg[k]}
-    face_maps = {(y, i): identity_smap(t)
-                 for k in range(1, s.trunc + 1) for y in s.nondeg[k]
-                 for i in range(k + 1)}
+    values = {y: t for y, _ in s.listing()}
+    face_maps = dict.fromkeys(s.face_slots(), identity_smap(t))
     return SimplexFamily(s, values, face_maps, name=name or f"const({t.name})")
 
 
@@ -311,8 +302,7 @@ def pair_category_sset(fam: SimplexFamily):
                 (theta2, "!" + theta2.label,
                  obj_id[(s2id, nf_id(apply_operator(v2, moved, theta2)))],
                  theta2.is_identity())
-                for m2 in range(trunc + 1)
-                for theta2 in all_monotone_maps(m2, moved.dim)]
+                for theta2 in s.operators_into(moved.dim)]
         return out
 
     morphisms = []
@@ -320,11 +310,10 @@ def pair_category_sset(fam: SimplexFamily):
     identities = {}
     for snf, pids in by_base:
         steps = []
-        for m in range(trunc + 1):
-            for theta in all_monotone_maps(m, snf.dim):
-                s2 = apply_operator(s, snf, theta)
-                steps.append((theta, "!" + theta.label, nf_id(s2),
-                              fam.values[s2.base], fam.transport(snf, theta)))
+        for theta in s.operators_into(snf.dim):
+            s2 = apply_operator(s, snf, theta)
+            steps.append((theta, "!" + theta.label, nf_id(s2),
+                          fam.values[s2.base], fam.transport(snf, theta)))
         for pid, tnf in pids:
             for theta, label, s2id, v2, step in steps:
                 head = pid + label
@@ -393,19 +382,15 @@ def validate_club_morphism(m: ClubMorphismSSet):
     if m.f.src is not fam1.base or m.f.tgt is not fam2.base:
         return ["base map has wrong endpoints"]
     s = fam1.base
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            comp = m.phi.get(y)
-            if comp is None:
-                report.append(f"component missing at {y!r}")
-                continue
-            want_src = fam1.values[y]
-            want_tgt = fam2.values[m.f.images[y].base]
-            if comp.src is not want_src or comp.tgt is not want_tgt:
-                report.append(f"component at {y!r} has wrong endpoints")
-            else:
-                report.extend(f"component at {y!r}: {r}"
-                              for r in validate_smap(comp))
+    for y, _ in s.listing():
+        comp = m.phi.get(y)
+        if comp is None:
+            report.append(f"component missing at {y!r}")
+        elif (comp.src is not fam1.values[y]
+              or comp.tgt is not fam2.values[m.f.images[y].base]):
+            report.append(f"component at {y!r} has wrong endpoints")
+        else:
+            report.extend(f"component at {y!r}: {r}" for r in validate_smap(comp))
     if report:
         return report
     # the square at (x, theta) reads only x.base and kappa = x.eta∘theta:
@@ -426,8 +411,7 @@ def identity_club_morphism(fam: SimplexFamily):
     """The identity of a club object, built once per family."""
     if fam._club_identity is None:
         s = fam.base
-        phi = {y: identity_smap(fam.values[y])
-               for k in range(s.trunc + 1) for y in s.nondeg[k]}
+        phi = {y: identity_smap(fam.values[y]) for y, _ in s.listing()}
         fam._club_identity = ClubMorphismSSet(fam, fam, identity_smap(s), phi)
     return fam._club_identity
 
@@ -455,12 +439,11 @@ def compose_morphism(m: ClubMorphismSSet, res_src: ComposeResult,
     """The induced map of composites ``res_src`` -> ``res_tgt`` of ``m``'s
     source and target: (s, t) goes to (f(s), phi_s(t))."""
     images = {}
-    for k in range(res_src.sset.trunc + 1):
-        for uid in res_src.sset.nondeg[k]:
-            snf, tnf = res_src.base_pair_nfs(uid)
-            s2 = m.f.apply(snf)
-            t2 = m.phi[snf.base].apply(tnf)
-            images[uid] = res_tgt.nf_of[(k, (nf_id(s2), nf_id(t2)))]
+    for uid, k in res_src.sset.listing():
+        snf, tnf = res_src.base_pair_nfs(uid)
+        s2 = m.f.apply(snf)
+        t2 = m.phi[snf.base].apply(tnf)
+        images[uid] = res_tgt.nf_of[(k, (nf_id(s2), nf_id(t2)))]
     return SimplicialMap(res_src.sset, res_tgt.sset, images,
                          name="composed")
 
@@ -549,12 +532,10 @@ def constant_inner(psi: SimplexFamily, u: SimplicialSet, name=""):
     """The two-level family over psi with every inner value u and every
     transport the identity."""
     s = psi.base
-    values = {y: constant_family(psi.values[y], u)
-              for k in range(s.trunc + 1) for y in s.nondeg[k]}
+    values = {y: constant_family(psi.values[y], u) for y, _ in s.listing()}
     face_maps = {}
     for (y, i), f in psi.face_maps.items():
-        phi = {t: identity_smap(u)
-               for n in range(s.trunc + 1) for t in psi.values[y].nondeg[n]}
+        phi = {t: identity_smap(u) for t, _ in psi.values[y].listing()}
         face_maps[(y, i)] = ClubMorphismSSet(
             values[y], values[s.faces[y][i].base], f, phi)
     return ClubObjectFamily(s, values, face_maps, name=name)
@@ -565,29 +546,25 @@ def validate_two_level(tlf: ClubObjectFamily):
     of club objects, then functoriality of the two-level family."""
     s = tlf.base
     report = [f"inner family missing at {y!r}"
-              for k in range(s.trunc + 1) for y in s.nondeg[k]
-              if y not in tlf.values]
+              for y, _ in s.listing() if y not in tlf.values]
     if report:
         return report
     report = [f"base family: {r}" for r in validate_family(tlf.psi)]
     if report:
         return report
-    for k in range(s.trunc + 1):
-        for y in s.nondeg[k]:
-            report.extend(f"inner family at {y!r}: {r}"
-                          for r in validate_family(tlf.values[y]))
+    for y, _ in s.listing():
+        report.extend(f"inner family at {y!r}: {r}"
+                      for r in validate_family(tlf.values[y]))
     if report:
         return report
-    for k in range(1, s.trunc + 1):
-        for y in s.nondeg[k]:
-            for i in range(k + 1):
-                step = tlf.face_maps[(y, i)]
-                if (step.src is not tlf.values[y]
-                        or step.tgt is not tlf.values[s.faces[y][i].base]):
-                    report.append(f"transport along ({y!r}, {i}) has wrong endpoints")
-                else:
-                    report.extend(f"transport {r} along ({y!r}, {i})"
-                                  for r in validate_club_morphism(step))
+    for y, i in s.face_slots():
+        step = tlf.face_maps[(y, i)]
+        if (step.src is not tlf.values[y]
+                or step.tgt is not tlf.values[s.faces[y][i].base]):
+            report.append(f"transport along ({y!r}, {i}) has wrong endpoints")
+        else:
+            report.extend(f"transport {r} along ({y!r}, {i})"
+                          for r in validate_club_morphism(step))
     if report:
         return report
     return [f"transport coherence fails at ({nf_id(x)!r}, {theta.values!r}, "
@@ -603,32 +580,27 @@ def _flattened_family(tlf: ClubObjectFamily, res1: ComposeResult):
     """The two-level data as a family over the composed base."""
     t1 = res1.sset
     values = {}
-    for k in range(t1.trunc + 1):
-        for uid in t1.nondeg[k]:
-            snf, tnf = res1.base_pair_nfs(uid)
-            values[uid] = tlf.values[snf.base].values[tnf.base]
+    for uid, _ in t1.listing():
+        snf, tnf = res1.base_pair_nfs(uid)
+        values[uid] = tlf.values[snf.base].values[tnf.base]
     face_maps = {}
-    for k in range(1, t1.trunc + 1):
-        for uid in t1.nondeg[k]:
-            snf, tnf = res1.base_pair_nfs(uid)
-            for i in range(k + 1):
-                d = face_map(k, i)
-                step = tlf.transport(snf, d)
-                inner = step.tgt.transport(step.f.apply(tnf), d)
-                face_maps[(uid, i)] = compose_smaps(inner, step.phi[tnf.base])
+    for uid, i in t1.face_slots():
+        snf, tnf = res1.base_pair_nfs(uid)
+        d = face_map(snf.dim, i)
+        step = tlf.transport(snf, d)
+        inner = step.tgt.transport(step.f.apply(tnf), d)
+        face_maps[(uid, i)] = compose_smaps(inner, step.phi[tnf.base])
     return SimplexFamily(t1, values, face_maps, name="flattened")
 
 
 def _inner_composites(tlf: ClubObjectFamily):
     """Per-simplex inner composites assembled into a family over the base."""
     s = tlf.base
-    inner_res = {y: compose(tlf.values[y])
-                 for k in range(s.trunc + 1) for y in s.nondeg[k]}
+    inner_res = {y: compose(tlf.values[y]) for y, _ in s.listing()}
     values = {y: res.sset for y, res in inner_res.items()}
     face_maps = {(y, i): compose_morphism(tlf.face_maps[(y, i)], inner_res[y],
                                           inner_res[s.faces[y][i].base])
-                 for k in range(1, s.trunc + 1) for y in s.nondeg[k]
-                 for i in range(k + 1)}
+                 for y, i in s.face_slots()}
     return SimplexFamily(s, values, face_maps, name="inner"), inner_res
 
 
@@ -639,11 +611,7 @@ def sset_equal(a: SimplicialSet, b: SimplicialSet):
     for k in range(a.trunc + 1):
         if sorted(a.nondeg[k]) != sorted(b.nondeg[k]):
             return False
-    for k in range(1, a.trunc + 1):
-        for x in a.nondeg[k]:
-            if a.faces[x] != b.faces[x]:
-                return False
-    return True
+    return all(a.faces[x] == b.faces[x] for x, k in a.listing() if k)
 
 
 def associativity_check(tlf: ClubObjectFamily):

@@ -20,11 +20,12 @@ from clubcat.generate import (discrete_sset, minvertex_chain_family,
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
 from clubcat.simpset import (MonotoneMap, NormalForm, SimplexCategory,
-                             SimplicialMap, boundary, degeneracy_map,
-                             disjoint_union, horn, identity_smap,
+                             SimplicialMap, boundary, compose_smaps,
+                             degeneracy_map, disjoint_union, horn, identity_smap,
                              is_kan_fibration, nf_id, nondeg, one_point,
                              standard_simplex, validate_sset)
-from clubcat.sset_club import (ClubMorphismSSet, compose, compose_morphism,
+from clubcat.sset_club import (ClubMorphismSSet, ClubObjectFamily,
+                               associativity_check, compose, compose_morphism,
                                constant_family, constant_inner,
                                constant_two_level, identity_club_morphism,
                                validate_two_level)
@@ -467,6 +468,68 @@ def test_two_stage_on_outer_transports_that_move_t():
     assert len(reports) == 72
     # every family passes; some controls fail
     assert not any(reports[::2]) and any(reports[1::2])
+
+
+def face_swapping_family():
+    """A valid two-level family over Δ[2] whose inner components differ by t.
+
+    psi is A at the simplices that contain vertex 1 and B at the others: two
+    discrete 2-point sets with the same vertex ids, every face map A -> B the
+    swap and every other face map the identity.  The inner value at y is the
+    constant family of two discrete points u over psi's value at y.  The
+    component of the face map (y, i) at t is σ(face, f(t))⁻¹ ∘ σ(y, t), f
+    psi's face map and σ the swap of u at ("02", the second point) and the
+    identity elsewhere, so every composite of face maps is path-independent."""
+    s = standard_simplex(2, 2)
+    a, b = discrete_sset(2, 2, prefix="p"), discrete_sset(2, 2, prefix="p")
+    u = discrete_sset(2, 2, prefix="u")
+    p0, p1 = a.nondeg[0]
+    u0, u1 = u.nondeg[0]
+    swap = SimplicialMap(a, b, {p0: nondeg(p1, 0), p1: nondeg(p0, 0)})
+    swap_u = SimplicialMap(u, u, {u0: nondeg(u1, 0), u1: nondeg(u0, 0)})
+
+    def sigma(y, t):
+        return swap_u if (y, t) == ("02", p1) else identity_smap(u)
+
+    psi_values = {y: a if "1" in y else b for y, _ in s.listing()}
+    inner = {y: constant_family(v, u) for y, v in psi_values.items()}
+    face_maps = {}
+    for y, i in s.face_slots():
+        face = s.faces[y][i].base
+        src, tgt = psi_values[y], psi_values[face]
+        f = swap if src is not tgt else identity_smap(src)
+        phi = {t: compose_smaps(sigma(face, f.images[t].base), sigma(y, t))
+               for t in (p0, p1)}
+        face_maps[(y, i)] = ClubMorphismSSet(inner[y], inner[face], f, phi)
+    return ClubObjectFamily(s, inner, face_maps, name="face-swapping")
+
+
+def test_face_swapping_family_passes_both_laws():
+    tlf = face_swapping_family()
+    assert validate_two_level(tlf) == []
+    assert associativity_check(tlf) == []
+    assert two_stage_colimit_check(tlf) == reference_two_stage_colimit_check(tlf) == []
+
+
+def test_composing_with_the_component_at_the_wrong_t_fails_both_laws(monkeypatch):
+    def at_wrong_t(g, m):
+        """``compose_club_morphisms`` reading g's component at y instead of
+        at m's image of y."""
+        if m is m.src._club_identity:
+            return g
+        if g is g.src._club_identity:
+            return m
+        phi = {y: compose_smaps(g.phi[y], comp) for y, comp in m.phi.items()}
+        return ClubMorphismSSet(m.src, g.tgt, compose_smaps(g.f, m.f), phi)
+
+    # transports are cached per family, so the family is built after the patch
+    monkeypatch.setattr(ClubObjectFamily, "_compose", staticmethod(at_wrong_t))
+    tlf = face_swapping_family()
+    assert validate_two_level(tlf)[0] == (
+        "transport coherence fails at ('012', (0, 2), (0,))")
+    report = two_stage_colimit_check(tlf)
+    assert report and all(r.startswith("two-stage diagram: functoriality fails")
+                          for r in report)
 
 
 def split_class(reps, classes):

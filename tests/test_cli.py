@@ -271,6 +271,60 @@ def test_kan_check_refuses_an_invalid_map(tmp_path, capsys):
         2, "error: invalid map: face d0 not preserved at '01'\n")
 
 
+def test_compose_refuses_a_non_ascii_face_index(workspace, capsys):
+    # "²" is a digit to str.isdigit, but not an index int() reads
+    data = json.loads((workspace / "obj.json").read_text())
+    data["fiber_maps"]["d²@01"] = data["fiber_maps"].pop("d0@01")
+    path = workspace / "superscript.json"
+    path.write_text(json.dumps(data))
+    assert _refusal(["sset", "compose", str(path)], capsys) == (
+        2, "error: club object fiber map key 'd²@01' is not 'd<i>@<simplex>'\n")
+
+
+def test_simplex_lists_outside_the_truncation_are_refused(tmp_path, capsys):
+    path = tmp_path / "interval.json"
+
+    def sset_file(nondeg):
+        path.write_text(json.dumps({
+            "schema": "clubcat/1", "kind": "sset", "trunc": 1, "nondeg": nondeg,
+            "faces": {"ab": [{"eta": [0], "base": "b"}, {"eta": [0], "base": "a"}]}}))
+        return ["validate", str(path)]
+
+    assert _refusal(sset_file({"0": ["a", "b"], "1": ["ab"], "2": ["abc"],
+                               "x": ["q"]}), capsys) == (
+        2, "error: simplicial set nondeg key '2' is not a dimension in 0..1\n")
+    for key in ("x", "01", "-1", "1.0"):
+        assert _refusal(sset_file({"0": ["a", "b"], "1": ["ab"], key: []}),
+                        capsys) == (
+            2, f"error: simplicial set nondeg key {key!r} is not a dimension "
+               f"in 0..1\n"), key
+    # a missing dimension reads as empty
+    assert _refusal(sset_file({"0": ["a", "b"], "1": ["ab"]}), capsys) == (0, "")
+    path.write_text(json.dumps({"schema": "clubcat/1", "kind": "sset",
+                                "trunc": 1, "nondeg": {"1": []}}))
+    assert _refusal(["validate", str(path)], capsys) == (0, "")
+
+
+def test_operad_arities_above_the_cap_are_refused(workspace, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({
+        "schema": "clubcat/1", "kind": "operad", "cap": 1,
+        "levels": {"1": ["e"], "2": ["m"]}, "unit": "e",
+        "gamma": [{"op": "e", "args": ["e"], "result": "e"}]}))
+    for command in (["operad", "validate"], ["operad", "to-club"]):
+        assert _refusal([*command, str(path)], capsys) == (
+            2, "error: operad levels key '2' is not an arity in 0..1\n"), command
+    data = json.loads((workspace / "com.json").read_text())
+    data["actions"]["3"] = data["actions"]["2"]
+    path.write_text(json.dumps(data))
+    assert _refusal(["operad", "validate", str(path)], capsys) == (
+        2, "error: operad actions key '3' is not an arity in 0..2\n")
+    data["actions"] = {"x": []}
+    path.write_text(json.dumps(data))
+    assert _refusal(["operad", "validate", str(path)], capsys) == (
+        2, "error: operad actions key 'x' is not an arity in 0..2\n")
+
+
 def test_compose_and_law_check(workspace):
     assert main(["sset", "compose", str(workspace / "obj.json"),
                  "-o", str(workspace / "comp.json")]) == 0

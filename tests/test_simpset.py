@@ -13,11 +13,11 @@ from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              is_kan_fibration, iso_sset, joint_factor, nf_id,
                              nondeg, one_point, product, simplex_category,
                              smap_equal, standard_simplex,
-                             surjections, SimplicialMap, validate_smap,
-                             validate_sset)
+                             surjections, SimplicialMap, SimplicialSet,
+                             validate_smap, validate_sset)
 from clubcat.fincat import validate_category
 from clubcat.generate import random_family
-from clubcat.sset_club import constant_family
+from clubcat.sset_club import compose, constant_family
 
 from bisimplicial_reference import (bisimplicial_of, diag,
                                     validate_bisimplicial)
@@ -167,6 +167,43 @@ def test_memoized_simplices_generators_and_identity_equal_a_fresh_build():
         assert identity_smap(s) is ident
         with pytest.raises(InputError):
             s.all_simplices(s.trunc + 1)
+
+
+def listing_fixtures(trunc):
+    """Δ[0]-Δ[3], ∂Δ[2], Λ²₁, a product and a composite at one truncation."""
+    interval = standard_simplex(1, trunc)
+    return [*(standard_simplex(n, trunc) for n in range(4)), boundary(2, trunc),
+            horn(2, 1, trunc), product(interval, interval),
+            compose(constant_family(interval, boundary(2, trunc))).sset]
+
+
+def test_listings_equal_the_nested_loops_they_replace():
+    for trunc in range(1, 5):
+        for s in listing_fixtures(trunc):
+            listing = s.listing()
+            assert isinstance(listing, tuple)
+            assert listing == tuple((x, k) for k in range(s.trunc + 1)
+                                    for x in s.nondeg[k])
+            assert s.listing() is listing
+            slots = s.face_slots()
+            assert isinstance(slots, tuple)
+            assert slots == tuple((x, i) for k in range(1, s.trunc + 1)
+                                  for x in s.nondeg[k] for i in range(k + 1))
+            assert s.face_slots() is slots
+            for k in range(s.trunc + 2):
+                ops = s.operators_into(k)
+                assert isinstance(ops, tuple)
+                assert ops == tuple(theta for m in range(s.trunc + 1)
+                                    for theta in all_monotone_maps(m, k))
+                assert s.operators_into(k) is ops
+
+
+def test_an_id_listed_twice_is_visited_twice():
+    s = SimplicialSet(1, {0: ["a", "b"], 1: ["a"]},
+                      {"a": [nondeg("b", 0), nondeg("b", 0)]})
+    assert s.listing() == (("a", 0), ("b", 0), ("a", 1))
+    assert s.face_slots() == (("a", 0), ("a", 1))
+    assert "duplicate simplex id 'a'" in validate_sset(s)
 
 
 def test_interned_maps_and_memoized_composites_match_a_fresh_build():
