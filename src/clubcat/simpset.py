@@ -10,8 +10,16 @@ injective part on stored faces, keep the surjective part symbolic.
 Monotone maps are interned, one instance per value list, and validated once.
 Composition and Eilenberg-Zilber factorization of maps are memoized on the
 interned maps, and so are the identity, face and degeneracy maps by their
-indices, and the tuple of all monotone maps [m] -> [n] by (m, n).  Each
-simplicial set memoizes the action of operators on its simplices, its
+indices, and the tuple of all monotone maps [m] -> [n] by (m, n).
+Normal forms are interned too, one instance per operator part and base,
+and keep their canonical id in a slot.  They define no ``__eq__`` or
+``__hash__``, so equality is identity and hashing runs in C.  A set of
+normal forms is therefore read for membership only, never iterated: its
+order follows object addresses.  The hot memos key on the interned form and
+the operator's interning index, not on tuples whose hash calls Python:
+``apply_operator`` on (x, theta._index), and in ``sset_club`` the transports
+on (x, theta._index) and the law walks on (x.base, index of x.eta∘theta).
+Each simplicial set memoizes the action of operators on its simplices, its
 simplices and generators per dimension, its identity map and its category
 of simplices, and lists once, as tuples, the three orders every law walk
 visits: its non-degenerate simplices (``listing``), their face slots
@@ -21,9 +29,12 @@ operators per object, ``mor_of[oid]`` (operator -> morphism id), so a
 composite is one lookup and composing builds no id per pair.
 Simplicial maps are interned per source set, one instance per target, name
 and image table, and their composition is memoized on the interned maps.
-All of these are pure, so the memos never change a result; the module-level
-ones are bounded by the maps up to the largest dimension in use, and the
-per-set ones live as long as their set.
+All of these are pure, so the memos never change a result.  The module-level
+tables are keyed by value: the maps by their value lists, which are bounded
+by the largest dimension in use, and the normal forms by (operator index,
+base id), which are bounded by the distinct simplices ever built.  A request
+repeated in one process adds no entry.  The per-set memos live as long as
+their set.
 
 Operator orientation: a monotone map theta: [m] -> [n] acts on n-simplices
 and yields m-simplices; in the category of simplices it is a morphism from x
@@ -207,16 +218,38 @@ def surjections(m, j):
 # ---------------------------------------------------------------------------
 # normal forms and simplicial sets
 
+# (eta._index, base) -> the canonical normal form.  Filled lazily and bounded
+# by the distinct simplices of the sets in use, not by the requests that
+# build them: the same simplex always gets the same entry.
+_NORMAL_FORMS = {}
+
+
 class NormalForm:
-    """A simplex written as a surjective operator applied to a non-degenerate one."""
+    """A simplex written as a surjective operator applied to a non-degenerate one.
 
-    __slots__ = ("eta", "base")
+    Normal forms are interned: ``NormalForm(eta, base)`` returns the one
+    instance with that operator part and base, checked once when it is first
+    built.  Equal forms are therefore the same object, and the class defines
+    no ``__eq__`` or ``__hash__``: equality is identity and hashing runs in
+    C.  Hash order follows object addresses, so a set of normal forms is
+    only ever read for membership, never iterated.  ``_id`` is the canonical
+    id that ``nf_id`` returns.
+    """
 
-    def __init__(self, eta: MonotoneMap, base: str):
-        if not eta.is_surjective():
-            raise InputError("normal forms need a surjective operator part")
-        self.eta = eta
-        self.base = base
+    __slots__ = ("eta", "base", "_id")
+
+    def __new__(cls, eta: MonotoneMap, base: str):
+        key = (eta._index, base)
+        self = _NORMAL_FORMS.get(key)
+        if self is None:
+            if not eta.is_surjective():
+                raise InputError("normal forms need a surjective operator part")
+            self = object.__new__(cls)
+            self.eta = eta
+            self.base = base
+            self._id = base if eta.is_identity() else base + "@" + eta.label
+            _NORMAL_FORMS[key] = self
+        return self
 
     @property
     def dim(self):
@@ -225,22 +258,13 @@ class NormalForm:
     def is_nondegenerate(self):
         return self.eta.is_identity()
 
-    def __eq__(self, other):
-        return (isinstance(other, NormalForm)
-                and self.eta == other.eta and self.base == other.base)
-
-    def __hash__(self):
-        return hash((self.eta, self.base))
-
     def __repr__(self):
         return f"NormalForm({self.eta!r}, {self.base!r})"
 
 
 def nf_id(nf: NormalForm):
     """Readable canonical id: the base for non-degenerate simplices, tagged otherwise."""
-    if nf.is_nondegenerate():
-        return nf.base
-    return nf.base + "@" + nf.eta.label
+    return nf._id
 
 
 def nondeg(base, k):
@@ -256,7 +280,7 @@ class SimplicialSet:
         self.faces = {s: list(fs) for s, fs in faces.items()}
         self.name = name
         self.dim_of = {x: k for k, xs in self.nondeg.items() for x in xs}
-        # per-set memos: (base, eta, theta) -> theta*(eta, base) for
+        # per-set memos: (x, theta._index) -> theta*(x) for
         # apply_operator; k -> the k-simplices, m -> the generators out of
         # dimension m, the listings of simplices and face slots, k -> the
         # operators into dimension k, the identity map, the canonical id ->
@@ -354,7 +378,7 @@ class SimplicialSet:
 
 def apply_operator(s: SimplicialSet, x: NormalForm, theta: MonotoneMap):
     """The normal form of theta*(x) for theta: [m] -> [dim x]."""
-    key = (x.base, x.eta, theta)
+    key = (x, theta._index)
     y = s._op_memo.get(key)
     if y is None:
         if theta.n != x.dim:

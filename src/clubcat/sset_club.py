@@ -62,7 +62,7 @@ def _failing_operators(s: SimplicialSet, check):
     for k in range(s.trunc + 1):
         for x in s.all_simplices(k):
             for theta in s.operators_into(k):
-                key = (x.base, compose_maps(x.eta, theta))
+                key = (x.base, compose_maps(x.eta, theta)._index)
                 value = memo.get(key)
                 if value is None:
                     value = memo[key] = check(x, theta)
@@ -98,7 +98,7 @@ class SimplexFamily:
 
     def transport(self, x: NormalForm, theta: MonotoneMap):
         """The map value(x) -> value(theta* x) induced by the operator."""
-        key = (x, theta)
+        key = (x, theta._index)
         hit = self._transport_cache.get(key)
         if hit is not None:
             return hit

@@ -1,11 +1,13 @@
 """Many requests in one interpreter give the bytes of one interpreter each.
 
 Interned and memoized state lives across requests in one process: the
-``MonotoneMap`` and ``SimplicialMap`` interning, ``SimplicialSet.category()``,
-the transport caches and ``_club_identity``.  A fixed mixed list of commands
-runs through ``clubcat.cli.main`` in one interpreter, once in order and once
-reversed; each exit code, report and written file must equal a run of the
-same command in a fresh interpreter.
+``MonotoneMap``, ``NormalForm`` and ``SimplicialMap`` interning,
+``SimplicialSet.category()``, the transport caches and ``_club_identity``.
+A fixed mixed list of commands runs through ``clubcat.cli.main`` in one
+interpreter, once in order and once reversed; each exit code, report and
+written file must equal a run of the same command in a fresh interpreter.
+The normal-form table is keyed by value, so a second identical pass adds no
+entry to it: it is bounded by the distinct simplices built, not by requests.
 """
 
 import json
@@ -58,6 +60,22 @@ for argv in json.loads(sys.argv[1]):
 sys.stdout.write(json.dumps(results))
 """
 
+# runs the JSON list argv[1] through main twice and prints the size of the
+# normal-form table after each pass
+TWICE = """
+import contextlib, io, json, sys
+from clubcat import simpset
+from clubcat.cli import main
+sizes = []
+for _ in range(2):
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(argv)
+    sizes.append(len(simpset._NORMAL_FORMS))
+sys.stdout.write(json.dumps(sizes))
+"""
+
 
 def _python(workdir, *args):
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": "0"}
@@ -76,17 +94,27 @@ def _written(workdir):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def test_one_process_in_either_order_matches_fresh_interpreters(tmp_path):
+def _inputs(tmp_path, with_clubs=False):
+    """The operad files of COMMANDS and the mutant club, in a new folder;
+    ``with_clubs`` also writes the clubs of the two operads."""
     inputs = tmp_path / "inputs"
     for sub in ("operads", "clubs", "out"):
         (inputs / sub).mkdir(parents=True)
     for stem, op in (("sym-assoc2", symmetric_associative_operad(2)),
                      ("free-binary3", free_operad({2: ["g"]}, 3))):
         formats.write_file(inputs / "operads" / f"{stem}.json", "operad", op)
+        if with_clubs:
+            formats.write_file(inputs / "clubs" / f"{stem}.json", "club",
+                               operad_to_club(op))
     (_, _, mutant), = generate.law_breaking_mutations(
         random.Random(1), free_operad({2: ["g"]}, 3), 1)
     formats.write_file(inputs / "clubs" / "mutant.json", "club",
                        operad_to_club(mutant))
+    return inputs
+
+
+def test_one_process_in_either_order_matches_fresh_interpreters(tmp_path):
+    inputs = _inputs(tmp_path)
 
     # fresh interpreters, in order; the clubs that to-club writes are the
     # ones club-check reads
@@ -114,3 +142,12 @@ def test_one_process_in_either_order_matches_fresh_interpreters(tmp_path):
         for i, result in zip(order, got):
             assert result == want[i], (label, COMMANDS[i])
         assert _written(workdir) == written, label
+
+
+def test_a_second_pass_interns_no_new_normal_form(tmp_path):
+    inputs = _inputs(tmp_path, with_clubs=True)
+    proc = _python(inputs, "-c", TWICE, json.dumps(COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    first, second = json.loads(proc.stdout)
+    assert first > 0
+    assert second == first

@@ -95,6 +95,52 @@ def test_rejected_maps_leave_no_interned_entry():
     assert MonotoneMap(7, [4, 5]).values == (4, 5)
 
 
+def test_equal_normal_forms_are_one_interned_object():
+    eta = degeneracy_map(1, 0)
+    nf = NormalForm(eta, "01")
+    assert NormalForm(eta, "01") is nf
+    assert NormalForm(MonotoneMap(1, [0, 0, 1]), "01") is nf
+    assert NormalForm(eta, "12") is not nf
+    for k in range(4):
+        assert nondeg("x", k) is NormalForm(identity_map(k), "x")
+    s = standard_simplex(1, 2)
+    assert apply_operator(s, nondeg("01", 1), eta) is nf
+
+
+def test_rejected_normal_forms_leave_no_interned_entry():
+    table = simpset._NORMAL_FORMS
+    for eta in (face_map(2, 0), MonotoneMap(3, [0, 1])):
+        before = len(table)
+        for _ in range(2):
+            with pytest.raises(InputError):
+                NormalForm(eta, "b")
+        assert len(table) == before
+        assert (eta._index, "b") not in table
+
+
+def test_equal_values_with_other_codomains_give_other_forms():
+    # the surjective [2] ->> [1] is interned first; the same value list into
+    # [2] is a different map, not surjective, and is still refused
+    onto = MonotoneMap(1, [0, 0, 1])
+    assert NormalForm(onto, "b").eta is onto
+    into = MonotoneMap(2, [0, 0, 1])
+    assert into is not onto and into.values == onto.values
+    for _ in range(2):
+        with pytest.raises(InputError):
+            NormalForm(into, "b")
+
+
+def test_nf_id_is_the_base_tagged_by_a_degenerate_operator():
+    for trunc in range(1, 5):
+        for s in listing_fixtures(trunc):
+            for k in range(trunc + 1):
+                for nf in s.all_simplices(k):
+                    want = (nf.base if nf.eta.is_identity()
+                            else nf.base + "@" + nf.eta.label)
+                    assert nf_id(nf) == want
+                    assert NormalForm(nf.eta, nf.base) is nf
+
+
 def test_compose_maps_checks_composability_after_memo_is_warm():
     g, f = face_map(2, 0), face_map(1, 0)
     assert compose_maps(g, f).values == (2,)
