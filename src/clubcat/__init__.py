@@ -3,7 +3,7 @@ operads, and truncated simplicial sets, with exhaustive law checking."""
 
 from .config import Guardrails, SCHEMA_VERSION
 from .errors import ClubcatError, GuardrailExceeded, InputError, SchemaError
-from .fincat import (FinCategory, Functor, NatTrans, compose_functors,
+from .fincat import (FinCategory, Functor, compose_functors,
                      enumerate_functors, enumerate_nat_trans,
                      find_isomorphism, validate_category)
 from .diagram import (DiagramInCat, DiagramMorphism, compose_diagram_morphisms,

@@ -60,17 +60,31 @@ def validate_finset_diagram(d: FinSetDiagram):
     for m in cat.mor_ids:
         if m not in maps:
             report.append(f"map missing at {m!r}")
+    objects = set(cat.objects)
+    value_sets = {o: set(v) for o, v in values.items()}
+    for o, v in values.items():
+        if o not in objects:
+            report.append(f"value at {o!r}, which is no object")
+        elif len(value_sets[o]) != len(v):
+            again = next(e for i, e in enumerate(v) if e in v[:i])
+            report.append(f"value at {o!r} repeats {again!r}")
+    for m in maps:
+        if m not in cat.src:
+            report.append(f"map at {m!r}, which is no morphism")
     if report:
         return report
-    value_sets = {o: set(values[o]) for o in cat.objects}
     for m in cat.mor_ids:
         f = maps[m]
+        source = value_sets[cat.src[m]]
         tgt_values = value_sets[cat.tgt[m]]
         for e in values[cat.src[m]]:
             if e not in f:
                 report.append(f"map at {m!r} undefined on {e!r}")
             elif f[e] not in tgt_values:
                 report.append(f"map at {m!r} leaves the target at {e!r}")
+        if not f.keys() <= source:
+            report.extend(f"map at {m!r} is defined on {e!r} outside its source"
+                          for e in f if e not in source)
     if report:
         return report
     for o in cat.objects:
@@ -294,6 +308,13 @@ def validate_algebra_morphism(m: AlgebraMorphism):
                 report.append(f"component at {oid!r} undefined on {e!r}")
             elif comp[e] not in tgt_val:
                 report.append(f"component at {oid!r} leaves the target")
+    for oid, comp in m.phi.items():
+        if oid not in cat.simplex_of:
+            report.append(f"component at {oid!r}, which is no object")
+            continue
+        src_val = set(m.src.diagram.values[oid])
+        report.extend(f"component at {oid!r} is defined on {e!r} outside its source"
+                      for e in comp if e not in src_val)
     if report:
         return report
     for mid in cat.mor_ids:

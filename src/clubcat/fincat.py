@@ -42,14 +42,6 @@ class FinCategory:
     def hom_set(self, x, y):
         return self.hom.get((x, y), [])
 
-    def compose(self, g, f):
-        """Composite g∘f; raises InputError on a non-composable pair."""
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise InputError(
-                f"no composite for ({g!r}, {f!r}) in category {self.name!r}") from None
-
     def identity(self, x):
         return self.identities[x]
 
@@ -290,29 +282,19 @@ def compose_functors(g: Functor, f: Functor):
                    {m: g.mmap[f.mmap[m]] for m in f.src.mor_ids})
 
 
-def _functor_search(c: FinCategory, d: FinCategory, bijective=False):
+def _functor_search(c: FinCategory, d: FinCategory):
     """Yield every functor c -> d as ``(omap, mmap)`` dicts, reused between yields.
 
     Backtracks over object images in the object order of ``c`` and then of
     ``d``, then over non-identity morphism images in hom-set order, pruning
     with the functor laws as soon as a composition triple is fully assigned.
-    With ``bijective`` only isomorphisms are yielded: objects go to unused
-    objects of the same profile, non-identities to unused non-identities.
     """
-    if bijective:
-        if len(c.objects) != len(d.objects) or len(c.mor_ids) != len(d.mor_ids):
-            return
-        prof_c = {x: _object_profile(c, x) for x in c.objects}
-        prof_d = {y: _object_profile(d, y) for y in d.objects}
-        if sorted(prof_c.values()) != sorted(prof_d.values()):
-            return
     nonid = c.nonidentity_morphisms()
     triples_by_mor = {m: [] for m in c.mor_ids}
     for (g, f), gf in c.comp.items():
         for m in {g, f, gf}:
             triples_by_mor[m].append((g, f, gf))
     omap, mmap = {}, {}
-    used_obj, used_mor = set(), set()   # read only when bijective
 
     def consistent(m):
         for (g, f, gf) in triples_by_mor[m]:
@@ -327,13 +309,9 @@ def _functor_search(c: FinCategory, d: FinCategory, bijective=False):
             return
         m = nonid[i]
         for cand in d.hom_set(omap[c.src[m]], omap[c.tgt[m]]):
-            if bijective and (cand in used_mor or d.is_identity(cand)):
-                continue
             mmap[m] = cand
-            used_mor.add(cand)
             if consistent(m):
                 yield from assign_morphisms(i + 1)
-            used_mor.discard(cand)
             del mmap[m]
 
     def assign_objects(i):
@@ -345,12 +323,8 @@ def _functor_search(c: FinCategory, d: FinCategory, bijective=False):
             return
         x = c.objects[i]
         for y in d.objects:
-            if bijective and (y in used_obj or prof_c[x] != prof_d[y]):
-                continue
             omap[x] = y
-            used_obj.add(y)
             yield from assign_objects(i + 1)
-            used_obj.discard(y)
 
     yield from assign_objects(0)
 
@@ -369,20 +343,9 @@ def enumerate_functors(c: FinCategory, d: FinCategory,
 # ---------------------------------------------------------------------------
 # natural transformations
 
-class NatTrans:
-    """A natural transformation between parallel functors, one component per object."""
-
-    def __init__(self, src: Functor, tgt: Functor, components):
-        self.src = src
-        self.tgt = tgt
-        self.components = dict(components)
-
-    def __repr__(self):
-        return f"NatTrans({len(self.components)} components)"
-
-
 def enumerate_nat_trans(f: Functor, g: Functor):
-    """All natural transformations f => g, deterministically ordered."""
+    """All natural transformations f => g, deterministically ordered, each a
+    dict from the objects of the source category to component morphisms."""
     if not fincat_equal(f.src, g.src):
         raise InputError("natural transformations need parallel functors")
     if not fincat_equal(f.tgt, g.tgt):
@@ -403,7 +366,7 @@ def enumerate_nat_trans(f: Functor, g: Functor):
 
     def backtrack(i):
         if i == len(objs):
-            results.append(NatTrans(f, g, dict(components)))
+            results.append(dict(components))
             return
         x = objs[i]
         for cand in d.hom_set(f.omap[x], g.omap[x]):
@@ -419,16 +382,13 @@ def enumerate_nat_trans(f: Functor, g: Functor):
 # ---------------------------------------------------------------------------
 # isomorphism search
 
-def _object_profile(c: FinCategory, x):
-    ins = sum(1 for m in c.mor_ids if c.tgt[m] == x)
-    outs = sum(1 for m in c.mor_ids if c.src[m] == x)
-    endos = len(c.hom_set(x, x))
-    return (ins, outs, endos)
-
-
 def find_isomorphism(c: FinCategory, d: FinCategory):
     """The first functor c -> d bijective on objects and morphisms, in
     search order, or None."""
-    for omap, mmap in _functor_search(c, d, bijective=True):
-        return Functor(c, d, omap, mmap)
+    if len(c.objects) != len(d.objects) or len(c.mor_ids) != len(d.mor_ids):
+        return None
+    for omap, mmap in _functor_search(c, d):
+        if (len(set(omap.values())) == len(omap)
+                and len(set(mmap.values())) == len(mmap)):
+            return Functor(c, d, omap, mmap)
     return None

@@ -692,7 +692,7 @@ def _block_of(enc: EncodedCollection, prod: SemidirectProduct, mid):
     sigma, _ = enc.mor_data[f]
     positions = [str(i) for i in range(len(sigma))]
     sizes = [enc.elem_of[psi.omap[i]][0] for i in positions]
-    taus = tuple(enc.mor_data[phi.components[i]][0] for i in positions)
+    taus = tuple(enc.mor_data[phi[i]][0] for i in positions)
     return block_permutation(sigma, taus, sizes)
 
 

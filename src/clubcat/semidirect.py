@@ -310,9 +310,9 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
         morphisms.append((mid, oid1, oid2))
         mor_data[mid] = (f, phi)
         fib_objs = obj_data[oid1][1].src.objects
-        mor_id[(oid1, oid2, f, tuple(phi.components[a] for a in fib_objs))] = mid
+        mor_id[(oid1, oid2, f, tuple(phi[a] for a in fib_objs))] = mid
         if (x.base.is_identity(f) and oid1 == oid2
-                and all(y.base.is_identity(c) for c in phi.components.values())):
+                and all(y.base.is_identity(c) for c in phi.values())):
             identities[oid1] = mid
 
     comp = {}
@@ -328,7 +328,7 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
             f2, phi2 = mor_data[mid2]
             comp_f = x.base.comp[(f2, f1)]
             comps = tuple(
-                y.base.comp[(phi2.components[rf1.omap[a]], phi1.components[a])]
+                y.base.comp[(phi2[rf1.omap[a]], phi1[a])]
                 for a in psi1.src.objects)
             comp[(mid2, mid1)] = mor_id[
                 (s1, by_mid_endpoints[mid2][1], comp_f, comps)]
@@ -342,7 +342,7 @@ def build_semidirect(x: DiagramInCat, y: DiagramInCat,
         f, phi = mor_data[mid]
         fiber_mor[mid] = _pair_functor(
             fibers[s], fibers[t], x.fiber_mor[f],
-            lambda a: y.fiber_mor[phi.components[a]])
+            lambda a: y.fiber_mor[phi[a]])
 
     diagram = DiagramInCat(base, fiber_obj, fiber_mor,
                            name=f"({x.name}|x|{y.name})")
@@ -421,7 +421,7 @@ def semidirect_on_morphisms(a: DiagramMorphism, b: DiagramMorphism,
         d1 = x1.base.src[f]
         rho_a = a.rho[d1]
         fiber2 = x2.fiber_obj[fa.omap[d1]]
-        comps = tuple(fb.mmap[phi.components[rho_a.omap[ap]]]
+        comps = tuple(fb.mmap[phi[rho_a.omap[ap]]]
                       for ap in fiber2.objects)
         s1 = p1.diagram.base.src[mid]
         t1 = p1.diagram.base.tgt[mid]
@@ -581,9 +581,9 @@ def _curry_theta(fib, psi, y, phi, rf, theta, xi1, xi2, mor_id):
     ``mor_id`` lacks one."""
     comps = []
     for a in psi.src.objects:
-        theta_a = tuple(theta.components[fib.obj_id[(a, b)]]
+        theta_a = tuple(theta[fib.obj_id[(a, b)]]
                         for b in y.fiber_obj[psi.omap[a]].objects)
-        comp = mor_id.get((xi1[a], xi2[rf.omap[a]], phi.components[a], theta_a))
+        comp = mor_id.get((xi1[a], xi2[rf.omap[a]], phi[a], theta_a))
         if comp is None:
             return None
         comps.append(comp)
@@ -625,7 +625,7 @@ def left_unitor(x: DiagramInCat, products: Products):
     for oid, (star, psi) in p.obj_data.items():
         omap[oid] = psi.omap["*"]
     for mid, (f, phi) in p.mor_data.items():
-        mmap[mid] = phi.components["*"]
+        mmap[mid] = phi["*"]
     base_fwd = Functor(p.diagram.base, x.base, omap, mmap)
     rho_fwd = {}
     for oid, (star, psi) in p.obj_data.items():
@@ -988,7 +988,7 @@ def _assoc_single_morphism(s, p, mid, end1, end2, theta):
     lhs = None
     if end1.left is not None and end2.left is not None:
         fiber_b1 = c.fiber_obj[b1]
-        comps = tuple(theta.components[rho1.omap[a]] for a in fiber_b1.objects)
+        comps = tuple(theta[rho1.omap[a]] for a in fiber_b1.objects)
         mid2 = p.mor_id.get((end1.left, end2.left, mu.base_functor.mmap[mid], comps))
         if mid2 is not None:
             lhs = mu.base_functor.mmap[mid2]
@@ -1006,7 +1006,7 @@ def _assoc_single_morphism(s, p, mid, end1, end2, theta):
                 rhs = mu.base_functor.mmap[outer]
     if lhs == rhs:
         return None
-    where = f"morphism {mid!r} with theta={tuple(sorted(theta.components.items()))!r}"
+    where = f"morphism {mid!r} with theta={tuple(sorted(theta.items()))!r}"
     if (lhs is None) != (rhs is None):
         return f"associativity domain mismatch at {where}"
     return f"associativity fails on base morphisms at {where}: {lhs!r} != {rhs!r}"

@@ -746,11 +746,11 @@ def simplex_category(s: SimplicialSet):
     operator theta: [m] -> [n] is a morphism from the n-simplex x to the
     m-simplex theta*(x).  Composition is composition of monotone maps in the
     opposite order of application: a composite is looked up in the operator
-    table of the source object, so no id is built per pair.  Target ids are
-    looked up by normal form, so none is built per morphism either.
+    table of the source object, so no id is built per pair.  A target's id is
+    the one its interned normal form keeps, so none is built per morphism
+    either.
     """
     simplex_of = s.normal_forms()
-    id_of = {nf: oid for oid, nf in simplex_of.items()}
     morphisms = []
     identities = {}
     operator_of = {}
@@ -759,7 +759,7 @@ def simplex_category(s: SimplicialSet):
         row = mor_of[oid] = {}
         for theta in s.operators_into(x.dim):
             mid = SimplexCategory.mor_id(oid, theta)
-            morphisms.append((mid, oid, id_of[apply_operator(s, x, theta)]))
+            morphisms.append((mid, oid, nf_id(apply_operator(s, x, theta))))
             operator_of[mid] = theta
             row[theta] = mid
             if theta.is_identity():

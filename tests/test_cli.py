@@ -573,6 +573,86 @@ def test_algebra_commands_refuse_a_map_that_leaves_its_target(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid morphism: target diagram: ")
 
 
+def _repeated_constant(obj):
+    del obj["values"], obj["maps"]
+    obj["constant"] = ["u", "u"]
+
+
+def _unknown_value_key(obj):
+    obj["values"]["9"] = ["u"]
+
+
+def _unknown_map_key(obj):
+    obj["maps"]["9!0"] = {"u": "u"}
+
+
+def _map_entry_outside_the_source(obj):
+    obj["maps"]["01!0"]["w"] = "u"
+
+
+# edit of an algebra-object file over the interval at trunc 2 -> the first
+# violation that validate reports
+BAD_ALGEBRA_OBJECTS = {
+    "repeated-constant": (_repeated_constant, "value at '0' repeats 'u'"),
+    "unknown-value-key": (_unknown_value_key, "value at '9', which is no object"),
+    "unknown-map-key": (_unknown_map_key, "map at '9!0', which is no morphism"),
+    "map-entry-outside-the-source": (
+        _map_entry_outside_the_source,
+        "map at '01!0' is defined on 'w' outside its source"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ALGEBRA_OBJECTS)
+def test_algebra_object_files_that_name_too_much_are_refused(case, tmp_path, capsys):
+    edit, first = BAD_ALGEBRA_OBJECTS[case]
+    obj = formats.serialize("algebra-object", constant_algebra_object(
+        standard_simplex(1, 2), ["u", "v"]))
+    edit(obj)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["--json", "validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"][
+        "violations"][0] == first
+    for command in (["algebra", "colimit"], ["algebra", "ipoints"]):
+        assert _refusal([*command, str(path)], capsys) == (
+            2, f"error: invalid set diagram: {first}\n"), command
+
+
+def _unknown_component_key(morphism):
+    morphism["components"]["9"] = {"u": "u"}
+
+
+def _component_entry_outside_the_source(morphism):
+    morphism["components"]["01"]["w"] = "u"
+
+
+# edit of the identity morphism of that algebra object -> the one violation
+BAD_ALGEBRA_MORPHISMS = {
+    "unknown-component-key": (_unknown_component_key,
+                              "component at '9', which is no object"),
+    "component-entry-outside-the-source": (
+        _component_entry_outside_the_source,
+        "component at '01' is defined on 'w' outside its source"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ALGEBRA_MORPHISMS)
+def test_algebra_morphism_files_that_name_too_much_are_refused(case, tmp_path, capsys):
+    edit, violation = BAD_ALGEBRA_MORPHISMS[case]
+    morphism = formats.serialize("algebra-morphism", _identity_algebra_morphism(
+        constant_algebra_object(standard_simplex(1, 2), ["u", "v"])))
+    edit(morphism)
+    path = tmp_path / "mor.json"
+    path.write_text(json.dumps(morphism))
+    capsys.readouterr()
+    assert main(["--json", "validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"][
+        "violations"] == [violation]
+    assert _refusal(["algebra", "fibration-check", str(path)], capsys) == (
+        2, f"error: invalid morphism: {violation}\n")
+
+
 def test_suite_deterministic(capsys):
     assert main(["--json", "suite", "club-check", "--seed", "3"]) == 0
     first = capsys.readouterr().out

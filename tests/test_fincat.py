@@ -1,16 +1,21 @@
 import itertools
+import random
 
 import pytest
 
 from clubcat.errors import GuardrailExceeded, InputError
-from clubcat.fincat import (FinCategory, Functor, compose_functors,
-                            discrete_category, enumerate_functors,
+from clubcat.fincat import (FinCategory, Functor, _functor_search,
+                            compose_functors, discrete_category,
+                            enumerate_functors,
                             enumerate_nat_trans, find_isomorphism,
                             functor_equal, identity_functor, ordinal_category,
                             terminal_category, validate_category,
                             validate_functor, walking_arrow)
 
-from fincat_reference import constant_functor, validate_nat_trans
+from clubcat.generate import random_diagram
+
+from fincat_reference import (constant_functor, reference_find_isomorphism,
+                              reference_functor_search, validate_nat_trans)
 
 
 def brute_force_functor_count(c, d):
@@ -130,7 +135,7 @@ def test_nat_trans_identity_on_discrete():
     f = identity_functor(two)
     nts = enumerate_nat_trans(f, f)
     assert len(nts) == 1
-    assert validate_nat_trans(nts[0]) == []
+    assert validate_nat_trans(f, f, nts[0]) == []
 
 
 def test_nat_trans_between_distinct_constants_is_empty():
@@ -157,7 +162,7 @@ def test_nat_trans_matches_componentwise_oracle():
                     expected += 1
             assert len(got) == expected
             for n in got:
-                assert validate_nat_trans(n) == []
+                assert validate_nat_trans(f, g, n) == []
 
 
 def test_find_isomorphism_identity():
@@ -199,9 +204,13 @@ def _monoid(square):
                         ("s", "s"): square})
 
 
-def test_find_isomorphism_symmetry():
-    cats = [terminal_category(), discrete_category(["a", "b"]), walking_arrow(),
+def _symmetry_cats():
+    return [terminal_category(), discrete_category(["a", "b"]), walking_arrow(),
             ordinal_category(3), _permuted_arrow(), _monoid("e"), _monoid("s")]
+
+
+def test_find_isomorphism_symmetry():
+    cats = _symmetry_cats()
     for c in cats:
         for d in cats:
             iso = find_isomorphism(c, d)
@@ -225,3 +234,30 @@ def test_non_isomorphic_same_counts():
     assert validate_category(idem) == []
     assert find_isomorphism(c2, idem) is None
     assert find_isomorphism(idem, c2) is None
+
+
+def _search_pairs():
+    """Every ordered pair of the symmetry categories, then every (fiber,
+    base) and (base, base) pair of the first 30 random diagrams."""
+    cats = _symmetry_cats()
+    pairs = [(c, d) for c in cats for d in cats]
+    for seed in range(30):
+        x = random_diagram(random.Random(seed))
+        pairs.extend((x.fiber_obj[d], x.base) for d in x.base.objects)
+        pairs.append((x.base, x.base))
+    return pairs
+
+
+def _tables(search):
+    return [(dict(omap), dict(mmap)) for omap, mmap in search]
+
+
+def test_one_search_matches_the_reference_in_order():
+    for c, d in _search_pairs():
+        assert _tables(_functor_search(c, d)) == _tables(reference_functor_search(c, d))
+        want = reference_find_isomorphism(c, d)
+        got = find_isomorphism(c, d)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and functor_equal(got, want)

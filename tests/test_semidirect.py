@@ -804,7 +804,7 @@ def _all_pairs_morphisms(p):
                     mid = f"m{len(morphisms)}"
                     morphisms.append((mid, oid1, oid2))
                     key = (oid1, oid2, f,
-                           tuple(phi.components[a] for a in psi1.src.objects))
+                           tuple(phi[a] for a in psi1.src.objects))
                     mor_id[key] = mid
     return morphisms, mor_id
 
@@ -897,7 +897,7 @@ def _all_pairs_thetas(club):
                 shifted = compose_functors(chi2, transport)
                 for theta in enumerate_nat_trans(chi1, shifted):
                     cases.append((mid, functor_key(chi1), functor_key(chi2),
-                                  tuple(theta.components[a] for a in fib1.objects)))
+                                  tuple(theta[a] for a in fib1.objects)))
     return cases
 
 
@@ -975,7 +975,7 @@ def test_club_check_morphism_pass_matches_all_pairs_reference(make_club, monkeyp
     def recording(s, p, mid, end1, end2, theta):
         seen.append((mid, functor_key(chi_of[id(end1)]),
                      functor_key(chi_of[id(end2)]),
-                     tuple(theta.components[a] for a in theta.src.src.objects)))
+                     tuple(theta.values())))
         return real(s, p, mid, end1, end2, theta)
 
     monkeypatch.setattr(module, "_product_morphisms", reading_ends)
