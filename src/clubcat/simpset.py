@@ -20,7 +20,9 @@ the operator's interning index, not on tuples whose hash calls Python:
 ``apply_operator`` on (x, theta._index), and in ``sset_club`` the transports
 on (x, theta._index) and the law walks on (x.base, index of x.eta∘theta).
 Each simplicial set memoizes the action of operators on its simplices, its
-simplices and generators per dimension, its identity map and its category
+simplices and generators per dimension, its face indexes (``by_faces``: the
+n-simplices bucketed by their faces, which the map search and horn lifting
+read instead of testing every candidate), its identity map and its category
 of simplices, and lists once, as tuples, the three orders every law walk
 visits: its non-degenerate simplices (``listing``), their face slots
 (``face_slots``) and the operators into each dimension (``operators_into``).
@@ -283,10 +285,10 @@ class SimplicialSet:
         # per-set memos: (x, theta._index) -> theta*(x) for
         # apply_operator; k -> the k-simplices, m -> the generators out of
         # dimension m, the listings of simplices and face slots, k -> the
-        # operators into dimension k, the identity map, the canonical id ->
-        # simplex lookup and the category of simplices, all built on first
-        # use; and the interned simplicial maps out of this set (see
-        # SimplicialMap)
+        # operators into dimension k, (n, skip) -> the face index of the
+        # n-simplices, the identity map, the canonical id -> simplex lookup
+        # and the category of simplices, all built on first use; and the
+        # interned simplicial maps out of this set (see SimplicialMap)
         self._op_memo = {}
         self._smaps = {}
         self._simplices = {}
@@ -294,6 +296,7 @@ class SimplicialSet:
         self._listing = None
         self._face_slots = None
         self._operators = {}
+        self._by_faces = {}
         self._identity = None
         self._nf_cache = None
         self._simplex_cat = None
@@ -371,9 +374,37 @@ class SimplicialSet:
             out = self._simplices[k] = tuple(out)
         return out
 
+    def by_faces(self, n, skip=None):
+        """The face index of the n-simplices: the tuple of faces d_i z, for
+        every i != ``skip`` in increasing order, -> the list of n-simplices z
+        with those faces, in ``all_simplices(n)`` order.  Built once per
+        (n, skip).  Its keys hash by object address, so it is only ever read
+        by key, never iterated."""
+        index = self._by_faces.get((n, skip))
+        if index is None:
+            index = self._by_faces[(n, skip)] = _bucket_by_faces(
+                self, self.all_simplices(n), n, skip)
+        return index
+
     def __repr__(self):
         counts = [len(self.nondeg[k]) for k in range(self.trunc + 1)]
         return f"SimplicialSet({self.name!r}, trunc={self.trunc}, nondeg={counts})"
+
+
+def _bucket_by_faces(s: SimplicialSet, simplices, n, skip):
+    """The n-``simplices`` of s bucketed by their tuple of faces d_i z, for
+    every i != ``skip`` in increasing order; each bucket keeps the order of
+    ``simplices``.  In dimension 0 the one key is the empty tuple."""
+    faces = [face_map(n, i) for i in range(n + 1) if i != skip] if n else []
+    index = {}
+    for z in simplices:
+        key = tuple([apply_operator(s, z, d) for d in faces])
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = [z]
+        else:
+            bucket.append(z)
+    return index
 
 
 def apply_operator(s: SimplicialSet, x: NormalForm, theta: MonotoneMap):
@@ -632,6 +663,9 @@ def smap_equal(f: SimplicialMap, g: SimplicialMap):
 
 
 def validate_smap(f: SimplicialMap):
+    if f.src.trunc != f.tgt.trunc:
+        return [f"source truncation {f.src.trunc} differs from "
+                f"target truncation {f.tgt.trunc}"]
     report = []
     for x, k in f.src.listing():
         img = f.images.get(x)
@@ -669,35 +703,53 @@ def is_injective(f: SimplicialMap):
     return True
 
 
-def _smap_search(a: SimplicialSet, b: SimplicialSet, candidates, distinct):
+def _smap_search(a: SimplicialSet, b: SimplicialSet, index, distinct):
     """Image tables of the simplicial maps a -> b, in backtracking order.
 
     The non-degenerate simplices of a are placed dimension by dimension; a
-    k-simplex tries the list ``candidates(k)`` in order, keeping those whose
-    faces are the images of its own faces and, when ``distinct``, that are
-    not yet an image.  Each table is yielded live: copy it to keep it.
+    k-simplex tries, in order, the bucket of ``index(k)`` (a face index like
+    ``SimplicialSet.by_faces``) keyed by the images of its own faces,
+    skipping, when ``distinct``, the simplices already an image.  After each
+    placement the search checks forward: every simplex whose faces are now
+    all placed must have a non-empty bucket, or the branch is cut.  Such a
+    branch yields nothing, so the tables come in the order of trying every
+    candidate.  Each table is yielded live: copy it to keep it.
     """
     order = a.listing()
+    last = {x: i for i, (x, _) in enumerate(order)}
+    # ready[i]: the simplices of dimension >= 1 whose faces are all placed
+    # once order[i] is
+    ready = [[] for _ in order]
+    for x, k in order:
+        if k:
+            ready[max(last[nf.base] for nf in a.faces[x])].append((x, k))
+    vertices = index(0).get((), ())
+    buckets = {}
     images = {}
     used = set()
+
+    def check_forward(i):
+        for y, m in ready[i]:
+            bucket = index(m).get(tuple([apply_operator(b, images[nf.base], nf.eta)
+                                         for nf in a.faces[y]]))
+            if bucket is None:
+                return False
+            buckets[y] = bucket
+        return True
 
     def backtrack(i):
         if i == len(order):
             yield images
             return
         x, k = order[i]
-        wanted = ([apply_operator(b, images[nf.base], nf.eta) for nf in a.faces[x]]
-                  if k else [])
-        for cand in candidates(k):
+        for cand in buckets[x] if k else vertices:
             if distinct and cand in used:
                 continue
-            if any(apply_operator(b, cand, face_map(k, j)) != w
-                   for j, w in enumerate(wanted)):
-                continue
             images[x] = cand
-            used.add(cand)
-            yield from backtrack(i + 1)
-            used.discard(cand)
+            if check_forward(i):
+                used.add(cand)
+                yield from backtrack(i + 1)
+                used.discard(cand)
             del images[x]
 
     return backtrack(0)
@@ -710,8 +762,9 @@ def iso_sset(s: SimplicialSet, t: SimplicialSet):
     for k in range(s.trunc + 1):
         if len(s.nondeg[k]) != len(t.nondeg[k]):
             return None
-    candidates = [[nondeg(y, k) for y in t.nondeg[k]] for k in range(t.trunc + 1)]
-    images = next(_smap_search(s, t, lambda k: candidates[k], distinct=True), None)
+    index = [_bucket_by_faces(t, [nondeg(y, k) for y in t.nondeg[k]], k, None)
+             for k in range(t.trunc + 1)]
+    images = next(_smap_search(s, t, index.__getitem__, distinct=True), None)
     if images is None:
         return None
     return SimplicialMap(s, t, dict(images), name="iso")
@@ -794,17 +847,13 @@ def is_kan_fibration(f: SimplicialMap, max_dim):
             h = horn(n, k, src.trunc)
             horn_face_ids = [_subset_id([v for v in range(n + 1) if v != i])
                              for i in range(n + 1)]
-            for u in _smap_search(h, src, src.all_simplices, distinct=False):
+            fillers, squares = src.by_faces(n, k), tgt.by_faces(n, k)
+            for u in _smap_search(h, src, src.by_faces, distinct=False):
                 # faces of the sought lift forced by u (all i except k)
-                forced = {i: u[horn_face_ids[i]] for i in range(n + 1) if i != k}
-                fu = {i: f.apply(forced[i]) for i in forced}
-                lifted = {f.apply(z) for z in src.all_simplices(n)
-                          if all(apply_operator(src, z, face_map(n, i)) == forced[i]
-                                 for i in forced)}
-                for w in tgt.all_simplices(n):
-                    if w in lifted or any(
-                            apply_operator(tgt, w, face_map(n, i)) != fu[i]
-                            for i in fu):
+                forced = tuple([u[horn_face_ids[i]] for i in range(n + 1) if i != k])
+                lifted = {f.apply(z) for z in fillers.get(forced, ())}
+                for w in squares.get(tuple([f.apply(z) for z in forced]), ()):
+                    if w in lifted:
                         continue
                     witness = {
                         "horn": (n, k),

@@ -17,14 +17,21 @@ probe as an ``ExtensionalSSet``, reduced by ``normalize_extensional``.
 read the map search directly: it lists every horn map as an interned
 ``SimplicialMap`` first, then searches a lift per commuting square.  The
 tests compare point complexes byte for byte and verdicts with witnesses.
+
+``reference_smap_search`` is the map search as it was before it read face
+indexes: each simplex tries every candidate of its dimension in order and
+keeps those whose faces are the images of its own faces.  The tests want the
+package's search to yield the same image tables in the same order, and
+``reference_enumerate_smaps`` lists the horn maps of
+``reference_is_kan_fibration`` with it.
 """
 
 from bisimplicial_reference import ExtensionalSSet, normalize_extensional
 from clubcat.algebra import FinSetDiagram, colimit_finset, i_points
 from clubcat.errors import InputError
-from clubcat.simpset import (SimplexCategory, SimplicialMap, _smap_search,
-                             _subset_id, apply_operator, degeneracy_map,
-                             face_map, horn, nf_id)
+from clubcat.simpset import (SimplexCategory, SimplicialMap, _subset_id,
+                             apply_operator, degeneracy_map, face_map, horn,
+                             nf_id)
 from clubcat.sset_club import compose
 
 
@@ -212,10 +219,44 @@ def reference_i_points_with_nf(x, generator):
     return normalize_extensional(ext)
 
 
+def reference_smap_search(a, b, candidates, distinct):
+    """Image tables of the simplicial maps a -> b, in backtracking order.
+
+    The non-degenerate simplices of a are placed dimension by dimension; a
+    k-simplex tries the list ``candidates(k)`` in order, keeping those whose
+    faces are the images of its own faces and, when ``distinct``, that are
+    not yet an image.  Each table is yielded live: copy it to keep it.
+    """
+    order = a.listing()
+    images = {}
+    used = set()
+
+    def backtrack(i):
+        if i == len(order):
+            yield images
+            return
+        x, k = order[i]
+        wanted = ([apply_operator(b, images[nf.base], nf.eta) for nf in a.faces[x]]
+                  if k else [])
+        for cand in candidates(k):
+            if distinct and cand in used:
+                continue
+            if any(apply_operator(b, cand, face_map(k, j)) != w
+                   for j, w in enumerate(wanted)):
+                continue
+            images[x] = cand
+            used.add(cand)
+            yield from backtrack(i + 1)
+            used.discard(cand)
+            del images[x]
+
+    return backtrack(0)
+
+
 def reference_enumerate_smaps(a, b):
     """All simplicial maps a -> b, deterministically ordered (small inputs)."""
-    return [SimplicialMap(a, b, dict(images))
-            for images in _smap_search(a, b, b.all_simplices, distinct=False)]
+    return [SimplicialMap(a, b, dict(images)) for images in
+            reference_smap_search(a, b, b.all_simplices, distinct=False)]
 
 
 def reference_is_kan_fibration(f, max_dim):

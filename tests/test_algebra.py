@@ -20,7 +20,7 @@ from clubcat.generate import (discrete_sset, minvertex_chain_family,
 from clubcat.operads import associative_operad, encode_ns
 from clubcat.diagram import unit_diagram
 from clubcat.simpset import (MonotoneMap, NormalForm, SimplexCategory,
-                             SimplicialMap, boundary, compose_smaps,
+                             SimplicialMap, _smap_search, boundary, compose_smaps,
                              degeneracy_map, disjoint_union, horn, identity_smap,
                              is_kan_fibration, nf_id, nondeg, one_point,
                              standard_simplex, validate_sset)
@@ -31,6 +31,7 @@ from clubcat.sset_club import (ClubMorphismSSet, ClubObjectFamily,
                                validate_two_level)
 from finset_reference import (reference_i_points_with_nf,
                               reference_is_kan_fibration,
+                              reference_smap_search,
                               reference_two_stage_colimit_check,
                               reference_validate_finset_diagram)
 from mutants import with_component
@@ -642,14 +643,54 @@ def kan_verdicts_agree(f, max_dim):
     return got
 
 
+def map_tables(search):
+    return [tuple(images.items()) for images in search]
+
+
+def maps_agree(a, b):
+    """The image tables of the maps a -> b, in the reference search's
+    order; returns how many there are."""
+    got = map_tables(_smap_search(a, b, b.by_faces, distinct=False))
+    assert got == map_tables(
+        reference_smap_search(a, b, b.all_simplices, distinct=False))
+    return len(got)
+
+
+def horn_maps_agree(s, top):
+    """maps_agree for every horn of dimension at most ``top`` into s."""
+    return sum(maps_agree(horn(n, k, s.trunc), s)
+               for n in range(1, top + 1) for k in range(n + 1))
+
+
 def test_horn_lifting_matches_the_reference_on_stability_composites():
+    # the horn maps into both ends, then the verdict and witness; at trunc 4
+    # the reference search takes seconds on each composite with 3-simplices,
+    # and seeds 0-4 make none
     verdicts = []
-    for trunc in (2, 3):
-        for seed in range(20):
+    tables = 0
+    for trunc, seeds in ((2, range(30)), (3, range(30)), (4, range(5))):
+        for seed in seeds:
             m = random_stability_sample(random.Random(seed), trunc)
             composed = compose_morphism(m, compose(m.src), compose(m.tgt))
+            tables += sum(horn_maps_agree(s, trunc - 1)
+                          for s in (composed.src, composed.tgt))
             verdicts.append(kan_verdicts_agree(composed, trunc - 1)[0])
     assert True in verdicts and False in verdicts
+    assert tables == 7559
+
+
+def test_map_search_matches_the_reference_on_swept_objects():
+    # the horn maps into each swept shape and, with at most one generator
+    # element, into its point complex, and the maps from the shape into the
+    # point complex; with two elements the reference search takes over half
+    # a minute
+    tables = 0
+    for x, gen in sweep_objects():
+        tables += horn_maps_agree(x.shape, x.shape.trunc - 1)
+        if len(gen) < 2:
+            p = i_points_sset(x, gen)
+            tables += horn_maps_agree(p, p.trunc - 1) + maps_agree(x.shape, p)
+    assert tables == 5004
 
 
 def test_horn_lifting_matches_the_reference_on_induced_maps():

@@ -271,6 +271,22 @@ def test_kan_check_refuses_an_invalid_map(tmp_path, capsys):
         2, "error: invalid map: face d0 not preserved at '01'\n")
 
 
+def test_a_map_between_two_truncations_is_invalid(tmp_path, capsys):
+    # the interval at trunc 3 onto itself at trunc 1: every image exists,
+    # but the horn search would need 2-simplices of the target
+    s = standard_simplex(1, 3)
+    path = tmp_path / "trunc-map.json"
+    formats.write_file(path, "map", SimplicialMap(
+        s, standard_simplex(1, 1), {x: nondeg(x, k) for x, k in s.listing()}))
+    capsys.readouterr()
+    assert main(["--json", "validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["details"] == {
+        "violations": ["source truncation 3 differs from target truncation 1"]}
+    assert _refusal(["sset", "kan-check", str(path)], capsys) == (
+        2, "error: invalid map: source truncation 3 differs from target "
+           "truncation 1\n")
+
+
 def test_compose_refuses_a_non_ascii_face_index(workspace, capsys):
     # "²" is a digit to str.isdigit, but not an index int() reads
     data = json.loads((workspace / "obj.json").read_text())

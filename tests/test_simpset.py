@@ -8,11 +8,11 @@ from clubcat.errors import InputError
 from clubcat.simpset import (MonotoneMap, NormalForm, all_monotone_maps,
                              apply_operator, boundary, compose_maps,
                              compose_smaps, degeneracy_map, disjoint_union,
-                             _smap_search, ez_factor, face_map, horn,
-                             identity_map, identity_smap, is_injective,
-                             is_kan_fibration, iso_sset, joint_factor, nf_id,
-                             nondeg, one_point, product, simplex_category,
-                             smap_equal, standard_simplex,
+                             _bucket_by_faces, _smap_search, ez_factor,
+                             face_map, horn, identity_map, identity_smap,
+                             is_injective, is_kan_fibration, iso_sset,
+                             joint_factor, nf_id, nondeg, one_point, product,
+                             simplex_category, smap_equal, standard_simplex,
                              surjections, SimplicialMap, SimplicialSet,
                              validate_smap, validate_sset)
 from clubcat.fincat import validate_category
@@ -21,6 +21,7 @@ from clubcat.sset_club import compose, constant_family
 
 from bisimplicial_reference import (bisimplicial_of, diag,
                                     validate_bisimplicial)
+from finset_reference import reference_smap_search
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +589,70 @@ def test_iso_sset_on_renamed_square():
     assert is_injective(iso)
 
 
+def iso_cases():
+    """The pairs the iso_sset tests above compare."""
+    yield product(one_point(2), boundary(2, 2)), boundary(2, 2)
+    for (a, b) in [(standard_simplex(1, 2), standard_simplex(1, 2)),
+                   (standard_simplex(2, 2), one_point(2)),
+                   (boundary(2, 2), standard_simplex(1, 2))]:
+        yield diag(_external_product(a, b))[0], product(a, b)
+    yield diag(_external_product(one_point(2), one_point(2)))[0], one_point(2)
+    a, b, t = standard_simplex(1, 2), boundary(2, 2), one_point(2)
+    yield (diag(_external_product(disjoint_union(a, b), t))[0],
+           disjoint_union(diag(_external_product(a, t))[0],
+                          diag(_external_product(b, t))[0]))
+    yield (product(standard_simplex(1, 2), standard_simplex(1, 2)),
+           product(standard_simplex(1, 2), standard_simplex(1, 2)))
+
+
+def test_isomorphisms_come_in_the_reference_search_order():
+    # every isomorphism, searched through buckets of t's non-degenerate
+    # simplices as iso_sset searches, in the order of the reference search
+    # over t's non-degenerate simplices; iso_sset returns the first
+    found = 0
+    for s, t in iso_cases():
+        nondegs = [[nondeg(y, k) for y in t.nondeg[k]] for k in range(t.trunc + 1)]
+        index = [_bucket_by_faces(t, simplices, k, None)
+                 for k, simplices in enumerate(nondegs)]
+        got = [tuple(images.items()) for images in
+               _smap_search(s, t, index.__getitem__, distinct=True)]
+        assert got == [tuple(images.items()) for images in reference_smap_search(
+            s, t, nondegs.__getitem__, distinct=True)]
+        assert tuple(iso_sset(s, t).images.items()) == got[0]
+        found += len(got)
+    assert found == 9
+
+
+def index_sets(trunc):
+    """Delta[0] to Delta[3], the boundary of Delta[2], the inner 2-horn, a
+    product and a composite."""
+    yield from (standard_simplex(n, trunc) for n in range(4))
+    yield boundary(2, trunc)
+    yield horn(2, 1, trunc)
+    yield product(standard_simplex(1, trunc), boundary(2, trunc))
+    yield compose(random_family(random.Random(trunc), trunc)).sset
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+def test_face_index_buckets_the_linear_filter(trunc):
+    for s in index_sets(trunc):
+        for n in range(trunc + 1):
+            simplices = s.all_simplices(n)
+            for skip in (None, *range(n + 1)):
+                kept = [i for i in range(n + 1) if i != skip] if n else []
+                keyed = [(tuple(apply_operator(s, z, face_map(n, i)) for i in kept), z)
+                         for z in simplices]
+                expected = {}
+                for key, _ in keyed:
+                    if key not in expected:
+                        expected[key] = [z for k, z in keyed if k == key]
+                index = s.by_faces(n, skip)
+                assert index == expected
+                assert s.by_faces(n, skip) is index
+
+
 def _count_smaps(a, b):
-    return sum(1 for _ in _smap_search(a, b, b.all_simplices, distinct=False))
+    return sum(1 for _ in _smap_search(a, b, b.by_faces, distinct=False))
 
 
 def test_map_search_counts_interval_to_point():
